@@ -296,7 +296,13 @@ def groebner_basis(vecs, ctx, p, gendegs, degree_cap=None, module_rank=None):
 
 
 def interreduce(vecs, ctx, p, gendegs):
-    """Tail-reduce every element against the others; monic; sorted."""
+    """Reduced form of a Groebner basis: monic, tail-reduced, sorted.
+
+    Elements whose lead is divisible by an earlier kept lead are dropped.
+    In a basis from groebner_basis no other lead then divides an element's
+    lead, and a lead never divides a term smaller than itself, so one
+    reducer over all kept elements gives each tail its unique normal form.
+    """
     vecs = [v for v in vecs if v]
     # drop elements whose lead is divisible by another lead (keep first seen)
     leads = [(max(v), ctx.unpack(max(v))) for v in vecs]
@@ -313,16 +319,18 @@ def interreduce(vecs, ctx, p, gendegs):
             # identical leads cannot occur after Buchberger completion
             keep.append(i)
     kept = [vecs[i] for i in keep]
+    reducer = make_reducer(ctx, p)
+    for v in kept:
+        reducer.add(v)
     out = []
-    for i, v in enumerate(kept):
-        reducer = make_reducer(ctx, p)
-        for j, w in enumerate(kept):
-            if j != i:
-                reducer.add(w)
-        nf = reducer.normal_form(v)
-        if nf:
-            lead = max(nf)
-            inv = pow(nf[lead], p - 2, p)
-            out.append({k: (c * inv) % p for k, c in nf.items()})
+    for v in kept:
+        lead = max(v)
+        inv = pow(v[lead], p - 2, p)
+        tail = dict(v)
+        del tail[lead]
+        monic = {lead: 1}
+        for k, c in reducer.normal_form(tail).items():
+            monic[k] = (c * inv) % p
+        out.append(monic)
     out.sort(key=lambda v: (vec_degree(ctx, v, gendegs), max(v)))
     return out

@@ -93,6 +93,7 @@ class GroebnerBasis:
         self.reduced = True
         self._ctx = _ring_ctx(ring)
         self._packed = [self._pack(g) for g in self.generators]
+        self._red = None
 
     def _pack(self, g):
         if isinstance(g, Polynomial):
@@ -114,10 +115,13 @@ class GroebnerBasis:
         return by_pos
 
     def _reducer(self):
-        red = make_reducer(self._ctx, self.ring.characteristic)
-        for packed in self._packed:
-            red.add(packed)
-        return red
+        # built once and reused: the basis is fixed after construction and
+        # normal_form never modifies the reducer
+        if self._red is None:
+            self._red = make_reducer(self._ctx, self.ring.characteristic)
+            for packed in self._packed:
+                self._red.add(packed)
+        return self._red
 
     def normal_form(self, f):
         """Fully reduced remainder of a Polynomial or vector."""
@@ -669,12 +673,16 @@ class ExtendedSolver:
                                  degree_cap=degree_cap,
                                  module_rank=self.nrows + self.ncols)
         self.floor = ctx.position_floor(self.nrows)
+        self._red = None
 
     def _reducer(self):
-        red = make_reducer(self.ctx, self.p)
-        for v in self.gb:
-            red.add(v)
-        return red
+        # built once and reused: the basis is fixed after construction and
+        # normal_form never modifies the reducer
+        if self._red is None:
+            self._red = make_reducer(self.ctx, self.p)
+            for v in self.gb:
+                self._red.add(v)
+        return self._red
 
     def syzygy_matrix(self):
         """Columns generate ker(matrix) as a submodule of R^{ncols}."""

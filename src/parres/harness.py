@@ -21,8 +21,8 @@ from .koszul import ParameterSequence, koszul_complex
 from .resolutions import (BettiTable, minimal_free_resolution,
                           poincare_truncation)
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
-                         find_standard_power, invariant_report, ring_module,
-                         standardness_witness)
+                         find_standard_power, first_standard_power,
+                         invariant_report, ring_module, standardness_witness)
 
 
 class RingSpecFile:
@@ -286,7 +286,7 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
                        repr(verdict_flc), "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    n = find_standard_power(ring, x, nmax=nmax, degree_cap=degree_cap)
+    n = first_standard_power(x, nmax=nmax, degree_cap=degree_cap)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
@@ -298,7 +298,8 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
     lhs = res.poincare().coefficients
     report.record("poincare_quotient", lhs)
     _, h = homology_presentation(koszul_complex(xn), 1, degree_cap=degree_cap)
-    ph = poincare_truncation(h, cap, degree_cap=degree_cap)
+    resh = minimal_free_resolution(h, cap, degree_cap=degree_cap)
+    ph = resh.poincare()
     report.record("poincare_h", ph.coefficients)
     rhs = _binomial_series(d, cap)
     for j, c in enumerate(ph.coefficients):
@@ -311,8 +312,8 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
         xm = x.power(m)
         if standardness_witness(xm, None, degree_cap) is not None:
             continue
-        resm = minimal_free_resolution(xm.quotient_module(), cap,
-                                       degree_cap=degree_cap)
+        resm = res if m == n else minimal_free_resolution(
+            xm.quotient_module(), cap, degree_cap=degree_cap)
         betti_by_power[m] = resm.betti().totals()
     report.record("betti_totals_by_standard_power", betti_by_power)
     vals = list(betti_by_power.values())
@@ -320,7 +321,6 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
                    all(v == vals[0] for v in vals), betti_by_power,
                    "all equal")
 
-    resh = minimal_free_resolution(h, cap, degree_cap=degree_cap)
     tail_ok = True
     tail = {}
     for j in range(0, cap - d):

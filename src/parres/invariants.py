@@ -290,6 +290,15 @@ def find_standard_power(ring, x, nmax=4, degree_cap=None):
                         degree_cap=degree_cap)
     if verdict is not True:
         return NOT_FOUND
+    return first_standard_power(x, nmax=nmax, degree_cap=degree_cap)
+
+
+def first_standard_power(x, nmax=4, degree_cap=None):
+    """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
+
+    The squares criterion presumes finite local cohomology, so call this
+    only after flc_check has returned True; find_standard_power does both.
+    """
     for n in range(1, nmax + 1):
         if standardness_witness(x.power(n), None, degree_cap) is None:
             return n
@@ -401,7 +410,7 @@ def invariant_report(ring, x=None, nmax=4, degree_cap=None):
     lc = None
     power = None
     if flc is True and dim > 0:
-        power = find_standard_power(ring, x, nmax=nmax, degree_cap=degree_cap)
+        power = first_standard_power(x, nmax=nmax, degree_cap=degree_cap)
         if power is not NOT_FOUND:
             lc = local_cohomology_lengths(rm, x.power(power),
                                           degree_cap=degree_cap)

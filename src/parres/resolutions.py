@@ -140,14 +140,13 @@ def minimal_free_resolution(module, cap, degree_cap=None):
     modules = {0: tuple(gens)}
     diffs = {}
     prev = module.relations
-    n = 1
-    while n <= cap + 1:
+    for n in range(1, cap + 2):
         if prev.ncols == 0:
             break
         modules[n] = prev.col_degrees
         diffs[n] = prev
-        prev = syzygies(prev, degree_cap=degree_cap)
-        n += 1
+        if n <= cap:  # no use for the syzygies of d_{cap+1}
+            prev = syzygies(prev, degree_cap=degree_cap)
     cplx = ChainComplex(ring, modules, diffs, check=True)
     mini, kept = minimize_with_tracking(cplx)
     kept0 = kept.get(0, [])

@@ -1,11 +1,15 @@
 """Packed-key representation and reduction kernel equivalence."""
 
+from itertools import combinations_with_replacement
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parres.algebra import GREVLEX, LEX, PolynomialRingSpec, compare_monomials
-from parres._engine import PackContext, PyReducer, vec_degree
-from parres import kernel
+from parres._engine import (PackContext, PyReducer, _divides, groebner_basis,
+                            interreduce, make_reducer, vec_degree)
+from parres import _engine, kernel
 
 P = 101
 
@@ -115,3 +119,74 @@ def test_kernel_selection_env(monkeypatch):
     monkeypatch.setattr(kernel, "_FORCE", "")
     big = PackContext(7)
     assert kernel.active_kernel(big) == "python"
+
+
+# --- interreduction ----------------------------------------------------------
+
+
+def _interreduce_reference(vecs, ctx, p, gendegs):
+    """The former interreduction: each kept element is fully reduced against
+    a reducer built from all the other kept elements."""
+    vecs = [v for v in vecs if v]
+    leads = [(max(v), ctx.unpack(max(v))) for v in vecs]
+    keep = []
+    for i, v in enumerate(vecs):
+        li, (pi, ei) = leads[i]
+        if not any(leads[j][1][0] == pi and _divides(leads[j][1][1], ei)
+                   and leads[j][0] != li for j in keep):
+            keep.append(i)
+    kept = [vecs[i] for i in keep]
+    out = []
+    for i, v in enumerate(kept):
+        reducer = make_reducer(ctx, p)
+        for j, w in enumerate(kept):
+            if j != i:
+                reducer.add(w)
+        nf = reducer.normal_form(v)
+        if nf:
+            lead = max(nf)
+            inv = pow(nf[lead], p - 2, p)
+            out.append({k: (c * inv) % p for k, c in nf.items()})
+    out.sort(key=lambda v: (vec_degree(ctx, v, gendegs), max(v)))
+    return out
+
+
+@st.composite
+def homogeneous_submodules(draw):
+    """Small homogeneous ideals (rank 1) or submodules of S^2, packed."""
+    nv = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["grevlex", "lex"]))
+    p = draw(st.sampled_from([2, 32003]))
+    rank = draw(st.integers(1, 2))
+    gendegs = (0,) if rank == 1 else (0, draw(st.integers(0, 1)))
+    ctx = PackContext(nv, kind)
+    vecs = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(1, 3))
+        vec = {}
+        for _ in range(draw(st.integers(1, 4))):
+            pos = draw(st.integers(0, rank - 1))
+            vars_ = draw(st.sampled_from(list(combinations_with_replacement(
+                range(nv), deg - gendegs[pos]))))
+            key = ctx.pack(pos, tuple(vars_.count(j) for j in range(nv)))
+            vec[key] = (vec.get(key, 0) + draw(st.integers(1, p - 1))) % p
+        vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            vecs.append(vec)
+    return ctx, p, gendegs, vecs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=homogeneous_submodules())
+def test_interreduce_matches_per_element_reference(case):
+    ctx, p, gendegs, vecs = case
+    seen = []
+
+    def spy(basis, *args):
+        seen.append([dict(v) for v in basis])
+        return interreduce(basis, *args)
+
+    with mock.patch.object(_engine, "interreduce", spy):
+        gb = groebner_basis(vecs, ctx, p, gendegs, module_rank=len(gendegs))
+    (unreduced,) = seen
+    assert gb == _interreduce_reference(unreduced, ctx, p, gendegs)

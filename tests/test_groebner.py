@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parres import groebner
 from parres.algebra import LEX, PolynomialRingSpec
 from parres.groebner import (INFINITE, FinitelyPresentedModule,
                              QuotientRingSpec, RingMatrix, artinian_count,
@@ -164,3 +165,42 @@ def test_gb_normal_form_is_zero_on_ideal(exps):
     gb = buchberger(gens)
     for g in gens:
         assert gb.normal_form(g * ring.parse("a + b")).is_zero()
+
+
+def _count_reducer_builds(monkeypatch):
+    builds = []
+    real = groebner.make_reducer
+
+    def counting(ctx, p):
+        builds.append((ctx, p))
+        return real(ctx, p)
+
+    monkeypatch.setattr(groebner, "make_reducer", counting)
+    return builds
+
+
+def test_quotient_reduce_builds_one_reducer(monkeypatch, amb3):
+    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
+                                   amb3.parse("c^2")])
+    builds = _count_reducer_builds(monkeypatch)
+    polys = [amb3.parse(f"a^{i}*c + b*c^2 + a*b^{i % 3}")
+             for i in range(1, 21)]
+    out = [ring.reduce(f) for f in polys]
+    assert len(builds) == 1
+    assert out == [amb3.parse(f"a*b^{i % 3}") for i in range(1, 21)]
+
+
+def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
+    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
+                                   amb3.parse("c^2")])
+    ring.reduce(amb3.parse("c^2"))  # the ring's own reducer, built once
+    a = RingMatrix.from_columns(
+        ring, [[amb3.parse("a")], [amb3.parse("b")]], row_degrees=[0])
+    b = RingMatrix.from_columns(
+        ring, [[amb3.parse("a^2 + a*b")], [amb3.parse("b^3")],
+               [amb3.parse("a*b")]], row_degrees=[0])
+    builds = _count_reducer_builds(monkeypatch)
+    sol = matrix_solve(a, b)
+    assert len(builds) == 1
+    assert sol is not None
+    assert ((a @ sol) - b).is_zero()

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from parres import harness, resolutions
 from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError)
 from parres.cli import build_parser, bundled_ring_text, main
 from parres.harness import (load_ring_spec, parse_ring_spec,
@@ -150,3 +152,28 @@ def test_cli_errors(capsys, tmp_path):
     bad.write_text("[field]\n7\n[vars]\na b\n[ideal]\na + * b\n")
     assert main(["resolve", "--ring", str(bad)]) == 1
     assert main(["koszul", "--ring", "r1", "--sop", "nope"]) == 1
+
+
+def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
+    resolved = []
+
+    def wrap(real):
+        def counting(module, cap, degree_cap=None):
+            resolved.append((module.gen_degrees, module.relations))
+            return real(module, cap, degree_cap=degree_cap)
+        return counting
+
+    for mod in (harness, resolutions):
+        monkeypatch.setattr(mod, "minimal_free_resolution",
+                            wrap(mod.minimal_free_resolution))
+    rep = verify_main_theorem(r2.ring, r2.sop("x"), 4, nmax=4)
+    n = rep.data["standard_power"]
+    standard = rep.data["betti_totals_by_standard_power"]
+    assert n in standard
+    # H_1(x^n), then R/(x^m) once for each standard power m (n included)
+    assert len(resolved) == 1 + len(standard)
+    for i, a in enumerate(resolved):
+        assert all(a != b for b in resolved[i + 1:])
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" \
+        / "default" / "r2.main-theorem.json"
+    assert rep.render("structured") == golden.read_text(encoding="utf-8")

@@ -1,9 +1,11 @@
 import pytest
 
+from parres import invariants
 from parres.algebra import AlgebraError
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
-                               find_standard_power, grade, invariant_report,
+                               find_standard_power, first_standard_power,
+                               grade, invariant_report,
                                is_sop, is_standard_sop,
                                length_stability_check,
                                local_cohomology_lengths, reference_sop,
@@ -62,6 +64,22 @@ def test_find_standard_power(r1, r2, nonflc):
     assert find_standard_power(r2.ring, r2.sop()) == 1
     assert find_standard_power(nonflc.ring, nonflc.sop("y"),
                                nmax=3) is NOT_FOUND
+
+
+def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
+    calls = []
+    real = invariants.flc_check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "flc_check", counting)
+    inv = invariant_report(r1.ring, r1.sop("x"))
+    assert len(calls) == 1
+    assert inv.to_dict()["standard_power"] == 1
+    # once FLC holds, the search alone gives the same answer
+    assert first_standard_power(r2.sop()) == 1
 
 
 def test_reference_sop(r1, r2):

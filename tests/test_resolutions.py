@@ -11,7 +11,7 @@ from parres.resolutions import (BettiTable, aci_cone_resolution,
                                 lift_koszul_to_resolution,
                                 minimal_free_resolution, poincare_truncation,
                                 sequence_grade, syzygy_module)
-from parres import oracle
+from parres import oracle, resolutions
 
 
 def _residue_field(ring):
@@ -138,3 +138,20 @@ def test_poincare_truncation_of_zero(r1):
         r1.ring, [0],
         RingMatrix.identity(r1.ring, (0,)))
     assert poincare_truncation(zero, 3).coefficients == [0, 0, 0, 0]
+
+
+def test_resolution_computes_no_syzygies_past_cap(monkeypatch, r1):
+    calls = []
+    real = resolutions.syzygies
+
+    def counting(matrix, degree_cap=None):
+        calls.append(matrix.ncols)
+        return real(matrix, degree_cap=degree_cap)
+
+    monkeypatch.setattr(resolutions, "syzygies", counting)
+    cap = 5
+    res = minimal_free_resolution(_residue_field(r1.ring), cap)
+    # k over r1 has an infinite linear resolution, so no step stops early
+    assert len(calls) == cap
+    assert res.betti().entries == {
+        (i, i): b for i, b in enumerate([1, 3, 6, 13, 28, 60])}
