@@ -13,10 +13,6 @@ Layout (most significant first), grevlex:
 and lex:
 
     [POS_MAX - pos | e_0 | e_1 | ... | e_{n-1}]
-
-For <= 4 variables everything fits in 64 bits, which the optional compiled
-kernel exploits; the pure-Python path works with arbitrary precision ints and
-has no variable-count limit.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ MAX_DEGREE = EXP_MASK - 1
 class PackContext:
     """Packing rules for one (number of variables, order kind) pair."""
 
-    __slots__ = ("nv", "kind", "expshift", "topshift", "fits64", "_cmask")
+    __slots__ = ("nv", "kind", "expshift", "topshift")
 
     def __init__(self, nv, kind="grevlex"):
         if kind not in ("grevlex", "lex"):
@@ -51,8 +47,6 @@ class PackContext:
             self.topshift = self.expshift + DEG_BITS
         else:
             self.topshift = self.expshift
-        self.fits64 = self.topshift + POS_BITS <= 64
-        self._cmask = sum(EXP_MASK << (EXP_BITS * j) for j in range(nv))
 
     def pack(self, pos, exp):
         if pos > POS_MAX:
@@ -203,7 +197,7 @@ class PyReducer:
 
 
 def make_reducer(ctx, p):
-    # deferred import so the compiled kernel stays optional
+    # deferred import: kernel imports this module
     from .kernel import reducer_factory
     return reducer_factory(ctx, p)
 

@@ -319,6 +319,7 @@ def minimize_with_tracking(cplx):
             if i == pi or j == pj:
                 continue
             newa[(i, j)] = v
+        # only the corrected entries need reducing; the others already are
         for i, cv in col.items():
             for j, rv in row.items():
                 corr = (cv * rv).scale(-inv)
@@ -326,6 +327,8 @@ def minimize_with_tracking(cplx):
                     s = newa[(i, j)] + corr
                 else:
                     s = corr
+                if not s.is_zero():
+                    s = ring.reduce(s)
                 if s.is_zero():
                     newa.pop((i, j), None)
                 else:
@@ -333,9 +336,8 @@ def minimize_with_tracking(cplx):
         # renumber rows (drop pi) and columns (drop pj)
         def rmap(idx, drop):
             return idx - 1 if idx > drop else idx
-        diffs[n] = {(rmap(i, pi), rmap(j, pj)): ring.reduce(v)
-                    for (i, j), v in newa.items()
-                    if not ring.reduce(v).is_zero()}
+        diffs[n] = {(rmap(i, pi), rmap(j, pj)): v
+                    for (i, j), v in newa.items()}
         if n + 1 in diffs:
             diffs[n + 1] = {(rmap(i, pj), j): v
                             for (i, j), v in diffs[n + 1].items() if i != pj}
@@ -354,7 +356,8 @@ def minimize_with_tracking(cplx):
         tgt = out_modules.get(n - 1, ())
         if not src or not tgt:
             continue
-        out_diffs[n] = RingMatrix(ring, len(tgt), len(src), entries, tgt, src)
+        out_diffs[n] = RingMatrix(ring, len(tgt), len(src), entries, tgt, src,
+                                  _reduced=True)
     mini = ChainComplex(ring, out_modules, out_diffs, check=True)
     return mini, {n: idx for n, idx in kept.items() if idx}
 

@@ -15,7 +15,8 @@ import itertools
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, PolynomialRingSpec,
                       RingMismatchError)
-from ._engine import PackContext, groebner_basis, make_reducer, vec_degree
+from ._engine import (POS_MAX, PackContext, groebner_basis, make_reducer,
+                      vec_degree)
 
 
 class _Infinite:
@@ -251,8 +252,11 @@ class QuotientRingSpec:
             return f
         return self.defining_ideal.normal_form(f)
 
-    def reduce_vector(self, vec):
-        return [self.reduce(p) for p in vec]
+    def reduce_packed(self, vec):
+        """Normal form modulo I of a packed vector supported in position 0."""
+        if not self.defining_ideal.generators:
+            return vec
+        return self.defining_ideal._reducer().normal_form(vec)
 
     def dimension(self):
         if self._dimension is None:
@@ -382,8 +386,7 @@ class RingMatrix:
         self.entries = clean
 
     @classmethod
-    def from_columns(cls, ring, columns, row_degrees, col_degrees=None,
-                     _reduced=False):
+    def from_columns(cls, ring, columns, row_degrees, col_degrees=None):
         """columns: list of lists of Polynomial (length nrows each)."""
         nrows = len(row_degrees)
         entries = {}
@@ -404,7 +407,7 @@ class RingMatrix:
             # zero columns get degree 0 unless told otherwise
             col_degrees = [d if d is not None else 0 for d in degs]
         return cls(ring, nrows, len(columns), entries, row_degrees,
-                   col_degrees, _reduced=_reduced)
+                   col_degrees)
 
     @classmethod
     def identity(cls, ring, degrees):
@@ -438,12 +441,12 @@ class RingMatrix:
         if other.nrows != self.ncols:
             raise DimensionMismatchError(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
+        by_row = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
         acc = {}
         for (i, k), a in self.entries.items():
-            for j in range(other.ncols):
-                b = other.entries.get((k, j))
-                if b is None:
-                    continue
+            for j, b in by_row.get(k, ()):
                 prod = a * b
                 if (i, j) in acc:
                     acc[(i, j)] = acc[(i, j)] + prod
@@ -684,43 +687,64 @@ class ExtendedSolver:
                 self._red.add(v)
         return self._red
 
+    def _entries_by_row(self, packed, sign=1):
+        """Sparse column {row: Polynomial} of a vector in the tag block.
+
+        Terms are grouped by tag position; each group is moved to position 0,
+        reduced modulo the defining ideal in packed form and, if nonzero,
+        becomes the entry in row (position - nrows), its coefficients
+        multiplied by sign.
+        """
+        ctx = self.ctx
+        shift = ctx.topshift
+        mask = (1 << shift) - 1
+        top0 = POS_MAX << shift
+        groups = {}
+        for key, c in packed.items():
+            groups.setdefault(key >> shift, {})[top0 | (key & mask)] = c
+        ambient = self.ring.ambient
+        col = {}
+        for hi in sorted(groups, reverse=True):  # ascending position
+            nf = self.ring.reduce_packed(groups[hi])
+            if nf:
+                col[POS_MAX - hi - self.nrows] = Polynomial(
+                    ambient, {ctx.exp_of(k): sign * c for k, c in nf.items()})
+        return col
+
     def syzygy_matrix(self):
         """Columns generate ker(matrix) as a submodule of R^{ncols}."""
         ctx = self.ctx
-        cols = []
+        entries = {}
         degs = []
         for v in self.gb:
-            if max(v) >= self.floor:
+            lead = max(v)
+            if lead >= self.floor:
                 continue  # leading block nonzero: not a pure syzygy
-            shifted = {}
-            for key, c in v.items():
-                pos, exp = ctx.unpack(key)
-                shifted[ctx.pack(pos - self.nrows, exp)] = c
-            col = packed_to_vector(shifted, ctx, self.ring.ambient, self.ncols)
-            col = self.ring.reduce_vector(col)
-            if all(p.is_zero() for p in col):
+            col = self._entries_by_row(v)
+            if not col:
                 continue
-            cols.append(col)
-            degs.append(vec_degree(ctx, shifted, self.matrix.col_degrees))
-        return RingMatrix.from_columns(self.ring, cols,
-                                       self.matrix.col_degrees, degs)
+            j = len(degs)
+            for i, poly in col.items():
+                entries[(i, j)] = poly
+            pos = ctx.pos_of(lead) - self.nrows
+            degs.append(ctx.mono_degree(lead) + self.matrix.col_degrees[pos])
+        return RingMatrix(self.ring, self.ncols, len(degs), entries,
+                          self.matrix.col_degrees, degs, _reduced=True)
 
     def solve_column(self, col):
-        """x with matrix @ x = col over R, or None if col is not in the image."""
+        """x with matrix @ x = col over R, or None if col is not in the image.
+
+        col and x are sparse columns: dicts row -> nonzero Polynomial.
+        """
         ctx = self.ctx
         packed = {}
-        for i, poly in enumerate(col):
+        for i, poly in col.items():
             for exp, c in poly.terms.items():
                 packed[ctx.pack(i, exp)] = c
         nf = self._reducer().normal_form(packed, stopkey=self.floor)
-        x = [dict() for _ in range(self.ncols)]
-        for key, c in nf.items():
-            pos, exp = ctx.unpack(key)
-            if pos < self.nrows:
-                return None
-            x[pos - self.nrows][exp] = -c
-        out = [Polynomial(self.ring.ambient, t) for t in x]
-        return self.ring.reduce_vector(out)
+        if nf and max(nf) >= self.floor:
+            return None  # a leading-block remainder survives
+        return self._entries_by_row(nf, sign=-1)
 
 
 def syzygies(matrix, degree_cap=None):
@@ -738,14 +762,18 @@ def matrix_solve(a, b, degree_cap=None, solver=None):
         solver = ExtendedSolver(a, degree_cap=degree_cap)
     if b.nrows != a.nrows or b.row_degrees != a.row_degrees:
         raise DimensionMismatchError("right-hand side target mismatch")
-    cols = []
-    for j in range(b.ncols):
-        x = solver.solve_column(b.column(j))
+    cols = [{} for _ in range(b.ncols)]
+    for (i, j), poly in b.entries.items():
+        cols[j][i] = poly
+    entries = {}
+    for j, col in enumerate(cols):
+        x = solver.solve_column(col)
         if x is None:
             return None
-        cols.append(x)
-    return RingMatrix.from_columns(a.ring, cols, a.col_degrees,
-                                   b.col_degrees, _reduced=True)
+        for i, poly in x.items():
+            entries[(i, j)] = poly
+    return RingMatrix(a.ring, a.ncols, b.ncols, entries, a.col_degrees,
+                      b.col_degrees, _reduced=True)
 
 
 # ---------------------------------------------------------------------------

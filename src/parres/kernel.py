@@ -1,42 +1,14 @@
-"""Reduction kernel selection.
+"""The reduction kernel: one factory for every reducer parres builds.
 
-The hot loop (normal-form reduction of packed vectors) has two
-implementations: an optional compiled extension restricted to packed keys
-that fit in 64 bits, and a pure-Python fallback with no size limit.  The
-compiled one is used automatically when it is importable and the packing
-fits; set PARRES_KERNEL=python or PARRES_KERNEL=compiled to force a choice.
+All normal-form reduction of packed vectors goes through `PyReducer`, and
+every reducer is made here, so a build can be counted or replaced at one
+point.
 """
 
 from __future__ import annotations
 
-import os
-
 from ._engine import PyReducer
-
-try:
-    from . import _kernel as _compiled
-except ImportError:
-    _compiled = None
-
-_FORCE = os.environ.get("PARRES_KERNEL", "").strip().lower()
-if _FORCE == "compiled" and _compiled is None:
-    raise ImportError("PARRES_KERNEL=compiled but the extension is not built")
-
-
-def compiled_available():
-    return _compiled is not None
-
-
-def active_kernel(ctx):
-    """Name of the kernel that reducer_factory would pick for this context."""
-    if _FORCE == "python":
-        return "python"
-    if _compiled is not None and ctx.fits64 and _FORCE != "python":
-        return "compiled"
-    return "python"
 
 
 def reducer_factory(ctx, p):
-    if active_kernel(ctx) == "compiled":
-        return _compiled.Reducer(ctx, p)
     return PyReducer(ctx, p)

@@ -1,4 +1,4 @@
-"""Packed-key representation and reduction kernel equivalence."""
+"""Packed-key representation and interreduction."""
 
 from itertools import combinations_with_replacement
 from unittest import mock
@@ -6,12 +6,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import GREVLEX, LEX, PolynomialRingSpec, compare_monomials
+from parres.algebra import GREVLEX, LEX, compare_monomials
 from parres._engine import (PackContext, PyReducer, _divides, groebner_basis,
                             interreduce, make_reducer, vec_degree)
 from parres import _engine, kernel
-
-P = 101
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 
@@ -65,60 +63,22 @@ def test_vec_degree_detects_inhomogeneity():
         vec_degree(ctx, vec, [0])
 
 
-def test_fits64_boundary():
-    assert PackContext(4, "grevlex").fits64
-    assert not PackContext(5, "grevlex").fits64
-    assert PackContext(5, "lex").fits64
-    assert not PackContext(6, "lex").fits64
+def test_every_reducer_comes_from_the_factory(monkeypatch):
+    ctx = PackContext(2)
+    built = []
+    real = kernel.reducer_factory
 
+    def counting(ctx, p):
+        built.append(real(ctx, p))
+        return built[-1]
 
-# --- kernel equivalence -----------------------------------------------------
-
-vecs = st.lists(
-    st.tuples(st.integers(0, 3), exps3, st.integers(1, P - 1)),
-    min_size=1, max_size=8)
-
-
-def _to_vec(ctx, items):
-    out = {}
-    for pos, exp, c in items:
-        k = ctx.pack(pos, exp)
-        out[k] = (out.get(k, 0) + c) % P
-    return {k: v for k, v in out.items() if v}
-
-
-@pytest.mark.skipif(not kernel.compiled_available(),
-                    reason="compiled kernel not built")
-@pytest.mark.parametrize("kind", ["grevlex", "lex"])
-@settings(max_examples=60, deadline=None)
-@given(basis=st.lists(vecs, max_size=4), target=vecs,
-       stoppos=st.integers(0, 4))
-def test_compiled_matches_python(kind, basis, target, stoppos):
-    ctx = PackContext(3, kind)
-    py = PyReducer(ctx, P)
-    cc = kernel._compiled.Reducer(ctx, P)
-    for items in basis:
-        vec = _to_vec(ctx, items)
-        if vec:
-            py.add(vec)
-            cc.add(vec)
-    t = _to_vec(ctx, target)
-    stop = ctx.position_floor(stoppos)
-    assert py.normal_form(t) == cc.normal_form(t)
-    assert py.normal_form(t, stopkey=stop) == cc.normal_form(t, stopkey=stop)
-
-
-def test_kernel_selection_env(monkeypatch):
-    ctx = PackContext(3)
-    monkeypatch.setattr(kernel, "_FORCE", "python")
-    assert kernel.active_kernel(ctx) == "python"
-    assert isinstance(kernel.reducer_factory(ctx, P), PyReducer)
-    if kernel.compiled_available():
-        monkeypatch.setattr(kernel, "_FORCE", "compiled")
-        assert kernel.active_kernel(ctx) == "compiled"
-    monkeypatch.setattr(kernel, "_FORCE", "")
-    big = PackContext(7)
-    assert kernel.active_kernel(big) == "python"
+    monkeypatch.setattr(kernel, "reducer_factory", counting)
+    vecs = [{ctx.pack(0, (2, 0)): 1}, {ctx.pack(0, (1, 1)): 1}]
+    gb = groebner_basis(vecs, ctx, 101, (0,), module_rank=1)
+    assert len(gb) == 2
+    # one reducer for Buchberger, one for the interreduction
+    assert len(built) == 2
+    assert all(type(r) is PyReducer for r in built)
 
 
 # --- interreduction ----------------------------------------------------------

@@ -1,13 +1,18 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parres import groebner
-from parres.algebra import LEX, PolynomialRingSpec
-from parres.groebner import (INFINITE, FinitelyPresentedModule,
-                             QuotientRingSpec, RingMatrix, artinian_count,
-                             buchberger, krull_dimension, length,
-                             matrix_solve, staircase_dimension,
+from parres._engine import vec_degree
+from parres.algebra import GREVLEX, LEX, Polynomial, PolynomialRingSpec
+from parres.groebner import (INFINITE, ExtendedSolver,
+                             FinitelyPresentedModule, QuotientRingSpec,
+                             RingMatrix, artinian_count, buchberger,
+                             krull_dimension, length, matrix_solve,
+                             packed_to_vector, staircase_dimension,
                              standard_monomials, syzygies)
+from parres.koszul import koszul_complex
 
 P = 32003
 
@@ -204,3 +209,121 @@ def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
     assert len(builds) == 1
     assert sol is not None
     assert ((a @ sol) - b).is_zero()
+
+
+# --- sparse read-off against the former dense read-off ----------------------
+
+
+def _dense_syzygy_matrix(solver):
+    """The former read-off: every pure syzygy becomes a dense column of
+    Polynomials, and every entry is reduced modulo I on its own."""
+    ctx, ring = solver.ctx, solver.ring
+    cols, degs = [], []
+    for v in solver.gb:
+        if max(v) >= solver.floor:
+            continue
+        shifted = {}
+        for key, c in v.items():
+            pos, exp = ctx.unpack(key)
+            shifted[ctx.pack(pos - solver.nrows, exp)] = c
+        col = packed_to_vector(shifted, ctx, ring.ambient, solver.ncols)
+        col = [ring.reduce(f) for f in col]
+        if all(f.is_zero() for f in col):
+            continue
+        cols.append(col)
+        degs.append(vec_degree(ctx, shifted, solver.matrix.col_degrees))
+    return RingMatrix.from_columns(ring, cols, solver.matrix.col_degrees, degs)
+
+
+def _dense_matrix_solve(a, b):
+    """The former solve: dense columns in, dense columns out."""
+    solver = ExtendedSolver(a)
+    ctx, ring = solver.ctx, solver.ring
+    cols = []
+    for j in range(b.ncols):
+        packed = {}
+        for i, f in enumerate(b.column(j)):
+            for exp, c in f.terms.items():
+                packed[ctx.pack(i, exp)] = c
+        nf = solver._reducer().normal_form(packed, stopkey=solver.floor)
+        x = [dict() for _ in range(solver.ncols)]
+        for key, c in nf.items():
+            pos, exp = ctx.unpack(key)
+            if pos < solver.nrows:
+                return None
+            x[pos - solver.nrows][exp] = -c
+        cols.append([ring.reduce(Polynomial(ring.ambient, t)) for t in x])
+    return RingMatrix.from_columns(ring, cols, a.col_degrees, b.col_degrees)
+
+
+@st.composite
+def quotient_matrices(draw):
+    """(a, b): a small homogeneous matrix over a small quotient ring and a
+    right-hand side whose last column may lie outside the image of a."""
+    nv = draw(st.integers(2, 3))
+    p = draw(st.sampled_from([2, 32003]))
+    order = draw(st.sampled_from([GREVLEX, LEX]))
+    amb = PolynomialRingSpec(p, "abc"[:nv], order)
+
+    def form(deg, max_terms):
+        monos = list(combinations_with_replacement(range(nv), deg))
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            m = draw(st.sampled_from(monos))
+            exp = tuple(m.count(v) for v in range(nv))
+            terms[exp] = terms.get(exp, 0) + draw(st.integers(1, p - 1))
+        return Polynomial(amb, terms)
+
+    ideal = [form(2, 3) for _ in range(draw(st.integers(0, 2)))]
+    ring = QuotientRingSpec(amb, ideal)
+    nrows = draw(st.integers(1, 2))
+    ncols = draw(st.integers(1, 3))
+    rdeg = [draw(st.integers(0, 1)) for _ in range(nrows)]
+    cdeg = [max(rdeg) + draw(st.integers(1, 2)) for _ in range(ncols)]
+    a = RingMatrix(ring, nrows, ncols,
+                   {(i, j): form(cdeg[j] - rdeg[i], 2)
+                    for i in range(nrows) for j in range(ncols)},
+                   rdeg, cdeg)
+    # columns a @ c lie in the image; e_0 in the degree of row 0 does not,
+    # since every entry of a has positive degree
+    top = max(cdeg) + 1
+    c = RingMatrix(ring, ncols, 1,
+                   {(j, 0): form(top - cdeg[j], 2) for j in range(ncols)},
+                   cdeg, [top])
+    image = a @ c
+    outside = RingMatrix(ring, nrows, 1, {(0, 0): amb.one()}, rdeg, [rdeg[0]])
+    return a, image, outside
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=quotient_matrices())
+def test_sparse_readoff_matches_dense_reference(case):
+    a, image, outside = case
+    solver = ExtendedSolver(a)
+    syz = solver.syzygy_matrix()
+    assert syz == _dense_syzygy_matrix(solver)
+    assert (a @ syz).is_zero()
+    sol = matrix_solve(a, image, solver=solver)
+    assert sol is not None
+    assert sol == _dense_matrix_solve(a, image)
+    assert a @ sol == image
+    assert matrix_solve(a, outside, solver=solver) is None
+    assert _dense_matrix_solve(a, outside) is None
+
+
+def test_syzygies_never_reduce_zero(monkeypatch, r2):
+    d1 = koszul_complex(r2.sop()).differential(1)
+    assert [str(d1.entry(0, j)) for j in range(2)] == ["a + c", "b + d"]
+    inputs = []
+    real = QuotientRingSpec.reduce
+
+    def counting(self, f):
+        inputs.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(QuotientRingSpec, "reduce", counting)
+    syz = syzygies(d1)
+    monkeypatch.undo()
+    assert not [f for f in inputs if f.is_zero()]
+    assert syz == _dense_syzygy_matrix(ExtendedSolver(d1))
+    assert syz.ncols > 0 and (d1 @ syz).is_zero()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from parres import harness, resolutions
+from parres import harness, invariants, resolutions
 from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError)
 from parres.cli import build_parser, bundled_ring_text, main
 from parres.harness import (load_ring_spec, parse_ring_spec,
@@ -166,6 +166,17 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     for mod in (harness, resolutions):
         monkeypatch.setattr(mod, "minimal_free_resolution",
                             wrap(mod.minimal_free_resolution))
+    witnessed = []
+
+    def wrap_witness(real):
+        def counting(x, module=None, degree_cap=None):
+            witnessed.append(repr(x))
+            return real(x, module, degree_cap)
+        return counting
+
+    for mod in (harness, invariants):
+        monkeypatch.setattr(mod, "standardness_witness",
+                            wrap_witness(mod.standardness_witness))
     rep = verify_main_theorem(r2.ring, r2.sop("x"), 4, nmax=4)
     n = rep.data["standard_power"]
     standard = rep.data["betti_totals_by_standard_power"]
@@ -174,6 +185,8 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     assert len(resolved) == 1 + len(standard)
     for i, a in enumerate(resolved):
         assert all(a != b for b in resolved[i + 1:])
+    # the standardness of each power x^1..x^4 is decided once
+    assert len(witnessed) == len(set(witnessed)) == 4
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" \
         / "default" / "r2.main-theorem.json"
     assert rep.render("structured") == golden.read_text(encoding="utf-8")
