@@ -211,13 +211,11 @@ def spair_parts(ctx, e1, e2):
         tuple(l - b for l, b in zip(lcm, e2))
 
 
-def groebner_basis(vecs, ctx, p, gendegs, degree_cap=None, module_rank=None):
+def groebner_basis(vecs, ctx, p, gendegs, module_rank):
     """Reduced Groebner basis of the submodule generated by `vecs`.
 
     vecs: homogeneous packed vectors (dicts).  gendegs: internal degree of
-    each free-module position.  With degree_cap, S-pairs above the cap are
-    dropped: the result is a Groebner basis through internal degree cap.
-    Deterministic for a fixed input order.
+    each free-module position.  Deterministic for a fixed input order.
 
     The product criterion is only applied when module_rank == 1 (it is not
     valid for modules of higher rank).
@@ -232,8 +230,6 @@ def groebner_basis(vecs, ctx, p, gendegs, degree_cap=None, module_rank=None):
         if not vec:
             continue
         deg = vec_degree(ctx, vec, gendegs)
-        if degree_cap is not None and deg > degree_cap:
-            continue
         heapq.heappush(heap, (deg, seq, "gen", vec))
         seq += 1
 
@@ -252,8 +248,6 @@ def groebner_basis(vecs, ctx, p, gendegs, degree_cap=None, module_rank=None):
                 continue
             lcm, _, _ = spair_parts(ctx, exp, exp2)
             pdeg = sum(lcm) + gendegs[pos]
-            if degree_cap is not None and pdeg > degree_cap:
-                continue
             if rank1 and all(min(a, b) == 0 for a, b in zip(exp, exp2)):
                 continue  # product criterion
             heapq.heappush(heap, (pdeg, seq, "pair", (j, idx)))

@@ -9,7 +9,6 @@ the ring's active monomial order.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 
 
 class AlgebraError(Exception):
@@ -34,8 +33,24 @@ class PolyParseError(AlgebraError):
         self.column = column
         loc = ""
         if line is not None:
-            loc = f" (line {line}, column {column})"
+            loc = f" (line {line})" if column is None else \
+                f" (line {line}, column {column})"
         super().__init__(message + loc)
+
+
+class Sentinel:
+    """A named marker value such as INFINITE; it is never a truth value."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+    def __bool__(self):
+        raise AlgebraError(f"{self.name} used as a boolean")
 
 
 def _is_prime(n):
@@ -51,79 +66,6 @@ def _is_prime(n):
     return True
 
 
-@total_ordering
-class PrimeFieldElement:
-    """An element of GF(p), value kept reduced into [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        if not _is_prime(p):
-            raise AlgebraError(f"{p} is not prime")
-        self.p = p
-        self.value = value % p
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise RingMismatchError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return PrimeFieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return PrimeFieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (isinstance(other, PrimeFieldElement)
-                and self.p == other.p and self.value == other.value)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return self.value < o.value
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 
@@ -131,17 +73,13 @@ class PrimeFieldElement:
 class MonomialOrder:
     """Total multiplicative order on exponent vectors.
 
-    Subclasses provide `key(exp)`; larger key means larger monomial.  The
-    module extension is always position-over-term with lower position first.
+    Subclasses provide `key(exp)`; larger key means larger monomial.
     """
 
     kind = None
 
     def key(self, exp):
         raise NotImplementedError
-
-    def module_key(self, pos, exp):
-        return (-pos,) + self.key(exp)
 
     def compare(self, m1, m2):
         if len(m1) != len(m2):
@@ -256,9 +194,6 @@ class PolynomialRingSpec:
         exp = [0] * self.nvars
         exp[i] = 1
         return Polynomial(self, {tuple(exp): 1})
-
-    def gens(self):
-        return tuple(self.gen(v) for v in self.variables)
 
     def monomial(self, exp, coeff=1):
         if len(exp) != self.nvars:
@@ -378,11 +313,11 @@ class Polynomial:
         inv = pow(lt[1], self.ring.characteristic - 2, self.ring.characteristic)
         return self.scale(inv)
 
-    def monomial_multiple(self, exp, coeff=1):
-        """Multiply by a single term coeff * x^exp."""
+    def monomial_multiple(self, exp):
+        """Multiply by the monomial x^exp."""
         out = {}
         for e, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, exp))] = c * coeff
+            out[tuple(a + b for a, b in zip(e, exp))] = c
         return Polynomial(self.ring, out)
 
     # -- equality / hashing

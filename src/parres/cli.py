@@ -20,6 +20,16 @@ from .harness import (invariants_experiment, koszul_experiment,
 BUNDLED = ("r1", "r2", "regular", "hypersurface", "nonflc")
 DEFAULT_CAP = 4
 DEFAULT_POWER_MAX = 4
+SUBCOMMANDS = (
+    ("resolve", "minimal free resolution of R/(x)"),
+    ("koszul", "Koszul homology lengths of the sequence"),
+    ("invariants", "dimension, depth, defect, local cohomology"),
+    ("standard", "smallest power making the sop standard"),
+    ("inequality", "coefficientwise Poincare series bound"),
+    ("main-theorem", "stabilization statement for cmd <= 1 rings"),
+    ("scan", "Betti totals of R/(x^i) across powers"),
+    ("example", "recompute the bundled reference computation"),
+)
 
 
 def bundled_ring_text(name):
@@ -40,14 +50,13 @@ def build_parser():
         description="Graded free resolutions and Koszul homology over "
                     "quotient rings of polynomial rings over a prime field.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_sop=True):
+    for name, help_text in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--ring", required=True,
                        help="ring-spec file path, or bundled name: "
                             + ", ".join(BUNDLED))
-        if need_sop:
-            p.add_argument("--sop", default=None,
-                           help="name of the [sop <name>] section to use")
+        p.add_argument("--sop", default=None,
+                       help="name of the [sop <name>] section to use")
         p.add_argument("--cap", type=int, default=None,
                        help="homological degree cap (default from [caps], "
                             f"else {DEFAULT_CAP})")
@@ -58,24 +67,6 @@ def build_parser():
                        default="text")
         p.add_argument("--out", default=None,
                        help="write the report to this path instead of stdout")
-
-    common(sub.add_parser("resolve",
-                          help="minimal free resolution of R/(x)"))
-    common(sub.add_parser("koszul",
-                          help="Koszul homology lengths of the sequence"))
-    common(sub.add_parser("invariants",
-                          help="dimension, depth, defect, local cohomology"),
-           need_sop=True)
-    common(sub.add_parser("standard",
-                          help="smallest power making the sop standard"))
-    common(sub.add_parser("inequality",
-                          help="coefficientwise Poincare series bound"))
-    common(sub.add_parser("main-theorem",
-                          help="stabilization statement for cmd <= 1 rings"))
-    common(sub.add_parser("scan",
-                          help="Betti totals of R/(x^i) across powers"))
-    common(sub.add_parser("example",
-                          help="recompute the bundled reference computation"))
     return parser
 
 
@@ -85,30 +76,26 @@ def run(args):
                                                          DEFAULT_CAP)
     nmax = (args.power_max if args.power_max is not None
             else spec.cap("power", DEFAULT_POWER_MAX))
-    degree_cap = spec.caps.get("internal")
     ring = spec.ring
     cmd = args.command
     if cmd == "invariants":
         x = spec.sop(args.sop) if spec.sops else None
-        return invariants_experiment(ring, x, nmax=nmax,
-                                     degree_cap=degree_cap)
+        return invariants_experiment(ring, x, nmax=nmax)
     x = spec.sop(args.sop)
     if cmd == "resolve":
-        return resolve_experiment(ring, x, cap, degree_cap=degree_cap)
+        return resolve_experiment(ring, x, cap)
     if cmd == "koszul":
-        return koszul_experiment(ring, x, degree_cap=degree_cap)
+        return koszul_experiment(ring, x)
     if cmd == "standard":
-        return standard_experiment(ring, x, nmax=nmax, degree_cap=degree_cap)
+        return standard_experiment(ring, x, nmax=nmax)
     if cmd == "inequality":
-        return verify_inequality(ring, x, cap, degree_cap=degree_cap)
+        return verify_inequality(ring, x, cap)
     if cmd == "main-theorem":
-        return verify_main_theorem(ring, x, cap, nmax=nmax,
-                                   degree_cap=degree_cap)
+        return verify_main_theorem(ring, x, cap, nmax=nmax)
     if cmd == "scan":
-        return stabilization_scan(ring, x, cap, nmax=nmax,
-                                  degree_cap=degree_cap)
+        return stabilization_scan(ring, x, cap, nmax=nmax)
     if cmd == "example":
-        return reproduce_example(ring, x, cap=cap, degree_cap=degree_cap)
+        return reproduce_example(ring, x, cap=cap)
     raise AlgebraError(f"unknown command {cmd!r}")
 
 

@@ -69,9 +69,6 @@ class ChainComplex:
     def is_zero(self):
         return not self.modules
 
-    def total_rank(self):
-        return sum(len(d) for d in self.modules.values())
-
     def __repr__(self):
         body = ", ".join(f"{n}:{len(d)}" for n, d in sorted(self.modules.items()))
         return f"<ChainComplex ranks {{{body}}} over {self.ring}>"
@@ -120,13 +117,12 @@ class ComplexMap:
 # homology
 
 
-def cycle_generators(cplx, n, degree_cap=None):
+def cycle_generators(cplx, n):
     """RingMatrix whose columns generate ker(differential at n)."""
-    d = cplx.differential(n)
-    return syzygies(d, degree_cap=degree_cap)
+    return syzygies(cplx.differential(n))
 
 
-def homology_presentation(cplx, n, degree_cap=None):
+def homology_presentation(cplx, n):
     """(Z, H): cycle generator matrix and the presented homology module.
 
     Z has one column per homology generator (as an element of F_n); H is the
@@ -134,10 +130,10 @@ def homology_presentation(cplx, n, degree_cap=None):
     by the syzygies among the cycle generators.
     """
     ring = cplx.ring
-    z = cycle_generators(cplx, n, degree_cap=degree_cap)
+    z = cycle_generators(cplx, n)
     if z.ncols == 0:
         return z, FinitelyPresentedModule(ring, ())
-    solver = ExtendedSolver(z, degree_cap=degree_cap)
+    solver = ExtendedSolver(z)
     dn1 = cplx.differential(n + 1)
     boundary_expr = matrix_solve(z, dn1, solver=solver)
     if boundary_expr is None:
@@ -146,15 +142,15 @@ def homology_presentation(cplx, n, degree_cap=None):
     return z, FinitelyPresentedModule(ring, z.col_degrees, rel)
 
 
-def homology_at(cplx, n, degree_cap=None):
+def homology_at(cplx, n):
     """H_n as a finitely presented module."""
-    return homology_presentation(cplx, n, degree_cap=degree_cap)[1]
+    return homology_presentation(cplx, n)[1]
 
 
-def homology_sup(cplx, degree_cap=None):
-    """Largest n with H_n nonzero, or None for an exact/zero complex."""
-    for n in range(cplx.hi, cplx.lo - 1, -1):
-        if not homology_at(cplx, n, degree_cap=degree_cap).is_zero():
+def homology_sup(cplx, top):
+    """Largest n <= top with H_n nonzero, or None if there is none."""
+    for n in range(top, cplx.lo - 1, -1):
+        if not homology_at(cplx, n).is_zero():
             return n
     return None
 
@@ -234,22 +230,16 @@ def dual(cplx):
 # killing top homology (cone construction over a resolution of H_s)
 
 
-def kill_top_homology(cplx, resolution, s=None, degree_cap=None):
-    """Cone construction that removes the top homology of a complex.
+def kill_top_homology(cplx, resolution, s, z):
+    """Cone construction that removes the top homology H_s of a complex.
 
-    resolution: a ModuleResolution of H_s(cplx) (carrying gen_map0, the
-    expression of its degree-0 generators in the homology presentation).
+    z, h = homology_presentation(cplx, s), with H_s the top nonzero
+    homology; resolution: a ModuleResolution of h (carrying gen_map0, the
+    expression of its degree-0 generators in the generators of h).
     Returns (alpha, cone) where alpha maps the s-fold shift of the resolution
     complex into cplx and the cone has H_i = 0 for i >= s while H_i for
     i < s is untouched.
     """
-    if s is None:
-        s = homology_sup(cplx, degree_cap=degree_cap)
-        if s is None:
-            raise AlgebraError("exact complex: nothing to kill")
-    z, h = homology_presentation(cplx, s, degree_cap=degree_cap)
-    if h.is_zero():
-        raise AlgebraError(f"homology at {s} is zero")
     f = resolution.complex
     gen_map0 = resolution.gen_map0
     if gen_map0.nrows != z.ncols:
@@ -268,7 +258,7 @@ def kill_top_homology(cplx, resolution, s=None, degree_cap=None):
                                    "complex: homology sup exceeded")
             break
         dx = cplx.differential(s + q)
-        sol = matrix_solve(dx, rhs, degree_cap=degree_cap)
+        sol = matrix_solve(dx, rhs)
         if sol is None:
             raise AlgebraError(f"no lift at stage {q}: complex not exact "
                                f"above its top homology degree {s}")
@@ -385,13 +375,13 @@ class InducedHomologyMap:
     bookkeeping and are exact for finite-length homology.
     """
 
-    def __init__(self, fmap, n, degree_cap=None):
+    def __init__(self, fmap, n):
         src_cplx, tgt_cplx = fmap.source, fmap.target
         ring = src_cplx.ring
         self.ring = ring
         self.n = n
-        self.z_src, self.h_src = homology_presentation(src_cplx, n, degree_cap)
-        self.z_tgt, self.h_tgt = homology_presentation(tgt_cplx, n, degree_cap)
+        self.z_src, self.h_src = homology_presentation(src_cplx, n)
+        self.z_tgt, self.h_tgt = homology_presentation(tgt_cplx, n)
         fn = fmap.component(n)
         mapped = fn @ self.z_src
         big = self.z_tgt.hstack(tgt_cplx.differential(n + 1))
@@ -401,7 +391,7 @@ class InducedHomologyMap:
             self.phi = RingMatrix.zero(ring, self.z_tgt.col_degrees,
                                        self.z_src.col_degrees)
         else:
-            expr = matrix_solve(big, mapped, degree_cap=degree_cap)
+            expr = matrix_solve(big, mapped)
             if expr is None:
                 raise AlgebraError("image of a cycle is not a cycle")
             self.phi = expr.submatrix(range(self.z_tgt.ncols),
@@ -428,5 +418,5 @@ class InducedHomologyMap:
         return self.is_injective() and self.is_surjective()
 
 
-def induced_map_on_homology(fmap, n, degree_cap=None):
-    return InducedHomologyMap(fmap, n, degree_cap=degree_cap)
+def induced_map_on_homology(fmap, n):
+    return InducedHomologyMap(fmap, n)

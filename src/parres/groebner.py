@@ -13,27 +13,12 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (AlgebraError, DimensionMismatchError,
-                      NotHomogeneousError, Polynomial, PolynomialRingSpec,
-                      RingMismatchError)
-from ._engine import (POS_MAX, PackContext, groebner_basis, make_reducer,
-                      vec_degree)
+                      NotHomogeneousError, Polynomial, RingMismatchError,
+                      Sentinel)
+from ._engine import POS_MAX, PackContext, groebner_basis, make_reducer
 
-
-class _Infinite:
-    """Sentinel returned by length() for modules of positive dimension."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
+# returned by length() for modules of positive dimension
+INFINITE = Sentinel("INFINITE")
 
 _CTX_CACHE = {}
 
@@ -73,47 +58,29 @@ def packed_to_vector(packed, ctx, ring, rank):
 
 
 # ---------------------------------------------------------------------------
-# Groebner bases of ideals and free submodules
+# Groebner bases of ideals
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of an ideal or of a free-module submodule.
+    """A reduced Groebner basis of a homogeneous ideal.
 
-    generators: list of Polynomial (ideal case, rank 1) or list of lists of
-    Polynomial (module case).  Elements are monic, fully tail-reduced, sorted
-    by (internal degree, leading term).
+    generators: list of Polynomial, monic, fully tail-reduced, sorted by
+    (degree, leading term).
     """
 
-    def __init__(self, ring, generators, rank=1, gen_degrees=None):
+    def __init__(self, ring, generators):
         self.ring = ring
-        self.order = ring.order
-        self.rank = rank
-        self.gen_degrees = tuple(gen_degrees) if gen_degrees is not None \
-            else (0,) * rank
         self.generators = list(generators)
-        self.reduced = True
         self._ctx = _ring_ctx(ring)
-        self._packed = [self._pack(g) for g in self.generators]
+        self._packed = [vector_to_packed([g], self._ctx)
+                        for g in self.generators]
         self._red = None
-
-    def _pack(self, g):
-        if isinstance(g, Polynomial):
-            return vector_to_packed([g], self._ctx)
-        return vector_to_packed(g, self._ctx)
 
     def __len__(self):
         return len(self.generators)
 
     def __iter__(self):
         return iter(self.generators)
-
-    def leading_exponents(self):
-        """Per-position lists of leading exponent vectors."""
-        by_pos = {}
-        for packed in self._packed:
-            pos, exp = self._ctx.unpack(max(packed))
-            by_pos.setdefault(pos, []).append(exp)
-        return by_pos
 
     def _reducer(self):
         # built once and reused: the basis is fixed after construction and
@@ -125,83 +92,33 @@ class GroebnerBasis:
         return self._red
 
     def normal_form(self, f):
-        """Fully reduced remainder of a Polynomial or vector."""
-        if isinstance(f, Polynomial):
-            if self.rank != 1:
-                raise DimensionMismatchError("scalar input to a module basis")
-            vec = [f]
-        else:
-            vec = list(f)
-            if len(vec) != self.rank:
-                raise DimensionMismatchError(
-                    f"vector of length {len(vec)} against rank {self.rank}")
-        for poly in vec:
-            if poly.ring != self.ring:
-                raise RingMismatchError("mixed rings in normal form")
-        packed = vector_to_packed(vec, self._ctx)
-        nf = self._reducer().normal_form(packed)
-        out = packed_to_vector(nf, self._ctx, self.ring, self.rank)
-        return out[0] if self.rank == 1 else out
+        """Fully reduced remainder of a Polynomial."""
+        if f.ring != self.ring:
+            raise RingMismatchError("mixed rings in normal form")
+        nf = self._reducer().normal_form(vector_to_packed([f], self._ctx))
+        return packed_to_vector(nf, self._ctx, self.ring, 1)[0]
 
     def contains(self, f):
-        nf = self.normal_form(f)
-        if isinstance(nf, Polynomial):
-            return nf.is_zero()
-        return all(p.is_zero() for p in nf)
+        return self.normal_form(f).is_zero()
 
     def __repr__(self):
         return f"<GroebnerBasis: {len(self.generators)} elements over {self.ring}>"
 
 
-def buchberger(generators, order=None, gen_degrees=None, degree_cap=None):
-    """Reduced Groebner basis of the ideal or submodule the inputs generate.
+def buchberger(generators):
+    """Reduced Groebner basis of the ideal the inputs generate.
 
-    generators: nonempty list of Polynomial, or of equal-length lists of
-    Polynomial (free-module vectors).  All inputs must be homogeneous; for
-    module vectors homogeneity is judged against gen_degrees (default all 0).
-    With degree_cap, the result is only guaranteed to be a Groebner basis
-    through that internal degree.
+    generators: nonempty list of homogeneous Polynomial over one ring.
     """
     gens = list(generators)
     if not gens:
         raise AlgebraError("empty generating set")
-    is_module = not isinstance(gens[0], Polynomial)
-    if is_module:
-        rank = len(gens[0])
-        ring = gens[0][0].ring
-        vecs = []
-        for g in gens:
-            if len(g) != rank:
-                raise DimensionMismatchError("ragged module vectors")
-            vecs.append(list(g))
-    else:
-        rank = 1
-        ring = gens[0].ring
-        vecs = [[g] for g in gens]
-    if order is not None and order != ring.order:
-        ring = PolynomialRingSpec(ring.characteristic, ring.variables, order)
-        vecs = [[Polynomial(ring, p.terms) for p in v] for v in vecs]
-    gendegs = tuple(gen_degrees) if gen_degrees is not None else (0,) * rank
-    if len(gendegs) != rank:
-        raise DimensionMismatchError("gen_degrees length mismatch")
-
+    ring = gens[0].ring
     ctx = _ring_ctx(ring)
-    packed = []
-    for v in vecs:
-        pv = vector_to_packed(v, ctx)
-        vec_degree(ctx, pv, gendegs)  # raises NotHomogeneousError if mixed
-        packed.append(pv)
-    gb = groebner_basis(packed, ctx, ring.characteristic, gendegs,
-                        degree_cap=degree_cap,
-                        module_rank=rank)
-    out = [packed_to_vector(v, ctx, ring, rank) for v in gb]
-    if not is_module:
-        out = [v[0] for v in out]
-    return GroebnerBasis(ring, out, rank=rank, gen_degrees=gendegs)
-
-
-def normal_form(f, gb):
-    return gb.normal_form(f)
+    packed = [vector_to_packed([g], ctx) for g in gens]
+    gb = groebner_basis(packed, ctx, ring.characteristic, (0,), module_rank=1)
+    return GroebnerBasis(ring, [packed_to_vector(v, ctx, ring, 1)[0]
+                                for v in gb])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +128,7 @@ def normal_form(f, gb):
 class QuotientRingSpec:
     """R = S/I for a homogeneous ideal I in a polynomial ring S."""
 
-    def __init__(self, ambient, ideal_generators, degree_cap=None):
+    def __init__(self, ambient, ideal_generators):
         self.ambient = ambient
         gens = [g for g in ideal_generators if not g.is_zero()]
         for g in gens:
@@ -222,7 +139,7 @@ class QuotientRingSpec:
             if g.is_constant():
                 raise AlgebraError("defining ideal contains a unit")
         if gens:
-            self.defining_ideal = buchberger(gens, degree_cap=degree_cap)
+            self.defining_ideal = buchberger(gens)
         else:
             self.defining_ideal = GroebnerBasis(ambient, [])
         self._dimension = None
@@ -299,13 +216,12 @@ def staircase_dimension(lead_exps, nv):
     supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in lead_exps]
     if any(not s for s in supports):
         return -1
-    best = -1
+    # size 0 always qualifies: every support is nonempty
     for size in range(nv, -1, -1):
         for subset in itertools.combinations(range(nv), size):
             tset = set(subset)
             if all(not s <= tset for s in supports):
                 return size
-    return best
 
 
 def standard_monomials(lead_exps, nv, degree):
@@ -428,9 +344,6 @@ class RingMatrix:
     def column(self, j):
         return [self.entry(i, j) for i in range(self.nrows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def is_zero(self):
         return not self.entries
 
@@ -478,16 +391,12 @@ class RingMatrix:
     def __sub__(self, other):
         return self + (-other)
 
-    def transpose(self, negate_degrees=True):
+    def transpose(self):
         """Transpose; generator degrees flip sign to stay homogeneous."""
         entries = {(j, i): v for (i, j), v in self.entries.items()}
-        if negate_degrees:
-            rdeg = tuple(-d for d in self.col_degrees)
-            cdeg = tuple(-d for d in self.row_degrees)
-        else:
-            rdeg, cdeg = self.col_degrees, self.row_degrees
         return RingMatrix(self.ring, self.ncols, self.nrows, entries,
-                          rdeg, cdeg, _reduced=True)
+                          [-d for d in self.col_degrees],
+                          [-d for d in self.row_degrees], _reduced=True)
 
     def hstack(self, other):
         """[self | other]: same target, concatenated sources."""
@@ -551,31 +460,22 @@ class FinitelyPresentedModule:
         self.relations = relations
         self._lead_cache = None
 
-    def rank_of_presentation(self):
-        return len(self.gen_degrees)
-
     def _initial_leads(self):
         """Per-position leading exponents of relations + I * generators."""
-        if self._lead_cache is not None:
-            return self._lead_cache
-        ring = self.ring
-        rank = len(self.gen_degrees)
-        if rank == 0:
-            self._lead_cache = {}
-            return self._lead_cache
-        vecs = self.relations.columns()
-        zero = ring.ambient.zero()
-        for g in ring.defining_ideal.generators:
-            for i in range(rank):
-                col = [zero] * rank
-                col[i] = g
-                vecs.append(col)
-        if not vecs:
-            self._lead_cache = {pos: [] for pos in range(rank)}
-            return self._lead_cache
-        gb = buchberger(vecs, gen_degrees=self.gen_degrees)
-        by_pos = gb.leading_exponents()
-        self._lead_cache = {pos: by_pos.get(pos, []) for pos in range(rank)}
+        if self._lead_cache is None:
+            ring = self.ring
+            rank = len(self.gen_degrees)
+            ctx = _ring_ctx(ring.ambient)
+            cols, ideal_rows = _packed_columns(self.relations, ctx)
+            leads = {pos: [] for pos in range(rank)}
+            if any(cols) or ideal_rows:
+                gb = groebner_basis(cols + ideal_rows, ctx,
+                                    ring.characteristic, self.gen_degrees,
+                                    module_rank=rank)
+                for v in gb:
+                    pos, exp = ctx.unpack(max(v))
+                    leads[pos].append(exp)
+            self._lead_cache = leads
         return self._lead_cache
 
     def dimension(self):
@@ -638,6 +538,25 @@ class FinitelyPresentedModule:
 # syzygies and linear solving over R
 
 
+def _packed_columns(matrix, ctx):
+    """(columns, ideal rows): the packed columns of a matrix over R, and
+    g * e_i for every defining-ideal basis element g and every row i."""
+    cols = []
+    for j in range(matrix.ncols):
+        packed = {}
+        for i in range(matrix.nrows):
+            poly = matrix.entries.get((i, j))
+            if poly is None:
+                continue
+            for exp, c in poly.terms.items():
+                packed[ctx.pack(i, exp)] = c
+        cols.append(packed)
+    ideal_rows = [{ctx.pack(i, exp): c for exp, c in g.terms.items()}
+                  for g in matrix.ring.defining_ideal.generators
+                  for i in range(matrix.nrows)]
+    return cols, ideal_rows
+
+
 class ExtendedSolver:
     """Tagged-module Groebner machinery for one matrix over R.
 
@@ -647,7 +566,7 @@ class ExtendedSolver:
     membership/solve queries both read off this basis.
     """
 
-    def __init__(self, matrix, degree_cap=None):
+    def __init__(self, matrix):
         self.matrix = matrix
         ring = matrix.ring
         self.ring = ring
@@ -657,23 +576,11 @@ class ExtendedSolver:
         self.p = ring.characteristic
         self.gendegs = matrix.row_degrees + matrix.col_degrees
         ctx = self.ctx
-        vecs = []
-        for j in range(self.ncols):
-            packed = {}
-            for i in range(self.nrows):
-                poly = matrix.entries.get((i, j))
-                if poly is None:
-                    continue
-                for exp, c in poly.terms.items():
-                    packed[ctx.pack(i, exp)] = c
-            packed[ctx.pack(self.nrows + j, (0,) * ring.nvars)] = 1
-            vecs.append(packed)
-        for g in ring.defining_ideal.generators:
-            for i in range(self.nrows):
-                packed = {ctx.pack(i, exp): c for exp, c in g.terms.items()}
-                vecs.append(packed)
-        self.gb = groebner_basis(vecs, ctx, self.p, self.gendegs,
-                                 degree_cap=degree_cap,
+        cols, ideal_rows = _packed_columns(matrix, ctx)
+        unit = (0,) * ring.nvars
+        for j, packed in enumerate(cols):
+            packed[ctx.pack(self.nrows + j, unit)] = 1
+        self.gb = groebner_basis(cols + ideal_rows, ctx, self.p, self.gendegs,
                                  module_rank=self.nrows + self.ncols)
         self.floor = ctx.position_floor(self.nrows)
         self._red = None
@@ -747,19 +654,19 @@ class ExtendedSolver:
         return self._entries_by_row(nf, sign=-1)
 
 
-def syzygies(matrix, degree_cap=None):
+def syzygies(matrix):
     """Generators of the kernel of a homogeneous matrix over R, as columns."""
-    return ExtendedSolver(matrix, degree_cap=degree_cap).syzygy_matrix()
+    return ExtendedSolver(matrix).syzygy_matrix()
 
 
-def matrix_solve(a, b, degree_cap=None, solver=None):
+def matrix_solve(a, b, solver=None):
     """Solve a @ X = b over R; returns a RingMatrix X or None.
 
     b may share a solver built earlier for `a` (pass solver= to reuse the
     Groebner basis across many right-hand sides).
     """
     if solver is None:
-        solver = ExtendedSolver(a, degree_cap=degree_cap)
+        solver = ExtendedSolver(a)
     if b.nrows != a.nrows or b.row_degrees != a.row_degrees:
         raise DimensionMismatchError("right-hand side target mismatch")
     cols = [{} for _ in range(b.ncols)]

@@ -25,6 +25,10 @@ from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
                          invariant_report, ring_module, standardness_witness)
 
 
+# homological: resolution length; power: largest sequence power scanned
+CAP_KEYS = ("homological", "power")
+
+
 class RingSpecFile:
     """Parsed ring-spec file: the quotient ring, named sops, and caps."""
 
@@ -104,8 +108,13 @@ def parse_ring_spec(text, name=None):
                 raise PolyParseError("caps entries are key = value",
                                      line=lineno)
             key, _, val = line.partition("=")
+            key = key.strip()
+            if key not in CAP_KEYS:
+                raise PolyParseError(
+                    f"unknown cap {key!r}; caps are "
+                    + ", ".join(CAP_KEYS), line=lineno)
             try:
-                caps[key.strip()] = int(val.strip())
+                caps[key] = int(val.strip())
             except ValueError:
                 raise PolyParseError(f"bad cap value {val.strip()!r}",
                                      line=lineno) from None
@@ -229,24 +238,23 @@ def _series_leq(left, right):
 # experiments
 
 
-def verify_inequality(ring, x, cap, degree_cap=None):
+def verify_inequality(ring, x, cap):
     """Coefficientwise bound P_{R/(x)} <= (1+t)^d + sum t^(i+1) P_{H_i}."""
     t0 = time.monotonic()
     report = ExperimentReport("inequality", {
         "ring": repr(ring), "sop": repr(x), "cap": cap})
     d = ring.dimension()
-    res = minimal_free_resolution(x.quotient_module(), cap,
-                                  degree_cap=degree_cap)
+    res = minimal_free_resolution(x.quotient_module(), cap)
     lhs = res.poincare().coefficients
     report.record("lhs_poincare", lhs)
     k = koszul_complex(x)
     rhs = _binomial_series(d, cap)
     h_series = {}
     for i in range(1, x.count + 1):
-        _, h = homology_presentation(k, i, degree_cap=degree_cap)
+        _, h = homology_presentation(k, i)
         if h.is_zero():
             continue
-        ph = poincare_truncation(h, cap, degree_cap=degree_cap).coefficients
+        ph = poincare_truncation(h, cap).coefficients
         h_series[i] = ph
         for j, c in enumerate(ph):
             if i + 1 + j <= cap:
@@ -260,7 +268,7 @@ def verify_inequality(ring, x, cap, degree_cap=None):
     return report
 
 
-def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
+def verify_main_theorem(ring, x, cap, nmax=4):
     """Main stabilization statement for rings with cmd <= 1 and FLC.
 
     Finds a standard power n, compares P_{R/(x^n)} with
@@ -272,33 +280,31 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
     report = ExperimentReport("main-theorem", {
         "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})
     d = ring.dimension()
-    cmd = cohen_macaulay_defect(ring, degree_cap=degree_cap)
+    cmd = cohen_macaulay_defect(ring)
     report.record("dim", d)
     report.record("cmd", cmd)
     if cmd > 1:
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    verdict_flc = flc_check(ring_module(ring), x=x, nmax=nmax,
-                            degree_cap=degree_cap)
+    verdict_flc = flc_check(ring_module(ring), x=x, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        repr(verdict_flc), "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    n = first_standard_power(x, nmax=nmax, degree_cap=degree_cap)
+    n = first_standard_power(x, nmax=nmax)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
         report.timings["total"] = time.monotonic() - t0
         return report
     xn = x.power(n)
-    res = minimal_free_resolution(xn.quotient_module(), cap,
-                                  degree_cap=degree_cap)
+    res = minimal_free_resolution(xn.quotient_module(), cap)
     lhs = res.poincare().coefficients
     report.record("poincare_quotient", lhs)
-    _, h = homology_presentation(koszul_complex(xn), 1, degree_cap=degree_cap)
-    resh = minimal_free_resolution(h, cap, degree_cap=degree_cap)
+    _, h = homology_presentation(koszul_complex(xn), 1)
+    resh = minimal_free_resolution(h, cap)
     ph = resh.poincare()
     report.record("poincare_h", ph.coefficients)
     rhs = _binomial_series(d, cap)
@@ -311,10 +317,9 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
     betti_by_power = {n: res.betti().totals()}
     for m in range(n + 1, nmax + 1):
         xm = x.power(m)
-        if standardness_witness(xm, None, degree_cap) is not None:
+        if standardness_witness(xm) is not None:
             continue
-        resm = minimal_free_resolution(xm.quotient_module(), cap,
-                                       degree_cap=degree_cap)
+        resm = minimal_free_resolution(xm.quotient_module(), cap)
         betti_by_power[m] = resm.betti().totals()
     report.record("betti_totals_by_standard_power", betti_by_power)
     vals = list(betti_by_power.values())
@@ -338,7 +343,7 @@ def verify_main_theorem(ring, x, cap, nmax=4, degree_cap=None):
     return report
 
 
-def stabilization_scan(ring, x, cap, nmax=4, degree_cap=None):
+def stabilization_scan(ring, x, cap, nmax=4):
     """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict."""
     t0 = time.monotonic()
     report = ExperimentReport("scan", {
@@ -347,10 +352,9 @@ def stabilization_scan(ring, x, cap, nmax=4, degree_cap=None):
     standard = {}
     for i in range(1, nmax + 1):
         xi = x.power(i)
-        res = minimal_free_resolution(xi.quotient_module(), cap,
-                                      degree_cap=degree_cap)
+        res = minimal_free_resolution(xi.quotient_module(), cap)
         tables[i] = res.betti().totals()
-        standard[i] = standardness_witness(xi, None, degree_cap) is None
+        standard[i] = standardness_witness(xi) is None
     report.record("betti_totals", tables)
     report.record("standard", standard)
     stab = None
@@ -368,7 +372,7 @@ def stabilization_scan(ring, x, cap, nmax=4, degree_cap=None):
     return report
 
 
-def reproduce_example(ring, x, cap=4, degree_cap=None,
+def reproduce_example(ring, x, cap,
                       expected=((1, 3, 6, 13, 28),
                                 (3, 7, 12, 26, 56),
                                 (1, 2, 3, 7, 15))):
@@ -377,12 +381,12 @@ def reproduce_example(ring, x, cap=4, degree_cap=None,
     report = ExperimentReport("example", {
         "ring": repr(ring), "sop": repr(x), "cap": cap})
     k = koszul_complex(x)
-    _, h2 = homology_presentation(k, 2, degree_cap=degree_cap)
-    _, h1 = homology_presentation(k, 1, degree_cap=degree_cap)
-    p_h2 = poincare_truncation(h2, cap, degree_cap=degree_cap).coefficients
-    p_h1 = poincare_truncation(h1, cap, degree_cap=degree_cap).coefficients
-    p_q = minimal_free_resolution(x.quotient_module(), cap,
-                                  degree_cap=degree_cap).poincare().coefficients
+    _, h2 = homology_presentation(k, 2)
+    _, h1 = homology_presentation(k, 1)
+    p_h2 = poincare_truncation(h2, cap).coefficients
+    p_h1 = poincare_truncation(h1, cap).coefficients
+    p_q = minimal_free_resolution(x.quotient_module(),
+                                  cap).poincare().coefficients
     report.record("P_H2", p_h2)
     report.record("P_H1", p_h1)
     report.record("P_quotient", p_q)
@@ -396,13 +400,12 @@ def reproduce_example(ring, x, cap=4, degree_cap=None,
     return report
 
 
-def resolve_experiment(ring, x, cap, degree_cap=None):
+def resolve_experiment(ring, x, cap):
     """Minimal free resolution data of R/(x)."""
     t0 = time.monotonic()
     report = ExperimentReport("resolve", {
         "ring": repr(ring), "sop": repr(x), "cap": cap})
-    res = minimal_free_resolution(x.quotient_module(), cap,
-                                  degree_cap=degree_cap)
+    res = minimal_free_resolution(x.quotient_module(), cap)
     table = res.betti()
     report.record("betti", table.to_dict())
     report.record("betti_pretty", table.pretty())
@@ -411,7 +414,7 @@ def resolve_experiment(ring, x, cap, degree_cap=None):
     return report
 
 
-def koszul_experiment(ring, x, degree_cap=None):
+def koszul_experiment(ring, x):
     """Lengths and graded pieces of all Koszul homology modules of x."""
     t0 = time.monotonic()
     report = ExperimentReport("koszul", {"ring": repr(ring), "sop": repr(x)})
@@ -420,7 +423,7 @@ def koszul_experiment(ring, x, degree_cap=None):
     lengths = {}
     graded = {}
     for i in range(x.count + 1):
-        _, h = homology_presentation(k, i, degree_cap=degree_cap)
+        _, h = homology_presentation(k, i)
         val = h.length()
         lengths[i] = val
         if val is not INFINITE:
@@ -431,11 +434,11 @@ def koszul_experiment(ring, x, degree_cap=None):
     return report
 
 
-def invariants_experiment(ring, x=None, nmax=4, degree_cap=None):
+def invariants_experiment(ring, x=None, nmax=4):
     t0 = time.monotonic()
     report = ExperimentReport("invariants", {
         "ring": repr(ring), "sop": repr(x) if x is not None else None})
-    inv = invariant_report(ring, x, nmax=nmax, degree_cap=degree_cap)
+    inv = invariant_report(ring, x, nmax=nmax)
     for k, v in inv.to_dict().items():
         report.record(k, v)
     report.verdict("cmd = dim - depth is non-negative", inv.cmd >= 0,
@@ -444,15 +447,15 @@ def invariants_experiment(ring, x=None, nmax=4, degree_cap=None):
     return report
 
 
-def standard_experiment(ring, x, nmax=4, degree_cap=None):
+def standard_experiment(ring, x, nmax=4):
     t0 = time.monotonic()
     report = ExperimentReport("standard", {
         "ring": repr(ring), "sop": repr(x), "power_max": nmax})
-    n = find_standard_power(ring, x, nmax=nmax, degree_cap=degree_cap)
+    n = find_standard_power(ring, x, nmax=nmax)
     report.record("standard_power",
                   n if n is not NOT_FOUND else repr(NOT_FOUND))
     if n is not NOT_FOUND:
-        wit = standardness_witness(x.power(n), None, degree_cap)
+        wit = standardness_witness(x.power(n))
         report.verdict("power re-verified standard", wit is None,
                        f"n={n}", "squares criterion")
     else:

@@ -13,44 +13,17 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .algebra import AlgebraError
-from .groebner import FinitelyPresentedModule, INFINITE
-from .complexes import InducedHomologyMap, ComplexMap, dual
+from .algebra import AlgebraError, Sentinel
+from .groebner import FinitelyPresentedModule, INFINITE, RingMatrix
+from .complexes import InducedHomologyMap, ComplexMap, dual, homology_sup
 from .koszul import (ParameterSequence, comparison_map, koszul_complex,
                      koszul_homology)
+from .resolutions import sequence_grade
 
-
-class _Undecided:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNDECIDED"
-
-    def __bool__(self):
-        raise AlgebraError("UNDECIDED verdict used as a boolean")
-
-
-UNDECIDED = _Undecided()
-
-
-class _NotFound:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT-FOUND"
-
-
-NOT_FOUND = _NotFound()
+# flc_check verdict when the power bound is hit without stabilization
+UNDECIDED = Sentinel("UNDECIDED")
+# standard-power searches that find no standard power within the bound
+NOT_FOUND = Sentinel("NOT-FOUND")
 
 
 def ring_module(ring):
@@ -64,11 +37,11 @@ def maximal_ideal_sequence(ring):
     return ParameterSequence(ring, elems, name="m")
 
 
-def _hlen(x, module, p, degree_cap=None):
-    return koszul_homology(x, module, p, degree_cap=degree_cap).length()
+def _hlen(x, module, p):
+    return koszul_homology(x, module, p).length()
 
 
-def depth(module, degree_cap=None):
+def depth(module):
     """Depth with respect to the irrelevant maximal ideal.
 
     Computed as v - sup{ i : H_i(variables; module) != 0 } with v the number
@@ -78,35 +51,25 @@ def depth(module, degree_cap=None):
     if module.is_zero():
         raise AlgebraError("depth of the zero module is undefined")
     x = maximal_ideal_sequence(ring)
-    k = koszul_complex(x, module)
-    v = x.count
-    from .complexes import homology_at
-    for i in range(v, -1, -1):
-        if not homology_at(k, i, degree_cap=degree_cap).is_zero():
-            return v - i
-    raise AlgebraError("no nonvanishing Koszul homology found")
+    # for a module with relations the complex is totalized with a truncated
+    # resolution, whose own homology shows above degree v
+    top = homology_sup(koszul_complex(x, module), x.count)
+    if top is None:
+        raise AlgebraError("no nonvanishing Koszul homology found")
+    return x.count - top
 
 
-def grade(generators, ring, degree_cap=None):
-    """Grade of the ideal generated by the given elements.
-
-    count - sup{ p >= 1 : H_p(gens; R) != 0 }, or count when all positive
-    Koszul homology vanishes (the generators form a regular sequence).
-    """
+def grade(generators, ring):
+    """Grade of the ideal generated by the given elements; see
+    resolutions.sequence_grade."""
     for g in generators:
         if ring.reduce(g).is_constant() and not ring.reduce(g).is_zero():
             raise AlgebraError("unit ideal has no grade")
-    x = ParameterSequence(ring, generators)
-    k = koszul_complex(x)
-    from .complexes import homology_at
-    for p in range(x.count, 0, -1):
-        if not homology_at(k, p, degree_cap=degree_cap).is_zero():
-            return x.count - p
-    return x.count
+    return sequence_grade(ParameterSequence(ring, generators))
 
 
-def cohen_macaulay_defect(ring, degree_cap=None):
-    return ring.dimension() - depth(ring_module(ring), degree_cap=degree_cap)
+def cohen_macaulay_defect(ring):
+    return ring.dimension() - depth(ring_module(ring))
 
 
 def is_sop(x, module=None):
@@ -123,7 +86,6 @@ def is_sop(x, module=None):
             col = [ring.ambient.zero()] * len(module.gen_degrees)
             col[i] = f
             extra.append(col)
-    from .groebner import RingMatrix
     quot = FinitelyPresentedModule(
         ring, module.gen_degrees,
         rel.hstack(RingMatrix.from_columns(ring, extra, module.gen_degrees)))
@@ -138,7 +100,7 @@ def _squares(x):
     return ParameterSequence(x.ring, [f ** 2 for f in x.elements])
 
 
-def standardness_witness(x, module=None, degree_cap=None):
+def standardness_witness(x):
     """None if the squares criterion holds, else the first failing (p, r).
 
     Criterion: for every initial segment x_1..x_r and every p in 1..r, the
@@ -148,8 +110,8 @@ def standardness_witness(x, module=None, degree_cap=None):
         sub = _prefix(x, r)
         sq = _squares(sub)
         for p in range(1, r + 1):
-            l1 = _hlen(sub, module, p, degree_cap)
-            l2 = _hlen(sq, module, p, degree_cap)
+            l1 = _hlen(sub, None, p)
+            l2 = _hlen(sq, None, p)
             if l1 is INFINITE or l2 is INFINITE:
                 raise AlgebraError(
                     f"infinite Koszul homology length at (p={p}, r={r}); "
@@ -159,28 +121,24 @@ def standardness_witness(x, module=None, degree_cap=None):
     return None
 
 
-def is_standard_sop(x, module=None, degree_cap=None, check_flc=True,
-                    nmax=4):
+def is_standard_sop(x, nmax=4):
     """Standardness of a sop via the squares criterion.
 
     The criterion characterizes standard sops for modules with finite local
     cohomology, so FLC is checked first (semi-decision; an UNDECIDED verdict
-    is raised as an error unless check_flc is disabled).
+    is raised as an error).
     """
-    if not is_sop(x, module):
+    if not is_sop(x):
         raise AlgebraError("sequence is not a system of parameters")
-    if check_flc:
-        verdict = flc_check(module if module is not None
-                            else ring_module(x.ring), x=x, nmax=nmax,
-                            degree_cap=degree_cap)
-        if verdict is not True:
-            raise AlgebraError(
-                f"finite local cohomology not established ({verdict!r}); "
-                "the squares criterion does not apply")
-    return standardness_witness(x, module, degree_cap) is None
+    verdict = flc_check(ring_module(x.ring), x=x, nmax=nmax)
+    if verdict is not True:
+        raise AlgebraError(
+            f"finite local cohomology not established ({verdict!r}); "
+            "the squares criterion does not apply")
+    return standardness_witness(x) is None
 
 
-def local_cohomology_lengths(module, x, degree_cap=None, verify=True):
+def local_cohomology_lengths(module, x, verify=True):
     """Lengths of the local cohomology modules below the dimension.
 
     For a standard sop x = x_1..x_d the identity
@@ -194,7 +152,7 @@ def local_cohomology_lengths(module, x, degree_cap=None, verify=True):
     for r in range(1, d + 1):
         sub = _prefix(x, r)
         for p in range(1, r + 1):
-            val = _hlen(sub, module, p, degree_cap)
+            val = _hlen(sub, module, p)
             if val is INFINITE:
                 raise AlgebraError("infinite Koszul homology length; "
                                    "x is not a sop for the module")
@@ -219,7 +177,7 @@ def local_cohomology_lengths(module, x, degree_cap=None, verify=True):
     return lc
 
 
-def cohomology_comparison_map(x, n, i, degree_cap=None):
+def cohomology_comparison_map(x, n, i):
     """Induced map H^i(x^n; R) -> H^i(x^(n+1); R) between Koszul cohomologies.
 
     Realized by dualizing the complex-level comparison map; cohomology in
@@ -232,7 +190,7 @@ def cohomology_comparison_map(x, n, i, degree_cap=None):
     for p, mat in phi.components.items():
         comps[-p] = mat.transpose()
     dmap = ComplexMap(dsrc, dtgt, comps, check=True)
-    return InducedHomologyMap(dmap, -i, degree_cap=degree_cap)
+    return InducedHomologyMap(dmap, -i)
 
 
 class StabilityReport:
@@ -257,50 +215,47 @@ class StabilityReport:
                 f"injective={self.injective}>")
 
 
-def length_stability_check(x, module=None, pmax=None, nmax=4,
-                           check_maps=True, degree_cap=None):
-    """Lengths of H_p(x^n; M) for n = 1..nmax with stability verdicts.
+def length_stability_check(x, nmax=4, check_maps=True):
+    """Lengths of H_p(x^n; R), p = 1..count, n = 1..nmax, with stability
+    verdicts.
 
     Also checks injectivity of the comparison maps induced on the cohomology
     H^g, g = depth, across consecutive powers (the index whose cohomology
     computes the corresponding local cohomology for standard sops).
     """
     d = x.count
-    if pmax is None:
-        pmax = d
     lengths = {}
     for n in range(1, nmax + 1):
         xn = x.power(n)
-        for p in range(1, pmax + 1):
-            lengths[(p, n)] = _hlen(xn, module, p, degree_cap)
+        for p in range(1, d + 1):
+            lengths[(p, n)] = _hlen(xn, None, p)
     stable = {p: len({lengths[(p, n)] for n in range(1, nmax + 1)}) == 1
-              for p in range(1, pmax + 1)}
+              for p in range(1, d + 1)}
     injective = {}
-    if check_maps and module is None and d >= 1:
-        i = depth(ring_module(x.ring), degree_cap=degree_cap)
+    if check_maps and d >= 1:
+        i = depth(ring_module(x.ring))
         for n in range(1, nmax):
-            ind = cohomology_comparison_map(x, n, i, degree_cap=degree_cap)
+            ind = cohomology_comparison_map(x, n, i)
             injective[(i, n)] = ind.is_injective()
     return StabilityReport(lengths, stable, injective)
 
 
-def find_standard_power(ring, x, nmax=4, degree_cap=None):
+def find_standard_power(ring, x, nmax=4):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
-    verdict = flc_check(ring_module(ring), x=x, nmax=nmax,
-                        degree_cap=degree_cap)
+    verdict = flc_check(ring_module(ring), x=x, nmax=nmax)
     if verdict is not True:
         return NOT_FOUND
-    return first_standard_power(x, nmax=nmax, degree_cap=degree_cap)
+    return first_standard_power(x, nmax=nmax)
 
 
-def first_standard_power(x, nmax=4, degree_cap=None):
+def first_standard_power(x, nmax=4):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
 
     The squares criterion presumes finite local cohomology, so call this
     only after flc_check has returned True; find_standard_power does both.
     """
     for n in range(1, nmax + 1):
-        if standardness_witness(x.power(n), None, degree_cap) is None:
+        if standardness_witness(x.power(n)) is None:
             return n
     return NOT_FOUND
 
@@ -332,7 +287,7 @@ def reference_sop(ring):
     raise AlgebraError("no system of parameters found among the candidates")
 
 
-def flc_check(module, x=None, nmax=4, degree_cap=None):
+def flc_check(module, x=None, nmax=4):
     """Finite local cohomology, as a semi-decision.
 
     True when the Koszul homology lengths of a reference sop stabilize across
@@ -353,13 +308,12 @@ def flc_check(module, x=None, nmax=4, degree_cap=None):
     for n in (nmax - 1, nmax):
         xn = x.power(n)
         for p in range(1, x.count + 1):
-            lengths[(p, n)] = _hlen(xn, module, p, degree_cap)
+            lengths[(p, n)] = _hlen(xn, module, p)
     if any(lengths[(p, nmax - 1)] != lengths[(p, nmax)]
            for p in range(1, x.count + 1)):
         return UNDECIDED
     try:
-        local_cohomology_lengths(module, x.power(nmax),
-                                 degree_cap=degree_cap)
+        local_cohomology_lengths(module, x.power(nmax))
     except AlgebraError:
         return UNDECIDED
     return True
@@ -397,22 +351,20 @@ class InvariantReport:
                 f"cmd={self.cmd} flc={self.flc!r} lc={self.lc_lengths}>")
 
 
-def invariant_report(ring, x=None, nmax=4, degree_cap=None):
+def invariant_report(ring, x=None, nmax=4):
     """Compute the invariant summary of a ring, optionally for a given sop."""
     rm = ring_module(ring)
     dim = ring.dimension()
-    dep = depth(rm, degree_cap=degree_cap)
+    dep = depth(rm)
     cmd = dim - dep
     if x is None and dim > 0:
         x = reference_sop(ring)
-    flc = flc_check(rm, x=x, nmax=nmax, degree_cap=degree_cap) \
-        if dim > 0 else True
+    flc = flc_check(rm, x=x, nmax=nmax) if dim > 0 else True
     lc = None
     power = None
     if flc is True and dim > 0:
-        power = first_standard_power(x, nmax=nmax, degree_cap=degree_cap)
+        power = first_standard_power(x, nmax=nmax)
         if power is not NOT_FOUND:
-            lc = local_cohomology_lengths(rm, x.power(power),
-                                          degree_cap=degree_cap)
+            lc = local_cohomology_lengths(rm, x.power(power))
     return InvariantReport(ring, dim, dep, cmd, flc, lc, power,
                            sop_name=None if x is None else x.name)

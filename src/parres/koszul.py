@@ -79,7 +79,7 @@ def _subsets(r, p):
     return list(combinations(range(r), p))
 
 
-def koszul_complex(x, module=None, resolution_cap=None):
+def koszul_complex(x, module=None):
     """The Koszul complex K(x; M); M defaults to the ring itself.
 
     For a module with relations, a free resolution of length count(x)+1 is
@@ -100,8 +100,7 @@ def koszul_complex(x, module=None, resolution_cap=None):
                  for n, m in k.differentials.items()}
         return ChainComplex(k.ring, modules, diffs, check=False)
     from .resolutions import minimal_free_resolution
-    cap = resolution_cap if resolution_cap is not None else x.count + 1
-    f = minimal_free_resolution(module, cap).complex
+    f = minimal_free_resolution(module, x.count + 1).complex
     return total_tensor(k, f)
 
 
@@ -193,18 +192,18 @@ def total_tensor(k, f):
     return ChainComplex(ring, modules, diffs, check=True)
 
 
-def koszul_homology(x, module, i, degree_cap=None):
+def koszul_homology(x, module, i):
     """H_i(x; M) as a finitely presented module (module=None means M = R)."""
     if not 0 <= i <= x.count:
         raise AlgebraError(f"homology index {i} outside 0..{x.count}")
-    return homology_at(koszul_complex(x, module), i, degree_cap=degree_cap)
+    return homology_at(koszul_complex(x, module), i)
 
 
-def koszul_cohomology(x, module, i, degree_cap=None):
+def koszul_cohomology(x, module, i):
     """H^i(x; M), realized through self-duality as H_{r-i}(x; M)."""
     if not 0 <= i <= x.count:
         raise AlgebraError(f"cohomology index {i} outside 0..{x.count}")
-    return koszul_homology(x, module, x.count - i, degree_cap=degree_cap)
+    return koszul_homology(x, module, x.count - i)
 
 
 def comparison_map(x, n):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraError
-from .groebner import standard_monomials
 
 
 def gf_rank(mat, p):
@@ -103,12 +102,12 @@ def module_dims(module, degrees):
     return {t: module_dim_at(module, t) for t in degrees}
 
 
-def module_length_upto(module, max_degree, min_degree=None):
-    """Sum of graded dimensions over a degree window."""
-    if min_degree is None:
-        min_degree = min(module.gen_degrees, default=0)
+def module_length_upto(module, max_degree):
+    """Sum of graded dimensions from the lowest generator degree up to
+    max_degree."""
     return sum(module_dim_at(module, t)
-               for t in range(min_degree, max_degree + 1))
+               for t in range(min(module.gen_degrees, default=0),
+                              max_degree + 1))
 
 
 def homology_dim_at(cplx, n, degree):
@@ -135,11 +134,6 @@ def homology_dim_at(cplx, n, degree):
 
 def homology_dims(cplx, n, degrees):
     return {t: homology_dim_at(cplx, n, t) for t in degrees}
-
-
-def homology_length_upto(cplx, n, max_degree, min_degree=0):
-    return sum(homology_dim_at(cplx, n, t)
-               for t in range(min_degree, max_degree + 1))
 
 
 def kernel_dim_at(matrix, degree):

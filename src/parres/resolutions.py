@@ -13,7 +13,7 @@ from math import comb
 
 from .algebra import AlgebraError
 from .groebner import FinitelyPresentedModule, RingMatrix, matrix_solve, syzygies
-from .complexes import (ChainComplex, homology_at, homology_presentation,
+from .complexes import (ChainComplex, homology_presentation, homology_sup,
                         kill_top_homology, minimize_with_tracking)
 from .koszul import koszul_complex
 
@@ -121,13 +121,11 @@ class ModuleResolution:
         return f"<ModuleResolution ranks {self.ranks()} (cap {self.cap})>"
 
 
-def minimal_free_resolution(module, cap, degree_cap=None):
+def minimal_free_resolution(module, cap):
     """Minimal graded free resolution of a finitely presented module.
 
     The returned complex is exact in homological degrees 1..cap with H_0 the
-    module itself; all differential entries lie in the maximal ideal.  With
-    degree_cap, syzygy Groebner bases are truncated at that internal degree
-    (results above it are not guaranteed complete).
+    module itself; all differential entries lie in the maximal ideal.
     """
     if cap < 0:
         raise AlgebraError("negative resolution cap")
@@ -146,7 +144,7 @@ def minimal_free_resolution(module, cap, degree_cap=None):
         modules[n] = prev.col_degrees
         diffs[n] = prev
         if n <= cap:  # no use for the syzygies of d_{cap+1}
-            prev = syzygies(prev, degree_cap=degree_cap)
+            prev = syzygies(prev)
     cplx = ChainComplex(ring, modules, diffs, check=True)
     mini, kept = minimize_with_tracking(cplx)
     kept0 = kept.get(0, [])
@@ -157,12 +155,12 @@ def minimal_free_resolution(module, cap, degree_cap=None):
     return ModuleResolution(module, mini, gen_map0, cap)
 
 
-def poincare_truncation(module, cap, degree_cap=None):
+def poincare_truncation(module, cap):
     """Coefficients of the Poincare series through degree cap."""
-    return minimal_free_resolution(module, cap, degree_cap=degree_cap).poincare()
+    return minimal_free_resolution(module, cap).poincare()
 
 
-def syzygy_module(module, i, cap, degree_cap=None):
+def syzygy_module(module, i, cap):
     """The i-th syzygy module, read off the minimal resolution.
 
     Presented by the generators of F_i with relations the columns of the
@@ -172,7 +170,7 @@ def syzygy_module(module, i, cap, degree_cap=None):
         raise AlgebraError("syzygy index outside 0..cap")
     if i == 0:
         return module
-    res = minimal_free_resolution(module, i + 1, degree_cap=degree_cap)
+    res = minimal_free_resolution(module, i + 1)
     cplx = res.complex
     gens = cplx.module(i)
     rel = cplx.differential(i + 1)
@@ -185,16 +183,15 @@ def _truncate(cplx, top):
     return ChainComplex(cplx.ring, modules, diffs, check=False)
 
 
-def sequence_grade(x, degree_cap=None):
-    """grade of (x) on R: count minus the top nonvanishing Koszul homology."""
-    k = koszul_complex(x)
-    for p in range(x.count, 0, -1):
-        if not homology_at(k, p, degree_cap=degree_cap).is_zero():
-            return x.count - p
-    return x.count
+def sequence_grade(x):
+    """grade of (x) on R: count minus the top nonvanishing Koszul homology.
+
+    H_0 = R/(x) is nonzero, so the top is never missing.
+    """
+    return x.count - homology_sup(koszul_complex(x), x.count)
 
 
-def general_cone_resolution(x, cap, degree_cap=None):
+def general_cone_resolution(x, cap):
     """Free resolution of R/(x) by iterated homology-killing cones.
 
     Starting from the Koszul complex, the top homology (in degrees >= 1) is
@@ -204,26 +201,21 @@ def general_cone_resolution(x, cap, degree_cap=None):
     returned unminimized.
     """
     cplx = koszul_complex(x)
-    s_top = x.count
-    while True:
-        s = None
-        for i in range(s_top, 0, -1):
-            if not homology_at(cplx, i, degree_cap=degree_cap).is_zero():
-                s = i
-                break
-        if s is None:
-            return _truncate(cplx, cap + 1)
+    # killing H_s leaves every H_i with i < s unchanged, so each s is
+    # presented once, on the cone that killed everything above it
+    for s in range(x.count, 0, -1):
+        z, h = homology_presentation(cplx, s)
+        if h.is_zero():
+            continue
         # resolution length: each kill stays valid through degree cap + 1,
         # and the junk above the truncated resolution of H_s lands strictly
         # above everything later (lower-s) iterations touch
-        length = max(0, cap + 1 - s)
-        _, h = homology_presentation(cplx, s, degree_cap=degree_cap)
-        res = minimal_free_resolution(h, length, degree_cap=degree_cap)
-        _, cplx = kill_top_homology(cplx, res, s=s, degree_cap=degree_cap)
-        s_top = s - 1
+        res = minimal_free_resolution(h, max(0, cap + 1 - s))
+        _, cplx = kill_top_homology(cplx, res, s, z)
+    return _truncate(cplx, cap + 1)
 
 
-def aci_cone_resolution(x, cap, degree_cap=None):
+def aci_cone_resolution(x, cap):
     """Cone resolution of R/(x) for an almost complete intersection sequence.
 
     Requires grade(x) >= count - 1, so the Koszul complex has homology only
@@ -231,18 +223,18 @@ def aci_cone_resolution(x, cap, degree_cap=None):
     shifted minimal resolution of H_1(x; R) into the Koszul complex, with
     unminimized ranks rank K_n + rank F_{n-2}.
     """
-    if sequence_grade(x, degree_cap=degree_cap) < x.count - 1:
+    if sequence_grade(x) < x.count - 1:
         raise AlgebraError(
             "sequence is not an almost complete intersection (grade < count-1); "
             "use the general cone assembly instead")
-    return general_cone_resolution(x, cap, degree_cap=degree_cap)
+    return general_cone_resolution(x, cap)
 
 
 # ---------------------------------------------------------------------------
 # lifting the Koszul complex into the minimal resolution, reduction mod m
 
 
-def lift_koszul_to_resolution(x, resolution, degree_cap=None):
+def lift_koszul_to_resolution(x, resolution):
     """Chain map gamma: K(x; R) -> F covering the identity of R/(x)."""
     k = koszul_complex(x)
     f = resolution.complex
@@ -258,7 +250,7 @@ def lift_koszul_to_resolution(x, resolution, degree_cap=None):
             if not rhs.is_zero():
                 raise AlgebraError("resolution too short to receive the lift")
             break
-        sol = matrix_solve(f.differential(n), rhs, degree_cap=degree_cap)
+        sol = matrix_solve(f.differential(n), rhs)
         if sol is None:
             raise AlgebraError("lifting failed: target is not a resolution "
                                "of R/(x)")
@@ -267,7 +259,7 @@ def lift_koszul_to_resolution(x, resolution, degree_cap=None):
     return comps
 
 
-def cec_injectivity_check(x, cap, degree_cap=None):
+def cec_injectivity_check(x, cap):
     """Injectivity of the Koszul-to-resolution comparison after killing m.
 
     Lifts K(x; R) into the minimal free resolution F of R/(x), reduces both
@@ -278,9 +270,8 @@ def cec_injectivity_check(x, cap, degree_cap=None):
     from .oracle import gf_rank
     r = x.count
     top = min(cap, r)
-    res = minimal_free_resolution(x.quotient_module(), max(cap, r),
-                                  degree_cap=degree_cap)
-    comps = lift_koszul_to_resolution(x, res, degree_cap=degree_cap)
+    res = minimal_free_resolution(x.quotient_module(), max(cap, r))
+    comps = lift_koszul_to_resolution(x, res)
     p = x.ring.characteristic
     report = {}
     for n in range(top + 1):

@@ -38,9 +38,12 @@ def test_homology_presentation_matches_oracle(r1):
 
 
 def test_homology_sup(r1, regular):
-    assert homology_sup(koszul_complex(r1.sop("x"))) == 2
+    x = r1.sop("x")
+    assert homology_sup(koszul_complex(x), x.count) == 2
+    assert homology_sup(koszul_complex(x), 1) == 1
     # regular sequence: only H_0 survives
-    assert homology_sup(koszul_complex(regular.sop("x"))) == 0
+    y = regular.sop("x")
+    assert homology_sup(koszul_complex(y), y.count) == 0
 
 
 def test_shift(r1):

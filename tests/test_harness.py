@@ -154,13 +154,33 @@ def test_cli_errors(capsys, tmp_path):
     assert main(["koszul", "--ring", "r1", "--sop", "nope"]) == 1
 
 
+def test_parse_rejects_unknown_caps():
+    # only homological and power are caps; any other key, a misspelt one
+    # included, is an error at its line rather than silently ignored
+    for extra in ("internal = 3", "homologcal = 6"):
+        text = bundled_ring_text("r2") + extra + "\n"
+        with pytest.raises(PolyParseError) as exc:
+            parse_ring_spec(text)
+        assert exc.value.line == len(text.splitlines())
+        assert f"line {exc.value.line}" in str(exc.value)
+
+
+def test_cli_rejects_internal_cap(capsys, tmp_path):
+    spec = tmp_path / "r2_internal.ring"
+    text = bundled_ring_text("r2") + "internal = 3\n"
+    spec.write_text(text)
+    assert main(["invariants", "--ring", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert "internal" in err and f"line {len(text.splitlines())}" in err
+
+
 def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     resolved = []
 
     def wrap(real):
-        def counting(module, cap, degree_cap=None):
+        def counting(module, cap):
             resolved.append((module.gen_degrees, module.relations))
-            return real(module, cap, degree_cap=degree_cap)
+            return real(module, cap)
         return counting
 
     for mod in (harness, resolutions):
@@ -169,9 +189,9 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     witnessed = []
 
     def wrap_witness(real):
-        def counting(x, module=None, degree_cap=None):
+        def counting(x):
             witnessed.append(repr(x))
-            return real(x, module, degree_cap)
+            return real(x)
         return counting
 
     for mod in (harness, invariants):

@@ -2,6 +2,7 @@ import pytest
 
 from parres import invariants
 from parres.algebra import AlgebraError
+from parres.groebner import FinitelyPresentedModule, RingMatrix
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
                                find_standard_power, first_standard_power,
@@ -20,6 +21,16 @@ def test_depth_and_defect(corpus):
         assert spec.ring.dimension() == dim, name
         assert depth(ring_module(spec.ring)) == dep, name
         assert cohen_macaulay_defect(spec.ring) == cmd, name
+
+
+def test_depth_of_presented_module(r1, r2):
+    # the Koszul complex of a module with relations carries the homology of
+    # a truncated resolution above degree v, which depth must not count
+    for spec, dep in ((r1, 0), (r2, 1)):
+        ring = spec.ring
+        a = ring.ambient.gen(ring.variables[0])
+        rel = RingMatrix.from_columns(ring, [[a]], row_degrees=[0])
+        assert depth(FinitelyPresentedModule(ring, [0], rel)) == dep
 
 
 def test_grade(r1, r2):

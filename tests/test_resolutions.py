@@ -11,7 +11,7 @@ from parres.resolutions import (BettiTable, aci_cone_resolution,
                                 lift_koszul_to_resolution,
                                 minimal_free_resolution, poincare_truncation,
                                 sequence_grade, syzygy_module)
-from parres import oracle, resolutions
+from parres import complexes, oracle, resolutions
 
 
 def _residue_field(ring):
@@ -89,6 +89,23 @@ def test_sequence_grade(r1, r2, regular):
     assert sequence_grade(regular.sop()) == 2
 
 
+def test_general_cone_presents_each_homology_once(monkeypatch, r1):
+    calls = []
+
+    def wrap(real):
+        def counting(cplx, n):
+            calls.append(n)
+            return real(cplx, n)
+        return counting
+
+    for mod in (complexes, resolutions):
+        monkeypatch.setattr(mod, "homology_presentation",
+                            wrap(mod.homology_presentation))
+    general_cone_resolution(r1.sop("x"), 3)
+    # H_2 and H_1 of r1's Koszul complex are both nonzero and killed in turn
+    assert calls == [2, 1]
+
+
 def test_general_cone_resolution_r1(r1):
     x = r1.sop("x")
     cone = general_cone_resolution(x, 4)
@@ -144,9 +161,9 @@ def test_resolution_computes_no_syzygies_past_cap(monkeypatch, r1):
     calls = []
     real = resolutions.syzygies
 
-    def counting(matrix, degree_cap=None):
+    def counting(matrix):
         calls.append(matrix.ncols)
-        return real(matrix, degree_cap=degree_cap)
+        return real(matrix)
 
     monkeypatch.setattr(resolutions, "syzygies", counting)
     cap = 5
