@@ -121,6 +121,17 @@ class PackContext:
         """
         return (POS_MAX - rank + 1) << self.topshift
 
+    def split_by_position(self, vec):
+        """{pos: the terms of vec in position pos, moved to position 0}."""
+        shift = self.topshift
+        mask = (1 << shift) - 1
+        top0 = POS_MAX << shift
+        groups = {}
+        for key, c in vec.items():
+            groups.setdefault(POS_MAX - (key >> shift), {})[
+                top0 | (key & mask)] = c
+        return groups
+
 
 # ---------------------------------------------------------------------------
 # vectors: dict packed-key -> coefficient in (0, p)

@@ -123,15 +123,6 @@ class Lex(MonomialOrder):
 GREVLEX = Grevlex()
 LEX = Lex()
 
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
-
-
-def monomial_order(name):
-    try:
-        return _ORDERS[name]
-    except KeyError:
-        raise AlgebraError(f"unknown monomial order {name!r}") from None
-
 
 def compare_monomials(order, m1, m2):
     """Three-way comparison of two exponent vectors: -1, 0 or 1."""
@@ -141,11 +132,17 @@ def compare_monomials(order, m1, m2):
 # ---------------------------------------------------------------------------
 # polynomial rings
 
+# the GF(p) oracle multiplies two residues in int64, so p must stay below 2^31
+MAX_CHARACTERISTIC = 1 << 31
+
 
 class PolynomialRingSpec:
     """Standard-graded polynomial ring GF(p)[x_1..x_n], every variable degree 1."""
 
     def __init__(self, characteristic, variables, order=GREVLEX):
+        if characteristic >= MAX_CHARACTERISTIC:
+            raise AlgebraError(f"characteristic {characteristic} is not below "
+                               "the supported bound 2^31")
         if not _is_prime(characteristic):
             raise AlgebraError(f"characteristic {characteristic} is not prime")
         variables = tuple(variables)

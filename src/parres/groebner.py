@@ -15,7 +15,7 @@ import itertools
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, RingMismatchError,
                       Sentinel)
-from ._engine import POS_MAX, PackContext, groebner_basis, make_reducer
+from ._engine import PackContext, groebner_basis, make_reducer
 
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
@@ -23,15 +23,30 @@ INFINITE = Sentinel("INFINITE")
 _CTX_CACHE = {}
 
 
-def pack_context(nv, kind):
-    key = (nv, kind)
+def _ring_ctx(ring):
+    key = (ring.nvars, ring.order.kind)
     if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = PackContext(nv, kind)
+        _CTX_CACHE[key] = PackContext(*key)
     return _CTX_CACHE[key]
 
 
-def _ring_ctx(ring):
-    return pack_context(ring.nvars, ring.order.kind)
+def _lazy_reducer(ctx, p, basis):
+    """A function returning a reducer over the packed vectors of `basis`.
+
+    The reducer is built on the first call and reused: the basis is fixed
+    and normal_form never modifies the reducer.
+    """
+    red = None
+
+    def reducer():
+        nonlocal red
+        if red is None:
+            red = make_reducer(ctx, p)
+            for vec in basis:
+                red.add(vec)
+        return red
+
+    return reducer
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +89,14 @@ class GroebnerBasis:
         self._ctx = _ring_ctx(ring)
         self._packed = [vector_to_packed([g], self._ctx)
                         for g in self.generators]
-        self._red = None
+        self._reducer = _lazy_reducer(self._ctx, ring.characteristic,
+                                      self._packed)
 
     def __len__(self):
         return len(self.generators)
 
     def __iter__(self):
         return iter(self.generators)
-
-    def _reducer(self):
-        # built once and reused: the basis is fixed after construction and
-        # normal_form never modifies the reducer
-        if self._red is None:
-            self._red = make_reducer(self._ctx, self.ring.characteristic)
-            for packed in self._packed:
-                self._red.add(packed)
-        return self._red
 
     def normal_form(self, f):
         """Fully reduced remainder of a Polynomial."""
@@ -572,7 +579,7 @@ class ExtendedSolver:
         self.ring = ring
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self.ctx = pack_context(ring.nvars, ring.ambient.order.kind)
+        self.ctx = _ring_ctx(ring.ambient)
         self.p = ring.characteristic
         self.gendegs = matrix.row_degrees + matrix.col_degrees
         ctx = self.ctx
@@ -583,16 +590,7 @@ class ExtendedSolver:
         self.gb = groebner_basis(cols + ideal_rows, ctx, self.p, self.gendegs,
                                  module_rank=self.nrows + self.ncols)
         self.floor = ctx.position_floor(self.nrows)
-        self._red = None
-
-    def _reducer(self):
-        # built once and reused: the basis is fixed after construction and
-        # normal_form never modifies the reducer
-        if self._red is None:
-            self._red = make_reducer(self.ctx, self.p)
-            for v in self.gb:
-                self._red.add(v)
-        return self._red
+        self._reducer = _lazy_reducer(ctx, self.p, self.gb)
 
     def _entries_by_row(self, packed, sign=1):
         """Sparse column {row: Polynomial} of a vector in the tag block.
@@ -603,18 +601,13 @@ class ExtendedSolver:
         multiplied by sign.
         """
         ctx = self.ctx
-        shift = ctx.topshift
-        mask = (1 << shift) - 1
-        top0 = POS_MAX << shift
-        groups = {}
-        for key, c in packed.items():
-            groups.setdefault(key >> shift, {})[top0 | (key & mask)] = c
+        groups = ctx.split_by_position(packed)
         ambient = self.ring.ambient
         col = {}
-        for hi in sorted(groups, reverse=True):  # ascending position
-            nf = self.ring.reduce_packed(groups[hi])
+        for pos in sorted(groups):
+            nf = self.ring.reduce_packed(groups[pos])
             if nf:
-                col[POS_MAX - hi - self.nrows] = Polynomial(
+                col[pos - self.nrows] = Polynomial(
                     ambient, {ctx.exp_of(k): sign * c for k, c in nf.items()})
         return col
 

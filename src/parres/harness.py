@@ -22,7 +22,7 @@ from .resolutions import (BettiTable, minimal_free_resolution,
                           poincare_truncation)
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
                          find_standard_power, first_standard_power,
-                         invariant_report, ring_module, standardness_witness)
+                         invariant_report, standardness_witness)
 
 
 # homological: resolution length; power: largest sequence power scanned
@@ -86,12 +86,19 @@ def parse_ring_spec(text, name=None):
                                          line=lineno)
                 section = "sop"
                 sop_name = parts[1]
+                if sop_name in sop_lines:
+                    raise PolyParseError(f"repeated sop {sop_name!r}",
+                                         line=lineno)
                 sop_lines[sop_name] = []
             else:
                 raise PolyParseError(f"unknown section {header!r}",
                                      line=lineno)
             continue
         if section == "field":
+            if characteristic is not None:
+                raise PolyParseError(
+                    f"repeated characteristic {line!r}; the field is "
+                    f"already GF({characteristic})", line=lineno)
             try:
                 characteristic = int(line)
             except ValueError:
@@ -113,6 +120,8 @@ def parse_ring_spec(text, name=None):
                 raise PolyParseError(
                     f"unknown cap {key!r}; caps are "
                     + ", ".join(CAP_KEYS), line=lineno)
+            if key in caps:
+                raise PolyParseError(f"repeated cap {key!r}", line=lineno)
             try:
                 caps[key] = int(val.strip())
             except ValueError:
@@ -287,7 +296,7 @@ def verify_main_theorem(ring, x, cap, nmax=4):
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    verdict_flc = flc_check(ring_module(ring), x=x, nmax=nmax)
+    verdict_flc = flc_check(x, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        repr(verdict_flc), "NOT-APPLICABLE")
@@ -451,7 +460,7 @@ def standard_experiment(ring, x, nmax=4):
     t0 = time.monotonic()
     report = ExperimentReport("standard", {
         "ring": repr(ring), "sop": repr(x), "power_max": nmax})
-    n = find_standard_power(ring, x, nmax=nmax)
+    n = find_standard_power(x, nmax=nmax)
     report.record("standard_power",
                   n if n is not NOT_FOUND else repr(NOT_FOUND))
     if n is not NOT_FOUND:

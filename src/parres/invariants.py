@@ -1,5 +1,6 @@
-"""Ring and module invariants: depth, grade, sop tests, local cohomology lengths.
+"""Ring invariants: depth, grade, sop tests, local cohomology lengths.
 
+Everything here is about R itself: Koszul homology has coefficients in R.
 Depth and grade are detected through vanishing of Koszul homology; sop
 standardness uses the squares criterion (Koszul homology lengths unchanged
 under squaring the sequence), and the lengths of the local cohomology modules
@@ -14,10 +15,9 @@ from itertools import combinations
 from math import comb
 
 from .algebra import AlgebraError, Sentinel
-from .groebner import FinitelyPresentedModule, INFINITE, RingMatrix
-from .complexes import InducedHomologyMap, ComplexMap, dual, homology_sup
-from .koszul import (ParameterSequence, comparison_map, koszul_complex,
-                     koszul_homology)
+from .groebner import INFINITE
+from .complexes import InducedHomologyMap, ComplexMap, dual
+from .koszul import ParameterSequence, comparison_map, koszul_homology
 from .resolutions import sequence_grade
 
 # flc_check verdict when the power bound is hit without stabilization
@@ -26,70 +26,29 @@ UNDECIDED = Sentinel("UNDECIDED")
 NOT_FOUND = Sentinel("NOT-FOUND")
 
 
-def ring_module(ring):
-    """R as a module over itself."""
-    return FinitelyPresentedModule(ring, [0])
-
-
 def maximal_ideal_sequence(ring):
     """The images of the ambient variables, generating the irrelevant ideal."""
     elems = [ring.ambient.gen(v) for v in ring.variables]
     return ParameterSequence(ring, elems, name="m")
 
 
-def _hlen(x, module, p):
-    return koszul_homology(x, module, p).length()
+def _hlen(x, p):
+    return koszul_homology(x, p).length()
 
 
-def depth(module):
-    """Depth with respect to the irrelevant maximal ideal.
-
-    Computed as v - sup{ i : H_i(variables; module) != 0 } with v the number
-    of ambient variables.
-    """
-    ring = module.ring
-    if module.is_zero():
-        raise AlgebraError("depth of the zero module is undefined")
-    x = maximal_ideal_sequence(ring)
-    # for a module with relations the complex is totalized with a truncated
-    # resolution, whose own homology shows above degree v
-    top = homology_sup(koszul_complex(x, module), x.count)
-    if top is None:
-        raise AlgebraError("no nonvanishing Koszul homology found")
-    return x.count - top
+def depth(ring):
+    """Depth of R: the grade of the irrelevant maximal ideal."""
+    return sequence_grade(maximal_ideal_sequence(ring))
 
 
 def grade(generators, ring):
     """Grade of the ideal generated by the given elements; see
-    resolutions.sequence_grade."""
-    for g in generators:
-        if ring.reduce(g).is_constant() and not ring.reduce(g).is_zero():
-            raise AlgebraError("unit ideal has no grade")
+    resolutions.sequence_grade.  ParameterSequence rejects units."""
     return sequence_grade(ParameterSequence(ring, generators))
 
 
 def cohen_macaulay_defect(ring):
-    return ring.dimension() - depth(ring_module(ring))
-
-
-def is_sop(x, module=None):
-    """count(x) = dim and finite colength."""
-    ring = x.ring
-    if module is None:
-        return x.is_sop()
-    if x.count != module.dimension():
-        return False
-    rel = module.relations
-    extra = []
-    for f in x.elements:
-        for i in range(len(module.gen_degrees)):
-            col = [ring.ambient.zero()] * len(module.gen_degrees)
-            col[i] = f
-            extra.append(col)
-    quot = FinitelyPresentedModule(
-        ring, module.gen_degrees,
-        rel.hstack(RingMatrix.from_columns(ring, extra, module.gen_degrees)))
-    return quot.length() is not INFINITE
+    return ring.dimension() - depth(ring)
 
 
 def _prefix(x, r):
@@ -110,8 +69,8 @@ def standardness_witness(x):
         sub = _prefix(x, r)
         sq = _squares(sub)
         for p in range(1, r + 1):
-            l1 = _hlen(sub, None, p)
-            l2 = _hlen(sq, None, p)
+            l1 = _hlen(sub, p)
+            l2 = _hlen(sq, p)
             if l1 is INFINITE or l2 is INFINITE:
                 raise AlgebraError(
                     f"infinite Koszul homology length at (p={p}, r={r}); "
@@ -124,13 +83,13 @@ def standardness_witness(x):
 def is_standard_sop(x, nmax=4):
     """Standardness of a sop via the squares criterion.
 
-    The criterion characterizes standard sops for modules with finite local
+    The criterion characterizes standard sops for rings with finite local
     cohomology, so FLC is checked first (semi-decision; an UNDECIDED verdict
     is raised as an error).
     """
-    if not is_sop(x):
+    if not x.is_sop():
         raise AlgebraError("sequence is not a system of parameters")
-    verdict = flc_check(ring_module(x.ring), x=x, nmax=nmax)
+    verdict = flc_check(x, nmax=nmax)
     if verdict is not True:
         raise AlgebraError(
             f"finite local cohomology not established ({verdict!r}); "
@@ -138,11 +97,11 @@ def is_standard_sop(x, nmax=4):
     return standardness_witness(x) is None
 
 
-def local_cohomology_lengths(module, x, verify=True):
-    """Lengths of the local cohomology modules below the dimension.
+def local_cohomology_lengths(x):
+    """Lengths of the local cohomology modules of R below the dimension.
 
     For a standard sop x = x_1..x_d the identity
-    len H_p(x_1..x_r; M) = sum_i binom(r, i+p) * len H^i_m(M) holds for all
+    len H_p(x_1..x_r; R) = sum_i binom(r, i+p) * len H^i_m(R) holds for all
     r <= d and p >= 1; the r = d instances form a triangular system solved
     here for len H^0 .. len H^(d-1), and the r < d instances are used as a
     consistency check.
@@ -152,7 +111,7 @@ def local_cohomology_lengths(module, x, verify=True):
     for r in range(1, d + 1):
         sub = _prefix(x, r)
         for p in range(1, r + 1):
-            val = _hlen(sub, module, p)
+            val = _hlen(sub, p)
             if val is INFINITE:
                 raise AlgebraError("infinite Koszul homology length; "
                                    "x is not a sop for the module")
@@ -167,13 +126,12 @@ def local_cohomology_lengths(module, x, verify=True):
             raise AlgebraError(f"inconsistent system at p={p}: the sop is "
                                "not standard")
         lc[d - p] = acc
-    if verify:
-        for (p, r), val in measured.items():
-            want = sum(comb(r, i + p) * lc[i] for i in range(d))
-            if val != want:
-                raise AlgebraError(
-                    f"standardness violation: measured len H_{p}(x_1..x_{r}) "
-                    f"= {val}, predicted {want}")
+    for (p, r), val in measured.items():
+        want = sum(comb(r, i + p) * lc[i] for i in range(d))
+        if val != want:
+            raise AlgebraError(
+                f"standardness violation: measured len H_{p}(x_1..x_{r}) "
+                f"= {val}, predicted {want}")
     return lc
 
 
@@ -228,21 +186,21 @@ def length_stability_check(x, nmax=4, check_maps=True):
     for n in range(1, nmax + 1):
         xn = x.power(n)
         for p in range(1, d + 1):
-            lengths[(p, n)] = _hlen(xn, None, p)
+            lengths[(p, n)] = _hlen(xn, p)
     stable = {p: len({lengths[(p, n)] for n in range(1, nmax + 1)}) == 1
               for p in range(1, d + 1)}
     injective = {}
     if check_maps and d >= 1:
-        i = depth(ring_module(x.ring))
+        i = depth(x.ring)
         for n in range(1, nmax):
             ind = cohomology_comparison_map(x, n, i)
             injective[(i, n)] = ind.is_injective()
     return StabilityReport(lengths, stable, injective)
 
 
-def find_standard_power(ring, x, nmax=4):
+def find_standard_power(x, nmax=4):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
-    verdict = flc_check(ring_module(ring), x=x, nmax=nmax)
+    verdict = flc_check(x, nmax=nmax)
     if verdict is not True:
         return NOT_FOUND
     return first_standard_power(x, nmax=nmax)
@@ -287,33 +245,28 @@ def reference_sop(ring):
     raise AlgebraError("no system of parameters found among the candidates")
 
 
-def flc_check(module, x=None, nmax=4):
-    """Finite local cohomology, as a semi-decision.
+def flc_check(x, nmax=4):
+    """Finite local cohomology of R, as a semi-decision.
 
-    True when the Koszul homology lengths of a reference sop stabilize across
+    True when the Koszul homology lengths of the sop x stabilize across
     powers n <= nmax and the stabilized values back-solve to one consistent
     set of local cohomology lengths; UNDECIDED when the power bound is hit
     without stabilization (or consistency fails).
     """
-    ring = module.ring
-    d = module.dimension()
-    if d <= 0:
-        return True  # finite length module, trivially FLC
-    if x is None:
-        x = reference_sop(ring)
-    if not is_sop(x, None if module.gen_degrees == (0,)
-                  and module.relations.is_zero() else module):
+    if x.ring.dimension() <= 0:
+        return True  # finite length ring, trivially FLC
+    if not x.is_sop():
         raise AlgebraError("reference sequence is not a sop for the module")
     lengths = {}
     for n in (nmax - 1, nmax):
         xn = x.power(n)
         for p in range(1, x.count + 1):
-            lengths[(p, n)] = _hlen(xn, module, p)
+            lengths[(p, n)] = _hlen(xn, p)
     if any(lengths[(p, nmax - 1)] != lengths[(p, nmax)]
            for p in range(1, x.count + 1)):
         return UNDECIDED
     try:
-        local_cohomology_lengths(module, x.power(nmax))
+        local_cohomology_lengths(x.power(nmax))
     except AlgebraError:
         return UNDECIDED
     return True
@@ -353,18 +306,17 @@ class InvariantReport:
 
 def invariant_report(ring, x=None, nmax=4):
     """Compute the invariant summary of a ring, optionally for a given sop."""
-    rm = ring_module(ring)
     dim = ring.dimension()
-    dep = depth(rm)
+    dep = depth(ring)
     cmd = dim - dep
     if x is None and dim > 0:
         x = reference_sop(ring)
-    flc = flc_check(rm, x=x, nmax=nmax) if dim > 0 else True
+    flc = flc_check(x, nmax=nmax) if dim > 0 else True
     lc = None
     power = None
     if flc is True and dim > 0:
         power = first_standard_power(x, nmax=nmax)
         if power is not NOT_FOUND:
-            lc = local_cohomology_lengths(rm, x.power(power))
+            lc = local_cohomology_lengths(x.power(power))
     return InvariantReport(ring, dim, dep, cmd, flc, lc, power,
                            sop_name=None if x is None else x.name)

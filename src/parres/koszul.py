@@ -2,9 +2,7 @@
 
 The exterior basis of the degree-p term is indexed by the p-element subsets of
 {0..r-1} in lexicographic order.  The differential takes e_{i1<...<ip} to
-sum_j (-1)^(j+1) x_{ij} e_{...without ij...}.  Module coefficients are
-handled by tensoring with a free resolution of the module and totalizing,
-which computes the same homology in the degrees of interest.
+sum_j (-1)^(j+1) x_{ij} e_{...without ij...}.  Coefficients are in R itself.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from itertools import combinations
 from math import prod
 
 from .algebra import AlgebraError, NotHomogeneousError
-from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix)
+from .groebner import FinitelyPresentedModule, INFINITE, RingMatrix
 from .complexes import ChainComplex, ComplexMap, homology_at
 
 
@@ -79,32 +77,8 @@ def _subsets(r, p):
     return list(combinations(range(r), p))
 
 
-def koszul_complex(x, module=None):
-    """The Koszul complex K(x; M); M defaults to the ring itself.
-
-    For a module with relations, a free resolution of length count(x)+1 is
-    tensored in and totalized: the homology in degrees 0..count(x) is that of
-    K(x) tensor M.
-    """
-    k = _bare_koszul(x)
-    if module is None:
-        return k
-    degs = module.gen_degrees
-    if module.relations.is_zero() and len(degs) == 1:
-        if degs[0] == 0:
-            return k
-        modules = {n: tuple(d + degs[0] for d in dd)
-                   for n, dd in k.modules.items()}
-        diffs = {n: RingMatrix(k.ring, m.nrows, m.ncols, m.entries,
-                               modules[n - 1], modules[n], _reduced=True)
-                 for n, m in k.differentials.items()}
-        return ChainComplex(k.ring, modules, diffs, check=False)
-    from .resolutions import minimal_free_resolution
-    f = minimal_free_resolution(module, x.count + 1).complex
-    return total_tensor(k, f)
-
-
-def _bare_koszul(x):
+def koszul_complex(x):
+    """The Koszul complex K(x; R)."""
     ring = x.ring
     r = x.count
     degs = x.degrees()
@@ -127,83 +101,18 @@ def _bare_koszul(x):
     return ChainComplex(ring, modules, diffs, check=True)
 
 
-def total_tensor(k, f):
-    """Total complex of the double complex K tensor F (both free, same ring).
-
-    Block (p, q) with p + q = n holds K_p tensor F_q; blocks ordered by
-    ascending p, and within a block the index is (K basis) * rank F_q +
-    (F basis).  d(k x f) = dk x f + (-1)^p k x df.
-    """
-    ring = k.ring
-    if f.ring != ring:
-        raise AlgebraError("tensor factors over different rings")
-    lo = k.lo + f.lo
-    hi = k.hi + f.hi
-    modules = {}
-    offsets = {}
-    for n in range(lo, hi + 1):
-        degs = []
-        offs = {}
-        for p in range(k.lo, k.hi + 1):
-            q = n - p
-            kd = k.module(p)
-            fd = f.module(q)
-            if not kd or not fd:
-                continue
-            offs[p] = len(degs)
-            for dk in kd:
-                for df in fd:
-                    degs.append(dk + df)
-        if degs:
-            modules[n] = tuple(degs)
-            offsets[n] = offs
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        if n not in modules or (n - 1) not in modules:
-            continue
-        entries = {}
-        src_off = offsets[n]
-        tgt_off = offsets[n - 1]
-        for p, off in src_off.items():
-            q = n - p
-            rk_f = len(f.module(q))
-            # horizontal: dK tensor id, lands in block (p-1, q)
-            if p - 1 in tgt_off and q == (n - 1) - (p - 1):
-                dk = k.differential(p)
-                toff = tgt_off[p - 1]
-                for (i, j), v in dk.entries.items():
-                    for g in range(rk_f):
-                        entries[(toff + i * rk_f + g, off + j * rk_f + g)] = v
-            # vertical: (-1)^p id tensor dF, lands in block (p, q-1)
-            if p in tgt_off:
-                df = f.differential(q)
-                toff = tgt_off[p]
-                rk_ft = len(f.module(q - 1))
-                sign = -1 if p % 2 else 1
-                for (i, j), v in df.entries.items():
-                    vv = v if sign == 1 else -v
-                    for s in range(len(k.module(p))):
-                        key = (toff + s * rk_ft + i, off + s * rk_f + j)
-                        prev = entries.get(key)
-                        entries[key] = vv if prev is None else prev + vv
-        diffs[n] = RingMatrix(ring, len(modules[n - 1]), len(modules[n]),
-                              entries, modules[n - 1], modules[n],
-                              _reduced=True)
-    return ChainComplex(ring, modules, diffs, check=True)
-
-
-def koszul_homology(x, module, i):
-    """H_i(x; M) as a finitely presented module (module=None means M = R)."""
+def koszul_homology(x, i):
+    """H_i(x; R) as a finitely presented module."""
     if not 0 <= i <= x.count:
         raise AlgebraError(f"homology index {i} outside 0..{x.count}")
-    return homology_at(koszul_complex(x, module), i)
+    return homology_at(koszul_complex(x), i)
 
 
-def koszul_cohomology(x, module, i):
-    """H^i(x; M), realized through self-duality as H_{r-i}(x; M)."""
+def koszul_cohomology(x, i):
+    """H^i(x; R), realized through self-duality as H_{r-i}(x; R)."""
     if not 0 <= i <= x.count:
         raise AlgebraError(f"cohomology index {i} outside 0..{x.count}")
-    return koszul_homology(x, module, x.count - i)
+    return koszul_homology(x, x.count - i)
 
 
 def comparison_map(x, n):

@@ -58,14 +58,6 @@ def free_basis(ring, gen_degrees, degree):
     return out
 
 
-def _expand(ring, poly, index):
-    """Coefficient row of a reduced polynomial in a standard-monomial index."""
-    row = [0] * len(index)
-    for exp, c in poly.terms.items():
-        row[index[exp]] = c
-    return row
-
-
 def matrix_slice(matrix, degree):
     """The GF(p) matrix of a RingMatrix on the degree-`degree` graded pieces.
 
@@ -130,10 +122,6 @@ def homology_dim_at(cplx, n, degree):
         b, _, _ = matrix_slice(dn1, degree)
         rank_in = gf_rank(b, p)
     return dim_n - rank_out - rank_in
-
-
-def homology_dims(cplx, n, degrees):
-    return {t: homology_dim_at(cplx, n, t) for t in degrees}
 
 
 def kernel_dim_at(matrix, degree):

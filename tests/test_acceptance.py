@@ -16,9 +16,8 @@ from parres.complexes import (dual, homology_presentation, is_minimal,
 from parres.groebner import INFINITE
 from parres.harness import (reproduce_example, verify_inequality,
                             verify_main_theorem)
-from parres.invariants import (flc_check, is_sop, length_stability_check,
-                               local_cohomology_lengths, ring_module,
-                               standardness_witness)
+from parres.invariants import (flc_check, length_stability_check,
+                               local_cohomology_lengths, standardness_witness)
 from parres.koszul import koszul_complex
 from parres.resolutions import (cec_injectivity_check,
                                 general_cone_resolution,
@@ -146,8 +145,7 @@ def _standard_corpus_sops(corpus):
     for name, spec in corpus.items():
         for sname in spec.sops:
             x = spec.sop(sname)
-            if flc_check(ring_module(spec.ring), x=x,
-                         nmax=spec.cap("power", 4)) is not True:
+            if flc_check(x, nmax=spec.cap("power", 4)) is not True:
                 continue
             if standardness_witness(x) is None:
                 out.append((name, x))
@@ -159,9 +157,9 @@ def test_criterion_5_hoa_formulas(corpus, capsys):
     details = []
     r2_solved = None
     for name, x in _standard_corpus_sops(corpus):
-        # verify=True checks the binomial identities for all r <= d, p >= 1
-        # and cross-checks the solved lengths for consistency
-        lc = local_cohomology_lengths(ring_module(x.ring), x, verify=True)
+        # local_cohomology_lengths checks the binomial identities for all
+        # r <= d, p >= 1 and cross-checks the solved lengths for consistency
+        lc = local_cohomology_lengths(x)
         details.append(f"{name}: {lc}")
         if name == "r2":
             r2_solved = lc

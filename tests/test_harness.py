@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from parres import harness, invariants, resolutions
-from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError)
+from parres import harness, invariants, oracle, resolutions
+from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
+                            PolynomialRingSpec)
 from parres.cli import build_parser, bundled_ring_text, main
 from parres.harness import (load_ring_spec, parse_ring_spec,
                             reproduce_example, stabilization_scan,
@@ -172,6 +173,43 @@ def test_cli_rejects_internal_cap(capsys, tmp_path):
     assert main(["invariants", "--ring", str(spec)]) == 1
     err = capsys.readouterr().err
     assert "internal" in err and f"line {len(text.splitlines())}" in err
+
+
+@pytest.mark.parametrize("extra, offset, word", [
+    ("homological = 6", 1, "cap 'homological'"),
+    ("[sop x]\na", 1, "sop 'x'"),
+    ("[field]\n101", 2, "characteristic '101'"),
+])
+def test_parse_rejects_repeated_entries(capsys, tmp_path, extra, offset, word):
+    # a repeated cap, sop or characteristic is an input error at its line,
+    # not a silent override of the earlier value
+    base = bundled_ring_text("r2")
+    text = base + extra + "\n"
+    line = len(base.splitlines()) + offset
+    with pytest.raises(PolyParseError) as exc:
+        parse_ring_spec(text)
+    assert exc.value.line == line and word in str(exc.value)
+    spec = tmp_path / "r2_repeated.ring"
+    spec.write_text(text)
+    assert main(["invariants", "--ring", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert word in err and f"line {line}" in err
+
+
+def test_characteristic_bound(capsys, tmp_path):
+    # the oracle multiplies residues in int64: 2^31 - 1 is the largest
+    # accepted prime, and gf_rank stays exact there
+    p = 2147483647
+    assert PolynomialRingSpec(p, ["a"]).characteristic == p
+    rank_one = [[p - 2, p - 3], [2 * (p - 2) % p, 2 * (p - 3) % p]]
+    assert oracle.gf_rank(rank_one, p) == 1
+    with pytest.raises(AlgebraError) as exc:
+        PolynomialRingSpec(2147483659, ["a"])
+    assert "2^31" in str(exc.value)
+    spec = tmp_path / "big_field.ring"
+    spec.write_text("[field]\n4294967311\n[vars]\na b\n[sop x]\na\nb\n")
+    assert main(["koszul", "--ring", str(spec)]) == 1
+    assert "4294967311" in capsys.readouterr().err
 
 
 def test_main_theorem_resolves_each_module_once(monkeypatch, r2):

@@ -2,15 +2,15 @@ import pytest
 
 from parres import invariants
 from parres.algebra import AlgebraError
-from parres.groebner import FinitelyPresentedModule, RingMatrix
+from parres.groebner import FinitelyPresentedModule
+from parres.harness import verify_main_theorem
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
                                find_standard_power, first_standard_power,
-                               grade, invariant_report,
-                               is_sop, is_standard_sop,
+                               grade, invariant_report, is_standard_sop,
                                length_stability_check,
                                local_cohomology_lengths, reference_sop,
-                               ring_module, standardness_witness)
+                               standardness_witness)
 
 
 def test_depth_and_defect(corpus):
@@ -19,18 +19,8 @@ def test_depth_and_defect(corpus):
     for name, spec in corpus.items():
         dim, dep, cmd = expect[name]
         assert spec.ring.dimension() == dim, name
-        assert depth(ring_module(spec.ring)) == dep, name
+        assert depth(spec.ring) == dep, name
         assert cohen_macaulay_defect(spec.ring) == cmd, name
-
-
-def test_depth_of_presented_module(r1, r2):
-    # the Koszul complex of a module with relations carries the homology of
-    # a truncated resolution above degree v, which depth must not count
-    for spec, dep in ((r1, 0), (r2, 1)):
-        ring = spec.ring
-        a = ring.ambient.gen(ring.variables[0])
-        rel = RingMatrix.from_columns(ring, [[a]], row_degrees=[0])
-        assert depth(FinitelyPresentedModule(ring, [0], rel)) == dep
 
 
 def test_grade(r1, r2):
@@ -43,13 +33,6 @@ def test_grade(r1, r2):
         grade([ring.ambient.one()], ring)
 
 
-def test_is_sop(r1):
-    assert is_sop(r1.sop("x"))
-    mod = r1.sop("x").quotient_module()
-    # a zero-dimensional module admits the empty sop only
-    assert not is_sop(r1.sop("x"), mod)
-
-
 def test_standardness(r1, r2):
     assert standardness_witness(r1.sop("x")) is None
     assert is_standard_sop(r1.sop("x"))
@@ -57,24 +40,23 @@ def test_standardness(r1, r2):
 
 
 def test_local_cohomology_lengths(r1, r2):
-    assert local_cohomology_lengths(ring_module(r1.ring), r1.sop("x")) == [1, 0]
-    assert local_cohomology_lengths(ring_module(r2.ring), r2.sop()) == [0, 1]
+    assert local_cohomology_lengths(r1.sop("x")) == [1, 0]
+    assert local_cohomology_lengths(r2.sop()) == [0, 1]
 
 
 def test_flc_verdicts(r1, r2, nonflc):
-    assert flc_check(ring_module(r1.ring), x=r1.sop("x")) is True
-    assert flc_check(ring_module(r2.ring), x=r2.sop()) is True
-    verdict = flc_check(ring_module(nonflc.ring), x=nonflc.sop("y"), nmax=3)
+    assert flc_check(r1.sop("x")) is True
+    assert flc_check(r2.sop()) is True
+    verdict = flc_check(nonflc.sop("y"), nmax=3)
     assert verdict is UNDECIDED
     with pytest.raises(AlgebraError):
         bool(verdict)
 
 
 def test_find_standard_power(r1, r2, nonflc):
-    assert find_standard_power(r1.ring, r1.sop("x")) == 1
-    assert find_standard_power(r2.ring, r2.sop()) == 1
-    assert find_standard_power(nonflc.ring, nonflc.sop("y"),
-                               nmax=3) is NOT_FOUND
+    assert find_standard_power(r1.sop("x")) == 1
+    assert find_standard_power(r2.sop()) == 1
+    assert find_standard_power(nonflc.sop("y"), nmax=3) is NOT_FOUND
 
 
 def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
@@ -91,6 +73,24 @@ def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
     assert inv.to_dict()["standard_power"] == 1
     # once FLC holds, the search alone gives the same answer
     assert first_standard_power(r2.sop()) == 1
+
+
+def test_invariants_never_present_r_itself(monkeypatch, r2):
+    # depth, the defect and the FLC check work on R directly: no caller
+    # builds R as a module over itself and computes its Groebner basis again
+    seen = []
+    real = FinitelyPresentedModule._initial_leads
+
+    def counting(self):
+        if self.gen_degrees == (0,) and self.relations.is_zero():
+            seen.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
+    inv = invariant_report(r2.ring, r2.sop())
+    rep = verify_main_theorem(r2.ring, r2.sop(), 4)
+    assert inv.to_dict()["depth"] == 1 and rep.passed()
+    assert seen == []
 
 
 def test_reference_sop(r1, r2):

@@ -2,12 +2,8 @@ import pytest
 from math import comb
 
 from parres.algebra import AlgebraError, NotHomogeneousError
-from parres.groebner import INFINITE, FinitelyPresentedModule, RingMatrix
-from parres.complexes import homology_presentation
 from parres.koszul import (ParameterSequence, comparison_map, koszul_complex,
-                           koszul_cohomology, koszul_homology, power_sequence,
-                           total_tensor)
-from parres import oracle
+                           koszul_cohomology, koszul_homology, power_sequence)
 
 
 def test_sequence_validation(r1):
@@ -45,14 +41,14 @@ def test_koszul_ranks_binomial(r2):
 
 def test_koszul_h0_is_quotient(r1):
     x = r1.sop("x")
-    h0 = koszul_homology(x, None, 0)
+    h0 = koszul_homology(x, 0)
     assert h0.graded_length() == x.quotient_module().graded_length()
 
 
 def test_known_homology_r1(r1):
     x = r1.sop("x")
-    h1 = koszul_homology(x, None, 1)
-    h2 = koszul_homology(x, None, 2)
+    h1 = koszul_homology(x, 1)
+    h2 = koszul_homology(x, 2)
     assert h1.length() == 2 and h1.graded_length() == {2: 2}
     assert h2.length() == 1 and h2.graded_length() == {3: 1}
 
@@ -61,48 +57,14 @@ def test_regular_sequence_acyclic(regular, hypersurface):
     for spec in (regular, hypersurface):
         x = spec.sop()
         for i in range(1, x.count + 1):
-            assert koszul_homology(x, None, i).is_zero()
+            assert koszul_homology(x, i).is_zero()
 
 
 def test_cohomology_is_dual_index(r1):
     x = r1.sop("x")
     for i in range(x.count + 1):
-        assert koszul_cohomology(x, None, i).length() == \
-            koszul_homology(x, None, x.count - i).length()
-
-
-def test_module_coefficients_free_shift(r1):
-    x = r1.sop("x")
-    ring = r1.ring
-    shifted = FinitelyPresentedModule(ring, [2])
-    k = koszul_complex(x, shifted)
-    plain = koszul_complex(x)
-    for i in range(x.count + 1):
-        _, hs = homology_presentation(k, i)
-        _, hp = homology_presentation(plain, i)
-        assert hs.graded_length() == \
-            {d + 2: v for d, v in hp.graded_length().items()}
-
-
-def test_module_coefficients_vs_oracle(r1):
-    x = r1.sop("x")
-    mod = x.quotient_module()  # R1/(a,b), finite length
-    k = koszul_complex(x, mod)
-    for i in range(x.count + 1):
-        _, h = homology_presentation(k, i)
-        assert h.length() is not INFINITE
-        assert h.length() == oracle.module_length_upto(h, 12)
-
-
-def test_total_tensor_with_point_module(r1):
-    x = r1.sop("x")
-    k = koszul_complex(x)
-    # tensor with a rank-1 free complex concentrated in degree 0 is identity
-    ring = r1.ring
-    f = koszul_complex(ParameterSequence(ring, [ring.ambient.parse("c")]))
-    tt = total_tensor(k, f)
-    assert tt.rank(0) == k.rank(0) * f.rank(0)
-    assert tt.rank(1) == k.rank(1) * f.rank(0) + k.rank(0) * f.rank(1)
+        assert koszul_cohomology(x, i).length() == \
+            koszul_homology(x, x.count - i).length()
 
 
 def test_comparison_map_commutes(r1):

@@ -1,0 +1,53 @@
+"""The benchmark's layer tracer names parres entry points by module and
+attribute; these tests fail on a rename or a signature change that would
+otherwise only break `perfbench/run.py --trace 1`.  perfbench/ is only read.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from parres.cli import build_parser, run
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+LAYERTRACE = _load("layertrace")
+BENCH_RUN = _load("run")
+
+
+@pytest.mark.parametrize("name, modname, attr", LAYERTRACE.ENTRY_POINTS,
+                         ids=[e[0] for e in LAYERTRACE.ENTRY_POINTS])
+def test_entry_point_resolves(name, modname, attr):
+    obj = getattr(BENCH_RUN.Api(), modname)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj), name
+
+
+def test_traced_run_counts_layers():
+    # the tracer reads positional arguments of some entry points (the cap
+    # of a resolution, the matrix of a solver); a traced run exercises them
+    tracer = LAYERTRACE.Tracer()
+    tracer.install(BENCH_RUN.Api())
+    try:
+        for argv in (["standard", "--ring", "r2"],
+                     ["resolve", "--ring", "r1", "--cap", "3"]):
+            run(build_parser().parse_args(argv))
+        metrics = tracer.layer_metrics(1.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["invariants.find_standard_power"] == 1
+    assert tracer.calls["invariants.flc_check"] == 1
+    assert metrics["resolutions.syzygy_steps"] == 3
+    assert metrics["groebner.solver_build.calls"] > 0
+    assert metrics["groebner.module_leads.calls"] > 0

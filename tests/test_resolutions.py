@@ -123,7 +123,7 @@ def test_aci_cone_matches_koszul_plus_shift(r2):
     x = r2.sop()
     cone = aci_cone_resolution(x, 4)
     # rank_n = binom(2, n) + rank F_{n-2} of the H_1 resolution
-    h1res = minimal_free_resolution(koszul_homology(x, None, 1), 3)
+    h1res = minimal_free_resolution(koszul_homology(x, 1), 3)
     for n in range(0, 5):
         expect = comb(2, n) + (h1res.complex.rank(n - 2) if n >= 2 else 0)
         assert cone.rank(n) == expect
