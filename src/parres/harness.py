@@ -17,7 +17,7 @@ from .algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                       PolynomialRingSpec)
 from .groebner import INFINITE, QuotientRingSpec
 from .complexes import homology_presentation
-from .koszul import ParameterSequence, koszul_complex
+from .koszul import KoszulTable, ParameterSequence, koszul_complex
 from .resolutions import (BettiTable, minimal_free_resolution,
                           poincare_truncation)
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
@@ -289,20 +289,21 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     report = ExperimentReport("main-theorem", {
         "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})
     d = ring.dimension()
-    cmd = cohen_macaulay_defect(ring)
+    table = KoszulTable(ring)
+    cmd = cohen_macaulay_defect(ring, x=x, table=table)
     report.record("dim", d)
     report.record("cmd", cmd)
     if cmd > 1:
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    verdict_flc = flc_check(x, nmax=nmax)
+    verdict_flc = flc_check(x, nmax=nmax, table=table)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        repr(verdict_flc), "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    n = first_standard_power(x, nmax=nmax)
+    n = first_standard_power(x, nmax=nmax, table=table)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
@@ -312,8 +313,7 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     res = minimal_free_resolution(xn.quotient_module(), cap)
     lhs = res.poincare().coefficients
     report.record("poincare_quotient", lhs)
-    _, h = homology_presentation(koszul_complex(xn), 1)
-    resh = minimal_free_resolution(h, cap)
+    resh = minimal_free_resolution(table.homology(xn, 1), cap)
     ph = resh.poincare()
     report.record("poincare_h", ph.coefficients)
     rhs = _binomial_series(d, cap)
@@ -326,7 +326,7 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     betti_by_power = {n: res.betti().totals()}
     for m in range(n + 1, nmax + 1):
         xm = x.power(m)
-        if standardness_witness(xm) is not None:
+        if standardness_witness(xm, table=table) is not None:
             continue
         resm = minimal_free_resolution(xm.quotient_module(), cap)
         betti_by_power[m] = resm.betti().totals()
@@ -359,11 +359,12 @@ def stabilization_scan(ring, x, cap, nmax=4):
         "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})
     tables = {}
     standard = {}
+    koszul = KoszulTable(ring)
     for i in range(1, nmax + 1):
         xi = x.power(i)
         res = minimal_free_resolution(xi.quotient_module(), cap)
         tables[i] = res.betti().totals()
-        standard[i] = standardness_witness(xi) is None
+        standard[i] = standardness_witness(xi, table=koszul) is None
     report.record("betti_totals", tables)
     report.record("standard", standard)
     stab = None
@@ -447,7 +448,7 @@ def invariants_experiment(ring, x=None, nmax=4):
     t0 = time.monotonic()
     report = ExperimentReport("invariants", {
         "ring": repr(ring), "sop": repr(x) if x is not None else None})
-    inv = invariant_report(ring, x, nmax=nmax)
+    inv = invariant_report(ring, x, nmax=nmax, table=KoszulTable(ring))
     for k, v in inv.to_dict().items():
         report.record(k, v)
     report.verdict("cmd = dim - depth is non-negative", inv.cmd >= 0,
@@ -460,11 +461,12 @@ def standard_experiment(ring, x, nmax=4):
     t0 = time.monotonic()
     report = ExperimentReport("standard", {
         "ring": repr(ring), "sop": repr(x), "power_max": nmax})
-    n = find_standard_power(x, nmax=nmax)
+    table = KoszulTable(ring)
+    n = find_standard_power(x, nmax=nmax, table=table)
     report.record("standard_power",
                   n if n is not NOT_FOUND else repr(NOT_FOUND))
     if n is not NOT_FOUND:
-        wit = standardness_witness(x.power(n))
+        wit = standardness_witness(x.power(n), table=table)
         report.verdict("power re-verified standard", wit is None,
                        f"n={n}", "squares criterion")
     else:

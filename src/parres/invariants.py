@@ -1,12 +1,20 @@
 """Ring invariants: depth, grade, sop tests, local cohomology lengths.
 
 Everything here is about R itself: Koszul homology has coefficients in R.
-Depth and grade are detected through vanishing of Koszul homology; sop
-standardness uses the squares criterion (Koszul homology lengths unchanged
-under squaring the sequence), and the lengths of the local cohomology modules
-are recovered by back-solving the binomial identities relating them to Koszul
-homology lengths of a standard sop.  Finiteness of local cohomology is a
+Depth and grade are detected through vanishing of Koszul homology.  Given a
+sop x, depth R = grade(x) = d - max{p : H_p(x; R) != 0}: grade depends only
+on the radical of the ideal, and (x) is primary to the irrelevant maximal
+ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul homology of x, which
+the standardness and FLC tests present anyway, gives the depth; K(m) on the
+variables is built only when there is no sop.  Sop standardness uses the
+squares criterion (Koszul homology lengths unchanged under squaring the
+sequence), and the lengths of the local cohomology modules are recovered by
+back-solving the binomial identities relating them to Koszul homology
+lengths of a standard sop.  Finiteness of local cohomology is a
 semi-decision: lengths are scanned across powers up to a bound.
+
+The functions of one experiment share a KoszulTable, passed as `table`, so
+that each H_p(y; R) is presented once; without one, each call makes its own.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from math import comb
 from .algebra import AlgebraError, Sentinel
 from .groebner import INFINITE
 from .complexes import InducedHomologyMap, ComplexMap, dual
-from .koszul import ParameterSequence, comparison_map, koszul_homology
+from .koszul import KoszulTable, ParameterSequence, comparison_map
 from .resolutions import sequence_grade
 
 # flc_check verdict when the power bound is hit without stabilization
@@ -27,17 +35,23 @@ NOT_FOUND = Sentinel("NOT-FOUND")
 
 
 def maximal_ideal_sequence(ring):
-    """The images of the ambient variables, generating the irrelevant ideal."""
-    elems = [ring.ambient.gen(v) for v in ring.variables]
+    """The nonzero images of the ambient variables, generating the
+    irrelevant ideal; a variable that lies in I is zero in R and dropped."""
+    gens = [ring.ambient.gen(v) for v in ring.variables]
+    elems = [g for g in gens if not ring.reduce(g).is_zero()]
     return ParameterSequence(ring, elems, name="m")
 
 
-def _hlen(x, p):
-    return koszul_homology(x, p).length()
+def _table(ring, table):
+    return KoszulTable(ring) if table is None else table
 
 
-def depth(ring):
-    """Depth of R: the grade of the irrelevant maximal ideal."""
+def depth(ring, x=None, table=None):
+    """Depth of R: grade(x) read off the table for a sop x, else the grade
+    of the irrelevant maximal ideal.  A non-sop x never gives the depth."""
+    table = _table(ring, table)
+    if x is not None and table.is_sop(x):
+        return table.grade(x)
     return sequence_grade(maximal_ideal_sequence(ring))
 
 
@@ -47,8 +61,8 @@ def grade(generators, ring):
     return sequence_grade(ParameterSequence(ring, generators))
 
 
-def cohen_macaulay_defect(ring):
-    return ring.dimension() - depth(ring)
+def cohen_macaulay_defect(ring, x=None, table=None):
+    return ring.dimension() - depth(ring, x=x, table=table)
 
 
 def _prefix(x, r):
@@ -59,18 +73,19 @@ def _squares(x):
     return ParameterSequence(x.ring, [f ** 2 for f in x.elements])
 
 
-def standardness_witness(x):
+def standardness_witness(x, table=None):
     """None if the squares criterion holds, else the first failing (p, r).
 
     Criterion: for every initial segment x_1..x_r and every p in 1..r, the
     Koszul homology length is unchanged when the elements are squared.
     """
+    table = _table(x.ring, table)
     for r in range(1, x.count + 1):
         sub = _prefix(x, r)
         sq = _squares(sub)
         for p in range(1, r + 1):
-            l1 = _hlen(sub, p)
-            l2 = _hlen(sq, p)
+            l1 = table.length(sub, p)
+            l2 = table.length(sq, p)
             if l1 is INFINITE or l2 is INFINITE:
                 raise AlgebraError(
                     f"infinite Koszul homology length at (p={p}, r={r}); "
@@ -87,17 +102,18 @@ def is_standard_sop(x, nmax=4):
     cohomology, so FLC is checked first (semi-decision; an UNDECIDED verdict
     is raised as an error).
     """
-    if not x.is_sop():
+    table = KoszulTable(x.ring)
+    if not table.is_sop(x):
         raise AlgebraError("sequence is not a system of parameters")
-    verdict = flc_check(x, nmax=nmax)
+    verdict = flc_check(x, nmax=nmax, table=table)
     if verdict is not True:
         raise AlgebraError(
             f"finite local cohomology not established ({verdict!r}); "
             "the squares criterion does not apply")
-    return standardness_witness(x) is None
+    return standardness_witness(x, table=table) is None
 
 
-def local_cohomology_lengths(x):
+def local_cohomology_lengths(x, table=None):
     """Lengths of the local cohomology modules of R below the dimension.
 
     For a standard sop x = x_1..x_d the identity
@@ -106,15 +122,16 @@ def local_cohomology_lengths(x):
     here for len H^0 .. len H^(d-1), and the r < d instances are used as a
     consistency check.
     """
+    table = _table(x.ring, table)
     d = x.count
     measured = {}
     for r in range(1, d + 1):
         sub = _prefix(x, r)
         for p in range(1, r + 1):
-            val = _hlen(sub, p)
+            val = table.length(sub, p)
             if val is INFINITE:
                 raise AlgebraError("infinite Koszul homology length; "
-                                   "x is not a sop for the module")
+                                   "x is not a sop of R")
             measured[(p, r)] = val
     lc = [0] * d
     for p in range(d, 0, -1):
@@ -181,39 +198,42 @@ def length_stability_check(x, nmax=4, check_maps=True):
     H^g, g = depth, across consecutive powers (the index whose cohomology
     computes the corresponding local cohomology for standard sops).
     """
+    table = KoszulTable(x.ring)
     d = x.count
     lengths = {}
     for n in range(1, nmax + 1):
         xn = x.power(n)
         for p in range(1, d + 1):
-            lengths[(p, n)] = _hlen(xn, p)
+            lengths[(p, n)] = table.length(xn, p)
     stable = {p: len({lengths[(p, n)] for n in range(1, nmax + 1)}) == 1
               for p in range(1, d + 1)}
     injective = {}
     if check_maps and d >= 1:
-        i = depth(x.ring)
+        i = depth(x.ring, x=x, table=table)
         for n in range(1, nmax):
             ind = cohomology_comparison_map(x, n, i)
             injective[(i, n)] = ind.is_injective()
     return StabilityReport(lengths, stable, injective)
 
 
-def find_standard_power(x, nmax=4):
+def find_standard_power(x, nmax=4, table=None):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
-    verdict = flc_check(x, nmax=nmax)
+    table = _table(x.ring, table)
+    verdict = flc_check(x, nmax=nmax, table=table)
     if verdict is not True:
         return NOT_FOUND
-    return first_standard_power(x, nmax=nmax)
+    return first_standard_power(x, nmax=nmax, table=table)
 
 
-def first_standard_power(x, nmax=4):
+def first_standard_power(x, nmax=4, table=None):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
 
     The squares criterion presumes finite local cohomology, so call this
     only after flc_check has returned True; find_standard_power does both.
     """
+    table = _table(x.ring, table)
     for n in range(1, nmax + 1):
-        if standardness_witness(x.power(n)) is None:
+        if standardness_witness(x.power(n), table=table) is None:
             return n
     return NOT_FOUND
 
@@ -245,7 +265,7 @@ def reference_sop(ring):
     raise AlgebraError("no system of parameters found among the candidates")
 
 
-def flc_check(x, nmax=4):
+def flc_check(x, nmax=4, table=None):
     """Finite local cohomology of R, as a semi-decision.
 
     True when the Koszul homology lengths of the sop x stabilize across
@@ -255,18 +275,19 @@ def flc_check(x, nmax=4):
     """
     if x.ring.dimension() <= 0:
         return True  # finite length ring, trivially FLC
-    if not x.is_sop():
-        raise AlgebraError("reference sequence is not a sop for the module")
+    table = _table(x.ring, table)
+    if not table.is_sop(x):
+        raise AlgebraError("reference sequence is not a sop of R")
     lengths = {}
     for n in (nmax - 1, nmax):
         xn = x.power(n)
         for p in range(1, x.count + 1):
-            lengths[(p, n)] = _hlen(xn, p)
+            lengths[(p, n)] = table.length(xn, p)
     if any(lengths[(p, nmax - 1)] != lengths[(p, nmax)]
            for p in range(1, x.count + 1)):
         return UNDECIDED
     try:
-        local_cohomology_lengths(x.power(nmax))
+        local_cohomology_lengths(x.power(nmax), table=table)
     except AlgebraError:
         return UNDECIDED
     return True
@@ -304,19 +325,20 @@ class InvariantReport:
                 f"cmd={self.cmd} flc={self.flc!r} lc={self.lc_lengths}>")
 
 
-def invariant_report(ring, x=None, nmax=4):
+def invariant_report(ring, x=None, nmax=4, table=None):
     """Compute the invariant summary of a ring, optionally for a given sop."""
+    table = _table(ring, table)
     dim = ring.dimension()
-    dep = depth(ring)
-    cmd = dim - dep
     if x is None and dim > 0:
         x = reference_sop(ring)
-    flc = flc_check(x, nmax=nmax) if dim > 0 else True
+    dep = depth(ring, x=x, table=table)
+    cmd = dim - dep
+    flc = flc_check(x, nmax=nmax, table=table) if dim > 0 else True
     lc = None
     power = None
     if flc is True and dim > 0:
-        power = first_standard_power(x, nmax=nmax)
+        power = first_standard_power(x, nmax=nmax, table=table)
         if power is not NOT_FOUND:
-            lc = local_cohomology_lengths(x.power(power))
+            lc = local_cohomology_lengths(x.power(power), table=table)
     return InvariantReport(ring, dim, dep, cmd, flc, lc, power,
                            sop_name=None if x is None else x.name)

@@ -108,6 +108,66 @@ def koszul_homology(x, i):
     return homology_at(koszul_complex(x), i)
 
 
+class KoszulTable:
+    """K(y; R) and each presented H_p(y; R), for the sequences one
+    experiment meets, each built once.
+
+    Entries are keyed by the reduced elements of y, so the squares of a
+    prefix of x and the prefix of x^2 share one entry.  A table is bound to
+    one ring; make one per experiment and pass it to the functions that
+    share it (it is not a global cache).
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._sops = {}
+        self._complexes = {}
+        self._homology = {}
+        self._lengths = {}
+
+    def _key(self, y):
+        if y.ring != self.ring:
+            raise AlgebraError("sequence over another ring than the table's")
+        return y.elements
+
+    def is_sop(self, y):
+        """y.is_sop(), decided once per sequence."""
+        key = self._key(y)
+        if key not in self._sops:
+            self._sops[key] = y.is_sop()
+        return self._sops[key]
+
+    def complex(self, y):
+        """K(y; R)."""
+        key = self._key(y)
+        if key not in self._complexes:
+            self._complexes[key] = koszul_complex(y)
+        return self._complexes[key]
+
+    def homology(self, y, p):
+        """H_p(y; R) as a finitely presented module."""
+        if not 0 <= p <= y.count:
+            raise AlgebraError(f"homology index {p} outside 0..{y.count}")
+        key = (self._key(y), p)
+        if key not in self._homology:
+            self._homology[key] = homology_at(self.complex(y), p)
+        return self._homology[key]
+
+    def length(self, y, p):
+        """Length of H_p(y; R), or INFINITE."""
+        key = (self._key(y), p)
+        if key not in self._lengths:
+            self._lengths[key] = self.homology(y, p).length()
+        return self._lengths[key]
+
+    def grade(self, y):
+        """grade of (y) on R: count minus the top nonvanishing H_p(y; R)."""
+        for p in range(y.count, 0, -1):
+            if self.length(y, p) != 0:
+                return y.count - p
+        return y.count
+
+
 def koszul_cohomology(x, i):
     """H^i(x; R), realized through self-duality as H_{r-i}(x; R)."""
     if not 0 <= i <= x.count:

@@ -1,12 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from parres import harness, invariants, oracle, resolutions
+from parres import complexes, harness, invariants, koszul, oracle, resolutions
 from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                             PolynomialRingSpec)
-from parres.cli import build_parser, bundled_ring_text, main
+from parres.cli import build_parser, bundled_ring_text, main, run
 from parres.harness import (load_ring_spec, parse_ring_spec,
                             reproduce_example, stabilization_scan,
                             verify_inequality, verify_main_theorem)
@@ -227,9 +228,9 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     witnessed = []
 
     def wrap_witness(real):
-        def counting(x):
+        def counting(x, *args, **kwargs):
             witnessed.append(repr(x))
-            return real(x)
+            return real(x, *args, **kwargs)
         return counting
 
     for mod in (harness, invariants):
@@ -248,3 +249,42 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" \
         / "default" / "r2.main-theorem.json"
     assert rep.render("structured") == golden.read_text(encoding="utf-8")
+
+
+def _complex_key(cplx):
+    return tuple((n, frozenset(d.entries.items()))
+                 for n, d in sorted(cplx.differentials.items()))
+
+
+def _wrap_everywhere(monkeypatch, fn, wrapper):
+    for name, mod in list(sys.modules.items()):
+        if name == "parres" or name.startswith("parres."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+@pytest.mark.parametrize("command", ["invariants", "standard",
+                                     "main-theorem"])
+@pytest.mark.parametrize("ring", ["r1", "r2"])
+def test_experiment_presents_each_koszul_homology_once(monkeypatch, command,
+                                                       ring):
+    built, presented = [], []
+    real_complex = koszul.koszul_complex
+    real_present = complexes.homology_presentation
+
+    def counting_complex(y):
+        cplx = real_complex(y)
+        built.append(_complex_key(cplx))
+        return cplx
+
+    def counting_present(cplx, n):
+        presented.append((_complex_key(cplx), n))
+        return real_present(cplx, n)
+
+    _wrap_everywhere(monkeypatch, real_complex, counting_complex)
+    _wrap_everywhere(monkeypatch, real_present, counting_present)
+    run(build_parser().parse_args([command, "--ring", ring]))
+    assert presented
+    assert len(set(built)) == len(built)
+    assert len(set(presented)) == len(presented)

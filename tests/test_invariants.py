@@ -1,16 +1,27 @@
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
-from parres import invariants
+from parres import algebra, complexes, harness, invariants
 from parres.algebra import AlgebraError
+from parres.cli import main
 from parres.groebner import FinitelyPresentedModule
-from parres.harness import verify_main_theorem
+from parres.harness import parse_ring_spec, verify_main_theorem
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
                                find_standard_power, first_standard_power,
                                grade, invariant_report, is_standard_sop,
                                length_stability_check,
-                               local_cohomology_lengths, reference_sop,
+                               local_cohomology_lengths,
+                               maximal_ideal_sequence, reference_sop,
                                standardness_witness)
+from parres.koszul import KoszulTable
+from parres.resolutions import sequence_grade
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_depth_and_defect(corpus):
@@ -122,3 +133,75 @@ def test_invariant_report(r1, nonflc):
     assert d["standard_power"] == 1
     inv2 = invariant_report(nonflc.ring, nonflc.sop("y"), nmax=3)
     assert inv2.to_dict()["flc"] == "UNDECIDED"
+
+
+@pytest.mark.parametrize("ideal, sop, want", [
+    (["a"], ["b"], 1),
+    (["a"], None, 1),
+    (["a", "b"], None, 0),
+], ids=["linear-with-sop", "linear-no-sop", "artinian"])
+def test_variable_in_the_ideal(tmp_path, ideal, sop, want):
+    # a variable in I is zero in R; the maximal ideal is generated by the rest
+    text = "[field]\n101\n[vars]\na b\n[ideal]\n" + "\n".join(ideal) + "\n"
+    if sop:
+        text += "[sop x]\n" + "\n".join(sop) + "\n"
+    ring = parse_ring_spec(text).ring
+    assert maximal_ideal_sequence(ring).count == 2 - len(ideal)
+    assert depth(ring) == want
+    path = tmp_path / "spec.ring"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    assert main(["invariants", "--ring", str(path), "--format",
+                 "structured", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["data"]["depth"] == want
+
+
+def _random_sop_specs(count):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ringgen", PERFBENCH / "ringgen.py")
+    ringgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ringgen)
+    api = SimpleNamespace(algebra=algebra, harness=harness,
+                          invariants=invariants)
+    return [parse_ring_spec(text)
+            for text in ringgen.random_rings(api, 101)[:count]]
+
+
+def test_depth_of_the_maximal_ideal_is_the_grade_of_a_sop(corpus):
+    # grade depends only on the radical, and a sop generates an ideal
+    # primary to the maximal ideal
+    specs = list(corpus.values()) + _random_sop_specs(40)
+    depths = set()
+    for spec in specs:
+        for x in spec.sops.values():
+            assert x.is_sop()
+            want = sequence_grade(maximal_ideal_sequence(spec.ring))
+            assert KoszulTable(spec.ring).grade(x) == want, spec.name
+            assert depth(spec.ring, x=x) == want
+            depths.add(want)
+    assert depths == {0, 1, 2}
+
+
+def test_non_sop_never_gives_the_depth(regular):
+    ring = regular.ring
+    prefix = invariants._prefix(regular.sop(), 1)
+    table = KoszulTable(ring)
+    assert not table.is_sop(prefix)
+    assert table.grade(prefix) == 1
+    assert depth(ring, x=prefix, table=table) == 2
+    assert cohen_macaulay_defect(ring, x=prefix, table=table) == 0
+
+
+def test_invariant_report_tables_live_for_one_call(monkeypatch, r2):
+    calls = []
+    real = complexes.homology_presentation
+
+    def counting(cplx, n):
+        calls.append(n)
+        return real(cplx, n)
+
+    monkeypatch.setattr(complexes, "homology_presentation", counting)
+    invariant_report(r2.ring, r2.sop())
+    first = len(calls)
+    invariant_report(r2.ring, r2.sop())
+    assert first > 0 and len(calls) == 2 * first

@@ -1,9 +1,11 @@
 import pytest
 from math import comb
 
+from parres import koszul
 from parres.algebra import AlgebraError, NotHomogeneousError
-from parres.koszul import (ParameterSequence, comparison_map, koszul_complex,
-                           koszul_cohomology, koszul_homology, power_sequence)
+from parres.koszul import (KoszulTable, ParameterSequence, comparison_map,
+                           koszul_complex, koszul_cohomology, koszul_homology,
+                           power_sequence)
 
 
 def test_sequence_validation(r1):
@@ -79,3 +81,30 @@ def test_comparison_map_commutes(r1):
     for f in x.elements:
         prod = prod * f
     assert top == r1.ring.reduce(prod)
+
+
+def test_table_shares_prefix_of_square_and_square_of_prefix(monkeypatch, r2):
+    built = []
+    real = koszul.koszul_complex
+
+    def counting(y):
+        built.append(y.elements)
+        return real(y)
+
+    monkeypatch.setattr(koszul, "koszul_complex", counting)
+    x = r2.sop()
+    table = KoszulTable(r2.ring)
+    prefix_of_square = ParameterSequence(r2.ring, x.power(2).elements[:1])
+    square_of_prefix = ParameterSequence(r2.ring, [x.elements[0] ** 2])
+    h = table.homology(prefix_of_square, 1)
+    assert table.homology(square_of_prefix, 1) is h
+    assert table.length(square_of_prefix, 1) == h.length()
+    assert len(built) == 1
+
+
+def test_table_is_bound_to_its_ring(r1, r2):
+    table = KoszulTable(r1.ring)
+    with pytest.raises(AlgebraError):
+        table.length(r2.sop(), 1)
+    with pytest.raises(AlgebraError):
+        table.homology(r1.sop("x"), 3)
