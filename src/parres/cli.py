@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands operate on a ring-spec file (a path, or the name of a bundled
+Commands operate on a ring-spec file (a path, or the name of a bundled
 ring from parres/rings/) and write a report in text or structured JSON form.
 """
 
@@ -48,25 +48,27 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="parres",
         description="Graded free resolutions and Koszul homology over "
-                    "quotient rings of polynomial rings over a prime field.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--ring", required=True,
-                       help="ring-spec file path, or bundled name: "
-                            + ", ".join(BUNDLED))
-        p.add_argument("--sop", default=None,
-                       help="name of the [sop <name>] section to use")
-        p.add_argument("--cap", type=int, default=None,
-                       help="homological degree cap (default from [caps], "
-                            f"else {DEFAULT_CAP})")
-        p.add_argument("--power-max", type=int, default=None,
-                       help="largest sequence power scanned (default from "
-                            f"[caps], else {DEFAULT_POWER_MAX})")
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text")
-        p.add_argument("--out", default=None,
-                       help="write the report to this path instead of stdout")
+                    "quotient rings\nof polynomial rings over a prime field.",
+        epilog="commands:\n" + "\n".join(f"  {name:<14}{help_text}"
+                                          for name, help_text in SUBCOMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=[name for name, _ in SUBCOMMANDS],
+                        metavar="command", help="one of the commands below")
+    parser.add_argument("--ring", required=True,
+                        help="ring-spec file path, or bundled name: "
+                             + ", ".join(BUNDLED))
+    parser.add_argument("--sop", default=None,
+                        help="name of the [sop <name>] section to use")
+    parser.add_argument("--cap", type=int, default=None,
+                        help="homological degree cap (default from [caps], "
+                             f"else {DEFAULT_CAP})")
+    parser.add_argument("--power-max", type=int, default=None,
+                        help="largest sequence power scanned (default from "
+                             f"[caps], else {DEFAULT_POWER_MAX})")
+    parser.add_argument("--format", choices=("text", "structured"),
+                        default="text")
+    parser.add_argument("--out", default=None,
+                        help="write the report to this path instead of stdout")
     return parser
 
 

@@ -117,11 +117,6 @@ class ComplexMap:
 # homology
 
 
-def cycle_generators(cplx, n):
-    """RingMatrix whose columns generate ker(differential at n)."""
-    return syzygies(cplx.differential(n))
-
-
 def homology_presentation(cplx, n):
     """(Z, H): cycle generator matrix and the presented homology module.
 
@@ -130,7 +125,7 @@ def homology_presentation(cplx, n):
     by the syzygies among the cycle generators.
     """
     ring = cplx.ring
-    z = cycle_generators(cplx, n)
+    z = syzygies(cplx.differential(n))
     if z.ncols == 0:
         return z, FinitelyPresentedModule(ring, ())
     solver = ExtendedSolver(z)
@@ -140,19 +135,6 @@ def homology_presentation(cplx, n):
         raise AlgebraError("boundaries do not lie among the cycles")
     rel = boundary_expr.hstack(solver.syzygy_matrix())
     return z, FinitelyPresentedModule(ring, z.col_degrees, rel)
-
-
-def homology_at(cplx, n):
-    """H_n as a finitely presented module."""
-    return homology_presentation(cplx, n)[1]
-
-
-def homology_sup(cplx, top):
-    """Largest n <= top with H_n nonzero, or None if there is none."""
-    for n in range(top, cplx.lo - 1, -1):
-        if not homology_at(cplx, n).is_zero():
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------

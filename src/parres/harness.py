@@ -15,9 +15,8 @@ from math import comb
 
 from .algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                       PolynomialRingSpec)
-from .groebner import INFINITE, QuotientRingSpec
-from .complexes import homology_presentation
-from .koszul import KoszulTable, ParameterSequence, koszul_complex
+from .groebner import FinitelyPresentedModule, INFINITE, QuotientRingSpec
+from .koszul import KoszulTable, ParameterSequence
 from .resolutions import (BettiTable, minimal_free_resolution,
                           poincare_truncation)
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
@@ -256,11 +255,11 @@ def verify_inequality(ring, x, cap):
     res = minimal_free_resolution(x.quotient_module(), cap)
     lhs = res.poincare().coefficients
     report.record("lhs_poincare", lhs)
-    k = koszul_complex(x)
+    table = KoszulTable(ring)
     rhs = _binomial_series(d, cap)
     h_series = {}
     for i in range(1, x.count + 1):
-        _, h = homology_presentation(k, i)
+        h = table.homology(x, i)
         if h.is_zero():
             continue
         ph = poincare_truncation(h, cap).coefficients
@@ -390,9 +389,10 @@ def reproduce_example(ring, x, cap,
     t0 = time.monotonic()
     report = ExperimentReport("example", {
         "ring": repr(ring), "sop": repr(x), "cap": cap})
-    k = koszul_complex(x)
-    _, h2 = homology_presentation(k, 2)
-    _, h1 = homology_presentation(k, 1)
+    table = KoszulTable(ring)
+    # H_p(x; R) = 0 for p > count, where the table has no entry
+    h2, h1 = (table.homology(x, p) if p <= x.count
+              else FinitelyPresentedModule(ring, ()) for p in (2, 1))
     p_h2 = poincare_truncation(h2, cap).coefficients
     p_h1 = poincare_truncation(h1, cap).coefficients
     p_q = minimal_free_resolution(x.quotient_module(),
@@ -428,16 +428,15 @@ def koszul_experiment(ring, x):
     """Lengths and graded pieces of all Koszul homology modules of x."""
     t0 = time.monotonic()
     report = ExperimentReport("koszul", {"ring": repr(ring), "sop": repr(x)})
-    k = koszul_complex(x)
+    table = KoszulTable(ring)
+    k = table.complex(x)
     report.record("ranks", {n: k.rank(n) for n in range(x.count + 1)})
     lengths = {}
     graded = {}
     for i in range(x.count + 1):
-        _, h = homology_presentation(k, i)
-        val = h.length()
-        lengths[i] = val
+        val = lengths[i] = table.length(x, i)
         if val is not INFINITE:
-            graded[i] = h.graded_length()
+            graded[i] = table.homology(x, i).graded_length()
     report.record("homology_lengths", lengths)
     report.record("homology_graded", graded)
     report.timings["total"] = time.monotonic() - t0

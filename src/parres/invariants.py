@@ -1,17 +1,18 @@
 """Ring invariants: depth, grade, sop tests, local cohomology lengths.
 
 Everything here is about R itself: Koszul homology has coefficients in R.
-Depth and grade are detected through vanishing of Koszul homology.  Given a
-sop x, depth R = grade(x) = d - max{p : H_p(x; R) != 0}: grade depends only
-on the radical of the ideal, and (x) is primary to the irrelevant maximal
-ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul homology of x, which
-the standardness and FLC tests present anyway, gives the depth; K(m) on the
-variables is built only when there is no sop.  Sop standardness uses the
-squares criterion (Koszul homology lengths unchanged under squaring the
-sequence), and the lengths of the local cohomology modules are recovered by
-back-solving the binomial identities relating them to Koszul homology
-lengths of a standard sop.  Finiteness of local cohomology is a
-semi-decision: lengths are scanned across powers up to a bound.
+Depth and grade are read off KoszulTable.grade, the vanishing of Koszul
+homology.  Given a sop x, depth R = grade(x) = d - max{p : H_p(x; R) != 0}:
+grade depends only on the radical of the ideal, and (x) is primary to the
+irrelevant maximal ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul
+homology of x, which the standardness and FLC tests present anyway, gives
+the depth; K(m) on the variables is built only when there is no sop.  Sop
+standardness uses the squares criterion (Koszul homology lengths unchanged
+under squaring the sequence), and the lengths of the local cohomology
+modules are recovered by back-solving the binomial identities relating them
+to Koszul homology lengths of a standard sop.  Finiteness of local
+cohomology is a semi-decision: lengths are scanned across powers up to a
+bound.
 
 The functions of one experiment share a KoszulTable, passed as `table`, so
 that each H_p(y; R) is presented once; without one, each call makes its own.
@@ -26,7 +27,6 @@ from .algebra import AlgebraError, Sentinel
 from .groebner import INFINITE
 from .complexes import InducedHomologyMap, ComplexMap, dual
 from .koszul import KoszulTable, ParameterSequence, comparison_map
-from .resolutions import sequence_grade
 
 # flc_check verdict when the power bound is hit without stabilization
 UNDECIDED = Sentinel("UNDECIDED")
@@ -52,13 +52,13 @@ def depth(ring, x=None, table=None):
     table = _table(ring, table)
     if x is not None and table.is_sop(x):
         return table.grade(x)
-    return sequence_grade(maximal_ideal_sequence(ring))
+    return table.grade(maximal_ideal_sequence(ring))
 
 
 def grade(generators, ring):
     """Grade of the ideal generated by the given elements; see
-    resolutions.sequence_grade.  ParameterSequence rejects units."""
-    return sequence_grade(ParameterSequence(ring, generators))
+    KoszulTable.grade.  ParameterSequence rejects units."""
+    return KoszulTable(ring).grade(ParameterSequence(ring, generators))
 
 
 def cohen_macaulay_defect(ring, x=None, table=None):
@@ -152,13 +152,14 @@ def local_cohomology_lengths(x, table=None):
     return lc
 
 
-def cohomology_comparison_map(x, n, i):
+def cohomology_comparison_map(x, n, i, table):
     """Induced map H^i(x^n; R) -> H^i(x^(n+1); R) between Koszul cohomologies.
 
-    Realized by dualizing the complex-level comparison map; cohomology in
-    index i is homology of the dual in index -i.
+    Realized by dualizing the complex-level comparison map, whose Koszul
+    complexes come from `table`; cohomology in index i is homology of the
+    dual in index -i.
     """
-    phi = comparison_map(x, n)
+    phi = comparison_map(x, n, table)
     dsrc = dual(phi.target)    # dual of K(x^n)
     dtgt = dual(phi.source)    # dual of K(x^(n+1))
     comps = {}
@@ -211,7 +212,7 @@ def length_stability_check(x, nmax=4, check_maps=True):
     if check_maps and d >= 1:
         i = depth(x.ring, x=x, table=table)
         for n in range(1, nmax):
-            ind = cohomology_comparison_map(x, n, i)
+            ind = cohomology_comparison_map(x, n, i, table)
             injective[(i, n)] = ind.is_injective()
     return StabilityReport(lengths, stable, injective)
 

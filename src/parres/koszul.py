@@ -1,4 +1,5 @@
-"""Koszul complexes, their homology and cohomology, powers, comparison maps.
+"""Koszul complexes, the table presenting their homology, powers, comparison
+maps.
 
 The exterior basis of the degree-p term is indexed by the p-element subsets of
 {0..r-1} in lexicographic order.  The differential takes e_{i1<...<ip} to
@@ -12,7 +13,7 @@ from math import prod
 
 from .algebra import AlgebraError, NotHomogeneousError
 from .groebner import FinitelyPresentedModule, INFINITE, RingMatrix
-from .complexes import ChainComplex, ComplexMap, homology_at
+from .complexes import ChainComplex, ComplexMap, homology_presentation
 
 
 class ParameterSequence:
@@ -101,16 +102,9 @@ def koszul_complex(x):
     return ChainComplex(ring, modules, diffs, check=True)
 
 
-def koszul_homology(x, i):
-    """H_i(x; R) as a finitely presented module."""
-    if not 0 <= i <= x.count:
-        raise AlgebraError(f"homology index {i} outside 0..{x.count}")
-    return homology_at(koszul_complex(x), i)
-
-
 class KoszulTable:
-    """K(y; R) and each presented H_p(y; R), for the sequences one
-    experiment meets, each built once.
+    """K(y; R), each presented H_p(y; R), its length and the grade of (y),
+    for the sequences one experiment meets, each computed once.
 
     Entries are keyed by the reduced elements of y, so the squares of a
     prefix of x and the prefix of x^2 share one entry.  A table is bound to
@@ -150,7 +144,7 @@ class KoszulTable:
             raise AlgebraError(f"homology index {p} outside 0..{y.count}")
         key = (self._key(y), p)
         if key not in self._homology:
-            self._homology[key] = homology_at(self.complex(y), p)
+            self._homology[key] = homology_presentation(self.complex(y), p)[1]
         return self._homology[key]
 
     def length(self, y, p):
@@ -168,23 +162,17 @@ class KoszulTable:
         return y.count
 
 
-def koszul_cohomology(x, i):
-    """H^i(x; R), realized through self-duality as H_{r-i}(x; R)."""
-    if not 0 <= i <= x.count:
-        raise AlgebraError(f"cohomology index {i} outside 0..{x.count}")
-    return koszul_homology(x, x.count - i)
-
-
-def comparison_map(x, n):
-    """The map of complexes K(x^(n+1); R) -> K(x^n; R).
+def comparison_map(x, n, table):
+    """The map of complexes K(x^(n+1); R) -> K(x^n; R), both taken from the
+    KoszulTable `table`.
 
     Degree-1 component sends e_j to x_j e_j; degree-p components are the
     exterior powers, diagonal with entry prod_{i in S} x_i on subset S.
     """
     if n < 1:
         raise AlgebraError("power must be at least 1")
-    src = koszul_complex(x.power(n + 1))
-    tgt = koszul_complex(x.power(n))
+    src = table.complex(x.power(n + 1))
+    tgt = table.complex(x.power(n))
     ring = x.ring
     components = {}
     r = x.count

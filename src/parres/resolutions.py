@@ -13,9 +13,9 @@ from math import comb
 
 from .algebra import AlgebraError
 from .groebner import FinitelyPresentedModule, RingMatrix, matrix_solve, syzygies
-from .complexes import (ChainComplex, homology_presentation, homology_sup,
+from .complexes import (ChainComplex, homology_presentation,
                         kill_top_homology, minimize_with_tracking)
-from .koszul import koszul_complex
+from .koszul import KoszulTable, koszul_complex
 
 
 class BettiTable:
@@ -183,14 +183,6 @@ def _truncate(cplx, top):
     return ChainComplex(cplx.ring, modules, diffs, check=False)
 
 
-def sequence_grade(x):
-    """grade of (x) on R: count minus the top nonvanishing Koszul homology.
-
-    H_0 = R/(x) is nonzero, so the top is never missing.
-    """
-    return x.count - homology_sup(koszul_complex(x), x.count)
-
-
 def general_cone_resolution(x, cap):
     """Free resolution of R/(x) by iterated homology-killing cones.
 
@@ -223,7 +215,7 @@ def aci_cone_resolution(x, cap):
     shifted minimal resolution of H_1(x; R) into the Koszul complex, with
     unminimized ranks rank K_n + rank F_{n-2}.
     """
-    if sequence_grade(x) < x.count - 1:
+    if KoszulTable(x.ring).grade(x) < x.count - 1:
         raise AlgebraError(
             "sequence is not an almost complete intersection (grade < count-1); "
             "use the general cone assembly instead")

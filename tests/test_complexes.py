@@ -1,13 +1,12 @@
 import pytest
 
 from parres.algebra import AlgebraError
-from parres.groebner import RingMatrix
-from parres.complexes import (ChainComplex, ComplexMap, dual, homology_at,
-                              homology_presentation, homology_sup,
-                              is_minimal, mapping_cone, minimize,
-                              minimize_with_tracking, shift,
+from parres.groebner import RingMatrix, syzygies
+from parres.complexes import (ChainComplex, ComplexMap, dual,
+                              homology_presentation, is_minimal, mapping_cone,
+                              minimize, minimize_with_tracking, shift,
                               induced_map_on_homology)
-from parres.koszul import koszul_complex
+from parres.koszul import KoszulTable, koszul_complex
 from parres import oracle
 
 
@@ -38,12 +37,16 @@ def test_homology_presentation_matches_oracle(r1):
 
 
 def test_homology_sup(r1, regular):
+    # the top nonvanishing H_p sits at count - grade
     x = r1.sop("x")
-    assert homology_sup(koszul_complex(x), x.count) == 2
-    assert homology_sup(koszul_complex(x), 1) == 1
+    table = KoszulTable(r1.ring)
+    assert [table.length(x, p) for p in range(x.count + 1)] == [2, 2, 1]
+    assert table.grade(x) == x.count - 2
     # regular sequence: only H_0 survives
     y = regular.sop("x")
-    assert homology_sup(koszul_complex(y), y.count) == 0
+    table = KoszulTable(regular.ring)
+    assert all(table.length(y, p) == 0 for p in range(1, y.count + 1))
+    assert table.grade(y) == y.count
 
 
 def test_shift(r1):
@@ -62,7 +65,7 @@ def test_mapping_cone_of_identity_is_exact(r1):
     ident = ComplexMap(k, k, comps, check=True)
     cone = mapping_cone(ident)
     for n in range(0, 4):
-        assert homology_at(cone, n).is_zero()
+        assert homology_presentation(cone, n)[1].is_zero()
 
 
 def test_dual_squares_to_identity_lengths(r1):
@@ -114,3 +117,25 @@ def test_induced_identity_is_isomorphism(r1):
     ind = induced_map_on_homology(ident, 1)
     assert ind.is_injective() and ind.is_surjective()
     assert ind.is_isomorphism()
+
+
+def test_one_wrong_sign_fails_each_square_zero_check(r2):
+    # the non-minimal resolution of R/(x) as minimal_free_resolution builds
+    # it, with the sign of one entry of d_2 flipped
+    ring = r2.ring
+    d1 = r2.sop().quotient_module().relations
+    d2 = syzygies(d1)
+    (i, j), v = min(d2.entries.items(), key=lambda e: e[0])
+    entries = dict(d2.entries)
+    entries[(i, j)] = -v
+    bad = RingMatrix(ring, d2.nrows, d2.ncols, entries, d2.row_degrees,
+                     d2.col_degrees)
+    d3 = syzygies(d2)
+    modules = {0: d1.row_degrees, 1: d1.col_degrees, 2: d2.col_degrees,
+               3: d3.col_degrees}
+    diffs = {1: d1, 2: bad, 3: d3}
+    assert not (d1 @ bad).is_zero()
+    with pytest.raises(AlgebraError, match="composite"):
+        ChainComplex(ring, modules, diffs, check=True)
+    with pytest.raises(AlgebraError, match="composite"):
+        minimize_with_tracking(ChainComplex(ring, modules, diffs, check=False))

@@ -7,7 +7,7 @@ import pytest
 from parres import complexes, harness, invariants, koszul, oracle, resolutions
 from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                             PolynomialRingSpec)
-from parres.cli import build_parser, bundled_ring_text, main, run
+from parres.cli import SUBCOMMANDS, build_parser, bundled_ring_text, main, run
 from parres.harness import (load_ring_spec, parse_ring_spec,
                             reproduce_example, stabilization_scan,
                             verify_inequality, verify_main_theorem)
@@ -264,27 +264,73 @@ def _wrap_everywhere(monkeypatch, fn, wrapper):
                     monkeypatch.setattr(mod, attr, wrapper)
 
 
-@pytest.mark.parametrize("command", ["invariants", "standard",
-                                     "main-theorem"])
-@pytest.mark.parametrize("ring", ["r1", "r2"])
-def test_experiment_presents_each_koszul_homology_once(monkeypatch, command,
-                                                       ring):
-    built, presented = [], []
+def _count_koszul_complexes(monkeypatch):
+    built = []
     real_complex = koszul.koszul_complex
-    real_present = complexes.homology_presentation
 
     def counting_complex(y):
         cplx = real_complex(y)
         built.append(_complex_key(cplx))
         return cplx
 
+    _wrap_everywhere(monkeypatch, real_complex, counting_complex)
+    return built
+
+
+# resolve presents no Koszul homology
+@pytest.mark.parametrize("command", ["invariants", "standard",
+                                     "main-theorem", "koszul", "inequality",
+                                     "example", "scan"])
+@pytest.mark.parametrize("ring", ["r1", "r2"])
+def test_experiment_presents_each_koszul_homology_once(monkeypatch, command,
+                                                       ring):
+    presented = []
+    real_present = complexes.homology_presentation
+    built = _count_koszul_complexes(monkeypatch)
+
     def counting_present(cplx, n):
         presented.append((_complex_key(cplx), n))
         return real_present(cplx, n)
 
-    _wrap_everywhere(monkeypatch, real_complex, counting_complex)
     _wrap_everywhere(monkeypatch, real_present, counting_present)
     run(build_parser().parse_args([command, "--ring", ring]))
     assert presented
     assert len(set(built)) == len(built)
     assert len(set(presented)) == len(presented)
+
+
+@pytest.mark.parametrize("ring", ["r1", "r2"])
+def test_length_stability_builds_each_koszul_complex_once(monkeypatch, ring):
+    # the lengths and the comparison maps share one table
+    spec = parse_ring_spec(bundled_ring_text(ring))
+    built = _count_koszul_complexes(monkeypatch)
+    rep = invariants.length_stability_check(spec.sop(), nmax=4)
+    assert len(rep.injective) == 3
+    assert len(set(built)) == len(built) == 4
+
+
+def test_cli_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, help_text in SUBCOMMANDS:
+        assert f"{name} " in out and help_text in out
+    for argv in (["bogus", "--ring", "r1"], ["resolve"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_example_on_a_one_element_sop(tmp_path):
+    # H_2 of a one-element sequence is zero: the experiment reports FAIL
+    # against the r1 reference rather than an error
+    spec = tmp_path / "dim1.ring"
+    spec.write_text("[field]\n101\n[vars]\na b\n[ideal]\na*b\n"
+                    "[sop x]\na+b\n")
+    out = tmp_path / "report.json"
+    assert main(["example", "--ring", str(spec), "--cap", "3",
+                 "--format", "structured", "--out", str(out)]) == 2
+    data = json.loads(out.read_text())["data"]
+    assert data["P_H2"] == data["P_H1"] == [0, 0, 0, 0]
+    assert data["P_quotient"] == [1, 1, 0, 0]

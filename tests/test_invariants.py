@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from parres import algebra, complexes, harness, invariants
+from parres import algebra, complexes, harness, invariants, koszul, oracle
 from parres.algebra import AlgebraError
 from parres.cli import main
 from parres.groebner import FinitelyPresentedModule
@@ -18,8 +18,7 @@ from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                local_cohomology_lengths,
                                maximal_ideal_sequence, reference_sop,
                                standardness_witness)
-from parres.koszul import KoszulTable
-from parres.resolutions import sequence_grade
+from parres.koszul import KoszulTable, koszul_complex
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -113,7 +112,7 @@ def test_reference_sop(r1, r2):
 
 def test_cohomology_comparison_map(r1):
     x = r1.sop("x")
-    ind = cohomology_comparison_map(x, 1, 0)
+    ind = cohomology_comparison_map(x, 1, 0, KoszulTable(r1.ring))
     assert ind.is_injective()
     assert ind.is_isomorphism()
 
@@ -175,11 +174,25 @@ def test_depth_of_the_maximal_ideal_is_the_grade_of_a_sop(corpus):
     for spec in specs:
         for x in spec.sops.values():
             assert x.is_sop()
-            want = sequence_grade(maximal_ideal_sequence(spec.ring))
+            want = KoszulTable(spec.ring).grade(
+                maximal_ideal_sequence(spec.ring))
             assert KoszulTable(spec.ring).grade(x) == want, spec.name
             assert depth(spec.ring, x=x) == want
             depths.add(want)
     assert depths == {0, 1, 2}
+
+
+def test_grade_of_the_maximal_ideal_against_the_oracle(corpus):
+    # degreewise GF(p) reference: the top nonvanishing H_i(m; R) sits at
+    # count - grade (H_i(m; R) is killed by m, so degree 8 reaches it here)
+    for name, spec in corpus.items():
+        m = maximal_ideal_sequence(spec.ring)
+        k = koszul_complex(m)
+        top = m.count - KoszulTable(spec.ring).grade(m)
+        dims = [[oracle.homology_dim_at(k, i, t) for t in range(9)]
+                for i in range(top, m.count + 1)]
+        assert any(dims[0]), name
+        assert not any(map(any, dims[1:])), name
 
 
 def test_non_sop_never_gives_the_depth(regular):
@@ -200,7 +213,8 @@ def test_invariant_report_tables_live_for_one_call(monkeypatch, r2):
         calls.append(n)
         return real(cplx, n)
 
-    monkeypatch.setattr(complexes, "homology_presentation", counting)
+    for mod in (complexes, koszul):
+        monkeypatch.setattr(mod, "homology_presentation", counting)
     invariant_report(r2.ring, r2.sop())
     first = len(calls)
     invariant_report(r2.ring, r2.sop())

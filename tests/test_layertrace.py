@@ -1,9 +1,10 @@
-"""The benchmark's layer tracer names parres entry points by module and
-attribute; these tests fail on a rename or a signature change that would
-otherwise only break `perfbench/run.py --trace 1`.  perfbench/ is only read.
+"""The benchmark's layer tracer and workloads name parres entry points by
+module and attribute; these tests fail on a rename or a signature change that
+would otherwise only break `perfbench/run.py`.  perfbench/ is only read.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,21 @@ def test_entry_point_resolves(name, modname, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj), name
+
+
+# the workloads and the ring generator also call parres directly, as
+# api.<module>.<name>
+DIRECT_CALLS = sorted({
+    m.group(1, 2)
+    for name in ("workloads", "ringgen")
+    for m in re.finditer(r"\bapi\.(\w+)\.(\w+)",
+                         (PERFBENCH / f"{name}.py").read_text())})
+
+
+@pytest.mark.parametrize("modname, attr", DIRECT_CALLS,
+                         ids=[".".join(c) for c in DIRECT_CALLS])
+def test_direct_call_resolves(modname, attr):
+    assert hasattr(getattr(BENCH_RUN.Api(), modname), attr)
 
 
 def test_traced_run_counts_layers():

@@ -4,13 +4,13 @@ from math import comb
 from parres.algebra import AlgebraError
 from parres.groebner import FinitelyPresentedModule, RingMatrix
 from parres.complexes import is_minimal
-from parres.koszul import koszul_complex, koszul_homology
+from parres.koszul import KoszulTable, koszul_complex
 from parres.resolutions import (BettiTable, aci_cone_resolution,
                                 cec_injectivity_check,
                                 general_cone_resolution,
                                 lift_koszul_to_resolution,
                                 minimal_free_resolution, poincare_truncation,
-                                sequence_grade, syzygy_module)
+                                syzygy_module)
 from parres import complexes, oracle, resolutions
 
 
@@ -84,9 +84,9 @@ def test_syzygy_module(r1):
 
 
 def test_sequence_grade(r1, r2, regular):
-    assert sequence_grade(r1.sop("x")) == 0
-    assert sequence_grade(r2.sop()) == 1
-    assert sequence_grade(regular.sop()) == 2
+    assert KoszulTable(r1.ring).grade(r1.sop("x")) == 0
+    assert KoszulTable(r2.ring).grade(r2.sop()) == 1
+    assert KoszulTable(regular.ring).grade(regular.sop()) == 2
 
 
 def test_general_cone_presents_each_homology_once(monkeypatch, r1):
@@ -123,7 +123,7 @@ def test_aci_cone_matches_koszul_plus_shift(r2):
     x = r2.sop()
     cone = aci_cone_resolution(x, 4)
     # rank_n = binom(2, n) + rank F_{n-2} of the H_1 resolution
-    h1res = minimal_free_resolution(koszul_homology(x, 1), 3)
+    h1res = minimal_free_resolution(KoszulTable(r2.ring).homology(x, 1), 3)
     for n in range(0, 5):
         expect = comb(2, n) + (h1res.complex.rank(n - 2) if n >= 2 else 0)
         assert cone.rank(n) == expect
