@@ -4,8 +4,9 @@ A complex is stored over a finite homological window as per-degree generator
 degree lists plus differentials; the composite of consecutive differentials is
 checked to vanish (modulo the defining ideal) at construction time.  Homology
 is returned as a finitely presented module, computed with the syzygy
-machinery.  Also here: shift, mapping cone, the homology-killing cone, duals,
-induced maps on homology, and minimization by unit-pivot cancellation.
+machinery.  Also here: shift, mapping cone, duals, the comparison-theorem
+lift of chain maps, the homology-killing cone, induced maps on homology, and
+minimization by unit-pivot cancellation.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class ChainComplex:
 class ComplexMap:
     """Degreewise map of complexes commuting with the differentials."""
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         if source.ring != target.ring:
             raise AlgebraError("complex map across different rings")
         self.source = source
@@ -90,8 +91,7 @@ class ComplexMap:
                     mat.row_degrees != target.module(n):
                 raise DimensionMismatchError(f"component at {n} has wrong shape")
             self.components[n] = mat
-        if check:
-            self._check_commutes()
+        self._check_commutes()
 
     def component(self, n):
         mat = self.components.get(n)
@@ -209,15 +209,46 @@ def dual(cplx):
 
 
 # ---------------------------------------------------------------------------
-# killing top homology (cone construction over a resolution of H_s)
+# lifting chain maps, killing top homology (cone over a resolution of H_s)
+
+
+def lift_chain_map(source, target, s, gamma0):
+    """Components gamma_q: source_q -> target_{s+q} (q >= 0) of a chain map
+    from the s-fold shift of `source` into `target`, extending gamma0.
+
+    Comparison theorem, degree by degree: gamma_q solves
+    d^target_{s+q} gamma_q = (-1)^s gamma_{q-1} d^source_q, the sign being
+    that of the shifted differential.  Above the top of `target` the
+    obstruction must vanish and the lift stops there; it also stops at the
+    top of `source`.  Raises AlgebraError where no gamma_q exists.
+    """
+    gammas = {0: gamma0}
+    q = 1
+    while source.module(q):
+        rhs = gammas[q - 1] @ source.differential(q)
+        if s % 2:
+            rhs = -rhs
+        if not target.module(s + q):
+            if not rhs.is_zero():
+                raise AlgebraError(f"nonzero obstruction at stage {q} above "
+                                   "the top of the target complex")
+            break
+        sol = matrix_solve(target.differential(s + q), rhs)
+        if sol is None:
+            raise AlgebraError(f"no lift at stage {q}: target complex not "
+                               f"exact in degree {s + q}")
+        gammas[q] = sol
+        q += 1
+    return gammas
 
 
 def kill_top_homology(cplx, resolution, s, z):
     """Cone construction that removes the top homology H_s of a complex.
 
-    z, h = homology_presentation(cplx, s), with H_s the top nonzero
-    homology; resolution: a ModuleResolution of h (carrying gen_map0, the
-    expression of its degree-0 generators in the generators of h).
+    (z, h): the cycle matrix and the presented top nonzero homology H_s of
+    cplx, as homology_presentation returns them; resolution: a
+    ModuleResolution of h (carrying gen_map0, the expression of its degree-0
+    generators in the generators of h).
     Returns (alpha, cone) where alpha maps the s-fold shift of the resolution
     complex into cplx and the cone has H_i = 0 for i >= s while H_i for
     i < s is untouched.
@@ -227,28 +258,10 @@ def kill_top_homology(cplx, resolution, s, z):
     if gen_map0.nrows != z.ncols:
         raise DimensionMismatchError(
             "resolution generators do not match the homology presentation")
-    sign = -1 if s % 2 else 1
-    gammas = {0: z @ gen_map0}
-    q = 1
-    while f.module(q):
-        rhs = (gammas[q - 1] @ f.differential(q)).scale(sign)
-        if not cplx.module(s + q):
-            # above the top of cplx all cycles vanish (s is the homology sup),
-            # so the lift continues by zero; check that and stop
-            if not rhs.is_zero():
-                raise AlgebraError("nonzero obstruction above the top of the "
-                                   "complex: homology sup exceeded")
-            break
-        dx = cplx.differential(s + q)
-        sol = matrix_solve(dx, rhs)
-        if sol is None:
-            raise AlgebraError(f"no lift at stage {q}: complex not exact "
-                               f"above its top homology degree {s}")
-        gammas[q] = sol
-        q += 1
-    shifted = shift(f, s)
-    components = {s + j: g for j, g in gammas.items()}
-    alpha = ComplexMap(shifted, cplx, components, check=True)
+    # cplx is exact above s, so the comparison theorem lifts z @ gen_map0
+    gammas = lift_chain_map(f, cplx, s, z @ gen_map0)
+    components = {s + q: g for q, g in gammas.items()}
+    alpha = ComplexMap(shift(f, s), cplx, components)
     return alpha, mapping_cone(alpha)
 
 
@@ -334,11 +347,6 @@ def minimize_with_tracking(cplx):
     return mini, {n: idx for n, idx in kept.items() if idx}
 
 
-def minimize(cplx):
-    """Minimal complex homotopy equivalent to the input."""
-    return minimize_with_tracking(cplx)[0]
-
-
 def is_minimal(cplx):
     return all(v.constant_term() == 0
                for m in cplx.differentials.values()
@@ -398,7 +406,3 @@ class InducedHomologyMap:
 
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
-
-
-def induced_map_on_homology(fmap, n):
-    return InducedHomologyMap(fmap, n)

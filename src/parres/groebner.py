@@ -250,24 +250,24 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def artinian_count(lead_exps, nv):
-    """Total number of standard monomials of an artinian monomial ideal."""
+def staircase_by_degree(lead_exps, nv):
+    """Standard monomials of S/L, L = (lead_exps), counted by degree: a list
+    whose entry t is the number in degree t, or None when S/L has infinite
+    length, which is exactly when some variable has no pure power in L.
+
+    Every standard monomial lies in the box below the pure-power bounds.
+    """
     bounds = []
     for i in range(nv):
-        b = None
-        for exp in lead_exps:
-            if exp[i] and all(e == 0 for j, e in enumerate(exp) if j != i):
-                b = exp[i] if b is None else min(b, exp[i])
-        if b is None:
-            # no pure power in x_i: bound by the largest exponent seen, plus
-            # a safety check that the ideal really is artinian in direction i
-            raise AlgebraError("monomial ideal is not artinian")
-        bounds.append(b)
-    count = 0
+        pure = [exp[i] for exp in lead_exps if exp[i] and sum(exp) == exp[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    counts = [0] * (sum(bounds) - nv + 1)
     for exp in itertools.product(*(range(b) for b in bounds)):
         if not any(all(e >= l for e, l in zip(exp, lead)) for lead in lead_exps):
-            count += 1
-    return count
+            counts[sum(exp)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -497,44 +497,35 @@ class FinitelyPresentedModule:
     def is_zero(self):
         return self.length() == 0
 
+    def _graded_counts(self):
+        """Dict internal degree -> GF(p)-dimension, or INFINITE."""
+        if not self.gen_degrees:
+            return {}
+        leads = self._initial_leads()
+        out = {}
+        for pos, base in enumerate(self.gen_degrees):
+            exps = leads[pos]
+            if any(not any(exp) for exp in exps):
+                continue  # generator dies entirely
+            counts = staircase_by_degree(exps, self.ring.nvars)
+            if counts is None:
+                return INFINITE
+            for t, n in enumerate(counts):
+                if n:
+                    out[base + t] = out.get(base + t, 0) + n
+        return out
+
     def length(self):
         """Vector-space dimension over GF(p), or INFINITE if dim > 0."""
-        rank = len(self.gen_degrees)
-        if rank == 0:
-            return 0
-        if self.dimension() > 0:
-            return INFINITE
-        leads = self._initial_leads()
-        nv = self.ring.nvars
-        total = 0
-        for pos in range(rank):
-            exps = leads[pos]
-            if any(all(e == 0 for e in exp) for exp in exps):
-                continue  # generator dies entirely
-            total += artinian_count(exps, nv)
-        return total
+        counts = self._graded_counts()
+        return INFINITE if counts is INFINITE else sum(counts.values())
 
     def graded_length(self):
         """Dict internal degree -> GF(p)-dimension (finite length only)."""
-        if self.dimension() > 0:
+        counts = self._graded_counts()
+        if counts is INFINITE:
             raise AlgebraError("graded length of an infinite-length module")
-        leads = self._initial_leads()
-        nv = self.ring.nvars
-        out = {}
-        for pos in range(len(self.gen_degrees)):
-            exps = leads[pos]
-            if any(all(e == 0 for e in exp) for exp in exps):
-                continue
-            base = self.gen_degrees[pos]
-            t = 0
-            while True:
-                n = len(standard_monomials(exps, nv, t))
-                if n == 0 and t > max((sum(e) for e in exps), default=0):
-                    break
-                if n:
-                    out[base + t] = out.get(base + t, 0) + n
-                t += 1
-        return out
+        return counts
 
     def __repr__(self):
         return (f"<FP module: {len(self.gen_degrees)} generators, "
@@ -674,21 +665,3 @@ def matrix_solve(a, b, solver=None):
             entries[(i, j)] = poly
     return RingMatrix(a.ring, a.ncols, b.ncols, entries, a.col_degrees,
                       b.col_degrees, _reduced=True)
-
-
-# ---------------------------------------------------------------------------
-# dimension and length entry points
-
-
-def krull_dimension(obj):
-    """Krull dimension of a QuotientRingSpec or FinitelyPresentedModule."""
-    if isinstance(obj, QuotientRingSpec):
-        return obj.dimension()
-    if isinstance(obj, FinitelyPresentedModule):
-        return obj.dimension()
-    raise TypeError(f"no Krull dimension for {type(obj)}")
-
-
-def length(module):
-    """Length (GF(p)-dimension) of a finitely presented module, or INFINITE."""
-    return module.length()

@@ -289,20 +289,20 @@ def verify_main_theorem(ring, x, cap, nmax=4):
         "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})
     d = ring.dimension()
     table = KoszulTable(ring)
-    cmd = cohen_macaulay_defect(ring, x=x, table=table)
+    cmd = cohen_macaulay_defect(ring, table, x=x)
     report.record("dim", d)
     report.record("cmd", cmd)
     if cmd > 1:
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    verdict_flc = flc_check(x, nmax=nmax, table=table)
+    verdict_flc = flc_check(x, table, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        repr(verdict_flc), "NOT-APPLICABLE")
         report.timings["total"] = time.monotonic() - t0
         return report
-    n = first_standard_power(x, nmax=nmax, table=table)
+    n = first_standard_power(x, table, nmax=nmax)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
@@ -325,7 +325,7 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     betti_by_power = {n: res.betti().totals()}
     for m in range(n + 1, nmax + 1):
         xm = x.power(m)
-        if standardness_witness(xm, table=table) is not None:
+        if standardness_witness(xm, table) is not None:
             continue
         resm = minimal_free_resolution(xm.quotient_module(), cap)
         betti_by_power[m] = resm.betti().totals()
@@ -363,7 +363,7 @@ def stabilization_scan(ring, x, cap, nmax=4):
         xi = x.power(i)
         res = minimal_free_resolution(xi.quotient_module(), cap)
         tables[i] = res.betti().totals()
-        standard[i] = standardness_witness(xi, table=koszul) is None
+        standard[i] = standardness_witness(xi, koszul) is None
     report.record("betti_totals", tables)
     report.record("standard", standard)
     stab = None
@@ -461,11 +461,11 @@ def standard_experiment(ring, x, nmax=4):
     report = ExperimentReport("standard", {
         "ring": repr(ring), "sop": repr(x), "power_max": nmax})
     table = KoszulTable(ring)
-    n = find_standard_power(x, nmax=nmax, table=table)
+    n = find_standard_power(x, table, nmax=nmax)
     report.record("standard_power",
                   n if n is not NOT_FOUND else repr(NOT_FOUND))
     if n is not NOT_FOUND:
-        wit = standardness_witness(x.power(n), table=table)
+        wit = standardness_witness(x.power(n), table)
         report.verdict("power re-verified standard", wit is None,
                        f"n={n}", "squares criterion")
     else:

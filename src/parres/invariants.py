@@ -15,7 +15,7 @@ cohomology is a semi-decision: lengths are scanned across powers up to a
 bound.
 
 The functions of one experiment share a KoszulTable, passed as `table`, so
-that each H_p(y; R) is presented once; without one, each call makes its own.
+that each H_p(y; R) is presented once.
 """
 
 from __future__ import annotations
@@ -42,14 +42,9 @@ def maximal_ideal_sequence(ring):
     return ParameterSequence(ring, elems, name="m")
 
 
-def _table(ring, table):
-    return KoszulTable(ring) if table is None else table
-
-
-def depth(ring, x=None, table=None):
+def depth(ring, table, x=None):
     """Depth of R: grade(x) read off the table for a sop x, else the grade
     of the irrelevant maximal ideal.  A non-sop x never gives the depth."""
-    table = _table(ring, table)
     if x is not None and table.is_sop(x):
         return table.grade(x)
     return table.grade(maximal_ideal_sequence(ring))
@@ -61,8 +56,8 @@ def grade(generators, ring):
     return KoszulTable(ring).grade(ParameterSequence(ring, generators))
 
 
-def cohen_macaulay_defect(ring, x=None, table=None):
-    return ring.dimension() - depth(ring, x=x, table=table)
+def cohen_macaulay_defect(ring, table, x=None):
+    return ring.dimension() - depth(ring, table, x=x)
 
 
 def _prefix(x, r):
@@ -73,13 +68,12 @@ def _squares(x):
     return ParameterSequence(x.ring, [f ** 2 for f in x.elements])
 
 
-def standardness_witness(x, table=None):
+def standardness_witness(x, table):
     """None if the squares criterion holds, else the first failing (p, r).
 
     Criterion: for every initial segment x_1..x_r and every p in 1..r, the
     Koszul homology length is unchanged when the elements are squared.
     """
-    table = _table(x.ring, table)
     for r in range(1, x.count + 1):
         sub = _prefix(x, r)
         sq = _squares(sub)
@@ -105,15 +99,15 @@ def is_standard_sop(x, nmax=4):
     table = KoszulTable(x.ring)
     if not table.is_sop(x):
         raise AlgebraError("sequence is not a system of parameters")
-    verdict = flc_check(x, nmax=nmax, table=table)
+    verdict = flc_check(x, table, nmax=nmax)
     if verdict is not True:
         raise AlgebraError(
             f"finite local cohomology not established ({verdict!r}); "
             "the squares criterion does not apply")
-    return standardness_witness(x, table=table) is None
+    return standardness_witness(x, table) is None
 
 
-def local_cohomology_lengths(x, table=None):
+def local_cohomology_lengths(x, table):
     """Lengths of the local cohomology modules of R below the dimension.
 
     For a standard sop x = x_1..x_d the identity
@@ -122,7 +116,6 @@ def local_cohomology_lengths(x, table=None):
     here for len H^0 .. len H^(d-1), and the r < d instances are used as a
     consistency check.
     """
-    table = _table(x.ring, table)
     d = x.count
     measured = {}
     for r in range(1, d + 1):
@@ -165,7 +158,7 @@ def cohomology_comparison_map(x, n, i, table):
     comps = {}
     for p, mat in phi.components.items():
         comps[-p] = mat.transpose()
-    dmap = ComplexMap(dsrc, dtgt, comps, check=True)
+    dmap = ComplexMap(dsrc, dtgt, comps)
     return InducedHomologyMap(dmap, -i)
 
 
@@ -210,31 +203,29 @@ def length_stability_check(x, nmax=4, check_maps=True):
               for p in range(1, d + 1)}
     injective = {}
     if check_maps and d >= 1:
-        i = depth(x.ring, x=x, table=table)
+        i = depth(x.ring, table, x=x)
         for n in range(1, nmax):
             ind = cohomology_comparison_map(x, n, i, table)
             injective[(i, n)] = ind.is_injective()
     return StabilityReport(lengths, stable, injective)
 
 
-def find_standard_power(x, nmax=4, table=None):
+def find_standard_power(x, table, nmax=4):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
-    table = _table(x.ring, table)
-    verdict = flc_check(x, nmax=nmax, table=table)
+    verdict = flc_check(x, table, nmax=nmax)
     if verdict is not True:
         return NOT_FOUND
-    return first_standard_power(x, nmax=nmax, table=table)
+    return first_standard_power(x, table, nmax=nmax)
 
 
-def first_standard_power(x, nmax=4, table=None):
+def first_standard_power(x, table, nmax=4):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
 
     The squares criterion presumes finite local cohomology, so call this
     only after flc_check has returned True; find_standard_power does both.
     """
-    table = _table(x.ring, table)
     for n in range(1, nmax + 1):
-        if standardness_witness(x.power(n), table=table) is None:
+        if standardness_witness(x.power(n), table) is None:
             return n
     return NOT_FOUND
 
@@ -266,7 +257,7 @@ def reference_sop(ring):
     raise AlgebraError("no system of parameters found among the candidates")
 
 
-def flc_check(x, nmax=4, table=None):
+def flc_check(x, table, nmax=4):
     """Finite local cohomology of R, as a semi-decision.
 
     True when the Koszul homology lengths of the sop x stabilize across
@@ -276,7 +267,6 @@ def flc_check(x, nmax=4, table=None):
     """
     if x.ring.dimension() <= 0:
         return True  # finite length ring, trivially FLC
-    table = _table(x.ring, table)
     if not table.is_sop(x):
         raise AlgebraError("reference sequence is not a sop of R")
     lengths = {}
@@ -288,7 +278,7 @@ def flc_check(x, nmax=4, table=None):
            for p in range(1, x.count + 1)):
         return UNDECIDED
     try:
-        local_cohomology_lengths(x.power(nmax), table=table)
+        local_cohomology_lengths(x.power(nmax), table)
     except AlgebraError:
         return UNDECIDED
     return True
@@ -328,18 +318,19 @@ class InvariantReport:
 
 def invariant_report(ring, x=None, nmax=4, table=None):
     """Compute the invariant summary of a ring, optionally for a given sop."""
-    table = _table(ring, table)
+    if table is None:
+        table = KoszulTable(ring)
     dim = ring.dimension()
     if x is None and dim > 0:
         x = reference_sop(ring)
-    dep = depth(ring, x=x, table=table)
+    dep = depth(ring, table, x=x)
     cmd = dim - dep
-    flc = flc_check(x, nmax=nmax, table=table) if dim > 0 else True
+    flc = flc_check(x, table, nmax=nmax) if dim > 0 else True
     lc = None
     power = None
     if flc is True and dim > 0:
-        power = first_standard_power(x, nmax=nmax, table=table)
+        power = first_standard_power(x, table, nmax=nmax)
         if power is not NOT_FOUND:
-            lc = local_cohomology_lengths(x.power(power), table=table)
+            lc = local_cohomology_lengths(x.power(power), table)
     return InvariantReport(ring, dim, dep, cmd, flc, lc, power,
                            sop_name=None if x is None else x.name)

@@ -103,8 +103,9 @@ def koszul_complex(x):
 
 
 class KoszulTable:
-    """K(y; R), each presented H_p(y; R), its length and the grade of (y),
-    for the sequences one experiment meets, each computed once.
+    """K(y; R), each presented H_p(y; R) with its cycle matrix, its length
+    and the grade of (y), for the sequences one experiment meets, each
+    computed once.
 
     Entries are keyed by the reduced elements of y, so the squares of a
     prefix of x and the prefix of x^2 share one entry.  A table is bound to
@@ -116,7 +117,7 @@ class KoszulTable:
         self.ring = ring
         self._sops = {}
         self._complexes = {}
-        self._homology = {}
+        self._presentations = {}
         self._lengths = {}
 
     def _key(self, y):
@@ -138,14 +139,20 @@ class KoszulTable:
             self._complexes[key] = koszul_complex(y)
         return self._complexes[key]
 
-    def homology(self, y, p):
-        """H_p(y; R) as a finitely presented module."""
+    def presentation(self, y, p):
+        """(Z, H_p(y; R)): the cycle matrix of K(y; R) in degree p and the
+        presented homology, as homology_presentation returns them."""
         if not 0 <= p <= y.count:
             raise AlgebraError(f"homology index {p} outside 0..{y.count}")
         key = (self._key(y), p)
-        if key not in self._homology:
-            self._homology[key] = homology_presentation(self.complex(y), p)[1]
-        return self._homology[key]
+        if key not in self._presentations:
+            self._presentations[key] = homology_presentation(
+                self.complex(y), p)
+        return self._presentations[key]
+
+    def homology(self, y, p):
+        """H_p(y; R) as a finitely presented module."""
+        return self.presentation(y, p)[1]
 
     def length(self, y, p):
         """Length of H_p(y; R), or INFINITE."""
@@ -187,4 +194,4 @@ def comparison_map(x, n, table):
                                    len(_subsets(r, p)), entries,
                                    tgt.module(p), src.module(p),
                                    _reduced=True)
-    return ComplexMap(src, tgt, components, check=True)
+    return ComplexMap(src, tgt, components)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import AlgebraError
-from .groebner import FinitelyPresentedModule, RingMatrix, matrix_solve, syzygies
-from .complexes import (ChainComplex, homology_presentation,
-                        kill_top_homology, minimize_with_tracking)
+from .groebner import FinitelyPresentedModule, RingMatrix, syzygies
+from .complexes import (ChainComplex, kill_top_homology, lift_chain_map,
+                        minimize_with_tracking)
 from .koszul import KoszulTable, koszul_complex
 
 
@@ -183,22 +183,23 @@ def _truncate(cplx, top):
     return ChainComplex(cplx.ring, modules, diffs, check=False)
 
 
-def general_cone_resolution(x, cap):
+def general_cone_resolution(x, cap, table):
     """Free resolution of R/(x) by iterated homology-killing cones.
 
     Starting from the Koszul complex, the top homology (in degrees >= 1) is
     killed repeatedly with shifted resolutions; before minimization the ranks
     follow the direct-sum shape rank_n = rank K_n + sum_s rank F^s_{n-s-1}.
-    The result is trustworthy through homological degree cap + 1 and is
-    returned unminimized.
+    K(x; R), each H_s(x; R) and its cycle matrix come from the KoszulTable
+    `table`.  The result is trustworthy through homological degree cap + 1
+    and is returned unminimized.
     """
-    cplx = koszul_complex(x)
-    # killing H_s leaves every H_i with i < s unchanged, so each s is
-    # presented once, on the cone that killed everything above it
+    cplx = table.complex(x)
     for s in range(x.count, 0, -1):
-        z, h = homology_presentation(cplx, s)
-        if h.is_zero():
+        if table.length(x, s) == 0:
             continue
+        # killing H_t adds nothing below degree t + 1, so the cone built so
+        # far is K(x) in degrees <= s + 1 and its H_s and cycles are K(x)'s
+        z, h = table.presentation(x, s)
         # resolution length: each kill stays valid through degree cap + 1,
         # and the junk above the truncated resolution of H_s lands strictly
         # above everything later (lower-s) iterations touch
@@ -215,11 +216,12 @@ def aci_cone_resolution(x, cap):
     shifted minimal resolution of H_1(x; R) into the Koszul complex, with
     unminimized ranks rank K_n + rank F_{n-2}.
     """
-    if KoszulTable(x.ring).grade(x) < x.count - 1:
+    table = KoszulTable(x.ring)
+    if table.grade(x) < x.count - 1:
         raise AlgebraError(
             "sequence is not an almost complete intersection (grade < count-1); "
             "use the general cone assembly instead")
-    return general_cone_resolution(x, cap)
+    return general_cone_resolution(x, cap, table)
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +230,12 @@ def aci_cone_resolution(x, cap):
 
 def lift_koszul_to_resolution(x, resolution):
     """Chain map gamma: K(x; R) -> F covering the identity of R/(x)."""
-    k = koszul_complex(x)
     f = resolution.complex
-    ring = x.ring
     if f.module(0) != (0,):
         raise AlgebraError("resolution does not present a cyclic module in "
                            "degree zero")
-    comps = {0: RingMatrix.identity(ring, (0,))}
-    n = 1
-    while k.module(n):
-        rhs = comps[n - 1] @ k.differential(n)
-        if not f.module(n):
-            if not rhs.is_zero():
-                raise AlgebraError("resolution too short to receive the lift")
-            break
-        sol = matrix_solve(f.differential(n), rhs)
-        if sol is None:
-            raise AlgebraError("lifting failed: target is not a resolution "
-                               "of R/(x)")
-        comps[n] = sol
-        n += 1
-    return comps
+    return lift_chain_map(koszul_complex(x), f, 0,
+                          RingMatrix.identity(x.ring, (0,)))
 
 
 def cec_injectivity_check(x, cap):

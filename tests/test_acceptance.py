@@ -12,13 +12,13 @@ import pytest
 
 from parres.cli import main
 from parres.complexes import (dual, homology_presentation, is_minimal,
-                               minimize)
+                               minimize_with_tracking)
 from parres.groebner import INFINITE
 from parres.harness import (reproduce_example, verify_inequality,
                             verify_main_theorem)
 from parres.invariants import (flc_check, length_stability_check,
                                local_cohomology_lengths, standardness_witness)
-from parres.koszul import koszul_complex
+from parres.koszul import KoszulTable, koszul_complex
 from parres.resolutions import (cec_injectivity_check,
                                 general_cone_resolution,
                                 minimal_free_resolution)
@@ -91,7 +91,7 @@ def test_criterion_2_inequality(r1, capsys):
         want_rhs[i] += 2 * p_k[i - 2]
     for i in range(3, 5):
         want_rhs[i] += p_k[i - 3]
-    cone = general_cone_resolution(x, 4)
+    cone = general_cone_resolution(x, 4, KoszulTable(x.ring))
     cone_ranks = [cone.rank(i) for i in range(5)]
     checks = {
         "lhs reference": lhs == [1, 2, 3, 7, 15],
@@ -145,9 +145,10 @@ def _standard_corpus_sops(corpus):
     for name, spec in corpus.items():
         for sname in spec.sops:
             x = spec.sop(sname)
-            if flc_check(x, nmax=spec.cap("power", 4)) is not True:
+            table = KoszulTable(x.ring)
+            if flc_check(x, table, nmax=spec.cap("power", 4)) is not True:
                 continue
-            if standardness_witness(x) is None:
+            if standardness_witness(x, table) is None:
                 out.append((name, x))
     return out
 
@@ -159,7 +160,7 @@ def test_criterion_5_hoa_formulas(corpus, capsys):
     for name, x in _standard_corpus_sops(corpus):
         # local_cohomology_lengths checks the binomial identities for all
         # r <= d, p >= 1 and cross-checks the solved lengths for consistency
-        lc = local_cohomology_lengths(x)
+        lc = local_cohomology_lengths(x, KoszulTable(x.ring))
         details.append(f"{name}: {lc}")
         if name == "r2":
             r2_solved = lc
@@ -252,7 +253,7 @@ def test_criterion_10_property_suites(corpus, r1, tmp_path, capsys):
         for n in range(k.lo + 2, k.hi + 1):
             if not (k.differential(n - 1) @ k.differential(n)).is_zero():
                 ok = False
-    cone = general_cone_resolution(r1.sop("x"), 3)
+    cone = general_cone_resolution(r1.sop("x"), 3, KoszulTable(r1.ring))
     for n in range(2, 5):
         if cone.module(n):
             if not (cone.differential(n - 1) @ cone.differential(n)).is_zero():
@@ -260,7 +261,7 @@ def test_criterion_10_property_suites(corpus, r1, tmp_path, capsys):
     notes.append("dd=0")
 
     # (b) minimization preserves homology lengths (degreewise oracle)
-    mini = minimize(cone)
+    mini = minimize_with_tracking(cone)[0]
     for n in range(0, 4):
         for d in range(0, 8):
             if oracle.homology_dim_at(cone, n, d) != \

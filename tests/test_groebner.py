@@ -3,15 +3,16 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres import groebner
+from parres import groebner, oracle
 from parres._engine import vec_degree
-from parres.algebra import GREVLEX, LEX, Polynomial, PolynomialRingSpec
+from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
+                            PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
-                             RingMatrix, artinian_count, buchberger,
-                             krull_dimension, length, matrix_solve,
-                             packed_to_vector, staircase_dimension,
-                             standard_monomials, syzygies)
+                             RingMatrix, buchberger, matrix_solve,
+                             packed_to_vector, staircase_by_degree,
+                             staircase_dimension, standard_monomials,
+                             syzygies)
 from parres.koszul import koszul_complex
 
 P = 32003
@@ -77,11 +78,39 @@ def test_staircase_dimension():
     assert staircase_dimension([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3) == 0
 
 
-def test_artinian_count_matches_enumeration():
+def test_staircase_count_matches_enumeration(amb3):
     leads = [(2, 0, 0), (0, 3, 0), (0, 0, 1)]
-    total = artinian_count(leads, 3)
-    by_degree = sum(len(standard_monomials(leads, 3, d)) for d in range(10))
-    assert total == by_degree == 6
+    by_degree = [len(standard_monomials(leads, 3, d)) for d in range(10)]
+    assert staircase_by_degree(leads, 3) == by_degree[:4] == [1, 2, 2, 1]
+    assert not any(by_degree[4:])
+    # no pure power of c: infinitely many standard monomials
+    assert staircase_by_degree(leads[:2], 3) is None
+
+    ring = QuotientRingSpec(amb3, [])
+    f, zero, one = amb3.parse, amb3.zero(), amb3.one()
+    # e_0 has leads a^2, b^3, c (six standard monomials); e_1 dies, so it
+    # counts nothing although its only lead, 1, is no pure power; e_2 has
+    # leads a, b^2, c^2 and the mixed b*c (three standard monomials)
+    cols = ([[f(m), zero, zero] for m in ("a^2", "b^3", "c")]
+            + [[zero, one, zero]]
+            + [[zero, zero, f(m)] for m in ("a", "b^2", "c^2", "b*c")])
+    rel = RingMatrix.from_columns(ring, cols, row_degrees=[0, 1, 2])
+    mod = FinitelyPresentedModule(ring, [0, 1, 2], rel)
+    graded = mod.graded_length()
+    assert graded == {0: 1, 1: 2, 2: 3, 3: 3}
+    assert mod.length() == sum(graded.values()) == 9
+    assert mod.length() == oracle.module_length_upto(mod, 8)
+    assert all(oracle.module_dim_at(mod, t) == graded.get(t, 0)
+               for t in range(8))
+
+    # a live generator with no pure power of c has infinite length
+    cols = ([[f(m), zero] for m in ("a^2", "b^3", "c")]
+            + [[zero, f(m)] for m in ("a", "b")])
+    rel = RingMatrix.from_columns(ring, cols, row_degrees=[0, 0])
+    mod = FinitelyPresentedModule(ring, [0, 0], rel)
+    assert mod.length() is INFINITE
+    with pytest.raises(AlgebraError):
+        mod.graded_length()
 
 
 def test_module_length_and_dimension(r1):
@@ -95,7 +124,7 @@ def test_module_length_and_dimension(r1):
     free = FinitelyPresentedModule(ring, [0])
     assert free.length() is INFINITE
     assert free.dimension() == 2
-    assert krull_dimension(ring) == 2
+    assert ring.dimension() == 2
 
 
 def test_syzygies_known(r1):
@@ -154,7 +183,7 @@ def test_length_of_artinian_quotient(amb3):
                                    amb3.parse("c^2")])
     assert ring.dimension() == 0
     mod = FinitelyPresentedModule(ring, [0])
-    assert length(mod) == 8
+    assert mod.length() == 8
 
 
 @settings(max_examples=25, deadline=None)

@@ -29,8 +29,9 @@ def test_depth_and_defect(corpus):
     for name, spec in corpus.items():
         dim, dep, cmd = expect[name]
         assert spec.ring.dimension() == dim, name
-        assert depth(spec.ring) == dep, name
-        assert cohen_macaulay_defect(spec.ring) == cmd, name
+        assert depth(spec.ring, KoszulTable(spec.ring)) == dep, name
+        assert cohen_macaulay_defect(spec.ring,
+                                     KoszulTable(spec.ring)) == cmd, name
 
 
 def test_grade(r1, r2):
@@ -44,29 +45,31 @@ def test_grade(r1, r2):
 
 
 def test_standardness(r1, r2):
-    assert standardness_witness(r1.sop("x")) is None
+    assert standardness_witness(r1.sop("x"), KoszulTable(r1.ring)) is None
     assert is_standard_sop(r1.sop("x"))
     assert is_standard_sop(r2.sop())
 
 
 def test_local_cohomology_lengths(r1, r2):
-    assert local_cohomology_lengths(r1.sop("x")) == [1, 0]
-    assert local_cohomology_lengths(r2.sop()) == [0, 1]
+    assert local_cohomology_lengths(r1.sop("x"),
+                                    KoszulTable(r1.ring)) == [1, 0]
+    assert local_cohomology_lengths(r2.sop(), KoszulTable(r2.ring)) == [0, 1]
 
 
 def test_flc_verdicts(r1, r2, nonflc):
-    assert flc_check(r1.sop("x")) is True
-    assert flc_check(r2.sop()) is True
-    verdict = flc_check(nonflc.sop("y"), nmax=3)
+    assert flc_check(r1.sop("x"), KoszulTable(r1.ring)) is True
+    assert flc_check(r2.sop(), KoszulTable(r2.ring)) is True
+    verdict = flc_check(nonflc.sop("y"), KoszulTable(nonflc.ring), nmax=3)
     assert verdict is UNDECIDED
     with pytest.raises(AlgebraError):
         bool(verdict)
 
 
 def test_find_standard_power(r1, r2, nonflc):
-    assert find_standard_power(r1.sop("x")) == 1
-    assert find_standard_power(r2.sop()) == 1
-    assert find_standard_power(nonflc.sop("y"), nmax=3) is NOT_FOUND
+    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring)) == 1
+    assert find_standard_power(r2.sop(), KoszulTable(r2.ring)) == 1
+    assert find_standard_power(nonflc.sop("y"), KoszulTable(nonflc.ring),
+                               nmax=3) is NOT_FOUND
 
 
 def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
@@ -82,7 +85,7 @@ def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
     assert len(calls) == 1
     assert inv.to_dict()["standard_power"] == 1
     # once FLC holds, the search alone gives the same answer
-    assert first_standard_power(r2.sop()) == 1
+    assert first_standard_power(r2.sop(), KoszulTable(r2.ring)) == 1
 
 
 def test_invariants_never_present_r_itself(monkeypatch, r2):
@@ -146,7 +149,7 @@ def test_variable_in_the_ideal(tmp_path, ideal, sop, want):
         text += "[sop x]\n" + "\n".join(sop) + "\n"
     ring = parse_ring_spec(text).ring
     assert maximal_ideal_sequence(ring).count == 2 - len(ideal)
-    assert depth(ring) == want
+    assert depth(ring, KoszulTable(ring)) == want
     path = tmp_path / "spec.ring"
     path.write_text(text)
     out = tmp_path / "report.json"
@@ -177,7 +180,7 @@ def test_depth_of_the_maximal_ideal_is_the_grade_of_a_sop(corpus):
             want = KoszulTable(spec.ring).grade(
                 maximal_ideal_sequence(spec.ring))
             assert KoszulTable(spec.ring).grade(x) == want, spec.name
-            assert depth(spec.ring, x=x) == want
+            assert depth(spec.ring, KoszulTable(spec.ring), x=x) == want
             depths.add(want)
     assert depths == {0, 1, 2}
 

@@ -11,7 +11,7 @@ from parres.resolutions import (BettiTable, aci_cone_resolution,
                                 lift_koszul_to_resolution,
                                 minimal_free_resolution, poincare_truncation,
                                 syzygy_module)
-from parres import complexes, oracle, resolutions
+from parres import complexes, koszul, oracle, resolutions
 
 
 def _residue_field(ring):
@@ -89,7 +89,7 @@ def test_sequence_grade(r1, r2, regular):
     assert KoszulTable(regular.ring).grade(regular.sop()) == 2
 
 
-def test_general_cone_presents_each_homology_once(monkeypatch, r1):
+def _count_presentations(monkeypatch):
     calls = []
 
     def wrap(real):
@@ -98,17 +98,30 @@ def test_general_cone_presents_each_homology_once(monkeypatch, r1):
             return real(cplx, n)
         return counting
 
-    for mod in (complexes, resolutions):
-        monkeypatch.setattr(mod, "homology_presentation",
-                            wrap(mod.homology_presentation))
-    general_cone_resolution(r1.sop("x"), 3)
+    for mod in (complexes, koszul, resolutions):
+        if hasattr(mod, "homology_presentation"):
+            monkeypatch.setattr(mod, "homology_presentation",
+                                wrap(mod.homology_presentation))
+    return calls
+
+
+def test_general_cone_presents_each_homology_once(monkeypatch, r1):
+    calls = _count_presentations(monkeypatch)
+    general_cone_resolution(r1.sop("x"), 3, KoszulTable(r1.ring))
     # H_2 and H_1 of r1's Koszul complex are both nonzero and killed in turn
+    assert calls == [2, 1]
+
+
+def test_aci_cone_presents_each_homology_once(monkeypatch, r2):
+    calls = _count_presentations(monkeypatch)
+    aci_cone_resolution(r2.sop(), 4)
+    # the grade check presents H_2 = 0 and H_1; the cone reuses both
     assert calls == [2, 1]
 
 
 def test_general_cone_resolution_r1(r1):
     x = r1.sop("x")
-    cone = general_cone_resolution(x, 4)
+    cone = general_cone_resolution(x, 4, KoszulTable(r1.ring))
     # resolves R/(x): exact in positive degrees, H_0 = R/(x)
     for n in range(1, 5):
         for d in range(0, 10):
