@@ -124,11 +124,6 @@ GREVLEX = Grevlex()
 LEX = Lex()
 
 
-def compare_monomials(order, m1, m2):
-    """Three-way comparison of two exponent vectors: -1, 0 or 1."""
-    return order.compare(m1, m2)
-
-
 # ---------------------------------------------------------------------------
 # polynomial rings
 

@@ -20,15 +20,6 @@ from ._engine import PackContext, groebner_basis, make_reducer
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
 
-_CTX_CACHE = {}
-
-
-def _ring_ctx(ring):
-    key = (ring.nvars, ring.order.kind)
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = PackContext(*key)
-    return _CTX_CACHE[key]
-
 
 def _lazy_reducer(ctx, p, basis):
     """A function returning a reducer over the packed vectors of `basis`.
@@ -50,16 +41,20 @@ def _lazy_reducer(ctx, p, basis):
 
 
 # ---------------------------------------------------------------------------
-# conversions between Polynomial vectors and packed dicts
+# conversions between Polynomials and packed vectors
 
 
-def vector_to_packed(vec, ctx):
-    """vec: list of Polynomial, one per free-module position."""
-    out = {}
-    for pos, poly in enumerate(vec):
-        for exp, c in poly.terms.items():
-            out[ctx.pack(pos, exp)] = c
-    return out
+def _pack(col, ctx):
+    """Packed vector of a sparse column {position: Polynomial}."""
+    return {ctx.pack(pos, exp): c
+            for pos, poly in col.items() for exp, c in poly.terms.items()}
+
+
+def _poly(vec, ctx, ambient, sign):
+    """Polynomial over `ambient` of a packed vector supported in position 0,
+    its coefficients multiplied by sign."""
+    return Polynomial(ambient, {ctx.exp_of(k): sign * c
+                                for k, c in vec.items()})
 
 
 def packed_to_vector(packed, ctx, ring, rank):
@@ -73,67 +68,16 @@ def packed_to_vector(packed, ctx, ring, rank):
 
 
 # ---------------------------------------------------------------------------
-# Groebner bases of ideals
-
-
-class GroebnerBasis:
-    """A reduced Groebner basis of a homogeneous ideal.
-
-    generators: list of Polynomial, monic, fully tail-reduced, sorted by
-    (degree, leading term).
-    """
-
-    def __init__(self, ring, generators):
-        self.ring = ring
-        self.generators = list(generators)
-        self._ctx = _ring_ctx(ring)
-        self._packed = [vector_to_packed([g], self._ctx)
-                        for g in self.generators]
-        self._reducer = _lazy_reducer(self._ctx, ring.characteristic,
-                                      self._packed)
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def normal_form(self, f):
-        """Fully reduced remainder of a Polynomial."""
-        if f.ring != self.ring:
-            raise RingMismatchError("mixed rings in normal form")
-        nf = self._reducer().normal_form(vector_to_packed([f], self._ctx))
-        return packed_to_vector(nf, self._ctx, self.ring, 1)[0]
-
-    def contains(self, f):
-        return self.normal_form(f).is_zero()
-
-    def __repr__(self):
-        return f"<GroebnerBasis: {len(self.generators)} elements over {self.ring}>"
-
-
-def buchberger(generators):
-    """Reduced Groebner basis of the ideal the inputs generate.
-
-    generators: nonempty list of homogeneous Polynomial over one ring.
-    """
-    gens = list(generators)
-    if not gens:
-        raise AlgebraError("empty generating set")
-    ring = gens[0].ring
-    ctx = _ring_ctx(ring)
-    packed = [vector_to_packed([g], ctx) for g in gens]
-    gb = groebner_basis(packed, ctx, ring.characteristic, (0,), module_rank=1)
-    return GroebnerBasis(ring, [packed_to_vector(v, ctx, ring, 1)[0]
-                                for v in gb])
-
-
-# ---------------------------------------------------------------------------
 # quotient rings
 
 
 class QuotientRingSpec:
-    """R = S/I for a homogeneous ideal I in a polynomial ring S."""
+    """R = S/I for a homogeneous ideal I in a polynomial ring S.
+
+    The ring owns I: its packing context `_ctx`, the packed reduced Groebner
+    basis `_basis` with a lazily built reducer, and `ideal_basis`, the same
+    basis as Polynomials (monic, tail-reduced, sorted by degree and lead).
+    """
 
     def __init__(self, ambient, ideal_generators):
         self.ambient = ambient
@@ -145,13 +89,15 @@ class QuotientRingSpec:
                 raise NotHomogeneousError(f"inhomogeneous ideal generator {g}")
             if g.is_constant():
                 raise AlgebraError("defining ideal contains a unit")
-        if gens:
-            self.defining_ideal = buchberger(gens)
-        else:
-            self.defining_ideal = GroebnerBasis(ambient, [])
+        ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
+        p = ambient.characteristic
+        self._basis = (groebner_basis([_pack({0: g}, ctx) for g in gens], ctx,
+                                      p, (0,), module_rank=1)
+                       if gens else [])
+        self._reducer = _lazy_reducer(ctx, p, self._basis)
+        self.ideal_basis = [_poly(v, ctx, ambient, 1) for v in self._basis]
+        self._lead_exps = [ctx.exp_of(max(v)) for v in self._basis]
         self._dimension = None
-        self._lead_exps = [self.defining_ideal._ctx.exp_of(max(p))
-                           for p in self.defining_ideal._packed]
 
     @property
     def characteristic(self):
@@ -166,30 +112,27 @@ class QuotientRingSpec:
         return self.ambient.variables
 
     def is_polynomial_ring(self):
-        return not self.defining_ideal.generators
+        return not self._basis
 
     def reduce(self, f):
         """Canonical representative of f in R (normal form modulo I)."""
         if f.ring != self.ambient:
             raise RingMismatchError("element outside the ambient ring")
-        if not self.defining_ideal.generators:
+        if not self._basis:
             return f
-        return self.defining_ideal.normal_form(f)
+        nf = self._reducer().normal_form(_pack({0: f}, self._ctx))
+        return _poly(nf, self._ctx, self.ambient, 1)
 
     def reduce_packed(self, vec):
         """Normal form modulo I of a packed vector supported in position 0."""
-        if not self.defining_ideal.generators:
+        if not self._basis:
             return vec
-        return self.defining_ideal._reducer().normal_form(vec)
+        return self._reducer().normal_form(vec)
 
     def dimension(self):
         if self._dimension is None:
             self._dimension = staircase_dimension(self._lead_exps, self.nvars)
         return self._dimension
-
-    def standard_monomial_count(self, degree):
-        """Number of degree-`degree` monomials of S outside the initial ideal."""
-        return len(self.standard_monomials(degree))
 
     def standard_monomials(self, degree):
         return standard_monomials(self._lead_exps, self.nvars, degree)
@@ -197,16 +140,15 @@ class QuotientRingSpec:
     def __eq__(self, other):
         return (isinstance(other, QuotientRingSpec)
                 and self.ambient == other.ambient
-                and self.defining_ideal.generators ==
-                other.defining_ideal.generators)
+                and self.ideal_basis == other.ideal_basis)
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.defining_ideal.generators)))
+        return hash((self.ambient, tuple(self.ideal_basis)))
 
     def __repr__(self):
         if self.is_polynomial_ring():
             return repr(self.ambient)
-        gens = ", ".join(str(g) for g in self.defining_ideal.generators)
+        gens = ", ".join(str(g) for g in self.ideal_basis)
         return f"{self.ambient} / ({gens})"
 
 
@@ -466,14 +408,15 @@ class FinitelyPresentedModule:
             raise DimensionMismatchError("relations do not match generators")
         self.relations = relations
         self._lead_cache = None
+        self._count_cache = None
 
     def _initial_leads(self):
         """Per-position leading exponents of relations + I * generators."""
         if self._lead_cache is None:
             ring = self.ring
             rank = len(self.gen_degrees)
-            ctx = _ring_ctx(ring.ambient)
-            cols, ideal_rows = _packed_columns(self.relations, ctx)
+            ctx = ring._ctx
+            cols, ideal_rows = _packed_columns(self.relations)
             leads = {pos: [] for pos in range(rank)}
             if any(cols) or ideal_rows:
                 gb = groebner_basis(cols + ideal_rows, ctx,
@@ -485,35 +428,28 @@ class FinitelyPresentedModule:
             self._lead_cache = leads
         return self._lead_cache
 
-    def dimension(self):
-        rank = len(self.gen_degrees)
-        if rank == 0:
-            return -1
-        leads = self._initial_leads()
-        nv = self.ring.nvars
-        dims = [staircase_dimension(leads[pos], nv) for pos in range(rank)]
-        return max(dims)
-
     def is_zero(self):
         return self.length() == 0
 
     def _graded_counts(self):
-        """Dict internal degree -> GF(p)-dimension, or INFINITE."""
-        if not self.gen_degrees:
-            return {}
-        leads = self._initial_leads()
-        out = {}
-        for pos, base in enumerate(self.gen_degrees):
-            exps = leads[pos]
-            if any(not any(exp) for exp in exps):
-                continue  # generator dies entirely
-            counts = staircase_by_degree(exps, self.ring.nvars)
-            if counts is None:
-                return INFINITE
-            for t, n in enumerate(counts):
-                if n:
-                    out[base + t] = out.get(base + t, 0) + n
-        return out
+        """Dict internal degree -> GF(p)-dimension, or INFINITE; counted once
+        per module and kept beside its leads."""
+        if self._count_cache is None:
+            leads = self._initial_leads() if self.gen_degrees else {}
+            out = {}
+            for pos, base in enumerate(self.gen_degrees):
+                exps = leads[pos]
+                if any(not any(exp) for exp in exps):
+                    continue  # generator dies entirely
+                counts = staircase_by_degree(exps, self.ring.nvars)
+                if counts is None:
+                    out = INFINITE
+                    break
+                for t, n in enumerate(counts):
+                    if n:
+                        out[base + t] = out.get(base + t, 0) + n
+            self._count_cache = out
+        return self._count_cache
 
     def length(self):
         """Vector-space dimension over GF(p), or INFINITE if dim > 0."""
@@ -525,7 +461,7 @@ class FinitelyPresentedModule:
         counts = self._graded_counts()
         if counts is INFINITE:
             raise AlgebraError("graded length of an infinite-length module")
-        return counts
+        return dict(counts)
 
     def __repr__(self):
         return (f"<FP module: {len(self.gen_degrees)} generators, "
@@ -536,21 +472,20 @@ class FinitelyPresentedModule:
 # syzygies and linear solving over R
 
 
-def _packed_columns(matrix, ctx):
+def _sparse_columns(matrix):
+    """The columns of a matrix as dicts row -> nonzero Polynomial."""
+    cols = [{} for _ in range(matrix.ncols)]
+    for (i, j), poly in matrix.entries.items():
+        cols[j][i] = poly
+    return cols
+
+
+def _packed_columns(matrix):
     """(columns, ideal rows): the packed columns of a matrix over R, and
     g * e_i for every defining-ideal basis element g and every row i."""
-    cols = []
-    for j in range(matrix.ncols):
-        packed = {}
-        for i in range(matrix.nrows):
-            poly = matrix.entries.get((i, j))
-            if poly is None:
-                continue
-            for exp, c in poly.terms.items():
-                packed[ctx.pack(i, exp)] = c
-        cols.append(packed)
-    ideal_rows = [{ctx.pack(i, exp): c for exp, c in g.terms.items()}
-                  for g in matrix.ring.defining_ideal.generators
+    ring = matrix.ring
+    cols = [_pack(col, ring._ctx) for col in _sparse_columns(matrix)]
+    ideal_rows = [_pack({i: g}, ring._ctx) for g in ring.ideal_basis
                   for i in range(matrix.nrows)]
     return cols, ideal_rows
 
@@ -570,11 +505,10 @@ class ExtendedSolver:
         self.ring = ring
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self.ctx = _ring_ctx(ring.ambient)
+        ctx = self.ctx = ring._ctx
         self.p = ring.characteristic
         self.gendegs = matrix.row_degrees + matrix.col_degrees
-        ctx = self.ctx
-        cols, ideal_rows = _packed_columns(matrix, ctx)
+        cols, ideal_rows = _packed_columns(matrix)
         unit = (0,) * ring.nvars
         for j, packed in enumerate(cols):
             packed[ctx.pack(self.nrows + j, unit)] = 1
@@ -583,7 +517,7 @@ class ExtendedSolver:
         self.floor = ctx.position_floor(self.nrows)
         self._reducer = _lazy_reducer(ctx, self.p, self.gb)
 
-    def _entries_by_row(self, packed, sign=1):
+    def _entries_by_row(self, packed, sign):
         """Sparse column {row: Polynomial} of a vector in the tag block.
 
         Terms are grouped by tag position; each group is moved to position 0,
@@ -591,15 +525,13 @@ class ExtendedSolver:
         becomes the entry in row (position - nrows), its coefficients
         multiplied by sign.
         """
-        ctx = self.ctx
-        groups = ctx.split_by_position(packed)
-        ambient = self.ring.ambient
+        groups = self.ctx.split_by_position(packed)
         col = {}
         for pos in sorted(groups):
             nf = self.ring.reduce_packed(groups[pos])
             if nf:
-                col[pos - self.nrows] = Polynomial(
-                    ambient, {ctx.exp_of(k): sign * c for k, c in nf.items()})
+                col[pos - self.nrows] = _poly(nf, self.ctx, self.ring.ambient,
+                                              sign)
         return col
 
     def syzygy_matrix(self):
@@ -611,7 +543,7 @@ class ExtendedSolver:
             lead = max(v)
             if lead >= self.floor:
                 continue  # leading block nonzero: not a pure syzygy
-            col = self._entries_by_row(v)
+            col = self._entries_by_row(v, 1)
             if not col:
                 continue
             j = len(degs)
@@ -627,15 +559,11 @@ class ExtendedSolver:
 
         col and x are sparse columns: dicts row -> nonzero Polynomial.
         """
-        ctx = self.ctx
-        packed = {}
-        for i, poly in col.items():
-            for exp, c in poly.terms.items():
-                packed[ctx.pack(i, exp)] = c
-        nf = self._reducer().normal_form(packed, stopkey=self.floor)
+        nf = self._reducer().normal_form(_pack(col, self.ctx),
+                                         stopkey=self.floor)
         if nf and max(nf) >= self.floor:
             return None  # a leading-block remainder survives
-        return self._entries_by_row(nf, sign=-1)
+        return self._entries_by_row(nf, -1)
 
 
 def syzygies(matrix):
@@ -653,11 +581,8 @@ def matrix_solve(a, b, solver=None):
         solver = ExtendedSolver(a)
     if b.nrows != a.nrows or b.row_degrees != a.row_degrees:
         raise DimensionMismatchError("right-hand side target mismatch")
-    cols = [{} for _ in range(b.ncols)]
-    for (i, j), poly in b.entries.items():
-        cols[j][i] = poly
     entries = {}
-    for j, col in enumerate(cols):
+    for j, col in enumerate(_sparse_columns(b)):
         x = solver.solve_column(col)
         if x is None:
             return None

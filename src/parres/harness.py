@@ -227,8 +227,17 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _binomial_series(d, cap):
-    return [comb(d, i) for i in range(cap + 1)]
+def _cone_series(d, h_series, cap):
+    """(1+t)^d + sum_i t^(i+1) P_{H_i}, truncated at t^cap.
+
+    h_series: dict i -> coefficients of P_{H_i}.
+    """
+    out = [comb(d, i) for i in range(cap + 1)]
+    for i, ph in h_series.items():
+        for j, c in enumerate(ph):
+            if i + 1 + j <= cap:
+                out[i + 1 + j] += c
+    return out
 
 
 def _series_leq(left, right):
@@ -256,17 +265,12 @@ def verify_inequality(ring, x, cap):
     lhs = res.poincare().coefficients
     report.record("lhs_poincare", lhs)
     table = KoszulTable(ring)
-    rhs = _binomial_series(d, cap)
     h_series = {}
     for i in range(1, x.count + 1):
         h = table.homology(x, i)
-        if h.is_zero():
-            continue
-        ph = poincare_truncation(h, cap).coefficients
-        h_series[i] = ph
-        for j, c in enumerate(ph):
-            if i + 1 + j <= cap:
-                rhs[i + 1 + j] += c
+        if not h.is_zero():
+            h_series[i] = poincare_truncation(h, cap).coefficients
+    rhs = _cone_series(d, h_series, cap)
     report.record("homology_poincare", h_series)
     report.record("rhs_assembly", rhs)
     ok, strict = _series_leq(lhs, rhs)
@@ -315,10 +319,7 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     resh = minimal_free_resolution(table.homology(xn, 1), cap)
     ph = resh.poincare()
     report.record("poincare_h", ph.coefficients)
-    rhs = _binomial_series(d, cap)
-    for j, c in enumerate(ph.coefficients):
-        if j + 2 <= cap:
-            rhs[j + 2] += c
+    rhs = _cone_series(d, {1: ph.coefficients}, cap)
     report.verdict("P_{R/(x^n)} = (1+t)^d + t^2 P_H", lhs == rhs, lhs, rhs)
 
     # first_standard_power found x^m not standard for every m < n

@@ -64,10 +64,6 @@ def _prefix(x, r):
     return ParameterSequence(x.ring, x.elements[:r])
 
 
-def _squares(x):
-    return ParameterSequence(x.ring, [f ** 2 for f in x.elements])
-
-
 def standardness_witness(x, table):
     """None if the squares criterion holds, else the first failing (p, r).
 
@@ -76,7 +72,7 @@ def standardness_witness(x, table):
     """
     for r in range(1, x.count + 1):
         sub = _prefix(x, r)
-        sq = _squares(sub)
+        sq = sub.power(2)
         for p in range(1, r + 1):
             l1 = table.length(sub, p)
             l2 = table.length(sq, p)

@@ -118,7 +118,6 @@ class KoszulTable:
         self._sops = {}
         self._complexes = {}
         self._presentations = {}
-        self._lengths = {}
 
     def _key(self, y):
         if y.ring != self.ring:
@@ -155,11 +154,8 @@ class KoszulTable:
         return self.presentation(y, p)[1]
 
     def length(self, y, p):
-        """Length of H_p(y; R), or INFINITE."""
-        key = (self._key(y), p)
-        if key not in self._lengths:
-            self._lengths[key] = self.homology(y, p).length()
-        return self._lengths[key]
+        """Length of H_p(y; R), or INFINITE (the module keeps its count)."""
+        return self.homology(y, p).length()
 
     def grade(self, y):
         """grade of (y) on R: count minus the top nonvanishing H_p(y; R)."""

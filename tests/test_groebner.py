@@ -9,7 +9,7 @@ from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
                             PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
-                             RingMatrix, buchberger, matrix_solve,
+                             RingMatrix, matrix_solve,
                              packed_to_vector, staircase_by_degree,
                              staircase_dimension, standard_monomials,
                              syzygies)
@@ -26,31 +26,33 @@ def amb3():
 def test_buchberger_lex_known():
     ring = PolynomialRingSpec(P, ["a", "b"], LEX)
     gens = [ring.parse("a^2 - b^2"), ring.parse("a*b - b^2")]
-    gb = buchberger(gens)
+    gb = QuotientRingSpec(ring, gens).ideal_basis
     # this pair is already a reduced Groebner basis under lex
-    assert sorted(str(g) for g in gb.generators) == \
+    assert sorted(str(g) for g in gb) == \
         sorted(str(g.monic()) for g in gens)
     # here completion genuinely adds the S-polynomial b^3
-    plus = buchberger([ring.parse("a^2 - b^2"), ring.parse("a*b")])
-    assert any(str(g) == "b^3" for g in plus.generators)
+    plus = QuotientRingSpec(ring, [ring.parse("a^2 - b^2"),
+                                   ring.parse("a*b")]).ideal_basis
+    assert any(str(g) == "b^3" for g in plus)
 
 
 def test_buchberger_normal_form_idempotent(amb3):
-    gb = buchberger([amb3.parse("a*c"), amb3.parse("b*c"), amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
+                                   amb3.parse("c^2")])
     f = amb3.parse("a^2*c + b*c^2 + a*b")
-    nf = gb.normal_form(f)
-    assert gb.normal_form(nf) == nf
+    nf = ring.reduce(f)
+    assert ring.reduce(nf) == nf
     assert nf == amb3.parse("a*b")
-    assert gb.contains(amb3.parse("a*c^3"))
-    assert not gb.contains(amb3.parse("a*b"))
+    assert ring.reduce(amb3.parse("a*c^3")).is_zero()
+    assert not ring.reduce(amb3.parse("a*b")).is_zero()
 
 
 def test_buchberger_membership_random(amb3):
     gens = [amb3.parse("a^2 - b*c"), amb3.parse("b^2 - a*c")]
-    gb = buchberger(gens)
+    ring = QuotientRingSpec(amb3, gens)
     # any combination of the generators reduces to zero
     f = amb3.parse("a*b") * gens[0] - amb3.parse("c^2") * gens[1]
-    assert gb.normal_form(f).is_zero()
+    assert ring.reduce(f).is_zero()
 
 
 def test_quotient_ring_basics(r1):
@@ -59,10 +61,10 @@ def test_quotient_ring_basics(r1):
     assert ring.characteristic == P
     # Hilbert function of R1: 1, 4, then 2 standard monomials... degree 1
     # has a, b, c; c is not in the initial ideal at degree 1
-    assert ring.standard_monomial_count(0) == 1
-    assert ring.standard_monomial_count(1) == 3
-    assert ring.standard_monomial_count(2) == 3
-    assert ring.standard_monomial_count(5) == 6
+    assert len(ring.standard_monomials(0)) == 1
+    assert len(ring.standard_monomials(1)) == 3
+    assert len(ring.standard_monomials(2)) == 3
+    assert len(ring.standard_monomials(5)) == 6
 
 
 def test_reduce_is_normal_form(r1):
@@ -120,10 +122,8 @@ def test_module_length_and_dimension(r1):
     mod = FinitelyPresentedModule(ring, [0], rel)
     assert mod.length() == 2
     assert mod.graded_length() == {0: 1, 1: 1}
-    assert mod.dimension() == 0
     free = FinitelyPresentedModule(ring, [0])
     assert free.length() is INFINITE
-    assert free.dimension() == 2
     assert ring.dimension() == 2
 
 
@@ -196,9 +196,9 @@ def test_gb_normal_form_is_zero_on_ideal(exps):
     gens = [g for g in gens if not g.is_zero() and g.is_homogeneous()]
     if not gens:
         return
-    gb = buchberger(gens)
+    quot = QuotientRingSpec(ring, gens)
     for g in gens:
-        assert gb.normal_form(g * ring.parse("a + b")).is_zero()
+        assert quot.reduce(g * ring.parse("a + b")).is_zero()
 
 
 def _count_reducer_builds(monkeypatch):

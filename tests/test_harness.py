@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from parres import complexes, harness, invariants, koszul, oracle, resolutions
+from parres import (complexes, groebner, harness, invariants, koszul,
+                    oracle, resolutions)
 from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                             PolynomialRingSpec)
 from parres.cli import SUBCOMMANDS, build_parser, bundled_ring_text, main, run
@@ -297,6 +298,21 @@ def test_experiment_presents_each_koszul_homology_once(monkeypatch, command,
     assert presented
     assert len(set(built)) == len(built)
     assert len(set(presented)) == len(presented)
+
+
+def test_koszul_counts_each_staircase_once(monkeypatch):
+    # H_0 and H_1 of r2's sop are nonzero and H_2 has no generators; each
+    # module counts its staircase once, for its length and its graded length
+    counted = []
+    real = groebner.staircase_by_degree
+
+    def counting(lead_exps, nv):
+        counted.append(tuple(lead_exps))
+        return real(lead_exps, nv)
+
+    monkeypatch.setattr(groebner, "staircase_by_degree", counting)
+    run(build_parser().parse_args(["koszul", "--ring", "r2"]))
+    assert len(counted) == len(set(counted)) == 2
 
 
 @pytest.mark.parametrize("ring", ["r1", "r2"])
