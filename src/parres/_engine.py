@@ -32,10 +32,22 @@ POS_MAX = (1 << POS_BITS) - 1
 MAX_DEGREE = EXP_MASK - 1
 
 
-class PackContext:
-    """Packing rules for one (number of variables, order kind) pair."""
+def check_degree(deg):
+    """Raise before a key addition makes a term of degree deg, which would
+    overflow the packed fields."""
+    if deg > MAX_DEGREE:
+        raise AlgebraError(f"degree {deg} exceeds packing limit")
 
-    __slots__ = ("nv", "kind", "expshift", "topshift")
+
+class PackContext:
+    """Packing rules for one (number of variables, order kind) pair.
+
+    A key is affine in the exponents, so the product of the terms ka (in any
+    position) and kb (in position 0) is the key ka + kb - one, where `one` is
+    the key of 1 in position 0.
+    """
+
+    __slots__ = ("nv", "kind", "expshift", "topshift", "one")
 
     def __init__(self, nv, kind="grevlex"):
         if kind not in ("grevlex", "lex"):
@@ -47,29 +59,28 @@ class PackContext:
             self.topshift = self.expshift + DEG_BITS
         else:
             self.topshift = self.expshift
+        self.one = self.pack(0, (0,) * nv)
 
     def pack(self, pos, exp):
-        if pos > POS_MAX:
-            raise AlgebraError(f"free module position {pos} exceeds packing limit")
-        key = (POS_MAX - pos) << self.topshift
+        deg = sum(exp)
+        check_degree(deg)  # so every exponent fits its field too
         if self.kind == "grevlex":
-            deg = 0
-            body = 0
+            key = deg << self.expshift
             for j, e in enumerate(exp):
-                if e > MAX_DEGREE:
-                    raise AlgebraError(f"exponent {e} exceeds packing limit")
-                deg += e
-                body |= (EXP_MASK - e) << (EXP_BITS * j)
-            if deg > DEG_MASK:
-                raise AlgebraError(f"degree {deg} exceeds packing limit")
-            key |= (deg << self.expshift) | body
+                key |= (EXP_MASK - e) << (EXP_BITS * j)
         else:
             nv = self.nv
+            key = 0
             for j, e in enumerate(exp):
-                if e > MAX_DEGREE:
-                    raise AlgebraError(f"exponent {e} exceeds packing limit")
                 key |= e << (EXP_BITS * (nv - 1 - j))
-        return key
+        return self.move(key, pos)
+
+    def move(self, key, pos):
+        """The term `key` moved to free-module position pos."""
+        if pos > POS_MAX:
+            raise AlgebraError(f"free module position {pos} exceeds packing limit")
+        return ((POS_MAX - pos) << self.topshift) | (
+            key & ((1 << self.topshift) - 1))
 
     def unpack(self, key):
         pos = POS_MAX - (key >> self.topshift)
@@ -100,8 +111,7 @@ class PackContext:
         """Additive key delta for multiplication by the ring monomial x^exp."""
         if self.kind == "grevlex":
             deg = sum(exp)
-            if deg > MAX_DEGREE:
-                raise AlgebraError(f"degree {deg} exceeds packing limit")
+            check_degree(deg)
             body = 0
             for j, e in enumerate(exp):
                 body += e << (EXP_BITS * j)
@@ -120,6 +130,10 @@ class PackContext:
         extended (tagged) module.
         """
         return (POS_MAX - rank + 1) << self.topshift
+
+    def position_shift(self, n):
+        """Key delta that moves a term from position i to position i - n."""
+        return n << self.topshift
 
     def split_by_position(self, vec):
         """{pos: the terms of vec in position pos, moved to position 0}."""
@@ -222,20 +236,20 @@ def spair_parts(ctx, e1, e2):
         tuple(l - b for l, b in zip(lcm, e2))
 
 
-def groebner_basis(vecs, ctx, p, gendegs, module_rank):
+def groebner_basis(vecs, ctx, p, gendegs):
     """Reduced Groebner basis of the submodule generated by `vecs`.
 
     vecs: homogeneous packed vectors (dicts).  gendegs: internal degree of
     each free-module position.  Deterministic for a fixed input order.
 
-    The product criterion is only applied when module_rank == 1 (it is not
-    valid for modules of higher rank).
+    The product criterion is only applied in rank 1 (len(gendegs) == 1); it
+    is not valid for modules of higher rank.
     """
     reducer = make_reducer(ctx, p)
     basis = []        # list of (leadkey, pos, exp, deg, vec)
     heap = []         # (degree, seq, kind, payload)
     seq = 0
-    rank1 = module_rank == 1
+    rank1 = len(gendegs) == 1
 
     for vec in vecs:
         if not vec:

@@ -305,13 +305,6 @@ class Polynomial:
         inv = pow(lt[1], self.ring.characteristic - 2, self.ring.characteristic)
         return self.scale(inv)
 
-    def monomial_multiple(self, exp):
-        """Multiply by the monomial x^exp."""
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, exp))] = c
-        return Polynomial(self.ring, out)
-
     # -- equality / hashing
 
     def __eq__(self, other):

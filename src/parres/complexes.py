@@ -129,8 +129,7 @@ def homology_presentation(cplx, n):
     if z.ncols == 0:
         return z, FinitelyPresentedModule(ring, ())
     solver = ExtendedSolver(z)
-    dn1 = cplx.differential(n + 1)
-    boundary_expr = matrix_solve(z, dn1, solver=solver)
+    boundary_expr = solver.solve(cplx.differential(n + 1))
     if boundary_expr is None:
         raise AlgebraError("boundaries do not lie among the cycles")
     rel = boundary_expr.hstack(solver.syzygy_matrix())
@@ -160,6 +159,13 @@ def mapping_cone(alpha):
     """
     x, y = alpha.source, alpha.target
     ring = x.ring
+    ctx = ring._ctx
+
+    def lowered(mat, down):
+        """The columns of mat with every row moved down by `down`."""
+        return [{ctx.move(k, ctx.pos_of(k) + down): c for k, c in col.items()}
+                for col in mat.cols]
+
     modules = {}
     lo = min(x.lo + 1, y.lo)
     hi = max(x.hi + 1, y.hi)
@@ -177,18 +183,12 @@ def mapping_cone(alpha):
         tgt = xt + yt
         if not src or not tgt:
             continue
-        entries = {}
-        dx = x.differential(n - 1)
-        for (i, j), v in dx.entries.items():
-            entries[(i, j)] = -v
-        a = alpha.component(n - 1)
-        for (i, j), v in a.entries.items():
-            entries[(len(xt) + i, j)] = v
-        dy = y.differential(n)
-        for (i, j), v in dy.entries.items():
-            entries[(len(xt) + i, len(xs) + j)] = v
-        diffs[n] = RingMatrix(ring, len(tgt), len(src), entries, tgt, src,
-                              _reduced=True)
+        # x rows first, then the y rows moved down below them
+        cols = [{**dcol, **acol} for dcol, acol in
+                zip((-x.differential(n - 1)).cols,
+                    lowered(alpha.component(n - 1), len(xt)))]
+        cols += lowered(y.differential(n), len(xt))
+        diffs[n] = RingMatrix.packed(ring, cols, tgt, src)
     return ChainComplex(ring, modules, diffs, check=True)
 
 
@@ -277,58 +277,54 @@ def minimize_with_tracking(cplx):
     unchanged; generators cancelled in pairs never carry minimal Betti data.
     """
     ring = cplx.ring
-    p = ring.characteristic
+    ctx, p = ring._ctx, ring.characteristic
     modules = {n: list(d) for n, d in cplx.modules.items()}
     kept = {n: list(range(len(d))) for n, d in cplx.modules.items()}
-    diffs = {n: dict(m.entries) for n, m in cplx.differentials.items()}
+    diffs = {n: list(m.cols) for n, m in cplx.differentials.items()}
 
     def find_pivot():
+        """(n, row, column, unit) of the first unit entry, in the order
+        (n, column, row); a unit is a term of degree 0."""
         for n in sorted(diffs):
-            for (i, j), poly in sorted(diffs[n].items(), key=lambda t: (t[0][1], t[0][0])):
-                cterm = poly.constant_term()
-                if cterm:
-                    return n, i, j, cterm
+            for j, col in enumerate(diffs[n]):
+                units = [k for k in col if not ctx.mono_degree(k)]
+                if units:
+                    key = max(units)  # the lowest row
+                    return n, ctx.pos_of(key), j, col[key]
         return None
+
+    def drop_row(col, i):
+        """col without row i; the rows below it, whose keys are below those
+        of row i, move up one position."""
+        lo, hi = ctx.position_floor(i + 1), ctx.position_floor(i)
+        up = ctx.position_shift(1)
+        return {(k + up if k < lo else k): c for k, c in col.items()
+                if not lo <= k < hi}
 
     while True:
         piv = find_pivot()
         if piv is None:
             break
         n, pi, pj, c = piv
+        # column j becomes column j - (entry (pi, j) / c) * column pj, whose
+        # row pi then cancels
         inv = pow(c, p - 2, p)
-        a = diffs[n]
-        row = {j: v for (i, j), v in a.items() if i == pi and j != pj}
-        col = {i: v for (i, j), v in a.items() if j == pj and i != pi}
-        newa = {}
-        for (i, j), v in a.items():
-            if i == pi or j == pj:
+        scaled = {k: (-inv * v) % p for k, v in diffs[n][pj].items()}
+        top = modules[n][pj] - min(modules[n - 1])
+        out = []
+        for j, col in enumerate(diffs[n]):
+            if j == pj:
                 continue
-            newa[(i, j)] = v
-        # only the corrected entries need reducing; the others already are
-        for i, cv in col.items():
-            for j, rv in row.items():
-                corr = (cv * rv).scale(-inv)
-                if (i, j) in newa:
-                    s = newa[(i, j)] + corr
-                else:
-                    s = corr
-                if not s.is_zero():
-                    s = ring.reduce(s)
-                if s.is_zero():
-                    newa.pop((i, j), None)
-                else:
-                    newa[(i, j)] = s
-        # renumber rows (drop pi) and columns (drop pj)
-        def rmap(idx, drop):
-            return idx - 1 if idx > drop else idx
-        diffs[n] = {(rmap(i, pi), rmap(j, pj)): v
-                    for (i, j), v in newa.items()}
+            factor = {ctx.move(k, 0): v for k, v in col.items()
+                      if ctx.pos_of(k) == pi}
+            if factor:
+                col = ring.combine(col, [(factor, scaled, top)])
+            out.append(drop_row(col, pi))
+        diffs[n] = out
         if n + 1 in diffs:
-            diffs[n + 1] = {(rmap(i, pj), j): v
-                            for (i, j), v in diffs[n + 1].items() if i != pj}
+            diffs[n + 1] = [drop_row(col, pj) for col in diffs[n + 1]]
         if n - 1 in diffs:
-            diffs[n - 1] = {(i, rmap(j, pi)): v
-                            for (i, j), v in diffs[n - 1].items() if j != pi}
+            del diffs[n - 1][pi]
         del modules[n][pj]
         del kept[n][pj]
         del modules[n - 1][pi]
@@ -336,21 +332,21 @@ def minimize_with_tracking(cplx):
 
     out_modules = {n: tuple(d) for n, d in modules.items() if d}
     out_diffs = {}
-    for n, entries in diffs.items():
+    for n, cols in diffs.items():
         src = out_modules.get(n, ())
         tgt = out_modules.get(n - 1, ())
         if not src or not tgt:
             continue
-        out_diffs[n] = RingMatrix(ring, len(tgt), len(src), entries, tgt, src,
-                                  _reduced=True)
+        out_diffs[n] = RingMatrix.packed(ring, cols, tgt, src)
     mini = ChainComplex(ring, out_modules, out_diffs, check=True)
     return mini, {n: idx for n, idx in kept.items() if idx}
 
 
 def is_minimal(cplx):
-    return all(v.constant_term() == 0
-               for m in cplx.differentials.values()
-               for v in m.entries.values())
+    """No differential has a term of degree 0, that is, a unit entry."""
+    mono_degree = cplx.ring._ctx.mono_degree
+    return all(mono_degree(k) for m in cplx.differentials.values()
+               for col in m.cols for k in col)
 
 
 # ---------------------------------------------------------------------------

@@ -15,29 +15,10 @@ import itertools
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, RingMismatchError,
                       Sentinel)
-from ._engine import PackContext, groebner_basis, make_reducer
+from ._engine import PackContext, check_degree, groebner_basis, make_reducer
 
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
-
-
-def _lazy_reducer(ctx, p, basis):
-    """A function returning a reducer over the packed vectors of `basis`.
-
-    The reducer is built on the first call and reused: the basis is fixed
-    and normal_form never modifies the reducer.
-    """
-    red = None
-
-    def reducer():
-        nonlocal red
-        if red is None:
-            red = make_reducer(ctx, p)
-            for vec in basis:
-                red.add(vec)
-        return red
-
-    return reducer
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +31,9 @@ def _pack(col, ctx):
             for pos, poly in col.items() for exp, c in poly.terms.items()}
 
 
-def _poly(vec, ctx, ambient, sign):
-    """Polynomial over `ambient` of a packed vector supported in position 0,
-    its coefficients multiplied by sign."""
-    return Polynomial(ambient, {ctx.exp_of(k): sign * c
-                                for k, c in vec.items()})
+def _poly(vec, ctx, ambient):
+    """Polynomial over `ambient` of a packed vector with one position."""
+    return Polynomial(ambient, {ctx.exp_of(k): c for k, c in vec.items()})
 
 
 def packed_to_vector(packed, ctx, ring, rank):
@@ -75,8 +54,9 @@ class QuotientRingSpec:
     """R = S/I for a homogeneous ideal I in a polynomial ring S.
 
     The ring owns I: its packing context `_ctx`, the packed reduced Groebner
-    basis `_basis` with a lazily built reducer, and `ideal_basis`, the same
-    basis as Polynomials (monic, tail-reduced, sorted by degree and lead).
+    basis `_basis`, a lazily built reducer holding I*e_i for each free-module
+    position i it has met, and `ideal_basis`, the same basis as Polynomials
+    (monic, tail-reduced, sorted by degree and lead).
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -92,10 +72,11 @@ class QuotientRingSpec:
         ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
         p = ambient.characteristic
         self._basis = (groebner_basis([_pack({0: g}, ctx) for g in gens], ctx,
-                                      p, (0,), module_rank=1)
+                                      p, (0,))
                        if gens else [])
-        self._reducer = _lazy_reducer(ctx, p, self._basis)
-        self.ideal_basis = [_poly(v, ctx, ambient, 1) for v in self._basis]
+        self._reducer = None
+        self._positions = 0
+        self.ideal_basis = [_poly(v, ctx, ambient) for v in self._basis]
         self._lead_exps = [ctx.exp_of(max(v)) for v in self._basis]
         self._dimension = None
 
@@ -120,14 +101,46 @@ class QuotientRingSpec:
             raise RingMismatchError("element outside the ambient ring")
         if not self._basis:
             return f
-        nf = self._reducer().normal_form(_pack({0: f}, self._ctx))
-        return _poly(nf, self._ctx, self.ambient, 1)
+        return _poly(self.reduce_packed(_pack({0: f}, self._ctx)), self._ctx,
+                     self.ambient)
+
+    def ideal_rows(self, positions):
+        """g*e_i for every basis element g of I and every i in positions."""
+        move = self._ctx.move
+        return [{move(k, i): c for k, c in g.items()}
+                for g in self._basis for i in positions]
 
     def reduce_packed(self, vec):
-        """Normal form modulo I of a packed vector supported in position 0."""
-        if not self._basis:
+        """Normal form modulo I of a packed vector, in every position."""
+        if not self._basis or not vec:
             return vec
-        return self._reducer().normal_form(vec)
+        if self._reducer is None:
+            self._reducer = make_reducer(self._ctx, self.characteristic)
+        top = self._ctx.pos_of(min(vec)) + 1
+        if top > self._positions:
+            for row in self.ideal_rows(range(self._positions, top)):
+                self._reducer.add(row)
+            self._positions = top
+        return self._reducer.normal_form(vec)
+
+    def combine(self, vec, products):
+        """vec + the sum of factor * v over (factor, v, top) in products,
+        reduced modulo I; a product of terms is one key addition.
+
+        Each factor is a homogeneous packed polynomial in position 0, and top
+        bounds the degree of the terms of its v; raises before a product term
+        would leave the packed fields.
+        """
+        ctx, p = self._ctx, self.characteristic
+        acc = dict(vec)
+        for factor, v, top in products:
+            check_degree(top + ctx.mono_degree(next(iter(factor))))
+            for kb, cb in factor.items():
+                delta = kb - ctx.one
+                for ka, ca in v.items():
+                    key = ka + delta
+                    acc[key] = acc.get(key, 0) + ca * cb
+        return self.reduce_packed({k: c % p for k, c in acc.items() if c % p})
 
     def dimension(self):
         if self._dimension is None:
@@ -219,36 +232,55 @@ def staircase_by_degree(lead_exps, nv):
 class RingMatrix:
     """Sparse homogeneous matrix over a QuotientRingSpec.
 
-    Entry (i, j), when nonzero, is homogeneous of degree
-    col_degrees[j] - row_degrees[i].  Entries are stored reduced modulo the
-    defining ideal.
+    Column j is one packed vector of the free module R^nrows (position =
+    row), reduced modulo the defining ideal in every position.  Entry (i, j),
+    when nonzero, is homogeneous of degree col_degrees[j] - row_degrees[i].
+    Polynomials meet the packed columns only at the constructor and at
+    entry/entries.
     """
 
-    def __init__(self, ring, nrows, ncols, entries, row_degrees, col_degrees,
-                 _reduced=False):
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        self.row_degrees = tuple(row_degrees)
-        self.col_degrees = tuple(col_degrees)
-        if len(self.row_degrees) != nrows or len(self.col_degrees) != ncols:
+    def __init__(self, ring, nrows, ncols, entries, row_degrees, col_degrees):
+        """entries: dict (i, j) -> Polynomial over the ambient ring."""
+        if len(row_degrees) != nrows or len(col_degrees) != ncols:
             raise DimensionMismatchError("degree list lengths do not match extents")
-        clean = {}
+        cols = [{} for _ in range(ncols)]
         for (i, j), poly in entries.items():
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise DimensionMismatchError(f"entry ({i},{j}) out of range")
             if poly.ring != ring.ambient:
                 raise RingMismatchError("matrix entry outside the ambient ring")
-            if not _reduced:
-                poly = ring.reduce(poly)
-            if poly.is_zero():
-                continue
-            want = self.col_degrees[j] - self.row_degrees[i]
-            if not poly.is_homogeneous() or poly.degree() != want:
-                raise NotHomogeneousError(
-                    f"entry ({i},{j}) = {poly} is not homogeneous of degree {want}")
-            clean[(i, j)] = poly
-        self.entries = clean
+            cols[j].update(_pack({i: poly}, ring._ctx))
+        self._set(ring, [ring.reduce_packed(c) for c in cols], row_degrees,
+                  col_degrees)
+
+    @classmethod
+    def packed(cls, ring, cols, row_degrees, col_degrees):
+        """The matrix whose columns are the packed vectors `cols`, already
+        reduced modulo the defining ideal."""
+        mat = cls.__new__(cls)
+        mat._set(ring, cols, row_degrees, col_degrees)
+        return mat
+
+    def _set(self, ring, cols, row_degrees, col_degrees):
+        """Adopt `cols` after checking the position and degree of each key."""
+        self.ring = ring
+        self.row_degrees = tuple(row_degrees)
+        self.col_degrees = tuple(col_degrees)
+        self.nrows = len(self.row_degrees)
+        self.ncols = len(self.col_degrees)
+        if len(cols) != self.ncols:
+            raise DimensionMismatchError("degree list lengths do not match extents")
+        ctx = ring._ctx
+        for j, col in enumerate(cols):
+            for key in col:
+                i = ctx.pos_of(key)
+                if not 0 <= i < self.nrows:
+                    raise DimensionMismatchError(f"entry ({i},{j}) out of range")
+                want = self.col_degrees[j] - self.row_degrees[i]
+                if ctx.mono_degree(key) != want:
+                    raise NotHomogeneousError(
+                        f"entry ({i},{j}) is not homogeneous of degree {want}")
+        self.cols = cols
 
     @classmethod
     def from_columns(cls, ring, columns, row_degrees, col_degrees=None):
@@ -276,119 +308,106 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring, degrees):
-        n = len(degrees)
-        one = ring.ambient.one()
-        entries = {(i, i): one for i in range(n)}
-        return cls(ring, n, n, entries, degrees, degrees, _reduced=True)
+        one, move = ring._ctx.one, ring._ctx.move
+        return cls.packed(ring, [{move(one, i): 1} for i in range(len(degrees))],
+                          degrees, degrees)
 
     @classmethod
     def zero(cls, ring, row_degrees, col_degrees):
-        return cls(ring, len(row_degrees), len(col_degrees), {},
-                   row_degrees, col_degrees, _reduced=True)
+        return cls.packed(ring, [{} for _ in col_degrees], row_degrees,
+                          col_degrees)
+
+    @property
+    def entries(self):
+        """dict (i, j) -> nonzero Polynomial entry."""
+        ctx, ambient = self.ring._ctx, self.ring.ambient
+        return {(i, j): _poly(vec, ctx, ambient)
+                for j, col in enumerate(self.cols)
+                for i, vec in sorted(ctx.split_by_position(col).items())}
 
     def entry(self, i, j):
-        poly = self.entries.get((i, j))
-        return poly if poly is not None else self.ring.ambient.zero()
-
-    def column(self, j):
-        return [self.entry(i, j) for i in range(self.nrows)]
+        ctx = self.ring._ctx
+        return _poly({k: c for k, c in self.cols[j].items()
+                      if ctx.pos_of(k) == i}, ctx, self.ring.ambient)
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.cols)
 
     def compose(self, other):
-        """self @ other, reduced modulo the defining ideal."""
+        """self @ other: column j is the sum over k of other[k, j] times
+        column k of self, one key addition per product of terms, reduced
+        modulo the defining ideal once."""
         if other.ring != self.ring:
             raise RingMismatchError("matrices over different rings")
         if other.nrows != self.ncols:
             raise DimensionMismatchError(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        by_row = {}
-        for (k, j), b in other.entries.items():
-            by_row.setdefault(k, []).append((j, b))
-        acc = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                prod = a * b
-                if (i, j) in acc:
-                    acc[(i, j)] = acc[(i, j)] + prod
-                else:
-                    acc[(i, j)] = prod
-        return RingMatrix(self.ring, self.nrows, other.ncols, acc,
-                          self.row_degrees, other.col_degrees)
+        ring = self.ring
+        low = min(self.row_degrees, default=0)
+        out = [ring.combine({}, [(factor, self.cols[k], self.col_degrees[k] - low)
+                                 for k, factor in
+                                 ring._ctx.split_by_position(col).items()
+                                 if self.cols[k]])
+               for col in other.cols]
+        return RingMatrix.packed(ring, out, self.row_degrees, other.col_degrees)
 
     def __matmul__(self, other):
         return self.compose(other)
 
-    def scale(self, c):
-        entries = {k: v.scale(c) for k, v in self.entries.items()}
-        return RingMatrix(self.ring, self.nrows, self.ncols, entries,
-                          self.row_degrees, self.col_degrees, _reduced=True)
-
     def __neg__(self):
-        return self.scale(-1)
-
-    def __add__(self, other):
-        if (other.nrows, other.ncols) != (self.nrows, self.ncols):
-            raise DimensionMismatchError("matrix shapes differ")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            acc[k] = acc[k] + v if k in acc else v
-        return RingMatrix(self.ring, self.nrows, self.ncols, acc,
-                          self.row_degrees, self.col_degrees)
-
-    def __sub__(self, other):
-        return self + (-other)
+        p = self.ring.characteristic
+        return RingMatrix.packed(
+            self.ring, [{k: p - c for k, c in col.items()} for col in self.cols],
+            self.row_degrees, self.col_degrees)
 
     def transpose(self):
         """Transpose; generator degrees flip sign to stay homogeneous."""
-        entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return RingMatrix(self.ring, self.ncols, self.nrows, entries,
-                          [-d for d in self.col_degrees],
-                          [-d for d in self.row_degrees], _reduced=True)
+        ctx = self.ring._ctx
+        cols = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for k, c in col.items():
+                cols[ctx.pos_of(k)][ctx.move(k, j)] = c
+        return RingMatrix.packed(self.ring, cols,
+                                 [-d for d in self.col_degrees],
+                                 [-d for d in self.row_degrees])
 
     def hstack(self, other):
         """[self | other]: same target, concatenated sources."""
         if other.nrows != self.nrows or other.row_degrees != self.row_degrees:
             raise DimensionMismatchError("hstack target mismatch")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.ncols)] = v
-        return RingMatrix(self.ring, self.nrows, self.ncols + other.ncols,
-                          entries, self.row_degrees,
-                          self.col_degrees + other.col_degrees, _reduced=True)
+        return RingMatrix.packed(self.ring, self.cols + other.cols,
+                                 self.row_degrees,
+                                 self.col_degrees + other.col_degrees)
 
     def submatrix(self, rows, cols):
+        ctx = self.ring._ctx
         rows = list(rows)
         cols = list(cols)
         rmap = {r: i for i, r in enumerate(rows)}
-        cmap = {c: j for j, c in enumerate(cols)}
-        entries = {}
-        for (i, j), v in self.entries.items():
-            if i in rmap and j in cmap:
-                entries[(rmap[i], cmap[j])] = v
-        return RingMatrix(self.ring, len(rows), len(cols), entries,
-                          [self.row_degrees[r] for r in rows],
-                          [self.col_degrees[c] for c in cols], _reduced=True)
+        out = []
+        for c in cols:
+            vec = {}
+            for k, v in self.cols[c].items():
+                i = rmap.get(ctx.pos_of(k))
+                if i is not None:
+                    vec[ctx.move(k, i)] = v
+            out.append(vec)
+        return RingMatrix.packed(self.ring, out,
+                                 [self.row_degrees[r] for r in rows],
+                                 [self.col_degrees[c] for c in cols])
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix)
                 and self.ring == other.ring
-                and self.nrows == other.nrows and self.ncols == other.ncols
                 and self.row_degrees == other.row_degrees
                 and self.col_degrees == other.col_degrees
-                and self.entries == other.entries)
+                and self.cols == other.cols)
 
     def __repr__(self):
+        pos_of = self.ring._ctx.pos_of
+        nonzero = sum(len({pos_of(k) for k in col}) for col in self.cols)
         return (f"<RingMatrix {self.nrows}x{self.ncols} over {self.ring}, "
-                f"{len(self.entries)} nonzero entries>")
-
-    def pretty(self):
-        rows = []
-        for i in range(self.nrows):
-            rows.append("[" + ", ".join(str(self.entry(i, j))
-                                        for j in range(self.ncols)) + "]")
-        return "\n".join(rows)
+                f"{nonzero} nonzero entries>")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +439,7 @@ class FinitelyPresentedModule:
             leads = {pos: [] for pos in range(rank)}
             if any(cols) or ideal_rows:
                 gb = groebner_basis(cols + ideal_rows, ctx,
-                                    ring.characteristic, self.gen_degrees,
-                                    module_rank=rank)
+                                    ring.characteristic, self.gen_degrees)
                 for v in gb:
                     pos, exp = ctx.unpack(max(v))
                     leads[pos].append(exp)
@@ -472,22 +490,11 @@ class FinitelyPresentedModule:
 # syzygies and linear solving over R
 
 
-def _sparse_columns(matrix):
-    """The columns of a matrix as dicts row -> nonzero Polynomial."""
-    cols = [{} for _ in range(matrix.ncols)]
-    for (i, j), poly in matrix.entries.items():
-        cols[j][i] = poly
-    return cols
-
-
 def _packed_columns(matrix):
-    """(columns, ideal rows): the packed columns of a matrix over R, and
-    g * e_i for every defining-ideal basis element g and every row i."""
-    ring = matrix.ring
-    cols = [_pack(col, ring._ctx) for col in _sparse_columns(matrix)]
-    ideal_rows = [_pack({i: g}, ring._ctx) for g in ring.ideal_basis
-                  for i in range(matrix.nrows)]
-    return cols, ideal_rows
+    """(columns, ideal rows): copies of the packed columns of a matrix over
+    R, and g * e_i for every defining-ideal basis element g and every row i."""
+    return ([dict(col) for col in matrix.cols],
+            matrix.ring.ideal_rows(range(matrix.nrows)))
 
 
 class ExtendedSolver:
@@ -509,61 +516,65 @@ class ExtendedSolver:
         self.p = ring.characteristic
         self.gendegs = matrix.row_degrees + matrix.col_degrees
         cols, ideal_rows = _packed_columns(matrix)
-        unit = (0,) * ring.nvars
         for j, packed in enumerate(cols):
-            packed[ctx.pack(self.nrows + j, unit)] = 1
-        self.gb = groebner_basis(cols + ideal_rows, ctx, self.p, self.gendegs,
-                                 module_rank=self.nrows + self.ncols)
+            packed[ctx.move(ctx.one, self.nrows + j)] = 1
+        self.gb = groebner_basis(cols + ideal_rows, ctx, self.p, self.gendegs)
         self.floor = ctx.position_floor(self.nrows)
-        self._reducer = _lazy_reducer(ctx, self.p, self.gb)
+        # moves the tag position nrows + j to row j of the source
+        self._untag = ctx.position_shift(self.nrows)
+        self._red = None
 
-    def _entries_by_row(self, packed, sign):
-        """Sparse column {row: Polynomial} of a vector in the tag block.
-
-        Terms are grouped by tag position; each group is moved to position 0,
-        reduced modulo the defining ideal in packed form and, if nonzero,
-        becomes the entry in row (position - nrows), its coefficients
-        multiplied by sign.
-        """
-        groups = self.ctx.split_by_position(packed)
-        col = {}
-        for pos in sorted(groups):
-            nf = self.ring.reduce_packed(groups[pos])
-            if nf:
-                col[pos - self.nrows] = _poly(nf, self.ctx, self.ring.ambient,
-                                              sign)
-        return col
+    def _reducer(self):
+        """The reducer over the basis, built on first use."""
+        if self._red is None:
+            self._red = make_reducer(self.ctx, self.p)
+            for vec in self.gb:
+                self._red.add(vec)
+        return self._red
 
     def syzygy_matrix(self):
         """Columns generate ker(matrix) as a submodule of R^{ncols}."""
         ctx = self.ctx
-        entries = {}
+        cols = []
         degs = []
         for v in self.gb:
             lead = max(v)
             if lead >= self.floor:
                 continue  # leading block nonzero: not a pure syzygy
-            col = self._entries_by_row(v, 1)
+            col = self.ring.reduce_packed(
+                {k + self._untag: c for k, c in v.items()})
             if not col:
                 continue
-            j = len(degs)
-            for i, poly in col.items():
-                entries[(i, j)] = poly
+            cols.append(col)
             pos = ctx.pos_of(lead) - self.nrows
             degs.append(ctx.mono_degree(lead) + self.matrix.col_degrees[pos])
-        return RingMatrix(self.ring, self.ncols, len(degs), entries,
-                          self.matrix.col_degrees, degs, _reduced=True)
+        return RingMatrix.packed(self.ring, cols, self.matrix.col_degrees, degs)
 
     def solve_column(self, col):
         """x with matrix @ x = col over R, or None if col is not in the image.
 
-        col and x are sparse columns: dicts row -> nonzero Polynomial.
+        col and x are packed vectors (position = row).
         """
-        nf = self._reducer().normal_form(_pack(col, self.ctx),
-                                         stopkey=self.floor)
+        nf = self._reducer().normal_form(col, stopkey=self.floor)
         if nf and max(nf) >= self.floor:
             return None  # a leading-block remainder survives
-        return self._entries_by_row(nf, -1)
+        p = self.p
+        return self.ring.reduce_packed(
+            {k + self._untag: p - c for k, c in nf.items()})
+
+    def solve(self, b):
+        """X with matrix @ X = b over R, or None if some column of b is not
+        in the image."""
+        if b.nrows != self.nrows or b.row_degrees != self.matrix.row_degrees:
+            raise DimensionMismatchError("right-hand side target mismatch")
+        cols = []
+        for col in b.cols:
+            x = self.solve_column(col)
+            if x is None:
+                return None
+            cols.append(x)
+        return RingMatrix.packed(self.ring, cols, self.matrix.col_degrees,
+                                 b.col_degrees)
 
 
 def syzygies(matrix):
@@ -571,22 +582,6 @@ def syzygies(matrix):
     return ExtendedSolver(matrix).syzygy_matrix()
 
 
-def matrix_solve(a, b, solver=None):
-    """Solve a @ X = b over R; returns a RingMatrix X or None.
-
-    b may share a solver built earlier for `a` (pass solver= to reuse the
-    Groebner basis across many right-hand sides).
-    """
-    if solver is None:
-        solver = ExtendedSolver(a)
-    if b.nrows != a.nrows or b.row_degrees != a.row_degrees:
-        raise DimensionMismatchError("right-hand side target mismatch")
-    entries = {}
-    for j, col in enumerate(_sparse_columns(b)):
-        x = solver.solve_column(col)
-        if x is None:
-            return None
-        for i, poly in x.items():
-            entries[(i, j)] = poly
-    return RingMatrix(a.ring, a.ncols, b.ncols, entries, a.col_degrees,
-                      b.col_degrees, _reduced=True)
+def matrix_solve(a, b):
+    """Solve a @ X = b over R; returns a RingMatrix X or None."""
+    return ExtendedSolver(a).solve(b)

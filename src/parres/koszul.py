@@ -94,11 +94,10 @@ def koszul_complex(x):
         for col, s in enumerate(src):
             for j, ij in enumerate(s):
                 rest = s[:j] + s[j + 1:]
-                poly = x.elements[ij] if j % 2 == 0 else -x.elements[ij]
-                if not poly.is_zero():
-                    entries[(tgt[rest], col)] = poly
+                f = x.elements[ij]
+                entries[(tgt[rest], col)] = f if j % 2 == 0 else -f
         diffs[p] = RingMatrix(ring, len(tgt), len(src), entries,
-                              modules[p - 1], modules[p], _reduced=True)
+                              modules[p - 1], modules[p])
     return ChainComplex(ring, modules, diffs, check=True)
 
 
@@ -182,12 +181,9 @@ def comparison_map(x, n, table):
     for p in range(r + 1):
         entries = {}
         for idx, s in enumerate(_subsets(r, p)):
-            poly = ring.reduce(prod((x.elements[i] for i in s),
-                                    start=ring.ambient.one()))
-            if not poly.is_zero():
-                entries[(idx, idx)] = poly
+            entries[(idx, idx)] = prod((x.elements[i] for i in s),
+                                       start=ring.ambient.one())
         components[p] = RingMatrix(ring, len(_subsets(r, p)),
                                    len(_subsets(r, p)), entries,
-                                   tgt.module(p), src.module(p),
-                                   _reduced=True)
+                                   tgt.module(p), src.module(p))
     return ComplexMap(src, tgt, components)

@@ -4,14 +4,15 @@ Everything here works one internal degree at a time: fix a degree t, take the
 standard-monomial basis of each graded piece, turn ring-linear maps into plain
 GF(p) matrices, and answer rank/kernel/homology questions with Gaussian
 elimination.  This is the independent back-end used to validate the symbolic
-(Groebner-based) computations; it shares only the normal form modulo the
-defining ideal.
+(Groebner-based) computations; it shares only the packed monomial shift (a
+key addition) and the normal form modulo the defining ideal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._engine import check_degree
 from .algebra import AlgebraError
 
 
@@ -65,18 +66,21 @@ def matrix_slice(matrix, degree):
     per target basis element and one column per source basis element.
     """
     ring = matrix.ring
+    ctx = ring._ctx
     tgt = free_basis(ring, matrix.row_degrees, degree)
     src = free_basis(ring, matrix.col_degrees, degree)
     a = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    tindex = {pe: i for i, pe in enumerate(tgt)}
+    if not (tgt and src):
+        return a, tgt, src
+    # every product below has degree at most degree - min(row degrees)
+    check_degree(degree - min(matrix.row_degrees))
+    tindex = {ctx.pack(pos, exp): i for i, (pos, exp) in enumerate(tgt)}
     for jj, (spos, sexp) in enumerate(src):
-        for i in range(matrix.nrows):
-            poly = matrix.entries.get((i, spos))
-            if poly is None:
-                continue
-            shifted = ring.reduce(poly.monomial_multiple(sexp))
-            for exp, c in shifted.terms.items():
-                a[tindex[(i, exp)], jj] = c
+        delta = ctx.mul_delta(sexp)
+        shifted = ring.reduce_packed(
+            {k + delta: c for k, c in matrix.cols[spos].items()})
+        for key, c in shifted.items():
+            a[tindex[key], jj] = c
     return a, tgt, src
 
 

@@ -147,11 +147,8 @@ def minimal_free_resolution(module, cap):
             prev = syzygies(prev)
     cplx = ChainComplex(ring, modules, diffs, check=True)
     mini, kept = minimize_with_tracking(cplx)
-    kept0 = kept.get(0, [])
-    entries = {(orig, col): ring.ambient.one()
-               for col, orig in enumerate(kept0)}
-    gen_map0 = RingMatrix(ring, len(gens), len(kept0), entries, gens,
-                          mini.module(0), _reduced=True)
+    gen_map0 = RingMatrix.identity(ring, gens).submatrix(range(len(gens)),
+                                                         kept.get(0, []))
     return ModuleResolution(module, mini, gen_map0, cap)
 
 

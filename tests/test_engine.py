@@ -49,6 +49,31 @@ def test_mul_delta_is_key_addition(exp, q):
         ctx.pack(2, tuple(a + b for a, b in zip(exp, q)))
 
 
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@settings(max_examples=60, deadline=None)
+@given(exp=exps3, q=exps3, pos=st.integers(0, 4095))
+def test_products_and_moves_are_key_arithmetic(kind, exp, q, pos):
+    ctx = PackContext(3, kind)
+    product = tuple(a + b for a, b in zip(exp, q))
+    assert ctx.pack(pos, exp) + ctx.pack(0, q) - ctx.one == \
+        ctx.pack(pos, product)
+    assert ctx.move(ctx.pack(7, exp), pos) == ctx.pack(pos, exp)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_pack_and_move_keep_the_limits(kind):
+    from parres.algebra import AlgebraError
+    ctx = PackContext(3, kind)
+    with pytest.raises(AlgebraError, match="position 4096 exceeds packing"):
+        ctx.move(ctx.one, 4096)
+    with pytest.raises(AlgebraError, match="position 4096 exceeds packing"):
+        ctx.pack(4096, (0, 0, 0))
+    # a packed term obeys the same degree limit as a product of terms
+    assert ctx.unpack(ctx.pack(4095, (1000, 20, 2))) == (4095, (1000, 20, 2))
+    with pytest.raises(AlgebraError, match="degree 1023 exceeds packing"):
+        ctx.pack(0, (1000, 20, 3))
+
+
 def test_position_floor_is_boundary():
     ctx = PackContext(3)
     assert ctx.pack(1, (0, 0, 0)) >= ctx.position_floor(2)
@@ -74,7 +99,7 @@ def test_every_reducer_comes_from_the_factory(monkeypatch):
 
     monkeypatch.setattr(kernel, "reducer_factory", counting)
     vecs = [{ctx.pack(0, (2, 0)): 1}, {ctx.pack(0, (1, 1)): 1}]
-    gb = groebner_basis(vecs, ctx, 101, (0,), module_rank=1)
+    gb = groebner_basis(vecs, ctx, 101, (0,))
     assert len(gb) == 2
     # one reducer for Buchberger, one for the interreduction
     assert len(built) == 2
@@ -147,6 +172,6 @@ def test_interreduce_matches_per_element_reference(case):
         return interreduce(basis, *args)
 
     with mock.patch.object(_engine, "interreduce", spy):
-        gb = groebner_basis(vecs, ctx, p, gendegs, module_rank=len(gendegs))
+        gb = groebner_basis(vecs, ctx, p, gendegs)
     (unreduced,) = seen
     assert gb == _interreduce_reference(unreduced, ctx, p, gendegs)

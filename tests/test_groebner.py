@@ -13,6 +13,7 @@ from parres.groebner import (INFINITE, ExtendedSolver,
                              packed_to_vector, staircase_by_degree,
                              staircase_dimension, standard_monomials,
                              syzygies)
+from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.koszul import koszul_complex
 
 P = 32003
@@ -158,7 +159,7 @@ def test_matrix_solve(r1):
                                 row_degrees=[0])
     sol = matrix_solve(a, b)
     assert sol is not None
-    assert ((a @ sol) - b).is_zero()
+    assert a @ sol == b
     # 1 is not in (a, b): no solution
     none = matrix_solve(a, RingMatrix.identity(ring, (0,)))
     assert none is None
@@ -172,8 +173,9 @@ def test_matrix_algebra(r1):
         row_degrees=[0, 0])
     i2 = RingMatrix.identity(ring, m.col_degrees)
     assert (m @ i2).entries == m.entries
-    assert (m - m).is_zero()
-    assert (m + m.scale(-1)).is_zero()
+    neg = -m
+    assert neg != m and -neg == m
+    assert neg.entries == {k: -v for k, v in m.entries.items()}
     t = m.transpose()
     assert t.entry(0, 1) == ring.reduce(ring.ambient.parse("b"))
 
@@ -237,7 +239,7 @@ def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
     sol = matrix_solve(a, b)
     assert len(builds) == 1
     assert sol is not None
-    assert ((a @ sol) - b).is_zero()
+    assert a @ sol == b
 
 
 # --- sparse read-off against the former dense read-off ----------------------
@@ -271,8 +273,8 @@ def _dense_matrix_solve(a, b):
     cols = []
     for j in range(b.ncols):
         packed = {}
-        for i, f in enumerate(b.column(j)):
-            for exp, c in f.terms.items():
+        for i in range(b.nrows):
+            for exp, c in b.entry(i, j).terms.items():
                 packed[ctx.pack(i, exp)] = c
         nf = solver._reducer().normal_form(packed, stopkey=solver.floor)
         x = [dict() for _ in range(solver.ncols)]
@@ -285,10 +287,24 @@ def _dense_matrix_solve(a, b):
     return RingMatrix.from_columns(ring, cols, a.col_degrees, b.col_degrees)
 
 
+def _polynomial_compose(a, b):
+    """Entries of a @ b the former way: Polynomial products and sums, each
+    entry reduced modulo I on its own, zero entries dropped."""
+    ring = a.ring
+    acc = {}
+    for (i, k), f in a.entries.items():
+        for (k2, j), g in b.entries.items():
+            if k2 == k:
+                acc[(i, j)] = acc.get((i, j), ring.ambient.zero()) + f * g
+    out = {key: ring.reduce(v) for key, v in acc.items()}
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
 @st.composite
 def quotient_matrices(draw):
-    """(a, b): a small homogeneous matrix over a small quotient ring and a
-    right-hand side whose last column may lie outside the image of a."""
+    """(a, c, outside): a small homogeneous matrix a over a small quotient
+    ring, a column c with a @ c defined, and a right-hand side outside the
+    image of a."""
     nv = draw(st.integers(2, 3))
     p = draw(st.sampled_from([2, 32003]))
     order = draw(st.sampled_from([GREVLEX, LEX]))
@@ -319,25 +335,65 @@ def quotient_matrices(draw):
     c = RingMatrix(ring, ncols, 1,
                    {(j, 0): form(top - cdeg[j], 2) for j in range(ncols)},
                    cdeg, [top])
-    image = a @ c
     outside = RingMatrix(ring, nrows, 1, {(0, 0): amb.one()}, rdeg, [rdeg[0]])
-    return a, image, outside
+    return a, c, outside
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=quotient_matrices())
 def test_sparse_readoff_matches_dense_reference(case):
-    a, image, outside = case
+    a, c, outside = case
+    image = a @ c
     solver = ExtendedSolver(a)
     syz = solver.syzygy_matrix()
     assert syz == _dense_syzygy_matrix(solver)
     assert (a @ syz).is_zero()
-    sol = matrix_solve(a, image, solver=solver)
+    sol = solver.solve(image)
     assert sol is not None
     assert sol == _dense_matrix_solve(a, image)
     assert a @ sol == image
-    assert matrix_solve(a, outside, solver=solver) is None
+    assert solver.solve(outside) is None
     assert _dense_matrix_solve(a, outside) is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=quotient_matrices())
+def test_packed_compose_matches_polynomial_reference(case):
+    a, c, outside = case
+    syz = syzygies(a)
+    rows = RingMatrix.identity(a.ring, a.row_degrees)
+    cols = RingMatrix.identity(a.ring, a.col_degrees)
+    for left, right in ((a, c), (a, syz), (a, cols), (rows, a)):
+        assert (left @ right).entries == _polynomial_compose(left, right)
+    for m in (a, c, outside, syz):
+        assert m.transpose().transpose() == m
+        assert RingMatrix(m.ring, m.nrows, m.ncols, m.entries, m.row_degrees,
+                          m.col_degrees) == m
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_products_stop_at_the_packing_limit(order):
+    amb = PolynomialRingSpec(P, ["a", "b"], order)
+    ring = QuotientRingSpec(amb, [amb.parse("a*b")])
+
+    def power(e, low):
+        return RingMatrix(ring, 1, 1, {(0, 0): amb.monomial((e, 0))}, [low],
+                          [low + e])
+
+    left = power(511, 0)
+    assert (left @ power(511, 511)).entry(0, 0) == amb.monomial((1022, 0))
+    with pytest.raises(AlgebraError, match="degree 1023 exceeds packing limit"):
+        left @ power(512, 511)
+    # bases (b^k, a^k): only a^511 * a^511 survives modulo ab
+    assert oracle.matrix_slice(left, 1022)[0].tolist() == [[0, 0], [0, 1]]
+    with pytest.raises(AlgebraError, match="exceeds packing limit"):
+        oracle.matrix_slice(left, 1023)
+    # cancelling the unit would put a^500 * a^600 in row 1
+    d1 = RingMatrix(ring, 2, 2, {(0, 0): amb.one(), (1, 0): amb.monomial(
+        (600, 0)), (0, 1): amb.monomial((500, 0))}, [0, -600], [0, 500])
+    cplx = ChainComplex(ring, {0: (0, -600), 1: (0, 500)}, {1: d1})
+    with pytest.raises(AlgebraError, match="degree 1100 exceeds packing limit"):
+        minimize_with_tracking(cplx)
 
 
 def test_syzygies_never_reduce_zero(monkeypatch, r2):

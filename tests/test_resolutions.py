@@ -158,7 +158,7 @@ def test_lift_and_cec(r1, r2, regular):
                 continue
             lhs = comps[n - 1] @ k.differential(n)
             rhs = res.complex.differential(n) @ comps[n]
-            assert (lhs - rhs).is_zero()
+            assert lhs == rhs
         report = cec_injectivity_check(x, cap)
         assert all(report.values())
 
