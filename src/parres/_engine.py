@@ -6,13 +6,21 @@ integer so that plain integer comparison realizes the module monomial order
 order).  Multiplying a term by a ring monomial is then an integer addition of
 a precomputed delta, which is what makes the reduction inner loop cheap.
 
-Layout (most significant first), grevlex:
+A key is `rest - (pos << topshift)`.  The position is an unbounded signed top
+field: keys in positions >= 1 are negative, and a lower position compares
+larger.  `rest`, in [0, 2^topshift), holds the monomial in EXP_BITS-wide
+fields, most significant first; grevlex:
 
-    [POS_MAX - pos | total degree | EXP_MASK - e_{n-1} | ... | EXP_MASK - e_0]
+    [total degree | EXP_MASK - e_{n-1} | ... | EXP_MASK - e_0]
 
 and lex:
 
-    [POS_MAX - pos | e_0 | e_1 | ... | e_{n-1}]
+    [e_0 | e_1 | ... | e_{n-1} | total degree]
+
+where lex's trailing degree never decides a comparison.  Raising e_j by one
+adds the variable's weight w_j to a key, so multiplying by x^q adds
+sum q_j w_j.  The one limit is MAX_DEGREE, for a packed term and for a
+product of terms alike.
 """
 
 from __future__ import annotations
@@ -23,10 +31,6 @@ from .algebra import AlgebraError, NotHomogeneousError
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
-DEG_BITS = 10
-DEG_MASK = (1 << DEG_BITS) - 1
-POS_BITS = 12
-POS_MAX = (1 << POS_BITS) - 1
 
 # stay clear of the packed-field limits; degrees at desk scale are far below
 MAX_DEGREE = EXP_MASK - 1
@@ -47,79 +51,56 @@ class PackContext:
     the key of 1 in position 0.
     """
 
-    __slots__ = ("nv", "kind", "expshift", "topshift", "one")
+    __slots__ = ("shifts", "flip", "degshift", "topshift", "weights", "one")
 
     def __init__(self, nv, kind="grevlex"):
-        if kind not in ("grevlex", "lex"):
-            raise AlgebraError(f"unsupported order kind {kind!r}")
-        self.nv = nv
-        self.kind = kind
-        self.expshift = EXP_BITS * nv
+        self.topshift = EXP_BITS * (nv + 1)
         if kind == "grevlex":
-            self.topshift = self.expshift + DEG_BITS
+            self.degshift = EXP_BITS * nv
+            self.shifts = tuple(EXP_BITS * j for j in range(nv))
+            self.flip = EXP_MASK
+            sign = -1
+        elif kind == "lex":
+            self.degshift = 0
+            self.shifts = tuple(EXP_BITS * (nv - j) for j in range(nv))
+            self.flip = 0
+            sign = 1
         else:
-            self.topshift = self.expshift
-        self.one = self.pack(0, (0,) * nv)
+            raise AlgebraError(f"unsupported order kind {kind!r}")
+        # e_j + 1 adds one to the degree field and moves e_j's field, which
+        # holds e_j ^ flip, by sign
+        self.weights = tuple((1 << self.degshift) + sign * (1 << s)
+                             for s in self.shifts)
+        self.one = sum(self.flip << s for s in self.shifts)
 
     def pack(self, pos, exp):
-        deg = sum(exp)
-        check_degree(deg)  # so every exponent fits its field too
-        if self.kind == "grevlex":
-            key = deg << self.expshift
-            for j, e in enumerate(exp):
-                key |= (EXP_MASK - e) << (EXP_BITS * j)
-        else:
-            nv = self.nv
-            key = 0
-            for j, e in enumerate(exp):
-                key |= e << (EXP_BITS * (nv - 1 - j))
-        return self.move(key, pos)
+        check_degree(sum(exp))  # so every exponent fits its field too
+        return self.one + self.mul_delta(exp) - (pos << self.topshift)
 
     def move(self, key, pos):
         """The term `key` moved to free-module position pos."""
-        if pos > POS_MAX:
-            raise AlgebraError(f"free module position {pos} exceeds packing limit")
-        return ((POS_MAX - pos) << self.topshift) | (
-            key & ((1 << self.topshift) - 1))
+        return (key & ((1 << self.topshift) - 1)) - (pos << self.topshift)
 
     def unpack(self, key):
-        pos = POS_MAX - (key >> self.topshift)
-        if self.kind == "grevlex":
-            exp = tuple(
-                EXP_MASK - ((key >> (EXP_BITS * j)) & EXP_MASK)
-                for j in range(self.nv))
-        else:
-            nv = self.nv
-            exp = tuple(
-                (key >> (EXP_BITS * (nv - 1 - j))) & EXP_MASK
-                for j in range(nv))
-        return pos, exp
+        return -(key >> self.topshift), self.exp_of(key)
 
     def exp_of(self, key):
-        return self.unpack(key)[1]
+        flip = self.flip
+        return tuple([((key >> s) & EXP_MASK) ^ flip for s in self.shifts])
 
     def pos_of(self, key):
-        return POS_MAX - (key >> self.topshift)
+        return -(key >> self.topshift)
 
     def mono_degree(self, key):
         """Total degree of the monomial part of a packed term."""
-        if self.kind == "grevlex":
-            return (key >> self.expshift) & DEG_MASK
-        return sum(self.exp_of(key))
+        return (key >> self.degshift) & EXP_MASK
 
     def mul_delta(self, exp):
-        """Additive key delta for multiplication by the ring monomial x^exp."""
-        if self.kind == "grevlex":
-            deg = sum(exp)
-            check_degree(deg)
-            body = 0
-            for j, e in enumerate(exp):
-                body += e << (EXP_BITS * j)
-            return (deg << self.expshift) - body
-        nv = self.nv
+        """Additive key delta for multiplication by the ring monomial x^exp;
+        the caller checks the degree of the products."""
         delta = 0
-        for j, e in enumerate(exp):
-            delta += e << (EXP_BITS * (nv - 1 - j))
+        for e, w in zip(exp, self.weights):
+            delta += e * w
         return delta
 
     def position_floor(self, rank):
@@ -129,7 +110,7 @@ class PackContext:
         as the stop boundary when reducing only the leading block of an
         extended (tagged) module.
         """
-        return (POS_MAX - rank + 1) << self.topshift
+        return (1 - rank) << self.topshift
 
     def position_shift(self, n):
         """Key delta that moves a term from position i to position i - n."""
@@ -139,11 +120,9 @@ class PackContext:
         """{pos: the terms of vec in position pos, moved to position 0}."""
         shift = self.topshift
         mask = (1 << shift) - 1
-        top0 = POS_MAX << shift
         groups = {}
         for key, c in vec.items():
-            groups.setdefault(POS_MAX - (key >> shift), {})[
-                top0 | (key & mask)] = c
+            groups.setdefault(-(key >> shift), {})[key & mask] = c
         return groups
 
 
@@ -175,15 +154,18 @@ class PyReducer:
         self.by_pos = {}
 
     def add(self, vec):
-        """Add a basis vector (dict).  Stores lead data and term list."""
+        """Add a basis vector (dict).  Stores its lead exponent, the inverse
+        of its lead coefficient, its terms and their largest monomial
+        degree."""
         ctx = self.ctx
         lead = max(vec)
         pos, exp = ctx.unpack(lead)
         inv = pow(vec[lead], self.p - 2, self.p)
-        entry = (exp, inv, list(vec.items()))
+        top = max(map(ctx.mono_degree, vec))
+        entry = (exp, inv, list(vec.items()), top)
         self.by_pos.setdefault(pos, []).append(entry)
 
-    def normal_form(self, vec, stopkey=0):
+    def normal_form(self, vec, stopkey=None):
         """Fully reduce `vec`; terms below `stopkey` are left untouched."""
         ctx = self.ctx
         p = self.p
@@ -191,7 +173,7 @@ class PyReducer:
         out = {}
         while work:
             k = max(work)
-            if k < stopkey:
+            if stopkey is not None and k < stopkey:
                 break
             c = work.pop(k) % p
             if not c:
@@ -205,8 +187,9 @@ class PyReducer:
             if entry is None:
                 out[k] = c
                 continue
-            lexp, inv, items = entry
+            lexp, inv, items, top = entry
             q = tuple(a - b for a, b in zip(exp, lexp))
+            check_degree(top + sum(q))
             delta = ctx.mul_delta(q)
             mult = (c * inv) % p
             work[k] = c  # lead cancels against the entry's own lead term
@@ -230,10 +213,11 @@ def make_reducer(ctx, p):
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def spair_parts(ctx, e1, e2):
-    lcm = tuple(max(a, b) for a, b in zip(e1, e2))
-    return lcm, tuple(l - a for l, a in zip(lcm, e1)), \
-        tuple(l - b for l, b in zip(lcm, e2))
+def spair_parts(e1, e2):
+    """Cofactors q1, q2 with x^q1 x^e1 = x^q2 x^e2 = lcm(x^e1, x^e2)."""
+    lcm = tuple(map(max, e1, e2))
+    return (tuple(l - a for l, a in zip(lcm, e1)),
+            tuple(l - b for l, b in zip(lcm, e2)))
 
 
 def groebner_basis(vecs, ctx, p, gendegs):
@@ -246,7 +230,8 @@ def groebner_basis(vecs, ctx, p, gendegs):
     is not valid for modules of higher rank.
     """
     reducer = make_reducer(ctx, p)
-    basis = []        # list of (leadkey, pos, exp, deg, vec)
+    basis = []        # list of (exp, top, vec), top its largest term degree
+    by_pos = {}       # position -> indices of the basis elements there
     heap = []         # (degree, seq, kind, payload)
     seq = 0
     rank1 = len(gendegs) == 1
@@ -264,19 +249,18 @@ def groebner_basis(vecs, ctx, p, gendegs):
         inv = pow(vec[lead], p - 2, p)
         vec = {k: (v * inv) % p for k, v in vec.items()}
         pos, exp = ctx.unpack(lead)
-        deg = ctx.mono_degree(lead) + gendegs[pos]
         idx = len(basis)
-        basis.append((lead, pos, exp, deg, vec))
+        basis.append((exp, max(map(ctx.mono_degree, vec)), vec))
         reducer.add(vec)
-        for j, (lk2, pos2, exp2, deg2, _) in enumerate(basis[:idx]):
-            if pos2 != pos:
-                continue
-            lcm, _, _ = spair_parts(ctx, exp, exp2)
-            pdeg = sum(lcm) + gendegs[pos]
+        same = by_pos.setdefault(pos, [])
+        for j in same:
+            exp2 = basis[j][0]
             if rank1 and all(min(a, b) == 0 for a, b in zip(exp, exp2)):
                 continue  # product criterion
+            pdeg = sum(map(max, exp, exp2)) + gendegs[pos]
             heapq.heappush(heap, (pdeg, seq, "pair", (j, idx)))
             seq += 1
+        same.append(idx)
 
     while heap:
         _, _, kind, payload = heapq.heappop(heap)
@@ -286,9 +270,11 @@ def groebner_basis(vecs, ctx, p, gendegs):
                 add_element(nf)
             continue
         i, j = payload
-        lk1, pos, e1, _, v1 = basis[i]
-        _, _, e2, _, v2 = basis[j]
-        _, q1, q2 = spair_parts(ctx, e1, e2)
+        e1, top1, v1 = basis[i]
+        e2, top2, v2 = basis[j]
+        q1, q2 = spair_parts(e1, e2)
+        check_degree(top1 + sum(q1))
+        check_degree(top2 + sum(q2))
         d1 = ctx.mul_delta(q1)
         d2 = ctx.mul_delta(q2)
         s = {}
@@ -305,38 +291,24 @@ def groebner_basis(vecs, ctx, p, gendegs):
         if nf:
             add_element(nf)
 
-    return interreduce([b[4] for b in basis], ctx, p, gendegs)
+    return interreduce([b[2] for b in basis], ctx, p, gendegs)
 
 
 def interreduce(vecs, ctx, p, gendegs):
-    """Reduced form of a Groebner basis: monic, tail-reduced, sorted.
+    """Reduced form of a Groebner basis from groebner_basis: monic,
+    tail-reduced, sorted.
 
-    Elements whose lead is divisible by an earlier kept lead are dropped.
-    In a basis from groebner_basis no other lead then divides an element's
-    lead, and a lead never divides a term smaller than itself, so one
-    reducer over all kept elements gives each tail its unique normal form.
+    groebner_basis pops generators and S-pairs in nondecreasing degree and
+    adds only normal forms against every earlier element, so no lead of its
+    output divides another.  A lead never divides a term smaller than
+    itself either, so one reducer over all the elements gives each tail its
+    unique normal form.
     """
-    vecs = [v for v in vecs if v]
-    # drop elements whose lead is divisible by another lead (keep first seen)
-    leads = [(max(v), ctx.unpack(max(v))) for v in vecs]
-    keep = []
-    for i, v in enumerate(vecs):
-        li, (pi, ei) = leads[i]
-        redundant = False
-        for j in keep:
-            lj, (pj, ej) = leads[j]
-            if pj == pi and _divides(ej, ei) and lj != li:
-                redundant = True
-                break
-        if not redundant:
-            # identical leads cannot occur after Buchberger completion
-            keep.append(i)
-    kept = [vecs[i] for i in keep]
     reducer = make_reducer(ctx, p)
-    for v in kept:
+    for v in vecs:
         reducer.add(v)
     out = []
-    for v in kept:
+    for v in vecs:
         lead = max(v)
         inv = pow(v[lead], p - 2, p)
         tail = dict(v)

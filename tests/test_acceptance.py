@@ -31,20 +31,23 @@ def report(num, ok, detail=""):
     return ok
 
 
-def _r1_residue_field_series(cap):
-    """P_k over r1 = k[a,b] x_k k[c]/(c^2) through t^cap.
-
-    For a fibre product, 1/P_R = 1/P_A + 1/P_B - 1 (Dress-Kraemer), so
-    P_k = (1+t)^2 / (1 - t - 2t^2 - t^3); expanded here by series division.
-    """
-    num = [1, 2, 1]
-    den = [1, -1, -2, -1]
+def _series_quotient(num, den, cap):
+    """Coefficients of num/den through t^cap, by series division (den[0] = 1)."""
     out = []
     for n in range(cap + 1):
         c = num[n] if n < len(num) else 0
         out.append(c - sum(den[j] * out[n - j]
                            for j in range(1, min(n, len(den) - 1) + 1)))
     return out
+
+
+def _r1_residue_field_series(cap):
+    """P_k over r1 = k[a,b] x_k k[c]/(c^2) through t^cap.
+
+    For a fibre product, 1/P_R = 1/P_A + 1/P_B - 1 (Dress-Kraemer), so
+    P_k = (1+t)^2 / (1 - t - 2t^2 - t^3).
+    """
+    return _series_quotient([1, 2, 1], [1, -1, -2, -1], cap)
 
 
 def test_criterion_1_example_reproduction(r1, capsys):
@@ -138,6 +141,20 @@ def test_criterion_4_main_theorem_r2(r2, capsys):
         report(4, ok, f"n={n} P={rep.data.get('poincare_quotient')} "
                       f"tail={tail}")
     assert ok, rep.to_text()
+
+
+def test_raised_cap_resolution_of_h1_over_r2(r2):
+    """The Betti totals of H_1(x; r2) through cap 9 equal P_k for r2: an
+    exact check at a depth the degreewise oracle cannot reach."""
+    x = r2.sop("x")
+    h1 = KoszulTable(x.ring).homology(x, 1)
+    # H_1(x; r2) = k(-2), so its minimal resolution is that of k, shifted
+    assert h1.length() == 1
+    assert h1.graded_length() == {2: 1}
+    # r2 = k[a,b] x_k k[c,d], so Dress-Kraemer gives 1/P_k = 2/(1+t)^2 - 1
+    p_k = _series_quotient([1, 2, 1], [1, -2, -1], 9)
+    assert p_k == [1, 4, 10, 24, 58, 140, 338, 816, 1970, 4756]
+    assert minimal_free_resolution(h1, 9).ranks() == p_k
 
 
 def _standard_corpus_sops(corpus):

@@ -1,6 +1,6 @@
 """Packed-key representation and interreduction."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
 import pytest
@@ -51,7 +51,7 @@ def test_mul_delta_is_key_addition(exp, q):
 
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
 @settings(max_examples=60, deadline=None)
-@given(exp=exps3, q=exps3, pos=st.integers(0, 4095))
+@given(exp=exps3, q=exps3, pos=st.integers(0, 100_000))
 def test_products_and_moves_are_key_arithmetic(kind, exp, q, pos):
     ctx = PackContext(3, kind)
     product = tuple(a + b for a, b in zip(exp, q))
@@ -64,14 +64,36 @@ def test_products_and_moves_are_key_arithmetic(kind, exp, q, pos):
 def test_pack_and_move_keep_the_limits(kind):
     from parres.algebra import AlgebraError
     ctx = PackContext(3, kind)
-    with pytest.raises(AlgebraError, match="position 4096 exceeds packing"):
-        ctx.move(ctx.one, 4096)
-    with pytest.raises(AlgebraError, match="position 4096 exceeds packing"):
-        ctx.pack(4096, (0, 0, 0))
+    # positions have no limit, and a lower position still compares larger
+    positions = (4095, 4096, 100_000)
+    for pos in positions:
+        key = ctx.pack(pos, (9, 9, 9))
+        assert ctx.unpack(key) == (pos, (9, 9, 9))
+        assert ctx.move(ctx.one, pos) == ctx.pack(pos, (0, 0, 0))
+    keys = [ctx.pack(pos, exp) for pos in positions
+            for exp in ((9, 9, 9), (0, 0, 0))]
+    assert keys == sorted(keys, reverse=True)
     # a packed term obeys the same degree limit as a product of terms
     assert ctx.unpack(ctx.pack(4095, (1000, 20, 2))) == (4095, (1000, 20, 2))
     with pytest.raises(AlgebraError, match="degree 1023 exceeds packing"):
         ctx.pack(0, (1000, 20, 3))
+
+
+def test_key_additions_check_the_degree_of_every_product():
+    from parres.algebra import AlgebraError
+    ctx = PackContext(2)
+    # a lead of degree 1 whose tail in position 1 has degree 1000
+    tail = ctx.pack(1, (0, 1000))
+    reducer = PyReducer(ctx, 101)
+    reducer.add({ctx.pack(0, (1, 0)): 1, tail: 1})
+    assert reducer.normal_form({ctx.pack(0, (23, 0)): 1}) == {
+        ctx.pack(1, (22, 1000)): 100}
+    with pytest.raises(AlgebraError, match="degree 1023 exceeds packing"):
+        reducer.normal_form({ctx.pack(0, (24, 0)): 1})
+    # the S-pair of these two multiplies the first by b^30
+    vecs = [{ctx.pack(0, (1, 0)): 1, tail: 1}, {ctx.pack(0, (0, 30)): 1}]
+    with pytest.raises(AlgebraError, match="degree 1030 exceeds packing"):
+        groebner_basis(vecs, ctx, 101, (0, -999))
 
 
 def test_position_floor_is_boundary():
@@ -174,4 +196,11 @@ def test_interreduce_matches_per_element_reference(case):
     with mock.patch.object(_engine, "interreduce", spy):
         gb = groebner_basis(vecs, ctx, p, gendegs)
     (unreduced,) = seen
+    # the invariant that lets interreduce skip a redundancy check: leads
+    # arrive in nondecreasing degree, and none divides another
+    degs = [vec_degree(ctx, v, gendegs) for v in unreduced]
+    assert degs == sorted(degs)
+    leads = [ctx.unpack(max(v)) for v in unreduced]
+    assert not any(pa == pb and _divides(ea, eb)
+                   for (pa, ea), (pb, eb) in permutations(leads, 2))
     assert gb == _interreduce_reference(unreduced, ctx, p, gendegs)

@@ -50,6 +50,14 @@ def test_standardness(r1, r2):
     assert is_standard_sop(r2.sop())
 
 
+def test_high_powers_stop_at_the_packing_limit(r2):
+    # Koszul homology of x^256 builds products past degree 1022; the degree
+    # check names the limit before a key overflows its fields
+    x = r2.sop("x")
+    with pytest.raises(AlgebraError, match="exceeds packing limit"):
+        standardness_witness(x.power(256), KoszulTable(x.ring))
+
+
 def test_local_cohomology_lengths(r1, r2):
     assert local_cohomology_lengths(r1.sop("x"),
                                     KoszulTable(r1.ring)) == [1, 0]
