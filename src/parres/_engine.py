@@ -21,6 +21,11 @@ where lex's trailing degree never decides a comparison.  Raising e_j by one
 adds the variable's weight w_j to a key, so multiplying by x^q adds
 sum q_j w_j.  The one limit is MAX_DEGREE, for a packed term and for a
 product of terms alike.
+
+The reducer is the basis store: `buchberger` returns the reducer it grew,
+whose monic entries are the only copy of the basis, `interreduce` tail-
+reduces those entries against the same reducer, and a caller that needs only
+the leads reads them off the entries.
 """
 
 from __future__ import annotations
@@ -146,7 +151,8 @@ def _divides(a, b):
 
 
 class PyReducer:
-    """Pure-Python reducer: full normal form against a growing basis."""
+    """Pure-Python reducer: full normal form against a growing basis, and
+    the only copy of that basis (`by_pos`: position -> entries in order)."""
 
     def __init__(self, ctx, p):
         self.ctx = ctx
@@ -154,16 +160,16 @@ class PyReducer:
         self.by_pos = {}
 
     def add(self, vec):
-        """Add a basis vector (dict).  Stores its lead exponent, the inverse
-        of its lead coefficient, its terms and their largest monomial
-        degree."""
-        ctx = self.ctx
+        """Store vec (dict), made monic, as the entry (lead exponent, terms,
+        top), top its largest monomial degree; returns its position."""
+        ctx, p = self.ctx, self.p
         lead = max(vec)
         pos, exp = ctx.unpack(lead)
-        inv = pow(vec[lead], self.p - 2, self.p)
+        inv = pow(vec[lead], p - 2, p)
+        items = [(k, (c * inv) % p) for k, c in vec.items()]
         top = max(map(ctx.mono_degree, vec))
-        entry = (exp, inv, list(vec.items()), top)
-        self.by_pos.setdefault(pos, []).append(entry)
+        self.by_pos.setdefault(pos, []).append((exp, items, top))
+        return pos
 
     def normal_form(self, vec, stopkey=None):
         """Fully reduce `vec`; terms below `stopkey` are left untouched."""
@@ -187,15 +193,14 @@ class PyReducer:
             if entry is None:
                 out[k] = c
                 continue
-            lexp, inv, items, top = entry
+            lexp, items, top = entry
             q = tuple(a - b for a, b in zip(exp, lexp))
             check_degree(top + sum(q))
             delta = ctx.mul_delta(q)
-            mult = (c * inv) % p
-            work[k] = c  # lead cancels against the entry's own lead term
+            work[k] = c  # lead cancels against the entry's own monic lead
             for tk, tc in items:
                 nk = tk + delta
-                nc = (work.get(nk, 0) - mult * tc) % p
+                nc = (work.get(nk, 0) - c * tc) % p
                 if nc:
                     work[nk] = nc
                 else:
@@ -213,109 +218,86 @@ def make_reducer(ctx, p):
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def spair_parts(e1, e2):
-    """Cofactors q1, q2 with x^q1 x^e1 = x^q2 x^e2 = lcm(x^e1, x^e2)."""
-    lcm = tuple(map(max, e1, e2))
-    return (tuple(l - a for l, a in zip(lcm, e1)),
-            tuple(l - b for l, b in zip(lcm, e2)))
+def spoly(entry1, entry2, ctx, p):
+    """S-vector of two monic reducer entries in one position: x^q1 v1 -
+    x^q2 v2, each cofactor taking its lead to the lcm of the leads."""
+    lcm = tuple(map(max, entry1[0], entry2[0]))
+    s = {}
+    for (exp, items, top), sign in ((entry1, 1), (entry2, -1)):
+        q = tuple(l - e for l, e in zip(lcm, exp))
+        check_degree(top + sum(q))
+        delta = ctx.mul_delta(q)
+        for k, c in items:
+            nk = k + delta
+            nc = (s.get(nk, 0) + sign * c) % p
+            if nc:
+                s[nk] = nc
+            else:
+                s.pop(nk, None)
+    return s
 
 
-def groebner_basis(vecs, ctx, p, gendegs):
-    """Reduced Groebner basis of the submodule generated by `vecs`.
-
-    vecs: homogeneous packed vectors (dicts).  gendegs: internal degree of
-    each free-module position.  Deterministic for a fixed input order.
+def buchberger(vecs, ctx, p, gendegs):
+    """A reducer whose entries form a Groebner basis of the submodule
+    generated by the homogeneous packed vectors `vecs`; gendegs holds the
+    internal degree of each free-module position.  Deterministic for a fixed
+    input order.  Generators and S-pairs pop in nondecreasing degree, and
+    only nonzero normal forms against every earlier entry are added, so no
+    lead divides another: the leads are those of the reduced basis.
 
     The product criterion is only applied in rank 1 (len(gendegs) == 1); it
     is not valid for modules of higher rank.
     """
     reducer = make_reducer(ctx, p)
-    basis = []        # list of (exp, top, vec), top its largest term degree
-    by_pos = {}       # position -> indices of the basis elements there
-    heap = []         # (degree, seq, kind, payload)
-    seq = 0
+    # (degree, seq, generator vec or pair of entries)
+    heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
+            for seq, vec in enumerate(v for v in vecs if v)]
+    heapq.heapify(heap)
+    seq = len(heap)
     rank1 = len(gendegs) == 1
 
-    for vec in vecs:
-        if not vec:
+    while heap:
+        _, _, item = heapq.heappop(heap)
+        nf = reducer.normal_form(item if isinstance(item, dict)
+                                 else spoly(*item, ctx, p))
+        if not nf:
             continue
-        deg = vec_degree(ctx, vec, gendegs)
-        heapq.heappush(heap, (deg, seq, "gen", vec))
-        seq += 1
-
-    def add_element(vec):
-        nonlocal seq
-        lead = max(vec)
-        inv = pow(vec[lead], p - 2, p)
-        vec = {k: (v * inv) % p for k, v in vec.items()}
-        pos, exp = ctx.unpack(lead)
-        idx = len(basis)
-        basis.append((exp, max(map(ctx.mono_degree, vec)), vec))
-        reducer.add(vec)
-        same = by_pos.setdefault(pos, [])
-        for j in same:
-            exp2 = basis[j][0]
+        pos = reducer.add(nf)
+        *same, new = reducer.by_pos[pos]
+        exp = new[0]
+        for old in same:
+            exp2 = old[0]
             if rank1 and all(min(a, b) == 0 for a, b in zip(exp, exp2)):
                 continue  # product criterion
             pdeg = sum(map(max, exp, exp2)) + gendegs[pos]
-            heapq.heappush(heap, (pdeg, seq, "pair", (j, idx)))
+            heapq.heappush(heap, (pdeg, seq, (old, new)))
             seq += 1
-        same.append(idx)
 
-    while heap:
-        _, _, kind, payload = heapq.heappop(heap)
-        if kind == "gen":
-            nf = reducer.normal_form(payload)
-            if nf:
-                add_element(nf)
-            continue
-        i, j = payload
-        e1, top1, v1 = basis[i]
-        e2, top2, v2 = basis[j]
-        q1, q2 = spair_parts(e1, e2)
-        check_degree(top1 + sum(q1))
-        check_degree(top2 + sum(q2))
-        d1 = ctx.mul_delta(q1)
-        d2 = ctx.mul_delta(q2)
-        s = {}
-        for k, c in v1.items():
-            s[k + d1] = c
-        for k, c in v2.items():
-            nk = k + d2
-            nc = (s.get(nk, 0) - c) % p
-            if nc:
-                s[nk] = nc
-            else:
-                s.pop(nk, None)
-        nf = reducer.normal_form(s)
-        if nf:
-            add_element(nf)
-
-    return interreduce([b[2] for b in basis], ctx, p, gendegs)
+    return reducer
 
 
-def interreduce(vecs, ctx, p, gendegs):
-    """Reduced form of a Groebner basis from groebner_basis: monic,
-    tail-reduced, sorted.
+def groebner_basis(vecs, ctx, p, gendegs):
+    """Reduced Groebner basis of the submodule generated by `vecs`; see
+    buchberger."""
+    return interreduce(buchberger(vecs, ctx, p, gendegs), gendegs)
 
-    groebner_basis pops generators and S-pairs in nondecreasing degree and
-    adds only normal forms against every earlier element, so no lead of its
-    output divides another.  A lead never divides a term smaller than
-    itself either, so one reducer over all the elements gives each tail its
-    unique normal form.
+
+def interreduce(reducer, gendegs):
+    """The reduced Groebner basis held by a reducer from buchberger: monic,
+    tail-reduced, sorted by degree and lead, the lead first in each dict.
+
+    No lead of the reducer divides another, and a lead never divides a term
+    smaller than itself, so reducing each tail against the same reducer
+    gives it its unique normal form.
     """
-    reducer = make_reducer(ctx, p)
-    for v in vecs:
-        reducer.add(v)
+    ctx = reducer.ctx
     out = []
-    for v in vecs:
-        lead = max(v)
-        inv = pow(v[lead], p - 2, p)
-        tail = dict(v)
-        del tail[lead]
-        monic = {lead: 1}
-        for k, c in reducer.normal_form(tail).items():
-            monic[k] = (c * inv) % p
-        out.append(monic)
+    for entries in reducer.by_pos.values():
+        for _, items, _ in entries:
+            lead = max(items)[0]
+            vec = {lead: 1}
+            vec.update(reducer.normal_form(
+                {k: c for k, c in items if k != lead}))
+            out.append(vec)
     out.sort(key=lambda v: (vec_degree(ctx, v, gendegs), max(v)))
     return out

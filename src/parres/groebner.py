@@ -15,7 +15,8 @@ import itertools
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, RingMismatchError,
                       Sentinel)
-from ._engine import PackContext, check_degree, groebner_basis, make_reducer
+from ._engine import (PackContext, buchberger, check_degree, groebner_basis,
+                      make_reducer)
 
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
@@ -34,16 +35,6 @@ def _pack(col, ctx):
 def _poly(vec, ctx, ambient):
     """Polynomial over `ambient` of a packed vector with one position."""
     return Polynomial(ambient, {ctx.exp_of(k): c for k, c in vec.items()})
-
-
-def packed_to_vector(packed, ctx, ring, rank):
-    cols = [dict() for _ in range(rank)]
-    for key, c in packed.items():
-        pos, exp = ctx.unpack(key)
-        if pos >= rank:
-            raise AlgebraError("packed term outside the stated rank")
-        cols[pos][exp] = c
-    return [Polynomial(ring, t) for t in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +421,20 @@ class FinitelyPresentedModule:
         self._count_cache = None
 
     def _initial_leads(self):
-        """Per-position leading exponents of relations + I * generators."""
+        """Per-position leading exponents of relations + I * generators.
+
+        The leads of the Buchberger store are those of the reduced basis, so
+        no interreduction is run.
+        """
         if self._lead_cache is None:
             ring = self.ring
-            rank = len(self.gen_degrees)
-            ctx = ring._ctx
             cols, ideal_rows = _packed_columns(self.relations)
-            leads = {pos: [] for pos in range(rank)}
+            leads = {pos: [] for pos in range(len(self.gen_degrees))}
             if any(cols) or ideal_rows:
-                gb = groebner_basis(cols + ideal_rows, ctx,
-                                    ring.characteristic, self.gen_degrees)
-                for v in gb:
-                    pos, exp = ctx.unpack(max(v))
-                    leads[pos].append(exp)
+                store = buchberger(cols + ideal_rows, ring._ctx,
+                                   ring.characteristic, self.gen_degrees)
+                for pos, entries in store.by_pos.items():
+                    leads[pos] = [e[0] for e in entries]
             self._lead_cache = leads
         return self._lead_cache
 

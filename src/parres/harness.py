@@ -15,6 +15,7 @@ from math import comb
 
 from .algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                       PolynomialRingSpec)
+from ._engine import check_degree
 from .groebner import FinitelyPresentedModule, INFINITE, QuotientRingSpec
 from .koszul import KoszulTable, ParameterSequence
 from .resolutions import (BettiTable, minimal_free_resolution,
@@ -354,6 +355,11 @@ def verify_main_theorem(ring, x, cap, nmax=4):
 
 def stabilization_scan(ring, x, cap, nmax=4):
     """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict."""
+    if nmax < 1:
+        raise AlgebraError(f"power bound {nmax} is below 1: the scan window "
+                           "is empty")
+    # the squares criterion at the last power works with x^(2 nmax)
+    check_degree(2 * nmax * max(x.degrees(), default=0))
     t0 = time.monotonic()
     report = ExperimentReport("scan", {
         "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})

@@ -263,6 +263,9 @@ def flc_check(x, table, nmax=4):
     """
     if x.ring.dimension() <= 0:
         return True  # finite length ring, trivially FLC
+    if nmax < 2:
+        raise AlgebraError(f"power bound {nmax} is below 2: the FLC check "
+                           "compares powers nmax - 1 and nmax")
     if not table.is_sop(x):
         raise AlgebraError("reference sequence is not a sop of R")
     lengths = {}

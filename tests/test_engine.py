@@ -123,8 +123,8 @@ def test_every_reducer_comes_from_the_factory(monkeypatch):
     vecs = [{ctx.pack(0, (2, 0)): 1}, {ctx.pack(0, (1, 1)): 1}]
     gb = groebner_basis(vecs, ctx, 101, (0,))
     assert len(gb) == 2
-    # one reducer for Buchberger, one for the interreduction
-    assert len(built) == 2
+    # the Buchberger reducer is the store that interreduce reads
+    assert len(built) == 1
     assert all(type(r) is PyReducer for r in built)
 
 
@@ -189,18 +189,25 @@ def test_interreduce_matches_per_element_reference(case):
     ctx, p, gendegs, vecs = case
     seen = []
 
-    def spy(basis, *args):
-        seen.append([dict(v) for v in basis])
-        return interreduce(basis, *args)
+    def spy(reducer, *args):
+        seen.append({pos: [(exp, dict(items)) for exp, items, _ in entries]
+                     for pos, entries in reducer.by_pos.items()})
+        return interreduce(reducer, *args)
 
     with mock.patch.object(_engine, "interreduce", spy):
         gb = groebner_basis(vecs, ctx, p, gendegs)
-    (unreduced,) = seen
-    # the invariant that lets interreduce skip a redundancy check: leads
-    # arrive in nondecreasing degree, and none divides another
-    degs = [vec_degree(ctx, v, gendegs) for v in unreduced]
-    assert degs == sorted(degs)
-    leads = [ctx.unpack(max(v)) for v in unreduced]
-    assert not any(pa == pb and _divides(ea, eb)
-                   for (pa, ea), (pb, eb) in permutations(leads, 2))
+    (store,) = seen
+    for pos, entries in store.items():
+        # the invariants that let interreduce skip a redundancy check: per
+        # position, leads arrive in nondecreasing degree and none divides
+        # another
+        degs = [sum(exp) for exp, _ in entries]
+        assert degs == sorted(degs)
+        leads = [exp for exp, _ in entries]
+        assert not any(_divides(a, b) for a, b in permutations(leads, 2))
+        # every entry is monic, and its leads are the reduced basis's
+        assert all(v[max(v)] == 1 for _, v in entries)
+        assert sorted(leads) == sorted(
+            ctx.unpack(max(v))[1] for v in gb if ctx.pos_of(max(v)) == pos)
+    unreduced = [v for entries in store.values() for _, v in entries]
     assert gb == _interreduce_reference(unreduced, ctx, p, gendegs)

@@ -3,14 +3,13 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres import groebner, oracle
+from parres import _engine, groebner, oracle
 from parres._engine import vec_degree
 from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
                             PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
-                             RingMatrix, matrix_solve,
-                             packed_to_vector, staircase_by_degree,
+                             RingMatrix, matrix_solve, staircase_by_degree,
                              staircase_dimension, standard_monomials,
                              syzygies)
 from parres.complexes import ChainComplex, minimize_with_tracking
@@ -242,7 +241,36 @@ def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
     assert a @ sol == b
 
 
+def test_module_length_runs_no_interreduction(monkeypatch, amb3):
+    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("c^2")])
+    rel = RingMatrix.from_columns(
+        ring, [[amb3.parse("a^2")], [amb3.parse("b^3")], [amb3.parse("c")]],
+        row_degrees=[0])
+    calls = []
+    real = _engine.interreduce
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_engine, "interreduce", counting)
+    # R/(a^2, b^3, c) has basis 1, a, b, ab, b^2, ab^2
+    assert FinitelyPresentedModule(ring, [0], rel).length() == 6
+    assert calls == []
+
+
 # --- sparse read-off against the former dense read-off ----------------------
+
+
+def packed_to_vector(packed, ctx, ring, rank):
+    """The Polynomial entries of a packed vector in positions 0..rank-1."""
+    cols = [dict() for _ in range(rank)]
+    for key, c in packed.items():
+        pos, exp = ctx.unpack(key)
+        if pos >= rank:
+            raise AlgebraError("packed term outside the stated rank")
+        cols[pos][exp] = c
+    return [Polynomial(ring, t) for t in cols]
 
 
 def _dense_syzygy_matrix(solver):

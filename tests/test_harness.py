@@ -350,3 +350,26 @@ def test_example_on_a_one_element_sop(tmp_path):
     data = json.loads(out.read_text())["data"]
     assert data["P_H2"] == data["P_H1"] == [0, 0, 0, 0]
     assert data["P_quotient"] == [1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["standard", "--ring", "r2", "--power-max", "1"], "power bound 1"),
+    (["invariants", "--ring", "r2", "--power-max", "1"], "power bound 1"),
+    (["main-theorem", "--ring", "r2", "--power-max", "1"], "power bound 1"),
+    (["scan", "--ring", "r2", "--power-max", "0"], "power bound 0"),
+])
+def test_power_bounds_that_cannot_work_are_errors(capsys, argv, word):
+    # the FLC check compares x^(nmax-1) with x^nmax, and a scan needs at
+    # least one power
+    assert main(argv) == 1
+    assert word in capsys.readouterr().err
+
+
+def test_scan_checks_the_packing_limit_before_any_power(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("resolved a power before the packing check")
+
+    monkeypatch.setattr(harness, "minimal_free_resolution", fail)
+    assert main(["scan", "--ring", "r2", "--power-max", "600",
+                 "--cap", "1"]) == 1
+    assert "exceeds packing limit" in capsys.readouterr().err
