@@ -22,10 +22,10 @@ adds the variable's weight w_j to a key, so multiplying by x^q adds
 sum q_j w_j.  The one limit is MAX_DEGREE, for a packed term and for a
 product of terms alike.
 
-The reducer is the basis store: `buchberger` returns the reducer it grew,
-whose monic entries are the only copy of the basis, `interreduce` tail-
-reduces those entries against the same reducer, and a caller that needs only
-the leads reads them off the entries.
+The reducer is the basis store, and only `buchberger` builds one: its
+monic entries are the only copy of the basis, `groebner_basis` rewrites them
+in place into the reduced basis and returns that reducer for the ring and the
+solver to reduce against, and a caller that needs only leads reads entries.
 """
 
 from __future__ import annotations
@@ -159,16 +159,24 @@ class PyReducer:
         self.p = p
         self.by_pos = {}
 
+    def __len__(self):
+        return sum(map(len, self.by_pos.values()))
+
+    def entry(self, lead, items):
+        """The stored form (lead exponent, terms, top) of monic terms, top
+        their largest monomial degree."""
+        ctx = self.ctx
+        top = max(ctx.mono_degree(k) for k, _ in items)
+        return ctx.exp_of(lead), items, top
+
     def add(self, vec):
-        """Store vec (dict), made monic, as the entry (lead exponent, terms,
-        top), top its largest monomial degree; returns its position."""
-        ctx, p = self.ctx, self.p
+        """Store vec (dict), made monic, as an entry; returns its position."""
+        p = self.p
         lead = max(vec)
-        pos, exp = ctx.unpack(lead)
         inv = pow(vec[lead], p - 2, p)
-        items = [(k, (c * inv) % p) for k, c in vec.items()]
-        top = max(map(ctx.mono_degree, vec))
-        self.by_pos.setdefault(pos, []).append((exp, items, top))
+        pos = self.ctx.pos_of(lead)
+        self.by_pos.setdefault(pos, []).append(
+            self.entry(lead, [(k, (c * inv) % p) for k, c in vec.items()]))
         return pos
 
     def normal_form(self, vec, stopkey=None):
@@ -209,12 +217,6 @@ class PyReducer:
         return out
 
 
-def make_reducer(ctx, p):
-    # deferred import: kernel imports this module
-    from .kernel import reducer_factory
-    return reducer_factory(ctx, p)
-
-
 # ---------------------------------------------------------------------------
 # Buchberger
 
@@ -248,7 +250,9 @@ def buchberger(vecs, ctx, p, gendegs):
     The product criterion is only applied in rank 1 (len(gendegs) == 1); it
     is not valid for modules of higher rank.
     """
-    reducer = make_reducer(ctx, p)
+    # deferred import: kernel imports this module
+    from .kernel import reducer_factory
+    reducer = reducer_factory(ctx, p)
     # (degree, seq, generator vec or pair of entries)
     heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
             for seq, vec in enumerate(v for v in vecs if v)]
@@ -277,27 +281,26 @@ def buchberger(vecs, ctx, p, gendegs):
 
 
 def groebner_basis(vecs, ctx, p, gendegs):
-    """Reduced Groebner basis of the submodule generated by `vecs`; see
-    buchberger."""
-    return interreduce(buchberger(vecs, ctx, p, gendegs), gendegs)
+    """The reducer from buchberger, its entries rewritten by interreduce into
+    the reduced Groebner basis of the submodule generated by `vecs`."""
+    reducer = buchberger(vecs, ctx, p, gendegs)
+    interreduce(reducer)
+    return reducer
 
 
-def interreduce(reducer, gendegs):
-    """The reduced Groebner basis held by a reducer from buchberger: monic,
-    tail-reduced, sorted by degree and lead, the lead first in each dict.
+def interreduce(reducer):
+    """Rewrite the entries of a reducer from buchberger in place into the
+    reduced Groebner basis: monic, tail-reduced, the lead first in each
+    entry's terms, and each position's entries sorted by degree and lead.
 
     No lead of the reducer divides another, and a lead never divides a term
     smaller than itself, so reducing each tail against the same reducer
-    gives it its unique normal form.
+    gives it its unique normal form, whether or not the entries before it
+    are rewritten yet.
     """
-    ctx = reducer.ctx
-    out = []
     for entries in reducer.by_pos.values():
-        for _, items, _ in entries:
+        for i, (_, items, _) in enumerate(entries):
             lead = max(items)[0]
-            vec = {lead: 1}
-            vec.update(reducer.normal_form(
-                {k: c for k, c in items if k != lead}))
-            out.append(vec)
-    out.sort(key=lambda v: (vec_degree(ctx, v, gendegs), max(v)))
-    return out
+            tail = reducer.normal_form({k: c for k, c in items if k != lead})
+            entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()])
+        entries.sort(key=lambda e: (sum(e[0]), e[1][0][0]))

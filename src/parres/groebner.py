@@ -15,8 +15,7 @@ import itertools
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, RingMismatchError,
                       Sentinel)
-from ._engine import (PackContext, buchberger, check_degree, groebner_basis,
-                      make_reducer)
+from ._engine import PackContext, buchberger, check_degree, groebner_basis
 
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
@@ -44,10 +43,11 @@ def _poly(vec, ctx, ambient):
 class QuotientRingSpec:
     """R = S/I for a homogeneous ideal I in a polynomial ring S.
 
-    The ring owns I: its packing context `_ctx`, the packed reduced Groebner
-    basis `_basis`, a lazily built reducer holding I*e_i for each free-module
-    position i it has met, and `ideal_basis`, the same basis as Polynomials
-    (monic, tail-reduced, sorted by degree and lead).
+    The ring owns I: its packing context `_ctx` and `_reducer`, the
+    Buchberger store of I's reduced Groebner basis.  Its position-0 entries
+    are the basis `_basis` (monic, tail-reduced, sorted by degree and lead),
+    seen as Polynomials in `ideal_basis`; the store gains I*e_i the first
+    time a free-module position i >= 1 is met.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -62,13 +62,13 @@ class QuotientRingSpec:
                 raise AlgebraError("defining ideal contains a unit")
         ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
         p = ambient.characteristic
-        self._basis = (groebner_basis([_pack({0: g}, ctx) for g in gens], ctx,
-                                      p, (0,))
-                       if gens else [])
-        self._reducer = None
-        self._positions = 0
-        self.ideal_basis = [_poly(v, ctx, ambient) for v in self._basis]
-        self._lead_exps = [ctx.exp_of(max(v)) for v in self._basis]
+        self._reducer = (groebner_basis([_pack({0: g}, ctx) for g in gens],
+                                        ctx, p, (0,))
+                         if gens else None)
+        self._basis = self._reducer.by_pos[0] if gens else []
+        self.ideal_basis = [_poly(dict(items), ctx, ambient)
+                            for _, items, _ in self._basis]
+        self._lead_exps = [exp for exp, _, _ in self._basis]
         self._dimension = None
 
     @property
@@ -98,20 +98,18 @@ class QuotientRingSpec:
     def ideal_rows(self, positions):
         """g*e_i for every basis element g of I and every i in positions."""
         move = self._ctx.move
-        return [{move(k, i): c for k, c in g.items()}
-                for g in self._basis for i in positions]
+        return [{move(k, i): c for k, c in items}
+                for _, items, _ in self._basis for i in positions]
 
     def reduce_packed(self, vec):
         """Normal form modulo I of a packed vector, in every position."""
         if not self._basis or not vec:
             return vec
-        if self._reducer is None:
-            self._reducer = make_reducer(self._ctx, self.characteristic)
+        met = len(self._reducer.by_pos)
         top = self._ctx.pos_of(min(vec)) + 1
-        if top > self._positions:
-            for row in self.ideal_rows(range(self._positions, top)):
+        if top > met:
+            for row in self.ideal_rows(range(met, top)):
                 self._reducer.add(row)
-            self._positions = top
         return self._reducer.normal_form(vec)
 
     def combine(self, vec, products):
@@ -494,8 +492,9 @@ class ExtendedSolver:
 
     Computes, once, a position-over-term Groebner basis of the submodule of
     S^{nrows+ncols} generated by {column_j + e_{nrows+j}} and {g * e_i} for
-    every defining-ideal basis element g and target position i.  Syzygies and
-    membership/solve queries both read off this basis.
+    every defining-ideal basis element g and target position i, and keeps
+    the reducer that holds it, `store`.  Syzygies and membership/solve
+    queries both read off this one store.
     """
 
     def __init__(self, matrix):
@@ -510,36 +509,32 @@ class ExtendedSolver:
         cols, ideal_rows = _packed_columns(matrix)
         for j, packed in enumerate(cols):
             packed[ctx.move(ctx.one, self.nrows + j)] = 1
-        self.gb = groebner_basis(cols + ideal_rows, ctx, self.p, self.gendegs)
+        self.store = groebner_basis(cols + ideal_rows, ctx, self.p,
+                                    self.gendegs)
         self.floor = ctx.position_floor(self.nrows)
         # moves the tag position nrows + j to row j of the source
         self._untag = ctx.position_shift(self.nrows)
-        self._red = None
-
-    def _reducer(self):
-        """The reducer over the basis, built on first use."""
-        if self._red is None:
-            self._red = make_reducer(self.ctx, self.p)
-            for vec in self.gb:
-                self._red.add(vec)
-        return self._red
 
     def syzygy_matrix(self):
-        """Columns generate ker(matrix) as a submodule of R^{ncols}."""
-        ctx = self.ctx
-        cols = []
-        degs = []
-        for v in self.gb:
-            lead = max(v)
-            if lead >= self.floor:
+        """Columns generate ker(matrix) as a submodule of R^{ncols}: the
+        basis entries led in the tag block, by degree and lead key."""
+        mono_degree = self.ctx.mono_degree
+        pure = []  # (degree, lead key, terms)
+        for pos, entries in self.store.by_pos.items():
+            if pos < self.nrows:
                 continue  # leading block nonzero: not a pure syzygy
+            for _, items, _ in entries:
+                lead = items[0][0]
+                pure.append((mono_degree(lead) + self.gendegs[pos], lead,
+                             items))
+        pure.sort(key=lambda t: t[:2])
+        cols, degs = [], []
+        for deg, _, items in pure:
             col = self.ring.reduce_packed(
-                {k + self._untag: c for k, c in v.items()})
-            if not col:
-                continue
-            cols.append(col)
-            pos = ctx.pos_of(lead) - self.nrows
-            degs.append(ctx.mono_degree(lead) + self.matrix.col_degrees[pos])
+                {k + self._untag: c for k, c in items})
+            if col:
+                cols.append(col)
+                degs.append(deg)
         return RingMatrix.packed(self.ring, cols, self.matrix.col_degrees, degs)
 
     def solve_column(self, col):
@@ -547,7 +542,7 @@ class ExtendedSolver:
 
         col and x are packed vectors (position = row).
         """
-        nf = self._reducer().normal_form(col, stopkey=self.floor)
+        nf = self.store.normal_form(col, stopkey=self.floor)
         if nf and max(nf) >= self.floor:
             return None  # a leading-block remainder survives
         p = self.p

@@ -114,13 +114,13 @@ def homology_dim_at(cplx, n, degree):
     if dim_n == 0:
         return 0
     dn = cplx.differential(n)
-    if dn is None or dn.nrows == 0:
+    if dn.nrows == 0:
         rank_out = 0
     else:
         a, _, _ = matrix_slice(dn, degree)
         rank_out = gf_rank(a, p)
     dn1 = cplx.differential(n + 1)
-    if dn1 is None or dn1.ncols == 0:
+    if dn1.ncols == 0:
         rank_in = 0
     else:
         b, _, _ = matrix_slice(dn1, degree)

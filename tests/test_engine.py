@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from parres.algebra import GREVLEX, LEX
 from parres._engine import (PackContext, PyReducer, _divides, groebner_basis,
-                            interreduce, make_reducer, vec_degree)
+                            interreduce, vec_degree)
 from parres import _engine, kernel
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
@@ -123,7 +123,8 @@ def test_every_reducer_comes_from_the_factory(monkeypatch):
     vecs = [{ctx.pack(0, (2, 0)): 1}, {ctx.pack(0, (1, 1)): 1}]
     gb = groebner_basis(vecs, ctx, 101, (0,))
     assert len(gb) == 2
-    # the Buchberger reducer is the store that interreduce reads
+    # the Buchberger reducer is the store that interreduce rewrites and
+    # groebner_basis returns
     assert len(built) == 1
     assert all(type(r) is PyReducer for r in built)
 
@@ -145,7 +146,7 @@ def _interreduce_reference(vecs, ctx, p, gendegs):
     kept = [vecs[i] for i in keep]
     out = []
     for i, v in enumerate(kept):
-        reducer = make_reducer(ctx, p)
+        reducer = PyReducer(ctx, p)
         for j, w in enumerate(kept):
             if j != i:
                 reducer.add(w)
@@ -207,7 +208,14 @@ def test_interreduce_matches_per_element_reference(case):
         assert not any(_divides(a, b) for a, b in permutations(leads, 2))
         # every entry is monic, and its leads are the reduced basis's
         assert all(v[max(v)] == 1 for _, v in entries)
-        assert sorted(leads) == sorted(
-            ctx.unpack(max(v))[1] for v in gb if ctx.pos_of(max(v)) == pos)
+        assert sorted(leads) == sorted(exp for exp, _, _ in gb.by_pos[pos])
     unreduced = [v for entries in store.values() for _, v in entries]
-    assert gb == _interreduce_reference(unreduced, ctx, p, gendegs)
+    reference = _interreduce_reference(unreduced, ctx, p, gendegs)
+    assert len(gb) == len(reference)
+    for pos, entries in gb.by_pos.items():
+        # rewritten in place: each position's entries in (degree, lead)
+        # order, the lead first in each entry's terms
+        vecs = [dict(items) for _, items, _ in entries]
+        assert vecs == [v for v in reference if ctx.pos_of(max(v)) == pos]
+        assert all(items[0] == (max(items)[0], 1) for _, items, _ in entries)
+        assert all(exp == ctx.exp_of(items[0][0]) for exp, items, _ in entries)

@@ -3,8 +3,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres import _engine, groebner, oracle
-from parres._engine import vec_degree
+from parres import _engine, kernel, oracle
+from parres._engine import PyReducer, vec_degree
 from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
                             PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
@@ -204,31 +204,31 @@ def test_gb_normal_form_is_zero_on_ideal(exps):
 
 def _count_reducer_builds(monkeypatch):
     builds = []
-    real = groebner.make_reducer
+    real = kernel.reducer_factory
 
     def counting(ctx, p):
         builds.append((ctx, p))
         return real(ctx, p)
 
-    monkeypatch.setattr(groebner, "make_reducer", counting)
+    monkeypatch.setattr(kernel, "reducer_factory", counting)
     return builds
 
 
-def test_quotient_reduce_builds_one_reducer(monkeypatch, amb3):
+def test_quotient_reduce_builds_no_reducer(monkeypatch, amb3):
     ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
                                    amb3.parse("c^2")])
     builds = _count_reducer_builds(monkeypatch)
     polys = [amb3.parse(f"a^{i}*c + b*c^2 + a*b^{i % 3}")
              for i in range(1, 21)]
     out = [ring.reduce(f) for f in polys]
-    assert len(builds) == 1
+    # the ring reduces against the Buchberger store that holds I
+    assert builds == []
     assert out == [amb3.parse(f"a*b^{i % 3}") for i in range(1, 21)]
 
 
 def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
     ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
                                    amb3.parse("c^2")])
-    ring.reduce(amb3.parse("c^2"))  # the ring's own reducer, built once
     a = RingMatrix.from_columns(
         ring, [[amb3.parse("a")], [amb3.parse("b")]], row_degrees=[0])
     b = RingMatrix.from_columns(
@@ -236,9 +236,23 @@ def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
                [amb3.parse("a*b")]], row_degrees=[0])
     builds = _count_reducer_builds(monkeypatch)
     sol = matrix_solve(a, b)
+    # the solver's Buchberger store, which it also solves against
     assert len(builds) == 1
     assert sol is not None
     assert a @ sol == b
+
+
+def test_reduce_packed_keeps_the_basis_view(amb3):
+    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
+                                   amb3.parse("c^2")])
+    ctx = ring._ctx
+    before = (list(ring.ideal_basis), list(ring._lead_exps),
+              ring.ideal_rows([0]))
+    # a*c*e_3 + b^2*e_1 meets positions 1..3: I*e_i joins the store there
+    vec = {ctx.pack(3, (1, 0, 1)): 1, ctx.pack(1, (0, 2, 0)): 1}
+    assert ring.reduce_packed(vec) == {ctx.pack(1, (0, 2, 0)): 1}
+    assert sorted(ring._reducer.by_pos) == [0, 1, 2, 3]
+    assert (ring.ideal_basis, ring._lead_exps, ring.ideal_rows([0])) == before
 
 
 def test_module_length_runs_no_interreduction(monkeypatch, amb3):
@@ -273,12 +287,30 @@ def packed_to_vector(packed, ctx, ring, rank):
     return [Polynomial(ring, t) for t in cols]
 
 
+def _rebuilt_basis(solver):
+    """The solver's basis the former way: a list of dicts, sorted by degree
+    and lead across all positions."""
+    basis = [dict(items) for entries in solver.store.by_pos.values()
+             for _, items, _ in entries]
+    basis.sort(key=lambda v: (vec_degree(solver.ctx, v, solver.gendegs),
+                              max(v)))
+    return basis
+
+
+def _rebuilt_reducer(solver):
+    """The former solver reducer: a fresh one filled from _rebuilt_basis."""
+    reducer = PyReducer(solver.ctx, solver.p)
+    for v in _rebuilt_basis(solver):
+        reducer.add(v)
+    return reducer
+
+
 def _dense_syzygy_matrix(solver):
     """The former read-off: every pure syzygy becomes a dense column of
     Polynomials, and every entry is reduced modulo I on its own."""
     ctx, ring = solver.ctx, solver.ring
     cols, degs = [], []
-    for v in solver.gb:
+    for v in _rebuilt_basis(solver):
         if max(v) >= solver.floor:
             continue
         shifted = {}
@@ -298,13 +330,14 @@ def _dense_matrix_solve(a, b):
     """The former solve: dense columns in, dense columns out."""
     solver = ExtendedSolver(a)
     ctx, ring = solver.ctx, solver.ring
+    reducer = _rebuilt_reducer(solver)
     cols = []
     for j in range(b.ncols):
         packed = {}
         for i in range(b.nrows):
             for exp, c in b.entry(i, j).terms.items():
                 packed[ctx.pack(i, exp)] = c
-        nf = solver._reducer().normal_form(packed, stopkey=solver.floor)
+        nf = reducer.normal_form(packed, stopkey=solver.floor)
         x = [dict() for _ in range(solver.ncols)]
         for key, c in nf.items():
             pos, exp = ctx.unpack(key)

@@ -67,3 +67,9 @@ def test_traced_run_counts_layers():
     assert metrics["resolutions.syzygy_steps"] == 3
     assert metrics["groebner.solver_build.calls"] > 0
     assert metrics["groebner.module_leads.calls"] > 0
+    assert metrics["engine.gb_out"] > 0  # len() of a Buchberger store
+    # only buchberger builds a reducer: one per Groebner basis or module's
+    # leads, and none rebuilt from a finished basis
+    assert metrics["kernel.reducer_builds"] <= (
+        tracer.calls["engine.groebner_basis"]
+        + metrics["groebner.module_leads.calls"])
