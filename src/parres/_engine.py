@@ -8,19 +8,27 @@ a precomputed delta, which is what makes the reduction inner loop cheap.
 
 A key is `rest - (pos << topshift)`.  The position is an unbounded signed top
 field: keys in positions >= 1 are negative, and a lower position compares
-larger.  `rest`, in [0, 2^topshift), holds the monomial in EXP_BITS-wide
-fields, most significant first; grevlex:
+larger.  `rest`, in [0, 2^topshift), holds the monomial in fields of
+EXP_BITS bits, most significant first, each under a guard bit g that is 0 in
+every key; grevlex:
 
-    [total degree | EXP_MASK - e_{n-1} | ... | EXP_MASK - e_0]
+    [g| total degree |g| EXP_MASK - e_{n-1} | ... |g| EXP_MASK - e_0]
 
 and lex:
 
-    [e_0 | e_1 | ... | e_{n-1} | total degree]
+    [g| e_0 |g| e_1 | ... |g| e_{n-1} |g| total degree]
 
 where lex's trailing degree never decides a comparison.  Raising e_j by one
 adds the variable's weight w_j to a key, so multiplying by x^q adds
-sum q_j w_j.  The one limit is MAX_DEGREE, for a packed term and for a
+sum q_j w_j, and the cofactor taking a lead to a term it divides is their
+key difference.  The one limit is MAX_DEGREE, for a packed term and for a
 product of terms alike.
+
+Divisibility and lcm are operations on exponent words: the exponent fields
+of a key in place, uncomplemented, with every guard bit 0 and no degree
+field.  With every guard bit set in b's word, b - a clears the guard of each
+field where a's exponent is larger, and no field borrows past its own guard,
+so a divides b exactly when the difference keeps every guard.
 
 The reducer is the basis store, and only `buchberger` builds one: its
 monic entries are the only copy of the basis, `groebner_basis` rewrites them
@@ -56,18 +64,20 @@ class PackContext:
     the key of 1 in position 0.
     """
 
-    __slots__ = ("shifts", "flip", "degshift", "topshift", "weights", "one")
+    __slots__ = ("shifts", "flip", "degshift", "topshift", "weights", "one",
+                 "fmask", "guard", "summer", "sumshift")
 
     def __init__(self, nv, kind="grevlex"):
-        self.topshift = EXP_BITS * (nv + 1)
+        stride = EXP_BITS + 1  # each field and its guard bit
+        self.topshift = stride * (nv + 1)
         if kind == "grevlex":
-            self.degshift = EXP_BITS * nv
-            self.shifts = tuple(EXP_BITS * j for j in range(nv))
+            self.degshift = stride * nv
+            self.shifts = tuple(stride * j for j in range(nv))
             self.flip = EXP_MASK
             sign = -1
         elif kind == "lex":
             self.degshift = 0
-            self.shifts = tuple(EXP_BITS * (nv - j) for j in range(nv))
+            self.shifts = tuple(stride * (nv - j) for j in range(nv))
             self.flip = 0
             sign = 1
         else:
@@ -77,6 +87,14 @@ class PackContext:
         self.weights = tuple((1 << self.degshift) + sign * (1 << s)
                              for s in self.shifts)
         self.one = sum(self.flip << s for s in self.shifts)
+        self.fmask = sum(EXP_MASK << s for s in self.shifts)
+        self.guard = sum(1 << (s + EXP_BITS) for s in self.shifts)
+        # word * summer holds the sum of all fields in the field at
+        # sumshift; every field of the product is a partial sum, below
+        # 2^stride for words up to degree 2 * MAX_DEGREE, so none carries
+        low = min(self.shifts)
+        self.summer = sum(1 << (s - low) for s in self.shifts)
+        self.sumshift = max(self.shifts)
 
     def pack(self, pos, exp):
         check_degree(sum(exp))  # so every exponent fits its field too
@@ -99,6 +117,29 @@ class PackContext:
     def mono_degree(self, key):
         """Total degree of the monomial part of a packed term."""
         return (key >> self.degshift) & EXP_MASK
+
+    def word(self, key):
+        """Exponent word of a packed term: its exponent fields in place,
+        uncomplemented, with no degree field."""
+        return (key & self.fmask) ^ self.one
+
+    def lcm(self, a, b):
+        """Exponent word of the lcm of the monomials with words a and b."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # the guards of fields where a >= b
+        return b ^ ((a ^ b) & (ge - (ge >> EXP_BITS)))
+
+    def word_degree(self, word):
+        """Total degree of an exponent word, up to 2 * MAX_DEGREE."""
+        return (word * self.summer >> self.sumshift) & ((2 << EXP_BITS) - 1)
+
+    def word_key(self, word, deg, key):
+        """Key of the monomial of exponent word `word` and degree deg in the
+        position of `key`; deg must not exceed MAX_DEGREE for the key to
+        take part in products."""
+        topshift = self.topshift
+        return (((key >> topshift) << topshift) + (word ^ self.one)
+                + (deg << self.degshift))
 
     def mul_delta(self, exp):
         """Additive key delta for multiplication by the ring monomial x^exp;
@@ -143,13 +184,6 @@ def vec_degree(ctx, vec, gendegs):
     return degs.pop() if degs else None
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 class PyReducer:
     """Pure-Python reducer: full normal form against a growing basis, and
     the only copy of that basis (`by_pos`: position -> entries in order)."""
@@ -163,11 +197,12 @@ class PyReducer:
         return sum(map(len, self.by_pos.values()))
 
     def entry(self, lead, items):
-        """The stored form (lead exponent, terms, top) of monic terms, top
-        their largest monomial degree."""
+        """The stored form (lead word, lead, excess, terms) of monic terms:
+        excess is how far the largest monomial degree of the terms lies
+        above the lead's."""
         ctx = self.ctx
         top = max(ctx.mono_degree(k) for k, _ in items)
-        return ctx.exp_of(lead), items, top
+        return ctx.word(lead), lead, top - ctx.mono_degree(lead), items
 
     def add(self, vec):
         """Store vec (dict), made monic, as an entry; returns its position."""
@@ -180,39 +215,52 @@ class PyReducer:
         return pos
 
     def normal_form(self, vec, stopkey=None):
-        """Fully reduce `vec`; terms below `stopkey` are left untouched."""
+        """Fully reduce `vec`; terms below `stopkey` are left untouched.
+
+        Terms are taken largest first from a heap of negated keys.  A
+        reduction only adds keys below the one it reduces, so a key taken
+        never comes back, and a heap key no longer in `work` was cancelled.
+        """
         ctx = self.ctx
         p = self.p
+        by_pos = self.by_pos
+        topshift, degshift = ctx.topshift, ctx.degshift
+        fmask, one, guard = ctx.fmask, ctx.one, ctx.guard
         work = dict(vec)
+        heap = [-k for k in work]
+        heapq.heapify(heap)
         out = {}
-        while work:
-            k = max(work)
+        while heap:
+            k = -heapq.heappop(heap)
             if stopkey is not None and k < stopkey:
                 break
-            c = work.pop(k) % p
+            c = work.pop(k, 0) % p
             if not c:
                 continue
-            pos, exp = ctx.unpack(k)
-            entry = None
-            for cand in self.by_pos.get(pos, ()):
-                if _divides(cand[0], exp):
-                    entry = cand
+            word = ((k & fmask) ^ one) | guard  # k's word, every guard set
+            for entry in by_pos.get(-(k >> topshift), ()):
+                if (word - entry[0]) & guard == guard:
                     break
-            if entry is None:
+            else:
                 out[k] = c
                 continue
-            lexp, items, top = entry
-            q = tuple(a - b for a, b in zip(exp, lexp))
-            check_degree(top + sum(q))
-            delta = ctx.mul_delta(q)
+            _, lead, excess, items = entry
+            check_degree(((k >> degshift) & EXP_MASK) + excess)
+            delta = k - lead
             work[k] = c  # lead cancels against the entry's own monic lead
+            neg = p - c
             for tk, tc in items:
                 nk = tk + delta
-                nc = (work.get(nk, 0) - c * tc) % p
-                if nc:
-                    work[nk] = nc
+                old = work.get(nk)
+                if old is None:
+                    work[nk] = neg * tc % p
+                    heapq.heappush(heap, -nk)
                 else:
-                    work.pop(nk, None)
+                    nc = (old + neg * tc) % p
+                    if nc:
+                        work[nk] = nc
+                    else:
+                        del work[nk]
         out.update(work)
         return out
 
@@ -223,12 +271,13 @@ class PyReducer:
 def spoly(entry1, entry2, ctx, p):
     """S-vector of two monic reducer entries in one position: x^q1 v1 -
     x^q2 v2, each cofactor taking its lead to the lcm of the leads."""
-    lcm = tuple(map(max, entry1[0], entry2[0]))
+    lcm = ctx.lcm(entry1[0], entry2[0])
+    deg = ctx.word_degree(lcm)
+    key = ctx.word_key(lcm, deg, entry1[1])
     s = {}
-    for (exp, items, top), sign in ((entry1, 1), (entry2, -1)):
-        q = tuple(l - e for l, e in zip(lcm, exp))
-        check_degree(top + sum(q))
-        delta = ctx.mul_delta(q)
+    for (_, lead, excess, items), sign in ((entry1, 1), (entry2, -1)):
+        check_degree(deg + excess)
+        delta = key - lead
         for k, c in items:
             nk = k + delta
             nc = (s.get(nk, 0) + sign * c) % p
@@ -268,13 +317,13 @@ def buchberger(vecs, ctx, p, gendegs):
             continue
         pos = reducer.add(nf)
         *same, new = reducer.by_pos[pos]
-        exp = new[0]
+        word = new[0]
         for old in same:
-            exp2 = old[0]
-            if rank1 and all(min(a, b) == 0 for a, b in zip(exp, exp2)):
-                continue  # product criterion
-            pdeg = sum(map(max, exp, exp2)) + gendegs[pos]
-            heapq.heappush(heap, (pdeg, seq, (old, new)))
+            lcm = ctx.lcm(word, old[0])
+            if rank1 and lcm == word + old[0]:
+                continue  # product criterion: the leads are coprime
+            heapq.heappush(heap, (ctx.word_degree(lcm) + gendegs[pos], seq,
+                                  (old, new)))
             seq += 1
 
     return reducer
@@ -299,8 +348,8 @@ def interreduce(reducer):
     are rewritten yet.
     """
     for entries in reducer.by_pos.values():
-        for i, (_, items, _) in enumerate(entries):
-            lead = max(items)[0]
+        for i, (_, lead, _, items) in enumerate(entries):
             tail = reducer.normal_form({k: c for k, c in items if k != lead})
             entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()])
-        entries.sort(key=lambda e: (sum(e[0]), e[1][0][0]))
+        mono_degree = reducer.ctx.mono_degree
+        entries.sort(key=lambda e: (mono_degree(e[1]), e[1]))

@@ -67,8 +67,8 @@ class QuotientRingSpec:
                          if gens else None)
         self._basis = self._reducer.by_pos[0] if gens else []
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
-                            for _, items, _ in self._basis]
-        self._lead_exps = [exp for exp, _, _ in self._basis]
+                            for *_, items in self._basis]
+        self._lead_exps = [ctx.exp_of(lead) for _, lead, _, _ in self._basis]
         self._dimension = None
 
     @property
@@ -99,7 +99,7 @@ class QuotientRingSpec:
         """g*e_i for every basis element g of I and every i in positions."""
         move = self._ctx.move
         return [{move(k, i): c for k, c in items}
-                for _, items, _ in self._basis for i in positions]
+                for *_, items in self._basis for i in positions]
 
     def reduce_packed(self, vec):
         """Normal form modulo I of a packed vector, in every position."""
@@ -431,8 +431,9 @@ class FinitelyPresentedModule:
             if any(cols) or ideal_rows:
                 store = buchberger(cols + ideal_rows, ring._ctx,
                                    ring.characteristic, self.gen_degrees)
+                exp_of = ring._ctx.exp_of
                 for pos, entries in store.by_pos.items():
-                    leads[pos] = [e[0] for e in entries]
+                    leads[pos] = [exp_of(e[1]) for e in entries]
             self._lead_cache = leads
         return self._lead_cache
 
@@ -523,8 +524,7 @@ class ExtendedSolver:
         for pos, entries in self.store.by_pos.items():
             if pos < self.nrows:
                 continue  # leading block nonzero: not a pure syzygy
-            for _, items, _ in entries:
-                lead = items[0][0]
+            for _, lead, _, items in entries:
                 pure.append((mono_degree(lead) + self.gendegs[pos], lead,
                              items))
         pure.sort(key=lambda t: t[:2])

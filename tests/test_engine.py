@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parres.algebra import GREVLEX, LEX
-from parres._engine import (PackContext, PyReducer, _divides, groebner_basis,
+from parres._engine import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
+                            PyReducer, check_degree, groebner_basis,
                             interreduce, vec_degree)
 from parres import _engine, kernel
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+
+
+def _divides(a, b):
+    """Tuple reference for divisibility of exponent vectors."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
@@ -159,6 +168,22 @@ def _interreduce_reference(vecs, ctx, p, gendegs):
     return out
 
 
+def _homogeneous_vector(draw, ctx, p, gendegs, deg, lift=0):
+    """A packed vector of internal degree deg + lift with up to 4 terms, each
+    monomial times x_0^lift; empty when its terms cancel."""
+    nv = len(ctx.shifts)
+    vec = {}
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(gendegs) - 1))
+        vars_ = draw(st.sampled_from(list(combinations_with_replacement(
+            range(nv), deg - gendegs[pos]))))
+        exp = tuple(vars_.count(j) + (lift if j == 0 else 0)
+                    for j in range(nv))
+        key = ctx.pack(pos, exp)
+        vec[key] = (vec.get(key, 0) + draw(st.integers(1, p - 1))) % p
+    return {k: c for k, c in vec.items() if c}
+
+
 @st.composite
 def homogeneous_submodules(draw):
     """Small homogeneous ideals (rank 1) or submodules of S^2, packed."""
@@ -171,14 +196,7 @@ def homogeneous_submodules(draw):
     vecs = []
     for _ in range(draw(st.integers(1, 4))):
         deg = draw(st.integers(1, 3))
-        vec = {}
-        for _ in range(draw(st.integers(1, 4))):
-            pos = draw(st.integers(0, rank - 1))
-            vars_ = draw(st.sampled_from(list(combinations_with_replacement(
-                range(nv), deg - gendegs[pos]))))
-            key = ctx.pack(pos, tuple(vars_.count(j) for j in range(nv)))
-            vec[key] = (vec.get(key, 0) + draw(st.integers(1, p - 1))) % p
-        vec = {k: c for k, c in vec.items() if c}
+        vec = _homogeneous_vector(draw, ctx, p, gendegs, deg)
         if vec:
             vecs.append(vec)
     return ctx, p, gendegs, vecs
@@ -191,7 +209,8 @@ def test_interreduce_matches_per_element_reference(case):
     seen = []
 
     def spy(reducer, *args):
-        seen.append({pos: [(exp, dict(items)) for exp, items, _ in entries]
+        seen.append({pos: [(ctx.exp_of(lead), dict(items))
+                           for _, lead, _, items in entries]
                      for pos, entries in reducer.by_pos.items()})
         return interreduce(reducer, *args)
 
@@ -208,14 +227,143 @@ def test_interreduce_matches_per_element_reference(case):
         assert not any(_divides(a, b) for a, b in permutations(leads, 2))
         # every entry is monic, and its leads are the reduced basis's
         assert all(v[max(v)] == 1 for _, v in entries)
-        assert sorted(leads) == sorted(exp for exp, _, _ in gb.by_pos[pos])
+        assert sorted(leads) == sorted(ctx.exp_of(lead)
+                                       for _, lead, _, _ in gb.by_pos[pos])
     unreduced = [v for entries in store.values() for _, v in entries]
     reference = _interreduce_reference(unreduced, ctx, p, gendegs)
     assert len(gb) == len(reference)
     for pos, entries in gb.by_pos.items():
         # rewritten in place: each position's entries in (degree, lead)
         # order, the lead first in each entry's terms
-        vecs = [dict(items) for _, items, _ in entries]
+        vecs = [dict(items) for *_, items in entries]
         assert vecs == [v for v in reference if ctx.pos_of(max(v)) == pos]
-        assert all(items[0] == (max(items)[0], 1) for _, items, _ in entries)
-        assert all(exp == ctx.exp_of(items[0][0]) for exp, items, _ in entries)
+        assert all(items[0] == (max(items)[0], 1) for *_, items in entries)
+        assert all(entry == gb.entry(entry[3][0][0], entry[3])
+                   for entry in entries)
+
+
+# --- normal form against the former max scan ---------------------------------
+
+
+def _normal_form_reference(reducer, vec, stopkey=None):
+    """The former normal form: each next term by a scan of all that is
+    left, the first divisor in `by_pos` order by exponent tuples, and the
+    cofactor's key delta by mul_delta."""
+    ctx, p = reducer.ctx, reducer.p
+    work = dict(vec)
+    out = {}
+    while work:
+        k = max(work)
+        if stopkey is not None and k < stopkey:
+            break
+        c = work.pop(k) % p
+        if not c:
+            continue
+        pos, exp = ctx.unpack(k)
+        entry = None
+        for cand in reducer.by_pos.get(pos, ()):
+            if _divides(ctx.exp_of(cand[1]), exp):
+                entry = cand
+                break
+        if entry is None:
+            out[k] = c
+            continue
+        _, lead, excess, items = entry
+        lexp = ctx.exp_of(lead)
+        q = tuple(a - b for a, b in zip(exp, lexp))
+        check_degree(sum(lexp) + excess + sum(q))
+        delta = ctx.mul_delta(q)
+        work[k] = c
+        for tk, tc in items:
+            nk = tk + delta
+            nc = (work.get(nk, 0) - c * tc) % p
+            if nc:
+                work[nk] = nc
+            else:
+                work.pop(nk, None)
+    out.update(work)
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=homogeneous_submodules(), data=st.data())
+def test_normal_form_matches_max_scan_reference(case, data):
+    ctx, p, gendegs, vecs = case
+    # every term times x_0^lift, which takes exponents up to the top bit of
+    # their field
+    lift = data.draw(st.sampled_from([0, 0, 1, 600, 1000]))
+    up = ctx.mul_delta((lift,) + (0,) * (len(ctx.shifts) - 1))
+    vecs = [{k + up: c for k, c in vec.items()} for vec in vecs]
+    # the generators as they come, so that the divisor chosen decides the
+    # result, and their reduced Groebner basis
+    raw = PyReducer(ctx, p)
+    for vec in vecs:
+        raw.add(vec)
+    reducers = (raw, groebner_basis(vecs, ctx, p, gendegs))
+    for _ in range(data.draw(st.integers(1, 3))):
+        vec = _homogeneous_vector(data.draw, ctx, p, gendegs,
+                                  data.draw(st.integers(1, 4)), lift)
+        stops = [None, ctx.position_floor(1)]
+        if vec:
+            stops.append(data.draw(st.sampled_from(sorted(vec))))
+        for reducer in reducers:
+            for stopkey in stops:
+                nf = reducer.normal_form(vec, stopkey)
+                ref = _normal_form_reference(reducer, vec, stopkey)
+                assert list(nf.items()) == list(ref.items())
+
+
+# --- word arithmetic ---------------------------------------------------------
+
+
+def _word_exps(ctx, word):
+    return tuple((word >> s) & EXP_MASK for s in ctx.shifts)
+
+
+@st.composite
+def edge_monomials(draw, nv):
+    """Exponent tuples of degree at most MAX_DEGREE whose entries sit at the
+    edges of the field: 0, 1, 2, 511, 512, 1021 and 1022."""
+    exp, room = [], MAX_DEGREE
+    for _ in range(nv):
+        exp.append(min(draw(st.sampled_from([0, 1, 2, 511, 512, 1021,
+                                             1022])), room))
+        room -= exp[-1]
+    return tuple(draw(st.permutations(exp)))
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_arithmetic_matches_tuples(kind, nv, data):
+    ctx = PackContext(nv, kind)
+    a, b = data.draw(edge_monomials(nv)), data.draw(edge_monomials(nv))
+    if nv == 3 and data.draw(st.booleans()):
+        a, b = (1022, 0, 0), (1021, 1, 0)
+    pos = data.draw(st.integers(0, 5))
+    ka, kb = ctx.pack(pos, a), ctx.pack(pos, b)
+    # a guard bit above every field, the degree's included, and each is 0
+    # in a packed or moved term
+    guards = sum(1 << (i * (EXP_BITS + 1) + EXP_BITS) for i in range(nv + 1))
+    for key in (ka, kb, ctx.move(ka, 7), ctx.move(kb, 0)):
+        assert key & guards == 0
+    wa, wb = ctx.word(ka), ctx.word(kb)
+    assert (_word_exps(ctx, wa), _word_exps(ctx, wb)) == (a, b)
+    # divisibility is decided by the reducer's word test
+    reducer = PyReducer(ctx, 101)
+    reducer.add({ka: 1})
+    assert (reducer.normal_form({kb: 1}) == {}) == _divides(a, b)
+    lcm = ctx.lcm(wa, wb)
+    top = tuple(map(max, a, b))
+    assert _word_exps(ctx, lcm) == top
+    assert ctx.word_degree(lcm) == sum(top)
+    # the product criterion: coprime leads, in word and in degree form
+    coprime = all(min(x, y) == 0 for x, y in zip(a, b))
+    assert (lcm == wa + wb) == coprime
+    assert (ctx.word_degree(lcm) == sum(a) + sum(b)) == coprime
+    if sum(top) <= MAX_DEGREE:
+        key = ctx.word_key(lcm, sum(top), ka)
+        assert key == ctx.pack(pos, top)
+        # the cofactor taking a lead to the lcm is the key difference
+        assert key - ka == ctx.mul_delta(tuple(x - y for x, y in zip(top, a)))

@@ -291,7 +291,7 @@ def _rebuilt_basis(solver):
     """The solver's basis the former way: a list of dicts, sorted by degree
     and lead across all positions."""
     basis = [dict(items) for entries in solver.store.by_pos.values()
-             for _, items, _ in entries]
+             for *_, items in entries]
     basis.sort(key=lambda v: (vec_degree(solver.ctx, v, solver.gendegs),
                               max(v)))
     return basis
