@@ -196,13 +196,14 @@ class PyReducer:
     def __len__(self):
         return sum(map(len, self.by_pos.values()))
 
-    def entry(self, lead, items):
-        """The stored form (lead word, lead, excess, terms) of monic terms:
-        excess is how far the largest monomial degree of the terms lies
-        above the lead's."""
-        ctx = self.ctx
-        top = max(ctx.mono_degree(k) for k, _ in items)
-        return ctx.word(lead), lead, top - ctx.mono_degree(lead), items
+    def entry(self, word, lead, items):
+        """The stored form (word, lead, excess, terms) of monic terms led by
+        `lead`, whose exponent word is `word`: excess is how far the largest
+        monomial degree of the terms lies above the lead's."""
+        dshift = self.ctx.degshift
+        dmask = EXP_MASK << dshift
+        top = max(k & dmask for k, _ in items)
+        return word, lead, (top - (lead & dmask)) >> dshift, items
 
     def add(self, vec):
         """Store vec (dict), made monic, as an entry; returns its position."""
@@ -211,7 +212,8 @@ class PyReducer:
         inv = pow(vec[lead], p - 2, p)
         pos = self.ctx.pos_of(lead)
         self.by_pos.setdefault(pos, []).append(
-            self.entry(lead, [(k, (c * inv) % p) for k, c in vec.items()]))
+            self.entry(self.ctx.word(lead), lead,
+                       [(k, (c * inv) % p) for k, c in vec.items()]))
         return pos
 
     def normal_form(self, vec, stopkey=None):
@@ -268,11 +270,10 @@ class PyReducer:
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def spoly(entry1, entry2, ctx, p):
+def spoly(entry1, entry2, lcm, deg, ctx, p):
     """S-vector of two monic reducer entries in one position: x^q1 v1 -
-    x^q2 v2, each cofactor taking its lead to the lcm of the leads."""
-    lcm = ctx.lcm(entry1[0], entry2[0])
-    deg = ctx.word_degree(lcm)
+    x^q2 v2, each cofactor taking its lead to the lcm of the leads, whose
+    exponent word is lcm and degree deg."""
     key = ctx.word_key(lcm, deg, entry1[1])
     s = {}
     for (_, lead, excess, items), sign in ((entry1, 1), (entry2, -1)):
@@ -302,7 +303,7 @@ def buchberger(vecs, ctx, p, gendegs):
     # deferred import: kernel imports this module
     from .kernel import reducer_factory
     reducer = reducer_factory(ctx, p)
-    # (degree, seq, generator vec or pair of entries)
+    # (degree, seq, generator vec or (entry, entry, lcm word, lcm degree))
     heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
             for seq, vec in enumerate(v for v in vecs if v)]
     heapq.heapify(heap)
@@ -322,8 +323,9 @@ def buchberger(vecs, ctx, p, gendegs):
             lcm = ctx.lcm(word, old[0])
             if rank1 and lcm == word + old[0]:
                 continue  # product criterion: the leads are coprime
-            heapq.heappush(heap, (ctx.word_degree(lcm) + gendegs[pos], seq,
-                                  (old, new)))
+            deg = ctx.word_degree(lcm)
+            heapq.heappush(heap, (deg + gendegs[pos], seq,
+                                  (old, new, lcm, deg)))
             seq += 1
 
     return reducer
@@ -348,8 +350,8 @@ def interreduce(reducer):
     are rewritten yet.
     """
     for entries in reducer.by_pos.values():
-        for i, (_, lead, _, items) in enumerate(entries):
+        for i, (word, lead, _, items) in enumerate(entries):
             tail = reducer.normal_form({k: c for k, c in items if k != lead})
-            entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()])
+            entries[i] = reducer.entry(word, lead, [(lead, 1), *tail.items()])
         mono_degree = reducer.ctx.mono_degree
         entries.sort(key=lambda e: (mono_degree(e[1]), e[1]))

@@ -1,4 +1,5 @@
-"""Groebner bases, quotient rings, matrices over them, syzygies, dimension, length.
+"""Groebner bases, quotient rings, matrices over them, syzygies, Hilbert
+series, dimension, length.
 
 All computations over a quotient ring R = S/I are done by lifting to the
 ambient polynomial ring S.  Kernels and membership questions in free modules
@@ -10,7 +11,8 @@ on the tag block are read off.
 
 from __future__ import annotations
 
-import itertools
+from itertools import accumulate
+from operator import le
 
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, RingMismatchError,
@@ -69,6 +71,7 @@ class QuotientRingSpec:
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
                             for *_, items in self._basis]
         self._lead_exps = [ctx.exp_of(lead) for _, lead, _, _ in self._basis]
+        self._numerator = None
         self._dimension = None
 
     @property
@@ -131,9 +134,22 @@ class QuotientRingSpec:
                     acc[key] = acc.get(key, 0) + ca * cb
         return self.reduce_packed({k: c % p for k, c in acc.items() if c % p})
 
+    def hilbert_numerator(self):
+        """hilbert_numerator of the leads of I: the Hilbert series of R is
+        numerator / (1-t)^nvars."""
+        if self._numerator is None:
+            self._numerator = hilbert_numerator(self._lead_exps)
+        return self._numerator
+
     def dimension(self):
+        """Krull dimension: the pole order of the Hilbert series at t = 1,
+        or -1 when 1 is in I."""
         if self._dimension is None:
-            self._dimension = staircase_dimension(self._lead_exps, self.nvars)
+            coeffs = self.hilbert_numerator()
+            dim = self.nvars if any(coeffs) else -1
+            while dim > 0 and (coeffs := _divide_one_minus_t(coeffs)):
+                dim -= 1
+            self._dimension = dim
         return self._dimension
 
     def standard_monomials(self, degree):
@@ -155,24 +171,7 @@ class QuotientRingSpec:
 
 
 # ---------------------------------------------------------------------------
-# staircase combinatorics (monomial ideals)
-
-
-def staircase_dimension(lead_exps, nv):
-    """Krull dimension of S/L for the monomial ideal L = (lead_exps).
-
-    Equals the largest size of a variable subset T such that no generator is
-    supported entirely inside T.  Returns -1 when 1 is in L.
-    """
-    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in lead_exps]
-    if any(not s for s in supports):
-        return -1
-    # size 0 always qualifies: every support is nonempty
-    for size in range(nv, -1, -1):
-        for subset in itertools.combinations(range(nv), size):
-            tset = set(subset)
-            if all(not s <= tset for s in supports):
-                return size
+# staircases and Hilbert series of monomial ideals
 
 
 def standard_monomials(lead_exps, nv, degree):
@@ -194,24 +193,98 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def staircase_by_degree(lead_exps, nv):
-    """Standard monomials of S/L, L = (lead_exps), counted by degree: a list
-    whose entry t is the number in degree t, or None when S/L has infinite
-    length, which is exactly when some variable has no pure power in L.
+def hilbert_numerator(lead_exps):
+    """Coefficients, from t^0, of the numerator N of the Hilbert series
+    N / (1-t)^n of S/L, for the monomial ideal L = (lead_exps) of
+    S = k[x_1..x_n]; [] when 1 is in L.  N does not depend on n.
 
-    Every standard monomial lies in the box below the pure-power bounds.
+    Pivot recursion (Bayer-Stillman 1992, Bigatti 1997): with x_i^e not in
+    L, the sequence 0 -> S/(L : x_i^e)(-e) -> S/L -> S/(L + x_i^e) -> 0 gives
+    N(L) = N(L + x_i^e) + t^e N(L : x_i^e).  It ends at generators with
+    pairwise coprime supports, where N is the product of the 1 - t^deg.
     """
-    bounds = []
-    for i in range(nv):
-        pure = [exp[i] for exp in lead_exps if exp[i] and sum(exp) == exp[i]]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    counts = [0] * (sum(bounds) - nv + 1)
-    for exp in itertools.product(*(range(b) for b in bounds)):
-        if not any(all(e >= l for e, l in zip(exp, lead)) for lead in lead_exps):
-            counts[sum(exp)] += 1
-    return counts
+    return _numerator(_minimal(lead_exps))
+
+
+def _minimal(gens):
+    """The minimal generators among the exponent tuples gens."""
+    out = []
+    for g in sorted(set(gens), key=sum):
+        for h in out:
+            if all(map(le, h, g)):
+                break
+        else:
+            out.append(g)
+    return out
+
+
+def _numerator(gens):
+    """hilbert_numerator of the minimal generators gens."""
+    if not gens:
+        return [1]
+    if not any(gens[0]):
+        return []  # the unit is the one minimal generator
+    best = 0
+    for j in range(len(gens[0])):
+        held = 0
+        for g in gens:
+            if g[j]:
+                held += 1
+        if held > best:
+            best, i = held, j
+    if best < 2:  # pairwise coprime supports: multiply out the 1 - t^d
+        degs = [sum(g) for g in gens]
+        out = [1] + [0] * sum(degs)
+        top = 0
+        for d in degs:
+            top += d
+            for k in range(top, d - 1, -1):
+                out[k] -= out[k - d]
+        return out
+    # the pivot exponent is a median over the generators that hold x_i and
+    # are no pure power of it; a pure power x_i^c has c above all of them,
+    # so x_i^e is not in L, and both branches lower the sum of the
+    # generator degrees
+    mixed = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+    e = mixed[len(mixed) // 2]
+    plus = [g for g in gens if g[i] < e]
+    plus.append(tuple(e if j == i else 0 for j in range(len(gens[0]))))
+    colon = _minimal([g[:i] + (g[i] - e if g[i] > e else 0,) + g[i + 1:]
+                      for g in gens])
+    out = _numerator(plus)
+    shifted = _numerator(colon)  # added times t^e
+    out += [0] * (len(shifted) + e - len(out))
+    for k, c in enumerate(shifted):
+        out[k + e] += c
+    return out
+
+
+def _divide_one_minus_t(coeffs):
+    """The coefficients of coeffs / (1-t), or None when 1 - t does not
+    divide it: the quotient's coefficients are the partial sums."""
+    if sum(coeffs):
+        return None
+    return list(accumulate(coeffs[:-1]))
+
+
+def series_counts(numerator, nv):
+    """Dict degree -> coefficient of the Hilbert series numerator / (1-t)^nv,
+    for a numerator given as a dict degree -> coefficient, or INFINITE when
+    the series is no polynomial, that is, the module has positive
+    dimension."""
+    if nv and sum(numerator.values()):
+        return INFINITE  # 1 - t does not divide it
+    if not any(numerator.values()):
+        return {}
+    low = min(numerator)
+    coeffs = [0] * (max(numerator) + 1 - low)
+    for d, c in numerator.items():
+        coeffs[d - low] = c
+    for _ in range(nv):
+        coeffs = _divide_one_minus_t(coeffs)
+        if coeffs is None:
+            return INFINITE
+    return {low + t: c for t, c in enumerate(coeffs) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +488,7 @@ class FinitelyPresentedModule:
                 relations.row_degrees != self.gen_degrees:
             raise DimensionMismatchError("relations do not match generators")
         self.relations = relations
-        self._lead_cache = None
-        self._count_cache = None
+        self._numerator = None
 
     def _initial_leads(self):
         """Per-position leading exponents of relations + I * generators.
@@ -424,53 +496,48 @@ class FinitelyPresentedModule:
         The leads of the Buchberger store are those of the reduced basis, so
         no interreduction is run.
         """
-        if self._lead_cache is None:
-            ring = self.ring
-            cols, ideal_rows = _packed_columns(self.relations)
-            leads = {pos: [] for pos in range(len(self.gen_degrees))}
-            if any(cols) or ideal_rows:
-                store = buchberger(cols + ideal_rows, ring._ctx,
-                                   ring.characteristic, self.gen_degrees)
-                exp_of = ring._ctx.exp_of
-                for pos, entries in store.by_pos.items():
-                    leads[pos] = [exp_of(e[1]) for e in entries]
-            self._lead_cache = leads
-        return self._lead_cache
+        ring = self.ring
+        cols, ideal_rows = _packed_columns(self.relations)
+        store = buchberger(cols + ideal_rows, ring._ctx, ring.characteristic,
+                           self.gen_degrees)
+        exp_of = ring._ctx.exp_of
+        leads = {pos: [] for pos in range(len(self.gen_degrees))}
+        for pos, entries in store.by_pos.items():
+            leads[pos] = [exp_of(e[1]) for e in entries]
+        return leads
 
     def is_zero(self):
         return self.length() == 0
 
-    def _graded_counts(self):
-        """Dict internal degree -> GF(p)-dimension, or INFINITE; counted once
-        per module and kept beside its leads."""
-        if self._count_cache is None:
-            leads = self._initial_leads() if self.gen_degrees else {}
+    def hilbert_numerator(self):
+        """Dict degree -> coefficient of the numerator N of the Hilbert
+        series N / (1-t)^nvars, summed over the generators; computed once
+        per module.  A module with no relations takes the ring's numerator
+        in every position, with no Groebner basis."""
+        if self._numerator is None:
+            if any(self.relations.cols):
+                nums = [hilbert_numerator(exps)
+                        for exps in self._initial_leads().values()]
+            else:
+                nums = [self.ring.hilbert_numerator()] * len(self.gen_degrees)
             out = {}
-            for pos, base in enumerate(self.gen_degrees):
-                exps = leads[pos]
-                if any(not any(exp) for exp in exps):
-                    continue  # generator dies entirely
-                counts = staircase_by_degree(exps, self.ring.nvars)
-                if counts is None:
-                    out = INFINITE
-                    break
-                for t, n in enumerate(counts):
-                    if n:
-                        out[base + t] = out.get(base + t, 0) + n
-            self._count_cache = out
-        return self._count_cache
+            for base, num in zip(self.gen_degrees, nums):
+                for t, c in enumerate(num):
+                    out[base + t] = out.get(base + t, 0) + c
+            self._numerator = out
+        return self._numerator
 
     def length(self):
         """Vector-space dimension over GF(p), or INFINITE if dim > 0."""
-        counts = self._graded_counts()
+        counts = series_counts(self.hilbert_numerator(), self.ring.nvars)
         return INFINITE if counts is INFINITE else sum(counts.values())
 
     def graded_length(self):
         """Dict internal degree -> GF(p)-dimension (finite length only)."""
-        counts = self._graded_counts()
+        counts = series_counts(self.hilbert_numerator(), self.ring.nvars)
         if counts is INFINITE:
             raise AlgebraError("graded length of an infinite-length module")
-        return dict(counts)
+        return counts
 
     def __repr__(self):
         return (f"<FP module: {len(self.gen_degrees)} generators, "

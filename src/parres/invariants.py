@@ -5,8 +5,10 @@ Depth and grade are read off KoszulTable.grade, the vanishing of Koszul
 homology.  Given a sop x, depth R = grade(x) = d - max{p : H_p(x; R) != 0}:
 grade depends only on the radical of the ideal, and (x) is primary to the
 irrelevant maximal ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul
-homology of x, which the standardness and FLC tests present anyway, gives
-the depth; K(m) on the variables is built only when there is no sop.  Sop
+homology of x, whose lengths the standardness and FLC tests read anyway,
+gives the depth; K(m) on the variables is built only when there is no sop.
+Every test here compares lengths, which the table reads off Hilbert series,
+so none of them presents a Koszul homology module.  Sop
 standardness uses the squares criterion (Koszul homology lengths unchanged
 under squaring the sequence), and the lengths of the local cohomology
 modules are recovered by back-solving the binomial identities relating them
@@ -15,7 +17,7 @@ cohomology is a semi-decision: lengths are scanned across powers up to a
 bound.
 
 The functions of one experiment share a KoszulTable, passed as `table`, so
-that each H_p(y; R) is presented once.
+that each H_p(y; R) is counted once.
 """
 
 from __future__ import annotations

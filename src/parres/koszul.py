@@ -1,5 +1,5 @@
-"""Koszul complexes, the table presenting their homology, powers, comparison
-maps.
+"""Koszul complexes, the table counting and presenting their homology,
+powers, comparison maps.
 
 The exterior basis of the degree-p term is indexed by the p-element subsets of
 {0..r-1} in lexicographic order.  The differential takes e_{i1<...<ip} to
@@ -12,7 +12,8 @@ from itertools import combinations
 from math import prod
 
 from .algebra import AlgebraError, NotHomogeneousError
-from .groebner import FinitelyPresentedModule, INFINITE, RingMatrix
+from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix,
+                       series_counts)
 from .complexes import ChainComplex, ComplexMap, homology_presentation
 
 
@@ -102,9 +103,15 @@ def koszul_complex(x):
 
 
 class KoszulTable:
-    """K(y; R), each presented H_p(y; R) with its cycle matrix, its length
-    and the grade of (y), for the sequences one experiment meets, each
-    computed once.
+    """K(y; R) and the Hilbert series of each H_p(y; R), giving its length,
+    its graded length and the grade of (y), for the sequences one experiment
+    meets, each computed once; H_p(y; R) is presented only when asked.
+
+    The series come from the cokernels of the differentials d_p: F_p ->
+    F_{p-1}: the exact sequences 0 -> Z_p -> F_p -> F_{p-1} -> coker d_p -> 0
+    and 0 -> B_p -> F_p -> coker d_{p+1} -> 0 give
+    HS(H_p) = HS(coker d_{p+1}) + HS(coker d_p) - HS(F_{p-1}), so one
+    Buchberger run per cokernel, with no tag block, serves H_p and H_{p-1}.
 
     Entries are keyed by the reduced elements of y, so the squares of a
     prefix of x and the prefix of x^2 share one entry.  A table is bound to
@@ -114,8 +121,9 @@ class KoszulTable:
 
     def __init__(self, ring):
         self.ring = ring
-        self._sops = {}
         self._complexes = {}
+        self._cokernels = {}
+        self._numerators = {}
         self._presentations = {}
 
     def _key(self, y):
@@ -123,12 +131,15 @@ class KoszulTable:
             raise AlgebraError("sequence over another ring than the table's")
         return y.elements
 
+    def _check_index(self, y, p):
+        if not 0 <= p <= y.count:
+            raise AlgebraError(f"homology index {p} outside 0..{y.count}")
+
     def is_sop(self, y):
-        """y.is_sop(), decided once per sequence."""
-        key = self._key(y)
-        if key not in self._sops:
-            self._sops[key] = y.is_sop()
-        return self._sops[key]
+        """y.is_sop(): d = dim R elements with R/(y) = H_0(y; R) of finite
+        length, read off the table's series."""
+        return (y.count == self.ring.dimension()
+                and self.length(y, 0) is not INFINITE)
 
     def complex(self, y):
         """K(y; R)."""
@@ -137,11 +148,50 @@ class KoszulTable:
             self._complexes[key] = koszul_complex(y)
         return self._complexes[key]
 
+    def _cokernel(self, y, p):
+        """Hilbert series numerator of coker d_p, for p = 1..count + 1;
+        coker d_(count+1) is the free module F_count."""
+        key = (self._key(y), p)
+        if key not in self._cokernels:
+            cplx = self.complex(y)
+            self._cokernels[key] = FinitelyPresentedModule(
+                self.ring, cplx.module(p - 1),
+                cplx.differential(p)).hilbert_numerator()
+        return self._cokernels[key]
+
+    def _numerator(self, y, p):
+        """Dict degree -> coefficient of the Hilbert series numerator of
+        H_p(y; R) over (1-t)^nvars."""
+        self._check_index(y, p)
+        key = (self._key(y), p)
+        if key not in self._numerators:
+            terms = [(1, self._cokernel(y, p + 1))]
+            if p > 0:
+                free = FinitelyPresentedModule(self.ring,
+                                               self.complex(y).module(p - 1))
+                terms += [(1, self._cokernel(y, p)),
+                          (-1, free.hilbert_numerator())]
+            num = {}
+            for sign, part in terms:
+                for t, c in part.items():
+                    num[t] = num.get(t, 0) + sign * c
+            self._numerators[key] = num
+        return self._numerators[key]
+
+    def graded_length(self, y, p):
+        """Dict internal degree -> GF(p)-dimension of H_p(y; R), or
+        INFINITE."""
+        return series_counts(self._numerator(y, p), self.ring.nvars)
+
+    def length(self, y, p):
+        """Length of H_p(y; R), or INFINITE."""
+        counts = self.graded_length(y, p)
+        return INFINITE if counts is INFINITE else sum(counts.values())
+
     def presentation(self, y, p):
         """(Z, H_p(y; R)): the cycle matrix of K(y; R) in degree p and the
         presented homology, as homology_presentation returns them."""
-        if not 0 <= p <= y.count:
-            raise AlgebraError(f"homology index {p} outside 0..{y.count}")
+        self._check_index(y, p)
         key = (self._key(y), p)
         if key not in self._presentations:
             self._presentations[key] = homology_presentation(
@@ -151,10 +201,6 @@ class KoszulTable:
     def homology(self, y, p):
         """H_p(y; R) as a finitely presented module."""
         return self.presentation(y, p)[1]
-
-    def length(self, y, p):
-        """Length of H_p(y; R), or INFINITE (the module keeps its count)."""
-        return self.homology(y, p).length()
 
     def grade(self, y):
         """grade of (y) on R: count minus the top nonvanishing H_p(y; R)."""

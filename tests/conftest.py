@@ -1,7 +1,14 @@
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from parres import algebra, harness, invariants
 from parres.cli import bundled_ring_text
 from parres.harness import parse_ring_spec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _spec(name):
@@ -37,3 +44,17 @@ def nonflc():
 def corpus(r1, r2, regular, hypersurface, nonflc):
     return {"r1": r1, "r2": r2, "regular": regular,
             "hypersurface": hypersurface, "nonflc": nonflc}
+
+
+@pytest.fixture(scope="session")
+def random_specs():
+    """The first 40 random rings of the benchmark's generator at seed 101,
+    each with its reference sop; the generator is only read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ringgen", PERFBENCH / "ringgen.py")
+    ringgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ringgen)
+    api = SimpleNamespace(algebra=algebra, harness=harness,
+                          invariants=invariants)
+    return [parse_ring_spec(text)
+            for text in ringgen.random_rings(api, 101)[:40]]

@@ -238,7 +238,8 @@ def test_interreduce_matches_per_element_reference(case):
         vecs = [dict(items) for *_, items in entries]
         assert vecs == [v for v in reference if ctx.pos_of(max(v)) == pos]
         assert all(items[0] == (max(items)[0], 1) for *_, items in entries)
-        assert all(entry == gb.entry(entry[3][0][0], entry[3])
+        assert all(entry == gb.entry(ctx.word(entry[3][0][0]),
+                                     entry[3][0][0], entry[3])
                    for entry in entries)
 
 

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +9,8 @@ from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
                             PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
-                             RingMatrix, matrix_solve, staircase_by_degree,
-                             staircase_dimension, standard_monomials,
-                             syzygies)
+                             RingMatrix, hilbert_numerator, matrix_solve,
+                             series_counts, standard_monomials, syzygies)
 from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.koszul import koszul_complex
 
@@ -73,20 +72,34 @@ def test_reduce_is_normal_form(r1):
     assert ring.reduce(f) == ring.ambient.parse("a*b")
 
 
-def test_staircase_dimension():
-    # initial ideal (ac, bc, c^2) in 3 vars: faces {a,b} survive
-    assert staircase_dimension([(1, 0, 1), (0, 1, 1), (0, 0, 2)], 3) == 2
-    assert staircase_dimension([], 3) == 3
-    assert staircase_dimension([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3) == 0
+def _series(leads, nv):
+    return series_counts(dict(enumerate(hilbert_numerator(leads))), nv)
+
+
+def test_staircase_dimension(amb3):
+    # initial ideal (ac, bc, c^2) in 3 vars: faces {a,b} survive; the
+    # staircase is the plane of a, b plus c, so the series is
+    # 1/(1-t)^2 + t and N = (1-t) + t (1-t)^3
+    assert hilbert_numerator([(1, 0, 1), (0, 1, 1), (0, 0, 2)]) == \
+        [1, 0, -3, 3, -1]
+
+    def dim(*monomials):
+        ideal = [amb3.parse(m) for m in monomials]
+        return QuotientRingSpec(amb3, ideal).dimension()
+
+    assert dim("a*c", "b*c", "c^2") == 2
+    assert dim() == 3
+    assert dim("a", "b", "c") == 0
 
 
 def test_staircase_count_matches_enumeration(amb3):
     leads = [(2, 0, 0), (0, 3, 0), (0, 0, 1)]
     by_degree = [len(standard_monomials(leads, 3, d)) for d in range(10)]
-    assert staircase_by_degree(leads, 3) == by_degree[:4] == [1, 2, 2, 1]
+    assert _series(leads, 3) == dict(enumerate(by_degree[:4])) \
+        == {0: 1, 1: 2, 2: 2, 3: 1}
     assert not any(by_degree[4:])
     # no pure power of c: infinitely many standard monomials
-    assert staircase_by_degree(leads[:2], 3) is None
+    assert _series(leads[:2], 3) is INFINITE
 
     ring = QuotientRingSpec(amb3, [])
     f, zero, one = amb3.parse, amb3.zero(), amb3.one()
@@ -113,6 +126,61 @@ def test_staircase_count_matches_enumeration(amb3):
     assert mod.length() is INFINITE
     with pytest.raises(AlgebraError):
         mod.graded_length()
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(nv, generators): up to six monomials of degree <= 4 in 2-4
+    variables, the unit and repeated or redundant generators included."""
+    nv = draw(st.integers(2, 4))
+    exp = st.tuples(*[st.integers(0, 4)] * nv).filter(lambda e: sum(e) <= 4)
+    return nv, draw(st.lists(exp, max_size=6))
+
+
+def _reference_dimension(leads, nv):
+    """Largest size of a variable subset T with no generator supported
+    inside T; -1 when 1 is in L."""
+    supports = [{i for i, e in enumerate(exp) if e} for exp in leads]
+    if any(not s for s in supports):
+        return -1
+    return max(size for size in range(nv + 1)
+               for t in combinations(range(nv), size)
+               if not any(s <= set(t) for s in supports))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=monomial_ideals())
+def test_hilbert_numerator_matches_standard_monomials(case):
+    nv, leads = case
+    num = hilbert_numerator(leads)
+    # N has degree at most that of the lcm of the generators, so the
+    # series through that degree determines it
+    top = sum(max((exp[i] for exp in leads), default=0) for i in range(nv))
+    series = num + [0] * (top + 1 - len(num))
+    for _ in range(nv):  # times 1/(1-t): partial sums
+        series = [sum(series[:k + 1]) for k in range(len(series))]
+    counts = [len(standard_monomials(leads, nv, d)) for d in range(top + 1)]
+    assert series[:top + 1] == counts
+    assert len(num) <= top + 1 or not any(num[top + 1:])
+
+    # finite exactly when every variable has a pure power in L, and then
+    # every standard monomial lies below degree top
+    finite = any(not any(exp) for exp in leads) or all(
+        any(exp[i] and sum(exp) == exp[i] for exp in leads)
+        for i in range(nv))
+    got = series_counts(dict(enumerate(num)), nv)
+    if finite:
+        assert not standard_monomials(leads, nv, top + 1)
+        assert got == {d: c for d, c in enumerate(counts) if c}
+    else:
+        assert got is INFINITE
+
+    if all(any(exp) for exp in leads):
+        amb = PolynomialRingSpec(P, [f"x{i}" for i in range(nv)])
+        ring = QuotientRingSpec(amb, [amb.monomial(exp) for exp in leads])
+        assert ring.dimension() == _reference_dimension(leads, nv)
+    else:
+        assert num == []
 
 
 def test_module_length_and_dimension(r1):

@@ -278,7 +278,14 @@ def _count_koszul_complexes(monkeypatch):
     return built
 
 
-# resolve presents no Koszul homology
+# Lengths come from Hilbert series, so the experiments that only count
+# present no Koszul homology; inequality and example resolve H_p(x; R), and
+# main-theorem resolves H_1(x^n; R) once it finds a standard power, which
+# it does on r2 only (r1 has cmd 2).  resolve meets no Koszul homology.
+PRESENTING = {("inequality", "r1"), ("inequality", "r2"), ("example", "r1"),
+              ("example", "r2"), ("main-theorem", "r2")}
+
+
 @pytest.mark.parametrize("command", ["invariants", "standard",
                                      "main-theorem", "koszul", "inequality",
                                      "example", "scan"])
@@ -295,22 +302,24 @@ def test_experiment_presents_each_koszul_homology_once(monkeypatch, command,
 
     _wrap_everywhere(monkeypatch, real_present, counting_present)
     run(build_parser().parse_args([command, "--ring", ring]))
-    assert presented
+    assert bool(presented) == ((command, ring) in PRESENTING)
     assert len(set(built)) == len(built)
     assert len(set(presented)) == len(presented)
 
 
-def test_koszul_counts_each_staircase_once(monkeypatch):
-    # H_0 and H_1 of r2's sop are nonzero and H_2 has no generators; each
-    # module counts its staircase once, for its length and its graded length
+def test_koszul_counts_each_cokernel_once(monkeypatch):
+    # r2's sop has two elements: the series of H_0, H_1 and H_2 take one
+    # Buchberger run each for coker d_1 = R/(x) and coker d_2, shared by the
+    # H_p on either side; coker d_3 = F_2 is free and takes R's numerator
     counted = []
-    real = groebner.staircase_by_degree
+    real = groebner.FinitelyPresentedModule._initial_leads
 
-    def counting(lead_exps, nv):
-        counted.append(tuple(lead_exps))
-        return real(lead_exps, nv)
+    def counting(module):
+        counted.append((module.gen_degrees, module.relations.col_degrees))
+        return real(module)
 
-    monkeypatch.setattr(groebner, "staircase_by_degree", counting)
+    monkeypatch.setattr(groebner.FinitelyPresentedModule, "_initial_leads",
+                        counting)
     run(build_parser().parse_args(["koszul", "--ring", "r2"]))
     assert len(counted) == len(set(counted)) == 2
 

@@ -1,11 +1,8 @@
-import importlib.util
 import json
-from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from parres import algebra, complexes, harness, invariants, koszul, oracle
+from parres import invariants, oracle
 from parres.algebra import AlgebraError
 from parres.cli import main
 from parres.groebner import FinitelyPresentedModule
@@ -19,8 +16,6 @@ from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                maximal_ideal_sequence, reference_sop,
                                standardness_witness)
 from parres.koszul import KoszulTable, koszul_complex
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_depth_and_defect(corpus):
@@ -166,21 +161,11 @@ def test_variable_in_the_ideal(tmp_path, ideal, sop, want):
     assert json.loads(out.read_text())["data"]["depth"] == want
 
 
-def _random_sop_specs(count):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_ringgen", PERFBENCH / "ringgen.py")
-    ringgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ringgen)
-    api = SimpleNamespace(algebra=algebra, harness=harness,
-                          invariants=invariants)
-    return [parse_ring_spec(text)
-            for text in ringgen.random_rings(api, 101)[:count]]
-
-
-def test_depth_of_the_maximal_ideal_is_the_grade_of_a_sop(corpus):
+def test_depth_of_the_maximal_ideal_is_the_grade_of_a_sop(corpus,
+                                                          random_specs):
     # grade depends only on the radical, and a sop generates an ideal
     # primary to the maximal ideal
-    specs = list(corpus.values()) + _random_sop_specs(40)
+    specs = list(corpus.values()) + random_specs
     depths = set()
     for spec in specs:
         for x in spec.sops.values():
@@ -217,15 +202,15 @@ def test_non_sop_never_gives_the_depth(regular):
 
 
 def test_invariant_report_tables_live_for_one_call(monkeypatch, r2):
+    # each call counts the cokernels of its own Koszul differentials again
     calls = []
-    real = complexes.homology_presentation
+    real = FinitelyPresentedModule._initial_leads
 
-    def counting(cplx, n):
-        calls.append(n)
-        return real(cplx, n)
+    def counting(module):
+        calls.append(module.gen_degrees)
+        return real(module)
 
-    for mod in (complexes, koszul):
-        monkeypatch.setattr(mod, "homology_presentation", counting)
+    monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
     invariant_report(r2.ring, r2.sop())
     first = len(calls)
     invariant_report(r2.ring, r2.sop())

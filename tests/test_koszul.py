@@ -3,6 +3,8 @@ from math import comb
 
 from parres import koszul
 from parres.algebra import AlgebraError, NotHomogeneousError
+from parres.complexes import homology_presentation
+from parres.groebner import INFINITE
 from parres.koszul import (KoszulTable, ParameterSequence, comparison_map,
                            koszul_complex, power_sequence)
 
@@ -22,6 +24,10 @@ def test_is_sop(r1, nonflc):
                                        ring.ambient.parse("a^2")])
     assert not not_sop.is_sop()
     assert nonflc.sop("y").is_sop()
+    # the table reads the same answers off the series of H_0 = R/(y)
+    table = KoszulTable(ring)
+    assert table.is_sop(r1.sop("x")) and not table.is_sop(not_sop)
+    assert KoszulTable(nonflc.ring).is_sop(nonflc.sop("y"))
 
 
 def test_power_sequence(r1):
@@ -105,3 +111,40 @@ def test_table_is_bound_to_its_ring(r1, r2):
         table.length(r2.sop(), 1)
     with pytest.raises(AlgebraError):
         table.homology(r1.sop("x"), 3)
+
+
+def _assert_series_match_presentations(spec, powers):
+    """Lengths and graded lengths read off the table's Hilbert series equal
+    those of the presented H_p(y; R), for y = x^n and for its prefix
+    without the last element, which is no sop and has INFINITE lengths."""
+    table = KoszulTable(spec.ring)
+    seen = set()
+    for x in spec.sops.values():
+        for n in powers:
+            xn = x.power(n)
+            for y in (xn, ParameterSequence(spec.ring, xn.elements[:-1])):
+                for p in range(y.count + 1):
+                    _, h = homology_presentation(table.complex(y), p)
+                    length = table.length(y, p)
+                    assert length == h.length(), (spec.name, y, p)
+                    seen.add(length is INFINITE)
+                    if length is INFINITE:
+                        assert table.graded_length(y, p) is INFINITE
+                    else:
+                        assert table.graded_length(y, p) == \
+                            h.graded_length()
+    return seen
+
+
+def test_series_lengths_match_presentations_on_bundled_rings(corpus):
+    seen = set()
+    for spec in corpus.values():
+        seen |= _assert_series_match_presentations(spec, range(1, 5))
+    assert seen == {False, True}
+
+
+def test_series_lengths_match_presentations_on_random_rings(random_specs):
+    seen = set()
+    for spec in random_specs:
+        seen |= _assert_series_match_presentations(spec, range(1, 4))
+    assert seen == {False, True}

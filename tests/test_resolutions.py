@@ -115,8 +115,9 @@ def test_general_cone_presents_each_homology_once(monkeypatch, r1):
 def test_aci_cone_presents_each_homology_once(monkeypatch, r2):
     calls = _count_presentations(monkeypatch)
     aci_cone_resolution(r2.sop(), 4)
-    # the grade check presents H_2 = 0 and H_1; the cone reuses both
-    assert calls == [2, 1]
+    # the grade check reads H_2 = 0 and H_1 != 0 off their Hilbert series,
+    # and the cone presents H_1 alone
+    assert calls == [1]
 
 
 def test_general_cone_resolution_r1(r1):
