@@ -73,6 +73,7 @@ class QuotientRingSpec:
         self._lead_exps = [ctx.exp_of(lead) for _, lead, _, _ in self._basis]
         self._numerator = None
         self._dimension = None
+        self._staircases = {}
 
     @property
     def characteristic(self):
@@ -153,7 +154,12 @@ class QuotientRingSpec:
         return self._dimension
 
     def standard_monomials(self, degree):
-        return standard_monomials(self._lead_exps, self.nvars, degree)
+        """The degree-`degree` standard monomials, a tuple kept per degree:
+        the leads of I never change after set-up."""
+        if degree not in self._staircases:
+            self._staircases[degree] = tuple(
+                standard_monomials(self._lead_exps, self.nvars, degree))
+        return self._staircases[degree]
 
     def __eq__(self, other):
         return (isinstance(other, QuotientRingSpec)

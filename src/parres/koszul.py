@@ -34,6 +34,7 @@ class ParameterSequence:
                 raise AlgebraError("sequence elements must have positive degree")
             elems.append(f)
         self.elements = tuple(elems)
+        self._quotient = None
 
     @property
     def count(self):
@@ -43,10 +44,13 @@ class ParameterSequence:
         return tuple(f.degree() for f in self.elements)
 
     def quotient_module(self):
-        """R/(x) as a finitely presented module over R."""
-        rel = RingMatrix.from_columns(self.ring, [[f] for f in self.elements],
-                                      row_degrees=[0])
-        return FinitelyPresentedModule(self.ring, [0], rel)
+        """R/(x) as a finitely presented module over R, built once per
+        sequence, so that its Hilbert series is computed once."""
+        if self._quotient is None:
+            rel = RingMatrix.from_columns(
+                self.ring, [[f] for f in self.elements], row_degrees=[0])
+            self._quotient = FinitelyPresentedModule(self.ring, [0], rel)
+        return self._quotient
 
     def is_sop(self):
         """System of parameters: d = dim R elements with R/(x) artinian."""
@@ -87,8 +91,9 @@ def koszul_complex(x):
     modules = {}
     for p in range(r + 1):
         modules[p] = tuple(sum(degs[i] for i in s) for s in _subsets(r, p))
-    diffs = {}
-    for p in range(1, r + 1):
+    # d_1 presents R/(x), so it is the sequence's own relation matrix
+    diffs = {1: x.quotient_module().relations} if r else {}
+    for p in range(2, r + 1):
         src = _subsets(r, p)
         tgt = {s: i for i, s in enumerate(_subsets(r, p - 1))}
         entries = {}
@@ -150,13 +155,17 @@ class KoszulTable:
 
     def _cokernel(self, y, p):
         """Hilbert series numerator of coker d_p, for p = 1..count + 1;
-        coker d_(count+1) is the free module F_count."""
+        coker d_(count+1) is the free module F_count.  coker d_1 is y's
+        own quotient module, which y.is_sop() may have counted already."""
         key = (self._key(y), p)
         if key not in self._cokernels:
-            cplx = self.complex(y)
-            self._cokernels[key] = FinitelyPresentedModule(
-                self.ring, cplx.module(p - 1),
-                cplx.differential(p)).hilbert_numerator()
+            if p == 1:
+                module = y.quotient_module()
+            else:
+                cplx = self.complex(y)
+                module = FinitelyPresentedModule(
+                    self.ring, cplx.module(p - 1), cplx.differential(p))
+            self._cokernels[key] = module.hilbert_numerator()
         return self._cokernels[key]
 
     def _numerator(self, y, p):

@@ -13,34 +13,63 @@ from __future__ import annotations
 import numpy as np
 
 from ._engine import check_degree
-from .algebra import AlgebraError
 
 
 def gf_rank(mat, p):
-    """Rank of an integer matrix over GF(p)."""
-    a = np.array(mat, dtype=np.int64) % p
-    if a.size == 0:
+    """Rank of an integer matrix over GF(p), for p < 2^31.
+
+    Works on a reduced copy, so the matrix it is given is left as it is.
+    The degree slices are sparse, so lines with one nonzero entry are
+    peeled first: a column whose only nonzero entry is in row i adds one to
+    the rank, and goes with row i; rows are then peeled the same way, until
+    no line has one entry.  Gaussian elimination runs on what is left,
+    turned so that it has no more columns than rows, a column at a time:
+    the pivot is the first row at or below the current rank that is nonzero
+    in the column, and one outer-product update clears the other such rows
+    on the later columns (the column itself is never read again).  Entries
+    stay in [0, p), so every product is below 2^62 and int64 is exact.
+    """
+    a = np.asarray(mat, dtype=np.int64) % p
+    if not a.size:
         return 0
-    rows, cols = a.shape
-    rank = 0
-    for j in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if a[i, j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, j]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        for i in range(rows):
-            if i != rank and a[i, j]:
-                a[i] = (a[i] - a[i, j] * a[rank]) % p
-        rank += 1
-        if rank == rows:
+    peeled = 0
+    while True:
+        by_col, a = _peel_singletons(a)
+        by_row, a = _peel_singletons(a.T)
+        peeled += by_col + by_row
+        if not by_col + by_row:
             break
-    return rank
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    rank = 0
+    for j in range(a.shape[1]):
+        hits = a[rank:, j].nonzero()[0]
+        if not len(hits):
+            continue
+        piv = rank + hits[0]
+        if len(hits) > 1:
+            row = a[piv, j + 1:] * pow(int(a[piv, j]), p - 2, p) % p
+            below = rank + hits[1:]
+            a[below, j + 1:] = (a[below, j + 1:]
+                                - a[below, j, None] * row) % p
+        if piv != rank:
+            # the rank row is zero in column j; it takes the pivot's slot
+            a[piv, j + 1:] = a[rank, j + 1:]
+        rank += 1
+    return peeled + rank
+
+
+def _peel_singletons(a):
+    """(count, rest): the columns of a with one nonzero entry and the rows
+    of those entries taken out, and zero columns dropped; count is the
+    number of such rows, so rank a = count + rank rest."""
+    if not a.size:
+        return 0, a
+    nonzero = a != 0
+    per_col = np.count_nonzero(nonzero, axis=0)
+    rows = np.zeros(a.shape[0], dtype=bool)
+    rows[nonzero[:, per_col == 1].argmax(axis=0)] = True
+    return int(np.count_nonzero(rows)), a[~rows][:, per_col > 1]
 
 
 def ring_basis(ring, degree):
@@ -63,7 +92,10 @@ def matrix_slice(matrix, degree):
     """The GF(p) matrix of a RingMatrix on the degree-`degree` graded pieces.
 
     Returns (numpy array, target basis, source basis); the array has one row
-    per target basis element and one column per source basis element.
+    per target basis element and one column per source basis element.  A
+    monomial multiple of a column whose terms are all standard monomials is
+    its own normal form, so only the others are reduced modulo I.  The array
+    is filled by one index assignment.
     """
     ring = matrix.ring
     ctx = ring._ctx
@@ -74,13 +106,20 @@ def matrix_slice(matrix, degree):
         return a, tgt, src
     # every product below has degree at most degree - min(row degrees)
     check_degree(degree - min(matrix.row_degrees))
-    tindex = {ctx.pack(pos, exp): i for i, (pos, exp) in enumerate(tgt)}
+    # each distinct standard monomial is packed once, in position 0
+    unit = {exp: ctx.pack(0, exp) for exp in {exp for _, exp in tgt + src}}
+    row_of = {ctx.move(unit[exp], pos): i for i, (pos, exp) in enumerate(tgt)}
+    rows, cols, vals = [], [], []
     for jj, (spos, sexp) in enumerate(src):
-        delta = ctx.mul_delta(sexp)
-        shifted = ring.reduce_packed(
-            {k + delta: c for k, c in matrix.cols[spos].items()})
-        for key, c in shifted.items():
-            a[tindex[key], jj] = c
+        delta = unit[sexp] - ctx.one
+        shifted = {k + delta: c for k, c in matrix.cols[spos].items()}
+        if not all(map(row_of.__contains__, shifted)):
+            # a term left the staircase: reduce modulo I
+            shifted = ring.reduce_packed(shifted)
+        rows += map(row_of.__getitem__, shifted)
+        cols += [jj] * len(shifted)
+        vals += shifted.values()
+    a[rows, cols] = vals
     return a, tgt, src
 
 
@@ -92,10 +131,6 @@ def module_dim_at(module, degree):
         return 0
     rel, _, _ = matrix_slice(module.relations, degree)
     return len(free) - gf_rank(rel, ring.characteristic)
-
-
-def module_dims(module, degrees):
-    return {t: module_dim_at(module, t) for t in degrees}
 
 
 def module_length_upto(module, max_degree):
@@ -126,23 +161,3 @@ def homology_dim_at(cplx, n, degree):
         b, _, _ = matrix_slice(dn1, degree)
         rank_in = gf_rank(b, p)
     return dim_n - rank_out - rank_in
-
-
-def kernel_dim_at(matrix, degree):
-    """Dimension of the degreewise kernel of a RingMatrix."""
-    a, _, src = matrix_slice(matrix, degree)
-    return len(src) - gf_rank(a, matrix.ring.characteristic)
-
-
-def column_space_contains(matrix, vec_cols, degree):
-    """Do the given degree-`degree` kernel checks hold: each column of
-    vec_cols (a RingMatrix with the same target) lies in the column space of
-    matrix's slice?"""
-    p = matrix.ring.characteristic
-    a, tgt, _ = matrix_slice(matrix, degree)
-    b, tgt2, _ = matrix_slice(vec_cols, degree)
-    if tgt != tgt2:
-        raise AlgebraError("mismatched targets in column-space check")
-    ra = gf_rank(a, p)
-    rab = gf_rank(np.hstack([a, b]), p)
-    return ra == rab

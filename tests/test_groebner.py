@@ -92,6 +92,18 @@ def test_staircase_dimension(amb3):
     assert dim("a", "b", "c") == 0
 
 
+def test_ring_keeps_one_staircase_per_degree(corpus):
+    # the leads of I never change, so each degree is enumerated once
+    for name, spec in corpus.items():
+        ring = spec.ring
+        for d in range(13):
+            got = ring.standard_monomials(d)
+            assert isinstance(got, tuple), name
+            assert list(got) == standard_monomials(ring._lead_exps,
+                                                   ring.nvars, d), (name, d)
+            assert ring.standard_monomials(d) is got, (name, d)
+
+
 def test_staircase_count_matches_enumeration(amb3):
     leads = [(2, 0, 0), (0, 3, 0), (0, 0, 1)]
     by_degree = [len(standard_monomials(leads, 3, d)) for d in range(10)]

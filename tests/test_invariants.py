@@ -4,9 +4,10 @@ import pytest
 
 from parres import invariants, oracle
 from parres.algebra import AlgebraError
-from parres.cli import main
+from parres.cli import bundled_ring_text, main
 from parres.groebner import FinitelyPresentedModule
-from parres.harness import parse_ring_spec, verify_main_theorem
+from parres.harness import (invariants_experiment, parse_ring_spec,
+                            verify_main_theorem)
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
                                find_standard_power, first_standard_power,
@@ -199,6 +200,28 @@ def test_non_sop_never_gives_the_depth(regular):
     assert table.grade(prefix) == 1
     assert depth(ring, x=prefix, table=table) == 2
     assert cohen_macaulay_defect(ring, x=prefix, table=table) == 0
+
+
+@pytest.mark.parametrize("ring, runs", [
+    ("r1", 9), ("r2", 15), ("regular", 9), ("hypersurface", 9),
+    ("nonflc", 13)])
+def test_invariants_runs_each_groebner_basis_once(monkeypatch, ring, runs):
+    # with no sop given, reference_sop's sop check and the depth's share the
+    # Groebner basis of I + (x): R/(x) is the sequence's quotient module and
+    # coker d_1 of its Koszul complex
+    spec = parse_ring_spec(bundled_ring_text(ring))
+    seen = []
+    real = FinitelyPresentedModule._initial_leads
+
+    def counting(module):
+        seen.append((module.gen_degrees,
+                     tuple(tuple(sorted(c.items()))
+                           for c in module.relations.cols)))
+        return real(module)
+
+    monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
+    invariants_experiment(spec.ring, None, nmax=3)
+    assert len(seen) == len(set(seen)) == runs
 
 
 def test_invariant_report_tables_live_for_one_call(monkeypatch, r2):

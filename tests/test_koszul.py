@@ -48,8 +48,13 @@ def test_koszul_ranks_binomial(r2):
 
 def test_koszul_h0_is_quotient(r1):
     x = r1.sop("x")
-    h0 = KoszulTable(r1.ring).homology(x, 0)
+    table = KoszulTable(r1.ring)
+    h0 = table.homology(x, 0)
     assert h0.graded_length() == x.quotient_module().graded_length()
+    # d_1 presents R/(x): the complex takes the sequence's own relation
+    # matrix, and the table counts coker d_1 from the sequence's module
+    assert table.complex(x).differential(1) is x.quotient_module().relations
+    assert table._cokernel(x, 1) is x.quotient_module().hilbert_numerator()
 
 
 def test_known_homology_r1(r1):
