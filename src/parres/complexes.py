@@ -57,9 +57,6 @@ class ChainComplex:
     def rank(self, n):
         return len(self.module(n))
 
-    def ranks(self):
-        return {n: len(d) for n, d in sorted(self.modules.items())}
-
     def differential(self, n):
         """The map F_n -> F_{n-1}; a zero matrix if absent in range."""
         mat = self.differentials.get(n)
@@ -342,13 +339,6 @@ def minimize_with_tracking(cplx):
     return mini, {n: idx for n, idx in kept.items() if idx}
 
 
-def is_minimal(cplx):
-    """No differential has a term of degree 0, that is, a unit entry."""
-    mono_degree = cplx.ring._ctx.mono_degree
-    return all(mono_degree(k) for m in cplx.differentials.values()
-               for col in m.cols for k in col)
-
-
 # ---------------------------------------------------------------------------
 # induced maps on homology
 
@@ -396,9 +386,3 @@ class InducedHomologyMap:
 
     def is_injective(self):
         return self.kernel_length() == 0
-
-    def is_surjective(self):
-        return self.cokernel().length() == 0
-
-    def is_isomorphism(self):
-        return self.is_injective() and self.is_surjective()

@@ -192,7 +192,8 @@ def standard_monomials(lead_exps, nv, degree):
 
 def _compositions(total, parts):
     if parts == 1:
-        yield (total,)
+        if total >= 0:
+            yield (total,)
         return
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):

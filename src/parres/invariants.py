@@ -52,12 +52,6 @@ def depth(ring, table, x=None):
     return table.grade(maximal_ideal_sequence(ring))
 
 
-def grade(generators, ring):
-    """Grade of the ideal generated by the given elements; see
-    KoszulTable.grade.  ParameterSequence rejects units."""
-    return KoszulTable(ring).grade(ParameterSequence(ring, generators))
-
-
 def cohen_macaulay_defect(ring, table, x=None):
     return ring.dimension() - depth(ring, table, x=x)
 
@@ -85,24 +79,6 @@ def standardness_witness(x, table):
             if l1 != l2:
                 return (p, r)
     return None
-
-
-def is_standard_sop(x, nmax=4):
-    """Standardness of a sop via the squares criterion.
-
-    The criterion characterizes standard sops for rings with finite local
-    cohomology, so FLC is checked first (semi-decision; an UNDECIDED verdict
-    is raised as an error).
-    """
-    table = KoszulTable(x.ring)
-    if not table.is_sop(x):
-        raise AlgebraError("sequence is not a system of parameters")
-    verdict = flc_check(x, table, nmax=nmax)
-    if verdict is not True:
-        raise AlgebraError(
-            f"finite local cohomology not established ({verdict!r}); "
-            "the squares criterion does not apply")
-    return standardness_witness(x, table) is None
 
 
 def local_cohomology_lengths(x, table):

@@ -59,7 +59,14 @@ class ParameterSequence:
         return self.quotient_module().length() is not INFINITE
 
     def power(self, n):
-        return power_sequence(self, n)
+        """Elementwise n-th powers of the sequence."""
+        if n < 1:
+            raise AlgebraError("power must be at least 1")
+        if n == 1:
+            return self
+        return ParameterSequence(
+            self.ring, [f ** n for f in self.elements],
+            name=None if self.name is None else f"{self.name}^{n}")
 
     def __iter__(self):
         return iter(self.elements)
@@ -67,16 +74,6 @@ class ParameterSequence:
     def __repr__(self):
         body = ", ".join(str(f) for f in self.elements)
         return f"<ParameterSequence ({body}) over {self.ring}>"
-
-
-def power_sequence(x, n):
-    """Elementwise n-th powers of the sequence."""
-    if n < 1:
-        raise AlgebraError("power must be at least 1")
-    if n == 1:
-        return x
-    return ParameterSequence(x.ring, [f ** n for f in x.elements],
-                             name=None if x.name is None else f"{x.name}^{n}")
 
 
 def _subsets(r, p):

@@ -72,20 +72,10 @@ def _peel_singletons(a):
     return int(np.count_nonzero(rows)), a[~rows][:, per_col > 1]
 
 
-def ring_basis(ring, degree):
-    """Standard monomials of R in one degree (basis of the graded piece)."""
-    if degree < 0:
-        return []
-    return ring.standard_monomials(degree)
-
-
 def free_basis(ring, gen_degrees, degree):
     """Basis of the degree-`degree` piece of the graded free module R(gens)."""
-    out = []
-    for pos, d in enumerate(gen_degrees):
-        for exp in ring_basis(ring, degree - d):
-            out.append((pos, exp))
-    return out
+    return [(pos, exp) for pos, d in enumerate(gen_degrees)
+            for exp in ring.standard_monomials(degree - d)]
 
 
 def matrix_slice(matrix, degree):
@@ -124,13 +114,10 @@ def matrix_slice(matrix, degree):
 
 
 def module_dim_at(module, degree):
-    """GF(p)-dimension of one graded piece of a finitely presented module."""
-    ring = module.ring
-    free = free_basis(ring, module.gen_degrees, degree)
-    if not free:
-        return 0
+    """GF(p)-dimension of one graded piece of a finitely presented module:
+    the rows of the relation slice less its rank."""
     rel, _, _ = matrix_slice(module.relations, degree)
-    return len(free) - gf_rank(rel, ring.characteristic)
+    return rel.shape[0] - gf_rank(rel, module.ring.characteristic)
 
 
 def module_length_upto(module, max_degree):
@@ -142,22 +129,11 @@ def module_length_upto(module, max_degree):
 
 
 def homology_dim_at(cplx, n, degree):
-    """dim over GF(p) of the degree-`degree` piece of H_n of a chain complex."""
-    ring = cplx.ring
-    p = ring.characteristic
-    dim_n = len(free_basis(ring, cplx.module(n), degree))
-    if dim_n == 0:
+    """dim over GF(p) of the degree-`degree` piece of H_n of a chain complex:
+    the columns of the slice of d_n less the ranks of d_n and d_{n+1}."""
+    p = cplx.ring.characteristic
+    a, _, _ = matrix_slice(cplx.differential(n), degree)
+    if not a.shape[1]:
         return 0
-    dn = cplx.differential(n)
-    if dn.nrows == 0:
-        rank_out = 0
-    else:
-        a, _, _ = matrix_slice(dn, degree)
-        rank_out = gf_rank(a, p)
-    dn1 = cplx.differential(n + 1)
-    if dn1.ncols == 0:
-        rank_in = 0
-    else:
-        b, _, _ = matrix_slice(dn1, degree)
-        rank_in = gf_rank(b, p)
-    return dim_n - rank_out - rank_in
+    b, _, _ = matrix_slice(cplx.differential(n + 1), degree)
+    return a.shape[1] - gf_rank(a, p) - gf_rank(b, p)

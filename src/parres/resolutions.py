@@ -3,7 +3,7 @@
 Resolutions are computed step by step: the presentation matrix is extended by
 iterated syzygy computations, the resulting complex is minimized by unit-pivot
 cancellation, and Betti data is read off the generator degrees.  The cone
-constructions assemble a (generally non-minimal) resolution of R/(x) from the
+construction assembles a (generally non-minimal) resolution of R/(x) from the
 Koszul complex and resolutions of its higher homology modules.
 """
 
@@ -12,10 +12,10 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import AlgebraError
-from .groebner import FinitelyPresentedModule, RingMatrix, syzygies
+from .groebner import RingMatrix, syzygies
 from .complexes import (ChainComplex, kill_top_homology, lift_chain_map,
                         minimize_with_tracking)
-from .koszul import KoszulTable, koszul_complex
+from .koszul import koszul_complex
 
 
 class BettiTable:
@@ -114,11 +114,9 @@ class ModuleResolution:
     def poincare(self):
         return SeriesTruncation.from_betti(self.betti())
 
-    def ranks(self):
-        return [self.complex.rank(i) for i in range(self.cap + 1)]
-
     def __repr__(self):
-        return f"<ModuleResolution ranks {self.ranks()} (cap {self.cap})>"
+        return (f"<ModuleResolution ranks {self.betti().totals()} "
+                f"(cap {self.cap})>")
 
 
 def minimal_free_resolution(module, cap):
@@ -157,23 +155,6 @@ def poincare_truncation(module, cap):
     return minimal_free_resolution(module, cap).poincare()
 
 
-def syzygy_module(module, i, cap):
-    """The i-th syzygy module, read off the minimal resolution.
-
-    Presented by the generators of F_i with relations the columns of the
-    (i+1)-st differential; this is a minimal presentation.
-    """
-    if i < 0 or i > cap:
-        raise AlgebraError("syzygy index outside 0..cap")
-    if i == 0:
-        return module
-    res = minimal_free_resolution(module, i + 1)
-    cplx = res.complex
-    gens = cplx.module(i)
-    rel = cplx.differential(i + 1)
-    return FinitelyPresentedModule(module.ring, gens, rel)
-
-
 def _truncate(cplx, top):
     modules = {n: d for n, d in cplx.modules.items() if n <= top}
     diffs = {n: m for n, m in cplx.differentials.items() if n <= top}
@@ -203,22 +184,6 @@ def general_cone_resolution(x, cap, table):
         res = minimal_free_resolution(h, max(0, cap + 1 - s))
         _, cplx = kill_top_homology(cplx, res, s, z)
     return _truncate(cplx, cap + 1)
-
-
-def aci_cone_resolution(x, cap):
-    """Cone resolution of R/(x) for an almost complete intersection sequence.
-
-    Requires grade(x) >= count - 1, so the Koszul complex has homology only
-    in degrees 0 and 1; the resolution is the cone over a single map from the
-    shifted minimal resolution of H_1(x; R) into the Koszul complex, with
-    unminimized ranks rank K_n + rank F_{n-2}.
-    """
-    table = KoszulTable(x.ring)
-    if table.grade(x) < x.count - 1:
-        raise AlgebraError(
-            "sequence is not an almost complete intersection (grade < count-1); "
-            "use the general cone assembly instead")
-    return general_cone_resolution(x, cap, table)
 
 
 # ---------------------------------------------------------------------------

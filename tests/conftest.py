@@ -11,6 +11,13 @@ from parres.harness import parse_ring_spec
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def is_minimal(cplx):
+    """No differential has a term of degree 0, that is, a unit entry."""
+    mono_degree = cplx.ring._ctx.mono_degree
+    return all(mono_degree(k) for m in cplx.differentials.values()
+               for col in m.cols for k in col)
+
+
 def _spec(name):
     return parse_ring_spec(bundled_ring_text(name), name=name)
 

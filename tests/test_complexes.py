@@ -3,10 +3,11 @@ import pytest
 from parres.algebra import AlgebraError
 from parres.groebner import RingMatrix, syzygies
 from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
-                              dual, homology_presentation, is_minimal,
-                              mapping_cone, minimize_with_tracking, shift)
+                              dual, homology_presentation, mapping_cone,
+                              minimize_with_tracking, shift)
 from parres.koszul import KoszulTable, koszul_complex
 from parres import oracle
+from conftest import is_minimal
 
 
 def test_dd_zero_enforced(r1):
@@ -114,8 +115,8 @@ def test_induced_identity_is_isomorphism(r1):
     comps = {n: RingMatrix.identity(k.ring, k.module(n)) for n in range(3)}
     ident = ComplexMap(k, k, comps)
     ind = InducedHomologyMap(ident, 1)
-    assert ind.is_injective() and ind.is_surjective()
-    assert ind.is_isomorphism()
+    # injective with a zero cokernel: an isomorphism
+    assert ind.is_injective() and ind.cokernel().length() == 0
 
 
 def test_one_wrong_sign_fails_each_square_zero_check(r2):

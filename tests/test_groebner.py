@@ -104,6 +104,21 @@ def test_ring_keeps_one_staircase_per_degree(corpus):
             assert ring.standard_monomials(d) is got, (name, d)
 
 
+def test_no_standard_monomials_below_degree_zero():
+    # on one variable too, a negative degree has no monomials
+    amb = PolynomialRingSpec(7, ["a"])
+    ring = QuotientRingSpec(amb, [amb.parse("a^3")])
+    assert standard_monomials([], 1, -1) == []
+    assert standard_monomials([], 3, -1) == []
+    for d in (-1, -2):
+        assert ring.standard_monomials(d) == ()
+    assert ring.standard_monomials(2) == ((2,),)
+    assert ring.standard_monomials(3) == ()
+    # so a free module's basis takes nothing from a generator above the
+    # degree
+    assert oracle.free_basis(ring, (0, 2), 1) == [(0, (1,))]
+
+
 def test_staircase_count_matches_enumeration(amb3):
     leads = [(2, 0, 0), (0, 3, 0), (0, 0, 1)]
     by_degree = [len(standard_monomials(leads, 3, d)) for d in range(10)]

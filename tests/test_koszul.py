@@ -6,7 +6,7 @@ from parres.algebra import AlgebraError, NotHomogeneousError
 from parres.complexes import homology_presentation
 from parres.groebner import INFINITE
 from parres.koszul import (KoszulTable, ParameterSequence, comparison_map,
-                           koszul_complex, power_sequence)
+                           koszul_complex)
 
 
 def test_sequence_validation(r1):
@@ -32,7 +32,7 @@ def test_is_sop(r1, nonflc):
 
 def test_power_sequence(r1):
     x = r1.sop("x")
-    x2 = power_sequence(x, 2)
+    x2 = x.power(2)
     assert x2.degrees() == (2, 2)
     assert x.power(1) is x
     with pytest.raises(AlgebraError):

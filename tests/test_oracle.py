@@ -1,5 +1,7 @@
 """Degreewise linear-algebra oracle over GF(p)."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,11 +114,20 @@ def test_gf_rank_small():
     assert oracle.gf_rank([[1, 3], [3, 9 % 7]], 7) == 1
 
 
-def test_ring_basis_matches_hilbert(r1):
-    ring = r1.ring
-    for d in range(6):
-        assert len(oracle.ring_basis(ring, d)) == \
-            len(ring.standard_monomials(d))
+def test_free_basis_counts_the_hilbert_function(corpus):
+    # HS(R) = N / (1-t)^n: n running sums of N's coefficients give the
+    # Hilbert function through degree 5
+    for name, spec in corpus.items():
+        ring = spec.ring
+        h = (list(ring.hilbert_numerator()) + [0] * 6)[:6]
+        for _ in range(ring.nvars):
+            h = list(accumulate(h))
+        assert [len(oracle.free_basis(ring, (0,), d))
+                for d in range(6)] == h, name
+        # a generator of degree 2 shifts the function up by two degrees
+        assert [len(oracle.free_basis(ring, (0, 2), d))
+                for d in range(6)] == [a + b for a, b in
+                                       zip(h, [0, 0] + h)], name
 
 
 def test_module_dims_quotient(r1):

@@ -1,17 +1,13 @@
-import pytest
 from math import comb
 
-from parres.algebra import AlgebraError
 from parres.groebner import FinitelyPresentedModule, RingMatrix
-from parres.complexes import is_minimal
 from parres.koszul import KoszulTable, koszul_complex
-from parres.resolutions import (BettiTable, aci_cone_resolution,
-                                cec_injectivity_check,
+from parres.resolutions import (BettiTable, cec_injectivity_check,
                                 general_cone_resolution,
                                 lift_koszul_to_resolution,
-                                minimal_free_resolution, poincare_truncation,
-                                syzygy_module)
+                                minimal_free_resolution, poincare_truncation)
 from parres import complexes, koszul, oracle, resolutions
+from conftest import is_minimal
 
 
 def _residue_field(ring):
@@ -74,13 +70,14 @@ def test_betti_table_layout(r1):
 def test_syzygy_module(r1):
     x = r1.sop("x")
     mod = x.quotient_module()
-    s1 = syzygy_module(mod, 1, 3)
+    # the first syzygy module is presented by F_1 and d_2 of the minimal
+    # resolution
+    f = minimal_free_resolution(mod, 3).complex
+    s1 = FinitelyPresentedModule(r1.ring, f.module(1), f.differential(2))
     # first syzygy of R1/(a,b) has 2 generators, matching beta_1
     assert len(s1.gen_degrees) == 2
     res = minimal_free_resolution(s1, 2)
     assert res.poincare().coefficients == [2, 3, 7]
-    with pytest.raises(AlgebraError):
-        syzygy_module(mod, 5, 3)
 
 
 def test_sequence_grade(r1, r2, regular):
@@ -114,9 +111,9 @@ def test_general_cone_presents_each_homology_once(monkeypatch, r1):
 
 def test_aci_cone_presents_each_homology_once(monkeypatch, r2):
     calls = _count_presentations(monkeypatch)
-    aci_cone_resolution(r2.sop(), 4)
-    # the grade check reads H_2 = 0 and H_1 != 0 off their Hilbert series,
-    # and the cone presents H_1 alone
+    general_cone_resolution(r2.sop(), 4, KoszulTable(r2.ring))
+    # the cone reads H_2 = 0 and H_1 != 0 off their Hilbert series, and
+    # presents H_1 alone
     assert calls == [1]
 
 
@@ -135,17 +132,12 @@ def test_general_cone_resolution_r1(r1):
 
 def test_aci_cone_matches_koszul_plus_shift(r2):
     x = r2.sop()
-    cone = aci_cone_resolution(x, 4)
+    cone = general_cone_resolution(x, 4, KoszulTable(r2.ring))
     # rank_n = binom(2, n) + rank F_{n-2} of the H_1 resolution
     h1res = minimal_free_resolution(KoszulTable(r2.ring).homology(x, 1), 3)
     for n in range(0, 5):
         expect = comb(2, n) + (h1res.complex.rank(n - 2) if n >= 2 else 0)
         assert cone.rank(n) == expect
-
-
-def test_aci_cone_rejects_high_defect(r1):
-    with pytest.raises(AlgebraError):
-        aci_cone_resolution(r1.sop("x"), 3)
 
 
 def test_lift_and_cec(r1, r2, regular):
