@@ -11,25 +11,12 @@ import sys
 from importlib import resources
 
 from .algebra import AlgebraError, PolyParseError
-from .harness import (invariants_experiment, koszul_experiment,
-                      load_ring_spec, parse_ring_spec, reproduce_example,
-                      resolve_experiment, stabilization_scan,
-                      standard_experiment, verify_inequality,
-                      verify_main_theorem)
+from .harness import (EXPERIMENTS, load_ring_spec, parse_ring_spec,
+                      run_experiment)
 
 BUNDLED = ("r1", "r2", "regular", "hypersurface", "nonflc")
 DEFAULT_CAP = 4
 DEFAULT_POWER_MAX = 4
-SUBCOMMANDS = (
-    ("resolve", "minimal free resolution of R/(x)"),
-    ("koszul", "Koszul homology lengths of the sequence"),
-    ("invariants", "dimension, depth, defect, local cohomology"),
-    ("standard", "smallest power making the sop standard"),
-    ("inequality", "coefficientwise Poincare series bound"),
-    ("main-theorem", "stabilization statement for cmd <= 1 rings"),
-    ("scan", "Betti totals of R/(x^i) across powers"),
-    ("example", "recompute the bundled reference computation"),
-)
 
 
 def bundled_ring_text(name):
@@ -49,10 +36,11 @@ def build_parser():
         prog="parres",
         description="Graded free resolutions and Koszul homology over "
                     "quotient rings\nof polynomial rings over a prime field.",
-        epilog="commands:\n" + "\n".join(f"  {name:<14}{help_text}"
-                                          for name, help_text in SUBCOMMANDS),
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<14}{help_text}"
+            for name, (help_text, _, _) in EXPERIMENTS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=[name for name, _ in SUBCOMMANDS],
+    parser.add_argument("command", choices=list(EXPERIMENTS),
                         metavar="command", help="one of the commands below")
     parser.add_argument("--ring", required=True,
                         help="ring-spec file path, or bundled name: "
@@ -78,27 +66,10 @@ def run(args):
                                                          DEFAULT_CAP)
     nmax = (args.power_max if args.power_max is not None
             else spec.cap("power", DEFAULT_POWER_MAX))
-    ring = spec.ring
-    cmd = args.command
-    if cmd == "invariants":
-        x = spec.sop(args.sop) if spec.sops else None
-        return invariants_experiment(ring, x, nmax=nmax)
-    x = spec.sop(args.sop)
-    if cmd == "resolve":
-        return resolve_experiment(ring, x, cap)
-    if cmd == "koszul":
-        return koszul_experiment(ring, x)
-    if cmd == "standard":
-        return standard_experiment(ring, x, nmax=nmax)
-    if cmd == "inequality":
-        return verify_inequality(ring, x, cap)
-    if cmd == "main-theorem":
-        return verify_main_theorem(ring, x, cap, nmax=nmax)
-    if cmd == "scan":
-        return stabilization_scan(ring, x, cap, nmax=nmax)
-    if cmd == "example":
-        return reproduce_example(ring, x, cap=cap)
-    raise AlgebraError(f"unknown command {cmd!r}")
+    # only invariants runs without a sop: it picks a reference one
+    x = (None if args.command == "invariants" and not spec.sops
+         else spec.sop(args.sop))
+    return run_experiment(args.command, spec.ring, x, cap, nmax)
 
 
 def main(argv=None):

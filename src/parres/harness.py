@@ -2,9 +2,11 @@
 
 A ring-spec file is line-oriented text with sections [field], [vars],
 [ideal], [sop <name>], [caps]; polynomials use the infix syntax of the
-parser.  Experiments return ExperimentReport objects that render either as
-human-readable text (with timings) or as a deterministic structured JSON
-document (without timings, so repeated runs are byte-identical).
+parser.  EXPERIMENTS maps each subcommand to its experiment, and
+run_experiment builds and times the ExperimentReport the experiment fills.
+A report renders either as human-readable text (with timings) or as a
+deterministic structured JSON document (without timings, so repeated runs
+are byte-identical).
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from math import comb
 from .algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                       PolynomialRingSpec)
 from ._engine import check_degree
-from .groebner import FinitelyPresentedModule, INFINITE, QuotientRingSpec
+from .groebner import INFINITE, QuotientRingSpec
 from .koszul import KoszulTable, ParameterSequence
-from .resolutions import (BettiTable, minimal_free_resolution,
-                          poincare_truncation)
+from .resolutions import minimal_free_resolution, poincare_truncation
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
                          find_standard_power, first_standard_power,
                          invariant_report, standardness_witness)
@@ -193,7 +194,7 @@ class ExperimentReport:
 
     def to_json(self):
         return json.dumps(self.to_structured(), sort_keys=True, indent=2,
-                          default=_jsonable) + "\n"
+                          default=repr) + "\n"
 
     def to_text(self):
         lines = [f"experiment: {self.experiment}"]
@@ -218,14 +219,6 @@ class ExperimentReport:
         if fmt == "structured":
             return self.to_json()
         return self.to_text()
-
-
-def _jsonable(obj):
-    if obj is INFINITE or obj is NOT_FOUND:
-        return repr(obj)
-    if isinstance(obj, BettiTable):
-        return obj.to_dict()
-    return repr(obj)
 
 
 def _cone_series(d, h_series, cap):
@@ -253,14 +246,12 @@ def _series_leq(left, right):
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each fills the report run_experiment made for it from the
+# ring, the sop x, the homological cap and the largest power nmax
 
 
-def verify_inequality(ring, x, cap):
+def verify_inequality(report, ring, x, cap, nmax):
     """Coefficientwise bound P_{R/(x)} <= (1+t)^d + sum t^(i+1) P_{H_i}."""
-    t0 = time.monotonic()
-    report = ExperimentReport("inequality", {
-        "ring": repr(ring), "sop": repr(x), "cap": cap})
     d = ring.dimension()
     res = minimal_free_resolution(x.quotient_module(), cap)
     lhs = res.poincare().coefficients
@@ -277,11 +268,9 @@ def verify_inequality(ring, x, cap):
     ok, strict = _series_leq(lhs, rhs)
     report.record("first_strict_index", strict)
     report.verdict("coefficientwise P_{R/(x)} <= cone assembly", ok, lhs, rhs)
-    report.timings["total"] = time.monotonic() - t0
-    return report
 
 
-def verify_main_theorem(ring, x, cap, nmax=4):
+def verify_main_theorem(report, ring, x, cap, nmax):
     """Main stabilization statement for rings with cmd <= 1 and FLC.
 
     Finds a standard power n, compares P_{R/(x^n)} with
@@ -289,9 +278,6 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     compares total Betti numbers across standard powers, and checks the
     Betti-tail identity beta_{d+1+j}(R/(x^n)) = beta_{d-1+j}(H).
     """
-    t0 = time.monotonic()
-    report = ExperimentReport("main-theorem", {
-        "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})
     d = ring.dimension()
     table = KoszulTable(ring)
     cmd = cohen_macaulay_defect(ring, table, x=x)
@@ -299,20 +285,17 @@ def verify_main_theorem(ring, x, cap, nmax=4):
     report.record("cmd", cmd)
     if cmd > 1:
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
-        report.timings["total"] = time.monotonic() - t0
-        return report
+        return
     verdict_flc = flc_check(x, table, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        repr(verdict_flc), "NOT-APPLICABLE")
-        report.timings["total"] = time.monotonic() - t0
-        return report
+        return
     n = first_standard_power(x, table, nmax=nmax)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
-        report.timings["total"] = time.monotonic() - t0
-        return report
+        return
     xn = x.power(n)
     res = minimal_free_resolution(xn.quotient_module(), cap)
     lhs = res.poincare().coefficients
@@ -337,32 +320,22 @@ def verify_main_theorem(ring, x, cap, nmax=4):
                    all(v == vals[0] for v in vals), betti_by_power,
                    "all equal")
 
-    tail_ok = True
-    tail = {}
-    for j in range(0, cap - d):
-        left = res.betti().total(d + 1 + j)
-        right = resh.betti().total(d - 1 + j)
-        tail[j] = (left, right)
-        if left != right:
-            tail_ok = False
+    tail = {j: (res.betti().total(d + 1 + j), resh.betti().total(d - 1 + j))
+            for j in range(cap - d)}
     report.record("betti_tail_pairs", tail)
-    report.verdict("beta_{d+1+j}(R/(x^n)) = beta_{d-1+j}(H)", tail_ok,
+    report.verdict("beta_{d+1+j}(R/(x^n)) = beta_{d-1+j}(H)",
+                   all(left == right for left, right in tail.values()),
                    {j: v[0] for j, v in tail.items()},
                    {j: v[1] for j, v in tail.items()})
-    report.timings["total"] = time.monotonic() - t0
-    return report
 
 
-def stabilization_scan(ring, x, cap, nmax=4):
+def stabilization_scan(report, ring, x, cap, nmax):
     """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict."""
     if nmax < 1:
         raise AlgebraError(f"power bound {nmax} is below 1: the scan window "
                            "is empty")
     # the squares criterion at the last power works with x^(2 nmax)
     check_degree(2 * nmax * max(x.degrees(), default=0))
-    t0 = time.monotonic()
-    report = ExperimentReport("scan", {
-        "ring": repr(ring), "sop": repr(x), "cap": cap, "power_max": nmax})
     tables = {}
     standard = {}
     koszul = KoszulTable(ring)
@@ -384,89 +357,58 @@ def stabilization_scan(ring, x, cap, nmax=4):
     report.verdict("stabilization observed within the window",
                    stab is not None, tables,
                    "constant from a standard power on")
-    report.timings["total"] = time.monotonic() - t0
-    return report
 
 
-def reproduce_example(ring, x, cap,
-                      expected=((1, 3, 6, 13, 28),
-                                (3, 7, 12, 26, 56),
-                                (1, 2, 3, 7, 15))):
+# P_H2, P_H1 and P_quotient of r1 through t^4.  The P_H1 entry is stale
+# (H_1 = k(-2)^2 gives 2 P_k = (2,6,12,26,56)); the goldens record its FAIL
+EXAMPLE_REFERENCE = ((1, 3, 6, 13, 28), (3, 7, 12, 26, 56), (1, 2, 3, 7, 15))
+
+
+def reproduce_example(report, ring, x, cap, nmax):
     """Recompute the three reference Poincare truncations and compare."""
-    t0 = time.monotonic()
-    report = ExperimentReport("example", {
-        "ring": repr(ring), "sop": repr(x), "cap": cap})
     table = KoszulTable(ring)
-    # H_p(x; R) = 0 for p > count, where the table has no entry
-    h2, h1 = (table.homology(x, p) if p <= x.count
-              else FinitelyPresentedModule(ring, ()) for p in (2, 1))
-    p_h2 = poincare_truncation(h2, cap).coefficients
-    p_h1 = poincare_truncation(h1, cap).coefficients
+    p_h2, p_h1 = (poincare_truncation(table.homology(x, p), cap).coefficients
+                  for p in (2, 1))
     p_q = minimal_free_resolution(x.quotient_module(),
                                   cap).poincare().coefficients
-    report.record("P_H2", p_h2)
-    report.record("P_H1", p_h1)
-    report.record("P_quotient", p_q)
-    report.verdict("P_H2 matches reference", p_h2 == list(expected[0]),
-                   p_h2, list(expected[0]))
-    report.verdict("P_H1 matches reference", p_h1 == list(expected[1]),
-                   p_h1, list(expected[1]))
-    report.verdict("P_quotient matches reference", p_q == list(expected[2]),
-                   p_q, list(expected[2]))
-    report.timings["total"] = time.monotonic() - t0
-    return report
+    for name, got, want in zip(("P_H2", "P_H1", "P_quotient"),
+                               (p_h2, p_h1, p_q), EXAMPLE_REFERENCE):
+        report.record(name, got)
+        report.verdict(f"{name} matches reference", got == list(want), got,
+                       list(want))
 
 
-def resolve_experiment(ring, x, cap):
+def resolve_experiment(report, ring, x, cap, nmax):
     """Minimal free resolution data of R/(x)."""
-    t0 = time.monotonic()
-    report = ExperimentReport("resolve", {
-        "ring": repr(ring), "sop": repr(x), "cap": cap})
     res = minimal_free_resolution(x.quotient_module(), cap)
     table = res.betti()
     report.record("betti", table.to_dict())
     report.record("betti_pretty", table.pretty())
     report.record("poincare", res.poincare().coefficients)
-    report.timings["total"] = time.monotonic() - t0
-    return report
 
 
-def koszul_experiment(ring, x):
+def koszul_experiment(report, ring, x, cap, nmax):
     """Lengths and graded pieces of all Koszul homology modules of x."""
-    t0 = time.monotonic()
-    report = ExperimentReport("koszul", {"ring": repr(ring), "sop": repr(x)})
     table = KoszulTable(ring)
     k = table.complex(x)
     report.record("ranks", {n: k.rank(n) for n in range(x.count + 1)})
-    lengths = {}
-    graded = {}
-    for i in range(x.count + 1):
-        val = lengths[i] = table.length(x, i)
-        if val is not INFINITE:
-            graded[i] = table.graded_length(x, i)
+    lengths = {i: table.length(x, i) for i in range(x.count + 1)}
+    graded = {i: table.graded_length(x, i)
+              for i, n in lengths.items() if n is not INFINITE}
     report.record("homology_lengths", lengths)
     report.record("homology_graded", graded)
-    report.timings["total"] = time.monotonic() - t0
-    return report
 
 
-def invariants_experiment(ring, x=None, nmax=4):
-    t0 = time.monotonic()
-    report = ExperimentReport("invariants", {
-        "ring": repr(ring), "sop": repr(x) if x is not None else None})
+def invariants_experiment(report, ring, x, cap, nmax):
+    """Dimension, depth, defect and local cohomology; x may be None."""
     inv = invariant_report(ring, x, nmax=nmax, table=KoszulTable(ring))
     for k, v in inv.to_dict().items():
         report.record(k, v)
     report.verdict("cmd = dim - depth is non-negative", inv.cmd >= 0,
                    inv.cmd, ">= 0")
-    report.timings["total"] = time.monotonic() - t0
-    return report
 
 
-def standard_experiment(ring, x, nmax=4):
-    t0 = time.monotonic()
-    report = ExperimentReport("standard", {
-        "ring": repr(ring), "sop": repr(x), "power_max": nmax})
+def standard_experiment(report, ring, x, cap, nmax):
     table = KoszulTable(ring)
     n = find_standard_power(x, table, nmax=nmax)
     report.record("standard_power",
@@ -477,5 +419,39 @@ def standard_experiment(ring, x, nmax=4):
                        f"n={n}", "squares criterion")
     else:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
+
+
+# subcommand -> (help line, inputs the report records after ring and sop,
+# experiment); invariants omits power_max, which it uses, as its goldens do
+EXPERIMENTS = {
+    "resolve": ("minimal free resolution of R/(x)", ("cap",),
+                resolve_experiment),
+    "koszul": ("Koszul homology lengths of the sequence", (),
+               koszul_experiment),
+    "invariants": ("dimension, depth, defect, local cohomology", (),
+                   invariants_experiment),
+    "standard": ("smallest power making the sop standard", ("power_max",),
+                 standard_experiment),
+    "inequality": ("coefficientwise Poincare series bound", ("cap",),
+                   verify_inequality),
+    "main-theorem": ("stabilization statement for cmd <= 1 rings",
+                     ("cap", "power_max"), verify_main_theorem),
+    "scan": ("Betti totals of R/(x^i) across powers", ("cap", "power_max"),
+             stabilization_scan),
+    "example": ("recompute the bundled reference computation", ("cap",),
+                reproduce_example),
+}
+
+
+def run_experiment(command, ring, x, cap, nmax):
+    """The timed report of subcommand `command` on ring and sop x (None
+    when the spec has none), recording the inputs its table row names."""
+    _, recorded, experiment = EXPERIMENTS[command]
+    given = {"cap": cap, "power_max": nmax}
+    report = ExperimentReport(command, {
+        "ring": repr(ring), "sop": None if x is None else repr(x),
+        **{key: given[key] for key in recorded}})
+    t0 = time.monotonic()
+    experiment(report, ring, x, cap, nmax)
     report.timings["total"] = time.monotonic() - t0
     return report

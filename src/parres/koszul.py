@@ -134,8 +134,9 @@ class KoszulTable:
         return y.elements
 
     def _check_index(self, y, p):
-        if not 0 <= p <= y.count:
-            raise AlgebraError(f"homology index {p} outside 0..{y.count}")
+        # K(y; R) has no terms above y.count, so H_p(y; R) = 0 there
+        if p < 0:
+            raise AlgebraError(f"homology index {p} is negative")
 
     def is_sop(self, y):
         """y.is_sop(): d = dim R elements with R/(y) = H_0(y; R) of finite
@@ -151,9 +152,10 @@ class KoszulTable:
         return self._complexes[key]
 
     def _cokernel(self, y, p):
-        """Hilbert series numerator of coker d_p, for p = 1..count + 1;
-        coker d_(count+1) is the free module F_count.  coker d_1 is y's
-        own quotient module, which y.is_sop() may have counted already."""
+        """Hilbert series numerator of coker d_p, for p >= 1; coker
+        d_(count+1) is the free module F_count, and above it F_(p-1) = 0.
+        coker d_1 is y's own quotient module, which y.is_sop() may have
+        counted already."""
         key = (self._key(y), p)
         if key not in self._cokernels:
             if p == 1:

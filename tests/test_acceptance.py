@@ -14,8 +14,7 @@ from parres.cli import main
 from parres.complexes import (dual, homology_presentation,
                                minimize_with_tracking)
 from parres.groebner import INFINITE
-from parres.harness import (reproduce_example, verify_inequality,
-                            verify_main_theorem)
+from parres.harness import run_experiment
 from parres.invariants import (flc_check, length_stability_check,
                                local_cohomology_lengths, standardness_witness)
 from parres.koszul import KoszulTable, koszul_complex
@@ -53,13 +52,13 @@ def _r1_residue_field_series(cap):
 
 def test_criterion_1_example_reproduction(r1, capsys):
     x = r1.sop("x")
-    rep = reproduce_example(r1.ring, x, cap=4)
+    rep = run_experiment("example", r1.ring, x, 4, 4)
     got = (rep.data["P_H2"], rep.data["P_H1"], rep.data["P_quotient"])
     want = ([1, 3, 6, 13, 28], [2, 6, 12, 26, 56], [1, 2, 3, 7, 15])
     # H_1(a,b; r1) is spanned by c*e_a and c*e_b, both in internal degree 2,
     # so m H_1 = 0 and H_1 = k(-2)^2: P_H1 = 2 P_k, while H_2 = k(-3) gives
-    # P_H2 = P_k.  The built-in reference (3,7,12,26,56) of
-    # reproduce_example is 2 P_k plus one trivial pair F -> F, not minimal.
+    # P_H2 = P_k.  The P_H1 of harness.EXAMPLE_REFERENCE, (3,7,12,26,56),
+    # is 2 P_k plus one trivial pair F -> F, not minimal.
     _, h1 = homology_presentation(koszul_complex(x), 1)
     checks = {
         "P_H2 reference": got[0] == want[0],
@@ -79,7 +78,7 @@ def test_criterion_1_example_reproduction(r1, capsys):
 
 def test_criterion_2_inequality(r1, capsys):
     x = r1.sop("x")
-    rep = verify_inequality(r1.ring, x, 4)
+    rep = run_experiment("inequality", r1.ring, x, 4, 4)
     lhs = rep.data["lhs_poincare"]
     rhs = rep.data["rhs_assembly"]
     strict = [i for i, (a, b) in enumerate(zip(lhs, rhs)) if a < b]
@@ -132,7 +131,7 @@ def test_criterion_3_cohen_macaulay_control(regular, hypersurface, capsys):
 
 
 def test_criterion_4_main_theorem_r2(r2, capsys):
-    rep = verify_main_theorem(r2.ring, r2.sop(), 6, nmax=4)
+    rep = run_experiment("main-theorem", r2.ring, r2.sop(), 6, 4)
     n = rep.data.get("standard_power")
     ok = isinstance(n, int) and n <= 4 and rep.passed() \
         and len(rep.verdicts) == 3

@@ -19,12 +19,10 @@ from parres import cli, groebner, harness, resolutions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = PERFBENCH / "golden" / "default"
-SUBCOMMANDS = ("resolve", "koszul", "invariants", "standard", "inequality",
-               "main-theorem", "scan", "example")
 
 
 @pytest.mark.parametrize("ring", cli.BUNDLED)
-@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+@pytest.mark.parametrize("cmd", list(harness.EXPERIMENTS))
 def test_structured_report_matches_golden(cmd, ring):
     args = cli.build_parser().parse_args(
         [cmd, "--ring", ring, "--format", "structured"])

@@ -1,3 +1,4 @@
+import ast
 import json
 import sys
 from pathlib import Path
@@ -8,10 +9,9 @@ from parres import (complexes, groebner, harness, invariants, koszul,
                     oracle, resolutions)
 from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
                             PolynomialRingSpec)
-from parres.cli import SUBCOMMANDS, build_parser, bundled_ring_text, main, run
-from parres.harness import (load_ring_spec, parse_ring_spec,
-                            reproduce_example, stabilization_scan,
-                            verify_inequality, verify_main_theorem)
+from parres.cli import build_parser, bundled_ring_text, main, run
+from parres.harness import (EXPERIMENTS, load_ring_spec, parse_ring_spec,
+                            run_experiment)
 
 GOOD = """
 # comment
@@ -90,8 +90,8 @@ def test_bundled_rings_all_parse():
 
 
 def test_report_determinism(r1):
-    a = verify_inequality(r1.ring, r1.sop("x"), 3)
-    b = verify_inequality(r1.ring, r1.sop("x"), 3)
+    a = run_experiment("inequality", r1.ring, r1.sop("x"), 3, 4)
+    b = run_experiment("inequality", r1.ring, r1.sop("x"), 3, 4)
     assert a.to_json() == b.to_json()
     doc = json.loads(a.to_json())
     assert doc["experiment"] == "inequality"
@@ -100,20 +100,83 @@ def test_report_determinism(r1):
 
 
 def test_timings_in_text_not_structured(r1):
-    rep = reproduce_example(r1.ring, r1.sop("x"), cap=2)
+    rep = run_experiment("example", r1.ring, r1.sop("x"), 2, 4)
     assert "time " in rep.to_text()
     assert "time" not in json.loads(rep.to_json())
     assert "timings" not in json.loads(rep.to_json())
 
 
+def _text_value(raw):
+    """A one-line text-report value as the structured report holds it."""
+    try:
+        value = ast.literal_eval(raw)
+    except (ValueError, SyntaxError):
+        return raw
+    return json.loads(json.dumps(value))
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+def test_text_report_agrees_with_structured(command):
+    # r1's reports carry all three marks: example FAILs, and main-theorem
+    # gives an INFO verdict for its cmd <= 1 hypothesis
+    rep = run(build_parser().parse_args([command, "--ring", "r1"]))
+    doc = json.loads(rep.render("structured"))
+    lines = rep.render("text").splitlines()
+    assert lines[0] == f"experiment: {doc['experiment']}"
+    keys = ["ring", "sop", *EXPERIMENTS[command][1]]
+    assert sorted(doc["inputs"]) == sorted(keys)
+    assert lines[1:1 + len(keys)] == [f"  input {k}: {doc['inputs'][k]}"
+                                      for k in keys]
+    body = lines[1 + len(keys):]
+    data = {}
+    i = 0
+    while not body[i].startswith(("  [", "  time ")):
+        line = body[i][2:]
+        i += 1
+        if line.endswith(":"):  # a multi-line string, indented below
+            rows = []
+            while body[i].startswith("    "):
+                rows.append(body[i][4:])
+                i += 1
+            data[line[:-1]] = rows
+        else:
+            key, raw = line.split(": ", 1)
+            data[key] = _text_value(raw)
+    assert data == {k: v.splitlines() if isinstance(v, str) and "\n" in v
+                    else v for k, v in doc["data"].items()}
+    marks = {True: "PASS", False: "FAIL", None: "INFO"}
+    verdicts = doc["verdicts"]
+    for line, v in zip(body[i:i + len(verdicts)], verdicts):
+        assert line.startswith(f"  [{marks[v['pass']]}] {v['claim']}: ")
+    tail = body[i + len(verdicts):]
+    assert len(tail) == 2 and tail[0].startswith("  time total: ")
+    passed = all(v["pass"] is not False for v in verdicts)
+    assert tail[1] == f"result: {'PASS' if passed else 'FAIL'}"
+
+
+def test_main_theorem_on_an_artinian_ring(tmp_path):
+    # dim 0 and the empty sop: K(x; R) = R, so H_1 = 0 and the theorem
+    # reads P_{R/(x)} = 1 = (1+t)^0 + t^2 * 0
+    spec = tmp_path / "artinian.ring"
+    spec.write_text("[field]\n7\n[vars]\na b\n[ideal]\na^2\nb^2\n"
+                    "[sop x]\n")
+    out = tmp_path / "report.json"
+    assert main(["main-theorem", "--ring", str(spec), "--format",
+                 "structured", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["data"]["poincare_quotient"] == [1, 0, 0, 0, 0]
+    assert doc["data"]["poincare_h"] == [0, 0, 0, 0, 0]
+    assert [v["pass"] for v in doc["verdicts"]] == [True, True, True]
+
+
 def test_main_theorem_guard_on_r1(r1):
-    rep = verify_main_theorem(r1.ring, r1.sop("x"), 3)
+    rep = run_experiment("main-theorem", r1.ring, r1.sop("x"), 3, 4)
     assert any(v["right"] == "NOT-APPLICABLE" for v in rep.verdicts)
     assert rep.passed()  # guard verdicts are informational
 
 
 def test_scan_on_nonflc_still_runs(nonflc):
-    rep = stabilization_scan(nonflc.ring, nonflc.sop("y"), 2, nmax=2)
+    rep = run_experiment("scan", nonflc.ring, nonflc.sop("y"), 2, 2)
     assert "betti_totals" in rep.data
 
 
@@ -237,7 +300,7 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
     for mod in (harness, invariants):
         monkeypatch.setattr(mod, "standardness_witness",
                             wrap_witness(mod.standardness_witness))
-    rep = verify_main_theorem(r2.ring, r2.sop("x"), 4, nmax=4)
+    rep = run_experiment("main-theorem", r2.ring, r2.sop("x"), 4, 4)
     n = rep.data["standard_power"]
     standard = rep.data["betti_totals_by_standard_power"]
     assert n in standard
@@ -339,7 +402,7 @@ def test_cli_help_names_every_command(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name, help_text in SUBCOMMANDS:
+    for name, (help_text, _, _) in EXPERIMENTS.items():
         assert f"{name} " in out and help_text in out
     for argv in (["bogus", "--ring", "r1"], ["resolve"]):
         with pytest.raises(SystemExit) as exc:

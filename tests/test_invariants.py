@@ -6,8 +6,7 @@ from parres import invariants, oracle
 from parres.algebra import AlgebraError
 from parres.cli import bundled_ring_text, main
 from parres.groebner import FinitelyPresentedModule
-from parres.harness import (invariants_experiment, parse_ring_spec,
-                            verify_main_theorem)
+from parres.harness import parse_ring_spec, run_experiment
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
                                find_standard_power, first_standard_power,
@@ -108,7 +107,7 @@ def test_invariants_never_present_r_itself(monkeypatch, r2):
 
     monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
     inv = invariant_report(r2.ring, r2.sop())
-    rep = verify_main_theorem(r2.ring, r2.sop(), 4)
+    rep = run_experiment("main-theorem", r2.ring, r2.sop(), 4, 4)
     assert inv.to_dict()["depth"] == 1 and rep.passed()
     assert seen == []
 
@@ -224,7 +223,7 @@ def test_invariants_runs_each_groebner_basis_once(monkeypatch, ring, runs):
         return real(module)
 
     monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
-    invariants_experiment(spec.ring, None, nmax=3)
+    run_experiment("invariants", spec.ring, None, 4, 3)
     assert len(seen) == len(set(seen)) == runs
 
 

@@ -115,7 +115,10 @@ def test_table_is_bound_to_its_ring(r1, r2):
     with pytest.raises(AlgebraError):
         table.length(r2.sop(), 1)
     with pytest.raises(AlgebraError):
-        table.homology(r1.sop("x"), 3)
+        table.homology(r1.sop("x"), -1)
+    # K(x; R) has no term above x.count, so H_3 of a 2-element sop is zero
+    assert table.homology(r1.sop("x"), 3).length() == 0
+    assert table.length(r1.sop("x"), 3) == 0
 
 
 def _assert_series_match_presentations(spec, powers):
