@@ -50,6 +50,11 @@ class QuotientRingSpec:
     are the basis `_basis` (monic, tail-reduced, sorted by degree and lead),
     seen as Polynomials in `ideal_basis`; the store gains I*e_i the first
     time a free-module position i >= 1 is met.
+
+    Three tables depend on I alone, which never changes after set-up, and
+    are filled as they are met: the standard monomials of each degree, the
+    same paired with their position-0 keys, and the normal form of each
+    position-0 monomial.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -74,6 +79,8 @@ class QuotientRingSpec:
         self._numerator = None
         self._dimension = None
         self._staircases = {}
+        self._packed_staircases = {}
+        self._monomial_forms = {}
 
     @property
     def characteristic(self):
@@ -115,6 +122,15 @@ class QuotientRingSpec:
             for row in self.ideal_rows(range(met, top)):
                 self._reducer.add(row)
         return self._reducer.normal_form(vec)
+
+    def monomial_form(self, key):
+        """Normal form modulo I of the position-0 monomial `key`, a tuple of
+        (key, coefficient) pairs from reduce_packed, kept per monomial."""
+        form = self._monomial_forms.get(key)
+        if form is None:
+            form = self._monomial_forms[key] = tuple(
+                self.reduce_packed({key: 1}).items())
+        return form
 
     def combine(self, vec, products):
         """vec + the sum of factor * v over (factor, v, top) in products,
@@ -160,6 +176,15 @@ class QuotientRingSpec:
             self._staircases[degree] = tuple(
                 standard_monomials(self._lead_exps, self.nvars, degree))
         return self._staircases[degree]
+
+    def packed_staircase(self, degree):
+        """standard_monomials(degree) as (exp, key) pairs, key the packed
+        position-0 monomial of exp, a tuple kept per degree."""
+        if degree not in self._packed_staircases:
+            pack = self._ctx.pack
+            self._packed_staircases[degree] = tuple(
+                (exp, pack(0, exp)) for exp in self.standard_monomials(degree))
+        return self._packed_staircases[degree]
 
     def __eq__(self, other):
         return (isinstance(other, QuotientRingSpec)

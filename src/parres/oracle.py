@@ -73,42 +73,62 @@ def _peel_singletons(a):
 
 
 def free_basis(ring, gen_degrees, degree):
-    """Basis of the degree-`degree` piece of the graded free module R(gens)."""
-    return [(pos, exp) for pos, d in enumerate(gen_degrees)
-            for exp in ring.standard_monomials(degree - d)]
+    """Basis of the degree-`degree` piece of the graded free module R(gens):
+    (basis, keys), the (pos, exp) pairs and the packed key of each, read in
+    one walk over the ring's packed staircases."""
+    basis, keys = [], []
+    for pos, d in enumerate(gen_degrees):
+        stair = ring.packed_staircase(degree - d)
+        shift = ring._ctx.position_shift(pos)
+        basis += [(pos, exp) for exp, _ in stair]
+        keys += [key - shift for _, key in stair]
+    return basis, keys
 
 
 def matrix_slice(matrix, degree):
     """The GF(p) matrix of a RingMatrix on the degree-`degree` graded pieces.
 
     Returns (numpy array, target basis, source basis); the array has one row
-    per target basis element and one column per source basis element.  A
-    monomial multiple of a column whose terms are all standard monomials is
-    its own normal form, so only the others are reduced modulo I.  The array
-    is filled by one index assignment.
+    per target basis element and one column per source basis element.  The
+    bases and their keys come from the ring's tables.  In a monomial
+    multiple of a column, a standard term goes to its own row, and a term
+    c k that leaves the staircase adds c times the normal form of k, which
+    the ring keeps per monomial, so no monomial is reduced twice (the
+    normal form is linear).  The array is filled by one index assignment.
     """
     ring = matrix.ring
     ctx = ring._ctx
-    tgt = free_basis(ring, matrix.row_degrees, degree)
-    src = free_basis(ring, matrix.col_degrees, degree)
+    tgt, tgt_keys = free_basis(ring, matrix.row_degrees, degree)
+    src, src_keys = free_basis(ring, matrix.col_degrees, degree)
     a = np.zeros((len(tgt), len(src)), dtype=np.int64)
     if not (tgt and src):
         return a, tgt, src
     # every product below has degree at most degree - min(row degrees)
     check_degree(degree - min(matrix.row_degrees))
-    # each distinct standard monomial is packed once, in position 0
-    unit = {exp: ctx.pack(0, exp) for exp in {exp for _, exp in tgt + src}}
-    row_of = {ctx.move(unit[exp], pos): i for i, (pos, exp) in enumerate(tgt)}
+    row_of = {key: i for i, key in enumerate(tgt_keys)}
+    # the key of 1 in each source position: a source key less it is the
+    # packed exponent that multiplies the column
+    units = [ctx.move(ctx.one, pos) for pos in range(len(matrix.cols))]
+    p = ring.characteristic
+    form, move = ring.monomial_form, ctx.move
     rows, cols, vals = [], [], []
-    for jj, (spos, sexp) in enumerate(src):
-        delta = unit[sexp] - ctx.one
-        shifted = {k + delta: c for k, c in matrix.cols[spos].items()}
-        if not all(map(row_of.__contains__, shifted)):
-            # a term left the staircase: reduce modulo I
-            shifted = ring.reduce_packed(shifted)
-        rows += map(row_of.__getitem__, shifted)
-        cols += [jj] * len(shifted)
-        vals += shifted.values()
+    for jj, ((pos, _), src_key) in enumerate(zip(src, src_keys)):
+        delta = src_key - units[pos]
+        acc = {}
+        for k, c in matrix.cols[pos].items():
+            key = k + delta
+            row = row_of.get(key)
+            if row is not None:
+                acc[row] = acc.get(row, 0) + c
+                continue
+            # the term left the staircase: add its monomial's normal form
+            base = move(key, 0)
+            for tk, tc in form(base):
+                row = row_of[tk - base + key]
+                acc[row] = acc.get(row, 0) + c * tc
+        rows += acc
+        cols += [jj] * len(acc)
+        vals += [c % p for c in acc.values()]
     a[rows, cols] = vals
     return a, tgt, src
 

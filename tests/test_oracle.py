@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parres._engine import PackContext, PyReducer
 from parres.groebner import FinitelyPresentedModule, RingMatrix
+from parres.harness import parse_ring_spec
+from parres.invariants import maximal_ideal_sequence
 from parres.koszul import koszul_complex
+from parres.resolutions import minimal_free_resolution
 from parres import oracle
 
 P = 32003
@@ -122,10 +126,10 @@ def test_free_basis_counts_the_hilbert_function(corpus):
         h = (list(ring.hilbert_numerator()) + [0] * 6)[:6]
         for _ in range(ring.nvars):
             h = list(accumulate(h))
-        assert [len(oracle.free_basis(ring, (0,), d))
+        assert [len(oracle.free_basis(ring, (0,), d)[0])
                 for d in range(6)] == h, name
         # a generator of degree 2 shifts the function up by two degrees
-        assert [len(oracle.free_basis(ring, (0, 2), d))
+        assert [len(oracle.free_basis(ring, (0, 2), d)[0])
                 for d in range(6)] == [a + b for a, b in
                                        zip(h, [0, 0] + h)], name
 
@@ -197,3 +201,120 @@ def test_kernel_dim_and_column_space(r1):
     one = RingMatrix.from_columns(ring, [[ring.ambient.one()]],
                                   row_degrees=[0])
     assert not _column_space_contains(mat, one, 0)
+
+
+def _reference_slice(matrix, degree):
+    """matrix_slice built with no ring tables: every standard monomial is
+    packed again, and every monomial multiple of a column that leaves the
+    staircase is reduced modulo I as a whole."""
+    ring = matrix.ring
+    ctx = ring._ctx
+    tgt = [(pos, exp) for pos, d in enumerate(matrix.row_degrees)
+           for exp in ring.standard_monomials(degree - d)]
+    src = [(pos, exp) for pos, d in enumerate(matrix.col_degrees)
+           for exp in ring.standard_monomials(degree - d)]
+    a = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    row_of = {ctx.pack(pos, exp): i for i, (pos, exp) in enumerate(tgt)}
+    for j, (pos, exp) in enumerate(src):
+        delta = ctx.mul_delta(exp)
+        shifted = {k + delta: c for k, c in matrix.cols[pos].items()}
+        if not all(k in row_of for k in shifted):
+            shifted = ring.reduce_packed(shifted)
+        for k, c in shifted.items():
+            a[row_of[k], j] = c
+    return a, tgt, src
+
+
+def _differentials(spec, cap):
+    """The differentials of K(x; R) and of the minimal resolution of R/(x)
+    through cap, for the spec's reference sop."""
+    x = spec.sop()
+    res = minimal_free_resolution(x.quotient_module(), cap)
+    return [*koszul_complex(x).differentials.values(),
+            *res.complex.differentials.values()]
+
+
+def _assert_slices_match_reference(matrices, degrees):
+    for matrix in matrices:
+        pack = matrix.ring._ctx.pack
+        for t in degrees:
+            basis, keys = oracle.free_basis(matrix.ring, matrix.col_degrees, t)
+            assert keys == [pack(pos, exp) for pos, exp in basis]
+            a, tgt, src = oracle.matrix_slice(matrix, t)
+            want, want_tgt, want_src = _reference_slice(matrix, t)
+            assert (tgt, src) == (want_tgt, want_src)
+            assert np.array_equal(a, want), (matrix, t)
+
+
+def _checked_tables(ring):
+    """Check each table entry of the ring against reduce_packed and pack;
+    returns the number of normal forms kept."""
+    forms = ring._monomial_forms
+    for key, form in forms.items():
+        assert dict(form) == ring.reduce_packed({key: 1})
+    for t, stair in ring._packed_staircases.items():
+        assert stair == tuple((exp, ring._ctx.pack(0, exp))
+                              for exp in ring.standard_monomials(t))
+    return len(forms)
+
+
+# GF(2^31 - 1)[a,b,c]/(a^2 - 3bc, b^2 + 5ac): columns and normal forms
+# carry residues near p, such as -1 and -3, so the slice's products of
+# coefficients reach 2^62
+BIG_FIELD_RING = """
+[field]
+2147483647
+[vars]
+a b c
+[ideal]
+a^2 - 3*b*c
+b^2 + 5*a*c
+[sop x]
+c
+[caps]
+homological = 3
+"""
+
+
+def test_slices_match_whole_vector_reduction(corpus, random_specs):
+    for name, spec in corpus.items():
+        _assert_slices_match_reference(_differentials(spec, 3), range(11))
+        if not spec.ring.is_polynomial_ring():
+            assert _checked_tables(spec.ring), name
+    met = 0
+    for spec in random_specs[:6]:
+        _assert_slices_match_reference(_differentials(spec, 2), range(8))
+        met += _checked_tables(spec.ring)
+    assert met
+    big = parse_ring_spec(BIG_FIELD_RING)
+    assert big.ring.characteristic == 2 ** 31 - 1
+    _assert_slices_match_reference(
+        [*_differentials(big, 3),
+         *koszul_complex(maximal_ideal_sequence(big.ring))
+         .differentials.values()], range(9))
+    assert _checked_tables(big.ring)
+
+
+def test_a_second_slice_packs_and_reduces_nothing(monkeypatch):
+    # a ring of its own, so that the first slice fills its tables
+    ring = parse_ring_spec(BIG_FIELD_RING).ring
+    matrix = koszul_complex(maximal_ideal_sequence(ring)).differential(2)
+    calls = []
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counting(PackContext, "pack")
+    counting(PyReducer, "normal_form")
+    first = oracle.matrix_slice(matrix, 6)
+    assert "pack" in calls and "normal_form" in calls
+    calls.clear()
+    second = oracle.matrix_slice(matrix, 6)
+    assert calls == []
+    assert np.array_equal(first[0], second[0])
+    assert first[1:] == second[1:]
