@@ -34,6 +34,10 @@ The reducer is the basis store, and only `buchberger` builds one: its
 monic entries are the only copy of the basis, `groebner_basis` rewrites them
 in place into the reduced basis and returns that reducer for the ring and the
 solver to reduce against, and a caller that needs only leads reads entries.
+The ring's store holds I in position 0 alone: a reduction modulo I in any
+position goes through the ring's normal forms of single monomials, each made
+by one `PyReducer.normal_form` call.  In a tagged module `buchberger` forms
+no S-pair past the leading block (Schreyer's skip, see `buchberger`).
 """
 
 from __future__ import annotations
@@ -64,12 +68,14 @@ class PackContext:
     the key of 1 in position 0.
     """
 
-    __slots__ = ("shifts", "flip", "degshift", "topshift", "weights", "one",
-                 "fmask", "guard", "summer", "sumshift")
+    __slots__ = ("shifts", "flip", "degshift", "topshift", "monomask",
+                 "weights", "one", "fmask", "guard", "summer", "sumshift")
 
     def __init__(self, nv, kind="grevlex"):
         stride = EXP_BITS + 1  # each field and its guard bit
         self.topshift = stride * (nv + 1)
+        # key & monomask is the key moved to position 0
+        self.monomask = (1 << self.topshift) - 1
         if kind == "grevlex":
             self.degshift = stride * nv
             self.shifts = tuple(stride * j for j in range(nv))
@@ -102,7 +108,7 @@ class PackContext:
 
     def move(self, key, pos):
         """The term `key` moved to free-module position pos."""
-        return (key & ((1 << self.topshift) - 1)) - (pos << self.topshift)
+        return (key & self.monomask) - (pos << self.topshift)
 
     def unpack(self, key):
         return -(key >> self.topshift), self.exp_of(key)
@@ -164,8 +170,7 @@ class PackContext:
 
     def split_by_position(self, vec):
         """{pos: the terms of vec in position pos, moved to position 0}."""
-        shift = self.topshift
-        mask = (1 << shift) - 1
+        shift, mask = self.topshift, self.monomask
         groups = {}
         for key, c in vec.items():
             groups.setdefault(-(key >> shift), {})[key & mask] = c
@@ -289,13 +294,21 @@ def spoly(entry1, entry2, lcm, deg, ctx, p):
     return s
 
 
-def buchberger(vecs, ctx, p, gendegs):
-    """A reducer whose entries form a Groebner basis of the submodule
-    generated by the homogeneous packed vectors `vecs`; gendegs holds the
-    internal degree of each free-module position.  Deterministic for a fixed
-    input order.  Generators and S-pairs pop in nondecreasing degree, and
-    only nonzero normal forms against every earlier entry are added, so no
-    lead divides another: the leads are those of the reduced basis.
+def buchberger(vecs, ctx, p, gendegs, nlead):
+    """A reducer whose entries in positions < nlead form a Groebner basis of
+    the submodule generated by the homogeneous packed vectors `vecs`, in
+    those positions; gendegs holds the internal degree of each free-module
+    position.  Deterministic for a fixed input order.  Generators and
+    S-pairs pop in nondecreasing degree, and only nonzero normal forms
+    against every earlier entry are added, so no lead divides another: the
+    leads in positions < nlead are those of the reduced basis.
+
+    Positions >= nlead are a tag block (nlead = len(gendegs) when there is
+    none), and no S-pair is formed there.  The S-vector of two entries led
+    in it is a combination of the two, and only tag-block entries reduce
+    it, so the pair adds no generator (Schreyer 1991): those entries still
+    generate the part of the submodule that vanishes in positions < nlead,
+    though no longer as a Groebner basis.
 
     The product criterion is only applied in rank 1 (len(gendegs) == 1); it
     is not valid for modules of higher rank.
@@ -317,6 +330,8 @@ def buchberger(vecs, ctx, p, gendegs):
         if not nf:
             continue
         pos = reducer.add(nf)
+        if pos >= nlead:
+            continue
         *same, new = reducer.by_pos[pos]
         word = new[0]
         for old in same:
@@ -331,10 +346,11 @@ def buchberger(vecs, ctx, p, gendegs):
     return reducer
 
 
-def groebner_basis(vecs, ctx, p, gendegs):
+def groebner_basis(vecs, ctx, p, gendegs, nlead):
     """The reducer from buchberger, its entries rewritten by interreduce into
-    the reduced Groebner basis of the submodule generated by `vecs`."""
-    reducer = buchberger(vecs, ctx, p, gendegs)
+    the reduced Groebner basis of the submodule generated by `vecs` in
+    positions < nlead, and tail-reduced in the tag block."""
+    reducer = buchberger(vecs, ctx, p, gendegs, nlead)
     interreduce(reducer)
     return reducer
 
@@ -347,7 +363,8 @@ def interreduce(reducer):
     No lead of the reducer divides another, and a lead never divides a term
     smaller than itself, so reducing each tail against the same reducer
     gives it its unique normal form, whether or not the entries before it
-    are rewritten yet.
+    are rewritten yet.  In a tag block, where the entries are no Groebner
+    basis, the tails are reduced all the same, and deterministically.
     """
     for entries in reducer.by_pos.values():
         for i, (word, lead, _, items) in enumerate(entries):

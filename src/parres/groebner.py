@@ -46,15 +46,16 @@ class QuotientRingSpec:
     """R = S/I for a homogeneous ideal I in a polynomial ring S.
 
     The ring owns I: its packing context `_ctx` and `_reducer`, the
-    Buchberger store of I's reduced Groebner basis.  Its position-0 entries
-    are the basis `_basis` (monic, tail-reduced, sorted by degree and lead),
-    seen as Polynomials in `ideal_basis`; the store gains I*e_i the first
-    time a free-module position i >= 1 is met.
+    Buchberger store of I's reduced Groebner basis, in position 0 only.
+    Its entries are the basis `_basis` (monic, tail-reduced, sorted by
+    degree and lead), seen as Polynomials in `ideal_basis`.
 
     Three tables depend on I alone, which never changes after set-up, and
     are filled as they are met: the standard monomials of each degree, the
     same paired with their position-0 keys, and the normal form of each
-    position-0 monomial.
+    position-0 monomial (True for a standard one).  Every reduction modulo
+    I, in any free-module position, reads the last table, so each monomial
+    is reduced once per ring.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -70,7 +71,7 @@ class QuotientRingSpec:
         ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
         p = ambient.characteristic
         self._reducer = (groebner_basis([_pack({0: g}, ctx) for g in gens],
-                                        ctx, p, (0,))
+                                        ctx, p, (0,), 1)
                          if gens else None)
         self._basis = self._reducer.by_pos[0] if gens else []
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
@@ -113,23 +114,41 @@ class QuotientRingSpec:
                 for *_, items in self._basis for i in positions]
 
     def reduce_packed(self, vec):
-        """Normal form modulo I of a packed vector, in every position."""
+        """Normal form modulo I of a packed vector, in every position.
+
+        I*F is reduced position by position and the normal form is linear,
+        so each term c k adds c times the normal form of k's position-0
+        monomial, moved back to k's position.
+        """
         if not self._basis or not vec:
             return vec
-        met = len(self._reducer.by_pos)
-        top = self._ctx.pos_of(min(vec)) + 1
-        if top > met:
-            for row in self.ideal_rows(range(met, top)):
-                self._reducer.add(row)
-        return self._reducer.normal_form(vec)
+        p = self.characteristic
+        mask = self._ctx.monomask
+        forms = self._monomial_forms
+        out = {}
+        for key, c in vec.items():
+            base = key & mask
+            form = forms.get(base)
+            if form is None:
+                form = self.monomial_form(base)
+            if form is True:
+                out[key] = out.get(key, 0) + c
+                continue
+            shift = key - base
+            for tk, tc in form:
+                k = tk + shift
+                out[k] = out.get(k, 0) + c * tc
+        return {k: c % p for k, c in out.items() if c % p}
 
     def monomial_form(self, key):
-        """Normal form modulo I of the position-0 monomial `key`, a tuple of
-        (key, coefficient) pairs from reduce_packed, kept per monomial."""
+        """Normal form modulo I of the position-0 monomial `key`, kept per
+        monomial: True when the monomial is standard (its own normal form),
+        else a tuple of (key, coefficient) pairs."""
         form = self._monomial_forms.get(key)
         if form is None:
-            form = self._monomial_forms[key] = tuple(
-                self.reduce_packed({key: 1}).items())
+            nf = self._reducer.normal_form({key: 1})
+            form = self._monomial_forms[key] = (
+                True if key in nf else tuple(nf.items()))
         return form
 
     def combine(self, vec, products):
@@ -531,7 +550,7 @@ class FinitelyPresentedModule:
         ring = self.ring
         cols, ideal_rows = _packed_columns(self.relations)
         store = buchberger(cols + ideal_rows, ring._ctx, ring.characteristic,
-                           self.gen_degrees)
+                           self.gen_degrees, len(self.gen_degrees))
         exp_of = ring._ctx.exp_of
         leads = {pos: [] for pos in range(len(self.gen_degrees))}
         for pos, entries in store.by_pos.items():
@@ -592,9 +611,11 @@ class ExtendedSolver:
 
     Computes, once, a position-over-term Groebner basis of the submodule of
     S^{nrows+ncols} generated by {column_j + e_{nrows+j}} and {g * e_i} for
-    every defining-ideal basis element g and target position i, and keeps
-    the reducer that holds it, `store`.  Syzygies and membership/solve
-    queries both read off this one store.
+    every defining-ideal basis element g and target position i, in the
+    leading block (positions < nrows), and keeps the reducer that holds it,
+    `store`.  No S-pair is formed in the tag block, so its entries generate
+    the syzygies without forming a Groebner basis of them.  Syzygies and
+    membership/solve queries both read off this one store.
     """
 
     def __init__(self, matrix):
@@ -610,14 +631,14 @@ class ExtendedSolver:
         for j, packed in enumerate(cols):
             packed[ctx.move(ctx.one, self.nrows + j)] = 1
         self.store = groebner_basis(cols + ideal_rows, ctx, self.p,
-                                    self.gendegs)
+                                    self.gendegs, self.nrows)
         self.floor = ctx.position_floor(self.nrows)
         # moves the tag position nrows + j to row j of the source
         self._untag = ctx.position_shift(self.nrows)
 
     def syzygy_matrix(self):
         """Columns generate ker(matrix) as a submodule of R^{ncols}: the
-        basis entries led in the tag block, by degree and lead key."""
+        store entries led in the tag block, by degree and lead key."""
         mono_degree = self.ctx.mono_degree
         pure = []  # (degree, lead key, terms)
         for pos, entries in self.store.by_pos.items():

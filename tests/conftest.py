@@ -7,6 +7,8 @@ import pytest
 from parres import algebra, harness, invariants
 from parres.cli import bundled_ring_text
 from parres.harness import parse_ring_spec
+from parres.koszul import koszul_complex
+from parres.resolutions import minimal_free_resolution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,6 +18,15 @@ def is_minimal(cplx):
     mono_degree = cplx.ring._ctx.mono_degree
     return all(mono_degree(k) for m in cplx.differentials.values()
                for col in m.cols for k in col)
+
+
+def sop_differentials(spec, cap):
+    """The differentials of K(x; R) and of the minimal resolution of R/(x)
+    through cap, for the spec's reference sop."""
+    x = spec.sop()
+    res = minimal_free_resolution(x.quotient_module(), cap)
+    return [*koszul_complex(x).differentials.values(),
+            *res.complex.differentials.values()]
 
 
 def _spec(name):
@@ -45,6 +56,31 @@ def hypersurface():
 @pytest.fixture(scope="session")
 def nonflc():
     return _spec("nonflc")
+
+
+# GF(2^31 - 1)[a,b,c]/(a^2 - 3bc, b^2 + 5ac): columns and normal forms
+# carry residues near p, such as -1 and -3, so products of coefficients
+# reach 2^62
+BIG_FIELD_RING = """
+[field]
+2147483647
+[vars]
+a b c
+[ideal]
+a^2 - 3*b*c
+b^2 + 5*a*c
+[sop x]
+c
+[caps]
+homological = 3
+"""
+
+
+@pytest.fixture
+def big_field():
+    """The ring spec above, parsed afresh for each test, so that its ring
+    tables start empty."""
+    return parse_ring_spec(BIG_FIELD_RING)
 
 
 @pytest.fixture(scope="session")

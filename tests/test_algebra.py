@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import (GREVLEX, LEX, PolyParseError,
-                            PolynomialRingSpec)
+from parres.algebra import (GREVLEX, LEX, MAX_CHARACTERISTIC, PolyParseError,
+                            PolynomialRingSpec, _is_prime)
 
 P = 32003
 
@@ -10,6 +10,19 @@ P = 32003
 @pytest.fixture(scope="module")
 def ring():
     return PolynomialRingSpec(P, ["a", "b", "c"])
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if _trial_division(n)]
+    # 2^31 - 1 is prime; its neighbours are not
+    assert MAX_CHARACTERISTIC == 2 ** 31
+    for n in range(2 ** 31 - 3, 2 ** 31 + 2):
+        assert _is_prime(n) == _trial_division(n) == (n == 2 ** 31 - 1), n
 
 
 def test_parse_roundtrip(ring):

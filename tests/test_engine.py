@@ -102,7 +102,7 @@ def test_key_additions_check_the_degree_of_every_product():
     # the S-pair of these two multiplies the first by b^30
     vecs = [{ctx.pack(0, (1, 0)): 1, tail: 1}, {ctx.pack(0, (0, 30)): 1}]
     with pytest.raises(AlgebraError, match="degree 1030 exceeds packing"):
-        groebner_basis(vecs, ctx, 101, (0, -999))
+        groebner_basis(vecs, ctx, 101, (0, -999), 2)
 
 
 def test_position_floor_is_boundary():
@@ -130,7 +130,7 @@ def test_every_reducer_comes_from_the_factory(monkeypatch):
 
     monkeypatch.setattr(kernel, "reducer_factory", counting)
     vecs = [{ctx.pack(0, (2, 0)): 1}, {ctx.pack(0, (1, 1)): 1}]
-    gb = groebner_basis(vecs, ctx, 101, (0,))
+    gb = groebner_basis(vecs, ctx, 101, (0,), 1)
     assert len(gb) == 2
     # the Buchberger reducer is the store that interreduce rewrites and
     # groebner_basis returns
@@ -215,7 +215,7 @@ def test_interreduce_matches_per_element_reference(case):
         return interreduce(reducer, *args)
 
     with mock.patch.object(_engine, "interreduce", spy):
-        gb = groebner_basis(vecs, ctx, p, gendegs)
+        gb = groebner_basis(vecs, ctx, p, gendegs, len(gendegs))
     (store,) = seen
     for pos, entries in store.items():
         # the invariants that let interreduce skip a redundancy check: per
@@ -300,7 +300,8 @@ def test_normal_form_matches_max_scan_reference(case, data):
     raw = PyReducer(ctx, p)
     for vec in vecs:
         raw.add(vec)
-    reducers = (raw, groebner_basis(vecs, ctx, p, gendegs))
+    reducers = (raw, groebner_basis(vecs, ctx, p, gendegs,
+                                    len(gendegs)))
     for _ in range(data.draw(st.integers(1, 3))):
         vec = _homogeneous_vector(data.draw, ctx, p, gendegs,
                                   data.draw(st.integers(1, 4)), lift)

@@ -12,7 +12,10 @@ from parres.groebner import (INFINITE, ExtendedSolver,
                              RingMatrix, hilbert_numerator, matrix_solve,
                              series_counts, standard_monomials, syzygies)
 from parres.complexes import ChainComplex, minimize_with_tracking
+from parres.invariants import maximal_ideal_sequence
 from parres.koszul import koszul_complex
+
+from conftest import sop_differentials
 
 P = 32003
 
@@ -343,10 +346,11 @@ def test_reduce_packed_keeps_the_basis_view(amb3):
     ctx = ring._ctx
     before = (list(ring.ideal_basis), list(ring._lead_exps),
               ring.ideal_rows([0]))
-    # a*c*e_3 + b^2*e_1 meets positions 1..3: I*e_i joins the store there
+    # a*c*e_3 + b^2*e_1 meets positions 1..3, and is reduced through the
+    # position-0 forms of a*c and b^2: the store stays in position 0
     vec = {ctx.pack(3, (1, 0, 1)): 1, ctx.pack(1, (0, 2, 0)): 1}
     assert ring.reduce_packed(vec) == {ctx.pack(1, (0, 2, 0)): 1}
-    assert sorted(ring._reducer.by_pos) == [0, 1, 2, 3]
+    assert sorted(ring._reducer.by_pos) == [0]
     assert (ring.ideal_basis, ring._lead_exps, ring.ideal_rows([0])) == before
 
 
@@ -528,7 +532,7 @@ def test_packed_compose_matches_polynomial_reference(case):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_products_stop_at_the_packing_limit(order):
+def test_products_stop_at_the_packing_limit(order, monkeypatch):
     amb = PolynomialRingSpec(P, ["a", "b"], order)
     ring = QuotientRingSpec(amb, [amb.parse("a*b")])
 
@@ -538,8 +542,21 @@ def test_products_stop_at_the_packing_limit(order):
 
     left = power(511, 0)
     assert (left @ power(511, 511)).entry(0, 0) == amb.monomial((1022, 0))
+    # the limit raises before any reduction: no normal form, no table entry
+    right = power(512, 511)
+    forms = dict(ring._monomial_forms)
+    calls = []
+    real = PyReducer.normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(PyReducer, "normal_form", counting)
     with pytest.raises(AlgebraError, match="degree 1023 exceeds packing limit"):
-        left @ power(512, 511)
+        left @ right
+    assert calls == [] and ring._monomial_forms == forms
+    monkeypatch.undo()
     # bases (b^k, a^k): only a^511 * a^511 survives modulo ab
     assert oracle.matrix_slice(left, 1022)[0].tolist() == [[0, 0], [0, 1]]
     with pytest.raises(AlgebraError, match="exceeds packing limit"):
@@ -568,3 +585,105 @@ def test_syzygies_never_reduce_zero(monkeypatch, r2):
     assert not [f for f in inputs if f.is_zero()]
     assert syz == _dense_syzygy_matrix(ExtendedSolver(d1))
     assert syz.ncols > 0 and (d1 @ syz).is_zero()
+
+
+# --- reduction through the ring's monomial forms ----------------------------
+
+
+def _raw_products(a, b):
+    """The columns of a @ b before any reduction modulo I."""
+    ctx, p = a.ring._ctx, a.ring.characteristic
+    out = []
+    for col in b.cols:
+        acc = {}
+        for k, factor in ctx.split_by_position(col).items():
+            for kb, cb in factor.items():
+                for ka, ca in a.cols[k].items():
+                    key = ka + kb - ctx.one
+                    acc[key] = (acc.get(key, 0) + ca * cb) % p
+        out.append({key: c for key, c in acc.items() if c})
+    return out
+
+
+def _reference_normal_form(ring, vec):
+    """The heap normal form of vec against a reducer that holds I*e_i in
+    every position vec meets: one whole-vector reduction."""
+    ctx = ring._ctx
+    ref = PyReducer(ctx, ring.characteristic)
+    for row in ring.ideal_rows(range(max(map(ctx.pos_of, vec)) + 1)):
+        ref.add(row)
+    return ref.normal_form(vec)
+
+
+def _assert_reduction_matches_reference(matrices):
+    """reduce_packed against the reference on each column times the square
+    of each variable, and compose on the products of consecutive matrices;
+    returns the number of nonzero normal forms checked."""
+    ring = matrices[0].ring
+    ctx = ring._ctx
+    squares = [ctx.mul_delta(tuple(2 * (i == j) for i in range(ring.nvars)))
+               for j in range(ring.nvars)]
+    vecs = [{k + sq: c for k, c in col.items()}
+            for m in matrices for col in m.cols if col for sq in squares]
+    for a, b in zip(matrices, matrices[1:]):
+        if a.col_degrees == b.row_degrees:
+            raw = _raw_products(a, b)
+            vecs += [v for v in raw if v]
+            assert (a @ b).cols == [_reference_normal_form(ring, v) if v
+                                    else {} for v in raw]
+    nonzero = 0
+    for vec in vecs:
+        want = _reference_normal_form(ring, vec)
+        assert ring.reduce_packed(vec) == want
+        nonzero += bool(want)
+    assert sorted(ring._reducer.by_pos) == [0]
+    return nonzero
+
+
+def test_reduce_packed_matches_a_reducer_over_every_position(
+        corpus, random_specs, big_field):
+    cases = [sop_differentials(spec, 3)
+             for spec in (*corpus.values(), *random_specs[:6])
+             if not spec.ring.is_polynomial_ring()]
+    big = big_field.ring
+    assert big.characteristic == 2 ** 31 - 1
+    cases.append([*sop_differentials(big_field, 3), *koszul_complex(
+        maximal_ideal_sequence(big)).differentials.values()])
+    for matrices in cases:
+        assert _assert_reduction_matches_reference(matrices)
+
+
+# --- Schreyer: no S-pair in the tag block -----------------------------------
+
+
+def test_the_solver_forms_no_tag_block_pair(monkeypatch, corpus):
+    seen = []
+    real = _engine.spoly
+
+    def spy(entry1, entry2, lcm, deg, ctx, p):
+        seen.append(ctx.pos_of(entry1[1]))
+        return real(entry1, entry2, lcm, deg, ctx, p)
+
+    monkeypatch.setattr(_engine, "spoly", spy)
+    tagged = 0
+    for spec in corpus.values():
+        for d in sop_differentials(spec, 3):
+            seen.clear()
+            solver = ExtendedSolver(d)
+            assert all(pos < d.nrows for pos in seen)
+            # two entries led in one tag position: a pair left out
+            tagged += sum(len(entries) - 1
+                          for pos, entries in solver.store.by_pos.items()
+                          if pos >= d.nrows)
+    assert tagged
+
+
+def test_syzygies_without_tag_block_pairs_stay_exact(corpus, random_specs):
+    for spec in [*corpus.values(), *random_specs[:6]]:
+        for d in sop_differentials(spec, 2):
+            syz = syzygies(d)
+            assert (d @ syz).is_zero()
+            cplx = ChainComplex(d.ring, {0: d.row_degrees, 1: d.col_degrees,
+                                         2: syz.col_degrees}, {1: d, 2: syz})
+            for t in range(9):
+                assert oracle.homology_dim_at(cplx, 1, t) == 0, (spec.name, t)

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from parres._engine import PackContext, PyReducer
 from parres.groebner import FinitelyPresentedModule, RingMatrix
-from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import koszul_complex
-from parres.resolutions import minimal_free_resolution
 from parres import oracle
+
+from conftest import sop_differentials
 
 P = 32003
 PRIMES = (2, 3, 32003, 2 ** 31 - 1)
@@ -225,15 +225,6 @@ def _reference_slice(matrix, degree):
     return a, tgt, src
 
 
-def _differentials(spec, cap):
-    """The differentials of K(x; R) and of the minimal resolution of R/(x)
-    through cap, for the spec's reference sop."""
-    x = spec.sop()
-    res = minimal_free_resolution(x.quotient_module(), cap)
-    return [*koszul_complex(x).differentials.values(),
-            *res.complex.differentials.values()]
-
-
 def _assert_slices_match_reference(matrices, degrees):
     for matrix in matrices:
         pack = matrix.ring._ctx.pack
@@ -247,57 +238,41 @@ def _assert_slices_match_reference(matrices, degrees):
 
 
 def _checked_tables(ring):
-    """Check each table entry of the ring against reduce_packed and pack;
-    returns the number of normal forms kept."""
+    """Check each table entry of the ring against the reducer's normal form
+    and pack; returns the number of normal forms kept."""
     forms = ring._monomial_forms
     for key, form in forms.items():
-        assert dict(form) == ring.reduce_packed({key: 1})
+        want = ring._reducer.normal_form({key: 1})
+        assert ({key: 1} if form is True else dict(form)) == want
     for t, stair in ring._packed_staircases.items():
         assert stair == tuple((exp, ring._ctx.pack(0, exp))
                               for exp in ring.standard_monomials(t))
     return len(forms)
 
 
-# GF(2^31 - 1)[a,b,c]/(a^2 - 3bc, b^2 + 5ac): columns and normal forms
-# carry residues near p, such as -1 and -3, so the slice's products of
-# coefficients reach 2^62
-BIG_FIELD_RING = """
-[field]
-2147483647
-[vars]
-a b c
-[ideal]
-a^2 - 3*b*c
-b^2 + 5*a*c
-[sop x]
-c
-[caps]
-homological = 3
-"""
-
-
-def test_slices_match_whole_vector_reduction(corpus, random_specs):
+def test_slices_match_whole_vector_reduction(corpus, random_specs,
+                                            big_field):
     for name, spec in corpus.items():
-        _assert_slices_match_reference(_differentials(spec, 3), range(11))
+        _assert_slices_match_reference(sop_differentials(spec, 3), range(11))
         if not spec.ring.is_polynomial_ring():
             assert _checked_tables(spec.ring), name
     met = 0
     for spec in random_specs[:6]:
-        _assert_slices_match_reference(_differentials(spec, 2), range(8))
+        _assert_slices_match_reference(sop_differentials(spec, 2), range(8))
         met += _checked_tables(spec.ring)
     assert met
-    big = parse_ring_spec(BIG_FIELD_RING)
+    big = big_field
     assert big.ring.characteristic == 2 ** 31 - 1
     _assert_slices_match_reference(
-        [*_differentials(big, 3),
+        [*sop_differentials(big, 3),
          *koszul_complex(maximal_ideal_sequence(big.ring))
          .differentials.values()], range(9))
     assert _checked_tables(big.ring)
 
 
-def test_a_second_slice_packs_and_reduces_nothing(monkeypatch):
+def test_a_second_slice_packs_and_reduces_nothing(monkeypatch, big_field):
     # a ring of its own, so that the first slice fills its tables
-    ring = parse_ring_spec(BIG_FIELD_RING).ring
+    ring = big_field.ring
     matrix = koszul_complex(maximal_ideal_sequence(ring)).differential(2)
     calls = []
 
