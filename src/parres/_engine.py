@@ -201,24 +201,30 @@ class PyReducer:
     def __len__(self):
         return sum(map(len, self.by_pos.values()))
 
-    def entry(self, word, lead, items):
-        """The stored form (word, lead, excess, terms) of monic terms led by
-        `lead`, whose exponent word is `word`: excess is how far the largest
-        monomial degree of the terms lies above the lead's."""
-        dshift = self.ctx.degshift
+    def entry(self, lead, terms, scale):
+        """The stored form (word, lead, excess, items) of the (key,
+        coefficient) pairs `terms`, in any order, led by `lead`: items holds
+        each coefficient times scale mod p, word is the lead's exponent word,
+        and excess is how far the largest monomial degree of the terms lies
+        above the lead's.  One pass over the terms."""
+        ctx, p = self.ctx, self.p
+        dshift = ctx.degshift
         dmask = EXP_MASK << dshift
-        top = max(k & dmask for k, _ in items)
-        return word, lead, (top - (lead & dmask)) >> dshift, items
+        base = top = lead & dmask
+        items = []
+        for k, c in terms:
+            items.append((k, c * scale % p))
+            if k & dmask > top:
+                top = k & dmask
+        return (lead & ctx.fmask) ^ ctx.one, lead, (top - base) >> dshift, items
 
     def add(self, vec):
-        """Store vec (dict), made monic, as an entry; returns its position."""
-        p = self.p
+        """Store vec (dict), made monic, as an entry; returns its position.
+        The lead is the largest key, so vec's terms may come in any order."""
         lead = max(vec)
-        inv = pow(vec[lead], p - 2, p)
-        pos = self.ctx.pos_of(lead)
+        pos = -(lead >> self.ctx.topshift)
         self.by_pos.setdefault(pos, []).append(
-            self.entry(self.ctx.word(lead), lead,
-                       [(k, (c * inv) % p) for k, c in vec.items()]))
+            self.entry(lead, vec.items(), pow(vec[lead], self.p - 2, self.p)))
         return pos
 
     def normal_form(self, vec, stopkey=None):
@@ -367,8 +373,8 @@ def interreduce(reducer):
     basis, the tails are reduced all the same, and deterministically.
     """
     for entries in reducer.by_pos.values():
-        for i, (word, lead, _, items) in enumerate(entries):
+        for i, (_, lead, _, items) in enumerate(entries):
             tail = reducer.normal_form({k: c for k, c in items if k != lead})
-            entries[i] = reducer.entry(word, lead, [(lead, 1), *tail.items()])
+            entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()], 1)
         mono_degree = reducer.ctx.mono_degree
         entries.sort(key=lambda e: (mono_degree(e[1]), e[1]))

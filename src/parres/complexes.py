@@ -11,6 +11,7 @@ minimization by unit-pivot cancellation.
 
 from __future__ import annotations
 
+from ._engine import EXP_MASK
 from .algebra import AlgebraError, DimensionMismatchError
 from .groebner import (ExtendedSolver, FinitelyPresentedModule, INFINITE,
                        RingMatrix, matrix_solve, syzygies)
@@ -275,20 +276,28 @@ def minimize_with_tracking(cplx):
     """
     ring = cplx.ring
     ctx, p = ring._ctx, ring.characteristic
+    dmask = EXP_MASK << ctx.degshift  # k & dmask is 0 for a unit term k
     modules = {n: list(d) for n, d in cplx.modules.items()}
     kept = {n: list(range(len(d))) for n, d in cplx.modules.items()}
     diffs = {n: list(m.cols) for n, m in cplx.differentials.items()}
 
-    def find_pivot():
-        """(n, row, column, unit) of the first unit entry, in the order
-        (n, column, row); a unit is a term of degree 0."""
+    def pivots():
+        """Yield (n, row, column, unit) of the first unit entry, in the
+        order (n, column, row); the caller makes each pivot before the next
+        is sought.  A pivot at (n, j) adds no unit below degree n, where
+        d_{n-1} only loses a column, nor in a column before j, whose
+        pivot-row entry has positive degree; so the search goes on from
+        (n, j), never from the start."""
         for n in sorted(diffs):
-            for j, col in enumerate(diffs[n]):
-                units = [k for k in col if not ctx.mono_degree(k)]
+            j = 0
+            while j < len(diffs[n]):
+                col = diffs[n][j]
+                units = [k for k in col if not k & dmask]
                 if units:
                     key = max(units)  # the lowest row
-                    return n, ctx.pos_of(key), j, col[key]
-        return None
+                    yield n, ctx.pos_of(key), j, col[key]
+                else:
+                    j += 1
 
     def drop_row(col, i):
         """col without row i; the rows below it, whose keys are below those
@@ -298,26 +307,15 @@ def minimize_with_tracking(cplx):
         return {(k + up if k < lo else k): c for k, c in col.items()
                 if not lo <= k < hi}
 
-    while True:
-        piv = find_pivot()
-        if piv is None:
-            break
-        n, pi, pj, c = piv
+    for n, pi, pj, c in pivots():
         # column j becomes column j - (entry (pi, j) / c) * column pj, whose
         # row pi then cancels
         inv = pow(c, p - 2, p)
         scaled = {k: (-inv * v) % p for k, v in diffs[n][pj].items()}
         top = modules[n][pj] - min(modules[n - 1])
-        out = []
-        for j, col in enumerate(diffs[n]):
-            if j == pj:
-                continue
-            factor = {ctx.move(k, 0): v for k, v in col.items()
-                      if ctx.pos_of(k) == pi}
-            if factor:
-                col = ring.combine(col, [(factor, scaled, top)])
-            out.append(drop_row(col, pi))
-        diffs[n] = out
+        rest = diffs[n][:pj] + diffs[n][pj + 1:]
+        diffs[n] = [drop_row(col, pi) for col in
+                    ring.products({pi: (top, scaled)}, rest, rest)]
         if n + 1 in diffs:
             diffs[n + 1] = [drop_row(col, pj) for col in diffs[n + 1]]
         if n - 1 in diffs:

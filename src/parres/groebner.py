@@ -17,7 +17,8 @@ from operator import le
 from .algebra import (AlgebraError, DimensionMismatchError,
                       NotHomogeneousError, Polynomial, RingMismatchError,
                       Sentinel)
-from ._engine import PackContext, buchberger, check_degree, groebner_basis
+from ._engine import (EXP_MASK, MAX_DEGREE, PackContext, buchberger,
+                      check_degree, groebner_basis)
 
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
@@ -55,7 +56,8 @@ class QuotientRingSpec:
     same paired with their position-0 keys, and the normal form of each
     position-0 monomial (True for a standard one).  Every reduction modulo
     I, in any free-module position, reads the last table, so each monomial
-    is reduced once per ring.
+    is reduced once per ring; `products`, the kernel of every matrix
+    product, reads it for each product term as the term is made.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -151,24 +153,62 @@ class QuotientRingSpec:
                 True if key in nf else tuple(nf.items()))
         return form
 
-    def combine(self, vec, products):
-        """vec + the sum of factor * v over (factor, v, top) in products,
-        reduced modulo I; a product of terms is one key addition.
+    def products(self, left, right, starts):
+        """The packed columns sum_k right[j][k] * left[k] (+ starts[j]), each
+        reduced modulo I: the product-and-reduce kernel of every matrix
+        product.
 
-        Each factor is a homogeneous packed polynomial in position 0, and top
-        bounds the degree of the terms of its v; raises before a product term
-        would leave the packed fields.
+        left: dict k -> (top, column k of the left factor), nonzero columns
+        only, where top bounds the monomial degree of the column's terms.
+        For each term c*m*e_k of right[j] the kernel adds c*m times left[k],
+        one key addition per product of terms, and sends each product term
+        straight through the monomial-form table (none when I = 0).  starts
+        is None or one packed column per right column, already reduced,
+        added as it is; a column with no product is its start (or {}).
+        Raises before a product term would leave the packed fields.
         """
         ctx, p = self._ctx, self.characteristic
-        acc = dict(vec)
-        for factor, v, top in products:
-            check_degree(top + ctx.mono_degree(next(iter(factor))))
-            for kb, cb in factor.items():
-                delta = kb - ctx.one
-                for ka, ca in v.items():
+        topshift, degshift, mask, one = (ctx.topshift, ctx.degshift,
+                                         ctx.monomask, ctx.one)
+        forms = self._monomial_forms if self._basis else None
+        out = []
+        for j, col in enumerate(right):
+            acc = None
+            for kb, cb in col.items():
+                entry = left.get(-(kb >> topshift))
+                if entry is None:
+                    continue
+                top, a = entry
+                deg = top + ((kb >> degshift) & EXP_MASK)
+                if deg > MAX_DEGREE:
+                    check_degree(deg)  # raises
+                if acc is None:
+                    acc = {} if starts is None else dict(starts[j])
+                delta = (kb & mask) - one
+                if forms is None:
+                    for ka, ca in a.items():
+                        key = ka + delta
+                        acc[key] = acc.get(key, 0) + ca * cb
+                    continue
+                for ka, ca in a.items():
                     key = ka + delta
-                    acc[key] = acc.get(key, 0) + ca * cb
-        return self.reduce_packed({k: c % p for k, c in acc.items() if c % p})
+                    base = key & mask
+                    form = forms.get(base)
+                    if form is None:
+                        form = self.monomial_form(base)
+                    if form is True:
+                        acc[key] = acc.get(key, 0) + ca * cb
+                        continue
+                    shift = key - base
+                    c = ca * cb
+                    for tk, tc in form:
+                        k = tk + shift
+                        acc[k] = acc.get(k, 0) + c * tc
+            if acc is None:
+                out.append({} if starts is None else starts[j])
+            else:
+                out.append({k: r for k, c in acc.items() if (r := c % p)})
+        return out
 
     def hilbert_numerator(self):
         """hilbert_numerator of the leads of I: the Hilbert series of R is
@@ -383,14 +423,14 @@ class RingMatrix:
         self.ncols = len(self.col_degrees)
         if len(cols) != self.ncols:
             raise DimensionMismatchError("degree list lengths do not match extents")
-        ctx = ring._ctx
+        topshift, degshift = ring._ctx.topshift, ring._ctx.degshift
         for j, col in enumerate(cols):
             for key in col:
-                i = ctx.pos_of(key)
+                i = -(key >> topshift)
                 if not 0 <= i < self.nrows:
                     raise DimensionMismatchError(f"entry ({i},{j}) out of range")
                 want = self.col_degrees[j] - self.row_degrees[i]
-                if ctx.mono_degree(key) != want:
+                if (key >> degshift) & EXP_MASK != want:
                     raise NotHomogeneousError(
                         f"entry ({i},{j}) is not homogeneous of degree {want}")
         self.cols = cols
@@ -448,21 +488,19 @@ class RingMatrix:
 
     def compose(self, other):
         """self @ other: column j is the sum over k of other[k, j] times
-        column k of self, one key addition per product of terms, reduced
-        modulo the defining ideal once."""
+        column k of self, made by the ring's product-and-reduce kernel
+        (`QuotientRingSpec.products`) in one call for all columns."""
         if other.ring != self.ring:
             raise RingMismatchError("matrices over different rings")
         if other.nrows != self.ncols:
             raise DimensionMismatchError(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        ring = self.ring
         low = min(self.row_degrees, default=0)
-        out = [ring.combine({}, [(factor, self.cols[k], self.col_degrees[k] - low)
-                                 for k, factor in
-                                 ring._ctx.split_by_position(col).items()
-                                 if self.cols[k]])
-               for col in other.cols]
-        return RingMatrix.packed(ring, out, self.row_degrees, other.col_degrees)
+        left = {k: (deg - low, col) for k, (deg, col) in
+                enumerate(zip(self.col_degrees, self.cols)) if col}
+        return RingMatrix.packed(self.ring,
+                                 self.ring.products(left, other.cols, None),
+                                 self.row_degrees, other.col_degrees)
 
     def __matmul__(self, other):
         return self.compose(other)

@@ -1,10 +1,11 @@
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from parres import algebra, harness, invariants
+from parres import algebra, harness, invariants, resolutions
 from parres.cli import bundled_ring_text
 from parres.harness import parse_ring_spec
 from parres.koszul import koszul_complex
@@ -27,6 +28,22 @@ def sop_differentials(spec, cap):
     res = minimal_free_resolution(x.quotient_module(), cap)
     return [*koszul_complex(x).differentials.values(),
             *res.complex.differentials.values()]
+
+
+def nonminimal_resolution(spec, cap):
+    """The complex that minimal_free_resolution of R/(x) through cap
+    minimizes, for the spec's reference sop x: the iterated syzygies."""
+    seen = []
+    real = resolutions.minimize_with_tracking
+
+    def spy(cplx):
+        seen.append(cplx)
+        return real(cplx)
+
+    with mock.patch.object(resolutions, "minimize_with_tracking", spy):
+        minimal_free_resolution(spec.sop().quotient_module(), cap)
+    (cplx,) = seen
+    return cplx
 
 
 def _spec(name):

@@ -7,7 +7,7 @@ from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               minimize_with_tracking, shift)
 from parres.koszul import KoszulTable, koszul_complex
 from parres import oracle
-from conftest import is_minimal
+from conftest import is_minimal, nonminimal_resolution
 
 
 def test_dd_zero_enforced(r1):
@@ -139,3 +139,67 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
         ChainComplex(ring, modules, diffs, check=True)
     with pytest.raises(AlgebraError, match="composite"):
         minimize_with_tracking(ChainComplex(ring, modules, diffs, check=False))
+
+
+def _reference_minimize(cplx):
+    """Unit-pivot cancellation on Polynomial entries, each entry reduced
+    modulo I on its own, and the search for the next pivot starting again
+    from the first differential: (kept, nonzero entries per degree)."""
+    ring = cplx.ring
+    p = ring.characteristic
+    zero = ring.ambient.zero()
+    modules = {n: list(d) for n, d in cplx.modules.items()}
+    kept = {n: list(range(len(d))) for n, d in cplx.modules.items()}
+    mats = {n: m.entries for n, m in cplx.differentials.items()}
+
+    def without(mat, row, col):
+        """mat without row `row` and column `col` (None: none)."""
+        return {(i - (row is not None and i > row),
+                 j - (col is not None and j > col)): f
+                for (i, j), f in mat.items() if i != row and j != col}
+
+    while True:
+        # the first unit in the order (n, column, row)
+        units = [(n, j, i) for n, mat in mats.items()
+                 for (i, j), f in mat.items() if f.is_constant()]
+        if not units:
+            break
+        n, pj, pi = min(units)
+        mat = mats[n]
+        inv = pow(mat[(pi, pj)].constant_term(), p - 2, p)
+        pivot = {i: f for (i, j), f in mat.items() if j == pj}
+        for j in range(len(modules[n])):
+            f = mat.get((pi, j))
+            if j == pj or f is None:
+                continue
+            factor = f.scale(inv)
+            for i, g in pivot.items():
+                h = ring.reduce(mat.get((i, j), zero) - factor * g)
+                if h.is_zero():
+                    mat.pop((i, j), None)
+                else:
+                    mat[(i, j)] = h
+        mats[n] = without(mat, pi, pj)
+        if n + 1 in mats:
+            mats[n + 1] = without(mats[n + 1], pj, None)
+        if n - 1 in mats:
+            mats[n - 1] = without(mats[n - 1], None, pi)
+        del modules[n][pj], kept[n][pj], modules[n - 1][pi], kept[n - 1][pi]
+    return ({n: idx for n, idx in kept.items() if idx},
+            {n: mat for n, mat in mats.items() if mat})
+
+
+def test_minimization_matches_a_restart_from_start_reference(random_specs):
+    # catalogue rings whose non-minimal resolutions of R/(x) cancel
+    cancelled = 0
+    for spec in random_specs:
+        cplx = nonminimal_resolution(spec, 3)
+        mini, kept = minimize_with_tracking(cplx)
+        if sum(map(len, kept.values())) == sum(map(len, cplx.modules.values())):
+            continue
+        cancelled += 1
+        ref_kept, ref_mats = _reference_minimize(cplx)
+        assert kept == ref_kept
+        assert {n: e for n, m in mini.differentials.items()
+                if (e := m.entries)} == ref_mats
+    assert cancelled >= 6

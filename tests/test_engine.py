@@ -238,9 +238,38 @@ def test_interreduce_matches_per_element_reference(case):
         vecs = [dict(items) for *_, items in entries]
         assert vecs == [v for v in reference if ctx.pos_of(max(v)) == pos]
         assert all(items[0] == (max(items)[0], 1) for *_, items in entries)
-        assert all(entry == gb.entry(ctx.word(entry[3][0][0]),
-                                     entry[3][0][0], entry[3])
+        assert all(entry == gb.entry(entry[3][0][0], entry[3], 1)
                    for entry in entries)
+
+
+def _two_pass_entry(reducer, vec):
+    """The former stored form of vec: its monic terms first, then a second
+    pass over them for the excess."""
+    ctx, p = reducer.ctx, reducer.p
+    lead = max(vec)
+    inv = pow(vec[lead], p - 2, p)
+    items = [(k, (c * inv) % p) for k, c in vec.items()]
+    dmask = EXP_MASK << ctx.degshift
+    top = max(k & dmask for k, _ in items)
+    return (ctx.word(lead), lead, (top - (lead & dmask)) >> ctx.degshift,
+            items)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=homogeneous_submodules(), data=st.data())
+def test_one_pass_entry_matches_the_two_pass_entry(case, data):
+    ctx, p, gendegs, vecs = case
+    reducer = PyReducer(ctx, p)
+    # a lead of degree 1 with a tail of degree 3 in a lower position
+    pad = (0,) * (len(ctx.shifts) - 2)
+    vecs = [*vecs, {ctx.pack(1, (0, 3, *pad)): 2,
+                    ctx.pack(0, (1, 0, *pad)): p - 1}]
+    for vec in vecs:
+        # the lead need not come first: add takes the largest key
+        unordered = dict(data.draw(st.permutations(list(vec.items()))))
+        pos = reducer.add(unordered)
+        assert reducer.by_pos[pos][-1] == _two_pass_entry(reducer, unordered)
+    assert reducer.by_pos[0][-1][2] == 2
 
 
 # --- normal form against the former max scan ---------------------------------

@@ -15,7 +15,7 @@ from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import koszul_complex
 
-from conftest import sop_differentials
+from conftest import nonminimal_resolution, sop_differentials
 
 P = 32003
 
@@ -651,6 +651,36 @@ def test_reduce_packed_matches_a_reducer_over_every_position(
         maximal_ideal_sequence(big)).differentials.values()])
     for matrices in cases:
         assert _assert_reduction_matches_reference(matrices)
+
+
+# --- the product-and-reduce kernel on real differentials ---------------------
+
+
+def _rescaled_rows(m):
+    """m with the coefficients of row i times i + 1, so that a product with
+    it is no composite of a complex and does not vanish."""
+    p, pos_of = m.ring.characteristic, m.ring._ctx.pos_of
+    cols = [{k: v for k, c in col.items() if (v := c * (pos_of(k) + 1) % p)}
+            for col in m.cols]
+    return RingMatrix.packed(m.ring, cols, m.row_degrees, m.col_degrees)
+
+
+def test_products_match_polynomial_compose_on_resolutions(
+        corpus, random_specs, big_field):
+    # the 5 bundled rings (regular has I = 0, so no monomial-form table),
+    # 6 catalogue rings and a p = 2^31 - 1 ring
+    nonzero = 0
+    for spec in (*corpus.values(), *random_specs[:6], big_field):
+        cplx = nonminimal_resolution(spec, 3)
+        for n, a in cplx.differentials.items():
+            b = cplx.differentials.get(n + 1)
+            if b is None:
+                continue
+            assert (a @ b).is_zero() and not _polynomial_compose(a, b)
+            got = (a @ _rescaled_rows(b)).entries
+            assert got == _polynomial_compose(a, _rescaled_rows(b))
+            nonzero += len(got)
+    assert nonzero
 
 
 # --- Schreyer: no S-pair in the tag block -----------------------------------
