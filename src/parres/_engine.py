@@ -371,10 +371,35 @@ def interreduce(reducer):
     gives it its unique normal form, whether or not the entries before it
     are rewritten yet.  In a tag block, where the entries are no Groebner
     basis, the tails are reduced all the same, and deterministically.
+
+    buchberger stores each entry as a normal form against the entries
+    before it, its terms in decreasing order, so almost every tail is
+    already reduced.  One scan over the tail, with normal_form's
+    divisibility test against the leads in each term's position, finds
+    the rest: only a tail with a term some lead divides is reduced, and
+    every other entry is kept as stored.
     """
+    ctx = reducer.ctx
+    topshift, fmask, one, guard = ctx.topshift, ctx.fmask, ctx.one, ctx.guard
+    mono_degree = ctx.mono_degree
+    words = {pos: [e[0] for e in entries]
+             for pos, entries in reducer.by_pos.items()}
+
+    def reducible(tail):
+        """Whether some lead divides a term of tail: normal_form's test."""
+        for k, _ in tail:
+            word = ((k & fmask) ^ one) | guard
+            for w in words.get(-(k >> topshift), ()):
+                if (word - w) & guard == guard:
+                    return True
+        return False
+
     for entries in reducer.by_pos.values():
         for i, (_, lead, _, items) in enumerate(entries):
-            tail = reducer.normal_form({k: c for k, c in items if k != lead})
-            entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()], 1)
-        mono_degree = reducer.ctx.mono_degree
+            # the lead is stored first; an entry with its lead elsewhere
+            # reads as reducible (its lead divides itself) and is rewritten
+            if reducible(items[1:]):
+                tail = reducer.normal_form({k: c for k, c in items
+                                            if k != lead})
+                entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()], 1)
         entries.sort(key=lambda e: (mono_degree(e[1]), e[1]))

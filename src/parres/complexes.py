@@ -22,6 +22,7 @@ class ChainComplex:
 
     modules: dict n -> tuple of generator degrees (absent means zero).
     differentials: dict n -> RingMatrix mapping F_n to F_{n-1}.
+    checked: whether construction checked every composite d_n∘d_{n+1}.
     """
 
     def __init__(self, ring, modules, differentials, check=True):
@@ -43,11 +44,13 @@ class ChainComplex:
                 continue
             self.differentials[n] = mat
         if check:
-            self._check_square_zero()
+            self._check_square_zero(self.differentials)
+        self.checked = check
 
-    def _check_square_zero(self):
-        for n, d in self.differentials.items():
-            up = self.differentials.get(n + 1)
+    def _check_square_zero(self, degrees):
+        """Raise unless d_n∘d_{n+1} is zero for each n in degrees."""
+        for n in degrees:
+            d, up = self.differentials[n], self.differentials.get(n + 1)
             if up is not None and not (d @ up).is_zero():
                 raise AlgebraError(f"differential composite at degree {n + 1} "
                                    "is nonzero")
@@ -273,6 +276,11 @@ def minimize_with_tracking(cplx):
     Returns (minimal complex, kept) where kept maps each homological degree to
     the list of original generator indices that survive.  Homology is
     unchanged; generators cancelled in pairs never carry minimal Betti data.
+
+    A pivot at n changes d_{n-1}, d_n and d_{n+1}; every other differential
+    is returned as the input's own matrix.  The minimized complex checks
+    d_n∘d_{n+1} = 0 unless both factors are such matrices of a checked
+    input, whose construction found that same product zero.
     """
     ring = cplx.ring
     ctx, p = ring._ctx, ring.characteristic
@@ -280,6 +288,7 @@ def minimize_with_tracking(cplx):
     modules = {n: list(d) for n, d in cplx.modules.items()}
     kept = {n: list(range(len(d))) for n, d in cplx.modules.items()}
     diffs = {n: list(m.cols) for n, m in cplx.differentials.items()}
+    touched = set()
 
     def pivots():
         """Yield (n, row, column, unit) of the first unit entry, in the
@@ -308,6 +317,7 @@ def minimize_with_tracking(cplx):
                 if not lo <= k < hi}
 
     for n, pi, pj, c in pivots():
+        touched.update((n - 1, n, n + 1))
         # column j becomes column j - (entry (pi, j) / c) * column pj, whose
         # row pi then cancels
         inv = pow(c, p - 2, p)
@@ -332,8 +342,13 @@ def minimize_with_tracking(cplx):
         tgt = out_modules.get(n - 1, ())
         if not src or not tgt:
             continue
-        out_diffs[n] = RingMatrix.packed(ring, cols, tgt, src)
-    mini = ChainComplex(ring, out_modules, out_diffs, check=True)
+        out_diffs[n] = (RingMatrix.packed(ring, cols, tgt, src)
+                        if n in touched else cplx.differentials[n])
+    mini = ChainComplex(ring, out_modules, out_diffs, check=False)
+    old = cplx.differentials if cplx.checked else {}
+    mini._check_square_zero(
+        [n for n, d in out_diffs.items()
+         if d is not old.get(n) or out_diffs.get(n + 1) is not old.get(n + 1)])
     return mini, {n: idx for n, idx in kept.items() if idx}
 
 

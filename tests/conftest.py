@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from parres import algebra, harness, invariants, resolutions
+from parres import _engine, algebra, harness, invariants, resolutions
 from parres.cli import bundled_ring_text
 from parres.harness import parse_ring_spec
 from parres.koszul import koszul_complex
@@ -44,6 +44,24 @@ def nonminimal_resolution(spec, cap):
         minimal_free_resolution(spec.sop().quotient_module(), cap)
     (cplx,) = seen
     return cplx
+
+
+def solver_stores(module, cap):
+    """(unreduced, store) for every ExtendedSolver store that
+    minimal_free_resolution of `module` through cap builds: a copy of the
+    store's entries as buchberger left them, caught by a spy on
+    interreduce, and the store itself, interreduced."""
+    seen = []
+    real = _engine.interreduce
+
+    def spy(reducer):
+        seen.append(({pos: list(entries)
+                      for pos, entries in reducer.by_pos.items()}, reducer))
+        return real(reducer)
+
+    with mock.patch.object(_engine, "interreduce", spy):
+        minimal_free_resolution(module, cap)
+    return seen
 
 
 def _spec(name):

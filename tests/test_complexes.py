@@ -1,7 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from parres.algebra import AlgebraError
-from parres.groebner import RingMatrix, syzygies
+from parres.groebner import QuotientRingSpec, RingMatrix, syzygies
 from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               dual, homology_presentation, mapping_cone,
                               minimize_with_tracking, shift)
@@ -139,6 +141,58 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
         ChainComplex(ring, modules, diffs, check=True)
     with pytest.raises(AlgebraError, match="composite"):
         minimize_with_tracking(ChainComplex(ring, modules, diffs, check=False))
+
+
+def test_minimization_rechecks_only_composites_with_a_changed_factor(
+        r1, r2, nonflc):
+    real = ChainComplex._check_square_zero
+    checked = []
+
+    def spy(cplx, degrees):
+        checked.append(list(degrees))
+        return real(cplx, degrees)
+
+    # nothing cancels on r1 and r2; on nonflc the pivots lie in d_3..d_5
+    # and change d_2..d_5, so d_1 o d_2 has a changed factor too
+    for spec, kept, rechecked in ((r1, [1, 2, 3, 4, 5], []),
+                                  (r2, [1, 2, 3, 4, 5], []),
+                                  (nonflc, [1], [1, 2, 3, 4, 5])):
+        cplx = nonminimal_resolution(spec, 4)
+        checked.clear()
+        with mock.patch.object(ChainComplex, "_check_square_zero", spy):
+            mini = minimize_with_tracking(cplx)[0]
+            assert checked == [rechecked]
+            # an unchecked input has every composite checked
+            minimize_with_tracking(ChainComplex(cplx.ring, cplx.modules,
+                                                cplx.differentials,
+                                                check=False))
+            assert checked[1] == [1, 2, 3, 4, 5]
+        assert [n for n, d in mini.differentials.items()
+                if d is cplx.differentials[n]] == kept
+
+
+def test_a_wrong_pivot_update_fails_the_minimized_check(nonflc):
+    # the checked non-minimal resolution, with one coefficient of the first
+    # pivot update changed: only the composites with a changed factor can
+    # see it, and they are checked again
+    cplx = nonminimal_resolution(nonflc, 4)
+    assert cplx.checked
+    real = QuotientRingSpec.products
+    updates = []
+
+    def corrupt(ring, left, right, starts):
+        out = real(ring, left, right, starts)
+        if starts is not None:  # the pivot update; compose passes None
+            updates.append(out)
+            if len(updates) == 1:
+                col = next(c for c in out if c)
+                k = min(col)
+                col[k] = col[k] % (ring.characteristic - 1) + 1
+        return out
+
+    with mock.patch.object(QuotientRingSpec, "products", corrupt):
+        with pytest.raises(AlgebraError, match="composite at degree 4"):
+            minimize_with_tracking(cplx)
 
 
 def _reference_minimize(cplx):

@@ -11,6 +11,8 @@ from parres._engine import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
                             PyReducer, check_degree, groebner_basis,
                             interreduce, vec_degree)
 from parres import _engine, kernel
+from parres.koszul import KoszulTable
+from conftest import solver_stores
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 
@@ -240,6 +242,60 @@ def test_interreduce_matches_per_element_reference(case):
         assert all(items[0] == (max(items)[0], 1) for *_, items in entries)
         assert all(entry == gb.entry(entry[3][0][0], entry[3], 1)
                    for entry in entries)
+
+
+def _interreduce_every_tail(ctx, p, unreduced):
+    """The entries of the store `unreduced` (position -> entries, as
+    buchberger leaves them), interreduced with a normal form for every
+    tail: the interreduction before the divisibility scan."""
+    reducer = PyReducer(ctx, p)
+    reducer.by_pos = {pos: list(entries) for pos, entries in unreduced.items()}
+    for entries in reducer.by_pos.values():
+        for i, (_, lead, _, items) in enumerate(entries):
+            tail = reducer.normal_form({k: c for k, c in items if k != lead})
+            entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()], 1)
+        entries.sort(key=lambda e: (ctx.mono_degree(e[1]), e[1]))
+    return reducer.by_pos
+
+
+def test_scanned_interreduction_matches_reducing_every_tail(
+        corpus, random_specs, r2):
+    runs = [(spec.sop().quotient_module(), 3)
+            for spec in (*corpus.values(), *random_specs[:6])]
+    x = r2.sop()
+    runs.append((KoszulTable(x.ring).homology(x, 1), 6))
+    stores = rewritten = 0
+    for module, cap in runs:
+        ctx, p = module.ring._ctx, module.ring.characteristic
+        for unreduced, store in solver_stores(module, cap):
+            assert store.by_pos == _interreduce_every_tail(ctx, p, unreduced)
+            kept = {id(e) for entries in store.by_pos.values() for e in entries}
+            rewritten += sum(id(e) not in kept
+                             for entries in unreduced.values() for e in entries)
+            stores += 1
+    assert stores > 30 and rewritten > 0
+
+
+def test_interreduce_rewrites_a_tail_that_a_later_lead_divides():
+    ctx = PackContext(2)
+    a2e0, abe1, b2e1 = (ctx.pack(0, (2, 0)), ctx.pack(1, (1, 1)),
+                        ctx.pack(1, (0, 2)))
+    ae1, be1, ae2, be2 = (ctx.pack(1, (1, 0)), ctx.pack(1, (0, 1)),
+                          ctx.pack(2, (1, 0)), ctx.pack(2, (0, 1)))
+    reducer = PyReducer(ctx, 7)
+    # a^2 e_0 + 3ab e_1, whose tail the later lead a e_1 divides
+    reducer.add({a2e0: 1, abe1: 3})
+    # a e_1 + 4b e_1: no lead divides its tail, so it is kept as stored
+    reducer.add({ae1: 4, be1: 2})
+    kept = reducer.by_pos[1][0]
+    # a e_2 + b e_2, stored with its lead second: rewritten lead first
+    reducer.add({be2: 1, ae2: 1})
+    interreduce(reducer)
+    # 3ab e_1 - 3b (a e_1 + 4b e_1) = -12b^2 e_1 = 2b^2 e_1, irreducible
+    assert reducer.by_pos[0] == [reducer.entry(a2e0, [(a2e0, 1), (b2e1, 2)], 1)]
+    assert reducer.by_pos[1] == [kept]
+    assert reducer.by_pos[1][0] is kept
+    assert reducer.by_pos[2] == [reducer.entry(ae2, [(ae2, 1), (be2, 1)], 1)]
 
 
 def _two_pass_entry(reducer, vec):
