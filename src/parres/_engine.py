@@ -36,8 +36,17 @@ in place into the reduced basis and returns that reducer for the ring and the
 solver to reduce against, and a caller that needs only leads reads entries.
 The ring's store holds I in position 0 alone: a reduction modulo I in any
 position goes through the ring's normal forms of single monomials, each made
-by one `PyReducer.normal_form` call.  In a tagged module `buchberger` forms
-no S-pair past the leading block (Schreyer's skip, see `buchberger`).
+by one `PyReducer.normal_form` call.
+
+A Groebner basis of a submodule of a free module over R = S/I is computed
+over S with I's reduced basis G implicit: `buchberger` takes the ring, and
+its reducer treats g e_i, for every g in G, as a basis element in every
+leading-block position i.  The rows I*F are never built or stored, and no
+two of them are paired, since G is already a Groebner basis.  The normal
+form reduces each leading-block term modulo I before it scans the store,
+so every stored leading-block term is standard modulo I.  In a tagged
+module `buchberger` forms no S-pair past the leading block (Schreyer's
+skip, see `buchberger`).
 """
 
 from __future__ import annotations
@@ -191,12 +200,21 @@ def vec_degree(ctx, vec, gendegs):
 
 class PyReducer:
     """Pure-Python reducer: full normal form against a growing basis, and
-    the only copy of that basis (`by_pos`: position -> entries in order)."""
+    the only copy of that basis (`by_pos`: position -> entries in order).
+
+    Over a quotient ring, `buchberger` sets `ideal` to the ring's entries of
+    I's reduced basis, `forms` to its table of monomial forms, and `floor`
+    to the smallest key of the leading block: every g e_i in that block is
+    then a basis element that `by_pos` does not hold.
+    """
 
     def __init__(self, ctx, p):
         self.ctx = ctx
         self.p = p
         self.by_pos = {}
+        self.ideal = ()
+        self.forms = None
+        self.floor = None
 
     def __len__(self):
         return sum(map(len, self.by_pos.values()))
@@ -233,12 +251,23 @@ class PyReducer:
         Terms are taken largest first from a heap of negated keys.  A
         reduction only adds keys below the one it reduces, so a key taken
         never comes back, and a heap key no longer in `work` was cancelled.
+
+        A leading-block term is reduced modulo I before the store is
+        scanned.  When `forms` holds its monomial, the term is replaced by
+        the form moved to its position, or kept for the scan when the form
+        is True (a standard monomial).  Otherwise I's lead words are
+        scanned: a standard monomial is recorded as True, and any other
+        term takes one reduction step by the dividing entry of I, in
+        position 0, which the key difference k - lead moves into place.  So
+        no normal form of a monomial is built here, and a ring used once
+        builds none.
         """
         ctx = self.ctx
         p = self.p
         by_pos = self.by_pos
         topshift, degshift = ctx.topshift, ctx.degshift
-        fmask, one, guard = ctx.fmask, ctx.one, ctx.guard
+        fmask, one, guard, mask = ctx.fmask, ctx.one, ctx.guard, ctx.monomask
+        ideal, forms, floor = self.ideal, self.forms, self.floor
         work = dict(vec)
         heap = [-k for k in work]
         heapq.heapify(heap)
@@ -251,17 +280,33 @@ class PyReducer:
             if not c:
                 continue
             word = ((k & fmask) ^ one) | guard  # k's word, every guard set
-            for entry in by_pos.get(-(k >> topshift), ()):
-                if (word - entry[0]) & guard == guard:
-                    break
+            entry = form = None
+            if ideal and k >= floor:
+                base = k & mask
+                form = forms.get(base)
+                if form is None:
+                    for entry in ideal:
+                        if (word - entry[0]) & guard == guard:
+                            break
+                    else:
+                        entry = None
+                        form = forms[base] = True
+            if form is not None and form is not True:
+                # c k becomes c times its monomial's form, moved into place
+                items, delta, neg = form, k - base, c
             else:
-                out[k] = c
-                continue
-            _, lead, excess, items = entry
-            check_degree(((k >> degshift) & EXP_MASK) + excess)
-            delta = k - lead
-            work[k] = c  # lead cancels against the entry's own monic lead
-            neg = p - c
+                if entry is None:
+                    for entry in by_pos.get(-(k >> topshift), ()):
+                        if (word - entry[0]) & guard == guard:
+                            break
+                    else:
+                        out[k] = c
+                        continue
+                _, lead, excess, items = entry
+                check_degree(((k >> degshift) & EXP_MASK) + excess)
+                delta = k - lead
+                work[k] = c  # lead cancels against the entry's own monic lead
+                neg = p - c
             for tk, tc in items:
                 nk = tk + delta
                 old = work.get(nk)
@@ -300,14 +345,18 @@ def spoly(entry1, entry2, lcm, deg, ctx, p):
     return s
 
 
-def buchberger(vecs, ctx, p, gendegs, nlead):
-    """A reducer whose entries in positions < nlead form a Groebner basis of
-    the submodule generated by the homogeneous packed vectors `vecs`, in
-    those positions; gendegs holds the internal degree of each free-module
-    position.  Deterministic for a fixed input order.  Generators and
-    S-pairs pop in nondecreasing degree, and only nonzero normal forms
-    against every earlier entry are added, so no lead divides another: the
-    leads in positions < nlead are those of the reduced basis.
+def buchberger(vecs, ctx, p, gendegs, nlead, ring):
+    """A reducer whose entries in positions < nlead, together with g e_i for
+    every basis element g of I and every position i < nlead, form a
+    Groebner basis of the submodule generated by the homogeneous packed
+    vectors `vecs` and I times those positions; gendegs holds the internal
+    degree of each free-module position.  ring is the QuotientRingSpec
+    that owns I, or None for the ring's own basis of I (and no I).
+    Deterministic for a fixed input order.  Generators and S-pairs pop in
+    nondecreasing degree, and only nonzero normal forms against every
+    earlier entry and I are added, so no lead divides another and none lies
+    in I's lead ideal: the stored leads in positions < nlead, with each
+    LT(g) e_i that none of them divides, are those of the reduced basis.
 
     Positions >= nlead are a tag block (nlead = len(gendegs) when there is
     none), and no S-pair is formed there.  The S-vector of two entries led
@@ -316,12 +365,31 @@ def buchberger(vecs, ctx, p, gendegs, nlead):
     generate the part of the submodule that vanishes in positions < nlead,
     though no longer as a Groebner basis.
 
-    The product criterion is only applied in rank 1 (len(gendegs) == 1); it
-    is not valid for modules of higher rank.
+    The product criterion is applied between stored entries only in rank 1
+    (len(gendegs) == 1); it is not valid between module elements of higher
+    rank.  Against g e_i it holds in any rank: for h led by m e_i with m
+    coprime to LT(g), the S-vector LT(g) h - m g e_i equals
+    g h - h_i g e_i - (g - LT(g)) h + (h_i - m) g e_i, where h_i is the
+    i-th coordinate of h, and g h - h_i g e_i is the sum of the h_j g e_j
+    over the other positions j.  Every summand has its lead below the lcm,
+    so the pair has a standard representation.  For a tag position j,
+    g e_j is no basis element, but the syzygy the pair drops, g times the
+    tag part of h, lies in I times the tag block, which is zero over R.
+
+    Once a new lead m e_i divides LT(g), g e_i takes that one S-pair and
+    is retired in position i (Gebauer-Moeller 1988): for any later entry h',
+    m e_i divides the lcm of h' and g e_i, so the pair (h', g e_i) is
+    covered by the pairs (h', new) and (new, g e_i), each formed or met by
+    the product criterion.
     """
     # deferred import: kernel imports this module
     from .kernel import reducer_factory
     reducer = reducer_factory(ctx, p)
+    ideal = ring._basis if ring is not None else ()
+    if ideal:
+        reducer.ideal, reducer.forms = ideal, ring._monomial_forms
+        reducer.floor = ctx.position_floor(nlead)
+    live = {}  # position -> the entries of I not retired there
     # (degree, seq, generator vec or (entry, entry, lcm word, lcm degree))
     heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
             for seq, vec in enumerate(v for v in vecs if v)]
@@ -348,15 +416,30 @@ def buchberger(vecs, ctx, p, gendegs, nlead):
             heapq.heappush(heap, (deg + gendegs[pos], seq,
                                   (old, new, lcm, deg)))
             seq += 1
+        if not ideal:
+            continue
+        kept = []
+        for g in live.get(pos, ideal):
+            lcm = ctx.lcm(word, g[0])
+            if lcm != word + g[0]:  # else the product criterion holds
+                # new first: spoly takes the position of its first entry
+                deg = ctx.word_degree(lcm)
+                heapq.heappush(heap, (deg + gendegs[pos], seq,
+                                      (new, g, lcm, deg)))
+                seq += 1
+            if lcm != g[0]:
+                kept.append(g)  # else the new lead divides LT(g): retired
+        live[pos] = kept
 
     return reducer
 
 
-def groebner_basis(vecs, ctx, p, gendegs, nlead):
+def groebner_basis(vecs, ctx, p, gendegs, nlead, ring):
     """The reducer from buchberger, its entries rewritten by interreduce into
-    the reduced Groebner basis of the submodule generated by `vecs` in
-    positions < nlead, and tail-reduced in the tag block."""
-    reducer = buchberger(vecs, ctx, p, gendegs, nlead)
+    the reduced Groebner basis of the submodule generated by `vecs` and I
+    times the positions < nlead, in those positions, less the g e_i that
+    the reducer keeps implicit, and tail-reduced in the tag block."""
+    reducer = buchberger(vecs, ctx, p, gendegs, nlead, ring)
     interreduce(reducer)
     return reducer
 

@@ -4,9 +4,9 @@ series, dimension, length.
 All computations over a quotient ring R = S/I are done by lifting to the
 ambient polynomial ring S.  Kernels and membership questions in free modules
 over R are answered with an extended free module carrying one tag position per
-source generator: the defining ideal times each target generator is thrown in,
-a position-over-term Groebner basis is computed, and elements supported purely
-on the tag block are read off.
+source generator: a position-over-term Groebner basis is computed with I
+times each target generator implicit in the reducer (see `_engine`), and
+elements supported purely on the tag block are read off.
 """
 
 from __future__ import annotations
@@ -57,7 +57,9 @@ class QuotientRingSpec:
     position-0 monomial (True for a standard one).  Every reduction modulo
     I, in any free-module position, reads the last table, so each monomial
     is reduced once per ring; `products`, the kernel of every matrix
-    product, reads it for each product term as the term is made.
+    product, reads it for each product term as the term is made.  A
+    Buchberger run over R reads it too, and records as True each standard
+    monomial it meets that the table lacks.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -73,7 +75,7 @@ class QuotientRingSpec:
         ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
         p = ambient.characteristic
         self._reducer = (groebner_basis([_pack({0: g}, ctx) for g in gens],
-                                        ctx, p, (0,), 1)
+                                        ctx, p, (0,), 1, None)
                          if gens else None)
         self._basis = self._reducer.by_pos[0] if gens else []
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
@@ -108,12 +110,6 @@ class QuotientRingSpec:
             return f
         return _poly(self.reduce_packed(_pack({0: f}, self._ctx)), self._ctx,
                      self.ambient)
-
-    def ideal_rows(self, positions):
-        """g*e_i for every basis element g of I and every i in positions."""
-        move = self._ctx.move
-        return [{move(k, i): c for k, c in items}
-                for *_, items in self._basis for i in positions]
 
     def reduce_packed(self, vec):
         """Normal form modulo I of a packed vector, in every position.
@@ -580,19 +576,23 @@ class FinitelyPresentedModule:
         self._numerator = None
 
     def _initial_leads(self):
-        """Per-position leading exponents of relations + I * generators.
+        """Per-position leading exponents of relations + I * generators: the
+        leads of the Buchberger store and I's own, which the store keeps
+        implicit in every position.
 
-        The leads of the Buchberger store are those of the reduced basis, so
-        no interreduction is run.
+        The store's leads are those of the reduced basis, so no
+        interreduction is run.  A store lead may divide one of I's, so the
+        leads of a position need not be minimal; hilbert_numerator
+        minimizes them.
         """
         ring = self.ring
-        cols, ideal_rows = _packed_columns(self.relations)
-        store = buchberger(cols + ideal_rows, ring._ctx, ring.characteristic,
-                           self.gen_degrees, len(self.gen_degrees))
+        store = buchberger(self.relations.cols, ring._ctx, ring.characteristic,
+                           self.gen_degrees, len(self.gen_degrees), ring)
         exp_of = ring._ctx.exp_of
-        leads = {pos: [] for pos in range(len(self.gen_degrees))}
+        leads = {pos: list(ring._lead_exps)
+                 for pos in range(len(self.gen_degrees))}
         for pos, entries in store.by_pos.items():
-            leads[pos] = [exp_of(e[1]) for e in entries]
+            leads[pos] += [exp_of(e[1]) for e in entries]
         return leads
 
     def is_zero(self):
@@ -637,13 +637,6 @@ class FinitelyPresentedModule:
 # syzygies and linear solving over R
 
 
-def _packed_columns(matrix):
-    """(columns, ideal rows): copies of the packed columns of a matrix over
-    R, and g * e_i for every defining-ideal basis element g and every row i."""
-    return ([dict(col) for col in matrix.cols],
-            matrix.ring.ideal_rows(range(matrix.nrows)))
-
-
 class ExtendedSolver:
     """Tagged-module Groebner machinery for one matrix over R.
 
@@ -651,9 +644,13 @@ class ExtendedSolver:
     S^{nrows+ncols} generated by {column_j + e_{nrows+j}} and {g * e_i} for
     every defining-ideal basis element g and target position i, in the
     leading block (positions < nrows), and keeps the reducer that holds it,
-    `store`.  No S-pair is formed in the tag block, so its entries generate
-    the syzygies without forming a Groebner basis of them.  Syzygies and
-    membership/solve queries both read off this one store.
+    `store`.  Only the tagged columns are passed: the store keeps the g e_i
+    implicit, reducing every leading-block term modulo I, and holds none of
+    them.  No S-pair is formed in the tag block, so its entries generate
+    the syzygies without forming a Groebner basis of them; a syzygy the
+    product criterion skips against some g e_i lies in I times the tag
+    block, which is zero over R.  Syzygies and membership/solve queries
+    both read off this one store.
     """
 
     def __init__(self, matrix):
@@ -665,11 +662,10 @@ class ExtendedSolver:
         ctx = self.ctx = ring._ctx
         self.p = ring.characteristic
         self.gendegs = matrix.row_degrees + matrix.col_degrees
-        cols, ideal_rows = _packed_columns(matrix)
-        for j, packed in enumerate(cols):
-            packed[ctx.move(ctx.one, self.nrows + j)] = 1
-        self.store = groebner_basis(cols + ideal_rows, ctx, self.p,
-                                    self.gendegs, self.nrows)
+        cols = [{**col, ctx.move(ctx.one, self.nrows + j): 1}
+                for j, col in enumerate(matrix.cols)]
+        self.store = groebner_basis(cols, ctx, self.p, self.gendegs,
+                                    self.nrows, ring)
         self.floor = ctx.position_floor(self.nrows)
         # moves the tag position nrows + j to row j of the source
         self._untag = ctx.position_shift(self.nrows)

@@ -64,6 +64,14 @@ def solver_stores(module, cap):
     return seen
 
 
+def ideal_rows(ring, positions):
+    """g*e_i for every basis element g of the ring's I and every i in
+    positions: the rows that a reducer over R keeps implicit."""
+    move = ring._ctx.move
+    return [{move(k, i): c for k, c in items}
+            for *_, items in ring._basis for i in positions]
+
+
 def _spec(name):
     return parse_ring_spec(bundled_ring_text(name), name=name)
 

@@ -104,7 +104,7 @@ def test_key_additions_check_the_degree_of_every_product():
     # the S-pair of these two multiplies the first by b^30
     vecs = [{ctx.pack(0, (1, 0)): 1, tail: 1}, {ctx.pack(0, (0, 30)): 1}]
     with pytest.raises(AlgebraError, match="degree 1030 exceeds packing"):
-        groebner_basis(vecs, ctx, 101, (0, -999), 2)
+        groebner_basis(vecs, ctx, 101, (0, -999), 2, None)
 
 
 def test_position_floor_is_boundary():
@@ -132,7 +132,7 @@ def test_every_reducer_comes_from_the_factory(monkeypatch):
 
     monkeypatch.setattr(kernel, "reducer_factory", counting)
     vecs = [{ctx.pack(0, (2, 0)): 1}, {ctx.pack(0, (1, 1)): 1}]
-    gb = groebner_basis(vecs, ctx, 101, (0,), 1)
+    gb = groebner_basis(vecs, ctx, 101, (0,), 1, None)
     assert len(gb) == 2
     # the Buchberger reducer is the store that interreduce rewrites and
     # groebner_basis returns
@@ -217,7 +217,7 @@ def test_interreduce_matches_per_element_reference(case):
         return interreduce(reducer, *args)
 
     with mock.patch.object(_engine, "interreduce", spy):
-        gb = groebner_basis(vecs, ctx, p, gendegs, len(gendegs))
+        gb = groebner_basis(vecs, ctx, p, gendegs, len(gendegs), None)
     (store,) = seen
     for pos, entries in store.items():
         # the invariants that let interreduce skip a redundancy check: per
@@ -244,11 +244,15 @@ def test_interreduce_matches_per_element_reference(case):
                    for entry in entries)
 
 
-def _interreduce_every_tail(ctx, p, unreduced):
+def _interreduce_every_tail(store, unreduced):
     """The entries of the store `unreduced` (position -> entries, as
-    buchberger leaves them), interreduced with a normal form for every
-    tail: the interreduction before the divisibility scan."""
-    reducer = PyReducer(ctx, p)
+    buchberger left them in `store`), interreduced with a normal form for
+    every tail, modulo the ideal that `store` keeps implicit: the
+    interreduction before the divisibility scan."""
+    ctx = store.ctx
+    reducer = PyReducer(ctx, store.p)
+    reducer.ideal, reducer.forms, reducer.floor = (store.ideal, store.forms,
+                                                   store.floor)
     reducer.by_pos = {pos: list(entries) for pos, entries in unreduced.items()}
     for entries in reducer.by_pos.values():
         for i, (_, lead, _, items) in enumerate(entries):
@@ -266,9 +270,8 @@ def test_scanned_interreduction_matches_reducing_every_tail(
     runs.append((KoszulTable(x.ring).homology(x, 1), 6))
     stores = rewritten = 0
     for module, cap in runs:
-        ctx, p = module.ring._ctx, module.ring.characteristic
         for unreduced, store in solver_stores(module, cap):
-            assert store.by_pos == _interreduce_every_tail(ctx, p, unreduced)
+            assert store.by_pos == _interreduce_every_tail(store, unreduced)
             kept = {id(e) for entries in store.by_pos.values() for e in entries}
             rewritten += sum(id(e) not in kept
                              for entries in unreduced.values() for e in entries)
@@ -386,7 +389,7 @@ def test_normal_form_matches_max_scan_reference(case, data):
     for vec in vecs:
         raw.add(vec)
     reducers = (raw, groebner_basis(vecs, ctx, p, gendegs,
-                                    len(gendegs)))
+                                    len(gendegs), None))
     for _ in range(data.draw(st.integers(1, 3))):
         vec = _homogeneous_vector(data.draw, ctx, p, gendegs,
                                   data.draw(st.integers(1, 4)), lift)

@@ -1,10 +1,11 @@
+import copy
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parres import _engine, kernel, oracle
-from parres._engine import PyReducer, vec_degree
+from parres._engine import PyReducer, groebner_basis, vec_degree
 from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
                             PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
@@ -13,9 +14,9 @@ from parres.groebner import (INFINITE, ExtendedSolver,
                              series_counts, standard_monomials, syzygies)
 from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.invariants import maximal_ideal_sequence
-from parres.koszul import koszul_complex
+from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
 
-from conftest import nonminimal_resolution, sop_differentials
+from conftest import ideal_rows, nonminimal_resolution, sop_differentials
 
 P = 32003
 
@@ -345,13 +346,13 @@ def test_reduce_packed_keeps_the_basis_view(amb3):
                                    amb3.parse("c^2")])
     ctx = ring._ctx
     before = (list(ring.ideal_basis), list(ring._lead_exps),
-              ring.ideal_rows([0]))
+              ideal_rows(ring, [0]))
     # a*c*e_3 + b^2*e_1 meets positions 1..3, and is reduced through the
     # position-0 forms of a*c and b^2: the store stays in position 0
     vec = {ctx.pack(3, (1, 0, 1)): 1, ctx.pack(1, (0, 2, 0)): 1}
     assert ring.reduce_packed(vec) == {ctx.pack(1, (0, 2, 0)): 1}
     assert sorted(ring._reducer.by_pos) == [0]
-    assert (ring.ideal_basis, ring._lead_exps, ring.ideal_rows([0])) == before
+    assert (ring.ideal_basis, ring._lead_exps, ideal_rows(ring, [0])) == before
 
 
 def test_module_length_runs_no_interreduction(monkeypatch, amb3):
@@ -397,9 +398,12 @@ def _rebuilt_basis(solver):
 
 
 def _rebuilt_reducer(solver):
-    """The former solver reducer: a fresh one filled from _rebuilt_basis."""
+    """The former solver reducer: a fresh one filled with the I*F rows of
+    the solver's rows, which its store keeps implicit and reduces by
+    first, and then from _rebuilt_basis."""
     reducer = PyReducer(solver.ctx, solver.p)
-    for v in _rebuilt_basis(solver):
+    for v in ideal_rows(solver.ring, range(solver.nrows)) + \
+            _rebuilt_basis(solver):
         reducer.add(v)
     return reducer
 
@@ -610,7 +614,7 @@ def _reference_normal_form(ring, vec):
     every position vec meets: one whole-vector reduction."""
     ctx = ring._ctx
     ref = PyReducer(ctx, ring.characteristic)
-    for row in ring.ideal_rows(range(max(map(ctx.pos_of, vec)) + 1)):
+    for row in ideal_rows(ring, range(max(map(ctx.pos_of, vec)) + 1)):
         ref.add(row)
     return ref.normal_form(vec)
 
@@ -717,3 +721,180 @@ def test_syzygies_without_tag_block_pairs_stay_exact(corpus, random_specs):
                                          2: syz.col_degrees}, {1: d, 2: syz})
             for t in range(9):
                 assert oracle.homology_dim_at(cplx, 1, t) == 0, (spec.name, t)
+
+
+# --- Groebner bases over R: I kept implicit in the reducer ------------------
+
+
+def _reference_store(vecs, ring, gendegs, nlead):
+    """The former store: Buchberger on `vecs` plus the I*F rows of the
+    positions < nlead, with no implicit I."""
+    return groebner_basis(vecs + ideal_rows(ring, range(nlead)), ring._ctx,
+                          ring.characteristic, gendegs, nlead, None)
+
+
+def _reference_numerator(module):
+    """hilbert_numerator of a module from the leads of _reference_store."""
+    ctx, n = module.ring._ctx, len(module.gen_degrees)
+    store = _reference_store(module.relations.cols, module.ring,
+                             module.gen_degrees, n)
+    out = {}
+    for pos, base in enumerate(module.gen_degrees):
+        exps = [ctx.exp_of(e[1]) for e in store.by_pos.get(pos, ())]
+        for t, c in enumerate(hilbert_numerator(exps)):
+            out[base + t] = out.get(base + t, 0) + c
+    return out
+
+
+def _sop_powers(spec):
+    """x, x^2 and x^3 of the spec's reference sop, and their prefixes."""
+    x = spec.sop()
+    out = []
+    for n in (1, 2, 3):
+        y = x.power(n)
+        out += [ParameterSequence(x.ring, y.elements[:k])
+                for k in range(1, y.count + 1)]
+    return out
+
+
+def test_koszul_cokernels_match_buchberger_with_the_ideal_rows(
+        corpus, random_specs):
+    checked = 0
+    for spec in (*corpus.values(), *random_specs[:6]):
+        table = KoszulTable(spec.ring)
+        for y in _sop_powers(spec):
+            for p in range(1, y.count + 1):
+                if p == 1:
+                    module = y.quotient_module()
+                else:
+                    cplx = table.complex(y)
+                    module = FinitelyPresentedModule(
+                        spec.ring, cplx.module(p - 1), cplx.differential(p))
+                assert table._cokernel(y, p) == _reference_numerator(module)
+                checked += 1
+    assert checked > 100
+
+
+def _reference_solver(solver):
+    """The solver reading a store built the former way."""
+    ref = copy.copy(solver)
+    cols = [{**col, solver.ctx.move(solver.ctx.one, solver.nrows + j): 1}
+            for j, col in enumerate(solver.matrix.cols)]
+    ref.store = _reference_store(cols, solver.ring, solver.gendegs,
+                                 solver.nrows)
+    return ref
+
+
+def test_solver_answers_match_buchberger_with_the_ideal_rows(
+        corpus, random_specs):
+    solved = refused = 0
+    for spec in (*corpus.values(), *random_specs[:6]):
+        ring = spec.ring
+        gens = [ring.ambient.gen(v) for v in ring.variables]
+        x = spec.sop()
+        for d in [*koszul_complex(x).differentials.values(),
+                  *koszul_complex(x.power(2)).differentials.values()]:
+            solver = ExtendedSolver(d)
+            ref = _reference_solver(solver)
+            # d times each variable on the diagonal lies in the image; each
+            # variable in a single target row need not
+            inside = [d @ RingMatrix(ring, d.ncols, d.ncols,
+                                     {(j, j): v for j in range(d.ncols)},
+                                     d.col_degrees,
+                                     [c + 1 for c in d.col_degrees])
+                      for v in gens]
+            rows = [RingMatrix(ring, d.nrows, 1, {(i, 0): v}, d.row_degrees,
+                               [d.row_degrees[i] + 1])
+                    for v in gens for i in range(d.nrows)]
+            for b in inside + rows:
+                got, want = solver.solve(b), ref.solve(b)
+                if got is None:
+                    assert want is None
+                    refused += 1
+                else:
+                    # an answer over R is only fixed up to ker d: the
+                    # tag parts of the store follow its pair history
+                    assert d @ got == b == d @ want
+                    solved += 1
+            assert solver.syzygy_matrix().ncols <= ref.syzygy_matrix().ncols
+    assert solved > 50 and refused > 50
+
+
+def _pairs_against_the_ideal(monkeypatch, ring):
+    """A spy on spoly: the (position, S-vector) of each pair against an
+    entry of I's basis, in the order formed."""
+    seen = []
+    real = _engine.spoly
+
+    def spy(entry1, entry2, lcm, deg, ctx, p):
+        s = real(entry1, entry2, lcm, deg, ctx, p)
+        if any(entry2 is g for g in ring._basis):
+            seen.append((ctx.pos_of(entry1[1]), s))
+        return s
+
+    monkeypatch.setattr(_engine, "spoly", spy)
+    return seen
+
+
+def test_a_lead_that_only_a_pair_against_the_ideal_makes(monkeypatch):
+    amb = PolynomialRingSpec(P, ["a", "b"])
+    ring = QuotientRingSpec(amb, [amb.parse("a^2")])
+    ctx = ring._ctx
+    a, b = amb.parse("a"), amb.parse("b")
+    rel = RingMatrix.from_columns(ring, [[a + b]], row_degrees=[0])
+    module = FinitelyPresentedModule(ring, [0], rel)
+    seen = _pairs_against_the_ideal(monkeypatch, ring)
+    # R/(a + b) = k[b]/(b^2): the lead b^2 comes from the S-vector
+    # a (a + b) - a^2 = ab, which a + b takes to -b^2
+    assert module._initial_leads() == {0: [(2, 0), (1, 0), (0, 2)]}
+    assert seen == [(0, {ctx.pack(0, (1, 1)): 1})]
+    assert module.length() == 2
+    assert module.hilbert_numerator() == _reference_numerator(module)
+    # over R, b^2 = (a + b)(b - a), and b is no multiple of a + b
+    rhs = RingMatrix.from_columns(ring, [[b * b]], row_degrees=[0])
+    assert matrix_solve(rel, rhs) == RingMatrix.from_columns(
+        ring, [[b - a]], row_degrees=[1])
+    assert matrix_solve(rel, RingMatrix.from_columns(
+        ring, [[b]], row_degrees=[0])) is None
+
+
+def test_an_ideal_element_retires_once_a_lead_divides_it(monkeypatch):
+    amb = PolynomialRingSpec(P, ["a", "b", "c"])
+    ring = QuotientRingSpec(amb, [amb.parse("a^2*b")])
+    ctx = ring._ctx
+    f = amb.parse
+    # position 0: the lead b divides a^2 b at once, and the S-vector a^2 c
+    # is a new lead that shares a with a^2 b; position 1: the lead ac does
+    # not divide a^2 b, ab + c^2 then does, and b^2 c shares b with it
+    rel = RingMatrix(ring, 2, 4, {(0, 0): f("b + c"), (1, 1): f("a*c"),
+                                  (1, 2): f("a*b + c^2"),
+                                  (1, 3): f("b^2*c")},
+                     [0, 0], [1, 2, 2, 3])
+    module = FinitelyPresentedModule(ring, [0, 0], rel)
+    seen = _pairs_against_the_ideal(monkeypatch, ring)
+    leads = module._initial_leads()
+    # one pair in position 0, two in position 1, and none after the lead
+    # that divides a^2 b: neither a^2 c e_0 nor b^2 c e_1 meets it.  The
+    # pairs pop by degree: the pair of ac e_1, at a^2 bc, comes last
+    assert seen == [(0, {ctx.pack(0, (2, 0, 1)): 1}),
+                    (1, {ctx.pack(1, (1, 0, 2)): 1}),
+                    (1, {})]
+    assert (2, 0, 1) in leads[0] and (0, 2, 1) in leads[1]
+    assert module.hilbert_numerator() == _reference_numerator(module)
+
+
+def test_the_solver_reduces_modulo_the_ideal_in_the_leading_block_only():
+    amb = PolynomialRingSpec(P, ["a", "b"])
+    ring = QuotientRingSpec(amb, [amb.parse("a^2")])
+    ctx = ring._ctx
+    # b is coprime to a^2: the store holds b e_0 + e_1 alone
+    solver = ExtendedSolver(RingMatrix.from_columns(
+        ring, [[amb.parse("b")]], row_degrees=[0]))
+    assert solver.store.by_pos == {0: [solver.store.entry(
+        ctx.pack(0, (0, 1)), [(ctx.pack(0, (0, 1)), 1), (ctx.pack(1, (0, 0)), 1)],
+        1)]}
+    # a^2 e_0 lies in I F; a^2 e_1 is a tag-block term, which the reducer
+    # keeps: I times the tag block is no part of the solver's module
+    lead, tag = ctx.pack(0, (2, 0)), ctx.pack(1, (2, 0))
+    assert solver.store.normal_form({lead: 1, tag: 3}) == {tag: 3}
+    assert solver.store.normal_form({lead: 1}) == {}
