@@ -36,15 +36,16 @@ in place into the reduced basis and returns that reducer for the ring and the
 solver to reduce against, and a caller that needs only leads reads entries.
 The ring's store holds I in position 0 alone: a reduction modulo I in any
 position goes through the ring's normal forms of single monomials, each made
-by one `PyReducer.normal_form` call.
+once, by `QuotientRingSpec.monomial_form` alone.
 
 A Groebner basis of a submodule of a free module over R = S/I is computed
 over S with I's reduced basis G implicit: `buchberger` takes the ring, and
 its reducer treats g e_i, for every g in G, as a basis element in every
 leading-block position i.  The rows I*F are never built or stored, and no
 two of them are paired, since G is already a Groebner basis.  The normal
-form reduces each leading-block term modulo I before it scans the store,
-so every stored leading-block term is standard modulo I.  In a tagged
+form reduces each leading-block term modulo I, through the ring's forms,
+before it scans the store, so every stored leading-block term is standard
+modulo I.  In a tagged
 module `buchberger` forms no S-pair past the leading block (Schreyer's
 skip, see `buchberger`).
 """
@@ -202,18 +203,17 @@ class PyReducer:
     """Pure-Python reducer: full normal form against a growing basis, and
     the only copy of that basis (`by_pos`: position -> entries in order).
 
-    Over a quotient ring, `buchberger` sets `ideal` to the ring's entries of
-    I's reduced basis, `forms` to its table of monomial forms, and `floor`
-    to the smallest key of the leading block: every g e_i in that block is
-    then a basis element that `by_pos` does not hold.
+    Over a quotient ring, `buchberger` sets `ring` to the QuotientRingSpec
+    that owns I and `floor` to the smallest key of the leading block: every
+    g e_i in that block, for g in I's reduced basis, is then a basis element
+    that `by_pos` does not hold.
     """
 
     def __init__(self, ctx, p):
         self.ctx = ctx
         self.p = p
         self.by_pos = {}
-        self.ideal = ()
-        self.forms = None
+        self.ring = None
         self.floor = None
 
     def __len__(self):
@@ -253,21 +253,19 @@ class PyReducer:
         never comes back, and a heap key no longer in `work` was cancelled.
 
         A leading-block term is reduced modulo I before the store is
-        scanned.  When `forms` holds its monomial, the term is replaced by
-        the form moved to its position, or kept for the scan when the form
-        is True (a standard monomial).  Otherwise I's lead words are
-        scanned: a standard monomial is recorded as True, and any other
-        term takes one reduction step by the dividing entry of I, in
-        position 0, which the key difference k - lead moves into place.  So
-        no normal form of a monomial is built here, and a ring used once
-        builds none.
+        scanned, through the ring's monomial-form table: the term is
+        replaced by its monomial's form moved to its position, or kept for
+        the scan when the form is True (a standard monomial).  A monomial
+        the table lacks goes to `ring.monomial_form`, which alone reduces
+        it and records its form, so each monomial is reduced once per ring.
         """
         ctx = self.ctx
         p = self.p
         by_pos = self.by_pos
         topshift, degshift = ctx.topshift, ctx.degshift
         fmask, one, guard, mask = ctx.fmask, ctx.one, ctx.guard, ctx.monomask
-        ideal, forms, floor = self.ideal, self.forms, self.floor
+        ring, floor = self.ring, self.floor
+        forms = ring._monomial_forms if ring is not None else None
         work = dict(vec)
         heap = [-k for k in work]
         heapq.heapify(heap)
@@ -279,29 +277,23 @@ class PyReducer:
             c = work.pop(k, 0) % p
             if not c:
                 continue
-            word = ((k & fmask) ^ one) | guard  # k's word, every guard set
-            entry = form = None
-            if ideal and k >= floor:
+            form = None
+            if forms is not None and k >= floor:
                 base = k & mask
                 form = forms.get(base)
                 if form is None:
-                    for entry in ideal:
-                        if (word - entry[0]) & guard == guard:
-                            break
-                    else:
-                        entry = None
-                        form = forms[base] = True
+                    form = ring.monomial_form(base)
             if form is not None and form is not True:
                 # c k becomes c times its monomial's form, moved into place
                 items, delta, neg = form, k - base, c
             else:
-                if entry is None:
-                    for entry in by_pos.get(-(k >> topshift), ()):
-                        if (word - entry[0]) & guard == guard:
-                            break
-                    else:
-                        out[k] = c
-                        continue
+                word = ((k & fmask) ^ one) | guard  # k's word, every guard set
+                for entry in by_pos.get(-(k >> topshift), ()):
+                    if (word - entry[0]) & guard == guard:
+                        break
+                else:
+                    out[k] = c
+                    continue
                 _, lead, excess, items = entry
                 check_degree(((k >> degshift) & EXP_MASK) + excess)
                 delta = k - lead
@@ -351,7 +343,8 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     Groebner basis of the submodule generated by the homogeneous packed
     vectors `vecs` and I times those positions; gendegs holds the internal
     degree of each free-module position.  ring is the QuotientRingSpec
-    that owns I, or None for the ring's own basis of I (and no I).
+    that owns I, whose monomial forms the reducer reads, or None for the
+    ring's own basis of I (and no I).
     Deterministic for a fixed input order.  Generators and S-pairs pop in
     nondecreasing degree, and only nonzero normal forms against every
     earlier entry and I are added, so no lead divides another and none lies
@@ -387,8 +380,7 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     reducer = reducer_factory(ctx, p)
     ideal = ring._basis if ring is not None else ()
     if ideal:
-        reducer.ideal, reducer.forms = ideal, ring._monomial_forms
-        reducer.floor = ctx.position_floor(nlead)
+        reducer.ring, reducer.floor = ring, ctx.position_floor(nlead)
     live = {}  # position -> the entries of I not retired there
     # (degree, seq, generator vec or (entry, entry, lcm word, lcm degree))
     heap = [(vec_degree(ctx, vec, gendegs), seq, vec)

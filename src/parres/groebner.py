@@ -55,11 +55,12 @@ class QuotientRingSpec:
     are filled as they are met: the standard monomials of each degree, the
     same paired with their position-0 keys, and the normal form of each
     position-0 monomial (True for a standard one).  Every reduction modulo
-    I, in any free-module position, reads the last table, so each monomial
-    is reduced once per ring; `products`, the kernel of every matrix
-    product, reads it for each product term as the term is made.  A
-    Buchberger run over R reads it too, and records as True each standard
-    monomial it meets that the table lacks.
+    I, in any free-module position, reads the last table, and only
+    `monomial_form` fills it, so each monomial is reduced once per ring:
+    `reduce_packed`, `products` (the kernel of every matrix product, for
+    each product term as the term is made) and a Buchberger run over R,
+    for each leading-block term it meets, read the table and go to
+    `monomial_form` on a miss.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -141,12 +142,19 @@ class QuotientRingSpec:
     def monomial_form(self, key):
         """Normal form modulo I of the position-0 monomial `key`, kept per
         monomial: True when the monomial is standard (its own normal form),
-        else a tuple of (key, coefficient) pairs."""
+        else a tuple of (key, coefficient) pairs.
+
+        The one reduction of a monomial modulo I and the one writer of the
+        table: on a miss, a monomial that no lead word of I divides is
+        standard, and any other takes one `normal_form` call."""
         form = self._monomial_forms.get(key)
         if form is None:
-            nf = self._reducer.normal_form({key: 1})
+            guard = self._ctx.guard
+            word = self._ctx.word(key) | guard
             form = self._monomial_forms[key] = (
-                True if key in nf else tuple(nf.items()))
+                tuple(self._reducer.normal_form({key: 1}).items())
+                if any((word - w) & guard == guard for w, *_ in self._basis)
+                else True)
         return form
 
     def products(self, left, right, starts):

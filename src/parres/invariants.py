@@ -47,7 +47,7 @@ def maximal_ideal_sequence(ring):
 def depth(ring, table, x=None):
     """Depth of R: grade(x) read off the table for a sop x, else the grade
     of the irrelevant maximal ideal.  A non-sop x never gives the depth."""
-    if x is not None and table.is_sop(x):
+    if x is not None and x.is_sop():
         return table.grade(x)
     return table.grade(maximal_ideal_sequence(ring))
 
@@ -57,7 +57,9 @@ def cohen_macaulay_defect(ring, table, x=None):
 
 
 def _prefix(x, r):
-    return ParameterSequence(x.ring, x.elements[:r])
+    """x_1..x_r; the whole of x is x itself, which keeps its quotient
+    module, so the sop check's Groebner basis serves H_0 too."""
+    return x if r == x.count else ParameterSequence(x.ring, x.elements[:r])
 
 
 def standardness_witness(x, table):
@@ -244,7 +246,7 @@ def flc_check(x, table, nmax=4):
     if nmax < 2:
         raise AlgebraError(f"power bound {nmax} is below 2: the FLC check "
                            "compares powers nmax - 1 and nmax")
-    if not table.is_sop(x):
+    if not x.is_sop():
         raise AlgebraError("reference sequence is not a sop of R")
     lengths = {}
     for n in (nmax - 1, nmax):

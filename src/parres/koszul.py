@@ -138,12 +138,6 @@ class KoszulTable:
         if p < 0:
             raise AlgebraError(f"homology index {p} is negative")
 
-    def is_sop(self, y):
-        """y.is_sop(): d = dim R elements with R/(y) = H_0(y; R) of finite
-        length, read off the table's series."""
-        return (y.count == self.ring.dimension()
-                and self.length(y, 0) is not INFINITE)
-
     def complex(self, y):
         """K(y; R)."""
         key = self._key(y)

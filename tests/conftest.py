@@ -72,6 +72,19 @@ def ideal_rows(ring, positions):
             for *_, items in ring._basis for i in positions]
 
 
+def checked_tables(ring):
+    """Check each table entry of the ring against the reducer's normal form
+    and pack; returns the number of normal forms kept."""
+    forms = ring._monomial_forms
+    for key, form in forms.items():
+        want = ring._reducer.normal_form({key: 1})
+        assert ({key: 1} if form is True else dict(form)) == want
+    for t, stair in ring._packed_staircases.items():
+        assert stair == tuple((exp, ring._ctx.pack(0, exp))
+                              for exp in ring.standard_monomials(t))
+    return len(forms)
+
+
 def _spec(name):
     return parse_ring_spec(bundled_ring_text(name), name=name)
 

@@ -6,6 +6,9 @@ somewhere in `src/`.  The exceptions are listed below, each with its reason;
 an exception fails too once its name is gone or has gained a caller in
 `src/`.  The scan is by name, so a method counts as used when any attribute
 of that name is read.
+
+The optional parameters are a listed set too, so that a new knob comes with
+an edit to the list and its reason.
 """
 
 import ast
@@ -84,3 +87,66 @@ def test_every_exception_is_defined_and_uncalled():
     defined = dict(_public_definitions(trees))
     assert sorted(set(NO_SRC_CALLER) - set(defined)) == []
     assert sorted(q for q in NO_SRC_CALLER if defined[q] in used) == []
+
+
+# Every (qualified function, parameter) pair with a default, nested
+# definitions included.  A new optional parameter is a new knob: add it here
+# with the reason it needs a default, or make it required.
+OPTIONAL_PARAMETERS = {
+    ("_engine.PackContext.__init__", "kind"),
+    ("_engine.PyReducer.normal_form", "stopkey"),
+    ("algebra.PolyParseError.__init__", "line"),
+    ("algebra.PolyParseError.__init__", "column"),
+    ("algebra.PolynomialRingSpec.__init__", "order"),
+    ("algebra.PolynomialRingSpec.monomial", "coeff"),
+    ("algebra.PolynomialRingSpec.parse", "line"),
+    ("algebra.parse_polynomial", "line"),
+    ("cli.main", "argv"),
+    ("complexes.ChainComplex.__init__", "check"),
+    ("groebner.RingMatrix.from_columns", "col_degrees"),
+    ("groebner.FinitelyPresentedModule.__init__", "relations"),
+    ("harness.RingSpecFile.__init__", "name"),
+    ("harness.RingSpecFile.sop", "name"),
+    ("harness.parse_ring_spec", "name"),
+    ("invariants.depth", "x"),
+    ("invariants.cohen_macaulay_defect", "x"),
+    ("invariants.length_stability_check", "nmax"),
+    ("invariants.length_stability_check", "check_maps"),
+    ("invariants.find_standard_power", "nmax"),
+    ("invariants.first_standard_power", "nmax"),
+    ("invariants.flc_check", "nmax"),
+    ("invariants.InvariantReport.__init__", "sop_name"),
+    ("invariants.invariant_report", "x"),
+    ("invariants.invariant_report", "nmax"),
+    ("invariants.invariant_report", "table"),
+    ("koszul.ParameterSequence.__init__", "name"),
+}
+
+
+def _optional_parameters(trees):
+    """(qualified name, parameter) of each parameter with a default, in
+    every function and method, qualified by module and enclosing names."""
+    out = set()
+
+    def visit(node, prefix):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = item.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                out.update((prefix + item.name, a.arg) for a in named)
+                visit(item, f"{prefix}{item.name}.")
+            elif isinstance(item, ast.ClassDef):
+                visit(item, f"{prefix}{item.name}.")
+
+    for module, tree in trees.items():
+        visit(tree, f"{module}.")
+    return out
+
+
+def test_optional_parameters_are_the_listed_ones():
+    found = _optional_parameters(_trees())
+    assert sorted(found - OPTIONAL_PARAMETERS) == []
+    assert sorted(OPTIONAL_PARAMETERS - found) == []

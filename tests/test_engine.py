@@ -251,8 +251,7 @@ def _interreduce_every_tail(store, unreduced):
     interreduction before the divisibility scan."""
     ctx = store.ctx
     reducer = PyReducer(ctx, store.p)
-    reducer.ideal, reducer.forms, reducer.floor = (store.ideal, store.forms,
-                                                   store.floor)
+    reducer.ring, reducer.floor = store.ring, store.floor
     reducer.by_pos = {pos: list(entries) for pos, entries in unreduced.items()}
     for entries in reducer.by_pos.values():
         for i, (_, lead, _, items) in enumerate(entries):

@@ -1,4 +1,5 @@
 import copy
+from operator import le
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -16,7 +17,8 @@ from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
 
-from conftest import ideal_rows, nonminimal_resolution, sop_differentials
+from conftest import (checked_tables, ideal_rows, nonminimal_resolution,
+                      sop_differentials)
 
 P = 32003
 
@@ -898,3 +900,67 @@ def test_the_solver_reduces_modulo_the_ideal_in_the_leading_block_only():
     lead, tag = ctx.pack(0, (2, 0)), ctx.pack(1, (2, 0))
     assert solver.store.normal_form({lead: 1, tag: 3}) == {tag: 3}
     assert solver.store.normal_form({lead: 1}) == {}
+
+
+def _fresh(spec):
+    """The spec's ring built anew, so that its tables start empty, and the
+    spec's reference sop over it."""
+    ring = QuotientRingSpec(spec.ring.ambient, spec.ring.ideal_basis)
+    return ring, ParameterSequence(ring, spec.sop().elements)
+
+
+def test_module_runs_record_every_monomial_they_reduce_modulo_the_ideal(
+        monkeypatch, corpus, random_specs):
+    # the lead of each normal form a run over R takes in its leading block
+    # is reduced modulo I first
+    leads = []
+    real = PyReducer.normal_form
+
+    def spy(self, vec, stopkey=None):
+        if vec and self.floor is not None and max(vec) >= self.floor:
+            leads.append(max(vec) & self.ctx.monomask)
+        return real(self, vec, stopkey)
+
+    monkeypatch.setattr(PyReducer, "normal_form", spy)
+    met = 0
+    for spec in (*corpus.values(), *random_specs[:6]):
+        ring, x = _fresh(spec)
+        leads.clear()
+        table = KoszulTable(ring)
+        for y in (x, x.power(2)):
+            for k in range(1, y.count + 1):
+                prefix = ParameterSequence(ring, y.elements[:k])
+                for p in range(k + 1):
+                    table.length(prefix, p)
+        checked_tables(ring)
+        for key in set(leads):
+            exp = ring._ctx.exp_of(key)
+            if any(all(map(le, lead, exp)) for lead in ring._lead_exps):
+                assert ring._monomial_forms[key] is not True
+                met += 1
+    assert met > 20
+
+
+def test_each_monomial_form_is_built_once_per_ring(monkeypatch, r2):
+    ring, x = _fresh(r2)
+    built = []
+    real = ring._reducer.normal_form
+
+    def spy(vec, stopkey=None):
+        built.extend(vec)
+        return real(vec, stopkey)
+
+    monkeypatch.setattr(ring._reducer, "normal_form", spy)
+    x2 = x.power(2)
+    x.quotient_module().hilbert_numerator()
+    x2.quotient_module().hilbert_numerator()
+    after_runs = len(built)
+    rel = x2.quotient_module().relations
+    rel @ RingMatrix.from_columns(ring, [list(x2.elements)],
+                                  row_degrees=list(x2.degrees()))
+    assert 0 < after_runs < len(built)
+    # one build per non-standard monomial met, none for a standard one
+    assert sorted(built) == sorted(set(built))
+    assert sorted(built) == sorted(k for k, form in
+                                   ring._monomial_forms.items()
+                                   if form is not True)

@@ -199,7 +199,7 @@ def test_non_sop_never_gives_the_depth(regular):
     ring = regular.ring
     prefix = invariants._prefix(regular.sop(), 1)
     table = KoszulTable(ring)
-    assert not table.is_sop(prefix)
+    assert not prefix.is_sop()
     assert table.grade(prefix) == 1
     assert depth(ring, x=prefix, table=table) == 2
     assert cohen_macaulay_defect(ring, x=prefix, table=table) == 0

@@ -24,10 +24,6 @@ def test_is_sop(r1, nonflc):
                                        ring.ambient.parse("a^2")])
     assert not not_sop.is_sop()
     assert nonflc.sop("y").is_sop()
-    # the table reads the same answers off the series of H_0 = R/(y)
-    table = KoszulTable(ring)
-    assert table.is_sop(r1.sop("x")) and not table.is_sop(not_sop)
-    assert KoszulTable(nonflc.ring).is_sop(nonflc.sop("y"))
 
 
 def test_power_sequence(r1):

@@ -12,7 +12,7 @@ from parres.invariants import maximal_ideal_sequence
 from parres.koszul import koszul_complex
 from parres import oracle
 
-from conftest import sop_differentials
+from conftest import checked_tables, sop_differentials
 
 P = 32003
 PRIMES = (2, 3, 32003, 2 ** 31 - 1)
@@ -237,29 +237,16 @@ def _assert_slices_match_reference(matrices, degrees):
             assert np.array_equal(a, want), (matrix, t)
 
 
-def _checked_tables(ring):
-    """Check each table entry of the ring against the reducer's normal form
-    and pack; returns the number of normal forms kept."""
-    forms = ring._monomial_forms
-    for key, form in forms.items():
-        want = ring._reducer.normal_form({key: 1})
-        assert ({key: 1} if form is True else dict(form)) == want
-    for t, stair in ring._packed_staircases.items():
-        assert stair == tuple((exp, ring._ctx.pack(0, exp))
-                              for exp in ring.standard_monomials(t))
-    return len(forms)
-
-
 def test_slices_match_whole_vector_reduction(corpus, random_specs,
                                             big_field):
     for name, spec in corpus.items():
         _assert_slices_match_reference(sop_differentials(spec, 3), range(11))
         if not spec.ring.is_polynomial_ring():
-            assert _checked_tables(spec.ring), name
+            assert checked_tables(spec.ring), name
     met = 0
     for spec in random_specs[:6]:
         _assert_slices_match_reference(sop_differentials(spec, 2), range(8))
-        met += _checked_tables(spec.ring)
+        met += checked_tables(spec.ring)
     assert met
     big = big_field
     assert big.ring.characteristic == 2 ** 31 - 1
@@ -267,7 +254,7 @@ def test_slices_match_whole_vector_reduction(corpus, random_specs,
         [*sop_differentials(big, 3),
          *koszul_complex(maximal_ideal_sequence(big.ring))
          .differentials.values()], range(9))
-    assert _checked_tables(big.ring)
+    assert checked_tables(big.ring)
 
 
 def test_a_second_slice_packs_and_reduces_nothing(monkeypatch, big_field):
