@@ -76,7 +76,7 @@ class QuotientRingSpec:
         ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
         p = ambient.characteristic
         self._reducer = (groebner_basis([_pack({0: g}, ctx) for g in gens],
-                                        ctx, p, (0,), 1, None)
+                                        ctx, p, (0,), 1, None, None)
                          if gens else None)
         self._basis = self._reducer.by_pos[0] if gens else []
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
@@ -595,7 +595,7 @@ class FinitelyPresentedModule:
         """
         ring = self.ring
         store = buchberger(self.relations.cols, ring._ctx, ring.characteristic,
-                           self.gen_degrees, len(self.gen_degrees), ring)
+                           self.gen_degrees, len(self.gen_degrees), ring, None)
         exp_of = ring._ctx.exp_of
         leads = {pos: list(ring._lead_exps)
                  for pos in range(len(self.gen_degrees))}
@@ -659,10 +659,16 @@ class ExtendedSolver:
     product criterion skips against some g e_i lies in I times the tag
     block, which is zero over R.  Syzygies and membership/solve queries
     both read off this one store.
+
+    top bounds the internal degree of the run (see `buchberger`), or is
+    None for no bound.  A bounded store reads off the syzygies of degree
+    <= top alone, and answers no solve query: its leading block is a
+    Groebner basis only through degree top.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, top):
         self.matrix = matrix
+        self.top = top
         ring = matrix.ring
         self.ring = ring
         self.nrows = matrix.nrows
@@ -673,14 +679,15 @@ class ExtendedSolver:
         cols = [{**col, ctx.move(ctx.one, self.nrows + j): 1}
                 for j, col in enumerate(matrix.cols)]
         self.store = groebner_basis(cols, ctx, self.p, self.gendegs,
-                                    self.nrows, ring)
+                                    self.nrows, ring, top)
         self.floor = ctx.position_floor(self.nrows)
         # moves the tag position nrows + j to row j of the source
         self._untag = ctx.position_shift(self.nrows)
 
     def syzygy_matrix(self):
-        """Columns generate ker(matrix) as a submodule of R^{ncols}: the
-        store entries led in the tag block, by degree and lead key."""
+        """Columns generate ker(matrix) as a submodule of R^{ncols}, through
+        degree top for a bounded store: the store entries led in the tag
+        block, by degree and lead key."""
         mono_degree = self.ctx.mono_degree
         pure = []  # (degree, lead key, terms)
         for pos, entries in self.store.by_pos.items():
@@ -704,6 +711,9 @@ class ExtendedSolver:
 
         col and x are packed vectors (position = row).
         """
+        if self.top is not None:
+            raise AlgebraError(f"solve against a store bounded at degree "
+                               f"{self.top}")
         nf = self.store.normal_form(col, stopkey=self.floor)
         if nf and max(nf) >= self.floor:
             return None  # a leading-block remainder survives
@@ -726,11 +736,13 @@ class ExtendedSolver:
                                  b.col_degrees)
 
 
-def syzygies(matrix):
-    """Generators of the kernel of a homogeneous matrix over R, as columns."""
-    return ExtendedSolver(matrix).syzygy_matrix()
+def syzygies(matrix, top):
+    """Generators of the kernel of a homogeneous matrix over R, as columns
+    sorted by degree; those of degree <= top alone unless top is None,
+    which are then the columns of degree <= top of the unbounded answer."""
+    return ExtendedSolver(matrix, top).syzygy_matrix()
 
 
 def matrix_solve(a, b):
     """Solve a @ X = b over R; returns a RingMatrix X or None."""
-    return ExtendedSolver(a).solve(b)
+    return ExtendedSolver(a, None).solve(b)

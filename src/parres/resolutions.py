@@ -5,6 +5,13 @@ iterated syzygy computations, the resulting complex is minimized by unit-pivot
 cancellation, and Betti data is read off the generator degrees.  The cone
 construction assembles a (generally non-minimal) resolution of R/(x) from the
 Koszul complex and resolutions of its higher homology modules.
+
+A Betti table through cap needs the step past the cap only for its unit
+entries, which lie in internal degrees <= D, the largest generator degree of
+F_cap (a unit joins generators of equal degree).  So `betti_table` computes
+that step through degree D alone, while `minimal_free_resolution`, whose
+complex the oracle, the cone resolution and the lifting checks read,
+computes it in full.
 """
 
 from __future__ import annotations
@@ -93,11 +100,13 @@ class SeriesTruncation:
 
 
 class ModuleResolution:
-    """A minimal free resolution together with its bookkeeping.
+    """A minimal free resolution together with its bookkeeping, as
+    `minimal_free_resolution` makes it.
 
     complex: minimal complex, modules in homological degrees 0..length (one
     degree beyond `cap` when the resolution does not stop earlier, so that
-    rank and exactness data through `cap` are trustworthy).
+    rank and exactness data through `cap` are trustworthy; that degree
+    holds every generator of the step past the cap, in all degrees).
     gen_map0: map F_0 -> R^(presentation generators of the module); columns
     are unit vectors selecting the surviving minimal generators.
     """
@@ -119,21 +128,18 @@ class ModuleResolution:
                 f"(cap {self.cap})>")
 
 
-def minimal_free_resolution(module, cap):
-    """Minimal graded free resolution of a finitely presented module.
-
-    The returned complex is exact in homological degrees 1..cap with H_0 the
-    module itself; all differential entries lie in the maximal ideal.
-    """
+def _minimized(module, cap, bounded):
+    """(minimal complex, kept) from minimize_with_tracking: the iterated
+    syzygies of module's presentation, through homological degree cap + 1,
+    minimized.  When bounded, the syzygies of d_cap are computed through
+    the largest degree of F_cap alone, which is all a Betti table through
+    cap reads of them."""
     if cap < 0:
         raise AlgebraError("negative resolution cap")
     ring = module.ring
-    gens = module.gen_degrees
-    if not gens:
-        empty = ChainComplex(ring, {}, {})
-        return ModuleResolution(module, empty,
-                                RingMatrix.zero(ring, (), ()), cap)
-    modules = {0: tuple(gens)}
+    if not module.gen_degrees:
+        return ChainComplex(ring, {}, {}), {}
+    modules = {0: module.gen_degrees}
     diffs = {}
     prev = module.relations
     for n in range(1, cap + 2):
@@ -142,17 +148,43 @@ def minimal_free_resolution(module, cap):
         modules[n] = prev.col_degrees
         diffs[n] = prev
         if n <= cap:  # no use for the syzygies of d_{cap+1}
-            prev = syzygies(prev)
-    cplx = ChainComplex(ring, modules, diffs, check=True)
-    mini, kept = minimize_with_tracking(cplx)
-    gen_map0 = RingMatrix.identity(ring, gens).submatrix(range(len(gens)),
-                                                         kept.get(0, []))
+            top = max(prev.col_degrees) if bounded and n == cap else None
+            prev = syzygies(prev, top)
+    return minimize_with_tracking(ChainComplex(ring, modules, diffs,
+                                               check=True))
+
+
+def minimal_free_resolution(module, cap):
+    """Minimal graded free resolution of a finitely presented module.
+
+    The returned complex is exact in homological degrees 1..cap with H_0 the
+    module itself; all differential entries lie in the maximal ideal.  Its
+    degree cap + 1 is computed in full; a caller that reads only Betti
+    numbers calls `betti_table`, which is cheaper.
+    """
+    mini, kept = _minimized(module, cap, False)
+    gens = module.gen_degrees
+    gen_map0 = RingMatrix.identity(module.ring, gens).submatrix(
+        range(len(gens)), kept.get(0, []))
     return ModuleResolution(module, mini, gen_map0, cap)
 
 
+def betti_table(module, cap):
+    """The BettiTable of the minimal free resolution of module through cap.
+
+    beta_{cap,j} reads the step past the cap only through the generators of
+    F_{cap+1} in degree j, and only a j <= D = max deg F_cap can carry
+    beta_{cap,j} != 0; so that step is `syzygies(d_cap, D)`, the degree-<= D
+    columns of the full step.  The table equals
+    `minimal_free_resolution(module, cap).betti()`.
+    """
+    return BettiTable.from_complex(_minimized(module, cap, True)[0], cap)
+
+
 def poincare_truncation(module, cap):
-    """Coefficients of the Poincare series through degree cap."""
-    return minimal_free_resolution(module, cap).poincare()
+    """Coefficients of the Poincare series through degree cap, read off
+    `betti_table`."""
+    return SeriesTruncation.from_betti(betti_table(module, cap))
 
 
 def _truncate(cplx, top):

@@ -18,7 +18,7 @@ from parres.harness import run_experiment
 from parres.invariants import (flc_check, length_stability_check,
                                local_cohomology_lengths, standardness_witness)
 from parres.koszul import KoszulTable, koszul_complex
-from parres.resolutions import (cec_injectivity_check,
+from parres.resolutions import (betti_table, cec_injectivity_check,
                                 general_cone_resolution,
                                 minimal_free_resolution)
 from parres import oracle
@@ -155,6 +155,7 @@ def test_raised_cap_resolution_of_h1_over_r2(r2):
     p_k = _series_quotient([1, 2, 1], [1, -2, -1], 9)
     assert p_k == [1, 4, 10, 24, 58, 140, 338, 816, 1970, 4756]
     assert minimal_free_resolution(h1, 9).betti().totals() == p_k
+    assert betti_table(h1, 9).totals() == p_k
 
 
 def _standard_corpus_sops(corpus):

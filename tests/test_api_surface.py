@@ -31,6 +31,9 @@ NO_SRC_CALLER = {
         "the stability verdict of acceptance criterion 6",
     "StabilityReport.monotone":
         "the monotone lengths of acceptance criterion 7",
+    "ModuleResolution.poincare":
+        "the series of a full resolution, which the benchmark's residue-field "
+        "op and the tests read; src reads series off betti_table",
     "PackContext.unpack": "the round-trip reference for pack",
     "MonomialOrder.compare":
         "the reference the packed key order is tested against",

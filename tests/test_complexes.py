@@ -126,13 +126,13 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
     # it, with the sign of one entry of d_2 flipped
     ring = r2.ring
     d1 = r2.sop().quotient_module().relations
-    d2 = syzygies(d1)
+    d2 = syzygies(d1, None)
     (i, j), v = min(d2.entries.items(), key=lambda e: e[0])
     entries = dict(d2.entries)
     entries[(i, j)] = -v
     bad = RingMatrix(ring, d2.nrows, d2.ncols, entries, d2.row_degrees,
                      d2.col_degrees)
-    d3 = syzygies(d2)
+    d3 = syzygies(d2, None)
     modules = {0: d1.row_degrees, 1: d1.col_degrees, 2: d2.col_degrees,
                3: d3.col_degrees}
     diffs = {1: d1, 2: bad, 3: d3}

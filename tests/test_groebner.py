@@ -233,7 +233,7 @@ def test_syzygies_known(r1):
     mat = RingMatrix.from_columns(
         ring, [[ring.ambient.parse("a")], [ring.ambient.parse("b")]],
         row_degrees=[0])
-    syz = syzygies(mat)
+    syz = syzygies(mat, None)
     assert (mat @ syz).is_zero()
     cols = {tuple(str(syz.entry(i, j)) for i in range(2))
             for j in range(syz.ncols)}
@@ -245,9 +245,10 @@ def test_syzygies_composite_vanishes(r2):
     mat = RingMatrix.from_columns(
         ring, [[ring.ambient.parse("a + c")], [ring.ambient.parse("b + d")]],
         row_degrees=[0])
-    syz = syzygies(mat)
+    syz = syzygies(mat, None)
     assert (mat @ syz).is_zero()
-    assert syzygies(syz).ncols > 0  # second syzygies exist over a quotient
+    # second syzygies exist over a quotient
+    assert syzygies(syz, None).ncols > 0
 
 
 def test_matrix_solve(r1):
@@ -433,7 +434,7 @@ def _dense_syzygy_matrix(solver):
 
 def _dense_matrix_solve(a, b):
     """The former solve: dense columns in, dense columns out."""
-    solver = ExtendedSolver(a)
+    solver = ExtendedSolver(a, None)
     ctx, ring = solver.ctx, solver.ring
     reducer = _rebuilt_reducer(solver)
     cols = []
@@ -510,7 +511,7 @@ def quotient_matrices(draw):
 def test_sparse_readoff_matches_dense_reference(case):
     a, c, outside = case
     image = a @ c
-    solver = ExtendedSolver(a)
+    solver = ExtendedSolver(a, None)
     syz = solver.syzygy_matrix()
     assert syz == _dense_syzygy_matrix(solver)
     assert (a @ syz).is_zero()
@@ -526,7 +527,7 @@ def test_sparse_readoff_matches_dense_reference(case):
 @given(case=quotient_matrices())
 def test_packed_compose_matches_polynomial_reference(case):
     a, c, outside = case
-    syz = syzygies(a)
+    syz = syzygies(a, None)
     rows = RingMatrix.identity(a.ring, a.row_degrees)
     cols = RingMatrix.identity(a.ring, a.col_degrees)
     for left, right in ((a, c), (a, syz), (a, cols), (rows, a)):
@@ -586,10 +587,10 @@ def test_syzygies_never_reduce_zero(monkeypatch, r2):
         return real(self, f)
 
     monkeypatch.setattr(QuotientRingSpec, "reduce", counting)
-    syz = syzygies(d1)
+    syz = syzygies(d1, None)
     monkeypatch.undo()
     assert not [f for f in inputs if f.is_zero()]
-    assert syz == _dense_syzygy_matrix(ExtendedSolver(d1))
+    assert syz == _dense_syzygy_matrix(ExtendedSolver(d1, None))
     assert syz.ncols > 0 and (d1 @ syz).is_zero()
 
 
@@ -705,7 +706,7 @@ def test_the_solver_forms_no_tag_block_pair(monkeypatch, corpus):
     for spec in corpus.values():
         for d in sop_differentials(spec, 3):
             seen.clear()
-            solver = ExtendedSolver(d)
+            solver = ExtendedSolver(d, None)
             assert all(pos < d.nrows for pos in seen)
             # two entries led in one tag position: a pair left out
             tagged += sum(len(entries) - 1
@@ -717,7 +718,7 @@ def test_the_solver_forms_no_tag_block_pair(monkeypatch, corpus):
 def test_syzygies_without_tag_block_pairs_stay_exact(corpus, random_specs):
     for spec in [*corpus.values(), *random_specs[:6]]:
         for d in sop_differentials(spec, 2):
-            syz = syzygies(d)
+            syz = syzygies(d, None)
             assert (d @ syz).is_zero()
             cplx = ChainComplex(d.ring, {0: d.row_degrees, 1: d.col_degrees,
                                          2: syz.col_degrees}, {1: d, 2: syz})
@@ -732,7 +733,7 @@ def _reference_store(vecs, ring, gendegs, nlead):
     """The former store: Buchberger on `vecs` plus the I*F rows of the
     positions < nlead, with no implicit I."""
     return groebner_basis(vecs + ideal_rows(ring, range(nlead)), ring._ctx,
-                          ring.characteristic, gendegs, nlead, None)
+                          ring.characteristic, gendegs, nlead, None, None)
 
 
 def _reference_numerator(module):
@@ -796,7 +797,7 @@ def test_solver_answers_match_buchberger_with_the_ideal_rows(
         x = spec.sop()
         for d in [*koszul_complex(x).differentials.values(),
                   *koszul_complex(x.power(2)).differentials.values()]:
-            solver = ExtendedSolver(d)
+            solver = ExtendedSolver(d, None)
             ref = _reference_solver(solver)
             # d times each variable on the diagonal lies in the image; each
             # variable in a single target row need not
@@ -891,7 +892,7 @@ def test_the_solver_reduces_modulo_the_ideal_in_the_leading_block_only():
     ctx = ring._ctx
     # b is coprime to a^2: the store holds b e_0 + e_1 alone
     solver = ExtendedSolver(RingMatrix.from_columns(
-        ring, [[amb.parse("b")]], row_degrees=[0]))
+        ring, [[amb.parse("b")]], row_degrees=[0]), None)
     assert solver.store.by_pos == {0: [solver.store.entry(
         ctx.pack(0, (0, 1)), [(ctx.pack(0, (0, 1)), 1), (ctx.pack(1, (0, 0)), 1)],
         1)]}
@@ -964,3 +965,55 @@ def test_each_monomial_form_is_built_once_per_ring(monkeypatch, r2):
     assert sorted(built) == sorted(k for k, form in
                                    ring._monomial_forms.items()
                                    if form is not True)
+
+
+# --- runs bounded at an internal degree -------------------------------------
+
+
+def test_a_bounded_syzygy_step_is_the_prefix_of_the_full_one(corpus,
+                                                              random_specs):
+    shorter = 0
+    for spec in [*corpus.values(), *random_specs[:20]]:
+        for d in nonminimal_resolution(spec, 3).differentials.values():
+            full = syzygies(d, None)
+            top = max(d.col_degrees)
+            for bound in (top - 1, top):
+                part = syzygies(d, bound)
+                k = sum(deg <= bound for deg in full.col_degrees)
+                assert part.col_degrees == full.col_degrees[:k]
+                assert part.cols == full.cols[:k]
+                shorter += k < full.ncols
+    assert shorter
+
+
+def test_a_bounded_run_forms_no_item_above_its_top(monkeypatch, nonflc):
+    # d_3 maps generators of degrees 3 and 4: S-pairs of degree 4 are
+    # formed, and the unbounded run goes on to degree 5
+    d = nonminimal_resolution(nonflc, 3).differential(3)
+    gendegs = d.row_degrees + d.col_degrees
+    top = max(d.col_degrees)
+    formed = []
+    real = _engine.spoly
+
+    def spy(entry1, entry2, lcm, deg, ctx, p):
+        formed.append(deg + gendegs[ctx.pos_of(entry1[1])])
+        return real(entry1, entry2, lcm, deg, ctx, p)
+
+    monkeypatch.setattr(_engine, "spoly", spy)
+    solver = ExtendedSolver(d, top)
+    assert formed and max(formed) <= top
+    mono_degree = solver.ctx.mono_degree
+    assert all(mono_degree(e[1]) + gendegs[pos] <= top
+               for pos, entries in solver.store.by_pos.items()
+               for e in entries)
+    formed.clear()
+    ExtendedSolver(d, None)
+    assert max(formed) > top  # the unbounded run goes on past top
+
+
+def test_a_bounded_solver_answers_no_solve(r2):
+    d = nonminimal_resolution(r2, 3).differential(2)
+    solver = ExtendedSolver(d, max(d.col_degrees))
+    with pytest.raises(AlgebraError, match="bounded"):
+        solver.solve(d)
+    assert ExtendedSolver(d, None).solve(d) is not None

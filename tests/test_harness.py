@@ -287,8 +287,7 @@ def test_main_theorem_resolves_each_module_once(monkeypatch, r2):
         return counting
 
     for mod in (harness, resolutions):
-        monkeypatch.setattr(mod, "minimal_free_resolution",
-                            wrap(mod.minimal_free_resolution))
+        monkeypatch.setattr(mod, "betti_table", wrap(mod.betti_table))
     witnessed = []
 
     def wrap_witness(real):
@@ -441,7 +440,7 @@ def test_scan_checks_the_packing_limit_before_any_power(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("resolved a power before the packing check")
 
-    monkeypatch.setattr(harness, "minimal_free_resolution", fail)
+    monkeypatch.setattr(harness, "betti_table", fail)
     assert main(["scan", "--ring", "r2", "--power-max", "600",
                  "--cap", "1"]) == 1
     assert "exceeds packing limit" in capsys.readouterr().err

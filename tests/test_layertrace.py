@@ -53,17 +53,25 @@ def test_direct_call_resolves(modname, attr):
 def test_traced_run_counts_layers():
     # the tracer reads positional arguments of some entry points (the cap
     # of a resolution, the matrix of a solver); a traced run exercises them
+    api = BENCH_RUN.Api()
     tracer = LAYERTRACE.Tracer()
-    tracer.install(BENCH_RUN.Api())
+    tracer.install(api)
     try:
         for argv in (["standard", "--ring", "r2"],
                      ["resolve", "--ring", "r1", "--cap", "3"]):
             run(build_parser().parse_args(argv))
+        # `resolve` reads betti_table, which the tracer does not wrap: its
+        # syzygy steps count under no resolution
+        betti_path_steps = tracer.counts["syzygy_steps"]
+        spec = api.harness.parse_ring_spec(api.cli.bundled_ring_text("r1"))
+        api.resolutions.minimal_free_resolution(spec.sop().quotient_module(),
+                                                3)
         metrics = tracer.layer_metrics(1.0, 1.0)
     finally:
         tracer.uninstall()
     assert tracer.calls["invariants.find_standard_power"] == 1
     assert tracer.calls["invariants.flc_check"] == 1
+    assert betti_path_steps == 0
     assert metrics["resolutions.syzygy_steps"] == 3
     assert metrics["groebner.solver_build.calls"] > 0
     assert metrics["groebner.module_leads.calls"] > 0

@@ -2,7 +2,8 @@ from math import comb
 
 from parres.groebner import FinitelyPresentedModule, RingMatrix
 from parres.koszul import KoszulTable, koszul_complex
-from parres.resolutions import (BettiTable, cec_injectivity_check,
+from parres.resolutions import (BettiTable, betti_table,
+                                cec_injectivity_check,
                                 general_cone_resolution,
                                 lift_koszul_to_resolution,
                                 minimal_free_resolution, poincare_truncation)
@@ -167,14 +168,48 @@ def test_resolution_computes_no_syzygies_past_cap(monkeypatch, r1):
     calls = []
     real = resolutions.syzygies
 
-    def counting(matrix):
-        calls.append(matrix.ncols)
-        return real(matrix)
+    def counting(matrix, top):
+        calls.append((matrix.col_degrees, top))
+        return real(matrix, top)
 
     monkeypatch.setattr(resolutions, "syzygies", counting)
     cap = 5
-    res = minimal_free_resolution(_residue_field(r1.ring), cap)
+    module = _residue_field(r1.ring)
+    res = minimal_free_resolution(module, cap)
     # k over r1 has an infinite linear resolution, so no step stops early
-    assert len(calls) == cap
-    assert res.betti().entries == {
+    assert [top for _, top in calls] == [None] * cap
+    full, calls[:] = calls[:], []
+    table = betti_table(module, cap)
+    # the same steps, the one past the cap bounded at the top degree of F_cap
+    assert [degs for degs, _ in calls] == [degs for degs, _ in full]
+    assert [top for _, top in calls] == [None] * (cap - 1) + [max(full[-1][0])]
+    assert table == res.betti()
+    assert table.entries == {
         (i, i): b for i, b in enumerate([1, 3, 6, 13, 28, 60])}
+
+
+def test_betti_table_matches_the_full_resolution(monkeypatch, corpus,
+                                                 random_specs):
+    real = resolutions.minimize_with_tracking
+    seen = []
+
+    def spy(cplx):
+        out = real(cplx)
+        seen.append((cplx, out[1]))
+        return out
+
+    monkeypatch.setattr(resolutions, "minimize_with_tracking", spy)
+    cancelled = set()
+    for name, spec in [*corpus.items(), *enumerate(random_specs)]:
+        module = spec.sop().quotient_module()
+        for cap in (2, 3, 4):
+            seen.clear()
+            full = minimal_free_resolution(module, cap)
+            ((cplx, kept),) = seen
+            if len(kept.get(cap + 1, ())) < cplx.rank(cap + 1):
+                cancelled.add((name, cap))
+            assert betti_table(module, cap) == full.betti(), (name, cap)
+    # a unit of the full d_{cap+1} cancels a generator of F_cap, which the
+    # bounded step must find too
+    assert {("hypersurface", 2), ("hypersurface", 3), ("nonflc", 2),
+            ("nonflc", 3)} <= cancelled
