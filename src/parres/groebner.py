@@ -225,11 +225,8 @@ class QuotientRingSpec:
         """Krull dimension: the pole order of the Hilbert series at t = 1,
         or -1 when 1 is in I."""
         if self._dimension is None:
-            coeffs = self.hilbert_numerator()
-            dim = self.nvars if any(coeffs) else -1
-            while dim > 0 and (coeffs := _divide_one_minus_t(coeffs)):
-                dim -= 1
-            self._dimension = dim
+            self._dimension = pole_order(
+                dict(enumerate(self.hilbert_numerator())), self.nvars)
         return self._dimension
 
     def standard_monomials(self, degree):
@@ -362,6 +359,29 @@ def _divide_one_minus_t(coeffs):
     return list(accumulate(coeffs[:-1]))
 
 
+def _dense(numerator):
+    """(low, coefficients from t^low) of a nonzero numerator given as a
+    dict degree -> coefficient."""
+    low = min(numerator)
+    coeffs = [0] * (max(numerator) + 1 - low)
+    for d, c in numerator.items():
+        coeffs[d - low] = c
+    return low, coeffs
+
+
+def pole_order(numerator, nv):
+    """The order of the pole at t = 1 of numerator / (1-t)^nv, for a
+    numerator given as a dict degree -> coefficient: the Krull dimension of
+    a module with that Hilbert series, or -1 for the zero module."""
+    if not any(numerator.values()):
+        return -1
+    coeffs = _dense(numerator)[1]
+    dim = nv
+    while dim > 0 and (coeffs := _divide_one_minus_t(coeffs)):
+        dim -= 1
+    return dim
+
+
 def series_counts(numerator, nv):
     """Dict degree -> coefficient of the Hilbert series numerator / (1-t)^nv,
     for a numerator given as a dict degree -> coefficient, or INFINITE when
@@ -371,10 +391,7 @@ def series_counts(numerator, nv):
         return INFINITE  # 1 - t does not divide it
     if not any(numerator.values()):
         return {}
-    low = min(numerator)
-    coeffs = [0] * (max(numerator) + 1 - low)
-    for d, c in numerator.items():
-        coeffs[d - low] = c
+    low, coeffs = _dense(numerator)
     for _ in range(nv):
         coeffs = _divide_one_minus_t(coeffs)
         if coeffs is None:
@@ -608,9 +625,10 @@ class FinitelyPresentedModule:
 
     def hilbert_numerator(self):
         """Dict degree -> coefficient of the numerator N of the Hilbert
-        series N / (1-t)^nvars, summed over the generators; computed once
-        per module.  A module with no relations takes the ring's numerator
-        in every position, with no Groebner basis."""
+        series N / (1-t)^nvars, summed over the generators, with no zero
+        coefficient; computed once per module.  A module with no relations
+        takes the ring's numerator in every position, with no Groebner
+        basis."""
         if self._numerator is None:
             if any(self.relations.cols):
                 nums = [hilbert_numerator(exps)
@@ -621,7 +639,7 @@ class FinitelyPresentedModule:
             for base, num in zip(self.gen_degrees, nums):
                 for t, c in enumerate(num):
                     out[base + t] = out.get(base + t, 0) + c
-            self._numerator = out
+            self._numerator = {t: c for t, c in out.items() if c}
         return self._numerator
 
     def length(self):

@@ -328,7 +328,10 @@ def verify_main_theorem(report, ring, x, cap, nmax):
 
 
 def stabilization_scan(report, ring, x, cap, nmax):
-    """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict."""
+    """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict.
+
+    The Koszul table takes grade(x) first when x is a sop, so that it knows
+    the depth before the squares criteria of the powers."""
     if nmax < 1:
         raise AlgebraError(f"power bound {nmax} is below 1: the scan window "
                            "is empty")
@@ -337,6 +340,8 @@ def stabilization_scan(report, ring, x, cap, nmax):
     tables = {}
     standard = {}
     koszul = KoszulTable(ring)
+    if x.is_sop():
+        koszul.grade(x)  # depth R, before any power
     for i in range(1, nmax + 1):
         xi = x.power(i)
         tables[i] = betti_table(xi.quotient_module(), cap).totals()

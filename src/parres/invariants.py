@@ -8,7 +8,14 @@ irrelevant maximal ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul
 homology of x, whose lengths the standardness and FLC tests read anyway,
 gives the depth; K(m) on the variables is built only when there is no sop.
 Every test here compares lengths, which the table reads off Hilbert series,
-so none of them presents a Koszul homology module.  Sop
+so none of them presents a Koszul homology module.  Once the table knows
+depth R, it derives the series of every H_p(y; R) that must vanish, p above
+count - depth R + dim R/(y), with no Groebner basis (see KoszulTable).  So
+flc_check, and through it find_standard_power, takes grade(x) at power 1
+first, the cheapest sop to learn the depth from, before its loops over the
+powers of x and their prefixes; length_stability_check and the scan
+experiment do the same, and invariant_report and the main theorem take the
+depth first anyway.  Sop
 standardness uses the squares criterion (Koszul homology lengths unchanged
 under squaring the sequence), and the lengths of the local cohomology
 modules are recovered by back-solving the binomial identities relating them
@@ -56,12 +63,6 @@ def cohen_macaulay_defect(ring, table, x=None):
     return ring.dimension() - depth(ring, table, x=x)
 
 
-def _prefix(x, r):
-    """x_1..x_r; the whole of x is x itself, which keeps its quotient
-    module, so the sop check's Groebner basis serves H_0 too."""
-    return x if r == x.count else ParameterSequence(x.ring, x.elements[:r])
-
-
 def standardness_witness(x, table):
     """None if the squares criterion holds, else the first failing (p, r).
 
@@ -69,7 +70,7 @@ def standardness_witness(x, table):
     Koszul homology length is unchanged when the elements are squared.
     """
     for r in range(1, x.count + 1):
-        sub = _prefix(x, r)
+        sub = x.prefix(r)
         sq = sub.power(2)
         for p in range(1, r + 1):
             l1 = table.length(sub, p)
@@ -95,7 +96,7 @@ def local_cohomology_lengths(x, table):
     d = x.count
     measured = {}
     for r in range(1, d + 1):
-        sub = _prefix(x, r)
+        sub = x.prefix(r)
         for p in range(1, r + 1):
             val = table.length(sub, p)
             if val is INFINITE:
@@ -169,6 +170,8 @@ def length_stability_check(x, nmax=4, check_maps=True):
     computes the corresponding local cohomology for standard sops).
     """
     table = KoszulTable(x.ring)
+    if x.is_sop():
+        table.grade(x)  # depth R, before any power
     d = x.count
     lengths = {}
     for n in range(1, nmax + 1):
@@ -248,6 +251,7 @@ def flc_check(x, table, nmax=4):
                            "compares powers nmax - 1 and nmax")
     if not x.is_sop():
         raise AlgebraError("reference sequence is not a sop of R")
+    table.grade(x)  # depth R, before any power
     lengths = {}
     for n in (nmax - 1, nmax):
         xn = x.power(n)

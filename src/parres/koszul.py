@@ -13,7 +13,7 @@ from math import prod
 
 from .algebra import AlgebraError, NotHomogeneousError
 from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix,
-                       series_counts)
+                       pole_order, series_counts)
 from .complexes import ChainComplex, ComplexMap, homology_presentation
 
 
@@ -35,6 +35,12 @@ class ParameterSequence:
             elems.append(f)
         self.elements = tuple(elems)
         self._quotient = None
+        self._sop = None
+        # the sequence this one is a power or a prefix of, and the powers
+        # and prefixes made of this one, each made once
+        self._whole = None
+        self._powers = {}
+        self._prefixes = {}
 
     @property
     def count(self):
@@ -53,20 +59,50 @@ class ParameterSequence:
         return self._quotient
 
     def is_sop(self):
-        """System of parameters: d = dim R elements with R/(x) artinian."""
-        if self.count != self.ring.dimension():
-            return False
-        return self.quotient_module().length() is not INFINITE
+        """System of parameters: d = dim R elements with R/(x) artinian;
+        decided once per sequence."""
+        if self._sop is None:
+            self._sop = (self.count == self.ring.dimension() and
+                         self.quotient_module().length() is not INFINITE)
+        return self._sop
+
+    def _part_of_sop(self):
+        """Whether the sequence is known to be part of a sop, so that
+        dim R/(y) = d - count: a sop, or a power or prefix of a sequence that
+        is part of one.  Only a sequence made by the constructor asks
+        is_sop(), whose basis is that of its own R/(x)."""
+        if self._whole is not None:
+            return self._whole._part_of_sop()
+        return self.is_sop()
+
+    def _part(self, elements, name):
+        """A sequence of `elements` recorded as a power or prefix of this
+        one."""
+        out = ParameterSequence(self.ring, elements, name=name)
+        out._whole = self
+        return out
 
     def power(self, n):
-        """Elementwise n-th powers of the sequence."""
+        """Elementwise n-th powers of the sequence, made once per n, so that
+        repeated calls share one sequence and its quotient module."""
         if n < 1:
             raise AlgebraError("power must be at least 1")
         if n == 1:
             return self
-        return ParameterSequence(
-            self.ring, [f ** n for f in self.elements],
-            name=None if self.name is None else f"{self.name}^{n}")
+        if n not in self._powers:
+            self._powers[n] = self._part(
+                [f ** n for f in self.elements],
+                None if self.name is None else f"{self.name}^{n}")
+        return self._powers[n]
+
+    def prefix(self, r):
+        """y_1..y_r, made once per r; the whole of y is y itself, which
+        keeps its quotient module."""
+        if r == self.count:
+            return self
+        if r not in self._prefixes:
+            self._prefixes[r] = self._part(self.elements[:r], None)
+        return self._prefixes[r]
 
     def __iter__(self):
         return iter(self.elements)
@@ -109,11 +145,25 @@ class KoszulTable:
     its graded length and the grade of (y), for the sequences one experiment
     meets, each computed once; H_p(y; R) is presented only when asked.
 
-    The series come from the cokernels of the differentials d_p: F_p ->
-    F_{p-1}: the exact sequences 0 -> Z_p -> F_p -> F_{p-1} -> coker d_p -> 0
-    and 0 -> B_p -> F_p -> coker d_{p+1} -> 0 give
-    HS(H_p) = HS(coker d_{p+1}) + HS(coker d_p) - HS(F_{p-1}), so one
-    Buchberger run per cokernel, with no tag block, serves H_p and H_{p-1}.
+    The series come from the cokernels C_p of the differentials d_p: F_p ->
+    F_{p-1}: the exact sequences 0 -> Z_p -> F_p -> F_{p-1} -> C_p -> 0 and
+    0 -> B_p -> F_p -> C_{p+1} -> 0 give
+    HS(H_p) = HS(C_{p+1}) + HS(C_p) - HS(F_{p-1}), so one Buchberger run per
+    cokernel, with no tag block, serves H_p and H_{p-1}.  C_1 is R/(y), and
+    C_(r+1) is the free module F_r, r = y.count; the free modules' series
+    come from y's degrees and R's numerator, with no complex built.
+
+    Vanishing from the depth: H_p(y; R) = 0 for p > r - grade(y)
+    (Bruns-Herzog 1.6.17), and depth R <= grade(y) + dim R/(y), so
+    H_p(y; R) = 0 for every p > r - depth R + dim R/(y).  Once the table
+    knows depth R, it derives each such C_p as HS(F_{p-1}) - HS(C_{p+1}),
+    downward from C_(r+1), with no Groebner basis.  The table learns the
+    depth from the first grade(y) it computes for a y with dim R/(y) = 0 (a
+    sop, or the maximal-ideal sequence): that grade is depth R.  dim R/(y)
+    is d - r for a sequence known to be part of a sop (a sop, or a power or
+    prefix of one); for any other y it is read off C_1.  So a prefix of a
+    sop's power takes a run only for C_p with p <= cmd = d - depth R: one
+    for R/(y) when cmd = 1, and none over a Cohen-Macaulay ring.
 
     Entries are keyed by the reduced elements of y, so the squares of a
     prefix of x and the prefix of x^2 share one entry.  A table is bound to
@@ -127,6 +177,7 @@ class KoszulTable:
         self._cokernels = {}
         self._numerators = {}
         self._presentations = {}
+        self._depth = None
 
     def _key(self, y):
         if y.ring != self.ring:
@@ -145,20 +196,47 @@ class KoszulTable:
             self._complexes[key] = koszul_complex(y)
         return self._complexes[key]
 
+    def _free(self, y, p):
+        """Hilbert series numerator of F_p = K_p(y; R): R(-deg s) summed
+        over the p-element subsets s of y; 0 for p > count."""
+        ring_num = self.ring.hilbert_numerator()
+        out = {}
+        for degs in combinations(y.degrees(), p):
+            base = sum(degs)
+            for t, c in enumerate(ring_num):
+                out[base + t] = out.get(base + t, 0) + c
+        return out
+
+    def _quotient_dim(self, y):
+        """dim R/(y): d - count for a sequence known to be part of a sop,
+        else the pole order at t = 1 of the series of R/(y)."""
+        if y._part_of_sop():
+            return self.ring.dimension() - y.count
+        return pole_order(y.quotient_module().hilbert_numerator(),
+                          self.ring.nvars)
+
     def _cokernel(self, y, p):
-        """Hilbert series numerator of coker d_p, for p >= 1; coker
-        d_(count+1) is the free module F_count, and above it F_(p-1) = 0.
-        coker d_1 is y's own quotient module, which y.is_sop() may have
-        counted already."""
+        """Hilbert series numerator of C_p = coker d_p, for p >= 1, with no
+        zero coefficient; C_(count+1) is the free module F_count, and above
+        it F_(p-1) = 0.  C_p is derived when the depth forces H_p = 0;
+        otherwise C_1 is y's own quotient module, which y.is_sop() may have
+        counted already, and any other C_p takes a Buchberger run."""
         key = (self._key(y), p)
         if key not in self._cokernels:
-            if p == 1:
-                module = y.quotient_module()
+            if p > y.count:
+                num = self._free(y, p - 1)
+            elif (self._depth is not None and p > y.count - self._depth
+                  + self._quotient_dim(y)):
+                num = _combine((1, self._free(y, p - 1)),
+                               (-1, self._cokernel(y, p + 1)))
+            elif p == 1:
+                num = y.quotient_module().hilbert_numerator()
             else:
                 cplx = self.complex(y)
-                module = FinitelyPresentedModule(
-                    self.ring, cplx.module(p - 1), cplx.differential(p))
-            self._cokernels[key] = module.hilbert_numerator()
+                num = FinitelyPresentedModule(
+                    self.ring, cplx.module(p - 1),
+                    cplx.differential(p)).hilbert_numerator()
+            self._cokernels[key] = num
         return self._cokernels[key]
 
     def _numerator(self, y, p):
@@ -169,15 +247,9 @@ class KoszulTable:
         if key not in self._numerators:
             terms = [(1, self._cokernel(y, p + 1))]
             if p > 0:
-                free = FinitelyPresentedModule(self.ring,
-                                               self.complex(y).module(p - 1))
                 terms += [(1, self._cokernel(y, p)),
-                          (-1, free.hilbert_numerator())]
-            num = {}
-            for sign, part in terms:
-                for t, c in part.items():
-                    num[t] = num.get(t, 0) + sign * c
-            self._numerators[key] = num
+                          (-1, self._free(y, p - 1))]
+            self._numerators[key] = _combine(*terms)
         return self._numerators[key]
 
     def graded_length(self, y, p):
@@ -205,11 +277,29 @@ class KoszulTable:
         return self.presentation(y, p)[1]
 
     def grade(self, y):
-        """grade of (y) on R: count minus the top nonvanishing H_p(y; R)."""
+        """grade of (y) on R: count minus the top nonvanishing H_p(y; R).
+
+        The first grade taken of a y with dim R/(y) = 0 is depth R, and the
+        table keeps it to derive the cokernels whose homology must vanish;
+        a y of positive dimension teaches it nothing."""
+        grade = y.count
         for p in range(y.count, 0, -1):
             if self.length(y, p) != 0:
-                return y.count - p
-        return y.count
+                grade = y.count - p
+                break
+        if self._depth is None and self._quotient_dim(y) == 0:
+            self._depth = grade
+        return grade
+
+
+def _combine(*terms):
+    """The sum of sign * numerator over the (sign, numerator) terms, with no
+    zero coefficient."""
+    out = {}
+    for sign, part in terms:
+        for t, c in part.items():
+            out[t] = out.get(t, 0) + sign * c
+    return {t: c for t, c in out.items() if c}
 
 
 def comparison_map(x, n, table):

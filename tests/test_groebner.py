@@ -737,7 +737,8 @@ def _reference_store(vecs, ring, gendegs, nlead):
 
 
 def _reference_numerator(module):
-    """hilbert_numerator of a module from the leads of _reference_store."""
+    """hilbert_numerator of a module from the leads of _reference_store,
+    with no zero coefficient."""
     ctx, n = module.ring._ctx, len(module.gen_degrees)
     store = _reference_store(module.relations.cols, module.ring,
                              module.gen_degrees, n)
@@ -746,7 +747,7 @@ def _reference_numerator(module):
         exps = [ctx.exp_of(e[1]) for e in store.by_pos.get(pos, ())]
         for t, c in enumerate(hilbert_numerator(exps)):
             out[base + t] = out.get(base + t, 0) + c
-    return out
+    return {t: c for t, c in out.items() if c}
 
 
 def _sop_powers(spec):
@@ -760,22 +761,47 @@ def _sop_powers(spec):
     return out
 
 
-def test_koszul_cokernels_match_buchberger_with_the_ideal_rows(
-        corpus, random_specs):
-    checked = 0
-    for spec in (*corpus.values(), *random_specs[:6]):
+def _checked_cokernels(specs, learn_depth):
+    """Check every cokernel numerator of the Koszul complexes of
+    _sop_powers against _reference_numerator, in a table that has first
+    taken the grade of the sop when learn_depth; returns the number checked
+    and the number the table derived from the depth."""
+    checked = derived = 0
+    for spec in specs:
         table = KoszulTable(spec.ring)
+        if learn_depth:
+            table.grade(spec.sop())
         for y in _sop_powers(spec):
             for p in range(1, y.count + 1):
                 if p == 1:
                     module = y.quotient_module()
                 else:
-                    cplx = table.complex(y)
+                    cplx = koszul_complex(y)
                     module = FinitelyPresentedModule(
                         spec.ring, cplx.module(p - 1), cplx.differential(p))
                 assert table._cokernel(y, p) == _reference_numerator(module)
                 checked += 1
-    assert checked > 100
+                if table._depth is not None:
+                    derived += p > (y.count - table._depth
+                                    + table._quotient_dim(y))
+    return checked, derived
+
+
+def test_koszul_cokernels_match_buchberger_with_the_ideal_rows(
+        corpus, random_specs):
+    checked, derived = _checked_cokernels(
+        (*corpus.values(), *random_specs[:6]), False)
+    assert checked > 100 and derived == 0
+
+
+def test_derived_koszul_cokernels_match_buchberger_with_the_ideal_rows(
+        corpus, random_specs):
+    # the same cokernels after the table has learned depth R from the sop:
+    # those that the depth forces are derived, with no basis, and must
+    # equal the Buchberger numerator as dicts
+    checked, derived = _checked_cokernels(
+        (*corpus.values(), *random_specs[:6]), True)
+    assert checked > 100 and derived > checked // 2
 
 
 def _reference_solver(solver):

@@ -197,7 +197,7 @@ def test_grade_of_the_maximal_ideal_against_the_oracle(corpus):
 
 def test_non_sop_never_gives_the_depth(regular):
     ring = regular.ring
-    prefix = invariants._prefix(regular.sop(), 1)
+    prefix = regular.sop().prefix(1)
     table = KoszulTable(ring)
     assert not prefix.is_sop()
     assert table.grade(prefix) == 1
@@ -206,8 +206,8 @@ def test_non_sop_never_gives_the_depth(regular):
 
 
 @pytest.mark.parametrize("ring, runs", [
-    ("r1", 9), ("r2", 15), ("regular", 9), ("hypersurface", 9),
-    ("nonflc", 13)])
+    ("r1", 9), ("r2", 13), ("regular", 2), ("hypersurface", 2),
+    ("nonflc", 9)])
 def test_invariants_runs_each_groebner_basis_once(monkeypatch, ring, runs):
     # with no sop given, reference_sop's sop check and the depth's share the
     # Groebner basis of I + (x): R/(x) is the sequence's quotient module and
@@ -227,8 +227,11 @@ def test_invariants_runs_each_groebner_basis_once(monkeypatch, ring, runs):
     assert len(seen) == len(set(seen)) == runs
 
 
-def test_invariant_report_tables_live_for_one_call(monkeypatch, r2):
-    # each call counts the cokernels of its own Koszul differentials again
+def test_invariant_report_tables_live_for_one_call(monkeypatch):
+    # each call counts the cokernels of its own Koszul differentials again;
+    # only R/(y), which y keeps, as x keeps its powers and their prefixes,
+    # is counted once for both calls
+    spec = parse_ring_spec(bundled_ring_text("r2"))
     calls = []
     real = FinitelyPresentedModule._initial_leads
 
@@ -237,7 +240,8 @@ def test_invariant_report_tables_live_for_one_call(monkeypatch, r2):
         return real(module)
 
     monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
-    invariant_report(r2.ring, r2.sop())
-    first = len(calls)
-    invariant_report(r2.ring, r2.sop())
-    assert first > 0 and len(calls) == 2 * first
+    invariant_report(spec.ring, spec.sop())
+    first = list(calls)
+    calls.clear()
+    invariant_report(spec.ring, spec.sop())
+    assert calls and calls == [g for g in first if g != (0,)]

@@ -1,10 +1,13 @@
 import pytest
 from math import comb
 
-from parres import koszul
+from parres import koszul, oracle
 from parres.algebra import AlgebraError, NotHomogeneousError
+from parres.cli import bundled_ring_text
 from parres.complexes import homology_presentation
-from parres.groebner import INFINITE
+from parres.groebner import INFINITE, FinitelyPresentedModule
+from parres.harness import parse_ring_spec
+from parres.invariants import maximal_ideal_sequence
 from parres.koszul import (KoszulTable, ParameterSequence, comparison_map,
                            koszul_complex)
 
@@ -31,6 +34,9 @@ def test_power_sequence(r1):
     x2 = x.power(2)
     assert x2.degrees() == (2, 2)
     assert x.power(1) is x
+    # each power and prefix is made once, with its quotient module
+    assert x.power(2) is x2 and x2.prefix(1) is x2.prefix(1)
+    assert x2.prefix(x2.count) is x2
     with pytest.raises(AlgebraError):
         x.power(0)
 
@@ -152,3 +158,103 @@ def test_series_lengths_match_presentations_on_random_rings(random_specs):
     for spec in random_specs:
         seen |= _assert_series_match_presentations(spec, range(1, 4))
     assert seen == {False, True}
+
+
+# --- vanishing from the depth -------------------------------------------------
+
+
+def _depth_checked_sequences(spec):
+    """Every prefix of x^n, n = 1..4, for the spec's reference sop x, then
+    two sequences not known to be part of a sop: the maximal-ideal sequence
+    and (x_1, x_1^2), whose dim R/(y) is read off R/(y)."""
+    x = spec.sop()
+    out = [x.power(n).prefix(r) for n in range(1, 5)
+           for r in range(1, x.count + 1)]
+    return out + [maximal_ideal_sequence(spec.ring),
+                  ParameterSequence(spec.ring, [x.elements[0],
+                                                x.elements[0] ** 2])]
+
+
+def test_a_table_that_knows_the_depth_gives_the_same_lengths(corpus,
+                                                             random_specs):
+    compared = derived = 0
+    for spec in (*corpus.values(), *random_specs):
+        learned = KoszulTable(spec.ring)
+        depth = learned.grade(spec.sop())
+        assert learned._depth == depth
+        fresh = KoszulTable(spec.ring)
+        for y in _depth_checked_sequences(spec):
+            bound = y.count - depth + learned._quotient_dim(y)
+            for p in range(y.count + 2):
+                assert learned.graded_length(y, p) == \
+                    fresh.graded_length(y, p), (spec.name, y, p)
+                compared += 1
+                derived += p > bound
+    assert compared > 1500 and derived > compared // 3
+
+
+def test_koszul_homology_above_the_depth_bound_vanishes_in_the_oracle(
+        corpus, random_specs):
+    # degreewise GF(p) ranks, no Hilbert series: H_p(y; R) = 0 for
+    # p > count - depth R + dim R/(y), on prefixes of x and x^2
+    defective = [spec for spec in random_specs
+                 if spec.ring.dimension()
+                 - KoszulTable(spec.ring).grade(spec.sop()) >= 1][:6]
+    assert len(defective) == 6
+    checked = 0
+    for spec in (*corpus.values(), *defective):
+        x = spec.sop()
+        depth = KoszulTable(spec.ring).grade(x)
+        for n in (1, 2):
+            for r in range(1, x.count + 1):
+                y = x.power(n).prefix(r)
+                k = koszul_complex(y)
+                bound = r - depth + spec.ring.dimension() - r
+                for p in range(bound + 1, r + 1):
+                    for t in range(9):
+                        assert oracle.homology_dim_at(k, p, t) == 0, \
+                            (spec.name, y, p, t)
+                    checked += 1
+    assert checked > 20
+
+
+def test_the_depth_spares_the_runs_of_the_vanishing_cokernels(monkeypatch):
+    runs = []
+    real = FinitelyPresentedModule._initial_leads
+
+    def counting(module):
+        runs.append(module.gen_degrees)
+        return real(module)
+
+    monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
+    # r2 has depth 1 and dimension 2: H_2(x^n; R) = 0 forces coker d_2,
+    # and only R/(x^n), one generator, takes a run
+    r2 = parse_ring_spec(bundled_ring_text("r2"))
+    x, table = r2.sop(), KoszulTable(r2.ring)
+    assert table.grade(x) == 1
+    runs.clear()
+    for n in (2, 3):
+        for p in range(x.count + 2):
+            table.length(x.power(n), p)
+    assert runs == [(0,), (0,)]
+    # regular is Cohen-Macaulay: no prefix of x^2 takes a run
+    regular = parse_ring_spec(bundled_ring_text("regular"))
+    x, table = regular.sop(), KoszulTable(regular.ring)
+    assert table.grade(x) == 2
+    runs.clear()
+    for r in (1, 2):
+        y = x.power(2).prefix(r)
+        for p in range(r + 2):
+            table.graded_length(y, p)
+        assert table.grade(y) == r
+        assert y.elements not in table._complexes
+    assert runs == []
+
+
+def test_a_grade_of_positive_dimension_teaches_no_depth():
+    # grade(x_1) = 1 on the regular ring of depth 2: R/(x_1) has dimension
+    # 1, so the table waits for the sop
+    spec = parse_ring_spec(bundled_ring_text("regular"))
+    x, table = spec.sop(), KoszulTable(spec.ring)
+    assert table.grade(x.prefix(1)) == 1 and table._depth is None
+    assert table.grade(x) == 2 and table._depth == 2
