@@ -56,8 +56,9 @@ class Sentinel:
 def _is_prime(n):
     """Deterministic Miller-Rabin test with bases 2, 3, 5 and 7, exact for
     n < 3,215,031,751, the least strong pseudoprime to all four
-    (Pomerance-Selfridge-Wagstaff 1980); every characteristic lies below
-    MAX_CHARACTERISTIC = 2^31."""
+    (Pomerance-Selfridge-Wagstaff 1980).  PolynomialRingSpec rejects a
+    characteristic from MAX_CHARACTERISTIC = 2^31 up before it calls this,
+    so every characteristic it tests lies in the exact range."""
     bases = (2, 3, 5, 7)
     if n < 2:
         return False
@@ -142,7 +143,9 @@ LEX = Lex()
 # ---------------------------------------------------------------------------
 # polynomial rings
 
-# the GF(p) oracle multiplies two residues in int64, so p must stay below 2^31
+# input validation: the tests cover characteristics up to 2^31 - 1, and
+# _is_prime is exact only below 3,215,031,751; no arithmetic needs the bound,
+# since every coefficient is a Python integer
 MAX_CHARACTERISTIC = 1 << 31
 
 

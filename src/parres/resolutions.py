@@ -253,7 +253,8 @@ def cec_injectivity_check(x, cap):
         if mat is None:
             report[n] = expected == 0
             continue
-        dense = [[mat.entry(i, j).constant_term() for j in range(mat.ncols)]
-                 for i in range(mat.nrows)]
-        report[n] = gf_rank(dense, p) == expected
+        columns = [{i: c for i in range(mat.nrows)
+                    if (c := mat.entry(i, j).constant_term())}
+                   for j in range(mat.ncols)]
+        report[n] = gf_rank(columns, p) == expected
     return report

@@ -8,10 +8,12 @@ an exception fails too once its name is gone or has gained a caller in
 of that name is read.
 
 The optional parameters are a listed set too, so that a new knob comes with
-an edit to the list and its reason.
+an edit to the list and its reason.  And the package imports nothing but
+the standard library and itself, so it installs with no dependencies.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parres"
@@ -153,3 +155,16 @@ def test_optional_parameters_are_the_listed_ones():
     found = _optional_parameters(_trees())
     assert sorted(found - OPTIONAL_PARAMETERS) == []
     assert sorted(OPTIONAL_PARAMETERS - found) == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    found = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update((module, a.name.split(".")[0])
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add((module, node.module.split(".")[0]))
+    allowed = sys.stdlib_module_names | {"parres"}
+    assert sorted(f for f in found if f[1] not in allowed) == []

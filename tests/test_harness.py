@@ -262,11 +262,11 @@ def test_parse_rejects_repeated_entries(capsys, tmp_path, extra, offset, word):
 
 
 def test_characteristic_bound(capsys, tmp_path):
-    # the oracle multiplies residues in int64: 2^31 - 1 is the largest
-    # accepted prime, and gf_rank stays exact there
+    # 2^31 - 1 is the largest accepted prime, the top of the range the
+    # tests cover, and gf_rank is exact there
     p = 2147483647
     assert PolynomialRingSpec(p, ["a"]).characteristic == p
-    rank_one = [[p - 2, p - 3], [2 * (p - 2) % p, 2 * (p - 3) % p]]
+    rank_one = [{0: p - 2, 1: p - 3}, {0: 2 * (p - 2) % p, 1: 2 * (p - 3) % p}]
     assert oracle.gf_rank(rank_one, p) == 1
     with pytest.raises(AlgebraError) as exc:
         PolynomialRingSpec(2147483659, ["a"])
