@@ -173,10 +173,11 @@ class PolynomialRingSpec:
         return len(self.variables)
 
     def __eq__(self, other):
-        return (isinstance(other, PolynomialRingSpec)
-                and self.characteristic == other.characteristic
-                and self.variables == other.variables
-                and self.order == other.order)
+        return self is other or (
+            isinstance(other, PolynomialRingSpec)
+            and self.characteristic == other.characteristic
+            and self.variables == other.variables
+            and self.order == other.order)
 
     def __hash__(self):
         return hash((self.characteristic, self.variables, self.order))

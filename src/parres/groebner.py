@@ -247,9 +247,10 @@ class QuotientRingSpec:
         return self._packed_staircases[degree]
 
     def __eq__(self, other):
-        return (isinstance(other, QuotientRingSpec)
-                and self.ambient == other.ambient
-                and self.ideal_basis == other.ideal_basis)
+        return self is other or (
+            isinstance(other, QuotientRingSpec)
+            and self.ambient == other.ambient
+            and self.ideal_basis == other.ideal_basis)
 
     def __hash__(self):
         return hash((self.ambient, tuple(self.ideal_basis)))

@@ -8,9 +8,13 @@ used to validate the symbolic (Groebner-based) computations; it shares only
 the packed monomial shift (a key addition) and the normal form modulo the
 defining ideal.
 
-A slice is a list of sparse vectors, one per source basis element: dicts
-{target index: value in (0, p)} that store no zero.  gf_rank takes any
-integer entries and reduces them itself.
+A basis is a list of packed keys, with the free-module position of each
+when it is the source of a slice.  A slice is a list of sparse vectors, one
+per source basis element: dicts {target index: value in (0, p)} that store
+no zero.  matrix_slice reduces mod p each column coefficient once per call,
+and after that only where two terms meet in one row or a coefficient meets
+a normal-form coefficient.  gf_rank takes any integer entries and reduces
+them itself.
 """
 
 from __future__ import annotations
@@ -58,61 +62,72 @@ def gf_rank(vectors, p):
 
 def free_basis(ring, gen_degrees, degree):
     """Basis of the degree-`degree` piece of the graded free module R(gens):
-    (basis, keys), the (pos, exp) pairs and the packed key of each, read in
-    one walk over the ring's packed staircases."""
-    basis, keys = [], []
+    (keys, positions), the packed key and the free-module position of each
+    basis element, read in one walk over the ring's packed staircases."""
+    keys, positions = [], []
     for pos, d in enumerate(gen_degrees):
         stair = ring.packed_staircase(degree - d)
         shift = ring._ctx.position_shift(pos)
-        basis += [(pos, exp) for exp, _ in stair]
         keys += [key - shift for _, key in stair]
-    return basis, keys
+        positions += [pos] * len(stair)
+    return keys, positions
 
 
 def matrix_slice(matrix, degree):
     """A RingMatrix on the degree-`degree` graded pieces, over GF(p).
 
-    Returns (columns, target basis, source basis): one sparse vector per
+    Returns (columns, target keys, source keys): one sparse vector per
     source basis element, {target basis index: value in (0, p)}, with no
-    zero stored.  The bases and their keys come from the ring's tables.  In
-    a monomial multiple of a column, a standard term goes to its own row,
-    and a term c k that leaves the staircase adds c times the normal form
-    of k, which the ring keeps per monomial, so no monomial is reduced
-    twice (the normal form is linear).
+    zero stored, and the packed keys of the two bases, from the ring's
+    tables.  The first source element in a position takes that column's
+    terms less the key of 1 there, with coefficients reduced mod p; a
+    monomial multiple of the column is then one key addition per term.  A
+    standard term goes to its own row, and a term c k that leaves the
+    staircase adds c times the normal form of k, which the ring keeps per
+    monomial, so no monomial is reduced twice (the normal form is linear).
+    A row's first value is stored as it is; a second one to the same row,
+    or a product with a form coefficient, is reduced mod p.
     """
     ring = matrix.ring
     ctx = ring._ctx
-    tgt, tgt_keys = free_basis(ring, matrix.row_degrees, degree)
-    src, src_keys = free_basis(ring, matrix.col_degrees, degree)
+    tgt, _ = free_basis(ring, matrix.row_degrees, degree)
+    src, src_pos = free_basis(ring, matrix.col_degrees, degree)
     if not (tgt and src):
         return [{} for _ in src], tgt, src
     # every product below has degree at most degree - min(row degrees)
     check_degree(degree - min(matrix.row_degrees))
-    row_of = {key: i for i, key in enumerate(tgt_keys)}
-    # the key of 1 in each source position: a source key less it is the
-    # packed exponent that multiplies the column
-    units = [ctx.move(ctx.one, pos) for pos in range(len(matrix.cols))]
-    items = [list(col.items()) for col in matrix.cols]
+    row_of = dict(zip(tgt, range(len(tgt))))
     p = ring.characteristic
-    forms, form, move = ring._monomial_forms, ring.monomial_form, ctx.move
+    forms, form, mask = ring._monomial_forms, ring.monomial_form, ctx.monomask
     columns = []
-    for (pos, _), src_key in zip(src, src_keys):
-        delta = src_key - units[pos]
+    last = None
+    for pos, src_key in zip(src_pos, src):
+        if pos != last:
+            # the column's terms less the key of 1 in position pos: adding
+            # a source key there multiplies the column by its monomial
+            unit = ctx.move(ctx.one, pos)
+            terms = [(k - unit, c % p) for k, c in matrix.cols[pos].items()]
+            last = pos
         col = {}
-        for k, c in items[pos]:
-            key = k + delta
+        for t, c in terms:
+            key = t + src_key
             row = row_of.get(key)
             if row is not None:
-                col[row] = (col.get(row, 0) + c) % p
+                x = col.get(row)
+                col[row] = c if x is None else (x + c) % p
                 continue
-            # the term left the staircase: add its monomial's normal form
-            base = move(key, 0)
+            # the term left the staircase: add its monomial's normal form,
+            # moved to the term's position
+            base = key & mask
             nf = forms.get(base)
             if nf is None:
                 nf = form(base)
+            off = key - base
             for tk, tc in nf:
-                row = row_of[tk - base + key]
-                col[row] = (col.get(row, 0) + c * tc) % p
+                row = row_of[tk + off]
+                x = col.get(row)
+                col[row] = c * tc % p if x is None else (x + c * tc) % p
+        # a zero is left only where values cancel or a coefficient is 0 mod p
         if 0 in col.values():
             col = {row: c for row, c in col.items() if c}
         columns.append(col)

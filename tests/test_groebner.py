@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from parres import _engine, kernel, oracle
 from parres._engine import PyReducer, groebner_basis, vec_degree
-from parres.algebra import (GREVLEX, LEX, AlgebraError, Polynomial,
-                            PolynomialRingSpec)
+from parres.algebra import (GREVLEX, LEX, AlgebraError, MonomialOrder,
+                            Polynomial, PolynomialRingSpec)
 from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
                              RingMatrix, hilbert_numerator, matrix_solve,
                              series_counts, standard_monomials, syzygies)
+from parres.cli import bundled_ring_text
 from parres.complexes import ChainComplex, minimize_with_tracking
+from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
 
@@ -72,6 +74,35 @@ def test_quotient_ring_basics(r1):
     assert len(ring.standard_monomials(5)) == 6
 
 
+def test_ring_equality_checks_identity_first(monkeypatch, r1, r2):
+    calls = []
+
+    def counting(cls):
+        real = cls.__eq__
+
+        def wrapped(self, other):
+            calls.append(cls)
+            return real(self, other)
+        monkeypatch.setattr(cls, "__eq__", wrapped)
+
+    # a list comparison skips identical items, so the ideal bases of one
+    # ring call no Polynomial.__eq__ even without the check; no call to the
+    # ambient ring's or its order's __eq__ shows that it stops at once
+    for cls in (Polynomial, PolynomialRingSpec, MonomialOrder):
+        counting(cls)
+    ring = r2.ring
+    assert ring == ring
+    assert calls == []
+    assert ring.ambient == ring.ambient
+    assert calls == [PolynomialRingSpec]
+    # a copy parsed on its own is still equal, ideal basis by ideal basis
+    again = parse_ring_spec(bundled_ring_text("r2"), name="r2").ring
+    assert again is not ring
+    assert again == ring and hash(again) == hash(ring)
+    assert Polynomial in calls and MonomialOrder in calls
+    assert r1.ring != r2.ring
+
+
 def test_reduce_is_normal_form(r1):
     ring = r1.ring
     f = ring.ambient.parse("a*c + a*b")
@@ -122,7 +153,8 @@ def test_no_standard_monomials_below_degree_zero():
     assert ring.standard_monomials(3) == ()
     # so a free module's basis takes nothing from a generator above the
     # degree
-    assert oracle.free_basis(ring, (0, 2), 1)[0] == [(0, (1,))]
+    keys, _ = oracle.free_basis(ring, (0, 2), 1)
+    assert [ring._ctx.unpack(k) for k in keys] == [(0, (1,))]
 
 
 def test_staircase_count_matches_enumeration(amb3):

@@ -245,11 +245,12 @@ def _assert_slices_match_reference(matrices, degrees):
     for matrix in matrices:
         pack = matrix.ring._ctx.pack
         for t in degrees:
-            basis, keys = oracle.free_basis(matrix.ring, matrix.col_degrees, t)
-            assert keys == [pack(pos, exp) for pos, exp in basis]
             columns, tgt, src = oracle.matrix_slice(matrix, t)
             want, want_tgt, want_src = _reference_slice(matrix, t)
-            assert (tgt, src) == (want_tgt, want_src)
+            assert tgt == [pack(pos, exp) for pos, exp in want_tgt]
+            assert src == [pack(pos, exp) for pos, exp in want_src]
+            assert oracle.free_basis(matrix.ring, matrix.col_degrees, t) == (
+                src, [pos for pos, _ in want_src])
             p = matrix.ring.characteristic
             assert all(0 < c < p for col in columns for c in col.values())
             got = np.zeros_like(want)
@@ -277,6 +278,42 @@ def test_slices_match_whole_vector_reduction(corpus, random_specs,
          *koszul_complex(maximal_ideal_sequence(big.ring))
          .differentials.values()], range(9))
     assert checked_tables(big.ring)
+
+
+def test_slices_reduce_unreduced_column_coefficients(r1, r2, big_field):
+    # the same matrices with every stored coefficient moved by a nonzero
+    # multiple of p (so negative or >= p) and one extra term per column
+    # that is 0 mod p: the slices reduce each coefficient before a row
+    # first stores it
+    matrices = [*sop_differentials(r1, 2), *sop_differentials(r2, 2),
+                koszul_complex(maximal_ideal_sequence(big_field.ring))
+                .differential(2)]
+    for matrix in matrices:
+        ring = matrix.ring
+        ctx, p = ring._ctx, ring.characteristic
+        moves = (-2 * p, -p, p, 3 * p)
+        cols, extra = [], 0
+        for j, col in enumerate(matrix.cols):
+            col = {k: c + moves[(j + i) % 4] for i, (k, c) in
+                   enumerate(col.items())}
+            # a standard monomial in the position and degree of a term
+            k = next(iter(col))
+            shift = ctx.position_shift(ctx.pos_of(k))
+            free = [key - shift for _, key in
+                    ring.packed_staircase(ctx.mono_degree(k))
+                    if key - shift not in col]
+            if free:
+                col[free[0]] = -p
+                extra += 1
+            cols.append(col)
+        assert all(c < 0 or c >= p for col in cols for c in col.values())
+        unreduced = RingMatrix.packed(ring, cols, matrix.row_degrees,
+                                      matrix.col_degrees)
+        for t in range(8):
+            got = oracle.matrix_slice(unreduced, t)
+            assert got == oracle.matrix_slice(matrix, t), (matrix, t)
+            assert all(0 < c < p for col in got[0] for c in col.values())
+    assert extra
 
 
 def test_a_second_slice_packs_and_reduces_nothing(monkeypatch, big_field):
