@@ -252,9 +252,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, 0)
-
     def sorted_terms(self):
         """Terms as (exp, coeff), descending in the active order."""
         return self.ring.order.sort_terms(self.terms.items())

@@ -189,7 +189,7 @@ def mapping_cone(alpha):
                 zip((-x.differential(n - 1)).cols,
                     lowered(alpha.component(n - 1), len(xt)))]
         cols += lowered(y.differential(n), len(xt))
-        diffs[n] = RingMatrix.packed(ring, cols, tgt, src)
+        diffs[n] = RingMatrix(ring, cols, tgt, src)
     return ChainComplex(ring, modules, diffs, check=True)
 
 
@@ -342,7 +342,7 @@ def minimize_with_tracking(cplx):
         tgt = out_modules.get(n - 1, ())
         if not src or not tgt:
             continue
-        out_diffs[n] = (RingMatrix.packed(ring, cols, tgt, src)
+        out_diffs[n] = (RingMatrix(ring, cols, tgt, src)
                         if n in touched else cplx.differentials[n])
     mini = ChainComplex(ring, out_modules, out_diffs, check=False)
     old = cplx.differentials if cplx.checked else {}

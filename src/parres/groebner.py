@@ -51,10 +51,10 @@ class QuotientRingSpec:
     Its entries are the basis `_basis` (monic, tail-reduced, sorted by
     degree and lead), seen as Polynomials in `ideal_basis`.
 
-    Three tables depend on I alone, which never changes after set-up, and
-    are filled as they are met: the standard monomials of each degree, the
-    same paired with their position-0 keys, and the normal form of each
-    position-0 monomial (True for a standard one).  Every reduction modulo
+    Two tables depend on I alone, which never changes after set-up, and
+    are filled as they are met: the position-0 keys of the standard
+    monomials of each degree, and the normal form of each position-0
+    monomial (True for a standard one).  Every reduction modulo
     I, in any free-module position, reads the last table, and only
     `monomial_form` fills it, so each monomial is reduced once per ring:
     `reduce_packed`, `products` (the kernel of every matrix product, for
@@ -85,7 +85,6 @@ class QuotientRingSpec:
         self._numerator = None
         self._dimension = None
         self._staircases = {}
-        self._packed_staircases = {}
         self._monomial_forms = {}
 
     @property
@@ -229,22 +228,16 @@ class QuotientRingSpec:
                 dict(enumerate(self.hilbert_numerator())), self.nvars)
         return self._dimension
 
-    def standard_monomials(self, degree):
-        """The degree-`degree` standard monomials, a tuple kept per degree:
-        the leads of I never change after set-up."""
+    def packed_staircase(self, degree):
+        """The packed position-0 keys of the degree-`degree` standard
+        monomials, a tuple kept per degree: the leads of I never change
+        after set-up."""
         if degree not in self._staircases:
+            pack = self._ctx.pack
             self._staircases[degree] = tuple(
+                pack(0, exp) for exp in
                 standard_monomials(self._lead_exps, self.nvars, degree))
         return self._staircases[degree]
-
-    def packed_staircase(self, degree):
-        """standard_monomials(degree) as (exp, key) pairs, key the packed
-        position-0 monomial of exp, a tuple kept per degree."""
-        if degree not in self._packed_staircases:
-            pack = self._ctx.pack
-            self._packed_staircases[degree] = tuple(
-                (exp, pack(0, exp)) for exp in self.standard_monomials(degree))
-        return self._packed_staircases[degree]
 
     def __eq__(self, other):
         return self is other or (
@@ -410,34 +403,14 @@ class RingMatrix:
     Column j is one packed vector of the free module R^nrows (position =
     row), reduced modulo the defining ideal in every position.  Entry (i, j),
     when nonzero, is homogeneous of degree col_degrees[j] - row_degrees[i].
-    Polynomials meet the packed columns only at the constructor and at
+    Polynomials meet the packed columns only at `from_columns` and at
     entry/entries.
     """
 
-    def __init__(self, ring, nrows, ncols, entries, row_degrees, col_degrees):
-        """entries: dict (i, j) -> Polynomial over the ambient ring."""
-        if len(row_degrees) != nrows or len(col_degrees) != ncols:
-            raise DimensionMismatchError("degree list lengths do not match extents")
-        cols = [{} for _ in range(ncols)]
-        for (i, j), poly in entries.items():
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise DimensionMismatchError(f"entry ({i},{j}) out of range")
-            if poly.ring != ring.ambient:
-                raise RingMismatchError("matrix entry outside the ambient ring")
-            cols[j].update(_pack({i: poly}, ring._ctx))
-        self._set(ring, [ring.reduce_packed(c) for c in cols], row_degrees,
-                  col_degrees)
-
-    @classmethod
-    def packed(cls, ring, cols, row_degrees, col_degrees):
+    def __init__(self, ring, cols, row_degrees, col_degrees):
         """The matrix whose columns are the packed vectors `cols`, already
-        reduced modulo the defining ideal."""
-        mat = cls.__new__(cls)
-        mat._set(ring, cols, row_degrees, col_degrees)
-        return mat
-
-    def _set(self, ring, cols, row_degrees, col_degrees):
-        """Adopt `cols` after checking the position and degree of each key."""
+        reduced modulo the defining ideal; the position and degree of each
+        key are checked."""
         self.ring = ring
         self.row_degrees = tuple(row_degrees)
         self.col_degrees = tuple(col_degrees)
@@ -459,38 +432,34 @@ class RingMatrix:
 
     @classmethod
     def from_columns(cls, ring, columns, row_degrees, col_degrees=None):
-        """columns: list of lists of Polynomial (length nrows each)."""
-        nrows = len(row_degrees)
-        entries = {}
-        degs = []
-        for j, col in enumerate(columns):
-            if len(col) != nrows:
+        """The one way from Polynomials into a matrix: columns is a list of
+        lists of Polynomials over the ambient ring, one per row, each
+        column packed and reduced modulo the defining ideal.  A column's
+        degree defaults to that of its first nonzero entry, and to 0 for a
+        zero column."""
+        cols, degs = [], []
+        for col in columns:
+            if len(col) != len(row_degrees):
                 raise DimensionMismatchError("column length mismatch")
-            cdeg = None
-            for i, poly in enumerate(col):
-                if poly.is_zero():
-                    continue
-                entries[(i, j)] = poly
-                d = poly.degree() + row_degrees[i]
-                if cdeg is None:
-                    cdeg = d
-            degs.append(cdeg)
-        if col_degrees is None:
-            # zero columns get degree 0 unless told otherwise
-            col_degrees = [d if d is not None else 0 for d in degs]
-        return cls(ring, nrows, len(columns), entries, row_degrees,
-                   col_degrees)
+            nonzero = {i: f for i, f in enumerate(col) if not f.is_zero()}
+            if any(f.ring != ring.ambient for f in nonzero.values()):
+                raise RingMismatchError(
+                    "matrix entry outside the ambient ring")
+            cols.append(ring.reduce_packed(_pack(nonzero, ring._ctx)))
+            degs.append(next((f.degree() + row_degrees[i]
+                              for i, f in nonzero.items()), 0))
+        return cls(ring, cols, row_degrees,
+                   degs if col_degrees is None else col_degrees)
 
     @classmethod
     def identity(cls, ring, degrees):
         one, move = ring._ctx.one, ring._ctx.move
-        return cls.packed(ring, [{move(one, i): 1} for i in range(len(degrees))],
-                          degrees, degrees)
+        return cls(ring, [{move(one, i): 1} for i in range(len(degrees))],
+                   degrees, degrees)
 
     @classmethod
     def zero(cls, ring, row_degrees, col_degrees):
-        return cls.packed(ring, [{} for _ in col_degrees], row_degrees,
-                          col_degrees)
+        return cls(ring, [{} for _ in col_degrees], row_degrees, col_degrees)
 
     @property
     def entries(self):
@@ -520,16 +489,15 @@ class RingMatrix:
         low = min(self.row_degrees, default=0)
         left = {k: (deg - low, col) for k, (deg, col) in
                 enumerate(zip(self.col_degrees, self.cols)) if col}
-        return RingMatrix.packed(self.ring,
-                                 self.ring.products(left, other.cols, None),
-                                 self.row_degrees, other.col_degrees)
+        cols = self.ring.products(left, other.cols, None)
+        return RingMatrix(self.ring, cols, self.row_degrees, other.col_degrees)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def __neg__(self):
         p = self.ring.characteristic
-        return RingMatrix.packed(
+        return RingMatrix(
             self.ring, [{k: p - c for k, c in col.items()} for col in self.cols],
             self.row_degrees, self.col_degrees)
 
@@ -540,17 +508,15 @@ class RingMatrix:
         for j, col in enumerate(self.cols):
             for k, c in col.items():
                 cols[ctx.pos_of(k)][ctx.move(k, j)] = c
-        return RingMatrix.packed(self.ring, cols,
-                                 [-d for d in self.col_degrees],
-                                 [-d for d in self.row_degrees])
+        return RingMatrix(self.ring, cols, [-d for d in self.col_degrees],
+                          [-d for d in self.row_degrees])
 
     def hstack(self, other):
         """[self | other]: same target, concatenated sources."""
         if other.nrows != self.nrows or other.row_degrees != self.row_degrees:
             raise DimensionMismatchError("hstack target mismatch")
-        return RingMatrix.packed(self.ring, self.cols + other.cols,
-                                 self.row_degrees,
-                                 self.col_degrees + other.col_degrees)
+        return RingMatrix(self.ring, self.cols + other.cols, self.row_degrees,
+                          self.col_degrees + other.col_degrees)
 
     def submatrix(self, rows, cols):
         ctx = self.ring._ctx
@@ -565,9 +531,8 @@ class RingMatrix:
                 if i is not None:
                     vec[ctx.move(k, i)] = v
             out.append(vec)
-        return RingMatrix.packed(self.ring, out,
-                                 [self.row_degrees[r] for r in rows],
-                                 [self.col_degrees[c] for c in cols])
+        return RingMatrix(self.ring, out, [self.row_degrees[r] for r in rows],
+                          [self.col_degrees[c] for c in cols])
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix)
@@ -723,7 +688,7 @@ class ExtendedSolver:
             if col:
                 cols.append(col)
                 degs.append(deg)
-        return RingMatrix.packed(self.ring, cols, self.matrix.col_degrees, degs)
+        return RingMatrix(self.ring, cols, self.matrix.col_degrees, degs)
 
     def solve_column(self, col):
         """x with matrix @ x = col over R, or None if col is not in the image.
@@ -751,8 +716,8 @@ class ExtendedSolver:
             if x is None:
                 return None
             cols.append(x)
-        return RingMatrix.packed(self.ring, cols, self.matrix.col_degrees,
-                                 b.col_degrees)
+        return RingMatrix(self.ring, cols, self.matrix.col_degrees,
+                          b.col_degrees)
 
 
 def syzygies(matrix, top):

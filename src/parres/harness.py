@@ -20,7 +20,7 @@ from .algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
 from ._engine import check_degree
 from .groebner import INFINITE, QuotientRingSpec
 from .koszul import KoszulTable, ParameterSequence
-from .resolutions import betti_table, poincare_truncation
+from .resolutions import betti_table
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
                          find_standard_power, first_standard_power,
                          invariant_report, standardness_witness)
@@ -259,8 +259,7 @@ def verify_inequality(report, ring, x, cap, nmax):
     h_series = {}
     for i in range(1, x.count + 1):
         if table.length(x, i) != 0:
-            h_series[i] = poincare_truncation(table.homology(x, i),
-                                              cap).coefficients
+            h_series[i] = betti_table(table.homology(x, i), cap).totals()
     rhs = _cone_series(d, h_series, cap)
     report.record("homology_poincare", h_series)
     report.record("rhs_assembly", rhs)
@@ -369,7 +368,7 @@ EXAMPLE_REFERENCE = ((1, 3, 6, 13, 28), (3, 7, 12, 26, 56), (1, 2, 3, 7, 15))
 def reproduce_example(report, ring, x, cap, nmax):
     """Recompute the three reference Poincare truncations and compare."""
     table = KoszulTable(ring)
-    p_h2, p_h1 = (poincare_truncation(table.homology(x, p), cap).coefficients
+    p_h2, p_h1 = (betti_table(table.homology(x, p), cap).totals()
                   for p in (2, 1))
     p_q = betti_table(x.quotient_module(), cap).totals()
     for name, got, want in zip(("P_H2", "P_H1", "P_quotient"),
@@ -401,7 +400,7 @@ def koszul_experiment(report, ring, x, cap, nmax):
 
 def invariants_experiment(report, ring, x, cap, nmax):
     """Dimension, depth, defect and local cohomology; x may be None."""
-    inv = invariant_report(ring, x, nmax=nmax, table=KoszulTable(ring))
+    inv = invariant_report(ring, x, nmax=nmax)
     for k, v in inv.to_dict().items():
         report.record(k, v)
     report.verdict("cmd = dim - depth is non-negative", inv.cmd >= 0,

@@ -299,10 +299,10 @@ class InvariantReport:
                 f"cmd={self.cmd} flc={self.flc!r} lc={self.lc_lengths}>")
 
 
-def invariant_report(ring, x=None, nmax=4, table=None):
-    """Compute the invariant summary of a ring, optionally for a given sop."""
-    if table is None:
-        table = KoszulTable(ring)
+def invariant_report(ring, x=None, nmax=4):
+    """Compute the invariant summary of a ring, optionally for a given sop,
+    with a KoszulTable of its own."""
+    table = KoszulTable(ring)
     dim = ring.dimension()
     if x is None and dim > 0:
         x = reference_sop(ring)

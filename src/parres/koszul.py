@@ -9,7 +9,6 @@ sum_j (-1)^(j+1) x_{ij} e_{...without ij...}.  Coefficients are in R itself.
 from __future__ import annotations
 
 from itertools import combinations
-from math import prod
 
 from .algebra import AlgebraError, NotHomogeneousError
 from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix,
@@ -117,26 +116,31 @@ def _subsets(r, p):
 
 
 def koszul_complex(x):
-    """The Koszul complex K(x; R)."""
+    """The Koszul complex K(x; R).
+
+    d_1 presents R/(x), so it is the sequence's own relation matrix, whose
+    column j is x_j reduced and packed.  Every other d_p moves those
+    columns into their rows, each coefficient c negated to q - c (q the
+    characteristic) where the exterior sign is negative."""
     ring = x.ring
     r = x.count
     degs = x.degrees()
     modules = {}
     for p in range(r + 1):
         modules[p] = tuple(sum(degs[i] for i in s) for s in _subsets(r, p))
-    # d_1 presents R/(x), so it is the sequence's own relation matrix
     diffs = {1: x.quotient_module().relations} if r else {}
+    shift, q = ring._ctx.position_shift, ring.characteristic
     for p in range(2, r + 1):
-        src = _subsets(r, p)
         tgt = {s: i for i, s in enumerate(_subsets(r, p - 1))}
-        entries = {}
-        for col, s in enumerate(src):
+        cols = []
+        for s in _subsets(r, p):
+            col = {}
             for j, ij in enumerate(s):
-                rest = s[:j] + s[j + 1:]
-                f = x.elements[ij]
-                entries[(tgt[rest], col)] = f if j % 2 == 0 else -f
-        diffs[p] = RingMatrix(ring, len(tgt), len(src), entries,
-                              modules[p - 1], modules[p])
+                down = shift(tgt[s[:j] + s[j + 1:]])
+                col.update((k - down, c if j % 2 == 0 else q - c)
+                           for k, c in diffs[1].cols[ij].items())
+            cols.append(col)
+        diffs[p] = RingMatrix(ring, cols, modules[p - 1], modules[p])
     return ChainComplex(ring, modules, diffs, check=True)
 
 
@@ -308,20 +312,26 @@ def comparison_map(x, n, table):
 
     Degree-1 component sends e_j to x_j e_j; degree-p components are the
     exterior powers, diagonal with entry prod_{i in S} x_i on subset S.
+    Each product is x_i times the product over the rest of S, made from
+    the packed columns of d_1 by the ring's product-and-reduce kernel.
     """
     if n < 1:
         raise AlgebraError("power must be at least 1")
     src = table.complex(x.power(n + 1))
     tgt = table.complex(x.power(n))
     ring = x.ring
+    shift, degs = ring._ctx.position_shift, x.degrees()
+    elements = x.quotient_module().relations.cols
+    diagonal = {(): {ring._ctx.one: 1}}
     components = {}
-    r = x.count
-    for p in range(r + 1):
-        entries = {}
-        for idx, s in enumerate(_subsets(r, p)):
-            entries[(idx, idx)] = prod((x.elements[i] for i in s),
-                                       start=ring.ambient.one())
-        components[p] = RingMatrix(ring, len(_subsets(r, p)),
-                                   len(_subsets(r, p)), entries,
-                                   tgt.module(p), src.module(p))
+    for p in range(x.count + 1):
+        cols = []
+        for idx, s in enumerate(_subsets(x.count, p)):
+            if s not in diagonal:
+                rest = s[1:]
+                top = sum(degs[i] for i in rest)
+                diagonal[s] = ring.products({0: (top, diagonal[rest])},
+                                            [elements[s[0]]], None)[0]
+            cols.append({k - shift(idx): c for k, c in diagonal[s].items()})
+        components[p] = RingMatrix(ring, cols, tgt.module(p), src.module(p))
     return ComplexMap(src, tgt, components)

@@ -68,7 +68,7 @@ def free_basis(ring, gen_degrees, degree):
     for pos, d in enumerate(gen_degrees):
         stair = ring.packed_staircase(degree - d)
         shift = ring._ctx.position_shift(pos)
-        keys += [key - shift for _, key in stair]
+        keys += [key - shift for key in stair]
         positions += [pos] * len(stair)
     return keys, positions
 

@@ -82,10 +82,6 @@ class SeriesTruncation:
         self.coefficients = list(coefficients)
         self.cap = len(self.coefficients) - 1
 
-    @classmethod
-    def from_betti(cls, table):
-        return cls(table.totals())
-
     def __eq__(self, other):
         return (isinstance(other, SeriesTruncation)
                 and self.coefficients == other.coefficients)
@@ -111,8 +107,7 @@ class ModuleResolution:
     are unit vectors selecting the surviving minimal generators.
     """
 
-    def __init__(self, module, cplx, gen_map0, cap):
-        self.module = module
+    def __init__(self, cplx, gen_map0, cap):
         self.complex = cplx
         self.gen_map0 = gen_map0
         self.cap = cap
@@ -121,7 +116,7 @@ class ModuleResolution:
         return BettiTable.from_complex(self.complex, self.cap)
 
     def poincare(self):
-        return SeriesTruncation.from_betti(self.betti())
+        return SeriesTruncation(self.betti().totals())
 
     def __repr__(self):
         return (f"<ModuleResolution ranks {self.betti().totals()} "
@@ -166,7 +161,7 @@ def minimal_free_resolution(module, cap):
     gens = module.gen_degrees
     gen_map0 = RingMatrix.identity(module.ring, gens).submatrix(
         range(len(gens)), kept.get(0, []))
-    return ModuleResolution(module, mini, gen_map0, cap)
+    return ModuleResolution(mini, gen_map0, cap)
 
 
 def betti_table(module, cap):
@@ -179,12 +174,6 @@ def betti_table(module, cap):
     `minimal_free_resolution(module, cap).betti()`.
     """
     return BettiTable.from_complex(_minimized(module, cap, True)[0], cap)
-
-
-def poincare_truncation(module, cap):
-    """Coefficients of the Poincare series through degree cap, read off
-    `betti_table`."""
-    return SeriesTruncation.from_betti(betti_table(module, cap))
 
 
 def _truncate(cplx, top):
@@ -238,7 +227,8 @@ def cec_injectivity_check(x, cap):
     Lifts K(x; R) into the minimal free resolution F of R/(x), reduces both
     modulo the maximal ideal (where both differentials vanish), and checks in
     each homological degree n <= min(cap, count) that the induced map
-    k^binom(r,n) -> k^beta_n has full rank binom(r, n).
+    k^binom(r,n) -> k^beta_n has full rank binom(r, n): the constant
+    terms of each column are its keys of monomial degree 0.
     """
     from .oracle import gf_rank
     r = x.count
@@ -246,6 +236,7 @@ def cec_injectivity_check(x, cap):
     res = minimal_free_resolution(x.quotient_module(), max(cap, r))
     comps = lift_koszul_to_resolution(x, res)
     p = x.ring.characteristic
+    ctx = x.ring._ctx
     report = {}
     for n in range(top + 1):
         mat = comps.get(n)
@@ -253,8 +244,7 @@ def cec_injectivity_check(x, cap):
         if mat is None:
             report[n] = expected == 0
             continue
-        columns = [{i: c for i in range(mat.nrows)
-                    if (c := mat.entry(i, j).constant_term())}
-                   for j in range(mat.ncols)]
+        columns = [{ctx.pos_of(k): c for k, c in col.items()
+                    if not ctx.mono_degree(k)} for col in mat.cols]
         report[n] = gf_rank(columns, p) == expected
     return report

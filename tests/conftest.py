@@ -7,6 +7,7 @@ import pytest
 
 from parres import _engine, algebra, harness, invariants, resolutions
 from parres.cli import bundled_ring_text
+from parres.groebner import RingMatrix, standard_monomials
 from parres.harness import parse_ring_spec
 from parres.koszul import koszul_complex
 from parres.resolutions import minimal_free_resolution
@@ -79,10 +80,20 @@ def checked_tables(ring):
     for key, form in forms.items():
         want = ring._reducer.normal_form({key: 1})
         assert ({key: 1} if form is True else dict(form)) == want
-    for t, stair in ring._packed_staircases.items():
-        assert stair == tuple((exp, ring._ctx.pack(0, exp))
-                              for exp in ring.standard_monomials(t))
+    for t, stair in ring._staircases.items():
+        assert stair == tuple(ring._ctx.pack(0, exp) for exp in
+                              standard_monomials(ring._lead_exps,
+                                                 ring.nvars, t))
     return len(forms)
+
+
+def matrix_of(ring, entries, row_degrees, col_degrees):
+    """The RingMatrix with Polynomial entries {(i, j): f}, zero elsewhere,
+    built through RingMatrix.from_columns."""
+    zero = ring.ambient.zero()
+    return RingMatrix.from_columns(
+        ring, [[entries.get((i, j), zero) for i in range(len(row_degrees))]
+               for j in range(len(col_degrees))], row_degrees, col_degrees)
 
 
 def _spec(name):

@@ -123,7 +123,6 @@ OPTIONAL_PARAMETERS = {
     ("invariants.InvariantReport.__init__", "sop_name"),
     ("invariants.invariant_report", "x"),
     ("invariants.invariant_report", "nmax"),
-    ("invariants.invariant_report", "table"),
     ("koszul.ParameterSequence.__init__", "name"),
 }
 

@@ -9,7 +9,7 @@ from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               minimize_with_tracking, shift)
 from parres.koszul import KoszulTable, koszul_complex
 from parres import oracle
-from conftest import is_minimal, nonminimal_resolution
+from conftest import is_minimal, matrix_of, nonminimal_resolution
 
 
 def test_dd_zero_enforced(r1):
@@ -130,8 +130,7 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
     (i, j), v = min(d2.entries.items(), key=lambda e: e[0])
     entries = dict(d2.entries)
     entries[(i, j)] = -v
-    bad = RingMatrix(ring, d2.nrows, d2.ncols, entries, d2.row_degrees,
-                     d2.col_degrees)
+    bad = matrix_of(ring, entries, d2.row_degrees, d2.col_degrees)
     d3 = syzygies(d2, None)
     modules = {0: d1.row_degrees, 1: d1.col_degrees, 2: d2.col_degrees,
                3: d3.col_degrees}
@@ -220,7 +219,7 @@ def _reference_minimize(cplx):
             break
         n, pj, pi = min(units)
         mat = mats[n]
-        inv = pow(mat[(pi, pj)].constant_term(), p - 2, p)
+        inv = pow(mat[(pi, pj)].terms[(0,) * ring.nvars], p - 2, p)
         pivot = {i: f for (i, j), f in mat.items() if j == pj}
         for j in range(len(modules[n])):
             f = mat.get((pi, j))

@@ -19,8 +19,8 @@ from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
 
-from conftest import (checked_tables, ideal_rows, nonminimal_resolution,
-                      sop_differentials)
+from conftest import (checked_tables, ideal_rows, matrix_of,
+                      nonminimal_resolution, sop_differentials)
 
 P = 32003
 
@@ -68,10 +68,10 @@ def test_quotient_ring_basics(r1):
     assert ring.characteristic == P
     # Hilbert function of R1: 1, 4, then 2 standard monomials... degree 1
     # has a, b, c; c is not in the initial ideal at degree 1
-    assert len(ring.standard_monomials(0)) == 1
-    assert len(ring.standard_monomials(1)) == 3
-    assert len(ring.standard_monomials(2)) == 3
-    assert len(ring.standard_monomials(5)) == 6
+    assert len(ring.packed_staircase(0)) == 1
+    assert len(ring.packed_staircase(1)) == 3
+    assert len(ring.packed_staircase(2)) == 3
+    assert len(ring.packed_staircase(5)) == 6
 
 
 def test_ring_equality_checks_identity_first(monkeypatch, r1, r2):
@@ -134,11 +134,12 @@ def test_ring_keeps_one_staircase_per_degree(corpus):
     for name, spec in corpus.items():
         ring = spec.ring
         for d in range(13):
-            got = ring.standard_monomials(d)
+            got = ring.packed_staircase(d)
             assert isinstance(got, tuple), name
-            assert list(got) == standard_monomials(ring._lead_exps,
-                                                   ring.nvars, d), (name, d)
-            assert ring.standard_monomials(d) is got, (name, d)
+            assert [ring._ctx.unpack(k) for k in got] == [
+                (0, exp) for exp in standard_monomials(
+                    ring._lead_exps, ring.nvars, d)], (name, d)
+            assert ring.packed_staircase(d) is got, (name, d)
 
 
 def test_no_standard_monomials_below_degree_zero():
@@ -148,9 +149,9 @@ def test_no_standard_monomials_below_degree_zero():
     assert standard_monomials([], 1, -1) == []
     assert standard_monomials([], 3, -1) == []
     for d in (-1, -2):
-        assert ring.standard_monomials(d) == ()
-    assert ring.standard_monomials(2) == ((2,),)
-    assert ring.standard_monomials(3) == ()
+        assert ring.packed_staircase(d) == ()
+    assert ring.packed_staircase(2) == (ring._ctx.pack(0, (2,)),)
+    assert ring.packed_staircase(3) == ()
     # so a free module's basis takes nothing from a generator above the
     # degree
     keys, _ = oracle.free_basis(ring, (0, 2), 1)
@@ -311,6 +312,13 @@ def test_matrix_algebra(r1):
     assert neg.entries == {k: -v for k, v in m.entries.items()}
     t = m.transpose()
     assert t.entry(0, 1) == ring.reduce(ring.ambient.parse("b"))
+    # from_columns reduces each entry modulo I
+    g = ring.ideal_basis[0]
+    h = ring.ambient.parse("b") ** g.degree()
+    u = RingMatrix.from_columns(ring, [[g + h]], row_degrees=[0])
+    assert u.entry(0, 0) == ring.reduce(h) != g + h
+    assert u == RingMatrix.from_columns(ring, [[ring.reduce(h)]],
+                                        row_degrees=[0])
 
 
 def test_length_of_artinian_quotient(amb3):
@@ -524,17 +532,15 @@ def quotient_matrices(draw):
     ncols = draw(st.integers(1, 3))
     rdeg = [draw(st.integers(0, 1)) for _ in range(nrows)]
     cdeg = [max(rdeg) + draw(st.integers(1, 2)) for _ in range(ncols)]
-    a = RingMatrix(ring, nrows, ncols,
-                   {(i, j): form(cdeg[j] - rdeg[i], 2)
-                    for i in range(nrows) for j in range(ncols)},
-                   rdeg, cdeg)
+    a = matrix_of(ring, {(i, j): form(cdeg[j] - rdeg[i], 2)
+                         for i in range(nrows) for j in range(ncols)},
+                  rdeg, cdeg)
     # columns a @ c lie in the image; e_0 in the degree of row 0 does not,
     # since every entry of a has positive degree
     top = max(cdeg) + 1
-    c = RingMatrix(ring, ncols, 1,
-                   {(j, 0): form(top - cdeg[j], 2) for j in range(ncols)},
-                   cdeg, [top])
-    outside = RingMatrix(ring, nrows, 1, {(0, 0): amb.one()}, rdeg, [rdeg[0]])
+    c = matrix_of(ring, {(j, 0): form(top - cdeg[j], 2)
+                         for j in range(ncols)}, cdeg, [top])
+    outside = matrix_of(ring, {(0, 0): amb.one()}, rdeg, [rdeg[0]])
     return a, c, outside
 
 
@@ -566,8 +572,8 @@ def test_packed_compose_matches_polynomial_reference(case):
         assert (left @ right).entries == _polynomial_compose(left, right)
     for m in (a, c, outside, syz):
         assert m.transpose().transpose() == m
-        assert RingMatrix(m.ring, m.nrows, m.ncols, m.entries, m.row_degrees,
-                          m.col_degrees) == m
+        assert matrix_of(m.ring, m.entries, m.row_degrees,
+                         m.col_degrees) == m
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
@@ -576,8 +582,8 @@ def test_products_stop_at_the_packing_limit(order, monkeypatch):
     ring = QuotientRingSpec(amb, [amb.parse("a*b")])
 
     def power(e, low):
-        return RingMatrix(ring, 1, 1, {(0, 0): amb.monomial((e, 0))}, [low],
-                          [low + e])
+        return matrix_of(ring, {(0, 0): amb.monomial((e, 0))}, [low],
+                         [low + e])
 
     left = power(511, 0)
     assert (left @ power(511, 511)).entry(0, 0) == amb.monomial((1022, 0))
@@ -601,7 +607,7 @@ def test_products_stop_at_the_packing_limit(order, monkeypatch):
     with pytest.raises(AlgebraError, match="exceeds packing limit"):
         oracle.matrix_slice(left, 1023)
     # cancelling the unit would put a^500 * a^600 in row 1
-    d1 = RingMatrix(ring, 2, 2, {(0, 0): amb.one(), (1, 0): amb.monomial(
+    d1 = matrix_of(ring, {(0, 0): amb.one(), (1, 0): amb.monomial(
         (600, 0)), (0, 1): amb.monomial((500, 0))}, [0, -600], [0, 500])
     cplx = ChainComplex(ring, {0: (0, -600), 1: (0, 500)}, {1: d1})
     with pytest.raises(AlgebraError, match="degree 1100 exceeds packing limit"):
@@ -701,7 +707,7 @@ def _rescaled_rows(m):
     p, pos_of = m.ring.characteristic, m.ring._ctx.pos_of
     cols = [{k: v for k, c in col.items() if (v := c * (pos_of(k) + 1) % p)}
             for col in m.cols]
-    return RingMatrix.packed(m.ring, cols, m.row_degrees, m.col_degrees)
+    return RingMatrix(m.ring, cols, m.row_degrees, m.col_degrees)
 
 
 def test_products_match_polynomial_compose_on_resolutions(
@@ -859,13 +865,13 @@ def test_solver_answers_match_buchberger_with_the_ideal_rows(
             ref = _reference_solver(solver)
             # d times each variable on the diagonal lies in the image; each
             # variable in a single target row need not
-            inside = [d @ RingMatrix(ring, d.ncols, d.ncols,
-                                     {(j, j): v for j in range(d.ncols)},
-                                     d.col_degrees,
-                                     [c + 1 for c in d.col_degrees])
+            inside = [d @ matrix_of(ring,
+                                    {(j, j): v for j in range(d.ncols)},
+                                    d.col_degrees,
+                                    [c + 1 for c in d.col_degrees])
                       for v in gens]
-            rows = [RingMatrix(ring, d.nrows, 1, {(i, 0): v}, d.row_degrees,
-                               [d.row_degrees[i] + 1])
+            rows = [matrix_of(ring, {(i, 0): v}, d.row_degrees,
+                              [d.row_degrees[i] + 1])
                     for v in gens for i in range(d.nrows)]
             for b in inside + rows:
                 got, want = solver.solve(b), ref.solve(b)
@@ -927,10 +933,9 @@ def test_an_ideal_element_retires_once_a_lead_divides_it(monkeypatch):
     # position 0: the lead b divides a^2 b at once, and the S-vector a^2 c
     # is a new lead that shares a with a^2 b; position 1: the lead ac does
     # not divide a^2 b, ab + c^2 then does, and b^2 c shares b with it
-    rel = RingMatrix(ring, 2, 4, {(0, 0): f("b + c"), (1, 1): f("a*c"),
-                                  (1, 2): f("a*b + c^2"),
-                                  (1, 3): f("b^2*c")},
-                     [0, 0], [1, 2, 2, 3])
+    rel = matrix_of(ring, {(0, 0): f("b + c"), (1, 1): f("a*c"),
+                           (1, 2): f("a*b + c^2"), (1, 3): f("b^2*c")},
+                    [0, 0], [1, 2, 2, 3])
     module = FinitelyPresentedModule(ring, [0, 0], rel)
     seen = _pairs_against_the_ideal(monkeypatch, ring)
     leads = module._initial_leads()

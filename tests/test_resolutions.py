@@ -1,12 +1,14 @@
 from math import comb
 
-from parres.groebner import FinitelyPresentedModule, RingMatrix
-from parres.koszul import KoszulTable, koszul_complex
+from parres.algebra import PolynomialRingSpec
+from parres.groebner import (FinitelyPresentedModule, QuotientRingSpec,
+                             RingMatrix)
+from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
 from parres.resolutions import (BettiTable, betti_table,
                                 cec_injectivity_check,
                                 general_cone_resolution,
                                 lift_koszul_to_resolution,
-                                minimal_free_resolution, poincare_truncation)
+                                minimal_free_resolution)
 from parres import complexes, koszul, oracle, resolutions
 from conftest import is_minimal
 
@@ -157,11 +159,24 @@ def test_lift_and_cec(r1, r2, regular):
         assert all(report.values())
 
 
+def test_cec_reads_only_the_constant_terms():
+    # over k[a,b]/(ab), the syzygies of (a^2, b^2) are (b, 0) and (0, a),
+    # so the lift of e_1 e_2 = (b^2, -a^2) is (a, -b): no constant term,
+    # and the map is not injective in degree 2 after killing m
+    amb = PolynomialRingSpec(32003, ["a", "b"])
+    ring = QuotientRingSpec(amb, [amb.parse("a*b")])
+    x = ParameterSequence(ring, [amb.parse("a^2"), amb.parse("b^2")])
+    res = minimal_free_resolution(x.quotient_module(), 2)
+    lift = lift_koszul_to_resolution(x, res)[2]
+    assert lift.entries == {(0, 0): amb.parse("a"), (1, 0): amb.parse("-b")}
+    assert cec_injectivity_check(x, 2) == {0: True, 1: True, 2: False}
+
+
 def test_poincare_truncation_of_zero(r1):
     zero = FinitelyPresentedModule(
         r1.ring, [0],
         RingMatrix.identity(r1.ring, (0,)))
-    assert poincare_truncation(zero, 3).coefficients == [0, 0, 0, 0]
+    assert betti_table(zero, 3).totals() == [0, 0, 0, 0]
 
 
 def test_resolution_computes_no_syzygies_past_cap(monkeypatch, r1):
