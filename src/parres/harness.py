@@ -72,16 +72,10 @@ def parse_ring_spec(text, name=None):
             if not line.endswith("]"):
                 raise PolyParseError("unterminated section header", line=lineno)
             header = line[1:-1].strip()
-            if header == "field":
-                section = "field"
-            elif header == "vars":
-                section = "vars"
-            elif header == "ideal":
-                section = "ideal"
-            elif header == "caps":
-                section = "caps"
-            elif header.startswith("sop"):
-                parts = header.split()
+            parts = header.split()
+            if header in ("field", "vars", "ideal", "caps"):
+                section = header
+            elif parts[:1] == ["sop"]:
                 if len(parts) != 2:
                     raise PolyParseError("sop section needs a name",
                                          line=lineno)
@@ -327,10 +321,9 @@ def verify_main_theorem(report, ring, x, cap, nmax):
 
 
 def stabilization_scan(report, ring, x, cap, nmax):
-    """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict.
-
-    The Koszul table takes grade(x) first when x is a sop, so that it knows
-    the depth before the squares criteria of the powers."""
+    """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict;
+    the squares criteria of the powers share one Koszul table, which
+    learns the depth of R from the sop x by itself."""
     if nmax < 1:
         raise AlgebraError(f"power bound {nmax} is below 1: the scan window "
                            "is empty")
@@ -339,8 +332,6 @@ def stabilization_scan(report, ring, x, cap, nmax):
     tables = {}
     standard = {}
     koszul = KoszulTable(ring)
-    if x.is_sop():
-        koszul.grade(x)  # depth R, before any power
     for i in range(1, nmax + 1):
         xi = x.power(i)
         tables[i] = betti_table(xi.quotient_module(), cap).totals()

@@ -8,20 +8,17 @@ irrelevant maximal ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul
 homology of x, whose lengths the standardness and FLC tests read anyway,
 gives the depth; K(m) on the variables is built only when there is no sop.
 Every test here compares lengths, which the table reads off Hilbert series,
-so none of them presents a Koszul homology module.  Once the table knows
-depth R, it derives the series of every H_p(y; R) that must vanish, p above
-count - depth R + dim R/(y), with no Groebner basis (see KoszulTable).  So
-flc_check, and through it find_standard_power, takes grade(x) at power 1
-first, the cheapest sop to learn the depth from, before its loops over the
-powers of x and their prefixes; length_stability_check and the scan
-experiment do the same, and invariant_report and the main theorem take the
-depth first anyway.  Sop
-standardness uses the squares criterion (Koszul homology lengths unchanged
-under squaring the sequence), and the lengths of the local cohomology
-modules are recovered by back-solving the binomial identities relating them
-to Koszul homology lengths of a standard sop.  Finiteness of local
-cohomology is a semi-decision: lengths are scanned across powers up to a
-bound.
+so none of them presents a Koszul homology module.  The table derives the
+series of every H_p(y; R) that must vanish, p above count - depth R +
+dim R/(y), with no Groebner basis, and it learns depth R by itself, from
+grade(x), before the first cokernel of a power or prefix of the sop x (see
+KoszulTable), so no function here takes the grade first.  The powers of x
+and their prefixes are made from x's packed elements.  Sop standardness
+uses the squares criterion (Koszul homology lengths unchanged under
+squaring the sequence), and the lengths of the local cohomology modules are
+recovered by back-solving the binomial identities relating them to Koszul
+homology lengths of a standard sop.  Finiteness of local cohomology is a
+semi-decision: lengths are scanned across powers up to a bound.
 
 The functions of one experiment share a KoszulTable, passed as `table`, so
 that each H_p(y; R) is counted once.
@@ -170,8 +167,6 @@ def length_stability_check(x, nmax=4, check_maps=True):
     computes the corresponding local cohomology for standard sops).
     """
     table = KoszulTable(x.ring)
-    if x.is_sop():
-        table.grade(x)  # depth R, before any power
     d = x.count
     lengths = {}
     for n in range(1, nmax + 1):
@@ -189,7 +184,7 @@ def length_stability_check(x, nmax=4, check_maps=True):
     return StabilityReport(lengths, stable, injective)
 
 
-def find_standard_power(x, table, nmax=4):
+def find_standard_power(x, table, nmax):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
     verdict = flc_check(x, table, nmax=nmax)
     if verdict is not True:
@@ -197,7 +192,7 @@ def find_standard_power(x, table, nmax=4):
     return first_standard_power(x, table, nmax=nmax)
 
 
-def first_standard_power(x, table, nmax=4):
+def first_standard_power(x, table, nmax):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
 
     The squares criterion presumes finite local cohomology, so call this
@@ -236,7 +231,7 @@ def reference_sop(ring):
     raise AlgebraError("no system of parameters found among the candidates")
 
 
-def flc_check(x, table, nmax=4):
+def flc_check(x, table, nmax):
     """Finite local cohomology of R, as a semi-decision.
 
     True when the Koszul homology lengths of the sop x stabilize across
@@ -251,7 +246,6 @@ def flc_check(x, table, nmax=4):
                            "compares powers nmax - 1 and nmax")
     if not x.is_sop():
         raise AlgebraError("reference sequence is not a sop of R")
-    table.grade(x)  # depth R, before any power
     lengths = {}
     for n in (nmax - 1, nmax):
         xn = x.power(n)

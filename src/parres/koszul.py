@@ -11,50 +11,56 @@ from __future__ import annotations
 from itertools import combinations
 
 from .algebra import AlgebraError, NotHomogeneousError
-from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix,
-                       pole_order, series_counts)
+from ._engine import check_degree
+from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix, _pack,
+                       _poly, pole_order, series_counts)
 from .complexes import ChainComplex, ComplexMap, homology_presentation
 
 
 class ParameterSequence:
-    """A sequence of homogeneous positive-degree elements of R."""
+    """A sequence of homogeneous positive-degree elements of R, kept as the
+    relation matrix d_1 of R/(x): column j is x_j reduced modulo I and
+    packed, by the constructor alone; powers and prefixes are made from
+    those columns."""
 
     def __init__(self, ring, elements, name=None):
-        self.ring = ring
-        self.name = name
-        elems = []
+        cols = []
         for f in elements:
             if f.ring != ring.ambient:
                 raise AlgebraError("sequence element outside the ambient ring")
-            f = ring.reduce(f)
-            if not f.is_homogeneous():
-                raise NotHomogeneousError(f"inhomogeneous sequence element {f}")
-            if f.degree() < 1:
-                raise AlgebraError("sequence elements must have positive degree")
-            elems.append(f)
-        self.elements = tuple(elems)
-        self._quotient = None
+            cols.append(ring.reduce_packed(_pack({0: f}, ring._ctx)))
+            _degree(ring, cols[-1])  # each element checked in turn
+        self._set(ring, cols, name, None)
+
+    def _set(self, ring, cols, name, root):
+        """Keep the reduced packed elements cols, each checked to be
+        homogeneous of positive degree, as a power or prefix of root."""
+        self.ring, self.name, self.count = ring, name, len(cols)
+        degrees = [_degree(ring, col) for col in cols]
+        self.relations = RingMatrix(ring, cols, [0], degrees)
+        self._quotient = FinitelyPresentedModule(ring, [0], self.relations)
+        # the table's key, the same for equal elements however made
+        self.key = tuple(frozenset(col.items()) for col in cols)
         self._sop = None
-        # the sequence this one is a power or a prefix of, and the powers
-        # and prefixes made of this one, each made once
-        self._whole = None
+        # the sequence made by the constructor that this one is a power or
+        # prefix of, at any remove, or None: y is part of a sop, so that
+        # dim R/(y) = d - count, when its root (or y, if None) is a sop
+        self._root = root
+        # the powers and prefixes made of this one, each made once
         self._powers = {}
         self._prefixes = {}
 
     @property
-    def count(self):
-        return len(self.elements)
+    def elements(self):
+        """The elements as Polynomials reduced modulo I, for printing."""
+        return tuple(self.relations.entry(0, j) for j in range(self.count))
 
     def degrees(self):
-        return tuple(f.degree() for f in self.elements)
+        return self.relations.col_degrees
 
     def quotient_module(self):
-        """R/(x) as a finitely presented module over R, built once per
-        sequence, so that its Hilbert series is computed once."""
-        if self._quotient is None:
-            rel = RingMatrix.from_columns(
-                self.ring, [[f] for f in self.elements], row_degrees=[0])
-            self._quotient = FinitelyPresentedModule(self.ring, [0], rel)
+        """R/(x) as a finitely presented module over R, one per sequence,
+        so that its Hilbert series is computed once."""
         return self._quotient
 
     def is_sop(self):
@@ -65,33 +71,30 @@ class ParameterSequence:
                          self.quotient_module().length() is not INFINITE)
         return self._sop
 
-    def _part_of_sop(self):
-        """Whether the sequence is known to be part of a sop, so that
-        dim R/(y) = d - count: a sop, or a power or prefix of a sequence that
-        is part of one.  Only a sequence made by the constructor asks
-        is_sop(), whose basis is that of its own R/(x)."""
-        if self._whole is not None:
-            return self._whole._part_of_sop()
-        return self.is_sop()
-
-    def _part(self, elements, name):
-        """A sequence of `elements` recorded as a power or prefix of this
-        one."""
-        out = ParameterSequence(self.ring, elements, name=name)
-        out._whole = self
+    def _part(self, cols):
+        """The packed elements cols as a power or prefix of this one."""
+        out = object.__new__(ParameterSequence)
+        out._set(self.ring, cols, None, self._root or self)
         return out
 
     def power(self, n):
-        """Elementwise n-th powers of the sequence, made once per n, so that
+        """Elementwise n-th powers of the sequence, made once per n from the
+        packed elements by the ring's product-and-reduce kernel, so that
         repeated calls share one sequence and its quotient module."""
         if n < 1:
             raise AlgebraError("power must be at least 1")
         if n == 1:
             return self
         if n not in self._powers:
-            self._powers[n] = self._part(
-                [f ** n for f in self.elements],
-                None if self.name is None else f"{self.name}^{n}")
+            cols = []
+            for col, deg in zip(self.relations.cols, self.degrees()):
+                check_degree(n * deg)
+                out = col
+                for m in range(1, n):
+                    out = self.ring.products({0: (m * deg, out)}, [col],
+                                             None)[0]
+                cols.append(out)
+            self._powers[n] = self._part(cols)
         return self._powers[n]
 
     def prefix(self, r):
@@ -100,15 +103,24 @@ class ParameterSequence:
         if r == self.count:
             return self
         if r not in self._prefixes:
-            self._prefixes[r] = self._part(self.elements[:r], None)
+            self._prefixes[r] = self._part(self.relations.cols[:r])
         return self._prefixes[r]
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self):
         body = ", ".join(str(f) for f in self.elements)
         return f"<ParameterSequence ({body}) over {self.ring}>"
+
+
+def _degree(ring, col):
+    """The degree of the reduced packed sequence element col, which must be
+    homogeneous of positive degree."""
+    degs = {ring._ctx.mono_degree(k) for k in col}
+    if len(degs) > 1:
+        raise NotHomogeneousError("inhomogeneous sequence element "
+                                  f"{_poly(col, ring._ctx, ring.ambient)}")
+    if max(degs, default=0) < 1:
+        raise AlgebraError("sequence elements must have positive degree")
+    return degs.pop()
 
 
 def _subsets(r, p):
@@ -128,7 +140,7 @@ def koszul_complex(x):
     modules = {}
     for p in range(r + 1):
         modules[p] = tuple(sum(degs[i] for i in s) for s in _subsets(r, p))
-    diffs = {1: x.quotient_module().relations} if r else {}
+    diffs = {1: x.relations} if r else {}
     shift, q = ring._ctx.position_shift, ring.characteristic
     for p in range(2, r + 1):
         tgt = {s: i for i, s in enumerate(_subsets(r, p - 1))}
@@ -163,13 +175,14 @@ class KoszulTable:
     knows depth R, it derives each such C_p as HS(F_{p-1}) - HS(C_{p+1}),
     downward from C_(r+1), with no Groebner basis.  The table learns the
     depth from the first grade(y) it computes for a y with dim R/(y) = 0 (a
-    sop, or the maximal-ideal sequence): that grade is depth R.  dim R/(y)
-    is d - r for a sequence known to be part of a sop (a sop, or a power or
-    prefix of one); for any other y it is read off C_1.  So a prefix of a
-    sop's power takes a run only for C_p with p <= cmd = d - depth R: one
-    for R/(y) when cmd = 1, and none over a Cohen-Macaulay ring.
+    sop, or the maximal-ideal sequence): that grade is depth R, and it
+    takes grade(x) itself before the first cokernel of a power or prefix of
+    a sop x.  dim R/(y) is d - r for a y whose root (see ParameterSequence)
+    is a sop; for any other y it is read off C_1.  So a prefix of a sop's
+    power takes a run only for C_p with p <= cmd = d - depth R: one for
+    R/(y) when cmd = 1, and none over a Cohen-Macaulay ring.
 
-    Entries are keyed by the reduced elements of y, so the squares of a
+    Entries are keyed by y.key, y's packed elements, so the squares of a
     prefix of x and the prefix of x^2 share one entry.  A table is bound to
     one ring; make one per experiment and pass it to the functions that
     share it (it is not a global cache).
@@ -186,7 +199,7 @@ class KoszulTable:
     def _key(self, y):
         if y.ring != self.ring:
             raise AlgebraError("sequence over another ring than the table's")
-        return y.elements
+        return y.key
 
     def _check_index(self, y, p):
         # K(y; R) has no terms above y.count, so H_p(y; R) = 0 there
@@ -214,7 +227,7 @@ class KoszulTable:
     def _quotient_dim(self, y):
         """dim R/(y): d - count for a sequence known to be part of a sop,
         else the pole order at t = 1 of the series of R/(y)."""
-        if y._part_of_sop():
+        if (y._root or y).is_sop():
             return self.ring.dimension() - y.count
         return pole_order(y.quotient_module().hilbert_numerator(),
                           self.ring.nvars)
@@ -227,6 +240,8 @@ class KoszulTable:
         counted already, and any other C_p takes a Buchberger run."""
         key = (self._key(y), p)
         if key not in self._cokernels:
+            if self._depth is None and y._root and y._root.is_sop():
+                self.grade(y._root)  # depth R
             if p > y.count:
                 num = self._free(y, p - 1)
             elif (self._depth is not None and p > y.count - self._depth
@@ -321,7 +336,7 @@ def comparison_map(x, n, table):
     tgt = table.complex(x.power(n))
     ring = x.ring
     shift, degs = ring._ctx.position_shift, x.degrees()
-    elements = x.quotient_module().relations.cols
+    elements = x.relations.cols
     diagonal = {(): {ring._ctx.one: 1}}
     components = {}
     for p in range(x.count + 1):

@@ -143,6 +143,58 @@ homological = 3
 """
 
 
+# stage A of the paper corpus: GF(32003)[a,b,c]/(bc^2, a^2c, a^2 - 5026b^2)
+# with the sop x = a + c, of dim 1, depth 0 and first standard power 2
+STAGE_A = """\
+# stage A: a ring with cmd 1 whose first standard power is 2
+[field]
+32003
+[vars]
+a b c
+[ideal]
+b*c^2
+a^2*c
+a^2 - 5026*b^2
+[sop x]
+a + c
+"""
+
+# stage B, the quintic: the coordinate ring of the monomial curve
+# (s^5, s^4t, st^4, t^5) with the sop x = (a, d), of dim 2, depth 1 and
+# first standard power 2; it is not Buchsbaum
+QUINTIC = """\
+[field]
+32003
+[vars]
+a b c d
+[ideal]
+b*c - a*d
+c^4 - b*d^3
+a*c^3 - b^2*d^2
+a^2*c^2 - b^3*d
+b^4 - a^3*c
+[sop x]
+a
+d
+"""
+
+# ring 109 of the benchmark generator's rings at seed 101: a complete
+# intersection of dimension 1, so P_k = (1+t)^4 / (1-t^2)^3 (Tate), and the
+# one ring of that draw whose non-minimal resolution of k explodes
+RING_109 = """\
+[field]
+32003
+[vars]
+a b c d
+[ideal]
+d^2 - 6700*b*c
+a*d - 13926*a^2
+a*d - 3677*c^2
+[sop x]
+b
+"""
+
+
 @pytest.fixture
 def big_field():
     """The ring spec above, parsed afresh for each test, so that its ring

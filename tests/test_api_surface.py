@@ -36,6 +36,10 @@ NO_SRC_CALLER = {
     "ModuleResolution.poincare":
         "the series of a full resolution, which the benchmark's residue-field "
         "op and the tests read; src reads series off betti_table",
+    "RingMatrix.from_columns":
+        "the one way from Polynomial entries into a matrix, which the "
+        "benchmark's residue-field op and the tests use; a sequence packs "
+        "its own elements",
     "PackContext.unpack": "the round-trip reference for pack",
     "MonomialOrder.compare":
         "the reference the packed key order is tested against",
@@ -117,9 +121,6 @@ OPTIONAL_PARAMETERS = {
     ("invariants.cohen_macaulay_defect", "x"),
     ("invariants.length_stability_check", "nmax"),
     ("invariants.length_stability_check", "check_maps"),
-    ("invariants.find_standard_power", "nmax"),
-    ("invariants.first_standard_power", "nmax"),
-    ("invariants.flc_check", "nmax"),
     ("invariants.InvariantReport.__init__", "sop_name"),
     ("invariants.invariant_report", "x"),
     ("invariants.invariant_report", "nmax"),

@@ -75,6 +75,20 @@ def test_parse_bad_sections():
         parse_ring_spec("[vars]\na\n")  # missing [field]
 
 
+@pytest.mark.parametrize("header", ["sopranos x", "sops x", "[]", ""])
+def test_parse_takes_only_the_word_sop_as_a_sop_header(header):
+    # the header's first word must be exactly "sop"; any other is an
+    # unknown section at its line, not a sop named after the second word
+    text = f"[field]\n7\n[vars]\na b\n[{header}]\na\nb\n"
+    with pytest.raises(PolyParseError, match="unknown section") as exc:
+        parse_ring_spec(text)
+    assert exc.value.line == 5
+    with pytest.raises(PolyParseError, match="sop section needs a name"):
+        parse_ring_spec("[field]\n7\n[vars]\na b\n[sop]\na\n")
+    assert parse_ring_spec("[field]\n7\n[vars]\na b\n[ sop\tx ]\na\n"
+                           "b\n").sop("x").count == 2
+
+
 def test_load_ring_spec_from_file(tmp_path):
     path = tmp_path / "test.ring"
     path.write_text(GOOD, encoding="utf-8")
@@ -384,6 +398,31 @@ def test_koszul_counts_each_cokernel_once(monkeypatch):
                         counting)
     run(build_parser().parse_args(["koszul", "--ring", "r2"]))
     assert len(counted) == len(set(counted)) == 2
+
+
+@pytest.mark.parametrize("command", ["standard", "scan"])
+@pytest.mark.parametrize("ring", ["r2", "nonflc"])
+def test_powers_take_no_run_for_a_cokernel_the_depth_forces(monkeypatch,
+                                                            command, ring):
+    # both rings have cmd 1, and the table learns the depth from the sop by
+    # itself, so a Koszul cokernel of two or more generators takes a
+    # Buchberger run only over x itself, never over a power or a prefix
+    spec = parse_ring_spec(bundled_ring_text(ring))
+    x = spec.sop()
+    k = koszul.koszul_complex(x)
+    own = {k.module(p - 1) for p in range(2, x.count + 1)}
+    runs = []
+    real = groebner.FinitelyPresentedModule._initial_leads
+
+    def counting(module):
+        runs.append(module.gen_degrees)
+        return real(module)
+
+    monkeypatch.setattr(groebner.FinitelyPresentedModule, "_initial_leads",
+                        counting)
+    run_experiment(command, spec.ring, x, 4, 4)
+    wide = {g for g in runs if len(g) > 1}
+    assert wide and wide <= own
 
 
 @pytest.mark.parametrize("ring", ["r1", "r2"])

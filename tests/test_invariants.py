@@ -44,8 +44,8 @@ def test_grade(r1, r2):
 def test_standardness(r1, r2):
     assert standardness_witness(r1.sop("x"), KoszulTable(r1.ring)) is None
     # standard at the first power; both rings have finite local cohomology
-    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring)) == 1
-    assert find_standard_power(r2.sop(), KoszulTable(r2.ring)) == 1
+    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring), nmax=4) == 1
+    assert find_standard_power(r2.sop(), KoszulTable(r2.ring), nmax=4) == 1
 
 
 def test_high_powers_stop_at_the_packing_limit(r2):
@@ -63,8 +63,8 @@ def test_local_cohomology_lengths(r1, r2):
 
 
 def test_flc_verdicts(r1, r2, nonflc):
-    assert flc_check(r1.sop("x"), KoszulTable(r1.ring)) is True
-    assert flc_check(r2.sop(), KoszulTable(r2.ring)) is True
+    assert flc_check(r1.sop("x"), KoszulTable(r1.ring), nmax=4) is True
+    assert flc_check(r2.sop(), KoszulTable(r2.ring), nmax=4) is True
     verdict = flc_check(nonflc.sop("y"), KoszulTable(nonflc.ring), nmax=3)
     assert verdict is UNDECIDED
     with pytest.raises(AlgebraError):
@@ -72,8 +72,8 @@ def test_flc_verdicts(r1, r2, nonflc):
 
 
 def test_find_standard_power(r1, r2, nonflc):
-    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring)) == 1
-    assert find_standard_power(r2.sop(), KoszulTable(r2.ring)) == 1
+    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring), nmax=4) == 1
+    assert find_standard_power(r2.sop(), KoszulTable(r2.ring), nmax=4) == 1
     assert find_standard_power(nonflc.sop("y"), KoszulTable(nonflc.ring),
                                nmax=3) is NOT_FOUND
 
@@ -91,7 +91,7 @@ def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
     assert len(calls) == 1
     assert inv.to_dict()["standard_power"] == 1
     # once FLC holds, the search alone gives the same answer
-    assert first_standard_power(r2.sop(), KoszulTable(r2.ring)) == 1
+    assert first_standard_power(r2.sop(), KoszulTable(r2.ring), nmax=4) == 1
 
 
 def test_invariants_never_present_r_itself(monkeypatch, r2):

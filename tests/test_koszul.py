@@ -11,13 +11,57 @@ from parres.invariants import maximal_ideal_sequence
 from parres.koszul import (KoszulTable, ParameterSequence, comparison_map,
                            koszul_complex)
 
+from conftest import QUINTIC, STAGE_A
 
-def test_sequence_validation(r1):
+
+def test_sequence_validation(r1, r2):
     ring = r1.ring
+    parse = ring.ambient.parse
     with pytest.raises(AlgebraError):
         ParameterSequence(ring, [ring.ambient.one()])
-    with pytest.raises(NotHomogeneousError):
-        ParameterSequence(ring, [ring.ambient.parse("a + b^2")])
+    with pytest.raises(NotHomogeneousError,
+                       match="inhomogeneous sequence element b\\^2 \\+ a"):
+        ParameterSequence(ring, [parse("a + b^2")])
+    with pytest.raises(AlgebraError, match="outside the ambient ring"):
+        ParameterSequence(ring, [r2.ring.ambient.parse("a")])
+    with pytest.raises(AlgebraError, match="degree 1023 exceeds packing"):
+        ParameterSequence(ring, [parse("b^1023")])
+    with pytest.raises(AlgebraError, match="degree 1100 exceeds packing"):
+        ParameterSequence(ring, [parse("a"), parse("b^2")]).power(550)
+    # homogeneity and degree are those of the element reduced modulo
+    # I = (ac, bc, c^2): the top part c^2 of c^2 + a lies in I, and c is
+    # nilpotent, so its square is no parameter
+    assert ParameterSequence(ring, [parse("c^2 + a")]).elements == \
+        (parse("a"),)
+    with pytest.raises(AlgebraError, match="positive degree"):
+        ParameterSequence(ring, [parse("c^2")])
+    with pytest.raises(AlgebraError, match="positive degree"):
+        ParameterSequence(ring, [parse("c")]).power(2)
+
+
+def test_powers_match_the_polynomial_reference(corpus, random_specs):
+    # power(n) multiplies the packed elements; the reference multiplies
+    # Polynomials in the ambient ring and reduces modulo I
+    specs = [*corpus.values(), *random_specs,
+             parse_ring_spec(STAGE_A), parse_ring_spec(QUINTIC)]
+    checked = 0
+    for spec in specs:
+        reduce = spec.ring.reduce
+        for x in spec.sops.values():
+            for n in range(1, 9):
+                xn = x.power(n)
+                want = tuple(reduce(f ** n) for f in x.elements)
+                assert xn.elements == want, (spec.name, x, n)
+                assert xn.degrees() == tuple(n * d for d in x.degrees())
+                assert xn.prefix(1).elements == want[:1]
+                assert xn.key == ParameterSequence(spec.ring, want).key
+                checked += 1
+    assert checked > 350
+    # equal elements give one key whatever the order of their terms
+    ring = corpus["r2"].ring
+    keys = {ParameterSequence(ring, [ring.ambient.parse(t)]).key
+            for t in ("a + b", "b + a")}
+    assert len(keys) == 1
 
 
 def test_is_sop(r1, nonflc):
@@ -182,14 +226,18 @@ def test_a_table_that_knows_the_depth_gives_the_same_lengths(corpus,
         learned = KoszulTable(spec.ring)
         depth = learned.grade(spec.sop())
         assert learned._depth == depth
+        # the fresh table reads copies made by the constructor, which are
+        # no powers or prefixes, so it never learns the depth
         fresh = KoszulTable(spec.ring)
         for y in _depth_checked_sequences(spec):
+            copy = ParameterSequence(spec.ring, y.elements)
             bound = y.count - depth + learned._quotient_dim(y)
             for p in range(y.count + 2):
                 assert learned.graded_length(y, p) == \
-                    fresh.graded_length(y, p), (spec.name, y, p)
+                    fresh.graded_length(copy, p), (spec.name, y, p)
                 compared += 1
                 derived += p > bound
+        assert fresh._depth is None
     assert compared > 1500 and derived > compared // 3
 
 
@@ -247,14 +295,49 @@ def test_the_depth_spares_the_runs_of_the_vanishing_cokernels(monkeypatch):
         for p in range(r + 2):
             table.graded_length(y, p)
         assert table.grade(y) == r
-        assert y.elements not in table._complexes
+        assert y.key not in table._complexes
+    assert x.key in table._complexes
     assert runs == []
 
 
 def test_a_grade_of_positive_dimension_teaches_no_depth():
     # grade(x_1) = 1 on the regular ring of depth 2: R/(x_1) has dimension
-    # 1, so the table waits for the sop
+    # 1, so the table waits for the sop; x_1 is made by the constructor, so
+    # it is no prefix that would make the table take grade(x) itself
     spec = parse_ring_spec(bundled_ring_text("regular"))
     x, table = spec.sop(), KoszulTable(spec.ring)
-    assert table.grade(x.prefix(1)) == 1 and table._depth is None
+    x1 = ParameterSequence(spec.ring, x.elements[:1])
+    assert table.grade(x1) == 1 and table._depth is None
     assert table.grade(x) == 2 and table._depth == 2
+
+
+@pytest.mark.parametrize("name, power_runs", [
+    ("r2", [((0,), (2, 2)), ((0,), (3, 3))]), ("regular", [])])
+def test_a_fresh_table_learns_the_depth_before_the_first_power(
+        monkeypatch, name, power_runs):
+    # a table that reads only the lengths of x^n takes grade(x) itself, so
+    # it makes the Buchberger runs of a table given grade(x) first: those
+    # of R/(x) and coker d_2 of K(x), then one for R/(x^n) on r2 (cmd 1)
+    # and none on the Cohen-Macaulay regular ring
+    runs = []
+    real = FinitelyPresentedModule._initial_leads
+
+    def counting(module):
+        runs.append((module.gen_degrees, module.relations.col_degrees))
+        return real(module)
+
+    monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
+    seen = []
+    for given in (True, False):
+        # parsed afresh, so that no quotient module has counted already
+        spec = parse_ring_spec(bundled_ring_text(name))
+        x, table = spec.sop(), KoszulTable(spec.ring)
+        runs.clear()
+        if given:
+            table.grade(x)
+        lengths = [table.length(x.power(n), p)
+                   for n in (2, 3) for p in range(x.count + 2)]
+        seen.append((sorted(runs), lengths, table._depth))
+    assert seen[0] == seen[1]
+    assert seen[1][0] == sorted([((0,), (1, 1)), ((1, 1), (2,)),
+                                 *power_runs])

@@ -1,4 +1,4 @@
-"""The stage-A ring of the paper corpus, held here as a spec text.
+"""The stage-A ring of the paper corpus, held in conftest as a spec text.
 
 R = GF(32003)[a,b,c]/(bc^2, a^2c, a^2 - 5026b^2) with the sop x = a + c:
 dim 1, depth 0, and x^2 is the first standard power, so the Betti totals
@@ -13,25 +13,13 @@ from math import prod
 
 from parres.algebra import Polynomial
 from parres.cli import DEFAULT_CAP, DEFAULT_POWER_MAX
+from parres.groebner import QuotientRingSpec
 from parres.harness import parse_ring_spec, run_experiment
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import KoszulTable, comparison_map, koszul_complex
 from parres.resolutions import cec_injectivity_check
 
-STAGE_A = """\
-# stage A: a ring with cmd 1 whose first standard power is 2
-[field]
-32003
-[vars]
-a b c
-[ideal]
-b*c^2
-a^2*c
-a^2 - 5026*b^2
-[sop x]
-a + c
-"""
-
+from conftest import STAGE_A
 
 def _structured(command):
     """The structured report of `command` on a freshly parsed stage-A
@@ -72,15 +60,13 @@ def test_stage_a_main_theorem():
 
 
 def test_koszul_matrices_are_built_from_packed_columns(monkeypatch):
-    # the powers and their quotient modules take Polynomial arithmetic;
-    # after them, the Koszul complexes, the comparison map and the
-    # criterion-8 check on constant terms take none
+    # once the sequences exist, their powers, prefixes and quotient
+    # modules, the Koszul complexes, the comparison map and the
+    # criterion-8 check on constant terms make no Polynomial and reduce
+    # none modulo I
     spec = parse_ring_spec(STAGE_A, name="stage-a")
     ring = spec.ring
     seqs = (spec.sop(), maximal_ideal_sequence(ring))
-    for y in seqs:
-        for yn in (y, y.power(2)):
-            yn.quotient_module()
     table = KoszulTable(ring)
     made = []
     real = Polynomial.__init__
@@ -89,7 +75,18 @@ def test_koszul_matrices_are_built_from_packed_columns(monkeypatch):
         made.append(args)
         real(self, *args, **kwargs)
 
+    real_reduce = QuotientRingSpec.reduce
+
+    def reducing(self, f):
+        made.append(f)
+        return real_reduce(self, f)
+
     monkeypatch.setattr(Polynomial, "__init__", counting)
+    monkeypatch.setattr(QuotientRingSpec, "reduce", reducing)
+    for y in seqs:
+        for z in (y, y.power(2), y.power(3), y.prefix(1),
+                  y.power(2).prefix(1), y.power(2).power(2)):
+            z.quotient_module()
     built = [(y, koszul_complex(y), koszul_complex(y.power(2)),
               comparison_map(y, 1, table)) for y in seqs]
     injective = [cec_injectivity_check(y, 2) for y in seqs]
