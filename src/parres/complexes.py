@@ -277,6 +277,13 @@ def minimize_with_tracking(cplx):
     the list of original generator indices that survive.  Homology is
     unchanged; generators cancelled in pairs never carry minimal Betti data.
 
+    One pass over each d_n, in increasing n: a column with a unit pivots on
+    its lowest unit row, which the pivot update clears from every other
+    live column.  No pivot adds a unit to an earlier column, whose pivot-row
+    entry has positive degree, nor below degree n.  Cancelled rows and
+    columns keep their numbers until the pass ends; then d_{n-1} drops its
+    cancelled columns, and the rows of d_n and d_{n+1} are renumbered once.
+
     A pivot at n changes d_{n-1}, d_n and d_{n+1}; every other differential
     is returned as the input's own matrix.  The minimized complex checks
     d_n∘d_{n+1} = 0 unless both factors are such matrices of a checked
@@ -290,50 +297,40 @@ def minimize_with_tracking(cplx):
     diffs = {n: list(m.cols) for n, m in cplx.differentials.items()}
     touched = set()
 
-    def pivots():
-        """Yield (n, row, column, unit) of the first unit entry, in the
-        order (n, column, row); the caller makes each pivot before the next
-        is sought.  A pivot at (n, j) adds no unit below degree n, where
-        d_{n-1} only loses a column, nor in a column before j, whose
-        pivot-row entry has positive degree; so the search goes on from
-        (n, j), never from the start."""
-        for n in sorted(diffs):
-            j = 0
-            while j < len(diffs[n]):
-                col = diffs[n][j]
-                units = [k for k in col if not k & dmask]
-                if units:
-                    key = max(units)  # the lowest row
-                    yield n, ctx.pos_of(key), j, col[key]
-                else:
-                    j += 1
+    def renumber(cols, live):
+        """cols with only the rows in live, renumbered 0, 1, ... in order."""
+        up = {i: ctx.position_shift(i - new) for new, i in enumerate(live)}
+        return [{k + up[i]: c for k, c in col.items()
+                 if (i := ctx.pos_of(k)) in up} for col in cols]
 
-    def drop_row(col, i):
-        """col without row i; the rows below it, whose keys are below those
-        of row i, move up one position."""
-        lo, hi = ctx.position_floor(i + 1), ctx.position_floor(i)
-        up = ctx.position_shift(1)
-        return {(k + up if k < lo else k): c for k, c in col.items()
-                if not lo <= k < hi}
-
-    for n, pi, pj, c in pivots():
+    for n in sorted(diffs):
+        cols = dict(enumerate(diffs[n]))  # the live columns
+        rows = dict(enumerate(modules[n - 1]))  # the live rows' degrees
+        for j in range(len(diffs[n])):
+            units = [k for k in cols[j] if not k & dmask]
+            if not units:
+                continue
+            pivot, key = cols.pop(j), max(units)  # key: the lowest unit row
+            pi = ctx.pos_of(key)
+            # column c gains -(entry (pi, c) / unit) * pivot, clearing row pi
+            inv = pow(pivot[key], p - 2, p)
+            scaled = {k: (-inv * v) % p for k, v in pivot.items()}
+            top = modules[n][j] - min(rows.values())
+            del rows[pi]
+            rest = list(cols.values())
+            cols = dict(zip(cols, ring.products({pi: (top, scaled)}, rest,
+                                                rest)))
+        if len(cols) == len(diffs[n]):
+            continue
         touched.update((n - 1, n, n + 1))
-        # column j becomes column j - (entry (pi, j) / c) * column pj, whose
-        # row pi then cancels
-        inv = pow(c, p - 2, p)
-        scaled = {k: (-inv * v) % p for k, v in diffs[n][pj].items()}
-        top = modules[n][pj] - min(modules[n - 1])
-        rest = diffs[n][:pj] + diffs[n][pj + 1:]
-        diffs[n] = [drop_row(col, pi) for col in
-                    ring.products({pi: (top, scaled)}, rest, rest)]
+        diffs[n] = renumber(cols.values(), list(rows))
         if n + 1 in diffs:
-            diffs[n + 1] = [drop_row(col, pj) for col in diffs[n + 1]]
+            diffs[n + 1] = renumber(diffs[n + 1], list(cols))
         if n - 1 in diffs:
-            del diffs[n - 1][pi]
-        del modules[n][pj]
-        del kept[n][pj]
-        del modules[n - 1][pi]
-        del kept[n - 1][pi]
+            diffs[n - 1] = [diffs[n - 1][i] for i in rows]
+        for m, live in ((n, cols), (n - 1, rows)):
+            modules[m] = [modules[m][i] for i in live]
+            kept[m] = [kept[m][i] for i in live]
 
     out_modules = {n: tuple(d) for n, d in modules.items() if d}
     out_diffs = {}

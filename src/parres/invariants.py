@@ -42,9 +42,9 @@ NOT_FOUND = Sentinel("NOT-FOUND")
 
 def maximal_ideal_sequence(ring):
     """The nonzero images of the ambient variables, generating the
-    irrelevant ideal; a variable that lies in I is zero in R and dropped."""
-    gens = [ring.ambient.gen(v) for v in ring.variables]
-    elems = [g for g in gens if not ring.reduce(g).is_zero()]
+    irrelevant ideal; a variable in I (empty normal form) is dropped."""
+    elems = [g for g in map(ring.ambient.gen, ring.variables)
+             if ring.monomial_form(ring._ctx.pack(0, *g.terms))]
     return ParameterSequence(ring, elems, name="m")
 
 

@@ -98,8 +98,10 @@ class ParameterSequence:
         return self._powers[n]
 
     def prefix(self, r):
-        """y_1..y_r, made once per r; the whole of y is y itself, which
-        keeps its quotient module."""
+        """y_1..y_r for 1 <= r <= count, made once per r; the whole of y is
+        y itself, which keeps its quotient module."""
+        if not 1 <= r <= self.count:
+            raise AlgebraError(f"prefix length {r} is not in 1..{self.count}")
         if r == self.count:
             return self
         if r not in self._prefixes:

@@ -31,9 +31,9 @@ def sop_differentials(spec, cap):
             *res.complex.differentials.values()]
 
 
-def nonminimal_resolution(spec, cap):
-    """The complex that minimal_free_resolution of R/(x) through cap
-    minimizes, for the spec's reference sop x: the iterated syzygies."""
+def unminimized(resolve, module, cap):
+    """The complex that resolve(module, cap) minimizes, resolve being
+    minimal_free_resolution or betti_table: the iterated syzygies."""
     seen = []
     real = resolutions.minimize_with_tracking
 
@@ -42,9 +42,16 @@ def nonminimal_resolution(spec, cap):
         return real(cplx)
 
     with mock.patch.object(resolutions, "minimize_with_tracking", spy):
-        minimal_free_resolution(spec.sop().quotient_module(), cap)
+        resolve(module, cap)
     (cplx,) = seen
     return cplx
+
+
+def nonminimal_resolution(spec, cap):
+    """The complex that minimal_free_resolution of R/(x) through cap
+    minimizes, for the spec's reference sop x."""
+    return unminimized(minimal_free_resolution, spec.sop().quotient_module(),
+                       cap)
 
 
 def solver_stores(module, cap):

@@ -40,6 +40,9 @@ NO_SRC_CALLER = {
         "the one way from Polynomial entries into a matrix, which the "
         "benchmark's residue-field op and the tests use; a sequence packs "
         "its own elements",
+    "QuotientRingSpec.reduce":
+        "the Polynomial normal form the tests compare against; src reduces "
+        "packed vectors",
     "PackContext.unpack": "the round-trip reference for pack",
     "MonomialOrder.compare":
         "the reference the packed key order is tested against",

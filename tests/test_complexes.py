@@ -7,9 +7,13 @@ from parres.groebner import QuotientRingSpec, RingMatrix, syzygies
 from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               dual, homology_presentation, mapping_cone,
                               minimize_with_tracking, shift)
+from parres.harness import parse_ring_spec
+from parres.invariants import maximal_ideal_sequence
 from parres.koszul import KoszulTable, koszul_complex
+from parres.resolutions import minimal_free_resolution
 from parres import oracle
-from conftest import is_minimal, matrix_of, nonminimal_resolution
+from conftest import (QUINTIC, RING_109, is_minimal, matrix_of,
+                      nonminimal_resolution, unminimized)
 
 
 def test_dd_zero_enforced(r1):
@@ -242,6 +246,13 @@ def _reference_minimize(cplx):
             {n: mat for n, mat in mats.items() if mat})
 
 
+def _assert_matches_reference(cplx, mini, kept):
+    ref_kept, ref_mats = _reference_minimize(cplx)
+    assert kept == ref_kept
+    assert {n: e for n, m in mini.differentials.items()
+            if (e := m.entries)} == ref_mats
+
+
 def test_minimization_matches_a_restart_from_start_reference(random_specs):
     # catalogue rings whose non-minimal resolutions of R/(x) cancel
     cancelled = 0
@@ -251,8 +262,18 @@ def test_minimization_matches_a_restart_from_start_reference(random_specs):
         if sum(map(len, kept.values())) == sum(map(len, cplx.modules.values())):
             continue
         cancelled += 1
-        ref_kept, ref_mats = _reference_minimize(cplx)
-        assert kept == ref_kept
-        assert {n: e for n, m in mini.differentials.items()
-                if (e := m.entries)} == ref_mats
+        _assert_matches_reference(cplx, mini, kept)
     assert cancelled >= 6
+    # tens of pivots in one differential: k over ring 109 and H_1(x^2; R)
+    # over the quintic, resolved through cap 3
+    quintic = parse_ring_spec(QUINTIC)
+    k = maximal_ideal_sequence(parse_ring_spec(RING_109).ring)
+    h = KoszulTable(quintic.ring).presentation(quintic.sop().power(2), 1)[1]
+    for module, ranks, minimal in (
+            (k.quotient_module(), [1, 4, 13, 41, 136], [1, 4, 9, 16, 115]),
+            (h, [3, 7, 18, 56, 176], [2, 6, 18, 48, 168])):
+        cplx = unminimized(minimal_free_resolution, module, 3)
+        mini, kept = minimize_with_tracking(cplx)
+        assert [cplx.rank(n) for n in range(5)] == ranks
+        assert [mini.rank(n) for n in range(5)] == minimal
+        _assert_matches_reference(cplx, mini, kept)

@@ -85,6 +85,15 @@ def test_power_sequence(r1):
         x.power(0)
 
 
+def test_a_prefix_outside_the_sequence_is_an_error(nonflc):
+    # neither a slice from the end nor a copy of the whole sequence
+    x = nonflc.sop()
+    assert x.count == 3 and x.prefix(3) is x
+    for r in (-1, 0, 4, 7):
+        with pytest.raises(AlgebraError, match="prefix length"):
+            x.prefix(r)
+
+
 def test_koszul_ranks_binomial(r2):
     x = r2.sop()
     k = koszul_complex(x)

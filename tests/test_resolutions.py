@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 from parres.algebra import PolynomialRingSpec
@@ -9,8 +10,11 @@ from parres.resolutions import (BettiTable, betti_table,
                                 general_cone_resolution,
                                 lift_koszul_to_resolution,
                                 minimal_free_resolution)
+from parres.harness import parse_ring_spec
+from parres.invariants import maximal_ideal_sequence
 from parres import complexes, koszul, oracle, resolutions
-from conftest import is_minimal
+from conftest import (QUINTIC, RING_109, STAGE_A, is_minimal,
+                      unminimized)
 
 
 def _residue_field(ring):
@@ -228,3 +232,46 @@ def test_betti_table_matches_the_full_resolution(monkeypatch, corpus,
     # bounded step must find too
     assert {("hypersurface", 2), ("hypersurface", 3), ("nonflc", 2),
             ("nonflc", 3)} <= cancelled
+
+
+def _betti_by_ranks(cplx, cap):
+    """The Betti table through cap of the module that cplx resolves,
+    minimal or not: beta_{i,j} = f_{i,j} - rk(d_i ⊗ k)_j - rk(d_{i+1} ⊗ k)_j,
+    f_{i,j} being the number of generators of F_i in degree j.  A constant
+    term joins generators of equal degree, so rk(d_n ⊗ k)_j is the rank of
+    the constant terms of the columns of degree j."""
+    ctx, p = cplx.ring._ctx, cplx.ring.characteristic
+    ranks = {}
+    for n in range(cap + 2):
+        by_degree = {}
+        for j, col in zip(cplx.module(n), cplx.differential(n).cols):
+            by_degree.setdefault(j, []).append(
+                {ctx.pos_of(k): c for k, c in col.items()
+                 if not ctx.mono_degree(k)})
+        ranks[n] = {j: oracle.gf_rank(cols, p)
+                    for j, cols in by_degree.items()}
+    entries = Counter()
+    for i in range(cap + 1):
+        entries.update((i, j) for j in cplx.module(i))
+        for n in (i, i + 1):
+            entries.subtract({(i, j): r for j, r in ranks[n].items()})
+    return BettiTable(entries, cap)
+
+
+def test_betti_numbers_are_ranks_over_k(corpus, random_specs):
+    # Tor_i(M, k)_j = H_i(F ⊗ k)_j for any free resolution F of M, and the
+    # differentials of F ⊗ k are the constant terms of F's: the table read
+    # off the unminimized complex needs no minimization
+    quintic, ring_109 = parse_ring_spec(QUINTIC), parse_ring_spec(RING_109)
+    specs = [*corpus.values(), parse_ring_spec(STAGE_A), quintic, ring_109,
+             *random_specs]
+    modules = [spec.sop().quotient_module() for spec in specs]
+    modules += [
+        maximal_ideal_sequence(ring_109.ring).quotient_module(),
+        KoszulTable(quintic.ring).presentation(quintic.sop().power(2), 1)[1]]
+    nonminimal = 0
+    for module in modules:
+        cplx = unminimized(betti_table, module, 3)
+        nonminimal += not is_minimal(cplx)
+        assert _betti_by_ranks(cplx, 3) == betti_table(module, 3)
+    assert nonminimal >= 8
