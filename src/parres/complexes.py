@@ -6,7 +6,7 @@ checked to vanish (modulo the defining ideal) at construction time.  Homology
 is returned as a finitely presented module, computed with the syzygy
 machinery.  Also here: shift, mapping cone, duals, the comparison-theorem
 lift of chain maps, the homology-killing cone, induced maps on homology, and
-minimization by unit-pivot cancellation.
+minimization by unit-pivot cancellation as each differential arrives.
 """
 
 from __future__ import annotations
@@ -17,12 +17,17 @@ from .groebner import (ExtendedSolver, FinitelyPresentedModule, INFINITE,
                        RingMatrix, matrix_solve, syzygies)
 
 
+def _check_square_zero(d, up, n):
+    """Raise unless the composite d_{n-1}∘d_n = d @ up is zero."""
+    if not (d @ up).is_zero():
+        raise AlgebraError(f"differential composite at degree {n} is nonzero")
+
+
 class ChainComplex:
     """Bounded complex ... -> F_n -> F_{n-1} -> ... of graded free modules.
 
     modules: dict n -> tuple of generator degrees (absent means zero).
     differentials: dict n -> RingMatrix mapping F_n to F_{n-1}.
-    checked: whether construction checked every composite d_n∘d_{n+1}.
     """
 
     def __init__(self, ring, modules, differentials, check=True):
@@ -44,16 +49,10 @@ class ChainComplex:
                 continue
             self.differentials[n] = mat
         if check:
-            self._check_square_zero(self.differentials)
-        self.checked = check
-
-    def _check_square_zero(self, degrees):
-        """Raise unless d_n∘d_{n+1} is zero for each n in degrees."""
-        for n in degrees:
-            d, up = self.differentials[n], self.differentials.get(n + 1)
-            if up is not None and not (d @ up).is_zero():
-                raise AlgebraError(f"differential composite at degree {n + 1} "
-                                   "is nonzero")
+            for n, d in self.differentials.items():
+                up = self.differentials.get(n + 1)
+                if up is not None:
+                    _check_square_zero(d, up, n + 1)
 
     def module(self, n):
         return self.modules.get(n, ())
@@ -270,43 +269,40 @@ def kill_top_homology(cplx, resolution, s, z):
 # minimization
 
 
-def minimize_with_tracking(cplx):
-    """Cancel unit entries of the differentials until none remain.
+def cancel_units(ring, modules, degrees, arrive):
+    """Cancel the unit entries of each differential as it arrives:
+    (minimal complex, kept).
 
-    Returns (minimal complex, kept) where kept maps each homological degree to
-    the list of original generator indices that survive.  Homology is
-    unchanged; generators cancelled in pairs never carry minimal Betti data.
+    For n in degrees, increasing, arrive(n, diffs, kept) gives d_n, its
+    rows the live generators of F_{n-1}, or None to stop.  diffs holds the
+    differentials as cancelled so far, and kept the indices of each
+    degree's live generators among the columns d_n arrived with (among
+    modules[n] for a module no differential brings, such as F_0).
 
-    One pass over each d_n, in increasing n: a column with a unit pivots on
-    its lowest unit row, which the pivot update clears from every other
-    live column.  No pivot adds a unit to an earlier column, whose pivot-row
-    entry has positive degree, nor below degree n.  Cancelled rows and
-    columns keep their numbers until the pass ends; then d_{n-1} drops its
-    cancelled columns, and the rows of d_n and d_{n+1} are renumbered once.
-
-    A pivot at n changes d_{n-1}, d_n and d_{n+1}; every other differential
-    is returned as the input's own matrix.  The minimized complex checks
-    d_n∘d_{n+1} = 0 unless both factors are such matrices of a checked
-    input, whose construction found that same product zero.
+    d_{n-1}∘d_n is checked when d_n arrives.  Then one pass over d_n: a
+    column with a unit pivots on its lowest unit row, which the pivot
+    update clears from every other live column; no pivot adds a unit to an
+    earlier column, whose pivot-row entry has positive degree.  Then d_n
+    keeps its live rows and columns, d_{n-1} drops its cancelled columns
+    (gaining no unit), and d_{n-1}∘d_n is checked again.  A pivot in the
+    lowest differential has no d_{n-1}: d_n∘d_{n+1} checks it if d_{n+1}
+    is read off d_n as it arrived.
     """
-    ring = cplx.ring
     ctx, p = ring._ctx, ring.characteristic
     dmask = EXP_MASK << ctx.degshift  # k & dmask is 0 for a unit term k
-    modules = {n: list(d) for n, d in cplx.modules.items()}
-    kept = {n: list(range(len(d))) for n, d in cplx.modules.items()}
-    diffs = {n: list(m.cols) for n, m in cplx.differentials.items()}
-    touched = set()
-
-    def renumber(cols, live):
-        """cols with only the rows in live, renumbered 0, 1, ... in order."""
-        up = {i: ctx.position_shift(i - new) for new, i in enumerate(live)}
-        return [{k + up[i]: c for k, c in col.items()
-                 if (i := ctx.pos_of(k)) in up} for col in cols]
-
-    for n in sorted(diffs):
-        cols = dict(enumerate(diffs[n]))  # the live columns
-        rows = dict(enumerate(modules[n - 1]))  # the live rows' degrees
-        for j in range(len(diffs[n])):
+    modules = dict(modules)
+    kept = {n: list(range(len(d))) for n, d in modules.items()}
+    diffs = {}
+    for n in degrees:
+        d = arrive(n, diffs, kept)
+        if d is None:
+            break
+        below = diffs.get(n - 1)
+        if below is not None:
+            _check_square_zero(below, d, n)
+        cols = dict(enumerate(d.cols))  # the live columns
+        rows = dict(enumerate(d.row_degrees))  # the live rows' degrees
+        for j in range(d.ncols):
             units = [k for k in cols[j] if not k & dmask]
             if not units:
                 continue
@@ -315,38 +311,38 @@ def minimize_with_tracking(cplx):
             # column c gains -(entry (pi, c) / unit) * pivot, clearing row pi
             inv = pow(pivot[key], p - 2, p)
             scaled = {k: (-inv * v) % p for k, v in pivot.items()}
-            top = modules[n][j] - min(rows.values())
+            top = d.col_degrees[j] - min(rows.values())
             del rows[pi]
             rest = list(cols.values())
             cols = dict(zip(cols, ring.products({pi: (top, scaled)}, rest,
                                                 rest)))
-        if len(cols) == len(diffs[n]):
+        diffs[n], kept[n], live = d, list(cols), list(rows)
+        if len(cols) == d.ncols:
             continue
-        touched.update((n - 1, n, n + 1))
-        diffs[n] = renumber(cols.values(), list(rows))
-        if n + 1 in diffs:
-            diffs[n + 1] = renumber(diffs[n + 1], list(cols))
-        if n - 1 in diffs:
-            diffs[n - 1] = [diffs[n - 1][i] for i in rows]
-        for m, live in ((n, cols), (n - 1, rows)):
-            modules[m] = [modules[m][i] for i in live]
-            kept[m] = [kept[m][i] for i in live]
+        diffs[n] = RingMatrix(ring, list(cols.values()), d.row_degrees,
+                              [d.col_degrees[j] for j in cols]
+                              ).submatrix(live, range(len(cols)))
+        kept[n - 1] = [kept[n - 1][i] for i in live]
+        if below is not None:
+            diffs[n - 1] = below.submatrix(range(below.nrows), live)
+            _check_square_zero(diffs[n - 1], diffs[n], n)
+    for n, d in diffs.items():
+        modules[n], modules[n - 1] = d.col_degrees, d.row_degrees
+    return (ChainComplex(ring, modules, diffs, check=False),
+            {n: idx for n, idx in kept.items() if idx})
 
-    out_modules = {n: tuple(d) for n, d in modules.items() if d}
-    out_diffs = {}
-    for n, cols in diffs.items():
-        src = out_modules.get(n, ())
-        tgt = out_modules.get(n - 1, ())
-        if not src or not tgt:
-            continue
-        out_diffs[n] = (RingMatrix(ring, cols, tgt, src)
-                        if n in touched else cplx.differentials[n])
-    mini = ChainComplex(ring, out_modules, out_diffs, check=False)
-    old = cplx.differentials if cplx.checked else {}
-    mini._check_square_zero(
-        [n for n, d in out_diffs.items()
-         if d is not old.get(n) or out_diffs.get(n + 1) is not old.get(n + 1)])
-    return mini, {n: idx for n, idx in kept.items() if idx}
+
+def minimize_with_tracking(cplx):
+    """cancel_units over a given complex: (minimal complex, kept), kept
+    mapping each homological degree to the original generator indices that
+    survive.  Each d_n arrives as given, without the rows that the pass
+    over d_{n-1} cancelled."""
+    def arrive(n, diffs, kept):
+        d = cplx.differentials[n]
+        return d.submatrix(kept[n - 1], range(d.ncols))
+
+    return cancel_units(cplx.ring, cplx.modules, sorted(cplx.differentials),
+                        arrive)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Minimal graded free resolutions, Betti tables, cone resolutions, lifting checks.
 
-Resolutions are computed step by step: the presentation matrix is extended by
-iterated syzygy computations, the resulting complex is minimized by unit-pivot
-cancellation, and Betti data is read off the generator degrees.  The cone
+Resolutions are computed step by step: each differential has its unit
+entries cancelled as it arrives (`complexes.cancel_units`), the next syzygy
+step is read off the cancelled differential, and Betti data is read off the
+generator degrees.  Only d_2 is read off the presentation as given, with the
+cancelled rows dropped, so that d_1∘d_2 checks d_1's pivots.  The cone
 construction assembles a (generally non-minimal) resolution of R/(x) from the
 Koszul complex and resolutions of its higher homology modules.
 
@@ -20,8 +22,8 @@ from math import comb
 
 from .algebra import AlgebraError
 from .groebner import RingMatrix, syzygies
-from .complexes import (ChainComplex, kill_top_homology, lift_chain_map,
-                        minimize_with_tracking)
+from .complexes import (ChainComplex, cancel_units, kill_top_homology,
+                        lift_chain_map)
 from .koszul import koszul_complex
 
 
@@ -102,7 +104,7 @@ class ModuleResolution:
     complex: minimal complex, modules in homological degrees 0..length (one
     degree beyond `cap` when the resolution does not stop earlier, so that
     rank and exactness data through `cap` are trustworthy; that degree
-    holds every generator of the step past the cap, in all degrees).
+    holds the step past the cap in all degrees, less what its units cancel).
     gen_map0: map F_0 -> R^(presentation generators of the module); columns
     are unit vectors selecting the surviving minimal generators.
     """
@@ -124,29 +126,30 @@ class ModuleResolution:
 
 
 def _minimized(module, cap, bounded):
-    """(minimal complex, kept) from minimize_with_tracking: the iterated
-    syzygies of module's presentation, through homological degree cap + 1,
-    minimized.  When bounded, the syzygies of d_cap are computed through
-    the largest degree of F_cap alone, which is all a Betti table through
-    cap reads of them."""
+    """(minimal complex, kept) from cancel_units: the iterated syzygies of
+    module's presentation through homological degree cap + 1, each step
+    read off the last differential as cancelled.  When bounded, the
+    syzygies of d_cap are computed through the largest degree of F_cap
+    alone, which is all a Betti table through cap reads of them."""
     if cap < 0:
         raise AlgebraError("negative resolution cap")
-    ring = module.ring
-    if not module.gen_degrees:
-        return ChainComplex(ring, {}, {}), {}
-    modules = {0: module.gen_degrees}
-    diffs = {}
-    prev = module.relations
-    for n in range(1, cap + 2):
-        if prev.ncols == 0:
-            break
-        modules[n] = prev.col_degrees
-        diffs[n] = prev
-        if n <= cap:  # no use for the syzygies of d_{cap+1}
-            top = max(prev.col_degrees) if bounded and n == cap else None
-            prev = syzygies(prev, top)
-    return minimize_with_tracking(ChainComplex(ring, modules, diffs,
-                                               check=True))
+    first = module.relations
+
+    def arrive(n, diffs, kept):
+        if n == 1:
+            return first
+        last = diffs[n - 1]
+        if not last.ncols:
+            return None
+        top = max(last.col_degrees) if bounded and n - 1 == cap else None
+        if n > 2:
+            return syzygies(last, top)
+        # d_1∘d_2 checks d_1's pivots only if d_2 is read off d_1 as given
+        d = syzygies(first, top)
+        return d.submatrix(kept[1], range(d.ncols))
+
+    return cancel_units(module.ring, {0: module.gen_degrees},
+                        range(1, cap + 2), arrive)
 
 
 def minimal_free_resolution(module, cap):

@@ -7,7 +7,8 @@ import pytest
 
 from parres import _engine, algebra, harness, invariants, resolutions
 from parres.cli import bundled_ring_text
-from parres.groebner import RingMatrix, standard_monomials
+from parres.complexes import ChainComplex
+from parres.groebner import RingMatrix, standard_monomials, syzygies
 from parres.harness import parse_ring_spec
 from parres.koszul import koszul_complex
 from parres.resolutions import minimal_free_resolution
@@ -32,24 +33,27 @@ def sop_differentials(spec, cap):
 
 
 def unminimized(resolve, module, cap):
-    """The complex that resolve(module, cap) minimizes, resolve being
-    minimal_free_resolution or betti_table: the iterated syzygies."""
-    seen = []
-    real = resolutions.minimize_with_tracking
-
-    def spy(cplx):
-        seen.append(cplx)
-        return real(cplx)
-
-    with mock.patch.object(resolutions, "minimize_with_tracking", spy):
-        resolve(module, cap)
-    (cplx,) = seen
-    return cplx
+    """The iterated syzygies of module's presentation through homological
+    degree cap + 1, checked and with no unit cancelled: the complex that
+    resolve(module, cap) would minimize if it cancelled only at the end,
+    resolve being minimal_free_resolution or betti_table.  For betti_table
+    the step past the cap is bounded at max deg F_cap, as betti_table
+    bounds it."""
+    modules, diffs = {0: module.gen_degrees}, {}
+    d = module.relations
+    for n in range(1, cap + 2):
+        if d.ncols == 0:
+            break
+        modules[n], diffs[n] = d.col_degrees, d
+        if n <= cap:
+            bounded = resolve is resolutions.betti_table and n == cap
+            d = syzygies(d, max(d.col_degrees) if bounded else None)
+    return ChainComplex(module.ring, modules, diffs, check=True)
 
 
 def nonminimal_resolution(spec, cap):
-    """The complex that minimal_free_resolution of R/(x) through cap
-    minimizes, for the spec's reference sop x."""
+    """The unminimized complex of minimal_free_resolution of R/(x) through
+    cap, for the spec's reference sop x."""
     return unminimized(minimal_free_resolution, spec.sop().quotient_module(),
                        cap)
 
@@ -199,6 +203,37 @@ a*d - 13926*a^2
 a*d - 3677*c^2
 [sop x]
 b
+"""
+
+
+# rings 81 and 84 of the benchmark generator's rings at seed 101, both with
+# x = c.  Ring 81 has dim 1, depth 0 and standard power 2, yet the Betti
+# totals of R/(x^n) through cap 6 agree for n = 1, 2 and 3.  Ring 84 has
+# dim 1, so FLC, but standard power 4: flc_check decides it at nmax 5 only
+RING_81 = """\
+[field]
+32003
+[vars]
+a b c
+[ideal]
+a^2
+b^2 - 5278*a*c
+a*c^2
+[sop x]
+c
+"""
+
+RING_84 = """\
+[field]
+32003
+[vars]
+a b c
+[ideal]
+b^2 - 2912*a^2
+a*b^2
+b*c^2 - 14589*b^3
+[sop x]
+c
 """
 
 

@@ -25,6 +25,10 @@ NO_SRC_CALLER = {
         "oracle entry point of the tests and the benchmark",
     "resolutions.general_cone_resolution":
         "the cone resolution of R/(x) that acceptance criteria 2 and 10 check",
+    "complexes.minimize_with_tracking":
+        "minimizes a given complex, such as the cones of acceptance criteria "
+        "2 and 10, which the benchmark tracer wraps; resolutions cancel "
+        "units as their steps arrive",
     "resolutions.cec_injectivity_check":
         "the comparison-map injectivity of acceptance criterion 8",
     "invariants.length_stability_check":

@@ -10,8 +10,8 @@ from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import KoszulTable, koszul_complex
-from parres.resolutions import minimal_free_resolution
-from parres import oracle
+from parres.resolutions import betti_table, minimal_free_resolution
+from parres import complexes, oracle
 from conftest import (QUINTIC, RING_109, is_minimal, matrix_of,
                       nonminimal_resolution, unminimized)
 
@@ -146,40 +146,35 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
         minimize_with_tracking(ChainComplex(ring, modules, diffs, check=False))
 
 
-def test_minimization_rechecks_only_composites_with_a_changed_factor(
+def test_each_composite_is_checked_on_arrival_and_after_a_pivot(
         r1, r2, nonflc):
-    real = ChainComplex._check_square_zero
+    real = complexes._check_square_zero
     checked = []
 
-    def spy(cplx, degrees):
-        checked.append(list(degrees))
-        return real(cplx, degrees)
+    def spy(d, up, n):
+        checked.append(n)
+        return real(d, up, n)
 
-    # nothing cancels on r1 and r2; on nonflc the pivots lie in d_3..d_5
-    # and change d_2..d_5, so d_1 o d_2 has a changed factor too
-    for spec, kept, rechecked in ((r1, [1, 2, 3, 4, 5], []),
-                                  (r2, [1, 2, 3, 4, 5], []),
-                                  (nonflc, [1], [1, 2, 3, 4, 5])):
+    # nothing cancels on r1 and r2; on nonflc the resolution pivots in d_3
+    # and d_4, and the given iterated syzygies pivot in d_3, d_4 and d_5
+    for spec, resolved, given in ((r1, [2, 3, 4, 5], [2, 3, 4, 5]),
+                                  (r2, [2, 3, 4, 5], [2, 3, 4, 5]),
+                                  (nonflc, [2, 3, 3, 4, 4, 5],
+                                   [2, 3, 3, 4, 4, 5, 5])):
         cplx = nonminimal_resolution(spec, 4)
-        checked.clear()
-        with mock.patch.object(ChainComplex, "_check_square_zero", spy):
-            mini = minimize_with_tracking(cplx)[0]
-            assert checked == [rechecked]
-            # an unchecked input has every composite checked
-            minimize_with_tracking(ChainComplex(cplx.ring, cplx.modules,
-                                                cplx.differentials,
-                                                check=False))
-            assert checked[1] == [1, 2, 3, 4, 5]
-        assert [n for n, d in mini.differentials.items()
-                if d is cplx.differentials[n]] == kept
+        with mock.patch.object(complexes, "_check_square_zero", spy):
+            checked.clear()
+            minimal_free_resolution(spec.sop().quotient_module(), 4)
+            assert checked == resolved
+            checked.clear()
+            minimize_with_tracking(cplx)
+            assert checked == given
 
 
 def test_a_wrong_pivot_update_fails_the_minimized_check(nonflc):
-    # the checked non-minimal resolution, with one coefficient of the first
-    # pivot update changed: only the composites with a changed factor can
-    # see it, and they are checked again
+    # the iterated syzygies, with one coefficient of the first pivot update
+    # (in d_3) changed: d_3∘d_4 sees it when d_4 arrives
     cplx = nonminimal_resolution(nonflc, 4)
-    assert cplx.checked
     real = QuotientRingSpec.products
     updates = []
 
@@ -196,6 +191,46 @@ def test_a_wrong_pivot_update_fails_the_minimized_check(nonflc):
     with mock.patch.object(QuotientRingSpec, "products", corrupt):
         with pytest.raises(AlgebraError, match="composite at degree 4"):
             minimize_with_tracking(cplx)
+
+
+def _resolved_module(name):
+    """k over ring 109, whose pivots lie in d_2 and above, or
+    H_1(x^2; quintic), whose pivot in d_1 takes F_0 from 3 generators to
+    2, over a freshly parsed ring."""
+    if name == "ring_109":
+        ring = parse_ring_spec(RING_109).ring
+        return maximal_ideal_sequence(ring).quotient_module()
+    quintic = parse_ring_spec(QUINTIC)
+    return KoszulTable(quintic.ring).presentation(quintic.sop().power(2),
+                                                  1)[1]
+
+
+@pytest.mark.parametrize("resolve", [betti_table, minimal_free_resolution])
+@pytest.mark.parametrize("name", ["ring_109", "quintic"])
+def test_a_wrong_pivot_update_fails_a_resolution_check(name, resolve):
+    # one coefficient of a column that the first pivot update changed: a
+    # column it returns unchanged is its input's own dict.  A pivot at
+    # n >= 2 is seen by d_{n-1}∘d_n; one in d_1, with no d_0, by d_1∘d_2,
+    # which holds only because d_2 is read off d_1 as given
+    module = _resolved_module(name)
+    real = QuotientRingSpec.products
+    updates = []
+
+    def corrupt(ring, left, right, starts):
+        out = real(ring, left, right, starts)
+        if starts is not None:  # the pivot update; compose passes None
+            updates.append(out)
+            if len(updates) == 1:
+                col = next(c for c, s in zip(out, starts) if c and c is not s)
+                k = min(col)
+                col[k] = col[k] % (ring.characteristic - 1) + 1
+        return out
+
+    resolve(module, 3)  # no error uncorrupted
+    with mock.patch.object(QuotientRingSpec, "products", corrupt):
+        with pytest.raises(AlgebraError, match="composite"):
+            resolve(module, 3)
+    assert updates
 
 
 def _reference_minimize(cplx):
