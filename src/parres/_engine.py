@@ -81,7 +81,7 @@ class PackContext:
     __slots__ = ("shifts", "flip", "degshift", "topshift", "monomask",
                  "weights", "one", "fmask", "guard", "summer", "sumshift")
 
-    def __init__(self, nv, kind="grevlex"):
+    def __init__(self, nv, kind):
         stride = EXP_BITS + 1  # each field and its guard bit
         self.topshift = stride * (nv + 1)
         # key & monomask is the key moved to position 0

@@ -30,7 +30,7 @@ class ChainComplex:
     differentials: dict n -> RingMatrix mapping F_n to F_{n-1}.
     """
 
-    def __init__(self, ring, modules, differentials, check=True):
+    def __init__(self, ring, modules, differentials, check):
         self.ring = ring
         self.modules = {n: tuple(d) for n, d in modules.items() if d}
         degs = sorted(self.modules)
@@ -66,9 +66,6 @@ class ChainComplex:
         if mat is not None:
             return mat
         return RingMatrix.zero(self.ring, self.module(n - 1), self.module(n))
-
-    def is_zero(self):
-        return not self.modules
 
     def __repr__(self):
         body = ", ".join(f"{n}:{len(d)}" for n, d in sorted(self.modules.items()))

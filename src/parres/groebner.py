@@ -47,9 +47,10 @@ class QuotientRingSpec:
     """R = S/I for a homogeneous ideal I in a polynomial ring S.
 
     The ring owns I: its packing context `_ctx` and `_reducer`, the
-    Buchberger store of I's reduced Groebner basis, in position 0 only.
-    Its entries are the basis `_basis` (monic, tail-reduced, sorted by
-    degree and lead), seen as Polynomials in `ideal_basis`.
+    Buchberger store of I's reduced Groebner basis, in position 0 only,
+    and empty when I = 0 (every monomial is then standard).  Its entries
+    are the basis `_basis` (monic, tail-reduced, sorted by degree and
+    lead), seen as Polynomials in `ideal_basis`.
 
     Two tables depend on I alone, which never changes after set-up, and
     are filled as they are met: the position-0 keys of the standard
@@ -75,10 +76,9 @@ class QuotientRingSpec:
                 raise AlgebraError("defining ideal contains a unit")
         ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
         p = ambient.characteristic
-        self._reducer = (groebner_basis([_pack({0: g}, ctx) for g in gens],
-                                        ctx, p, (0,), 1, None, None)
-                         if gens else None)
-        self._basis = self._reducer.by_pos[0] if gens else []
+        self._reducer = groebner_basis([_pack({0: g}, ctx) for g in gens],
+                                       ctx, p, (0,), 1, None, None)
+        self._basis = self._reducer.by_pos.get(0, [])
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
                             for *_, items in self._basis]
         self._lead_exps = [ctx.exp_of(lead) for _, lead, _, _ in self._basis]
@@ -106,8 +106,6 @@ class QuotientRingSpec:
         """Canonical representative of f in R (normal form modulo I)."""
         if f.ring != self.ambient:
             raise RingMismatchError("element outside the ambient ring")
-        if not self._basis:
-            return f
         return _poly(self.reduce_packed(_pack({0: f}, self._ctx)), self._ctx,
                      self.ambient)
 
@@ -118,8 +116,6 @@ class QuotientRingSpec:
         so each term c k adds c times the normal form of k's position-0
         monomial, moved back to k's position.
         """
-        if not self._basis or not vec:
-            return vec
         p = self.characteristic
         mask = self._ctx.monomask
         forms = self._monomial_forms
@@ -165,15 +161,15 @@ class QuotientRingSpec:
         only, where top bounds the monomial degree of the column's terms.
         For each term c*m*e_k of right[j] the kernel adds c*m times left[k],
         one key addition per product of terms, and sends each product term
-        straight through the monomial-form table (none when I = 0).  starts
-        is None or one packed column per right column, already reduced,
-        added as it is; a column with no product is its start (or {}).
+        straight through the monomial-form table.  starts is None or one
+        packed column per right column, already reduced, added as it is; a
+        column with no product is its start (or {}).
         Raises before a product term would leave the packed fields.
         """
         ctx, p = self._ctx, self.characteristic
         topshift, degshift, mask, one = (ctx.topshift, ctx.degshift,
                                          ctx.monomask, ctx.one)
-        forms = self._monomial_forms if self._basis else None
+        forms = self._monomial_forms
         out = []
         for j, col in enumerate(right):
             acc = None
@@ -188,11 +184,6 @@ class QuotientRingSpec:
                 if acc is None:
                     acc = {} if starts is None else dict(starts[j])
                 delta = (kb & mask) - one
-                if forms is None:
-                    for ka, ca in a.items():
-                        key = ka + delta
-                        acc[key] = acc.get(key, 0) + ca * cb
-                    continue
                 for ka, ca in a.items():
                     key = ka + delta
                     base = key & mask
@@ -381,8 +372,6 @@ def series_counts(numerator, nv):
     for a numerator given as a dict degree -> coefficient, or INFINITE when
     the series is no polynomial, that is, the module has positive
     dimension."""
-    if nv and sum(numerator.values()):
-        return INFINITE  # 1 - t does not divide it
     if not any(numerator.values()):
         return {}
     low, coeffs = _dense(numerator)
@@ -585,9 +574,6 @@ class FinitelyPresentedModule:
         for pos, entries in store.by_pos.items():
             leads[pos] += [exp_of(e[1]) for e in entries]
         return leads
-
-    def is_zero(self):
-        return self.length() == 0
 
     def hilbert_numerator(self):
         """Dict degree -> coefficient of the numerator N of the Hilbert

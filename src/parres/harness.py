@@ -33,7 +33,7 @@ CAP_KEYS = ("homological", "power")
 class RingSpecFile:
     """Parsed ring-spec file: the quotient ring, named sops, and caps."""
 
-    def __init__(self, ring, sops, caps, name=None):
+    def __init__(self, ring, sops, caps, name):
         self.ring = ring
         self.sops = sops
         self.caps = caps

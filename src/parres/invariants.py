@@ -48,7 +48,7 @@ def maximal_ideal_sequence(ring):
     return ParameterSequence(ring, elems, name="m")
 
 
-def depth(ring, table, x=None):
+def depth(ring, table, x):
     """Depth of R: grade(x) read off the table for a sop x, else the grade
     of the irrelevant maximal ideal.  A non-sop x never gives the depth."""
     if x is not None and x.is_sop():
@@ -56,7 +56,7 @@ def depth(ring, table, x=None):
     return table.grade(maximal_ideal_sequence(ring))
 
 
-def cohen_macaulay_defect(ring, table, x=None):
+def cohen_macaulay_defect(ring, table, x):
     return ring.dimension() - depth(ring, table, x=x)
 
 
@@ -158,7 +158,7 @@ class StabilityReport:
                 f"injective={self.injective}>")
 
 
-def length_stability_check(x, nmax=4, check_maps=True):
+def length_stability_check(x, nmax, check_maps):
     """Lengths of H_p(x^n; R), p = 1..count, n = 1..nmax, with stability
     verdicts.
 
@@ -265,7 +265,7 @@ class InvariantReport:
     """Summary invariants of a ring: dimension, depth, defect, FLC, lengths."""
 
     def __init__(self, ring, dim, depth_, cmd, flc, lc_lengths,
-                 standard_power, sop_name=None):
+                 standard_power, sop_name):
         self.ring = ring
         self.dim = dim
         self.depth = depth_
@@ -293,9 +293,9 @@ class InvariantReport:
                 f"cmd={self.cmd} flc={self.flc!r} lc={self.lc_lengths}>")
 
 
-def invariant_report(ring, x=None, nmax=4):
-    """Compute the invariant summary of a ring, optionally for a given sop,
-    with a KoszulTable of its own."""
+def invariant_report(ring, x, nmax=4):
+    """Compute the invariant summary of a ring for the sop x, or for the
+    reference sop when x is None, with a KoszulTable of its own."""
     table = KoszulTable(ring)
     dim = ring.dimension()
     if x is None and dim > 0:

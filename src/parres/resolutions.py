@@ -82,7 +82,6 @@ class SeriesTruncation:
 
     def __init__(self, coefficients):
         self.coefficients = list(coefficients)
-        self.cap = len(self.coefficients) - 1
 
     def __eq__(self, other):
         return (isinstance(other, SeriesTruncation)

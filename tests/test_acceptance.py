@@ -193,7 +193,7 @@ def test_criterion_6_length_stability_and_maps(corpus, capsys):
     ok = True
     details = []
     for name, x in _standard_corpus_sops(corpus):
-        rep = length_stability_check(x, nmax=4)
+        rep = length_stability_check(x, nmax=4, check_maps=True)
         stable = rep.all_stable()
         inj = all(rep.injective.values()) if rep.injective else True
         ok = ok and stable and inj

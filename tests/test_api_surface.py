@@ -5,7 +5,9 @@ method of its top-level classes must be used, as a name or an attribute,
 somewhere in `src/`.  The exceptions are listed below, each with its reason;
 an exception fails too once its name is gone or has gained a caller in
 `src/`.  The scan is by name, so a method counts as used when any attribute
-of that name is read.
+of that name is read.  A public method or property whose name another src
+definition shares is therefore listed with every definition of that name,
+each with its src caller or the reason it has none.
 
 The optional parameters are a listed set too, so that a new knob comes with
 an edit to the list and its reason.  And the package imports nothing but
@@ -105,11 +107,137 @@ def test_every_exception_is_defined_and_uncalled():
     assert sorted(q for q in NO_SRC_CALLER if defined[q] in used) == []
 
 
+# Each name that a public method or property shares with another class's
+# method, property or public instance attribute, or with a module function:
+# every definition of it, with its src caller or the reason it has none.
+SHARED_NAMES = {
+    "cap": {
+        "BettiTable.cap": "BettiTable.totals, pretty and __eq__",
+        "ModuleResolution.cap": "ModuleResolution.betti",
+        "RingSpecFile.cap": "cli.run",
+    },
+    "characteristic": {
+        "PolynomialRingSpec.characteristic":
+            "Polynomial arithmetic and QuotientRingSpec.characteristic",
+        "QuotientRingSpec.characteristic":
+            "QuotientRingSpec.products, complexes.cancel_units and "
+            "oracle.matrix_slice",
+    },
+    "complex": {
+        "KoszulTable.complex":
+            "harness.koszul_experiment and koszul.comparison_map",
+        "ModuleResolution.complex":
+            "complexes.kill_top_homology and "
+            "resolutions.lift_koszul_to_resolution",
+    },
+    "entries": {
+        "BettiTable.entries": "BettiTable.total, to_dict and pretty",
+        "RingMatrix.entries":
+            "no src caller: the tests' Polynomial view of a matrix",
+    },
+    "entry": {
+        "PyReducer.entry": "PyReducer.add and _engine.interreduce",
+        "RingMatrix.entry": "ParameterSequence.elements",
+    },
+    "graded_length": {
+        "FinitelyPresentedModule.graded_length":
+            "no src caller: the benchmark's oracle workload and the tests "
+            "compare it with the oracle; src counts through KoszulTable",
+        "KoszulTable.graded_length":
+            "harness.koszul_experiment and KoszulTable.length",
+    },
+    "hilbert_numerator": {
+        "groebner.hilbert_numerator":
+            "QuotientRingSpec.hilbert_numerator and "
+            "FinitelyPresentedModule.hilbert_numerator",
+        "QuotientRingSpec.hilbert_numerator":
+            "QuotientRingSpec.dimension and KoszulTable._free",
+        "FinitelyPresentedModule.hilbert_numerator":
+            "FinitelyPresentedModule.length and KoszulTable._cokernel",
+    },
+    "is_zero": {
+        "Polynomial.is_zero": "RingMatrix.from_columns",
+        "RingMatrix.is_zero":
+            "complexes._check_square_zero and complexes.lift_chain_map",
+    },
+    "key": {
+        "MonomialOrder.key":
+            "MonomialOrder.compare and Polynomial.leading_term",
+        "Grevlex.key": "the MonomialOrder.key of the grevlex order",
+        "Lex.key": "the MonomialOrder.key of the lex order",
+        "ParameterSequence.key": "KoszulTable._key",
+    },
+    "length": {
+        "FinitelyPresentedModule.length":
+            "ParameterSequence.is_sop and InducedHomologyMap.kernel_length",
+        "KoszulTable.length":
+            "invariants.flc_check and harness.koszul_experiment",
+    },
+    "nvars": {
+        "PolynomialRingSpec.nvars": "QuotientRingSpec.__init__",
+        "QuotientRingSpec.nvars":
+            "QuotientRingSpec.dimension and FinitelyPresentedModule.length",
+    },
+    "one": {
+        "PackContext.one": "PackContext.pack and QuotientRingSpec.products",
+        "PolynomialRingSpec.one": "Polynomial.__pow__",
+    },
+    "to_dict": {
+        "BettiTable.to_dict": "harness.resolve_experiment",
+        "InvariantReport.to_dict": "harness.invariants_experiment",
+    },
+    "variables": {
+        "PolynomialRingSpec.variables":
+            "PolynomialRingSpec.nvars and Polynomial.__str__",
+        "QuotientRingSpec.variables": "invariants.maximal_ideal_sequence",
+    },
+    "zero": {
+        "PolynomialRingSpec.zero": "PolynomialRingSpec.monomial",
+        "RingMatrix.zero":
+            "ChainComplex.differential and FinitelyPresentedModule.__init__",
+    },
+}
+
+
+def _definitions_by_name(trees):
+    """bare name -> {qualified name: is a method or property} for each
+    public module function and each public method, property and instance
+    attribute of a top-level class."""
+    out = {}
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, funcs) and not node.name.startswith("_"):
+                out.setdefault(node.name, {})[f"{module}.{node.name}"] = False
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                        and not sub.attr.startswith("_")):
+                    out.setdefault(sub.attr, {})[
+                        f"{node.name}.{sub.attr}"] = False
+            for item in node.body:
+                if isinstance(item, funcs) and not item.name.startswith("_"):
+                    out.setdefault(item.name, {})[
+                        f"{node.name}.{item.name}"] = True
+    return out
+
+
+def test_every_shared_method_name_is_listed_with_each_definition():
+    shared = {name: sorted(defs)
+              for name, defs in _definitions_by_name(_trees()).items()
+              if len(defs) > 1 and any(defs.values())}
+    assert shared == {name: sorted(defs)
+                      for name, defs in SHARED_NAMES.items()}
+
+
 # Every (qualified function, parameter) pair with a default, nested
 # definitions included.  A new optional parameter is a new knob: add it here
 # with the reason it needs a default, or make it required.
 OPTIONAL_PARAMETERS = {
-    ("_engine.PackContext.__init__", "kind"),
     ("_engine.PyReducer.normal_form", "stopkey"),
     ("algebra.PolyParseError.__init__", "line"),
     ("algebra.PolyParseError.__init__", "column"),
@@ -118,18 +246,10 @@ OPTIONAL_PARAMETERS = {
     ("algebra.PolynomialRingSpec.parse", "line"),
     ("algebra.parse_polynomial", "line"),
     ("cli.main", "argv"),
-    ("complexes.ChainComplex.__init__", "check"),
     ("groebner.RingMatrix.from_columns", "col_degrees"),
     ("groebner.FinitelyPresentedModule.__init__", "relations"),
-    ("harness.RingSpecFile.__init__", "name"),
     ("harness.RingSpecFile.sop", "name"),
     ("harness.parse_ring_spec", "name"),
-    ("invariants.depth", "x"),
-    ("invariants.cohen_macaulay_defect", "x"),
-    ("invariants.length_stability_check", "nmax"),
-    ("invariants.length_stability_check", "check_maps"),
-    ("invariants.InvariantReport.__init__", "sop_name"),
-    ("invariants.invariant_report", "x"),
     ("invariants.invariant_report", "nmax"),
     ("koszul.ParameterSequence.__init__", "name"),
 }

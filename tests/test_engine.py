@@ -47,7 +47,7 @@ def test_key_order_matches_monomial_order(kind, order, e1, e2):
 
 
 def test_position_dominates_term_order():
-    ctx = PackContext(3)
+    ctx = PackContext(3, "grevlex")
     # lower position is larger regardless of the monomial
     assert ctx.pack(0, (0, 0, 0)) > ctx.pack(1, (9, 9, 9))
 
@@ -55,7 +55,7 @@ def test_position_dominates_term_order():
 @settings(max_examples=80, deadline=None)
 @given(exp=exps3, q=exps3)
 def test_mul_delta_is_key_addition(exp, q):
-    ctx = PackContext(3)
+    ctx = PackContext(3, "grevlex")
     assert ctx.pack(2, exp) + ctx.mul_delta(q) == \
         ctx.pack(2, tuple(a + b for a, b in zip(exp, q)))
 
@@ -92,7 +92,7 @@ def test_pack_and_move_keep_the_limits(kind):
 
 def test_key_additions_check_the_degree_of_every_product():
     from parres.algebra import AlgebraError
-    ctx = PackContext(2)
+    ctx = PackContext(2, "grevlex")
     # a lead of degree 1 whose tail in position 1 has degree 1000
     tail = ctx.pack(1, (0, 1000))
     reducer = PyReducer(ctx, 101)
@@ -108,21 +108,21 @@ def test_key_additions_check_the_degree_of_every_product():
 
 
 def test_position_floor_is_boundary():
-    ctx = PackContext(3)
+    ctx = PackContext(3, "grevlex")
     assert ctx.pack(1, (0, 0, 0)) >= ctx.position_floor(2)
     assert ctx.pack(2, (9, 9, 9)) < ctx.position_floor(2)
 
 
 def test_vec_degree_detects_inhomogeneity():
     from parres.algebra import NotHomogeneousError
-    ctx = PackContext(2)
+    ctx = PackContext(2, "grevlex")
     vec = {ctx.pack(0, (1, 0)): 1, ctx.pack(0, (2, 0)): 1}
     with pytest.raises(NotHomogeneousError):
         vec_degree(ctx, vec, [0])
 
 
 def test_every_reducer_comes_from_the_factory(monkeypatch):
-    ctx = PackContext(2)
+    ctx = PackContext(2, "grevlex")
     built = []
     real = kernel.reducer_factory
 
@@ -280,7 +280,7 @@ def test_scanned_interreduction_matches_reducing_every_tail(
 
 
 def test_interreduce_rewrites_a_tail_that_a_later_lead_divides():
-    ctx = PackContext(2)
+    ctx = PackContext(2, "grevlex")
     a2e0, abe1, b2e1 = (ctx.pack(0, (2, 0)), ctx.pack(1, (1, 1)),
                         ctx.pack(1, (0, 2)))
     ae1, be1, ae2, be2 = (ctx.pack(1, (1, 0)), ctx.pack(1, (0, 1)),

@@ -576,6 +576,21 @@ def test_packed_compose_matches_polynomial_reference(case):
                          m.col_degrees) == m
 
 
+def test_a_ring_with_no_ideal_takes_the_shared_reduction_path(regular):
+    # I = 0 keeps an empty store, every monomial form is True, and reduce
+    # packs its argument like any other ring, so the packing limit holds
+    ring = regular.ring
+    amb, ctx = ring.ambient, ring._ctx
+    assert ring._basis == [] and ring.is_polynomial_ring()
+    f = amb.parse("a^1021*b + 3*b^1022 + a*b")
+    assert ring.reduce(f) == f
+    vec = {ctx.pack(2, (1, 1)): 4}
+    assert ring.reduce_packed(vec) == vec
+    assert ring._monomial_forms[ctx.pack(0, (1, 1))] is True
+    with pytest.raises(AlgebraError, match="degree 1023 exceeds packing limit"):
+        ring.reduce(amb.monomial((1023, 0)))
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
 def test_products_stop_at_the_packing_limit(order, monkeypatch):
     amb = PolynomialRingSpec(P, ["a", "b"], order)
@@ -609,7 +624,8 @@ def test_products_stop_at_the_packing_limit(order, monkeypatch):
     # cancelling the unit would put a^500 * a^600 in row 1
     d1 = matrix_of(ring, {(0, 0): amb.one(), (1, 0): amb.monomial(
         (600, 0)), (0, 1): amb.monomial((500, 0))}, [0, -600], [0, 500])
-    cplx = ChainComplex(ring, {0: (0, -600), 1: (0, 500)}, {1: d1})
+    cplx = ChainComplex(ring, {0: (0, -600), 1: (0, 500)}, {1: d1},
+                        check=True)
     with pytest.raises(AlgebraError, match="degree 1100 exceeds packing limit"):
         minimize_with_tracking(cplx)
 
@@ -712,7 +728,7 @@ def _rescaled_rows(m):
 
 def test_products_match_polynomial_compose_on_resolutions(
         corpus, random_specs, big_field):
-    # the 5 bundled rings (regular has I = 0, so no monomial-form table),
+    # the 5 bundled rings (regular has I = 0: every monomial form is True),
     # 6 catalogue rings and a p = 2^31 - 1 ring
     nonzero = 0
     for spec in (*corpus.values(), *random_specs[:6], big_field):
@@ -759,7 +775,8 @@ def test_syzygies_without_tag_block_pairs_stay_exact(corpus, random_specs):
             syz = syzygies(d, None)
             assert (d @ syz).is_zero()
             cplx = ChainComplex(d.ring, {0: d.row_degrees, 1: d.col_degrees,
-                                         2: syz.col_degrees}, {1: d, 2: syz})
+                                         2: syz.col_degrees}, {1: d, 2: syz},
+                                  check=True)
             for t in range(9):
                 assert oracle.homology_dim_at(cplx, 1, t) == 0, (spec.name, t)
 

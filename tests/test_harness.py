@@ -430,7 +430,7 @@ def test_length_stability_builds_each_koszul_complex_once(monkeypatch, ring):
     # the lengths and the comparison maps share one table
     spec = parse_ring_spec(bundled_ring_text(ring))
     built = _count_koszul_complexes(monkeypatch)
-    rep = invariants.length_stability_check(spec.sop(), nmax=4)
+    rep = invariants.length_stability_check(spec.sop(), nmax=4, check_maps=True)
     assert len(rep.injective) == 3
     assert len(set(built)) == len(built) == 4
 

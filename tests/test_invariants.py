@@ -23,9 +23,9 @@ def test_depth_and_defect(corpus):
     for name, spec in corpus.items():
         dim, dep, cmd = expect[name]
         assert spec.ring.dimension() == dim, name
-        assert depth(spec.ring, KoszulTable(spec.ring)) == dep, name
-        assert cohen_macaulay_defect(spec.ring,
-                                     KoszulTable(spec.ring)) == cmd, name
+        assert depth(spec.ring, KoszulTable(spec.ring), x=None) == dep, name
+        assert cohen_macaulay_defect(spec.ring, KoszulTable(spec.ring),
+                                     x=None) == cmd, name
 
 
 def _grade(ring, texts):
@@ -128,7 +128,7 @@ def test_cohomology_comparison_map(r1):
 
 
 def test_length_stability(r1):
-    rep = length_stability_check(r1.sop("x"), nmax=3)
+    rep = length_stability_check(r1.sop("x"), nmax=3, check_maps=True)
     assert rep.all_stable()
     assert rep.monotone()
     assert all(rep.injective.values())
@@ -156,7 +156,7 @@ def test_variable_in_the_ideal(tmp_path, ideal, sop, want):
         text += "[sop x]\n" + "\n".join(sop) + "\n"
     ring = parse_ring_spec(text).ring
     assert maximal_ideal_sequence(ring).count == 2 - len(ideal)
-    assert depth(ring, KoszulTable(ring)) == want
+    assert depth(ring, KoszulTable(ring), x=None) == want
     path = tmp_path / "spec.ring"
     path.write_text(text)
     out = tmp_path / "report.json"

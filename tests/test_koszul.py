@@ -126,7 +126,7 @@ def test_regular_sequence_acyclic(regular, hypersurface):
         x = spec.sop()
         table = KoszulTable(spec.ring)
         for i in range(1, x.count + 1):
-            assert table.homology(x, i).is_zero()
+            assert table.homology(x, i).length() == 0
 
 
 def test_comparison_map_commutes(r1):
