@@ -54,13 +54,9 @@ from __future__ import annotations
 
 import heapq
 
-from .algebra import AlgebraError, NotHomogeneousError
+from .algebra import EXP_BITS, MAX_DEGREE, AlgebraError, NotHomogeneousError
 
-EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
-
-# stay clear of the packed-field limits; degrees at desk scale are far below
-MAX_DEGREE = EXP_MASK - 1
 
 
 def check_degree(deg):

@@ -148,6 +148,12 @@ LEX = Lex()
 # since every coefficient is a Python integer
 MAX_CHARACTERISTIC = 1 << 31
 
+# the packing limit: _engine packs each exponent and the total degree of a
+# term in a field of EXP_BITS bits, and a degree stays below the field's
+# mask; here so that the parser rejects a power past it before computing it
+EXP_BITS = 10
+MAX_DEGREE = (1 << EXP_BITS) - 2
+
 
 class PolynomialRingSpec:
     """Standard-graded polynomial ring GF(p)[x_1..x_n], every variable degree 1."""
@@ -307,11 +313,16 @@ class Polynomial:
         return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n):
+        """self^n by repeated squaring."""
         if n < 0:
             raise AlgebraError("negative power of a polynomial")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        out, square = self.ring.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def monic(self):
@@ -378,12 +389,7 @@ def _tokenize(text, line):
     out = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos and not text[pos:].strip():
-            break
         if m is None:
-            raise PolyParseError(f"bad character {text[pos]!r}",
-                                 line=line, column=pos + 1)
-        if m.lastindex is None:
             break
         num, name, op = m.group(1), m.group(2), m.group(3)
         col = m.start(m.lastindex) + 1
@@ -394,9 +400,10 @@ def _tokenize(text, line):
         else:
             out.append(("op", op, col))
         pos = m.end()
-    if text[pos:].strip():
-        raise PolyParseError(f"bad character {text[pos:].strip()[0]!r}",
-                             line=line, column=pos + 1)
+    rest = text[pos:].lstrip()
+    if rest:
+        raise PolyParseError(f"bad character {rest[0]!r}", line=line,
+                             column=len(text) - len(rest) + 1)
     out.append(("end", None, len(text) + 1))
     return out
 
@@ -443,6 +450,9 @@ def parse_polynomial(ring, text, line=None):
             kind2, val2, col2 = take()
             if kind2 != "num":
                 fail("expected integer exponent after '^'", col2)
+            if not base.is_constant() and base.degree() * val2 > MAX_DEGREE:
+                fail(f"degree {base.degree() * val2} exceeds packing limit",
+                     col2)
             base = base ** val2
         return base
 

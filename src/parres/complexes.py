@@ -38,8 +38,6 @@ class ChainComplex:
         self.hi = degs[-1] if degs else -1
         self.differentials = {}
         for n, mat in differentials.items():
-            if mat is None:
-                continue
             src = self.modules.get(n, ())
             tgt = self.modules.get(n - 1, ())
             if mat.col_degrees != src or mat.row_degrees != tgt:
@@ -82,8 +80,6 @@ class ComplexMap:
         self.target = target
         self.components = {}
         for n, mat in components.items():
-            if mat is None or (not source.module(n) and not target.module(n)):
-                continue
             if mat.col_degrees != source.module(n) or \
                     mat.row_degrees != target.module(n):
                 raise DimensionMismatchError(f"component at {n} has wrong shape")
@@ -139,8 +135,6 @@ def homology_presentation(cplx, n):
 
 def shift(cplx, t):
     """Suspension: (shifted)_n = C_{n-t}, differentials scaled by (-1)^t."""
-    if t == 0:
-        return cplx
     sign = -1 if t % 2 else 1
     modules = {n + t: d for n, d in cplx.modules.items()}
     diffs = {}
@@ -356,25 +350,16 @@ class InducedHomologyMap:
 
     def __init__(self, fmap, n):
         src_cplx, tgt_cplx = fmap.source, fmap.target
-        ring = src_cplx.ring
-        self.ring = ring
+        self.ring = src_cplx.ring
         self.n = n
         self.z_src, self.h_src = homology_presentation(src_cplx, n)
         self.z_tgt, self.h_tgt = homology_presentation(tgt_cplx, n)
-        fn = fmap.component(n)
-        mapped = fn @ self.z_src
+        mapped = fmap.component(n) @ self.z_src
         big = self.z_tgt.hstack(tgt_cplx.differential(n + 1))
-        if big.ncols == 0:
-            if not mapped.is_zero():
-                raise AlgebraError("image misses the target cycles")
-            self.phi = RingMatrix.zero(ring, self.z_tgt.col_degrees,
-                                       self.z_src.col_degrees)
-        else:
-            expr = matrix_solve(big, mapped)
-            if expr is None:
-                raise AlgebraError("image of a cycle is not a cycle")
-            self.phi = expr.submatrix(range(self.z_tgt.ncols),
-                                      range(expr.ncols))
+        expr = matrix_solve(big, mapped)
+        if expr is None:
+            raise AlgebraError("image of a cycle is not a cycle")
+        self.phi = expr.submatrix(range(self.z_tgt.ncols), range(expr.ncols))
 
     def cokernel(self):
         rel = self.phi.hstack(self.h_tgt.relations)

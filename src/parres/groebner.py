@@ -205,8 +205,8 @@ class QuotientRingSpec:
         return out
 
     def hilbert_numerator(self):
-        """hilbert_numerator of the leads of I: the Hilbert series of R is
-        numerator / (1-t)^nvars."""
+        """hilbert_numerator of the leads of I, a dict degree -> nonzero
+        coefficient: the Hilbert series of R is numerator / (1-t)^nvars."""
         if self._numerator is None:
             self._numerator = hilbert_numerator(self._lead_exps)
         return self._numerator
@@ -215,8 +215,7 @@ class QuotientRingSpec:
         """Krull dimension: the pole order of the Hilbert series at t = 1,
         or -1 when 1 is in I."""
         if self._dimension is None:
-            self._dimension = pole_order(
-                dict(enumerate(self.hilbert_numerator())), self.nvars)
+            self._dimension = pole_order(self.hilbert_numerator(), self.nvars)
         return self._dimension
 
     def packed_staircase(self, degree):
@@ -271,16 +270,16 @@ def _compositions(total, parts):
 
 
 def hilbert_numerator(lead_exps):
-    """Coefficients, from t^0, of the numerator N of the Hilbert series
-    N / (1-t)^n of S/L, for the monomial ideal L = (lead_exps) of
-    S = k[x_1..x_n]; [] when 1 is in L.  N does not depend on n.
+    """Dict degree -> nonzero coefficient of the numerator N of the Hilbert
+    series N / (1-t)^n of S/L, for the monomial ideal L = (lead_exps) of
+    S = k[x_1..x_n]; {} when 1 is in L.  N does not depend on n.
 
     Pivot recursion (Bayer-Stillman 1992, Bigatti 1997): with x_i^e not in
     L, the sequence 0 -> S/(L : x_i^e)(-e) -> S/L -> S/(L + x_i^e) -> 0 gives
     N(L) = N(L + x_i^e) + t^e N(L : x_i^e).  It ends at generators with
     pairwise coprime supports, where N is the product of the 1 - t^deg.
     """
-    return _numerator(_minimal(lead_exps))
+    return {t: c for t, c in enumerate(_numerator(_minimal(lead_exps))) if c}
 
 
 def _minimal(gens):
@@ -296,7 +295,7 @@ def _minimal(gens):
 
 
 def _numerator(gens):
-    """hilbert_numerator of the minimal generators gens."""
+    """hilbert_numerator of the minimal generators gens, dense from t^0."""
     if not gens:
         return [1]
     if not any(gens[0]):
@@ -336,6 +335,17 @@ def _numerator(gens):
     return out
 
 
+def sum_numerators(terms):
+    """The sum of sign * t^shift * numerator over the (sign, shift,
+    numerator) terms, with no zero coefficient: the one place where
+    Hilbert-series numerators are added."""
+    out = {}
+    for sign, shift, num in terms:
+        for t, c in num.items():
+            out[t + shift] = out.get(t + shift, 0) + sign * c
+    return {t: c for t, c in out.items() if c}
+
+
 def _divide_one_minus_t(coeffs):
     """The coefficients of coeffs / (1-t), or None when 1 - t does not
     divide it: the quotient's coefficients are the partial sums."""
@@ -345,8 +355,7 @@ def _divide_one_minus_t(coeffs):
 
 
 def _dense(numerator):
-    """(low, coefficients from t^low) of a nonzero numerator given as a
-    dict degree -> coefficient."""
+    """(low, coefficients from t^low) of a nonzero numerator."""
     low = min(numerator)
     coeffs = [0] * (max(numerator) + 1 - low)
     for d, c in numerator.items():
@@ -355,10 +364,10 @@ def _dense(numerator):
 
 
 def pole_order(numerator, nv):
-    """The order of the pole at t = 1 of numerator / (1-t)^nv, for a
-    numerator given as a dict degree -> coefficient: the Krull dimension of
-    a module with that Hilbert series, or -1 for the zero module."""
-    if not any(numerator.values()):
+    """The order of the pole at t = 1 of numerator / (1-t)^nv: the Krull
+    dimension of a module with that Hilbert series, or -1 for the zero
+    module."""
+    if not numerator:
         return -1
     coeffs = _dense(numerator)[1]
     dim = nv
@@ -369,10 +378,9 @@ def pole_order(numerator, nv):
 
 def series_counts(numerator, nv):
     """Dict degree -> coefficient of the Hilbert series numerator / (1-t)^nv,
-    for a numerator given as a dict degree -> coefficient, or INFINITE when
-    the series is no polynomial, that is, the module has positive
-    dimension."""
-    if not any(numerator.values()):
+    or INFINITE when the series is no polynomial, that is, the module has
+    positive dimension."""
+    if not numerator:
         return {}
     low, coeffs = _dense(numerator)
     for _ in range(nv):
@@ -576,22 +584,19 @@ class FinitelyPresentedModule:
         return leads
 
     def hilbert_numerator(self):
-        """Dict degree -> coefficient of the numerator N of the Hilbert
-        series N / (1-t)^nvars, summed over the generators, with no zero
-        coefficient; computed once per module.  A module with no relations
-        takes the ring's numerator in every position, with no Groebner
-        basis."""
+        """Dict degree -> nonzero coefficient of the numerator N of the
+        Hilbert series N / (1-t)^nvars: the sum over the generators of the
+        numerator of their position, shifted by their degree; computed once
+        per module.  A module with no relations takes the ring's numerator
+        in every position, with no Groebner basis."""
         if self._numerator is None:
             if any(self.relations.cols):
                 nums = [hilbert_numerator(exps)
                         for exps in self._initial_leads().values()]
             else:
                 nums = [self.ring.hilbert_numerator()] * len(self.gen_degrees)
-            out = {}
-            for base, num in zip(self.gen_degrees, nums):
-                for t, c in enumerate(num):
-                    out[base + t] = out.get(base + t, 0) + c
-            self._numerator = {t: c for t, c in out.items() if c}
+            self._numerator = sum_numerators(
+                (1, base, num) for base, num in zip(self.gen_degrees, nums))
         return self._numerator
 
     def length(self):

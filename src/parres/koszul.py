@@ -13,7 +13,7 @@ from itertools import combinations
 from .algebra import AlgebraError, NotHomogeneousError
 from ._engine import check_degree
 from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix, _pack,
-                       _poly, pole_order, series_counts)
+                       _poly, pole_order, series_counts, sum_numerators)
 from .complexes import ChainComplex, ComplexMap, homology_presentation
 
 
@@ -216,15 +216,12 @@ class KoszulTable:
         return self._complexes[key]
 
     def _free(self, y, p):
-        """Hilbert series numerator of F_p = K_p(y; R): R(-deg s) summed
-        over the p-element subsets s of y; 0 for p > count."""
+        """Hilbert series numerator of F_p = K_p(y; R): R's numerator
+        shifted by deg s, summed over the p-element subsets s of y; {} for
+        p > count."""
         ring_num = self.ring.hilbert_numerator()
-        out = {}
-        for degs in combinations(y.degrees(), p):
-            base = sum(degs)
-            for t, c in enumerate(ring_num):
-                out[base + t] = out.get(base + t, 0) + c
-        return out
+        return sum_numerators((1, sum(degs), ring_num)
+                              for degs in combinations(y.degrees(), p))
 
     def _quotient_dim(self, y):
         """dim R/(y): d - count for a sequence known to be part of a sop,
@@ -248,8 +245,8 @@ class KoszulTable:
                 num = self._free(y, p - 1)
             elif (self._depth is not None and p > y.count - self._depth
                   + self._quotient_dim(y)):
-                num = _combine((1, self._free(y, p - 1)),
-                               (-1, self._cokernel(y, p + 1)))
+                num = sum_numerators([(1, 0, self._free(y, p - 1)),
+                                      (-1, 0, self._cokernel(y, p + 1))])
             elif p == 1:
                 num = y.quotient_module().hilbert_numerator()
             else:
@@ -266,11 +263,11 @@ class KoszulTable:
         self._check_index(y, p)
         key = (self._key(y), p)
         if key not in self._numerators:
-            terms = [(1, self._cokernel(y, p + 1))]
+            terms = [(1, 0, self._cokernel(y, p + 1))]
             if p > 0:
-                terms += [(1, self._cokernel(y, p)),
-                          (-1, self._free(y, p - 1))]
-            self._numerators[key] = _combine(*terms)
+                terms += [(1, 0, self._cokernel(y, p)),
+                          (-1, 0, self._free(y, p - 1))]
+            self._numerators[key] = sum_numerators(terms)
         return self._numerators[key]
 
     def graded_length(self, y, p):
@@ -311,16 +308,6 @@ class KoszulTable:
         if self._depth is None and self._quotient_dim(y) == 0:
             self._depth = grade
         return grade
-
-
-def _combine(*terms):
-    """The sum of sign * numerator over the (sign, numerator) terms, with no
-    zero coefficient."""
-    out = {}
-    for sign, part in terms:
-        for t, c in part.items():
-            out[t] = out.get(t, 0) + sign * c
-    return {t: c for t, c in out.items() if c}
 
 
 def comparison_map(x, n, table):

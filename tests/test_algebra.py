@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,40 @@ def test_parse_reports_position(ring):
         ring.parse("a + * b", line=7)
     assert exc.value.line == 7
     assert exc.value.column is not None
+
+
+@pytest.mark.parametrize("text", ["a + $", "a   $"])
+def test_a_bad_character_is_reported_at_its_own_column(text):
+    ring = PolynomialRingSpec(7, ["a", "b"])
+    with pytest.raises(PolyParseError, match="bad character '\\$'") as exc:
+        ring.parse(text, line=3)
+    assert (exc.value.line, exc.value.column) == (3, 5)
+
+
+LARGE_POWERS = [
+    ("2^1000000", "2"),
+    ("2^100000000*a^2", "2*a^2"),
+    ("a^20000", "degree 20000 exceeds packing limit (line 1, column 3)"),
+    ("a^200000", "degree 200000 exceeds packing limit (line 1, column 3)"),
+    ("a^1000000", "degree 1000000 exceeds packing limit (line 1, column 3)"),
+    ("(a+b)^3000", "degree 3000 exceeds packing limit (line 1, column 7)"),
+]
+
+
+@pytest.mark.parametrize("text, expected", LARGE_POWERS,
+                         ids=[text for text, _ in LARGE_POWERS])
+def test_a_large_power_parses_or_fails_at_once(text, expected):
+    # a power costs a number of products logarithmic in its exponent, and
+    # one of a non-constant base is checked against the packing limit
+    # before it is computed
+    ring = PolynomialRingSpec(7, ["a", "b"])
+    start = time.perf_counter()
+    try:
+        got = str(ring.parse(text, line=1))
+    except PolyParseError as exc:
+        got = str(exc)
+    assert time.perf_counter() - start < 0.25
+    assert got == expected
 
 
 def test_parse_unknown_variable(ring):

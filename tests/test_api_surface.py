@@ -4,7 +4,8 @@ Every public top-level function and class of `src/parres` and every public
 method of its top-level classes must be used, as a name or an attribute,
 somewhere in `src/`.  The exceptions are listed below, each with its reason;
 an exception fails too once its name is gone or has gained a caller in
-`src/`.  The scan is by name, so a method counts as used when any attribute
+`src/`.  Every private top-level function and private method (dunders
+aside) must be used in `src/` outside its own body, with no exception.  The scan is by name, so a method counts as used when any attribute
 of that name is read.  A public method or property whose name another src
 definition shares is therefore listed with every definition of that name,
 each with its src caller or the reason it has none.
@@ -16,6 +17,7 @@ the standard library and itself, so it installs with no dependencies.
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parres"
@@ -80,15 +82,19 @@ def _public_definitions(trees):
     return out
 
 
-def _used_names(trees):
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+def _name_counts(tree):
+    """How often each name is read, as a name or an attribute, in tree."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
     return used
+
+
+def _used_names(trees):
+    return sum(map(_name_counts, trees.values()), Counter())
 
 
 def test_every_public_definition_has_a_src_caller():
@@ -97,6 +103,37 @@ def test_every_public_definition_has_a_src_caller():
     uncalled = {qual for qual, name in _public_definitions(trees)
                 if name not in used}
     assert sorted(uncalled - set(NO_SRC_CALLER)) == []
+
+
+def _private_definitions(trees):
+    """(qualified name, node) of each private top-level function, qualified
+    by module, and each private method of a top-level class, qualified by
+    class; dunders are not private."""
+    out = []
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, funcs) and private(node.name):
+                out.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                out += [(f"{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, funcs) and private(item.name)]
+    return out
+
+
+def test_every_private_definition_has_a_src_caller():
+    # a use inside the definition itself, such as a recursive call, is no
+    # caller
+    trees = _trees()
+    used = _used_names(trees)
+    uncalled = [qual for qual, node in _private_definitions(trees)
+                if used[node.name] == _name_counts(node)[node.name]]
+    assert uncalled == []
 
 
 def test_every_exception_is_defined_and_uncalled():

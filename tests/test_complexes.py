@@ -125,6 +125,17 @@ def test_induced_identity_is_isomorphism(r1):
     assert ind.is_injective() and ind.cokernel().length() == 0
 
 
+def test_induced_map_with_no_cycles_and_no_boundaries(regular):
+    # x = (a, b) is regular, so d_2 of K(x; R) is injective and there is no
+    # d_3: the map solves against a matrix with no columns, and phi is 0x0
+    k = koszul_complex(regular.sop("x"))
+    comps = {n: RingMatrix.identity(k.ring, k.module(n)) for n in range(3)}
+    ind = InducedHomologyMap(ComplexMap(k, k, comps), 2)
+    assert ind.z_tgt.ncols == 0 and k.differential(3).ncols == 0
+    assert (ind.phi.nrows, ind.phi.ncols) == (0, 0)
+    assert ind.is_injective()
+
+
 def test_one_wrong_sign_fails_each_square_zero_check(r2):
     # the non-minimal resolution of R/(x) as minimal_free_resolution builds
     # it, with the sign of one entry of d_2 flipped
