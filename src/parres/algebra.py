@@ -381,7 +381,13 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
+# a variable name, here and in a ring spec's [vars]
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(%s)|([-+*^()]))" % IDENTIFIER.pattern)
+# the longest integer literal read: int() converts 640 digits under any
+# setting of the interpreter's digit limit, and no coefficient mod p < 2^31
+# or exponent below the packing limit needs more
+MAX_LITERAL_DIGITS = 640
 
 
 def _tokenize(text, line):
@@ -394,6 +400,10 @@ def _tokenize(text, line):
         num, name, op = m.group(1), m.group(2), m.group(3)
         col = m.start(m.lastindex) + 1
         if num is not None:
+            if len(num) > MAX_LITERAL_DIGITS:
+                raise PolyParseError(
+                    f"integer literal of {len(num)} digits is longer than "
+                    f"{MAX_LITERAL_DIGITS}", line=line, column=col)
             out.append(("num", int(num), col))
         elif name is not None:
             out.append(("var", name, col))

@@ -15,11 +15,11 @@ import json
 import time
 from math import comb
 
-from .algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
-                      PolynomialRingSpec)
+from .algebra import (IDENTIFIER, AlgebraError, NotHomogeneousError,
+                      PolyParseError, PolynomialRingSpec)
 from ._engine import check_degree
 from .groebner import INFINITE, QuotientRingSpec
-from .koszul import KoszulTable, ParameterSequence
+from .koszul import ParameterSequence
 from .resolutions import betti_table
 from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
                          find_standard_power, first_standard_power,
@@ -100,7 +100,12 @@ def parse_ring_spec(text, name=None):
                 raise PolyParseError(f"bad characteristic {line!r}",
                                      line=lineno) from None
         elif section == "vars":
-            variables = (variables or []) + line.replace(",", " ").split()
+            names = line.replace(",", " ").split()
+            for name in names:
+                if not IDENTIFIER.fullmatch(name):
+                    raise PolyParseError(f"bad variable name {name!r}",
+                                         line=lineno)
+            variables = (variables or []) + names
         elif section == "ideal":
             ideal_lines.append((lineno, line))
         elif section == "sop":
@@ -249,11 +254,10 @@ def verify_inequality(report, ring, x, cap, nmax):
     d = ring.dimension()
     lhs = betti_table(x.quotient_module(), cap).totals()
     report.record("lhs_poincare", lhs)
-    table = KoszulTable(ring)
     h_series = {}
     for i in range(1, x.count + 1):
-        if table.length(x, i) != 0:
-            h_series[i] = betti_table(table.homology(x, i), cap).totals()
+        if x.length(i) != 0:
+            h_series[i] = betti_table(x.homology(i), cap).totals()
     rhs = _cone_series(d, h_series, cap)
     report.record("homology_poincare", h_series)
     report.record("rhs_assembly", rhs)
@@ -271,19 +275,18 @@ def verify_main_theorem(report, ring, x, cap, nmax):
     Betti-tail identity beta_{d+1+j}(R/(x^n)) = beta_{d-1+j}(H).
     """
     d = ring.dimension()
-    table = KoszulTable(ring)
-    cmd = cohen_macaulay_defect(ring, table, x=x)
+    cmd = cohen_macaulay_defect(x)
     report.record("dim", d)
     report.record("cmd", cmd)
     if cmd > 1:
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
         return
-    verdict_flc = flc_check(x, table, nmax=nmax)
+    verdict_flc = flc_check(x, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        repr(verdict_flc), "NOT-APPLICABLE")
         return
-    n = first_standard_power(x, table, nmax=nmax)
+    n = first_standard_power(x, nmax=nmax)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, repr(n), f"<= {nmax}")
@@ -292,7 +295,7 @@ def verify_main_theorem(report, ring, x, cap, nmax):
     betti = betti_table(xn.quotient_module(), cap)
     lhs = betti.totals()
     report.record("poincare_quotient", lhs)
-    betti_h = betti_table(table.homology(xn, 1), cap)
+    betti_h = betti_table(xn.homology(1), cap)
     ph = betti_h.totals()
     report.record("poincare_h", ph)
     rhs = _cone_series(d, {1: ph}, cap)
@@ -302,7 +305,7 @@ def verify_main_theorem(report, ring, x, cap, nmax):
     betti_by_power = {n: lhs}
     for m in range(n + 1, nmax + 1):
         xm = x.power(m)
-        if standardness_witness(xm, table) is not None:
+        if standardness_witness(xm) is not None:
             continue
         betti_by_power[m] = betti_table(xm.quotient_module(), cap).totals()
     report.record("betti_totals_by_standard_power", betti_by_power)
@@ -322,8 +325,8 @@ def verify_main_theorem(report, ring, x, cap, nmax):
 
 def stabilization_scan(report, ring, x, cap, nmax):
     """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict;
-    the squares criteria of the powers share one Koszul table, which
-    learns the depth of R from the sop x by itself."""
+    the squares criteria of the powers read the Koszul data of x's powers
+    and their prefixes, which take the depth of R from the sop x."""
     if nmax < 1:
         raise AlgebraError(f"power bound {nmax} is below 1: the scan window "
                            "is empty")
@@ -331,11 +334,10 @@ def stabilization_scan(report, ring, x, cap, nmax):
     check_degree(2 * nmax * max(x.degrees(), default=0))
     tables = {}
     standard = {}
-    koszul = KoszulTable(ring)
     for i in range(1, nmax + 1):
         xi = x.power(i)
         tables[i] = betti_table(xi.quotient_module(), cap).totals()
-        standard[i] = standardness_witness(xi, koszul) is None
+        standard[i] = standardness_witness(xi) is None
     report.record("betti_totals", tables)
     report.record("standard", standard)
     stab = None
@@ -358,8 +360,7 @@ EXAMPLE_REFERENCE = ((1, 3, 6, 13, 28), (3, 7, 12, 26, 56), (1, 2, 3, 7, 15))
 
 def reproduce_example(report, ring, x, cap, nmax):
     """Recompute the three reference Poincare truncations and compare."""
-    table = KoszulTable(ring)
-    p_h2, p_h1 = (betti_table(table.homology(x, p), cap).totals()
+    p_h2, p_h1 = (betti_table(x.homology(p), cap).totals()
                   for p in (2, 1))
     p_q = betti_table(x.quotient_module(), cap).totals()
     for name, got, want in zip(("P_H2", "P_H1", "P_quotient"),
@@ -379,11 +380,10 @@ def resolve_experiment(report, ring, x, cap, nmax):
 
 def koszul_experiment(report, ring, x, cap, nmax):
     """Lengths and graded pieces of all Koszul homology modules of x."""
-    table = KoszulTable(ring)
-    k = table.complex(x)
+    k = x.complex()
     report.record("ranks", {n: k.rank(n) for n in range(x.count + 1)})
-    lengths = {i: table.length(x, i) for i in range(x.count + 1)}
-    graded = {i: table.graded_length(x, i)
+    lengths = {i: x.length(i) for i in range(x.count + 1)}
+    graded = {i: x.graded_length(i)
               for i, n in lengths.items() if n is not INFINITE}
     report.record("homology_lengths", lengths)
     report.record("homology_graded", graded)
@@ -399,12 +399,11 @@ def invariants_experiment(report, ring, x, cap, nmax):
 
 
 def standard_experiment(report, ring, x, cap, nmax):
-    table = KoszulTable(ring)
-    n = find_standard_power(x, table, nmax=nmax)
+    n = find_standard_power(x, nmax=nmax)
     report.record("standard_power",
                   n if n is not NOT_FOUND else repr(NOT_FOUND))
     if n is not NOT_FOUND:
-        wit = standardness_witness(x.power(n), table)
+        wit = standardness_witness(x.power(n))
         report.verdict("power re-verified standard", wit is None,
                        f"n={n}", "squares criterion")
     else:

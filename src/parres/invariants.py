@@ -1,27 +1,22 @@
 """Ring invariants: depth, grade, sop tests, local cohomology lengths.
 
 Everything here is about R itself: Koszul homology has coefficients in R.
-Depth and grade are read off KoszulTable.grade, the vanishing of Koszul
-homology.  Given a sop x, depth R = grade(x) = d - max{p : H_p(x; R) != 0}:
-grade depends only on the radical of the ideal, and (x) is primary to the
-irrelevant maximal ideal m (Bruns-Herzog 1.2.10 and 1.6.17), so the Koszul
-homology of x, whose lengths the standardness and FLC tests read anyway,
-gives the depth; K(m) on the variables is built only when there is no sop.
-Every test here compares lengths, which the table reads off Hilbert series,
-so none of them presents a Koszul homology module.  The table derives the
-series of every H_p(y; R) that must vanish, p above count - depth R +
-dim R/(y), with no Groebner basis, and it learns depth R by itself, from
-grade(x), before the first cokernel of a power or prefix of the sop x (see
-KoszulTable), so no function here takes the grade first.  The powers of x
-and their prefixes are made from x's packed elements.  Sop standardness
-uses the squares criterion (Koszul homology lengths unchanged under
-squaring the sequence), and the lengths of the local cohomology modules are
-recovered by back-solving the binomial identities relating them to Koszul
-homology lengths of a standard sop.  Finiteness of local cohomology is a
-semi-decision: lengths are scanned across powers up to a bound.
-
-The functions of one experiment share a KoszulTable, passed as `table`, so
-that each H_p(y; R) is counted once.
+Depth is read off the grade of a sop x, the vanishing of its Koszul
+homology: depth R = grade(x) = d - max{p : H_p(x; R) != 0}, because grade
+depends only on the radical of the ideal and (x) is primary to the
+irrelevant maximal ideal m (Bruns-Herzog 1.2.10 and 1.6.17).  So the depth
+is taken only from a sequence checked to be a sop, and a non-sop raises
+before any Koszul homology is computed.  Every test here compares lengths,
+which each sequence reads off Hilbert series, so none of them presents a
+Koszul homology module.  A power or prefix of a sop x derives the series of
+every H_p that must vanish, p > cmd = d - depth R, from grade(x), which x
+keeps (see ParameterSequence), so no function here takes the grade first.
+Sop standardness uses the squares criterion (Koszul homology lengths
+unchanged under squaring the sequence), and the lengths of the local
+cohomology modules are recovered by back-solving the binomial identities
+relating them to Koszul homology lengths of a standard sop.  Finiteness of
+local cohomology is a semi-decision: lengths are scanned across powers up
+to a bound.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from math import comb
 from .algebra import AlgebraError, Sentinel
 from .groebner import INFINITE
 from .complexes import InducedHomologyMap, ComplexMap, dual
-from .koszul import KoszulTable, ParameterSequence, comparison_map
+from .koszul import ParameterSequence, comparison_map
 
 # flc_check verdict when the power bound is hit without stabilization
 UNDECIDED = Sentinel("UNDECIDED")
@@ -48,19 +43,18 @@ def maximal_ideal_sequence(ring):
     return ParameterSequence(ring, elems, name="m")
 
 
-def depth(ring, table, x):
-    """Depth of R: grade(x) read off the table for a sop x, else the grade
-    of the irrelevant maximal ideal.  A non-sop x never gives the depth."""
-    if x is not None and x.is_sop():
-        return table.grade(x)
-    return table.grade(maximal_ideal_sequence(ring))
+def depth(x):
+    """Depth of R: grade(x) for the sop x; a non-sop raises."""
+    if not x.is_sop():
+        raise AlgebraError("reference sequence is not a sop of R")
+    return x.grade()
 
 
-def cohen_macaulay_defect(ring, table, x):
-    return ring.dimension() - depth(ring, table, x=x)
+def cohen_macaulay_defect(x):
+    return x.ring.dimension() - depth(x)
 
 
-def standardness_witness(x, table):
+def standardness_witness(x):
     """None if the squares criterion holds, else the first failing (p, r).
 
     Criterion: for every initial segment x_1..x_r and every p in 1..r, the
@@ -70,8 +64,8 @@ def standardness_witness(x, table):
         sub = x.prefix(r)
         sq = sub.power(2)
         for p in range(1, r + 1):
-            l1 = table.length(sub, p)
-            l2 = table.length(sq, p)
+            l1 = sub.length(p)
+            l2 = sq.length(p)
             if l1 is INFINITE or l2 is INFINITE:
                 raise AlgebraError(
                     f"infinite Koszul homology length at (p={p}, r={r}); "
@@ -81,7 +75,7 @@ def standardness_witness(x, table):
     return None
 
 
-def local_cohomology_lengths(x, table):
+def local_cohomology_lengths(x):
     """Lengths of the local cohomology modules of R below the dimension.
 
     For a standard sop x = x_1..x_d the identity
@@ -95,7 +89,7 @@ def local_cohomology_lengths(x, table):
     for r in range(1, d + 1):
         sub = x.prefix(r)
         for p in range(1, r + 1):
-            val = table.length(sub, p)
+            val = sub.length(p)
             if val is INFINITE:
                 raise AlgebraError("infinite Koszul homology length; "
                                    "x is not a sop of R")
@@ -119,14 +113,13 @@ def local_cohomology_lengths(x, table):
     return lc
 
 
-def cohomology_comparison_map(x, n, i, table):
+def cohomology_comparison_map(x, n, i):
     """Induced map H^i(x^n; R) -> H^i(x^(n+1); R) between Koszul cohomologies.
 
-    Realized by dualizing the complex-level comparison map, whose Koszul
-    complexes come from `table`; cohomology in index i is homology of the
-    dual in index -i.
+    Realized by dualizing the complex-level comparison map; cohomology in
+    index i is homology of the dual in index -i.
     """
-    phi = comparison_map(x, n, table)
+    phi = comparison_map(x, n)
     dsrc = dual(phi.target)    # dual of K(x^n)
     dtgt = dual(phi.source)    # dual of K(x^(n+1))
     comps = {}
@@ -166,40 +159,39 @@ def length_stability_check(x, nmax, check_maps):
     H^g, g = depth, across consecutive powers (the index whose cohomology
     computes the corresponding local cohomology for standard sops).
     """
-    table = KoszulTable(x.ring)
     d = x.count
     lengths = {}
     for n in range(1, nmax + 1):
         xn = x.power(n)
         for p in range(1, d + 1):
-            lengths[(p, n)] = table.length(xn, p)
+            lengths[(p, n)] = xn.length(p)
     stable = {p: len({lengths[(p, n)] for n in range(1, nmax + 1)}) == 1
               for p in range(1, d + 1)}
     injective = {}
     if check_maps and d >= 1:
-        i = depth(x.ring, table, x=x)
+        i = depth(x)
         for n in range(1, nmax):
-            ind = cohomology_comparison_map(x, n, i, table)
+            ind = cohomology_comparison_map(x, n, i)
             injective[(i, n)] = ind.is_injective()
     return StabilityReport(lengths, stable, injective)
 
 
-def find_standard_power(x, table, nmax):
+def find_standard_power(x, nmax):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
-    verdict = flc_check(x, table, nmax=nmax)
+    verdict = flc_check(x, nmax=nmax)
     if verdict is not True:
         return NOT_FOUND
-    return first_standard_power(x, table, nmax=nmax)
+    return first_standard_power(x, nmax=nmax)
 
 
-def first_standard_power(x, table, nmax):
+def first_standard_power(x, nmax):
     """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
 
     The squares criterion presumes finite local cohomology, so call this
     only after flc_check has returned True; find_standard_power does both.
     """
     for n in range(1, nmax + 1):
-        if standardness_witness(x.power(n), table) is None:
+        if standardness_witness(x.power(n)) is None:
             return n
     return NOT_FOUND
 
@@ -231,7 +223,7 @@ def reference_sop(ring):
     raise AlgebraError("no system of parameters found among the candidates")
 
 
-def flc_check(x, table, nmax):
+def flc_check(x, nmax):
     """Finite local cohomology of R, as a semi-decision.
 
     True when the Koszul homology lengths of the sop x stabilize across
@@ -250,12 +242,12 @@ def flc_check(x, table, nmax):
     for n in (nmax - 1, nmax):
         xn = x.power(n)
         for p in range(1, x.count + 1):
-            lengths[(p, n)] = table.length(xn, p)
+            lengths[(p, n)] = xn.length(p)
     if any(lengths[(p, nmax - 1)] != lengths[(p, nmax)]
            for p in range(1, x.count + 1)):
         return UNDECIDED
     try:
-        local_cohomology_lengths(x.power(nmax), table)
+        local_cohomology_lengths(x.power(nmax))
     except AlgebraError:
         return UNDECIDED
     return True
@@ -295,19 +287,18 @@ class InvariantReport:
 
 def invariant_report(ring, x, nmax=4):
     """Compute the invariant summary of a ring for the sop x, or for the
-    reference sop when x is None, with a KoszulTable of its own."""
-    table = KoszulTable(ring)
-    dim = ring.dimension()
-    if x is None and dim > 0:
+    reference sop when x is None (the empty sequence on an artinian
+    ring)."""
+    if x is None:
         x = reference_sop(ring)
-    dep = depth(ring, table, x=x)
-    cmd = dim - dep
-    flc = flc_check(x, table, nmax=nmax) if dim > 0 else True
+    dim = ring.dimension()
+    dep = depth(x)
+    flc = flc_check(x, nmax=nmax)
     lc = None
     power = None
     if flc is True and dim > 0:
-        power = first_standard_power(x, table, nmax=nmax)
+        power = first_standard_power(x, nmax=nmax)
         if power is not NOT_FOUND:
-            lc = local_cohomology_lengths(x.power(power), table)
-    return InvariantReport(ring, dim, dep, cmd, flc, lc, power,
-                           sop_name=None if x is None else x.name)
+            lc = local_cohomology_lengths(x.power(power))
+    return InvariantReport(ring, dim, dep, dim - dep, flc, lc, power,
+                           sop_name=x.name)

@@ -177,23 +177,22 @@ def _truncate(cplx, top):
     return ChainComplex(cplx.ring, modules, diffs, check=False)
 
 
-def general_cone_resolution(x, cap, table):
+def general_cone_resolution(x, cap):
     """Free resolution of R/(x) by iterated homology-killing cones.
 
     Starting from the Koszul complex, the top homology (in degrees >= 1) is
     killed repeatedly with shifted resolutions; before minimization the ranks
     follow the direct-sum shape rank_n = rank K_n + sum_s rank F^s_{n-s-1}.
-    K(x; R), each H_s(x; R) and its cycle matrix come from the KoszulTable
-    `table`.  The result is trustworthy through homological degree cap + 1
+    K(x; R), each H_s(x; R) and its cycle matrix are x's own.  The result is trustworthy through homological degree cap + 1
     and is returned unminimized.
     """
-    cplx = table.complex(x)
+    cplx = x.complex()
     for s in range(x.count, 0, -1):
-        if table.length(x, s) == 0:
+        if x.length(s) == 0:
             continue
         # killing H_t adds nothing below degree t + 1, so the cone built so
         # far is K(x) in degrees <= s + 1 and its H_s and cycles are K(x)'s
-        z, h = table.presentation(x, s)
+        z, h = x.presentation(s)
         # resolution length: each kill stays valid through degree cap + 1,
         # and the junk above the truncated resolution of H_s lands strictly
         # above everything later (lower-s) iterations touch

@@ -17,7 +17,7 @@ from parres.groebner import INFINITE
 from parres.harness import run_experiment
 from parres.invariants import (flc_check, length_stability_check,
                                local_cohomology_lengths, standardness_witness)
-from parres.koszul import KoszulTable, koszul_complex
+from parres.koszul import koszul_complex
 from parres.resolutions import (betti_table, cec_injectivity_check,
                                 general_cone_resolution,
                                 minimal_free_resolution)
@@ -94,7 +94,7 @@ def test_criterion_2_inequality(r1, capsys):
         want_rhs[i] += 2 * p_k[i - 2]
     for i in range(3, 5):
         want_rhs[i] += p_k[i - 3]
-    cone = general_cone_resolution(x, 4, KoszulTable(x.ring))
+    cone = general_cone_resolution(x, 4)
     cone_ranks = [cone.rank(i) for i in range(5)]
     checks = {
         "lhs reference": lhs == [1, 2, 3, 7, 15],
@@ -147,7 +147,7 @@ def test_raised_cap_resolution_of_h1_over_r2(r2):
     """The Betti totals of H_1(x; r2) through cap 9 equal P_k for r2: an
     exact check at a depth the degreewise oracle cannot reach."""
     x = r2.sop("x")
-    h1 = KoszulTable(x.ring).homology(x, 1)
+    h1 = x.homology(1)
     # H_1(x; r2) = k(-2), so its minimal resolution is that of k, shifted
     assert h1.length() == 1
     assert h1.graded_length() == {2: 1}
@@ -163,10 +163,9 @@ def _standard_corpus_sops(corpus):
     for name, spec in corpus.items():
         for sname in spec.sops:
             x = spec.sop(sname)
-            table = KoszulTable(x.ring)
-            if flc_check(x, table, nmax=spec.cap("power", 4)) is not True:
+            if flc_check(x, nmax=spec.cap("power", 4)) is not True:
                 continue
-            if standardness_witness(x, table) is None:
+            if standardness_witness(x) is None:
                 out.append((name, x))
     return out
 
@@ -178,7 +177,7 @@ def test_criterion_5_hoa_formulas(corpus, capsys):
     for name, x in _standard_corpus_sops(corpus):
         # local_cohomology_lengths checks the binomial identities for all
         # r <= d, p >= 1 and cross-checks the solved lengths for consistency
-        lc = local_cohomology_lengths(x, KoszulTable(x.ring))
+        lc = local_cohomology_lengths(x)
         details.append(f"{name}: {lc}")
         if name == "r2":
             r2_solved = lc
@@ -271,7 +270,7 @@ def test_criterion_10_property_suites(corpus, r1, tmp_path, capsys):
         for n in range(k.lo + 2, k.hi + 1):
             if not (k.differential(n - 1) @ k.differential(n)).is_zero():
                 ok = False
-    cone = general_cone_resolution(r1.sop("x"), 3, KoszulTable(r1.ring))
+    cone = general_cone_resolution(r1.sop("x"), 3)
     for n in range(2, 5):
         if cone.module(n):
             if not (cone.differential(n - 1) @ cone.differential(n)).is_zero():

@@ -74,6 +74,21 @@ def test_a_large_power_parses_or_fails_at_once(text, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("text, column", [("1" * 5000 + "*a", 1),
+                                          ("a^" + "1" * 5000, 3)],
+                         ids=["coefficient", "exponent"])
+def test_a_literal_past_the_digit_limit_is_a_parse_error(text, column):
+    # int() would refuse 5,000 digits under the interpreter's default limit
+    ring = PolynomialRingSpec(7, ["a"])
+    with pytest.raises(PolyParseError,
+                       match="integer literal of 5000 digits") as exc:
+        ring.parse(text, line=3)
+    assert (exc.value.line, exc.value.column) == (3, column)
+    # the longest literal read
+    assert ring.parse("1" * 640 + "*a") == \
+        ring.parse(f"{int('1' * 640) % 7}*a")
+
+
 def test_parse_unknown_variable(ring):
     with pytest.raises(PolyParseError):
         ring.parse("a + z")

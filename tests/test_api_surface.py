@@ -35,6 +35,10 @@ NO_SRC_CALLER = {
         "units as their steps arrive",
     "resolutions.cec_injectivity_check":
         "the comparison-map injectivity of acceptance criterion 8",
+    "invariants.maximal_ideal_sequence":
+        "the maximal-ideal sequence whose grade the benchmark's oracle "
+        "workload and the tests check the depth against; src takes the "
+        "depth from a sop",
     "invariants.length_stability_check":
         "the length stability of acceptance criteria 6 and 7",
     "StabilityReport.all_stable":
@@ -161,11 +165,12 @@ SHARED_NAMES = {
             "oracle.matrix_slice",
     },
     "complex": {
-        "KoszulTable.complex":
-            "harness.koszul_experiment and koszul.comparison_map",
         "ModuleResolution.complex":
             "complexes.kill_top_homology and "
             "resolutions.lift_koszul_to_resolution",
+        "ParameterSequence.complex":
+            "harness.koszul_experiment, koszul.comparison_map and "
+            "resolutions.general_cone_resolution",
     },
     "entries": {
         "BettiTable.entries": "BettiTable.total, to_dict and pretty",
@@ -179,18 +184,18 @@ SHARED_NAMES = {
     "graded_length": {
         "FinitelyPresentedModule.graded_length":
             "no src caller: the benchmark's oracle workload and the tests "
-            "compare it with the oracle; src counts through KoszulTable",
-        "KoszulTable.graded_length":
-            "harness.koszul_experiment and KoszulTable.length",
+            "compare it with the oracle; src counts through the sequences",
+        "ParameterSequence.graded_length":
+            "harness.koszul_experiment and ParameterSequence.length",
     },
     "hilbert_numerator": {
         "groebner.hilbert_numerator":
             "QuotientRingSpec.hilbert_numerator and "
             "FinitelyPresentedModule.hilbert_numerator",
         "QuotientRingSpec.hilbert_numerator":
-            "QuotientRingSpec.dimension and KoszulTable._free",
+            "QuotientRingSpec.dimension and ParameterSequence._free",
         "FinitelyPresentedModule.hilbert_numerator":
-            "FinitelyPresentedModule.length and KoszulTable._cokernel",
+            "FinitelyPresentedModule.length and ParameterSequence._cokernel",
     },
     "is_zero": {
         "Polynomial.is_zero": "RingMatrix.from_columns",
@@ -202,12 +207,11 @@ SHARED_NAMES = {
             "MonomialOrder.compare and Polynomial.leading_term",
         "Grevlex.key": "the MonomialOrder.key of the grevlex order",
         "Lex.key": "the MonomialOrder.key of the lex order",
-        "ParameterSequence.key": "KoszulTable._key",
     },
     "length": {
         "FinitelyPresentedModule.length":
             "ParameterSequence.is_sop and InducedHomologyMap.kernel_length",
-        "KoszulTable.length":
+        "ParameterSequence.length":
             "invariants.flc_check and harness.koszul_experiment",
     },
     "nvars": {

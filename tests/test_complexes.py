@@ -9,7 +9,7 @@ from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               minimize_with_tracking, shift)
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
-from parres.koszul import KoszulTable, koszul_complex
+from parres.koszul import koszul_complex
 from parres.resolutions import betti_table, minimal_free_resolution
 from parres import complexes, oracle
 from conftest import (QUINTIC, RING_109, is_minimal, matrix_of,
@@ -45,14 +45,12 @@ def test_homology_presentation_matches_oracle(r1):
 def test_homology_sup(r1, regular):
     # the top nonvanishing H_p sits at count - grade
     x = r1.sop("x")
-    table = KoszulTable(r1.ring)
-    assert [table.length(x, p) for p in range(x.count + 1)] == [2, 2, 1]
-    assert table.grade(x) == x.count - 2
+    assert [x.length(p) for p in range(x.count + 1)] == [2, 2, 1]
+    assert x.grade() == x.count - 2
     # regular sequence: only H_0 survives
     y = regular.sop("x")
-    table = KoszulTable(regular.ring)
-    assert all(table.length(y, p) == 0 for p in range(1, y.count + 1))
-    assert table.grade(y) == y.count
+    assert all(y.length(p) == 0 for p in range(1, y.count + 1))
+    assert y.grade() == y.count
 
 
 def test_shift(r1):
@@ -97,7 +95,7 @@ def test_koszul_self_duality(r2):
 
 def test_minimize_preserves_homology(r1):
     from parres.resolutions import general_cone_resolution
-    cone = general_cone_resolution(r1.sop("x"), 3, KoszulTable(r1.ring))
+    cone = general_cone_resolution(r1.sop("x"), 3)
     mini = minimize_with_tracking(cone)[0]
     assert is_minimal(mini)
     for n in range(0, 4):
@@ -108,7 +106,7 @@ def test_minimize_preserves_homology(r1):
 
 def test_minimize_tracking_gives_submatrix(r1):
     from parres.resolutions import general_cone_resolution
-    cone = general_cone_resolution(r1.sop("x"), 2, KoszulTable(r1.ring))
+    cone = general_cone_resolution(r1.sop("x"), 2)
     mini, kept = minimize_with_tracking(cone)
     for n in mini.modules:
         assert len(kept[n]) == mini.rank(n)
@@ -212,8 +210,7 @@ def _resolved_module(name):
         ring = parse_ring_spec(RING_109).ring
         return maximal_ideal_sequence(ring).quotient_module()
     quintic = parse_ring_spec(QUINTIC)
-    return KoszulTable(quintic.ring).presentation(quintic.sop().power(2),
-                                                  1)[1]
+    return quintic.sop().power(2).presentation(1)[1]
 
 
 @pytest.mark.parametrize("resolve", [betti_table, minimal_free_resolution])
@@ -314,7 +311,7 @@ def test_minimization_matches_a_restart_from_start_reference(random_specs):
     # over the quintic, resolved through cap 3
     quintic = parse_ring_spec(QUINTIC)
     k = maximal_ideal_sequence(parse_ring_spec(RING_109).ring)
-    h = KoszulTable(quintic.ring).presentation(quintic.sop().power(2), 1)[1]
+    h = quintic.sop().power(2).presentation(1)[1]
     for module, ranks, minimal in (
             (k.quotient_module(), [1, 4, 13, 41, 136], [1, 4, 9, 16, 115]),
             (h, [3, 7, 18, 56, 176], [2, 6, 18, 48, 168])):

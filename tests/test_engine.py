@@ -11,7 +11,6 @@ from parres._engine import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
                             PyReducer, check_degree, groebner_basis,
                             interreduce, vec_degree)
 from parres import _engine, kernel
-from parres.koszul import KoszulTable
 from conftest import solver_stores
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
@@ -267,7 +266,7 @@ def test_scanned_interreduction_matches_reducing_every_tail(
     runs = [(spec.sop().quotient_module(), 3)
             for spec in (*corpus.values(), *random_specs[:6])]
     x = r2.sop()
-    runs.append((KoszulTable(x.ring).homology(x, 1), 6))
+    runs.append((x.homology(1), 6))
     stores = rewritten = 0
     for module, cap in runs:
         for unreduced, store in solver_stores(module, cap):

@@ -1,6 +1,8 @@
 import ast
 import json
+import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,27 @@ def test_parse_error_carries_line():
     with pytest.raises(PolyParseError) as exc:
         parse_ring_spec("[field]\n7\n[vars]\na b\n[ideal]\na + * b\n")
     assert exc.value.line == 6
+
+
+@pytest.mark.parametrize("names", ["1 b", "a-b c", "x^2 y"])
+def test_parse_rejects_variable_names_the_grammar_cannot_write(names):
+    # "1 b" would make k[b]/(b^2) a ring of dimension 1
+    bad = names.split()[0]
+    with pytest.raises(PolyParseError,
+                       match=f"bad variable name '{re.escape(bad)}'") as exc:
+        parse_ring_spec(f"[field]\n7\n[vars]\n{names}\n[ideal]\nb^2\n")
+    assert exc.value.line == 4
+
+
+def test_cli_reports_a_long_literal_in_one_line(capsys, tmp_path):
+    spec = tmp_path / "long.ring"
+    spec.write_text("[field]\n7\n[vars]\na b\n[ideal]\n"
+                    + "1" * 5000 + "*a\n[sop x]\nb\n")
+    assert main(["invariants", "--ring", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "integer literal of 5000 digits" in err
+    assert "(line 6, column 1)" in err
 
 
 def test_parse_unknown_variable():
@@ -181,6 +204,39 @@ def test_main_theorem_on_an_artinian_ring(tmp_path):
     assert doc["data"]["poincare_quotient"] == [1, 0, 0, 0, 0]
     assert doc["data"]["poincare_h"] == [0, 0, 0, 0, 0]
     assert [v["pass"] for v in doc["verdicts"]] == [True, True, True]
+
+
+def test_main_theorem_on_a_non_sop_is_an_error(capsys, tmp_path):
+    # the cmd hypothesis is read off a sop only: r1 with x = (a) used to
+    # report it NOT-APPLICABLE from the maximal ideal's depth
+    spec = tmp_path / "r1_short.ring"
+    spec.write_text(bundled_ring_text("r1").replace("a\nb\n[caps]",
+                                                    "a\n[caps]"))
+    assert main(["main-theorem", "--ring", str(spec)]) == 1
+    assert "reference sequence is not a sop of R" in capsys.readouterr().err
+
+
+def test_invariants_on_an_artinian_ring_with_a_sop_is_an_error(capsys,
+                                                               tmp_path):
+    # only the empty sequence is a sop of an artinian ring
+    spec = tmp_path / "artinian.ring"
+    spec.write_text("[field]\n7\n[vars]\na b\n[ideal]\na^2\nb^2\n"
+                    "[sop x]\na\n")
+    assert main(["invariants", "--ring", str(spec)]) == 1
+    assert "reference sequence is not a sop of R" in capsys.readouterr().err
+
+
+def test_invariants_rejects_a_non_sop_before_any_work(capsys, tmp_path):
+    # dim k[v0..v17]/(v1^2) = 17, so the one-element x is no sop: it fails
+    # on its count, with no Koszul complex of the maximal ideal built
+    spec = tmp_path / "wide.ring"
+    names = " ".join(f"v{i}" for i in range(18))
+    spec.write_text(f"[field]\n32003\n[vars]\n{names}\n[ideal]\nv1^2\n"
+                    "[sop x]\nv0\n")
+    start = time.perf_counter()
+    assert main(["invariants", "--ring", str(spec)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "reference sequence is not a sop of R" in capsys.readouterr().err
 
 
 def test_main_theorem_guard_on_r1(r1):
@@ -404,8 +460,8 @@ def test_koszul_counts_each_cokernel_once(monkeypatch):
 @pytest.mark.parametrize("ring", ["r2", "nonflc"])
 def test_powers_take_no_run_for_a_cokernel_the_depth_forces(monkeypatch,
                                                             command, ring):
-    # both rings have cmd 1, and the table learns the depth from the sop by
-    # itself, so a Koszul cokernel of two or more generators takes a
+    # both rings have cmd 1, and each power and prefix takes the depth from
+    # the sop, so a Koszul cokernel of two or more generators takes a
     # Buchberger run only over x itself, never over a power or a prefix
     spec = parse_ring_spec(bundled_ring_text(ring))
     x = spec.sop()
@@ -427,7 +483,7 @@ def test_powers_take_no_run_for_a_cokernel_the_depth_forces(monkeypatch,
 
 @pytest.mark.parametrize("ring", ["r1", "r2"])
 def test_length_stability_builds_each_koszul_complex_once(monkeypatch, ring):
-    # the lengths and the comparison maps share one table
+    # the lengths and the comparison maps read each power's own complex
     spec = parse_ring_spec(bundled_ring_text(ring))
     built = _count_koszul_complexes(monkeypatch)
     rep = invariants.length_stability_check(spec.sop(), nmax=4, check_maps=True)

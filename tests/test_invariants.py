@@ -14,7 +14,7 @@ from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                local_cohomology_lengths,
                                maximal_ideal_sequence, reference_sop,
                                standardness_witness)
-from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
+from parres.koszul import ParameterSequence, koszul_complex
 
 
 def test_depth_and_defect(corpus):
@@ -23,14 +23,13 @@ def test_depth_and_defect(corpus):
     for name, spec in corpus.items():
         dim, dep, cmd = expect[name]
         assert spec.ring.dimension() == dim, name
-        assert depth(spec.ring, KoszulTable(spec.ring), x=None) == dep, name
-        assert cohen_macaulay_defect(spec.ring, KoszulTable(spec.ring),
-                                     x=None) == cmd, name
+        assert depth(spec.sop()) == dep, name
+        assert cohen_macaulay_defect(spec.sop()) == cmd, name
 
 
 def _grade(ring, texts):
     seq = ParameterSequence(ring, [ring.ambient.parse(t) for t in texts])
-    return KoszulTable(ring).grade(seq)
+    return seq.grade()
 
 
 def test_grade(r1, r2):
@@ -42,10 +41,10 @@ def test_grade(r1, r2):
 
 
 def test_standardness(r1, r2):
-    assert standardness_witness(r1.sop("x"), KoszulTable(r1.ring)) is None
+    assert standardness_witness(r1.sop("x")) is None
     # standard at the first power; both rings have finite local cohomology
-    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring), nmax=4) == 1
-    assert find_standard_power(r2.sop(), KoszulTable(r2.ring), nmax=4) == 1
+    assert find_standard_power(r1.sop("x"), nmax=4) == 1
+    assert find_standard_power(r2.sop(), nmax=4) == 1
 
 
 def test_high_powers_stop_at_the_packing_limit(r2):
@@ -53,29 +52,27 @@ def test_high_powers_stop_at_the_packing_limit(r2):
     # check names the limit before a key overflows its fields
     x = r2.sop("x")
     with pytest.raises(AlgebraError, match="exceeds packing limit"):
-        standardness_witness(x.power(256), KoszulTable(x.ring))
+        standardness_witness(x.power(256))
 
 
 def test_local_cohomology_lengths(r1, r2):
-    assert local_cohomology_lengths(r1.sop("x"),
-                                    KoszulTable(r1.ring)) == [1, 0]
-    assert local_cohomology_lengths(r2.sop(), KoszulTable(r2.ring)) == [0, 1]
+    assert local_cohomology_lengths(r1.sop("x")) == [1, 0]
+    assert local_cohomology_lengths(r2.sop()) == [0, 1]
 
 
 def test_flc_verdicts(r1, r2, nonflc):
-    assert flc_check(r1.sop("x"), KoszulTable(r1.ring), nmax=4) is True
-    assert flc_check(r2.sop(), KoszulTable(r2.ring), nmax=4) is True
-    verdict = flc_check(nonflc.sop("y"), KoszulTable(nonflc.ring), nmax=3)
+    assert flc_check(r1.sop("x"), nmax=4) is True
+    assert flc_check(r2.sop(), nmax=4) is True
+    verdict = flc_check(nonflc.sop("y"), nmax=3)
     assert verdict is UNDECIDED
     with pytest.raises(AlgebraError):
         bool(verdict)
 
 
 def test_find_standard_power(r1, r2, nonflc):
-    assert find_standard_power(r1.sop("x"), KoszulTable(r1.ring), nmax=4) == 1
-    assert find_standard_power(r2.sop(), KoszulTable(r2.ring), nmax=4) == 1
-    assert find_standard_power(nonflc.sop("y"), KoszulTable(nonflc.ring),
-                               nmax=3) is NOT_FOUND
+    assert find_standard_power(r1.sop("x"), nmax=4) == 1
+    assert find_standard_power(r2.sop(), nmax=4) == 1
+    assert find_standard_power(nonflc.sop("y"), nmax=3) is NOT_FOUND
 
 
 def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
@@ -91,7 +88,7 @@ def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
     assert len(calls) == 1
     assert inv.to_dict()["standard_power"] == 1
     # once FLC holds, the search alone gives the same answer
-    assert first_standard_power(r2.sop(), KoszulTable(r2.ring), nmax=4) == 1
+    assert first_standard_power(r2.sop(), nmax=4) == 1
 
 
 def test_invariants_never_present_r_itself(monkeypatch, r2):
@@ -121,7 +118,7 @@ def test_reference_sop(r1, r2):
 
 def test_cohomology_comparison_map(r1):
     x = r1.sop("x")
-    ind = cohomology_comparison_map(x, 1, 0, KoszulTable(r1.ring))
+    ind = cohomology_comparison_map(x, 1, 0)
     assert ind.is_injective()
     # and surjective: the cokernel is zero
     assert ind.cokernel().length() == 0
@@ -154,9 +151,12 @@ def test_variable_in_the_ideal(tmp_path, ideal, sop, want):
     text = "[field]\n101\n[vars]\na b\n[ideal]\n" + "\n".join(ideal) + "\n"
     if sop:
         text += "[sop x]\n" + "\n".join(sop) + "\n"
-    ring = parse_ring_spec(text).ring
+    spec = parse_ring_spec(text)
+    ring = spec.ring
     assert maximal_ideal_sequence(ring).count == 2 - len(ideal)
-    assert depth(ring, KoszulTable(ring), x=None) == want
+    # with no sop, the reference sop: on the artinian ring, the empty one
+    x = spec.sop() if sop else reference_sop(ring)
+    assert x.count == ring.dimension() and depth(x) == want
     path = tmp_path / "spec.ring"
     path.write_text(text)
     out = tmp_path / "report.json"
@@ -174,10 +174,9 @@ def test_depth_of_the_maximal_ideal_is_the_grade_of_a_sop(corpus,
     for spec in specs:
         for x in spec.sops.values():
             assert x.is_sop()
-            want = KoszulTable(spec.ring).grade(
-                maximal_ideal_sequence(spec.ring))
-            assert KoszulTable(spec.ring).grade(x) == want, spec.name
-            assert depth(spec.ring, KoszulTable(spec.ring), x=x) == want
+            want = maximal_ideal_sequence(spec.ring).grade()
+            assert x.grade() == want, spec.name
+            assert depth(x) == want
             depths.add(want)
     assert depths == {0, 1, 2}
 
@@ -188,7 +187,7 @@ def test_grade_of_the_maximal_ideal_against_the_oracle(corpus):
     for name, spec in corpus.items():
         m = maximal_ideal_sequence(spec.ring)
         k = koszul_complex(m)
-        top = m.count - KoszulTable(spec.ring).grade(m)
+        top = m.count - m.grade()
         dims = [[oracle.homology_dim_at(k, i, t) for t in range(9)]
                 for i in range(top, m.count + 1)]
         assert any(dims[0]), name
@@ -196,13 +195,13 @@ def test_grade_of_the_maximal_ideal_against_the_oracle(corpus):
 
 
 def test_non_sop_never_gives_the_depth(regular):
-    ring = regular.ring
     prefix = regular.sop().prefix(1)
-    table = KoszulTable(ring)
     assert not prefix.is_sop()
-    assert table.grade(prefix) == 1
-    assert depth(ring, x=prefix, table=table) == 2
-    assert cohen_macaulay_defect(ring, x=prefix, table=table) == 0
+    assert prefix.grade() == 1
+    for read in (depth, cohen_macaulay_defect):
+        with pytest.raises(AlgebraError,
+                           match="reference sequence is not a sop of R"):
+            read(prefix)
 
 
 @pytest.mark.parametrize("ring, runs", [
@@ -227,10 +226,9 @@ def test_invariants_runs_each_groebner_basis_once(monkeypatch, ring, runs):
     assert len(seen) == len(set(seen)) == runs
 
 
-def test_invariant_report_tables_live_for_one_call(monkeypatch):
-    # each call counts the cokernels of its own Koszul differentials again;
-    # only R/(y), which y keeps, as x keeps its powers and their prefixes,
-    # is counted once for both calls
+def test_a_second_invariant_report_runs_no_groebner_basis(monkeypatch):
+    # x keeps its powers and their prefixes, and each of them keeps R/(y)
+    # and its Koszul data, so a second report on the same sop reads them
     spec = parse_ring_spec(bundled_ring_text("r2"))
     calls = []
     real = FinitelyPresentedModule._initial_leads
@@ -244,4 +242,4 @@ def test_invariant_report_tables_live_for_one_call(monkeypatch):
     first = list(calls)
     calls.clear()
     invariant_report(spec.ring, spec.sop())
-    assert calls and calls == [g for g in first if g != (0,)]
+    assert first and calls == []

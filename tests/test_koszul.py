@@ -8,10 +8,9 @@ from parres.complexes import homology_presentation
 from parres.groebner import INFINITE, FinitelyPresentedModule
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
-from parres.koszul import (KoszulTable, ParameterSequence, comparison_map,
-                           koszul_complex)
+from parres.koszul import ParameterSequence, comparison_map, koszul_complex
 
-from conftest import QUINTIC, STAGE_A
+from conftest import QUINTIC, STAGE_A, bundled_spec
 
 
 def test_sequence_validation(r1, r2):
@@ -54,14 +53,9 @@ def test_powers_match_the_polynomial_reference(corpus, random_specs):
                 assert xn.elements == want, (spec.name, x, n)
                 assert xn.degrees() == tuple(n * d for d in x.degrees())
                 assert xn.prefix(1).elements == want[:1]
-                assert xn.key == ParameterSequence(spec.ring, want).key
+                assert xn.prefix(1) is x.prefix(1).power(n)
                 checked += 1
     assert checked > 350
-    # equal elements give one key whatever the order of their terms
-    ring = corpus["r2"].ring
-    keys = {ParameterSequence(ring, [ring.ambient.parse(t)]).key
-            for t in ("a + b", "b + a")}
-    assert len(keys) == 1
 
 
 def test_is_sop(r1, nonflc):
@@ -103,20 +97,18 @@ def test_koszul_ranks_binomial(r2):
 
 def test_koszul_h0_is_quotient(r1):
     x = r1.sop("x")
-    table = KoszulTable(r1.ring)
-    h0 = table.homology(x, 0)
+    h0 = x.homology(0)
     assert h0.graded_length() == x.quotient_module().graded_length()
     # d_1 presents R/(x): the complex takes the sequence's own relation
-    # matrix, and the table counts coker d_1 from the sequence's module
-    assert table.complex(x).differential(1) is x.quotient_module().relations
-    assert table._cokernel(x, 1) is x.quotient_module().hilbert_numerator()
+    # matrix, and the sequence counts coker d_1 from its own module
+    assert x.complex().differential(1) is x.quotient_module().relations
+    assert x._cokernel(1) is x.quotient_module().hilbert_numerator()
 
 
 def test_known_homology_r1(r1):
     x = r1.sop("x")
-    table = KoszulTable(r1.ring)
-    h1 = table.homology(x, 1)
-    h2 = table.homology(x, 2)
+    h1 = x.homology(1)
+    h2 = x.homology(2)
     assert h1.length() == 2 and h1.graded_length() == {2: 2}
     assert h2.length() == 1 and h2.graded_length() == {3: 1}
 
@@ -124,17 +116,15 @@ def test_known_homology_r1(r1):
 def test_regular_sequence_acyclic(regular, hypersurface):
     for spec in (regular, hypersurface):
         x = spec.sop()
-        table = KoszulTable(spec.ring)
         for i in range(1, x.count + 1):
-            assert table.homology(x, i).length() == 0
+            assert x.homology(i).length() == 0
 
 
 def test_comparison_map_commutes(r1):
     x = r1.sop("x")
-    table = KoszulTable(r1.ring)
-    phi = comparison_map(x, 2, table)  # K(x^3) -> K(x^2); construction checks
-    assert phi.source is table.complex(x.power(3))
-    assert phi.target is table.complex(x.power(2))
+    phi = comparison_map(x, 2)  # K(x^3) -> K(x^2); construction checks
+    assert phi.source is x.power(3).complex()
+    assert phi.target is x.power(2).complex()
     assert phi.components[0].entry(0, 0) == r1.ring.reduce(
         r1.ring.ambient.one())
     e = phi.components[1].entry(0, 0)
@@ -146,55 +136,65 @@ def test_comparison_map_commutes(r1):
     assert top == r1.ring.reduce(prod)
 
 
-def test_table_shares_prefix_of_square_and_square_of_prefix(monkeypatch, r2):
-    built = []
-    real = koszul.koszul_complex
+def test_the_prefix_of_the_square_is_the_square_of_the_prefix(monkeypatch):
+    # one object, so one R/(y), one Buchberger run for it and one K(y; R),
+    # however the part is reached; the root x takes its own for grade(x)
+    built, runs = [], []
+    real_complex = koszul.koszul_complex
+    real_leads = FinitelyPresentedModule._initial_leads
 
-    def counting(y):
+    def building(y):
         built.append(y.elements)
-        return real(y)
+        return real_complex(y)
 
-    monkeypatch.setattr(koszul, "koszul_complex", counting)
-    x = r2.sop()
-    table = KoszulTable(r2.ring)
-    prefix_of_square = ParameterSequence(r2.ring, x.power(2).elements[:1])
-    square_of_prefix = ParameterSequence(r2.ring, [x.elements[0] ** 2])
-    h = table.homology(prefix_of_square, 1)
-    assert table.homology(square_of_prefix, 1) is h
-    assert table.length(square_of_prefix, 1) == h.length()
-    assert len(built) == 1
+    def counting(module):
+        runs.append(tuple(tuple(sorted(c.items()))
+                          for c in module.relations.cols))
+        return real_leads(module)
+
+    monkeypatch.setattr(koszul, "koszul_complex", building)
+    monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
+    x = bundled_spec("r2").sop()
+    square_of_prefix = x.prefix(1).power(2)
+    assert square_of_prefix is x.power(2).prefix(1)
+    y = x.ring.reduce(x.elements[0] ** 2)
+    assert square_of_prefix.elements == (y,)
+    h = square_of_prefix.homology(1)
+    assert x.power(2).prefix(1).homology(1) is h
+    assert x.prefix(1).power(2).length(1) == h.length()
+    x.prefix(1).power(2).quotient_module().length()
+    assert built.count((y,)) == 1
+    assert runs.count(tuple(tuple(sorted(c.items()))
+                            for c in square_of_prefix.relations.cols)) == 1
 
 
-def test_table_is_bound_to_its_ring(r1, r2):
-    table = KoszulTable(r1.ring)
-    with pytest.raises(AlgebraError):
-        table.length(r2.sop(), 1)
-    with pytest.raises(AlgebraError):
-        table.homology(r1.sop("x"), -1)
+def test_homology_index_below_zero_is_an_error(r1):
+    for read in (r1.sop("x").homology, r1.sop("x").length):
+        with pytest.raises(AlgebraError, match="homology index -1"):
+            read(-1)
     # K(x; R) has no term above x.count, so H_3 of a 2-element sop is zero
-    assert table.homology(r1.sop("x"), 3).length() == 0
-    assert table.length(r1.sop("x"), 3) == 0
+    assert r1.sop("x").homology(3).length() == 0
+    assert r1.sop("x").length(3) == 0
 
 
 def _assert_series_match_presentations(spec, powers):
-    """Lengths and graded lengths read off the table's Hilbert series equal
-    those of the presented H_p(y; R), for y = x^n and for its prefix
+    """Lengths and graded lengths read off the sequence's Hilbert series
+    equal those of the presented H_p(y; R), for y = x^n and for its prefix
     without the last element, which is no sop and has INFINITE lengths."""
-    table = KoszulTable(spec.ring)
     seen = set()
     for x in spec.sops.values():
         for n in powers:
             xn = x.power(n)
             for y in (xn, ParameterSequence(spec.ring, xn.elements[:-1])):
                 for p in range(y.count + 1):
-                    _, h = homology_presentation(table.complex(y), p)
-                    length = table.length(y, p)
+                    _, h = homology_presentation(y.complex(), p)
+                    length = y.length(p)
                     assert length == h.length(), (spec.name, y, p)
                     seen.add(length is INFINITE)
                     if length is INFINITE:
-                        assert table.graded_length(y, p) is INFINITE
+                        assert y.graded_length(p) is INFINITE
                     else:
-                        assert table.graded_length(y, p) == \
+                        assert y.graded_length(p) == \
                             h.graded_length()
     return seen
 
@@ -216,38 +216,24 @@ def test_series_lengths_match_presentations_on_random_rings(random_specs):
 # --- vanishing from the depth -------------------------------------------------
 
 
-def _depth_checked_sequences(spec):
-    """Every prefix of x^n, n = 1..4, for the spec's reference sop x, then
-    two sequences not known to be part of a sop: the maximal-ideal sequence
-    and (x_1, x_1^2), whose dim R/(y) is read off R/(y)."""
-    x = spec.sop()
-    out = [x.power(n).prefix(r) for n in range(1, 5)
-           for r in range(1, x.count + 1)]
-    return out + [maximal_ideal_sequence(spec.ring),
-                  ParameterSequence(spec.ring, [x.elements[0],
-                                                x.elements[0] ** 2])]
-
-
-def test_a_table_that_knows_the_depth_gives_the_same_lengths(corpus,
-                                                             random_specs):
+def test_parts_that_know_the_depth_give_the_lengths_of_copies(
+        corpus, random_specs):
+    # every prefix of x^n, n = 1..4, other than x, takes depth R from the
+    # sop x and derives C_p for p > cmd; a copy made by the constructor is
+    # its own root and runs Buchberger for each C_p
     compared = derived = 0
     for spec in (*corpus.values(), *random_specs):
-        learned = KoszulTable(spec.ring)
-        depth = learned.grade(spec.sop())
-        assert learned._depth == depth
-        # the fresh table reads copies made by the constructor, which are
-        # no powers or prefixes, so it never learns the depth
-        fresh = KoszulTable(spec.ring)
-        for y in _depth_checked_sequences(spec):
+        x = spec.sop()
+        cmd = spec.ring.dimension() - x.grade()
+        for y in (x.power(n).prefix(r) for n in range(1, 5)
+                  for r in range(1, x.count + 1)):
             copy = ParameterSequence(spec.ring, y.elements)
-            bound = y.count - depth + learned._quotient_dim(y)
             for p in range(y.count + 2):
-                assert learned.graded_length(y, p) == \
-                    fresh.graded_length(copy, p), (spec.name, y, p)
+                assert y.graded_length(p) == copy.graded_length(p), \
+                    (spec.name, y, p)
                 compared += 1
-                derived += p > bound
-        assert fresh._depth is None
-    assert compared > 1500 and derived > compared // 3
+                derived += y is not x and cmd < p <= y.count
+    assert compared > 1000 and derived > 150
 
 
 def test_koszul_homology_above_the_depth_bound_vanishes_in_the_oracle(
@@ -256,12 +242,12 @@ def test_koszul_homology_above_the_depth_bound_vanishes_in_the_oracle(
     # p > count - depth R + dim R/(y), on prefixes of x and x^2
     defective = [spec for spec in random_specs
                  if spec.ring.dimension()
-                 - KoszulTable(spec.ring).grade(spec.sop()) >= 1][:6]
+                 - spec.sop().grade() >= 1][:6]
     assert len(defective) == 6
     checked = 0
     for spec in (*corpus.values(), *defective):
         x = spec.sop()
-        depth = KoszulTable(spec.ring).grade(x)
+        depth = x.grade()
         for n in (1, 2):
             for r in range(1, x.count + 1):
                 y = x.power(n).prefix(r)
@@ -286,48 +272,47 @@ def test_the_depth_spares_the_runs_of_the_vanishing_cokernels(monkeypatch):
     monkeypatch.setattr(FinitelyPresentedModule, "_initial_leads", counting)
     # r2 has depth 1 and dimension 2: H_2(x^n; R) = 0 forces coker d_2,
     # and only R/(x^n), one generator, takes a run
-    r2 = parse_ring_spec(bundled_ring_text("r2"))
-    x, table = r2.sop(), KoszulTable(r2.ring)
-    assert table.grade(x) == 1
+    x = bundled_spec("r2").sop()
+    assert x.grade() == 1
     runs.clear()
     for n in (2, 3):
         for p in range(x.count + 2):
-            table.length(x.power(n), p)
+            x.power(n).length(p)
     assert runs == [(0,), (0,)]
     # regular is Cohen-Macaulay: no prefix of x^2 takes a run
-    regular = parse_ring_spec(bundled_ring_text("regular"))
-    x, table = regular.sop(), KoszulTable(regular.ring)
-    assert table.grade(x) == 2
+    x = bundled_spec("regular").sop()
+    assert x.grade() == 2
     runs.clear()
     for r in (1, 2):
         y = x.power(2).prefix(r)
         for p in range(r + 2):
-            table.graded_length(y, p)
-        assert table.grade(y) == r
-        assert y.key not in table._complexes
-    assert x.key in table._complexes
+            y.graded_length(p)
+        assert y.grade() == r
+        assert y._complex is None
+    assert x._complex is not None
     assert runs == []
 
 
 def test_a_grade_of_positive_dimension_teaches_no_depth():
-    # grade(x_1) = 1 on the regular ring of depth 2: R/(x_1) has dimension
-    # 1, so the table waits for the sop; x_1 is made by the constructor, so
-    # it is no prefix that would make the table take grade(x) itself
-    spec = parse_ring_spec(bundled_ring_text("regular"))
-    x, table = spec.sop(), KoszulTable(spec.ring)
-    x1 = ParameterSequence(spec.ring, x.elements[:1])
-    assert table.grade(x1) == 1 and table._depth is None
-    assert table.grade(x) == 2 and table._depth == 2
+    # grade(x_1) = 1 on the regular ring of depth 2, and R/(x_1) has
+    # dimension 1; x_1 made by the constructor is its own root and no sop,
+    # so it derives no cokernel and takes no grade of x
+    x = bundled_spec("regular").sop()
+    x1 = ParameterSequence(x.ring, x.elements[:1])
+    assert x1.grade() == 1 and not x1.is_sop()
+    assert x._grade is None
+    assert x1._cokernels[1] == x1.quotient_module().hilbert_numerator()
+    assert x.grade() == 2
 
 
 @pytest.mark.parametrize("name, power_runs", [
     ("r2", [((0,), (2, 2)), ((0,), (3, 3))]), ("regular", [])])
 def test_a_fresh_table_learns_the_depth_before_the_first_power(
         monkeypatch, name, power_runs):
-    # a table that reads only the lengths of x^n takes grade(x) itself, so
-    # it makes the Buchberger runs of a table given grade(x) first: those
-    # of R/(x) and coker d_2 of K(x), then one for R/(x^n) on r2 (cmd 1)
-    # and none on the Cohen-Macaulay regular ring
+    # a power of a fresh sop x, asked only its lengths, takes grade(x)
+    # itself, so it makes the Buchberger runs it makes when grade(x) is
+    # taken first: those of R/(x) and coker d_2 of K(x), then one for
+    # R/(x^n) on r2 (cmd 1) and none on the Cohen-Macaulay regular ring
     runs = []
     real = FinitelyPresentedModule._initial_leads
 
@@ -339,14 +324,13 @@ def test_a_fresh_table_learns_the_depth_before_the_first_power(
     seen = []
     for given in (True, False):
         # parsed afresh, so that no quotient module has counted already
-        spec = parse_ring_spec(bundled_ring_text(name))
-        x, table = spec.sop(), KoszulTable(spec.ring)
+        x = bundled_spec(name).sop()
         runs.clear()
         if given:
-            table.grade(x)
-        lengths = [table.length(x.power(n), p)
+            x.grade()
+        lengths = [x.power(n).length(p)
                    for n in (2, 3) for p in range(x.count + 2)]
-        seen.append((sorted(runs), lengths, table._depth))
+        seen.append((sorted(runs), lengths, x._grade))
     assert seen[0] == seen[1]
     assert seen[1][0] == sorted([((0,), (1, 1)), ((1, 1), (2,)),
                                  *power_runs])

@@ -17,7 +17,6 @@ from parres.harness import parse_ring_spec, run_experiment
 from parres.invariants import (UNDECIDED, find_standard_power, flc_check,
                                local_cohomology_lengths,
                                maximal_ideal_sequence)
-from parres.koszul import KoszulTable
 from parres.resolutions import betti_table
 
 from conftest import QUINTIC, RING_81, RING_84, RING_109
@@ -85,7 +84,7 @@ def test_ring_81_totals_agree_before_the_standard_power():
     tables = {n: betti_table(x.power(n).quotient_module(), 6)
               for n in (1, 2, 3)}
     assert all(t.totals() == [1, 1, 1, 2, 3, 5, 8] for t in tables.values())
-    assert find_standard_power(x, KoszulTable(spec.ring), 4) == 2
+    assert find_standard_power(x, 4) == 2
     # the graded tables shift from the standard power on, and only there
     assert _shifted_tail(tables[3], 3) == _shifted_tail(tables[2], 2)
     assert _shifted_tail(tables[1], 1) != _shifted_tail(tables[2], 2)
@@ -93,8 +92,8 @@ def test_ring_81_totals_agree_before_the_standard_power():
 
 def test_ring_84_needs_power_5_to_decide_flc():
     spec = parse_ring_spec(RING_84)
-    x, table = spec.sop(), KoszulTable(spec.ring)
-    assert flc_check(x, table, 4) is UNDECIDED
-    assert flc_check(x, table, 5) is True
-    assert find_standard_power(x, table, 5) == 4
-    assert local_cohomology_lengths(x.power(4), table) == [8]
+    x = spec.sop()
+    assert flc_check(x, 4) is UNDECIDED
+    assert flc_check(x, 5) is True
+    assert find_standard_power(x, 5) == 4
+    assert local_cohomology_lengths(x.power(4)) == [8]

@@ -4,7 +4,7 @@ from math import comb
 from parres.algebra import PolynomialRingSpec
 from parres.groebner import (FinitelyPresentedModule, QuotientRingSpec,
                              RingMatrix)
-from parres.koszul import KoszulTable, ParameterSequence, koszul_complex
+from parres.koszul import ParameterSequence, koszul_complex
 from parres.resolutions import (BettiTable, betti_table,
                                 cec_injectivity_check,
                                 general_cone_resolution,
@@ -13,7 +13,7 @@ from parres.resolutions import (BettiTable, betti_table,
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres import complexes, koszul, oracle, resolutions
-from conftest import (QUINTIC, RING_109, STAGE_A, is_minimal,
+from conftest import (QUINTIC, RING_109, STAGE_A, bundled_spec, is_minimal,
                       unminimized)
 
 
@@ -88,9 +88,9 @@ def test_syzygy_module(r1):
 
 
 def test_sequence_grade(r1, r2, regular):
-    assert KoszulTable(r1.ring).grade(r1.sop("x")) == 0
-    assert KoszulTable(r2.ring).grade(r2.sop()) == 1
-    assert KoszulTable(regular.ring).grade(regular.sop()) == 2
+    assert r1.sop("x").grade() == 0
+    assert r2.sop().grade() == 1
+    assert regular.sop().grade() == 2
 
 
 def _count_presentations(monkeypatch):
@@ -109,16 +109,16 @@ def _count_presentations(monkeypatch):
     return calls
 
 
-def test_general_cone_presents_each_homology_once(monkeypatch, r1):
+def test_general_cone_presents_each_homology_once(monkeypatch):
     calls = _count_presentations(monkeypatch)
-    general_cone_resolution(r1.sop("x"), 3, KoszulTable(r1.ring))
+    general_cone_resolution(bundled_spec("r1").sop("x"), 3)
     # H_2 and H_1 of r1's Koszul complex are both nonzero and killed in turn
     assert calls == [2, 1]
 
 
-def test_aci_cone_presents_each_homology_once(monkeypatch, r2):
+def test_aci_cone_presents_each_homology_once(monkeypatch):
     calls = _count_presentations(monkeypatch)
-    general_cone_resolution(r2.sop(), 4, KoszulTable(r2.ring))
+    general_cone_resolution(bundled_spec("r2").sop(), 4)
     # the cone reads H_2 = 0 and H_1 != 0 off their Hilbert series, and
     # presents H_1 alone
     assert calls == [1]
@@ -126,7 +126,7 @@ def test_aci_cone_presents_each_homology_once(monkeypatch, r2):
 
 def test_general_cone_resolution_r1(r1):
     x = r1.sop("x")
-    cone = general_cone_resolution(x, 4, KoszulTable(r1.ring))
+    cone = general_cone_resolution(x, 4)
     # resolves R/(x): exact in positive degrees, H_0 = R/(x)
     for n in range(1, 5):
         for d in range(0, 10):
@@ -139,9 +139,9 @@ def test_general_cone_resolution_r1(r1):
 
 def test_aci_cone_matches_koszul_plus_shift(r2):
     x = r2.sop()
-    cone = general_cone_resolution(x, 4, KoszulTable(r2.ring))
+    cone = general_cone_resolution(x, 4)
     # rank_n = binom(2, n) + rank F_{n-2} of the H_1 resolution
-    h1res = minimal_free_resolution(KoszulTable(r2.ring).homology(x, 1), 3)
+    h1res = minimal_free_resolution(x.homology(1), 3)
     for n in range(0, 5):
         expect = comb(2, n) + (h1res.complex.rank(n - 2) if n >= 2 else 0)
         assert cone.rank(n) == expect
@@ -258,7 +258,7 @@ def test_betti_numbers_are_ranks_over_k(corpus, random_specs):
     modules = [spec.sop().quotient_module() for spec in specs]
     modules += [
         maximal_ideal_sequence(ring_109.ring).quotient_module(),
-        KoszulTable(quintic.ring).presentation(quintic.sop().power(2), 1)[1]]
+        quintic.sop().power(2).presentation(1)[1]]
     nonminimal = 0
     for module in modules:
         cplx = unminimized(betti_table, module, 3)

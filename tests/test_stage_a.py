@@ -16,7 +16,7 @@ from parres.cli import DEFAULT_CAP, DEFAULT_POWER_MAX
 from parres.groebner import QuotientRingSpec
 from parres.harness import parse_ring_spec, run_experiment
 from parres.invariants import maximal_ideal_sequence
-from parres.koszul import KoszulTable, comparison_map, koszul_complex
+from parres.koszul import comparison_map, koszul_complex
 from parres.resolutions import cec_injectivity_check
 
 from conftest import STAGE_A
@@ -67,7 +67,6 @@ def test_koszul_matrices_are_built_from_packed_columns(monkeypatch):
     spec = parse_ring_spec(STAGE_A, name="stage-a")
     ring = spec.ring
     seqs = (spec.sop(), maximal_ideal_sequence(ring))
-    table = KoszulTable(ring)
     made = []
     real = Polynomial.__init__
 
@@ -88,7 +87,7 @@ def test_koszul_matrices_are_built_from_packed_columns(monkeypatch):
                   y.power(2).prefix(1), y.power(2).power(2)):
             z.quotient_module()
     built = [(y, koszul_complex(y), koszul_complex(y.power(2)),
-              comparison_map(y, 1, table)) for y in seqs]
+              comparison_map(y, 1)) for y in seqs]
     injective = [cec_injectivity_check(y, 2) for y in seqs]
     assert made == []
     assert injective == [{0: True, 1: True}, {0: True, 1: True, 2: True}]
