@@ -41,13 +41,13 @@ once, by `QuotientRingSpec.monomial_form` alone.
 A Groebner basis of a submodule of a free module over R = S/I is computed
 over S with I's reduced basis G implicit: `buchberger` takes the ring, and
 its reducer treats g e_i, for every g in G, as a basis element in every
-leading-block position i.  The rows I*F are never built or stored, and no
-two of them are paired, since G is already a Groebner basis.  The normal
-form reduces each leading-block term modulo I, through the ring's forms,
-before it scans the store, so every stored leading-block term is standard
-modulo I.  In a tagged
+position i.  The rows I*F are never built or stored, and no two of them
+are paired, since G is already a Groebner basis.  The normal form reduces
+each term modulo I, in every position, through the ring's forms, before it
+scans the store, so every stored term is standard modulo I.  In a tagged
 module `buchberger` forms no S-pair past the leading block (Schreyer's
-skip, see `buchberger`).
+skip), and the tag block is reduced modulo I as well; see `buchberger` for
+why neither changes an answer over R.
 """
 
 from __future__ import annotations
@@ -164,9 +164,9 @@ class PackContext:
     def position_floor(self, rank):
         """Smallest key of any term in positions < rank.
 
-        Terms in positions >= rank compare strictly below this, so it serves
-        as the stop boundary when reducing only the leading block of an
-        extended (tagged) module.
+        Terms in positions >= rank compare strictly below this, so a vector
+        meets the leading block of an extended (tagged) module exactly when
+        its largest key is at least this.
         """
         return (1 - rank) << self.topshift
 
@@ -200,9 +200,8 @@ class PyReducer:
     the only copy of that basis (`by_pos`: position -> entries in order).
 
     Over a quotient ring, `buchberger` sets `ring` to the QuotientRingSpec
-    that owns I and `floor` to the smallest key of the leading block: every
-    g e_i in that block, for g in I's reduced basis, is then a basis element
-    that `by_pos` does not hold.
+    that owns I: every g e_i, for g in I's reduced basis and i any
+    position, is then a basis element that `by_pos` does not hold.
     """
 
     def __init__(self, ctx, p):
@@ -210,7 +209,6 @@ class PyReducer:
         self.p = p
         self.by_pos = {}
         self.ring = None
-        self.floor = None
 
     def __len__(self):
         return sum(map(len, self.by_pos.values()))
@@ -241,26 +239,26 @@ class PyReducer:
             self.entry(lead, vec.items(), pow(vec[lead], self.p - 2, self.p)))
         return pos
 
-    def normal_form(self, vec, stopkey=None):
-        """Fully reduce `vec`; terms below `stopkey` are left untouched.
+    def normal_form(self, vec):
+        """Fully reduce `vec`, modulo I in every position when `ring` is set.
 
         Terms are taken largest first from a heap of negated keys.  A
         reduction only adds keys below the one it reduces, so a key taken
         never comes back, and a heap key no longer in `work` was cancelled.
 
-        A leading-block term is reduced modulo I before the store is
-        scanned, through the ring's monomial-form table: the term is
-        replaced by its monomial's form moved to its position, or kept for
-        the scan when the form is True (a standard monomial).  A monomial
-        the table lacks goes to `ring.monomial_form`, which alone reduces
-        it and records its form, so each monomial is reduced once per ring.
+        Every term is reduced modulo I before the store is scanned, through
+        the ring's monomial-form table: the term is replaced by its
+        monomial's form moved to its position, or kept for the scan when
+        the form is True (a standard monomial).  A monomial the table lacks
+        goes to `ring.monomial_form`, which alone reduces it and records
+        its form, so each monomial is reduced once per ring.
         """
         ctx = self.ctx
         p = self.p
         by_pos = self.by_pos
         topshift, degshift = ctx.topshift, ctx.degshift
         fmask, one, guard, mask = ctx.fmask, ctx.one, ctx.guard, ctx.monomask
-        ring, floor = self.ring, self.floor
+        ring = self.ring
         forms = ring._monomial_forms if ring is not None else None
         work = dict(vec)
         heap = [-k for k in work]
@@ -268,13 +266,11 @@ class PyReducer:
         out = {}
         while heap:
             k = -heapq.heappop(heap)
-            if stopkey is not None and k < stopkey:
-                break
             c = work.pop(k, 0) % p
             if not c:
                 continue
             form = None
-            if forms is not None and k >= floor:
+            if forms is not None:
                 base = k & mask
                 form = forms.get(base)
                 if form is None:
@@ -307,7 +303,6 @@ class PyReducer:
                         work[nk] = nc
                     else:
                         del work[nk]
-        out.update(work)
         return out
 
 
@@ -336,11 +331,11 @@ def spoly(entry1, entry2, lcm, deg, ctx, p):
 def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
     """A reducer whose entries in positions < nlead, together with g e_i for
     every basis element g of I and every position i < nlead, form a
-    Groebner basis of the submodule generated by the homogeneous packed
-    vectors `vecs` and I times those positions; gendegs holds the internal
-    degree of each free-module position.  ring is the QuotientRingSpec
-    that owns I, whose monomial forms the reducer reads, or None for the
-    ring's own basis of I (and no I).
+    Groebner basis, in those positions, of the submodule generated by the
+    homogeneous packed vectors `vecs` and I times every position; gendegs
+    holds the internal degree of each free-module position.  ring is the
+    QuotientRingSpec that owns I, whose monomial forms the reducer reads,
+    or None for the ring's own basis of I (and no I).
     Deterministic for a fixed input order.  Generators and S-pairs pop in
     nondecreasing degree, and only nonzero normal forms against every
     earlier entry and I are added, so no lead divides another and none lies
@@ -357,12 +352,22 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
     store through degree top, and its interreduction, equal the unbounded
     run's.  The bounded store holds no entry above top.
 
-    Positions >= nlead are a tag block (nlead = len(gendegs) when there is
-    none), and no S-pair is formed there.  The S-vector of two entries led
-    in it is a combination of the two, and only tag-block entries reduce
-    it, so the pair adds no generator (Schreyer 1991): those entries still
-    generate the part of the submodule that vanishes in positions < nlead,
-    though no longer as a Groebner basis.
+    Positions >= nlead are a tag block T (nlead = len(gendegs) when there
+    is none), and no S-pair is formed there.  The S-vector of two entries
+    led in it is a combination of the two, and only tag-block entries and
+    I reduce it, so the pair adds no generator (Schreyer 1991): those
+    entries, with I*T, still generate the part of the submodule that
+    vanishes in positions < nlead, though no longer as a Groebner basis.
+
+    The reducer reduces every term modulo I, the tag terms too, so the run
+    works modulo I*T as well as modulo I times the leading block.  This
+    changes no answer over R, for two reasons.  First, I*T maps to zero in
+    R^(len(gendegs) - nlead), so the entries led in T still generate the
+    syzygies over R that a caller reads off them.  Second, a reduction of a
+    tag term adds only tag terms, which sort below every leading-block key,
+    so the leading-block part of every normal form and of every entry, and
+    with them every lead, S-pair, criterion and retirement, are those of a
+    run that reduces modulo I in the leading block alone, term for term.
 
     The product criterion is applied between stored entries only in rank 1
     (len(gendegs) == 1); it is not valid between module elements of higher
@@ -386,7 +391,7 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
     reducer = reducer_factory(ctx, p)
     ideal = ring._basis if ring is not None else ()
     if ideal:
-        reducer.ring, reducer.floor = ring, ctx.position_floor(nlead)
+        reducer.ring = ring
     live = {}  # position -> the entries of I not retired there
     # (degree, seq, generator vec or (entry, entry, lcm word, lcm degree))
     heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
@@ -437,7 +442,7 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
 def groebner_basis(vecs, ctx, p, gendegs, nlead, ring, top):
     """The reducer from buchberger, its entries rewritten by interreduce into
     the reduced Groebner basis of the submodule generated by `vecs` and I
-    times the positions < nlead, in those positions, less the g e_i that
+    times every position, in the positions < nlead, less the g e_i that
     the reducer keeps implicit, and tail-reduced in the tag block; through
     internal degree top only, unless top is None."""
     reducer = buchberger(vecs, ctx, p, gendegs, nlead, ring, top)

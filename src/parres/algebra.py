@@ -9,6 +9,7 @@ the ring's active monomial order.
 from __future__ import annotations
 
 import re
+from math import isqrt
 
 
 class AlgebraError(Exception):
@@ -54,32 +55,10 @@ class Sentinel:
 
 
 def _is_prime(n):
-    """Deterministic Miller-Rabin test with bases 2, 3, 5 and 7, exact for
-    n < 3,215,031,751, the least strong pseudoprime to all four
-    (Pomerance-Selfridge-Wagstaff 1980).  PolynomialRingSpec rejects a
-    characteristic from MAX_CHARACTERISTIC = 2^31 up before it calls this,
-    so every characteristic it tests lies in the exact range."""
-    bases = (2, 3, 5, 7)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, by trial division up to isqrt(n): exact for every
+    n.  PolynomialRingSpec rejects a characteristic from MAX_CHARACTERISTIC
+    = 2^31 up before it calls this, so a test takes under 2^16 divisions."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +123,8 @@ LEX = Lex()
 # polynomial rings
 
 # input validation: the tests cover characteristics up to 2^31 - 1, and
-# _is_prime is exact only below 3,215,031,751; no arithmetic needs the bound,
-# since every coefficient is a Python integer
+# _is_prime's trial division stays in milliseconds below it; no arithmetic
+# needs the bound, since every coefficient is a Python integer
 MAX_CHARACTERISTIC = 1 << 31
 
 # the packing limit: _engine packs each exponent and the total degree of a

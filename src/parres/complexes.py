@@ -292,7 +292,7 @@ def cancel_units(ring, modules, degrees, arrive):
         if below is not None:
             _check_square_zero(below, d, n)
         cols = dict(enumerate(d.cols))  # the live columns
-        rows = dict(enumerate(d.row_degrees))  # the live rows' degrees
+        rows = dict.fromkeys(range(d.nrows))  # the live rows
         for j in range(d.ncols):
             units = [k for k in cols[j] if not k & dmask]
             if not units:
@@ -302,11 +302,9 @@ def cancel_units(ring, modules, degrees, arrive):
             # column c gains -(entry (pi, c) / unit) * pivot, clearing row pi
             inv = pow(pivot[key], p - 2, p)
             scaled = {k: (-inv * v) % p for k, v in pivot.items()}
-            top = d.col_degrees[j] - min(rows.values())
             del rows[pi]
             rest = list(cols.values())
-            cols = dict(zip(cols, ring.products({pi: (top, scaled)}, rest,
-                                                rest)))
+            cols = dict(zip(cols, ring.products({pi: scaled}, rest, rest)))
         diffs[n], kept[n], live = d, list(cols), list(rows)
         if len(cols) == d.ncols:
             continue

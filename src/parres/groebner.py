@@ -5,8 +5,11 @@ All computations over a quotient ring R = S/I are done by lifting to the
 ambient polynomial ring S.  Kernels and membership questions in free modules
 over R are answered with an extended free module carrying one tag position per
 source generator: a position-over-term Groebner basis is computed with I
-times each target generator implicit in the reducer (see `_engine`), and
-elements supported purely on the tag block are read off.
+times each generator, target and tag alike, implicit in the reducer (see
+`_engine`), and elements supported purely on the tag block are read off
+by untagging them.  Every stored term is already standard modulo I, so the
+read-off reduces nothing; `QuotientRingSpec.reduce_packed` serves only the
+edge where Polynomials come in.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class QuotientRingSpec:
     `monomial_form` fills it, so each monomial is reduced once per ring:
     `reduce_packed`, `products` (the kernel of every matrix product, for
     each product term as the term is made) and a Buchberger run over R,
-    for each leading-block term it meets, read the table and go to
+    for each term it meets in any position, read the table and go to
     `monomial_form` on a miss.
     """
 
@@ -157,27 +160,33 @@ class QuotientRingSpec:
         reduced modulo I: the product-and-reduce kernel of every matrix
         product.
 
-        left: dict k -> (top, column k of the left factor), nonzero columns
-        only, where top bounds the monomial degree of the column's terms.
-        For each term c*m*e_k of right[j] the kernel adds c*m times left[k],
-        one key addition per product of terms, and sends each product term
-        straight through the monomial-form table.  starts is None or one
-        packed column per right column, already reduced, added as it is; a
-        column with no product is its start (or {}).
-        Raises before a product term would leave the packed fields.
+        left: dict k -> column k of the left factor.  For each term c*m*e_k
+        of right[j] the kernel adds c*m times left[k], one key addition per
+        product of terms, and sends each product term straight through the
+        monomial-form table.  starts is None or one packed column per right
+        column, already reduced, added as it is; a column with no product
+        is its start (or {}).
+        Raises before a product term would leave the packed fields: the
+        top monomial degree of each left column is taken once per call.
         """
         ctx, p = self._ctx, self.characteristic
         topshift, degshift, mask, one = (ctx.topshift, ctx.degshift,
                                          ctx.monomask, ctx.one)
+        dmask = EXP_MASK << degshift
         forms = self._monomial_forms
+        tops = {}  # k -> the top monomial degree of left[k]
         out = []
         for j, col in enumerate(right):
             acc = None
             for kb, cb in col.items():
-                entry = left.get(-(kb >> topshift))
-                if entry is None:
+                pos = -(kb >> topshift)
+                a = left.get(pos)
+                if a is None:
                     continue
-                top, a = entry
+                top = tops.get(pos)
+                if top is None:
+                    top = tops[pos] = max((k & dmask for k in a),
+                                          default=0) >> degshift
                 deg = top + ((kb >> degshift) & EXP_MASK)
                 if deg > MAX_DEGREE:
                     check_degree(deg)  # raises
@@ -483,10 +492,8 @@ class RingMatrix:
         if other.nrows != self.ncols:
             raise DimensionMismatchError(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        low = min(self.row_degrees, default=0)
-        left = {k: (deg - low, col) for k, (deg, col) in
-                enumerate(zip(self.col_degrees, self.cols)) if col}
-        cols = self.ring.products(left, other.cols, None)
+        cols = self.ring.products(dict(enumerate(self.cols)), other.cols,
+                                  None)
         return RingMatrix(self.ring, cols, self.row_degrees, other.col_degrees)
 
     def __matmul__(self, other):
@@ -627,13 +634,16 @@ class ExtendedSolver:
     S^{nrows+ncols} generated by {column_j + e_{nrows+j}} and {g * e_i} for
     every defining-ideal basis element g and target position i, in the
     leading block (positions < nrows), and keeps the reducer that holds it,
-    `store`.  Only the tagged columns are passed: the store keeps the g e_i
-    implicit, reducing every leading-block term modulo I, and holds none of
-    them.  No S-pair is formed in the tag block, so its entries generate
-    the syzygies without forming a Groebner basis of them; a syzygy the
-    product criterion skips against some g e_i lies in I times the tag
-    block, which is zero over R.  Syzygies and membership/solve queries
-    both read off this one store.
+    `store`.  Only the tagged columns are passed: the store keeps g e_i
+    implicit in every position, leading and tag block alike, reducing every
+    term modulo I, and holds none of them.  No S-pair is formed in the tag
+    block, so its entries generate the syzygies without forming a Groebner
+    basis of them.  A syzygy the product criterion skips against some
+    g e_i, and anything the reduction of a tag term modulo I removes, lies
+    in I times the tag block, which is zero over R; the leading block is
+    the one a reduction modulo I there alone would give (see `buchberger`).
+    Syzygies and membership/solve queries both read off this one store,
+    whose terms are all standard modulo I, so neither reduces again.
 
     top bounds the internal degree of the run (see `buchberger`), or is
     None for no bound.  A bounded store reads off the syzygies of degree
@@ -662,39 +672,37 @@ class ExtendedSolver:
     def syzygy_matrix(self):
         """Columns generate ker(matrix) as a submodule of R^{ncols}, through
         degree top for a bounded store: the store entries led in the tag
-        block, by degree and lead key."""
+        block, untagged, by degree and lead key.  Every stored term is
+        standard modulo I, so each column is reduced and nonzero as read."""
         mono_degree = self.ctx.mono_degree
-        pure = []  # (degree, lead key, terms)
+        untag = self._untag
+        pure = []  # (degree, lead key, column)
         for pos, entries in self.store.by_pos.items():
             if pos < self.nrows:
                 continue  # leading block nonzero: not a pure syzygy
             for _, lead, _, items in entries:
                 pure.append((mono_degree(lead) + self.gendegs[pos], lead,
-                             items))
+                             {k + untag: c for k, c in items}))
         pure.sort(key=lambda t: t[:2])
-        cols, degs = [], []
-        for deg, _, items in pure:
-            col = self.ring.reduce_packed(
-                {k + self._untag: c for k, c in items})
-            if col:
-                cols.append(col)
-                degs.append(deg)
-        return RingMatrix(self.ring, cols, self.matrix.col_degrees, degs)
+        return RingMatrix(self.ring, [col for *_, col in pure],
+                          self.matrix.col_degrees, [deg for deg, *_ in pure])
 
     def solve_column(self, col):
         """x with matrix @ x = col over R, or None if col is not in the image.
 
-        col and x are packed vectors (position = row).
+        col and x are packed vectors (position = row): x is minus the
+        untagged normal form of col, when that form lies in the tag block.
+        col less that form lies in the store's module, whose elements are,
+        over R, sums of a_j (column_j + e_{nrows+j}), so matrix @ x = col.
         """
         if self.top is not None:
             raise AlgebraError(f"solve against a store bounded at degree "
                                f"{self.top}")
-        nf = self.store.normal_form(col, stopkey=self.floor)
+        nf = self.store.normal_form(col)
         if nf and max(nf) >= self.floor:
             return None  # a leading-block remainder survives
         p = self.p
-        return self.ring.reduce_packed(
-            {k + self._untag: p - c for k, c in nf.items()})
+        return {k + self._untag: p - c for k, c in nf.items()}
 
     def solve(self, b):
         """X with matrix @ X = b over R, or None if some column of b is not

@@ -21,9 +21,9 @@ from ._engine import check_degree
 from .groebner import INFINITE, QuotientRingSpec
 from .koszul import ParameterSequence
 from .resolutions import betti_table
-from .invariants import (NOT_FOUND, cohen_macaulay_defect, flc_check,
+from .invariants import (NOT_FOUND, check_sop, cohen_macaulay_defect,
                          find_standard_power, first_standard_power,
-                         invariant_report, standardness_witness)
+                         flc_check, invariant_report, standardness_witness)
 
 
 # homological: resolution length; power: largest sequence power scanned
@@ -326,7 +326,9 @@ def verify_main_theorem(report, ring, x, cap, nmax):
 def stabilization_scan(report, ring, x, cap, nmax):
     """Betti totals of R/(x^i) for i = 1..nmax with a stabilization verdict;
     the squares criteria of the powers read the Koszul data of x's powers
-    and their prefixes, which take the depth of R from the sop x."""
+    and their prefixes, which take the depth of R from the sop x.  A
+    non-sop raises before any power is made."""
+    check_sop(x)
     if nmax < 1:
         raise AlgebraError(f"power bound {nmax} is below 1: the scan window "
                            "is empty")

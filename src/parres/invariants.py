@@ -43,10 +43,16 @@ def maximal_ideal_sequence(ring):
     return ParameterSequence(ring, elems, name="m")
 
 
-def depth(x):
-    """Depth of R: grade(x) for the sop x; a non-sop raises."""
+def check_sop(x):
+    """Raise unless x is a sop of its ring: the one check that every
+    reading of the depth or of x's powers makes first."""
     if not x.is_sop():
         raise AlgebraError("reference sequence is not a sop of R")
+
+
+def depth(x):
+    """Depth of R: grade(x) for the sop x; a non-sop raises."""
+    check_sop(x)
     return x.grade()
 
 
@@ -229,15 +235,15 @@ def flc_check(x, nmax):
     True when the Koszul homology lengths of the sop x stabilize across
     powers n <= nmax and the stabilized values back-solve to one consistent
     set of local cohomology lengths; UNDECIDED when the power bound is hit
-    without stabilization (or consistency fails).
+    without stabilization (or consistency fails).  A non-sop raises,
+    on a ring of dimension 0 too.
     """
+    check_sop(x)
     if x.ring.dimension() <= 0:
         return True  # finite length ring, trivially FLC
     if nmax < 2:
         raise AlgebraError(f"power bound {nmax} is below 2: the FLC check "
                            "compares powers nmax - 1 and nmax")
-    if not x.is_sop():
-        raise AlgebraError("reference sequence is not a sop of R")
     lengths = {}
     for n in (nmax - 1, nmax):
         xn = x.power(n)

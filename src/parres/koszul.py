@@ -110,9 +110,8 @@ class ParameterSequence:
                 for col, deg in zip(self.relations.cols, self.degrees()):
                     check_degree(n * deg)
                     out = col
-                    for m in range(1, n):
-                        out = self.ring.products({0: (m * deg, out)}, [col],
-                                                 None)[0]
+                    for _ in range(1, n):
+                        out = self.ring.products({0: out}, [col], None)[0]
                     cols.append(out)
             part = object.__new__(ParameterSequence)
             part._set(self.ring, cols, None, self, (n, r))
@@ -279,7 +278,7 @@ def comparison_map(x, n):
     src = x.power(n + 1).complex()
     tgt = x.power(n).complex()
     ring = x.ring
-    shift, degs = ring._ctx.position_shift, x.degrees()
+    shift = ring._ctx.position_shift
     elements = x.relations.cols
     diagonal = {(): {ring._ctx.one: 1}}
     components = {}
@@ -287,9 +286,7 @@ def comparison_map(x, n):
         cols = []
         for idx, s in enumerate(_subsets(x.count, p)):
             if s not in diagonal:
-                rest = s[1:]
-                top = sum(degs[i] for i in rest)
-                diagonal[s] = ring.products({0: (top, diagonal[rest])},
+                diagonal[s] = ring.products({0: diagonal[s[1:]]},
                                             [elements[s[0]]], None)[0]
             cols.append({k - shift(idx): c for k, c in diagonal[s].items()})
         components[p] = RingMatrix(ring, cols, tgt.module(p), src.module(p))

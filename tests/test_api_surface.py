@@ -279,7 +279,6 @@ def test_every_shared_method_name_is_listed_with_each_definition():
 # definitions included.  A new optional parameter is a new knob: add it here
 # with the reason it needs a default, or make it required.
 OPTIONAL_PARAMETERS = {
-    ("_engine.PyReducer.normal_form", "stopkey"),
     ("algebra.PolyParseError.__init__", "line"),
     ("algebra.PolyParseError.__init__", "column"),
     ("algebra.PolynomialRingSpec.__init__", "order"),

@@ -251,7 +251,7 @@ def _interreduce_every_tail(store, unreduced):
     interreduction before the divisibility scan."""
     ctx = store.ctx
     reducer = PyReducer(ctx, store.p)
-    reducer.ring, reducer.floor = store.ring, store.floor
+    reducer.ring = store.ring
     reducer.by_pos = {pos: list(entries) for pos, entries in unreduced.items()}
     for entries in reducer.by_pos.values():
         for i, (_, lead, _, items) in enumerate(entries):
@@ -333,7 +333,7 @@ def test_one_pass_entry_matches_the_two_pass_entry(case, data):
 # --- normal form against the former max scan ---------------------------------
 
 
-def _normal_form_reference(reducer, vec, stopkey=None):
+def _normal_form_reference(reducer, vec):
     """The former normal form: each next term by a scan of all that is
     left, the first divisor in `by_pos` order by exponent tuples, and the
     cofactor's key delta by mul_delta."""
@@ -342,8 +342,6 @@ def _normal_form_reference(reducer, vec, stopkey=None):
     out = {}
     while work:
         k = max(work)
-        if stopkey is not None and k < stopkey:
-            break
         c = work.pop(k) % p
         if not c:
             continue
@@ -369,7 +367,6 @@ def _normal_form_reference(reducer, vec, stopkey=None):
                 work[nk] = nc
             else:
                 work.pop(nk, None)
-    out.update(work)
     return out
 
 
@@ -392,14 +389,48 @@ def test_normal_form_matches_max_scan_reference(case, data):
     for _ in range(data.draw(st.integers(1, 3))):
         vec = _homogeneous_vector(data.draw, ctx, p, gendegs,
                                   data.draw(st.integers(1, 4)), lift)
-        stops = [None, ctx.position_floor(1)]
-        if vec:
-            stops.append(data.draw(st.sampled_from(sorted(vec))))
         for reducer in reducers:
-            for stopkey in stops:
-                nf = reducer.normal_form(vec, stopkey)
-                ref = _normal_form_reference(reducer, vec, stopkey)
-                assert list(nf.items()) == list(ref.items())
+            nf = reducer.normal_form(vec)
+            ref = _normal_form_reference(reducer, vec)
+            assert list(nf.items()) == list(ref.items())
+
+
+def test_normal_form_over_a_ring_matches_the_reference_with_the_ideal_rows(
+        corpus, random_specs):
+    # a solver store reduces every term modulo I, in the tag block too,
+    # through the ring's monomial forms; the reference holds the rows g e_i
+    # of I's basis in every position, before the store's entries
+    stores = reduced = moved = 0
+    for spec in (*corpus.values(), *random_specs[:6]):
+        for _, store in solver_stores(spec.sop().quotient_module(), 3):
+            ring, ctx = store.ring, store.ctx
+            if ring is None:
+                continue  # I = 0
+            # each entry's tail times each variable: terms in both blocks,
+            # many of them not standard modulo I
+            vecs = [{k + w: c for k, c in items[1:]} for entries in
+                    store.by_pos.values() for *_, items in entries
+                    for w in ctx.weights if len(items) > 1]
+            positions = {ctx.pos_of(k) for vec in vecs for k in vec}
+            ref = PyReducer(ctx, store.p)
+            for *_, items in ring._basis:
+                for pos in positions:
+                    ref.add({ctx.move(k, pos): c for k, c in items})
+            for pos, entries in store.by_pos.items():
+                ref.by_pos[pos] = ref.by_pos.get(pos, []) + entries
+            # terms outside position 0 that I's leads divide
+            moved += sum(ctx.pos_of(k) > 0
+                         and ring.monomial_form(k & ctx.monomask) is not True
+                         for vec in vecs for k in vec)
+            for vec in vecs:
+                nf = store.normal_form(vec)
+                assert list(nf.items()) == list(
+                    _normal_form_reference(ref, vec).items())
+                assert all(ring.monomial_form(k & ctx.monomask) is True
+                           for k in nf)
+                reduced += bool(nf)
+            stores += 1
+    assert stores > 20 and reduced > 100 and moved > 50
 
 
 # --- word arithmetic ---------------------------------------------------------

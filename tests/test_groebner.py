@@ -13,13 +13,15 @@ from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
                              RingMatrix, hilbert_numerator, matrix_solve,
                              series_counts, standard_monomials, syzygies)
-from parres.cli import bundled_ring_text
+from parres.cli import BUNDLED, bundled_ring_text
 from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import ParameterSequence, koszul_complex
+from parres.resolutions import betti_table, minimal_free_resolution
 
-from conftest import (checked_tables, ideal_rows, matrix_of,
+from conftest import (QUINTIC, RING_109, STAGE_A, bundled_spec,
+                      checked_tables, ideal_rows, matrix_of,
                       nonminimal_resolution, sop_differentials)
 
 P = 32003
@@ -444,10 +446,10 @@ def _rebuilt_basis(solver):
 
 def _rebuilt_reducer(solver):
     """The former solver reducer: a fresh one filled with the I*F rows of
-    the solver's rows, which its store keeps implicit and reduces by
-    first, and then from _rebuilt_basis."""
+    every position, leading and tag block, which its store keeps implicit
+    and reduces by first, and then from _rebuilt_basis."""
     reducer = PyReducer(solver.ctx, solver.p)
-    for v in ideal_rows(solver.ring, range(solver.nrows)) + \
+    for v in ideal_rows(solver.ring, range(solver.nrows + solver.ncols)) + \
             _rebuilt_basis(solver):
         reducer.add(v)
     return reducer
@@ -485,7 +487,7 @@ def _dense_matrix_solve(a, b):
         for i in range(b.nrows):
             for exp, c in b.entry(i, j).terms.items():
                 packed[ctx.pack(i, exp)] = c
-        nf = reducer.normal_form(packed, stopkey=solver.floor)
+        nf = reducer.normal_form(packed)
         x = [dict() for _ in range(solver.ncols)]
         for key, c in nf.items():
             pos, exp = ctx.unpack(key)
@@ -619,6 +621,10 @@ def test_products_stop_at_the_packing_limit(order, monkeypatch):
         left @ right
     assert calls == [] and ring._monomial_forms == forms
     monkeypatch.undo()
+    # the bound is the top term of each left column, not its lowest row's
+    # degree: row 1 (degree -600) is empty, so a times a^600 is made
+    spread = matrix_of(ring, {(0, 0): amb.monomial((1, 0))}, [0, -600], [1])
+    assert (spread @ power(600, 1)).entry(0, 0) == amb.monomial((601, 0))
     # bases (b^k, a^k): only a^511 * a^511 survives modulo ab
     assert oracle.matrix_slice(left, 1022)[0] == [{}, {1: 1}]
     with pytest.raises(AlgebraError, match="exceeds packing limit"):
@@ -973,21 +979,30 @@ def test_an_ideal_element_retires_once_a_lead_divides_it(monkeypatch):
     assert module.hilbert_numerator() == _reference_numerator(module)
 
 
-def test_the_solver_reduces_modulo_the_ideal_in_the_leading_block_only():
+def test_the_solver_reduces_modulo_the_ideal_in_every_position():
     amb = PolynomialRingSpec(P, ["a", "b"])
     ring = QuotientRingSpec(amb, [amb.parse("a^2")])
     ctx = ring._ctx
-    # b is coprime to a^2: the store holds b e_0 + e_1 alone
+    # (a + b) e_0 + e_1 and b^2 e_0 - a e_1 + b e_1; their S-pair reduces to
+    # a^2 e_1, which lies in I times the tag block and so reduces to 0: the
+    # store holds no tag-block entry, and a + b is a nonzerodivisor on R
     solver = ExtendedSolver(RingMatrix.from_columns(
-        ring, [[amb.parse("b")]], row_degrees=[0]), None)
-    assert solver.store.by_pos == {0: [solver.store.entry(
-        ctx.pack(0, (0, 1)), [(ctx.pack(0, (0, 1)), 1), (ctx.pack(1, (0, 0)), 1)],
-        1)]}
-    # a^2 e_0 lies in I F; a^2 e_1 is a tag-block term, which the reducer
-    # keeps: I times the tag block is no part of the solver's module
-    lead, tag = ctx.pack(0, (2, 0)), ctx.pack(1, (2, 0))
-    assert solver.store.normal_form({lead: 1, tag: 3}) == {tag: 3}
-    assert solver.store.normal_form({lead: 1}) == {}
+        ring, [[amb.parse("a + b")]], row_degrees=[0]), None)
+    assert sorted(solver.store.by_pos) == [0]
+    assert [[(ctx.unpack(k), c) for k, c in items]
+            for *_, items in solver.store.by_pos[0]] == [
+        [((0, (1, 0)), 1), ((0, (0, 1)), 1), ((1, (0, 0)), 1)],
+        [((0, (0, 2)), 1), ((1, (1, 0)), P - 1), ((1, (0, 1)), 1)]]
+    assert solver.syzygy_matrix().ncols == 0
+    # a^2 e_0 and a^2 e_1 alike reduce to 0; a standard tag term stays
+    lead, tag, kept = (ctx.pack(0, (2, 0)), ctx.pack(1, (2, 0)),
+                       ctx.pack(1, (0, 3)))
+    assert solver.store.normal_form({lead: 1, tag: 3}) == {}
+    assert solver.store.normal_form({tag: 3, kept: 2}) == {kept: 2}
+    # every stored term, in the tag block too, is standard modulo I
+    assert all(ring.monomial_form(k & ctx.monomask) is True
+               for entries in solver.store.by_pos.values()
+               for *_, items in entries for k, _ in items)
 
 
 def _fresh(spec):
@@ -999,15 +1014,15 @@ def _fresh(spec):
 
 def test_module_runs_record_every_monomial_they_reduce_modulo_the_ideal(
         monkeypatch, corpus, random_specs):
-    # the lead of each normal form a run over R takes in its leading block
-    # is reduced modulo I first
+    # the lead of each normal form a run over R takes, in any position, is
+    # reduced modulo I first
     leads = []
     real = PyReducer.normal_form
 
-    def spy(self, vec, stopkey=None):
-        if vec and self.floor is not None and max(vec) >= self.floor:
+    def spy(self, vec):
+        if vec and self.ring is not None:
             leads.append(max(vec) & self.ctx.monomask)
-        return real(self, vec, stopkey)
+        return real(self, vec)
 
     monkeypatch.setattr(PyReducer, "normal_form", spy)
     met = 0
@@ -1033,9 +1048,9 @@ def test_each_monomial_form_is_built_once_per_ring(monkeypatch, r2):
     built = []
     real = ring._reducer.normal_form
 
-    def spy(vec, stopkey=None):
+    def spy(vec):
         built.extend(vec)
-        return real(vec, stopkey)
+        return real(vec)
 
     monkeypatch.setattr(ring._reducer, "normal_form", spy)
     x2 = x.power(2)
@@ -1103,3 +1118,61 @@ def test_a_bounded_solver_answers_no_solve(r2):
     with pytest.raises(AlgebraError, match="bounded"):
         solver.solve(d)
     assert ExtendedSolver(d, None).solve(d) is not None
+
+
+# --- every stored and read-off term is standard modulo I ---------------------
+
+
+def _all_standard(ring, vecs):
+    """Whether every key of the packed vectors vecs is standard modulo I."""
+    mask = ring._ctx.monomask
+    return all(ring.monomial_form(k & mask) is True
+               for vec in vecs for k in vec)
+
+
+def test_solver_stores_and_answers_are_standard_modulo_the_ideal(monkeypatch):
+    # RingMatrix does not check that its columns are reduced: the solver
+    # read-off untags its store's entries as they are, so every stored term,
+    # in the tag block too, must already be standard modulo I
+    syzygy_calls, solve_calls = [], []
+    real_syz, real_solve = ExtendedSolver.syzygy_matrix, ExtendedSolver.solve
+
+    def syz_spy(self):
+        out = real_syz(self)
+        syzygy_calls.append((self, out))
+        return out
+
+    def solve_spy(self, b):
+        out = real_solve(self, b)
+        solve_calls.append((self, b, out))
+        return out
+
+    monkeypatch.setattr(ExtendedSolver, "syzygy_matrix", syz_spy)
+    monkeypatch.setattr(ExtendedSolver, "solve", solve_spy)
+    specs = [bundled_spec(name) for name in BUNDLED]
+    specs += [parse_ring_spec(text) for text in (STAGE_A, QUINTIC, RING_109)]
+    tag_terms = 0
+    for spec in specs:
+        x = spec.sop()
+        minimal_free_resolution(x.quotient_module(), 3)
+        betti_table(x.homology(1), 3)
+        for y in (x, x.power(2)):
+            for p in range(1, y.count + 1):
+                y.homology(p)
+    minimal_free_resolution(
+        maximal_ideal_sequence(specs[-1].ring).quotient_module(), 3)
+    solvers = {id(s): s for s, *_ in syzygy_calls + solve_calls}
+    for solver in solvers.values():
+        ring = solver.ring
+        for entries in solver.store.by_pos.values():
+            vecs = [dict(items) for *_, items in entries]
+            assert _all_standard(ring, vecs)
+            tag_terms += sum(solver.ctx.pos_of(k) >= solver.nrows
+                             for vec in vecs for k in vec)
+    for solver, syz in syzygy_calls:
+        assert _all_standard(solver.ring, syz.cols)
+        assert (solver.matrix @ syz).is_zero()
+    for solver, b, x in solve_calls:
+        assert x is not None and _all_standard(solver.ring, x.cols)
+        assert solver.matrix @ x == b
+    assert len(solvers) > 70 and len(solve_calls) > 15 and tag_terms > 2000

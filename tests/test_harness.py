@@ -226,6 +226,20 @@ def test_invariants_on_an_artinian_ring_with_a_sop_is_an_error(capsys,
     assert "reference sequence is not a sop of R" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["standard", "scan"])
+@pytest.mark.parametrize("nilpotency", [3, 9])
+def test_standard_and_scan_reject_a_non_sop_on_an_artinian_ring(
+        capsys, tmp_path, command, nilpotency):
+    # a is no sop of the artinian k[a,b]/(a^e, b^e): the check comes before
+    # any power of a, whose cube vanishes for e = 3 and is nonzero for e = 9
+    spec = tmp_path / "artinian.ring"
+    spec.write_text(f"[field]\n32003\n[vars]\na b\n[ideal]\na^{nilpotency}"
+                    f"\nb^{nilpotency}\n[sop x]\na\n")
+    assert main([command, "--ring", str(spec)]) == 1
+    assert capsys.readouterr().err.strip() == \
+        "error: reference sequence is not a sop of R"
+
+
 def test_invariants_rejects_a_non_sop_before_any_work(capsys, tmp_path):
     # dim k[v0..v17]/(v1^2) = 17, so the one-element x is no sop: it fails
     # on its count, with no Koszul complex of the maximal ideal built

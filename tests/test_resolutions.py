@@ -220,8 +220,8 @@ def test_betti_table_matches_the_full_resolution(corpus, random_specs):
                 minimal_free_resolution(module, cap).betti(), (name, cap)
     # a unit of the full d_{cap+1} cancels a generator of F_cap, which the
     # bounded step must find too
-    assert {("hypersurface", 2), ("hypersurface", 3), ("nonflc", 2),
-            ("nonflc", 3)} <= cancelled
+    assert {("nonflc", 2), ("nonflc", 3), (5, 2), (5, 3), (12, 2),
+            (12, 3)} <= cancelled
 
 
 def _betti_by_ranks(cplx, cap):
