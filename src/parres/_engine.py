@@ -10,15 +10,11 @@ A key is `rest - (pos << topshift)`.  The position is an unbounded signed top
 field: keys in positions >= 1 are negative, and a lower position compares
 larger.  `rest`, in [0, 2^topshift), holds the monomial in fields of
 EXP_BITS bits, most significant first, each under a guard bit g that is 0 in
-every key; grevlex:
+every key, laid out for grevlex, the one monomial order:
 
     [g| total degree |g| EXP_MASK - e_{n-1} | ... |g| EXP_MASK - e_0]
 
-and lex:
-
-    [g| e_0 |g| e_1 | ... |g| e_{n-1} |g| total degree]
-
-where lex's trailing degree never decides a comparison.  Raising e_j by one
+So within a position keys rank by degree first.  Raising e_j by one
 adds the variable's weight w_j to a key, so multiplying by x^q adds
 sum q_j w_j, and the cofactor taking a lead to a term it divides is their
 key difference.  The one limit is MAX_DEGREE, for a packed term and for a
@@ -67,39 +63,29 @@ def check_degree(deg):
 
 
 class PackContext:
-    """Packing rules for one (number of variables, order kind) pair.
+    """Packing rules for the grevlex keys of one number of variables.
 
     A key is affine in the exponents, so the product of the terms ka (in any
     position) and kb (in position 0) is the key ka + kb - one, where `one` is
     the key of 1 in position 0.
     """
 
-    __slots__ = ("shifts", "flip", "degshift", "topshift", "monomask",
+    __slots__ = ("shifts", "degshift", "topshift", "monomask",
                  "weights", "one", "fmask", "guard", "summer", "sumshift")
 
-    def __init__(self, nv, kind):
+    def __init__(self, nv):
         stride = EXP_BITS + 1  # each field and its guard bit
         self.topshift = stride * (nv + 1)
         # key & monomask is the key moved to position 0
         self.monomask = (1 << self.topshift) - 1
-        if kind == "grevlex":
-            self.degshift = stride * nv
-            self.shifts = tuple(stride * j for j in range(nv))
-            self.flip = EXP_MASK
-            sign = -1
-        elif kind == "lex":
-            self.degshift = 0
-            self.shifts = tuple(stride * (nv - j) for j in range(nv))
-            self.flip = 0
-            sign = 1
-        else:
-            raise AlgebraError(f"unsupported order kind {kind!r}")
-        # e_j + 1 adds one to the degree field and moves e_j's field, which
-        # holds e_j ^ flip, by sign
-        self.weights = tuple((1 << self.degshift) + sign * (1 << s)
+        self.degshift = stride * nv
+        self.shifts = tuple(stride * j for j in range(nv))
+        # e_j + 1 adds one to the degree field and lowers e_j's field, which
+        # holds EXP_MASK - e_j
+        self.weights = tuple((1 << self.degshift) - (1 << s)
                              for s in self.shifts)
-        self.one = sum(self.flip << s for s in self.shifts)
-        self.fmask = sum(EXP_MASK << s for s in self.shifts)
+        # 1 holds EXP_MASK in every exponent field, so its key is their mask
+        self.one = self.fmask = sum(EXP_MASK << s for s in self.shifts)
         self.guard = sum(1 << (s + EXP_BITS) for s in self.shifts)
         # word * summer holds the sum of all fields in the field at
         # sumshift; every field of the product is a partial sum, below
@@ -120,8 +106,7 @@ class PackContext:
         return -(key >> self.topshift), self.exp_of(key)
 
     def exp_of(self, key):
-        flip = self.flip
-        return tuple([((key >> s) & EXP_MASK) ^ flip for s in self.shifts])
+        return tuple([((key >> s) & EXP_MASK) ^ EXP_MASK for s in self.shifts])
 
     def pos_of(self, key):
         return -(key >> self.topshift)
@@ -453,7 +438,8 @@ def groebner_basis(vecs, ctx, p, gendegs, nlead, ring, top):
 def interreduce(reducer):
     """Rewrite the entries of a reducer from buchberger in place into the
     reduced Groebner basis: monic, tail-reduced, the lead first in each
-    entry's terms, and each position's entries sorted by degree and lead.
+    entry's terms, and each position's entries sorted by lead, which within
+    a position ranks degree first.
 
     No lead of the reducer divides another, and a lead never divides a term
     smaller than itself, so reducing each tail against the same reducer
@@ -470,7 +456,6 @@ def interreduce(reducer):
     """
     ctx = reducer.ctx
     topshift, fmask, one, guard = ctx.topshift, ctx.fmask, ctx.one, ctx.guard
-    mono_degree = ctx.mono_degree
     words = {pos: [e[0] for e in entries]
              for pos, entries in reducer.by_pos.items()}
 
@@ -491,4 +476,4 @@ def interreduce(reducer):
                 tail = reducer.normal_form({k: c for k, c in items
                                             if k != lead})
                 entries[i] = reducer.entry(lead, [(lead, 1), *tail.items()], 1)
-        entries.sort(key=lambda e: (mono_degree(e[1]), e[1]))
+        entries.sort(key=lambda e: e[1])

@@ -1,9 +1,9 @@
-"""Exact arithmetic: prime fields, monomial orders, sparse multivariate polynomials.
+"""Exact arithmetic: prime fields, the grevlex order, sparse polynomials.
 
 Everything is immutable after construction.  Polynomials are stored as
 dictionaries mapping exponent vectors (tuples of non-negative ints) to nonzero
 coefficients in [1, p); the canonical printed form sorts terms descending in
-the ring's active monomial order.
+grevlex.
 """
 
 from __future__ import annotations
@@ -62,61 +62,13 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the monomial order
 
 
-class MonomialOrder:
-    """Total multiplicative order on exponent vectors.
-
-    Subclasses provide `key(exp)`; larger key means larger monomial.
-    """
-
-    kind = None
-
-    def key(self, exp):
-        raise NotImplementedError
-
-    def compare(self, m1, m2):
-        if len(m1) != len(m2):
-            raise DimensionMismatchError(
-                f"exponent vectors of lengths {len(m1)} and {len(m2)}")
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
-
-    def sort_terms(self, terms):
-        """Sort (exp, coeff) pairs descending in this order."""
-        return sorted(terms, key=lambda t: self.key(t[0]), reverse=True)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return self.kind
-
-
-class Grevlex(MonomialOrder):
-    """Degree-reverse-lexicographic order."""
-
-    kind = "grevlex"
-
-    def key(self, exp):
-        return (sum(exp),) + tuple(-e for e in reversed(exp))
-
-
-class Lex(MonomialOrder):
-    """Lexicographic order, first variable largest."""
-
-    kind = "lex"
-
-    def key(self, exp):
-        return tuple(exp)
-
-
-GREVLEX = Grevlex()
-LEX = Lex()
+def grevlex_key(exp):
+    """Sort key of the exponent vector exp in grevlex, the one monomial
+    order: a larger key is a larger monomial."""
+    return (sum(exp),) + tuple(-e for e in reversed(exp))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +89,7 @@ MAX_DEGREE = (1 << EXP_BITS) - 2
 class PolynomialRingSpec:
     """Standard-graded polynomial ring GF(p)[x_1..x_n], every variable degree 1."""
 
-    def __init__(self, characteristic, variables, order=GREVLEX):
+    def __init__(self, characteristic, variables):
         if characteristic >= MAX_CHARACTERISTIC:
             raise AlgebraError(f"characteristic {characteristic} is not below "
                                "the supported bound 2^31")
@@ -150,7 +102,6 @@ class PolynomialRingSpec:
             raise AlgebraError("duplicate variable names")
         self.characteristic = characteristic
         self.variables = variables
-        self.order = order
         self._var_index = {v: i for i, v in enumerate(variables)}
 
     @property
@@ -161,15 +112,14 @@ class PolynomialRingSpec:
         return self is other or (
             isinstance(other, PolynomialRingSpec)
             and self.characteristic == other.characteristic
-            and self.variables == other.variables
-            and self.order == other.order)
+            and self.variables == other.variables)
 
     def __hash__(self):
-        return hash((self.characteristic, self.variables, self.order))
+        return hash((self.characteristic, self.variables))
 
     def __repr__(self):
         return (f"GF({self.characteristic})[{', '.join(self.variables)}]"
-                f" ({self.order.kind})")
+                " (grevlex)")
 
     # -- constructors
 
@@ -238,13 +188,14 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def sorted_terms(self):
-        """Terms as (exp, coeff), descending in the active order."""
-        return self.ring.order.sort_terms(self.terms.items())
+        """Terms as (exp, coeff), descending in grevlex."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
+                      reverse=True)
 
     def leading_term(self):
         if not self.terms:
             return None
-        exp = max(self.terms, key=self.ring.order.key)
+        exp = max(self.terms, key=grevlex_key)
         return exp, self.terms[exp]
 
     # -- arithmetic

@@ -61,10 +61,10 @@ class QuotientRingSpec:
     monomial (True for a standard one).  Every reduction modulo
     I, in any free-module position, reads the last table, and only
     `monomial_form` fills it, so each monomial is reduced once per ring:
-    `reduce_packed`, `products` (the kernel of every matrix product, for
-    each product term as the term is made) and a Buchberger run over R,
-    for each term it meets in any position, read the table and go to
-    `monomial_form` on a miss.
+    `products` (the kernel of every matrix product and of
+    `reduce_packed`, for each product term as the term is made) and a
+    Buchberger run over R, for each term it meets in any position, read
+    the table and go to `monomial_form` on a miss.
     """
 
     def __init__(self, ambient, ideal_generators):
@@ -77,7 +77,7 @@ class QuotientRingSpec:
                 raise NotHomogeneousError(f"inhomogeneous ideal generator {g}")
             if g.is_constant():
                 raise AlgebraError("defining ideal contains a unit")
-        ctx = self._ctx = PackContext(ambient.nvars, ambient.order.kind)
+        ctx = self._ctx = PackContext(ambient.nvars)
         p = ambient.characteristic
         self._reducer = groebner_basis([_pack({0: g}, ctx) for g in gens],
                                        ctx, p, (0,), 1, None, None)
@@ -113,29 +113,10 @@ class QuotientRingSpec:
                      self.ambient)
 
     def reduce_packed(self, vec):
-        """Normal form modulo I of a packed vector, in every position.
-
-        I*F is reduced position by position and the normal form is linear,
-        so each term c k adds c times the normal form of k's position-0
-        monomial, moved back to k's position.
-        """
-        p = self.characteristic
-        mask = self._ctx.monomask
-        forms = self._monomial_forms
-        out = {}
-        for key, c in vec.items():
-            base = key & mask
-            form = forms.get(base)
-            if form is None:
-                form = self.monomial_form(base)
-            if form is True:
-                out[key] = out.get(key, 0) + c
-                continue
-            shift = key - base
-            for tk, tc in form:
-                k = tk + shift
-                out[k] = out.get(k, 0) + c * tc
-        return {k: c % p for k, c in out.items() if c % p}
+        """Normal form modulo I of a packed vector, in every position: vec,
+        as the one column of a left factor, times 1, so `products` reduces
+        each term through the monomial-form table."""
+        return self.products({0: vec}, [{self._ctx.one: 1}], None)[0]
 
     def monomial_form(self, key):
         """Normal form modulo I of the position-0 monomial `key`, kept per

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import AlgebraError
+from .algebra import MAX_DEGREE, AlgebraError
 from .groebner import RingMatrix, syzygies
 from .complexes import (ChainComplex, cancel_units, kill_top_homology,
                         lift_chain_map)
@@ -122,9 +122,15 @@ def _minimized(module, cap, bounded):
     module's presentation through homological degree cap + 1, each step
     read off the last differential as cancelled.  When bounded, the
     syzygies of d_cap are computed through the largest degree of F_cap
-    alone, which is all a Betti table through cap reads of them."""
-    if cap < 0:
-        raise AlgebraError("negative resolution cap")
+    alone, which is all a Betti table through cap reads of them.
+
+    A cap outside 0..MAX_DEGREE, the packing limit, raises before the
+    first syzygy step: the loop runs on to the cap even after the
+    resolution has ended, so a cap past the limit is an input error, as a
+    degree past it is."""
+    if not 0 <= cap <= MAX_DEGREE:
+        raise AlgebraError(f"resolution cap {cap} is outside "
+                           f"0..{MAX_DEGREE}")
     first = module.relations
 
     def arrive(n, diffs, kept):

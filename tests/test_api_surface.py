@@ -56,8 +56,6 @@ NO_SRC_CALLER = {
         "the Polynomial normal form the tests compare against; src reduces "
         "packed vectors",
     "PackContext.unpack": "the round-trip reference for pack",
-    "MonomialOrder.compare":
-        "the reference the packed key order is tested against",
     "Polynomial.monic": "normalizes Groebner bases compared in the tests",
     "PolynomialRingSpec.monomial": "builds test polynomials term by term",
 }
@@ -202,12 +200,6 @@ SHARED_NAMES = {
         "RingMatrix.is_zero":
             "complexes._check_square_zero and complexes.lift_chain_map",
     },
-    "key": {
-        "MonomialOrder.key":
-            "MonomialOrder.compare and Polynomial.leading_term",
-        "Grevlex.key": "the MonomialOrder.key of the grevlex order",
-        "Lex.key": "the MonomialOrder.key of the lex order",
-    },
     "length": {
         "FinitelyPresentedModule.length":
             "ParameterSequence.is_sop and InducedHomologyMap.kernel_length",
@@ -281,7 +273,6 @@ def test_every_shared_method_name_is_listed_with_each_definition():
 OPTIONAL_PARAMETERS = {
     ("algebra.PolyParseError.__init__", "line"),
     ("algebra.PolyParseError.__init__", "column"),
-    ("algebra.PolynomialRingSpec.__init__", "order"),
     ("algebra.PolynomialRingSpec.monomial", "coeff"),
     ("algebra.PolynomialRingSpec.parse", "line"),
     ("algebra.parse_polynomial", "line"),

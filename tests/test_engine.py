@@ -6,12 +6,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import GREVLEX, LEX
+from parres.algebra import grevlex_key
 from parres._engine import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
                             PyReducer, check_degree, groebner_basis,
                             interreduce, vec_degree)
 from parres import _engine, kernel
-from conftest import solver_stores
+from parres.groebner import ExtendedSolver
+from conftest import solver_stores, sop_differentials
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 
@@ -24,29 +25,29 @@ def _divides(a, b):
     return True
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "lex"])
 @settings(max_examples=80, deadline=None)
 @given(pos=st.integers(0, 50), exp=exps3)
-def test_pack_roundtrip(kind, pos, exp):
-    ctx = PackContext(3, kind)
+def test_pack_roundtrip(pos, exp):
+    ctx = PackContext(3)
     assert ctx.unpack(ctx.pack(pos, exp)) == (pos, exp)
     assert ctx.pos_of(ctx.pack(pos, exp)) == pos
     assert ctx.mono_degree(ctx.pack(pos, exp)) == sum(exp)
 
 
-@pytest.mark.parametrize("kind,order", [("grevlex", GREVLEX), ("lex", LEX)])
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
 @settings(max_examples=120, deadline=None)
-@given(e1=exps3, e2=exps3)
-def test_key_order_matches_monomial_order(kind, order, e1, e2):
-    ctx = PackContext(3, kind)
+@given(data=st.data())
+def test_key_order_matches_monomial_order(nv, data):
+    ctx = PackContext(nv)
+    exps = st.tuples(*[st.integers(0, 8)] * nv)
+    e1, e2 = data.draw(exps), data.draw(exps)
     k1, k2 = ctx.pack(0, e1), ctx.pack(0, e2)
-    cmp = order.compare(e1, e2)
-    assert (k1 > k2) == (cmp > 0)
-    assert (k1 == k2) == (cmp == 0)
+    assert (k1 > k2) == (grevlex_key(e1) > grevlex_key(e2))
+    assert (k1 == k2) == (grevlex_key(e1) == grevlex_key(e2))
 
 
 def test_position_dominates_term_order():
-    ctx = PackContext(3, "grevlex")
+    ctx = PackContext(3)
     # lower position is larger regardless of the monomial
     assert ctx.pack(0, (0, 0, 0)) > ctx.pack(1, (9, 9, 9))
 
@@ -54,26 +55,24 @@ def test_position_dominates_term_order():
 @settings(max_examples=80, deadline=None)
 @given(exp=exps3, q=exps3)
 def test_mul_delta_is_key_addition(exp, q):
-    ctx = PackContext(3, "grevlex")
+    ctx = PackContext(3)
     assert ctx.pack(2, exp) + ctx.mul_delta(q) == \
         ctx.pack(2, tuple(a + b for a, b in zip(exp, q)))
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "lex"])
 @settings(max_examples=60, deadline=None)
 @given(exp=exps3, q=exps3, pos=st.integers(0, 100_000))
-def test_products_and_moves_are_key_arithmetic(kind, exp, q, pos):
-    ctx = PackContext(3, kind)
+def test_products_and_moves_are_key_arithmetic(exp, q, pos):
+    ctx = PackContext(3)
     product = tuple(a + b for a, b in zip(exp, q))
     assert ctx.pack(pos, exp) + ctx.pack(0, q) - ctx.one == \
         ctx.pack(pos, product)
     assert ctx.move(ctx.pack(7, exp), pos) == ctx.pack(pos, exp)
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "lex"])
-def test_pack_and_move_keep_the_limits(kind):
+def test_pack_and_move_keep_the_limits():
     from parres.algebra import AlgebraError
-    ctx = PackContext(3, kind)
+    ctx = PackContext(3)
     # positions have no limit, and a lower position still compares larger
     positions = (4095, 4096, 100_000)
     for pos in positions:
@@ -91,7 +90,7 @@ def test_pack_and_move_keep_the_limits(kind):
 
 def test_key_additions_check_the_degree_of_every_product():
     from parres.algebra import AlgebraError
-    ctx = PackContext(2, "grevlex")
+    ctx = PackContext(2)
     # a lead of degree 1 whose tail in position 1 has degree 1000
     tail = ctx.pack(1, (0, 1000))
     reducer = PyReducer(ctx, 101)
@@ -107,21 +106,21 @@ def test_key_additions_check_the_degree_of_every_product():
 
 
 def test_position_floor_is_boundary():
-    ctx = PackContext(3, "grevlex")
+    ctx = PackContext(3)
     assert ctx.pack(1, (0, 0, 0)) >= ctx.position_floor(2)
     assert ctx.pack(2, (9, 9, 9)) < ctx.position_floor(2)
 
 
 def test_vec_degree_detects_inhomogeneity():
     from parres.algebra import NotHomogeneousError
-    ctx = PackContext(2, "grevlex")
+    ctx = PackContext(2)
     vec = {ctx.pack(0, (1, 0)): 1, ctx.pack(0, (2, 0)): 1}
     with pytest.raises(NotHomogeneousError):
         vec_degree(ctx, vec, [0])
 
 
 def test_every_reducer_comes_from_the_factory(monkeypatch):
-    ctx = PackContext(2, "grevlex")
+    ctx = PackContext(2)
     built = []
     real = kernel.reducer_factory
 
@@ -189,11 +188,10 @@ def _homogeneous_vector(draw, ctx, p, gendegs, deg, lift=0):
 def homogeneous_submodules(draw):
     """Small homogeneous ideals (rank 1) or submodules of S^2, packed."""
     nv = draw(st.integers(2, 3))
-    kind = draw(st.sampled_from(["grevlex", "lex"]))
     p = draw(st.sampled_from([2, 32003]))
     rank = draw(st.integers(1, 2))
     gendegs = (0,) if rank == 1 else (0, draw(st.integers(0, 1)))
-    ctx = PackContext(nv, kind)
+    ctx = PackContext(nv)
     vecs = []
     for _ in range(draw(st.integers(1, 4))):
         deg = draw(st.integers(1, 3))
@@ -261,6 +259,22 @@ def _interreduce_every_tail(store, unreduced):
     return reducer.by_pos
 
 
+def test_each_position_is_sorted_by_lead_in_degree_order(corpus):
+    # interreduce sorts by lead key alone: a grevlex key ranks degree first
+    # within a position, so that is (degree, lead) order
+    stores = []
+    for spec in corpus.values():
+        stores.append(spec.ring._reducer)
+        stores += [ExtendedSolver(d, None).store
+                   for d in sop_differentials(spec, 3)]
+    for store in stores:
+        for entries in store.by_pos.values():
+            leads = [lead for _, lead, _, _ in entries]
+            assert leads == sorted(leads) == sorted(
+                leads, key=lambda k: (store.ctx.mono_degree(k), k))
+    assert sum(len(store) for store in stores) > 100
+
+
 def test_scanned_interreduction_matches_reducing_every_tail(
         corpus, random_specs, r2):
     runs = [(spec.sop().quotient_module(), 3)
@@ -279,7 +293,7 @@ def test_scanned_interreduction_matches_reducing_every_tail(
 
 
 def test_interreduce_rewrites_a_tail_that_a_later_lead_divides():
-    ctx = PackContext(2, "grevlex")
+    ctx = PackContext(2)
     a2e0, abe1, b2e1 = (ctx.pack(0, (2, 0)), ctx.pack(1, (1, 1)),
                         ctx.pack(1, (0, 2)))
     ae1, be1, ae2, be2 = (ctx.pack(1, (1, 0)), ctx.pack(1, (0, 1)),
@@ -452,12 +466,11 @@ def edge_monomials(draw, nv):
     return tuple(draw(st.permutations(exp)))
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "lex"])
 @pytest.mark.parametrize("nv", [1, 2, 3, 4])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_word_arithmetic_matches_tuples(kind, nv, data):
-    ctx = PackContext(nv, kind)
+def test_word_arithmetic_matches_tuples(nv, data):
+    ctx = PackContext(nv)
     a, b = data.draw(edge_monomials(nv)), data.draw(edge_monomials(nv))
     if nv == 3 and data.draw(st.booleans()):
         a, b = (1022, 0, 0), (1021, 1, 0)

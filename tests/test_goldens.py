@@ -47,6 +47,13 @@ WORKLOADS = _load_workloads()
 DEEP_OPS = list(WORKLOADS.Deep.CLI_OPS) + [WORKLOADS.Deep.RESIDUE[0]]
 
 
+def test_benchmark_lists_match_the_package():
+    # make_golden.py writes the goldens from the benchmark's own copies of
+    # the subcommand and ring lists; the gate above reads the package's
+    assert WORKLOADS.SUBCOMMANDS == tuple(harness.EXPERIMENTS)
+    assert WORKLOADS.BUNDLED == cli.BUNDLED
+
+
 @pytest.mark.parametrize("key", DEEP_OPS)
 def test_deep_report_matches_golden(key):
     api = SimpleNamespace(cli=cli, groebner=groebner, harness=harness,

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from parres import _engine, kernel, oracle
 from parres._engine import PyReducer, groebner_basis, vec_degree
-from parres.algebra import (GREVLEX, LEX, AlgebraError, MonomialOrder,
-                            Polynomial, PolynomialRingSpec)
+from parres.algebra import AlgebraError, Polynomial, PolynomialRingSpec
 from parres.groebner import (INFINITE, ExtendedSolver,
                              FinitelyPresentedModule, QuotientRingSpec,
                              RingMatrix, hilbert_numerator, matrix_solve,
@@ -33,10 +32,10 @@ def amb3():
 
 
 def test_buchberger_lex_known():
-    ring = PolynomialRingSpec(P, ["a", "b"], LEX)
+    ring = PolynomialRingSpec(P, ["a", "b"])
     gens = [ring.parse("a^2 - b^2"), ring.parse("a*b - b^2")]
     gb = QuotientRingSpec(ring, gens).ideal_basis
-    # this pair is already a reduced Groebner basis under lex
+    # this pair is already a reduced Groebner basis
     assert sorted(str(g) for g in gb) == \
         sorted(str(g.monic()) for g in gens)
     # here completion genuinely adds the S-polynomial b^3
@@ -89,8 +88,8 @@ def test_ring_equality_checks_identity_first(monkeypatch, r1, r2):
 
     # a list comparison skips identical items, so the ideal bases of one
     # ring call no Polynomial.__eq__ even without the check; no call to the
-    # ambient ring's or its order's __eq__ shows that it stops at once
-    for cls in (Polynomial, PolynomialRingSpec, MonomialOrder):
+    # ambient ring's __eq__ shows that it stops at once
+    for cls in (Polynomial, PolynomialRingSpec):
         counting(cls)
     ring = r2.ring
     assert ring == ring
@@ -101,7 +100,7 @@ def test_ring_equality_checks_identity_first(monkeypatch, r1, r2):
     again = parse_ring_spec(bundled_ring_text("r2"), name="r2").ring
     assert again is not ring
     assert again == ring and hash(again) == hash(ring)
-    assert Polynomial in calls and MonomialOrder in calls
+    assert Polynomial in calls
     assert r1.ring != r2.ring
 
 
@@ -518,8 +517,7 @@ def quotient_matrices(draw):
     image of a."""
     nv = draw(st.integers(2, 3))
     p = draw(st.sampled_from([2, 32003]))
-    order = draw(st.sampled_from([GREVLEX, LEX]))
-    amb = PolynomialRingSpec(p, "abc"[:nv], order)
+    amb = PolynomialRingSpec(p, "abc"[:nv])
 
     def form(deg, max_terms):
         monos = list(combinations_with_replacement(range(nv), deg))
@@ -595,9 +593,8 @@ def test_a_ring_with_no_ideal_takes_the_shared_reduction_path(regular):
         ring.reduce(amb.monomial((1023, 0)))
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_products_stop_at_the_packing_limit(order, monkeypatch):
-    amb = PolynomialRingSpec(P, ["a", "b"], order)
+def test_products_stop_at_the_packing_limit(monkeypatch):
+    amb = PolynomialRingSpec(P, ["a", "b"])
     ring = QuotientRingSpec(amb, [amb.parse("a*b")])
 
     def power(e, low):

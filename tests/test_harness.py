@@ -253,6 +253,30 @@ def test_invariants_rejects_a_non_sop_before_any_work(capsys, tmp_path):
     assert "reference sequence is not a sop of R" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["resolve", "--ring", "regular", "--cap", "100000000"], 100000000),
+    (["main-theorem", "--ring", "r2_cap.ring"], 100000000),
+    (["resolve", "--ring", "regular", "--cap", "-1"], -1),
+])
+def test_a_cap_outside_the_packing_limit_fails_before_any_step(
+        capsys, tmp_path, monkeypatch, argv, cap):
+    # the steps run on to the cap after a resolution has ended, so a cap
+    # past 1022 once ran for minutes; from --cap or [caps], it is an error
+    # before the first syzygy step
+    def fail(*args, **kwargs):
+        raise AssertionError("took a syzygy step")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r2_cap.ring").write_text(bundled_ring_text("r2").replace(
+        "homological = 4", f"homological = {cap}"))
+    monkeypatch.setattr(resolutions, "syzygies", fail)
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        f"error: resolution cap {cap} is outside 0..1022\n"
+
+
 def test_main_theorem_guard_on_r1(r1):
     rep = run_experiment("main-theorem", r1.ring, r1.sop("x"), 3, 4)
     assert any(v["right"] == "NOT-APPLICABLE" for v in rep.verdicts)
