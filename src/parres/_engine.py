@@ -313,7 +313,7 @@ def spoly(entry1, entry2, lcm, deg, ctx, p):
     return s
 
 
-def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
+def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     """A reducer whose entries in positions < nlead, together with g e_i for
     every basis element g of I and every position i < nlead, form a
     Groebner basis, in those positions, of the submodule generated by the
@@ -326,16 +326,6 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
     earlier entry and I are added, so no lead divides another and none lies
     in I's lead ideal: the stored leads in positions < nlead, with each
     LT(g) e_i that none of them divides, are those of the reduced basis.
-
-    top bounds the internal degree, or is None for no bound: the run stops
-    at the first generator or S-pair of degree > top, before it forms it.
-    Since items pop in nondecreasing degree, the bounded run is the
-    unbounded run up to that pop, and every later entry has degree > top.
-    A homogeneous term is only ever reduced by entries of degree <= its
-    own, since a lead of higher degree divides no term of lower degree, so
-    those later entries change no normal form of degree <= top: the
-    store through degree top, and its interreduction, equal the unbounded
-    run's.  The bounded store holds no entry above top.
 
     Positions >= nlead are a tag block T (nlead = len(gendegs) when there
     is none), and no S-pair is formed there.  The S-vector of two entries
@@ -386,9 +376,7 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
     rank1 = len(gendegs) == 1
 
     while heap:
-        degree, _, item = heapq.heappop(heap)
-        if top is not None and degree > top:
-            break
+        _, _, item = heapq.heappop(heap)
         nf = reducer.normal_form(item if isinstance(item, dict)
                                  else spoly(*item, ctx, p))
         if not nf:
@@ -424,13 +412,12 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring, top):
     return reducer
 
 
-def groebner_basis(vecs, ctx, p, gendegs, nlead, ring, top):
+def groebner_basis(vecs, ctx, p, gendegs, nlead, ring):
     """The reducer from buchberger, its entries rewritten by interreduce into
     the reduced Groebner basis of the submodule generated by `vecs` and I
     times every position, in the positions < nlead, less the g e_i that
-    the reducer keeps implicit, and tail-reduced in the tag block; through
-    internal degree top only, unless top is None."""
-    reducer = buchberger(vecs, ctx, p, gendegs, nlead, ring, top)
+    the reducer keeps implicit, and tail-reduced in the tag block."""
+    reducer = buchberger(vecs, ctx, p, gendegs, nlead, ring)
     interreduce(reducer)
     return reducer
 

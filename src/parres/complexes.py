@@ -118,10 +118,10 @@ def homology_presentation(cplx, n):
     by the syzygies among the cycle generators.
     """
     ring = cplx.ring
-    z = syzygies(cplx.differential(n), None)
+    z = syzygies(cplx.differential(n))
     if z.ncols == 0:
         return z, FinitelyPresentedModule(ring, ())
-    solver = ExtendedSolver(z, None)
+    solver = ExtendedSolver(z)
     boundary_expr = solver.solve(cplx.differential(n + 1))
     if boundary_expr is None:
         raise AlgebraError("boundaries do not lie among the cycles")

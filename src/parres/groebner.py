@@ -80,7 +80,7 @@ class QuotientRingSpec:
         ctx = self._ctx = PackContext(ambient.nvars)
         p = ambient.characteristic
         self._reducer = groebner_basis([_pack({0: g}, ctx) for g in gens],
-                                       ctx, p, (0,), 1, None, None)
+                                       ctx, p, (0,), 1, None)
         self._basis = self._reducer.by_pos.get(0, [])
         self.ideal_basis = [_poly(dict(items), ctx, ambient)
                             for *_, items in self._basis]
@@ -563,7 +563,7 @@ class FinitelyPresentedModule:
         """
         ring = self.ring
         store = buchberger(self.relations.cols, ring._ctx, ring.characteristic,
-                           self.gen_degrees, len(self.gen_degrees), ring, None)
+                           self.gen_degrees, len(self.gen_degrees), ring)
         exp_of = ring._ctx.exp_of
         leads = {pos: list(ring._lead_exps)
                  for pos in range(len(self.gen_degrees))}
@@ -625,16 +625,10 @@ class ExtendedSolver:
     the one a reduction modulo I there alone would give (see `buchberger`).
     Syzygies and membership/solve queries both read off this one store,
     whose terms are all standard modulo I, so neither reduces again.
-
-    top bounds the internal degree of the run (see `buchberger`), or is
-    None for no bound.  A bounded store reads off the syzygies of degree
-    <= top alone, and answers no solve query: its leading block is a
-    Groebner basis only through degree top.
     """
 
-    def __init__(self, matrix, top):
+    def __init__(self, matrix):
         self.matrix = matrix
-        self.top = top
         ring = matrix.ring
         self.ring = ring
         self.nrows = matrix.nrows
@@ -645,16 +639,16 @@ class ExtendedSolver:
         cols = [{**col, ctx.move(ctx.one, self.nrows + j): 1}
                 for j, col in enumerate(matrix.cols)]
         self.store = groebner_basis(cols, ctx, self.p, self.gendegs,
-                                    self.nrows, ring, top)
+                                    self.nrows, ring)
         self.floor = ctx.position_floor(self.nrows)
         # moves the tag position nrows + j to row j of the source
         self._untag = ctx.position_shift(self.nrows)
 
     def syzygy_matrix(self):
-        """Columns generate ker(matrix) as a submodule of R^{ncols}, through
-        degree top for a bounded store: the store entries led in the tag
-        block, untagged, by degree and lead key.  Every stored term is
-        standard modulo I, so each column is reduced and nonzero as read."""
+        """Columns generate ker(matrix) as a submodule of R^{ncols}: the
+        store entries led in the tag block, untagged, by degree and lead
+        key.  Every stored term is standard modulo I, so each column is
+        reduced and nonzero as read."""
         mono_degree = self.ctx.mono_degree
         untag = self._untag
         pure = []  # (degree, lead key, column)
@@ -676,9 +670,6 @@ class ExtendedSolver:
         col less that form lies in the store's module, whose elements are,
         over R, sums of a_j (column_j + e_{nrows+j}), so matrix @ x = col.
         """
-        if self.top is not None:
-            raise AlgebraError(f"solve against a store bounded at degree "
-                               f"{self.top}")
         nf = self.store.normal_form(col)
         if nf and max(nf) >= self.floor:
             return None  # a leading-block remainder survives
@@ -700,13 +691,12 @@ class ExtendedSolver:
                           b.col_degrees)
 
 
-def syzygies(matrix, top):
+def syzygies(matrix):
     """Generators of the kernel of a homogeneous matrix over R, as columns
-    sorted by degree; those of degree <= top alone unless top is None,
-    which are then the columns of degree <= top of the unbounded answer."""
-    return ExtendedSolver(matrix, top).syzygy_matrix()
+    sorted by degree."""
+    return ExtendedSolver(matrix).syzygy_matrix()
 
 
 def matrix_solve(a, b):
     """Solve a @ X = b over R; returns a RingMatrix X or None."""
-    return ExtendedSolver(a, None).solve(b)
+    return ExtendedSolver(a).solve(b)

@@ -57,6 +57,8 @@ class ParameterSequence:
             if f.ring != ring.ambient:
                 raise AlgebraError("sequence element outside the ambient ring")
             cols.append(ring.reduce_packed(_pack({0: f}, ring._ctx)))
+            if not cols[-1]:
+                raise AlgebraError(f"sequence element {f} is zero in R")
             _degree(ring, cols[-1])  # each element checked in turn
         self._set(ring, cols, name, self, (1, len(cols)))
         self._parts = {self._index: self}  # the root's parts by (n, r)
@@ -222,12 +224,15 @@ class ParameterSequence:
 
 def _degree(ring, col):
     """The degree of the reduced packed sequence element col, which must be
-    homogeneous of positive degree."""
+    homogeneous of positive degree; a given element is nonzero, checked
+    before, so a zero col is a power."""
+    if not col:
+        raise AlgebraError("a power of a sequence element is zero in R")
     degs = {ring._ctx.mono_degree(k) for k in col}
     if len(degs) > 1:
         raise NotHomogeneousError("inhomogeneous sequence element "
                                   f"{_poly(col, ring._ctx, ring.ambient)}")
-    if max(degs, default=0) < 1:
+    if not max(degs):
         raise AlgebraError("sequence elements must have positive degree")
     return degs.pop()
 

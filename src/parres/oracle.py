@@ -6,7 +6,8 @@ sparse GF(p) vectors, and answer rank/kernel/homology questions with exact
 Gaussian elimination in Python integers.  This is the independent back-end
 used to validate the symbolic (Groebner-based) computations; it shares only
 the packed monomial shift (a key addition) and the normal form modulo the
-defining ideal.
+defining ideal.  Its slice and rank also give `resolutions.betti_table`'s
+last row, so that row's independent check reads raw syzygies instead.
 
 A basis is a list of packed keys, with the free-module position of each
 when it is the source of a slice.  A slice is a list of sparse vectors, one

@@ -8,12 +8,10 @@ cancelled rows dropped, so that d_1∘d_2 checks d_1's pivots.  The cone
 construction assembles a (generally non-minimal) resolution of R/(x) from the
 Koszul complex and resolutions of its higher homology modules.
 
-A Betti table through cap needs the step past the cap only for its unit
-entries, which lie in internal degrees <= D, the largest generator degree of
-F_cap (a unit joins generators of equal degree).  So `betti_table` computes
-that step through degree D alone, while `minimal_free_resolution`, whose
-complex the oracle, the cone resolution and the lifting checks read,
-computes it in full.
+`betti_table` reads its last row off GF(p) ranks of d_cap's graded slices
+and takes no syzygy step past the cap; `minimal_free_resolution`, whose
+complex the oracle, the cone resolution and the lifting checks read, takes
+step cap + 1 in full.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from .groebner import RingMatrix, syzygies
 from .complexes import (ChainComplex, cancel_units, kill_top_homology,
                         lift_chain_map)
 from .koszul import koszul_complex
+from .oracle import gf_rank, matrix_slice
 
 
 class BettiTable:
@@ -117,12 +116,11 @@ class ModuleResolution:
                 f"(cap {self.cap})>")
 
 
-def _minimized(module, cap, bounded):
-    """(minimal complex, kept) from cancel_units: the iterated syzygies of
-    module's presentation through homological degree cap + 1, each step
-    read off the last differential as cancelled.  When bounded, the
-    syzygies of d_cap are computed through the largest degree of F_cap
-    alone, which is all a Betti table through cap reads of them.
+def _minimized(module, cap, through):
+    """(complex, kept) from cancel_units: the iterated syzygies of module's
+    presentation through homological degree `through`, each step read off
+    the last differential as cancelled.  The modules below that degree are
+    minimal; the top one is not, as no later step cancels its units.
 
     A cap outside 0..MAX_DEGREE, the packing limit, raises before the
     first syzygy step: the loop runs on to the cap even after the
@@ -139,15 +137,14 @@ def _minimized(module, cap, bounded):
         last = diffs[n - 1]
         if not last.ncols:
             return None
-        top = max(last.col_degrees) if bounded and n - 1 == cap else None
         if n > 2:
-            return syzygies(last, top)
+            return syzygies(last)
         # d_1∘d_2 checks d_1's pivots only if d_2 is read off d_1 as given
-        d = syzygies(first, top)
+        d = syzygies(first)
         return d.submatrix(kept[1], range(d.ncols))
 
     return cancel_units(module.ring, {0: module.gen_degrees},
-                        range(1, cap + 2), arrive)
+                        range(1, through + 1), arrive)
 
 
 def minimal_free_resolution(module, cap):
@@ -158,7 +155,7 @@ def minimal_free_resolution(module, cap):
     degree cap + 1 is computed in full; a caller that reads only Betti
     numbers calls `betti_table`, which is cheaper.
     """
-    mini, kept = _minimized(module, cap, False)
+    mini, kept = _minimized(module, cap, cap + 1)
     gens = module.gen_degrees
     gen_map0 = RingMatrix.identity(module.ring, gens).submatrix(
         range(len(gens)), kept.get(0, []))
@@ -166,15 +163,36 @@ def minimal_free_resolution(module, cap):
 
 
 def betti_table(module, cap):
-    """The BettiTable of the minimal free resolution of module through cap.
+    """The BettiTable of the minimal free resolution of module through cap,
+    equal to `minimal_free_resolution(module, cap).betti()`.
 
-    beta_{cap,j} reads the step past the cap only through the generators of
-    F_{cap+1} in degree j, and only a j <= D = max deg F_cap can carry
-    beta_{cap,j} != 0; so that step is `syzygies(d_cap, D)`, the degree-<= D
-    columns of the full step.  The table equals
-    `minimal_free_resolution(module, cap).betti()`.
+    The steps run through cap (through 1 at cap 0, whose row is F_0 once
+    step 1 cancels its units), so F_0..F_{cap-1} are minimal and
+    im(d_cap) = ker(d_{cap-1}) is the cap-th syzygy module, whose minimal
+    generators row cap counts (`_last_row`).
     """
-    return BettiTable.from_complex(_minimized(module, cap, True)[0], cap)
+    cplx = _minimized(module, cap, max(cap, 1))[0]
+    table = BettiTable.from_complex(cplx, max(cap - 1, 0))
+    last = _last_row(cplx, cap) if cap else {}
+    return BettiTable({**table.entries, **last}, cap)
+
+
+def _last_row(cplx, cap):
+    """{(cap, j): beta_{cap,j}} from d_cap, its units cancelled (a zero map
+    once the resolution ended): dim im(d_cap)_j, the rank of the degree-j
+    slice, less dim (m im(d_cap))_j, the rank of the slice's multiples of
+    columns of degree < j, as a degree-j column has no multiple of positive
+    degree there.  At the lowest degree the slice is the columns, by term."""
+    d = cplx.differential(cap)
+    p, mono_degree = d.ring.characteristic, d.ring._ctx.mono_degree
+    degrees = sorted(set(d.col_degrees))
+    row = {(cap, j): gf_rank([col for col, deg in zip(d.cols, d.col_degrees)
+                              if deg == j], p) for j in degrees[:1]}
+    for j in degrees[1:]:
+        vecs, _, src = matrix_slice(d, j)
+        lower = [v for v, key in zip(vecs, src) if mono_degree(key)]
+        row[(cap, j)] = gf_rank(vecs, p) - gf_rank(lower, p)
+    return row
 
 
 def _truncate(cplx, top):
@@ -230,7 +248,6 @@ def cec_injectivity_check(x, cap):
     k^binom(r,n) -> k^beta_n has full rank binom(r, n): the constant
     terms of each column are its keys of monomial degree 0.
     """
-    from .oracle import gf_rank
     r = x.count
     top = min(cap, r)
     res = minimal_free_resolution(x.quotient_module(), max(cap, r))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from parres import _engine, algebra, harness, invariants, resolutions
+from parres import _engine, algebra, harness, invariants
 from parres.cli import bundled_ring_text
 from parres.complexes import ChainComplex
 from parres.groebner import RingMatrix, standard_monomials, syzygies
@@ -32,13 +32,11 @@ def sop_differentials(spec, cap):
             *res.complex.differentials.values()]
 
 
-def unminimized(resolve, module, cap):
+def unminimized(module, cap):
     """The iterated syzygies of module's presentation through homological
     degree cap + 1, checked and with no unit cancelled: the complex that
-    resolve(module, cap) would minimize if it cancelled only at the end,
-    resolve being minimal_free_resolution or betti_table.  For betti_table
-    the step past the cap is bounded at max deg F_cap, as betti_table
-    bounds it."""
+    minimal_free_resolution(module, cap) would minimize if it cancelled
+    only at the end."""
     modules, diffs = {0: module.gen_degrees}, {}
     d = module.relations
     for n in range(1, cap + 2):
@@ -46,16 +44,14 @@ def unminimized(resolve, module, cap):
             break
         modules[n], diffs[n] = d.col_degrees, d
         if n <= cap:
-            bounded = resolve is resolutions.betti_table and n == cap
-            d = syzygies(d, max(d.col_degrees) if bounded else None)
+            d = syzygies(d)
     return ChainComplex(module.ring, modules, diffs, check=True)
 
 
 def nonminimal_resolution(spec, cap):
     """The unminimized complex of minimal_free_resolution of R/(x) through
     cap, for the spec's reference sop x."""
-    return unminimized(minimal_free_resolution, spec.sop().quotient_module(),
-                       cap)
+    return unminimized(spec.sop().quotient_module(), cap)
 
 
 def solver_stores(module, cap):

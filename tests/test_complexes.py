@@ -139,12 +139,12 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
     # it, with the sign of one entry of d_2 flipped
     ring = r2.ring
     d1 = r2.sop().quotient_module().relations
-    d2 = syzygies(d1, None)
+    d2 = syzygies(d1)
     (i, j), v = min(d2.entries.items(), key=lambda e: e[0])
     entries = dict(d2.entries)
     entries[(i, j)] = -v
     bad = matrix_of(ring, entries, d2.row_degrees, d2.col_degrees)
-    d3 = syzygies(d2, None)
+    d3 = syzygies(d2)
     modules = {0: d1.row_degrees, 1: d1.col_degrees, 2: d2.col_degrees,
                3: d3.col_degrees}
     diffs = {1: d1, 2: bad, 3: d3}
@@ -316,7 +316,7 @@ def test_minimization_matches_a_restart_from_start_reference(random_specs):
     for module, ranks, minimal in (
             (k.quotient_module(), [1, 4, 13, 38, 116], [1, 4, 9, 16, 98]),
             (h, [3, 7, 18, 59, 173], [2, 6, 18, 48, 162])):
-        cplx = unminimized(minimal_free_resolution, module, 3)
+        cplx = unminimized(module, 3)
         mini, kept = minimize_with_tracking(cplx)
         assert [cplx.rank(n) for n in range(5)] == ranks
         assert [mini.rank(n) for n in range(5)] == minimal

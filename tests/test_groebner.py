@@ -17,7 +17,7 @@ from parres.complexes import ChainComplex, minimize_with_tracking
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import ParameterSequence, koszul_complex
-from parres.resolutions import betti_table, minimal_free_resolution
+from parres.resolutions import minimal_free_resolution
 
 from conftest import (QUINTIC, RING_109, STAGE_A, bundled_spec,
                       checked_tables, ideal_rows, matrix_of,
@@ -269,7 +269,7 @@ def test_syzygies_known(r1):
     mat = RingMatrix.from_columns(
         ring, [[ring.ambient.parse("a")], [ring.ambient.parse("b")]],
         row_degrees=[0])
-    syz = syzygies(mat, None)
+    syz = syzygies(mat)
     assert (mat @ syz).is_zero()
     cols = {tuple(str(syz.entry(i, j)) for i in range(2))
             for j in range(syz.ncols)}
@@ -281,10 +281,10 @@ def test_syzygies_composite_vanishes(r2):
     mat = RingMatrix.from_columns(
         ring, [[ring.ambient.parse("a + c")], [ring.ambient.parse("b + d")]],
         row_degrees=[0])
-    syz = syzygies(mat, None)
+    syz = syzygies(mat)
     assert (mat @ syz).is_zero()
     # second syzygies exist over a quotient
-    assert syzygies(syz, None).ncols > 0
+    assert syzygies(syz).ncols > 0
 
 
 def test_matrix_solve(r1):
@@ -477,7 +477,7 @@ def _dense_syzygy_matrix(solver):
 
 def _dense_matrix_solve(a, b):
     """The former solve: dense columns in, dense columns out."""
-    solver = ExtendedSolver(a, None)
+    solver = ExtendedSolver(a)
     ctx, ring = solver.ctx, solver.ring
     reducer = _rebuilt_reducer(solver)
     cols = []
@@ -551,7 +551,7 @@ def quotient_matrices(draw):
 def test_sparse_readoff_matches_dense_reference(case):
     a, c, outside = case
     image = a @ c
-    solver = ExtendedSolver(a, None)
+    solver = ExtendedSolver(a)
     syz = solver.syzygy_matrix()
     assert syz == _dense_syzygy_matrix(solver)
     assert (a @ syz).is_zero()
@@ -567,7 +567,7 @@ def test_sparse_readoff_matches_dense_reference(case):
 @given(case=quotient_matrices())
 def test_packed_compose_matches_polynomial_reference(case):
     a, c, outside = case
-    syz = syzygies(a, None)
+    syz = syzygies(a)
     rows = RingMatrix.identity(a.ring, a.row_degrees)
     cols = RingMatrix.identity(a.ring, a.col_degrees)
     for left, right in ((a, c), (a, syz), (a, cols), (rows, a)):
@@ -646,10 +646,10 @@ def test_syzygies_never_reduce_zero(monkeypatch, r2):
         return real(self, f)
 
     monkeypatch.setattr(QuotientRingSpec, "reduce", counting)
-    syz = syzygies(d1, None)
+    syz = syzygies(d1)
     monkeypatch.undo()
     assert not [f for f in inputs if f.is_zero()]
-    assert syz == _dense_syzygy_matrix(ExtendedSolver(d1, None))
+    assert syz == _dense_syzygy_matrix(ExtendedSolver(d1))
     assert syz.ncols > 0 and (d1 @ syz).is_zero()
 
 
@@ -765,7 +765,7 @@ def test_the_solver_forms_no_tag_block_pair(monkeypatch, corpus):
     for spec in corpus.values():
         for d in sop_differentials(spec, 3):
             seen.clear()
-            solver = ExtendedSolver(d, None)
+            solver = ExtendedSolver(d)
             assert all(pos < d.nrows for pos in seen)
             # two entries led in one tag position: a pair left out
             tagged += sum(len(entries) - 1
@@ -777,7 +777,7 @@ def test_the_solver_forms_no_tag_block_pair(monkeypatch, corpus):
 def test_syzygies_without_tag_block_pairs_stay_exact(corpus, random_specs):
     for spec in [*corpus.values(), *random_specs[:6]]:
         for d in sop_differentials(spec, 2):
-            syz = syzygies(d, None)
+            syz = syzygies(d)
             assert (d @ syz).is_zero()
             cplx = ChainComplex(d.ring, {0: d.row_degrees, 1: d.col_degrees,
                                          2: syz.col_degrees}, {1: d, 2: syz},
@@ -793,7 +793,7 @@ def _reference_store(vecs, ring, gendegs, nlead):
     """The former store: Buchberger on `vecs` plus the I*F rows of the
     positions < nlead, with no implicit I."""
     return groebner_basis(vecs + ideal_rows(ring, range(nlead)), ring._ctx,
-                          ring.characteristic, gendegs, nlead, None, None)
+                          ring.characteristic, gendegs, nlead, None)
 
 
 def _reference_numerator(module):
@@ -888,7 +888,7 @@ def test_solver_answers_match_buchberger_with_the_ideal_rows(
         x = spec.sop()
         for d in [*koszul_complex(x).differentials.values(),
                   *koszul_complex(x.power(2)).differentials.values()]:
-            solver = ExtendedSolver(d, None)
+            solver = ExtendedSolver(d)
             ref = _reference_solver(solver)
             # d times each variable on the diagonal lies in the image; each
             # variable in a single target row need not
@@ -984,7 +984,7 @@ def test_the_solver_reduces_modulo_the_ideal_in_every_position():
     # a^2 e_1, which lies in I times the tag block and so reduces to 0: the
     # store holds no tag-block entry, and a + b is a nonzerodivisor on R
     solver = ExtendedSolver(RingMatrix.from_columns(
-        ring, [[amb.parse("a + b")]], row_degrees=[0]), None)
+        ring, [[amb.parse("a + b")]], row_degrees=[0]))
     assert sorted(solver.store.by_pos) == [0]
     assert [[(ctx.unpack(k), c) for k, c in items]
             for *_, items in solver.store.by_pos[0]] == [
@@ -1065,58 +1065,6 @@ def test_each_monomial_form_is_built_once_per_ring(monkeypatch, r2):
                                    if form is not True)
 
 
-# --- runs bounded at an internal degree -------------------------------------
-
-
-def test_a_bounded_syzygy_step_is_the_prefix_of_the_full_one(corpus,
-                                                              random_specs):
-    shorter = 0
-    for spec in [*corpus.values(), *random_specs[:20]]:
-        for d in nonminimal_resolution(spec, 3).differentials.values():
-            full = syzygies(d, None)
-            top = max(d.col_degrees)
-            for bound in (top - 1, top):
-                part = syzygies(d, bound)
-                k = sum(deg <= bound for deg in full.col_degrees)
-                assert part.col_degrees == full.col_degrees[:k]
-                assert part.cols == full.cols[:k]
-                shorter += k < full.ncols
-    assert shorter
-
-
-def test_a_bounded_run_forms_no_item_above_its_top(monkeypatch, nonflc):
-    # d_3 maps generators of degrees 3 and 4: S-pairs of degree 4 are
-    # formed, and the unbounded run goes on to degree 5
-    d = nonminimal_resolution(nonflc, 3).differential(3)
-    gendegs = d.row_degrees + d.col_degrees
-    top = max(d.col_degrees)
-    formed = []
-    real = _engine.spoly
-
-    def spy(entry1, entry2, lcm, deg, ctx, p):
-        formed.append(deg + gendegs[ctx.pos_of(entry1[1])])
-        return real(entry1, entry2, lcm, deg, ctx, p)
-
-    monkeypatch.setattr(_engine, "spoly", spy)
-    solver = ExtendedSolver(d, top)
-    assert formed and max(formed) <= top
-    mono_degree = solver.ctx.mono_degree
-    assert all(mono_degree(e[1]) + gendegs[pos] <= top
-               for pos, entries in solver.store.by_pos.items()
-               for e in entries)
-    formed.clear()
-    ExtendedSolver(d, None)
-    assert max(formed) > top  # the unbounded run goes on past top
-
-
-def test_a_bounded_solver_answers_no_solve(r2):
-    d = nonminimal_resolution(r2, 3).differential(2)
-    solver = ExtendedSolver(d, max(d.col_degrees))
-    with pytest.raises(AlgebraError, match="bounded"):
-        solver.solve(d)
-    assert ExtendedSolver(d, None).solve(d) is not None
-
-
 # --- every stored and read-off term is standard modulo I ---------------------
 
 
@@ -1152,7 +1100,7 @@ def test_solver_stores_and_answers_are_standard_modulo_the_ideal(monkeypatch):
     for spec in specs:
         x = spec.sop()
         minimal_free_resolution(x.quotient_module(), 3)
-        betti_table(x.homology(1), 3)
+        minimal_free_resolution(x.homology(1), 3)
         for y in (x, x.power(2)):
             for p in range(1, y.count + 1):
                 y.homology(p)

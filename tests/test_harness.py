@@ -1,16 +1,19 @@
 import ast
+import io
 import json
 import re
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parres import (complexes, groebner, harness, invariants, koszul,
                     oracle, resolutions)
-from parres.algebra import (AlgebraError, NotHomogeneousError, PolyParseError,
-                            PolynomialRingSpec)
+from parres.algebra import (IDENTIFIER, AlgebraError, NotHomogeneousError,
+                            PolyParseError, PolynomialRingSpec)
 from parres.cli import build_parser, bundled_ring_text, main, run
 from parres.harness import (EXPERIMENTS, load_ring_spec, parse_ring_spec,
                             run_experiment)
@@ -69,6 +72,67 @@ def test_parse_rejects_variable_names_the_grammar_cannot_write(names):
                        match=f"bad variable name '{re.escape(bad)}'") as exc:
         parse_ring_spec(f"[field]\n7\n[vars]\n{names}\n[ideal]\nb^2\n")
     assert exc.value.line == 4
+
+
+def _ring_text(draw):
+    """A ring file of small rings with odd parts: misspelled headers, names
+    the grammar cannot write, long literals, large exponents and caps far
+    outside 0..1022."""
+    def odd():
+        return draw(st.integers(0, 7)) == 5
+
+    names = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                          max_size=3, unique=not odd()))
+    if odd():
+        names.append(draw(st.sampled_from(["1", "a-b", "x^2"])))
+    writable = [n for n in names if IDENTIFIER.fullmatch(n)] or ["a"]
+
+    def poly():
+        terms = []
+        for _ in range(2 if odd() else 1):
+            digits = draw(st.integers(1, 700) if odd() else st.integers(1, 3))
+            coefficient = str(draw(st.integers(1, 9))) * digits
+            powers = []
+            for _ in range(2 if odd() else 1):
+                e = draw(st.integers(0, 1100) if odd() else st.integers(1, 2))
+                powers.append(f"{draw(st.sampled_from(writable))}^{e}")
+            terms.append("*".join([coefficient, *powers]))
+        return " + ".join(terms)
+
+    cap = st.one_of(st.integers(-2, 3), st.integers(1023, 10**20))
+    sections = [
+        ("field", [draw(st.sampled_from(["2", "7", "32003"]) if not odd()
+                        else st.sampled_from(["4", "x", "9" * 700]))]),
+        ("vars", [" ".join(names)]),
+        ("ideal", [poly() for _ in range(draw(st.integers(0, 2)))]),
+        ("sop x", [poly() for _ in range(draw(st.integers(1, 2)))]),
+        ("caps", [f"homological = {draw(cap)}"]),
+    ]
+    lines = []
+    for header, body in sections:
+        if odd():
+            header = draw(st.sampled_from(["feild", "var", "sop", "cap s"]))
+        lines += [f"[{header}]", *body]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_ring_file_runs_or_fails_in_one_line(tmp_path_factory, data):
+    # the input contract: a ring file parses, or the CLI exits 1 with one
+    # error line and no traceback, before any long computation
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.ring"
+    path.write_text(_ring_text(data.draw))
+    for command in ("resolve", "koszul"):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, "--ring", str(path)])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert lines == []
 
 
 def test_cli_reports_a_long_literal_in_one_line(capsys, tmp_path):
@@ -238,6 +302,18 @@ def test_standard_and_scan_reject_a_non_sop_on_an_artinian_ring(
     assert main([command, "--ring", str(spec)]) == 1
     assert capsys.readouterr().err.strip() == \
         "error: reference sequence is not a sop of R"
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_a_zero_sequence_element_is_an_error_of_its_own(capsys, tmp_path,
+                                                         command):
+    # c^2 lies in r1's ideal: it has degree 2 in S and is zero in R
+    spec = tmp_path / "r1_zero.ring"
+    spec.write_text(bundled_ring_text("r1").replace("a\nb\n[caps]",
+                                                    "c^2\n[caps]"))
+    assert main([command, "--ring", str(spec)]) == 1
+    assert capsys.readouterr().err == \
+        "error: sequence element c^2 is zero in R\n"
 
 
 def test_invariants_rejects_a_non_sop_before_any_work(capsys, tmp_path):
