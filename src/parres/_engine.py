@@ -146,15 +146,6 @@ class PackContext:
             delta += e * w
         return delta
 
-    def position_floor(self, rank):
-        """Smallest key of any term in positions < rank.
-
-        Terms in positions >= rank compare strictly below this, so a vector
-        meets the leading block of an extended (tagged) module exactly when
-        its largest key is at least this.
-        """
-        return (1 - rank) << self.topshift
-
     def position_shift(self, n):
         """Key delta that moves a term from position i to position i - n."""
         return n << self.topshift

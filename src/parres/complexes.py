@@ -238,19 +238,20 @@ def kill_top_homology(cplx, resolution, s, z):
 
     (z, h): the cycle matrix and the presented top nonzero homology H_s of
     cplx, as homology_presentation returns them; resolution: a
-    ModuleResolution of h (carrying gen_map0, the expression of its degree-0
-    generators in the generators of h).
+    ModuleResolution of h (carrying kept, the indices of the generators of
+    h that are its degree-0 generators).
     Returns (alpha, cone) where alpha maps the s-fold shift of the resolution
     complex into cplx and the cone has H_i = 0 for i >= s while H_i for
     i < s is untouched.
     """
     f = resolution.complex
-    gen_map0 = resolution.gen_map0
-    if gen_map0.nrows != z.ncols:
+    kept = resolution.kept
+    if kept and kept[-1] >= z.ncols:
         raise DimensionMismatchError(
             "resolution generators do not match the homology presentation")
-    # cplx is exact above s, so the comparison theorem lifts z @ gen_map0
-    gammas = lift_chain_map(f, cplx, s, z @ gen_map0)
+    # cplx is exact above s, so the comparison theorem lifts the cycles of
+    # the generators that F_0 keeps
+    gammas = lift_chain_map(f, cplx, s, z.submatrix(range(z.nrows), kept))
     components = {s + q: g for q, g in gammas.items()}
     alpha = ComplexMap(shift(f, s), cplx, components)
     return alpha, mapping_cone(alpha)
@@ -349,7 +350,6 @@ class InducedHomologyMap:
     def __init__(self, fmap, n):
         src_cplx, tgt_cplx = fmap.source, fmap.target
         self.ring = src_cplx.ring
-        self.n = n
         self.z_src, self.h_src = homology_presentation(src_cplx, n)
         self.z_tgt, self.h_tgt = homology_presentation(tgt_cplx, n)
         mapped = fmap.component(n) @ self.z_src

@@ -202,8 +202,7 @@ class QuotientRingSpec:
         return self._numerator
 
     def dimension(self):
-        """Krull dimension: the pole order of the Hilbert series at t = 1,
-        or -1 when 1 is in I."""
+        """Krull dimension: the pole order of the Hilbert series at t = 1."""
         if self._dimension is None:
             self._dimension = pole_order(self.hilbert_numerator(), self.nvars)
         return self._dimension
@@ -354,11 +353,9 @@ def _dense(numerator):
 
 
 def pole_order(numerator, nv):
-    """The order of the pole at t = 1 of numerator / (1-t)^nv: the Krull
-    dimension of a module with that Hilbert series, or -1 for the zero
-    module."""
-    if not numerator:
-        return -1
+    """The order of the pole at t = 1 of numerator / (1-t)^nv, for a
+    nonzero numerator: the Krull dimension of a module with that Hilbert
+    series."""
     coeffs = _dense(numerator)[1]
     dim = nv
     while dim > 0 and (coeffs := _divide_one_minus_t(coeffs)):
@@ -464,7 +461,7 @@ class RingMatrix:
     def is_zero(self):
         return not any(self.cols)
 
-    def compose(self, other):
+    def __matmul__(self, other):
         """self @ other: column j is the sum over k of other[k, j] times
         column k of self, made by the ring's product-and-reduce kernel
         (`QuotientRingSpec.products`) in one call for all columns."""
@@ -476,9 +473,6 @@ class RingMatrix:
         cols = self.ring.products(dict(enumerate(self.cols)), other.cols,
                                   None)
         return RingMatrix(self.ring, cols, self.row_degrees, other.col_degrees)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def __neg__(self):
         p = self.ring.characteristic
@@ -632,7 +626,6 @@ class ExtendedSolver:
         ring = matrix.ring
         self.ring = ring
         self.nrows = matrix.nrows
-        self.ncols = matrix.ncols
         ctx = self.ctx = ring._ctx
         self.p = ring.characteristic
         self.gendegs = matrix.row_degrees + matrix.col_degrees
@@ -640,7 +633,6 @@ class ExtendedSolver:
                 for j, col in enumerate(matrix.cols)]
         self.store = groebner_basis(cols, ctx, self.p, self.gendegs,
                                     self.nrows, ring)
-        self.floor = ctx.position_floor(self.nrows)
         # moves the tag position nrows + j to row j of the source
         self._untag = ctx.position_shift(self.nrows)
 
@@ -671,7 +663,8 @@ class ExtendedSolver:
         over R, sums of a_j (column_j + e_{nrows+j}), so matrix @ x = col.
         """
         nf = self.store.normal_form(col)
-        if nf and max(nf) >= self.floor:
+        # the largest key has the lowest position
+        if nf and self.ctx.pos_of(max(nf)) < self.nrows:
             return None  # a leading-block remainder survives
         p = self.p
         return {k + self._untag: p - c for k, c in nf.items()}

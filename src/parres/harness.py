@@ -160,7 +160,12 @@ def load_ring_spec(path):
 
 
 class ExperimentReport:
-    """Inputs, computed data, and per-claim verdicts for one experiment."""
+    """Inputs, computed data, and per-claim verdicts for one experiment.
+
+    A sentinel such as NOT_FOUND is recorded as it is and spelled by its
+    name: through repr in the structured form, through str in the text
+    form.  A verdict passes a bool, or None for an informational one.
+    """
 
     def __init__(self, experiment, inputs):
         self.experiment = experiment
@@ -175,7 +180,7 @@ class ExperimentReport:
     def verdict(self, claim, passed, left, right):
         self.verdicts.append({
             "claim": claim,
-            "pass": bool(passed) if passed is not None else None,
+            "pass": passed,
             "left": left,
             "right": right,
         })
@@ -284,12 +289,12 @@ def verify_main_theorem(report, ring, x, cap, nmax):
     verdict_flc = flc_check(x, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
-                       repr(verdict_flc), "NOT-APPLICABLE")
+                       verdict_flc, "NOT-APPLICABLE")
         return
     n = first_standard_power(x, nmax=nmax)
     report.record("standard_power", n)
     if n is NOT_FOUND:
-        report.verdict("standard power found", False, repr(n), f"<= {nmax}")
+        report.verdict("standard power found", False, n, f"<= {nmax}")
         return
     xn = x.power(n)
     betti = betti_table(xn.quotient_module(), cap)
@@ -402,14 +407,13 @@ def invariants_experiment(report, ring, x, cap, nmax):
 
 def standard_experiment(report, ring, x, cap, nmax):
     n = find_standard_power(x, nmax=nmax)
-    report.record("standard_power",
-                  n if n is not NOT_FOUND else repr(NOT_FOUND))
+    report.record("standard_power", n)
     if n is not NOT_FOUND:
         wit = standardness_witness(x.power(n))
         report.verdict("power re-verified standard", wit is None,
                        f"n={n}", "squares criterion")
     else:
-        report.verdict("standard power found", False, repr(n), f"<= {nmax}")
+        report.verdict("standard power found", False, n, f"<= {nmax}")
 
 
 # subcommand -> (help line, inputs the report records after ring and sop,

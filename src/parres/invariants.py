@@ -262,9 +262,8 @@ def flc_check(x, nmax):
 class InvariantReport:
     """Summary invariants of a ring: dimension, depth, defect, FLC, lengths."""
 
-    def __init__(self, ring, dim, depth_, cmd, flc, lc_lengths,
-                 standard_power, sop_name):
-        self.ring = ring
+    def __init__(self, dim, depth_, cmd, flc, lc_lengths, standard_power,
+                 sop_name):
         self.dim = dim
         self.depth = depth_
         self.cmd = cmd
@@ -278,11 +277,9 @@ class InvariantReport:
             "dim": self.dim,
             "depth": self.depth,
             "cmd": self.cmd,
-            "flc": repr(self.flc) if self.flc is UNDECIDED else self.flc,
+            "flc": self.flc,
             "lc_lengths": self.lc_lengths,
-            "standard_power": (repr(self.standard_power)
-                               if self.standard_power is NOT_FOUND
-                               else self.standard_power),
+            "standard_power": self.standard_power,
             "sop": self.sop_name,
         }
 
@@ -306,5 +303,5 @@ def invariant_report(ring, x, nmax=4):
         power = first_standard_power(x, nmax=nmax)
         if power is not NOT_FOUND:
             lc = local_cohomology_lengths(x.power(power))
-    return InvariantReport(ring, dim, dep, dim - dep, flc, lc, power,
+    return InvariantReport(dim, dep, dim - dep, flc, lc, power,
                            sop_name=x.name)

@@ -9,12 +9,12 @@ the packed monomial shift (a key addition) and the normal form modulo the
 defining ideal.  Its slice and rank also give `resolutions.betti_table`'s
 last row, so that row's independent check reads raw syzygies instead.
 
-A basis is a list of packed keys, with the free-module position of each
-when it is the source of a slice.  A slice is a list of sparse vectors, one
-per source basis element: dicts {target index: value in (0, p)} that store
-no zero.  matrix_slice reduces mod p each column coefficient once per call,
-and after that only where two terms meet in one row or a coefficient meets
-a normal-form coefficient.  gf_rank takes any integer entries and reduces
+A basis is a list of packed keys, each of which holds its free-module
+position.  A slice is a list of sparse vectors, one per source basis
+element: dicts {target index: value in (0, p)} that store no zero.
+matrix_slice reduces mod p each column coefficient once per call, and
+after that only where two terms meet in one row or a coefficient meets a
+normal-form coefficient.  gf_rank takes any integer entries and reduces
 them itself.
 """
 
@@ -63,15 +63,13 @@ def gf_rank(vectors, p):
 
 def free_basis(ring, gen_degrees, degree):
     """Basis of the degree-`degree` piece of the graded free module R(gens):
-    (keys, positions), the packed key and the free-module position of each
-    basis element, read in one walk over the ring's packed staircases."""
-    keys, positions = [], []
+    the packed keys of its elements, read in one walk over the ring's
+    packed staircases."""
+    keys = []
     for pos, d in enumerate(gen_degrees):
-        stair = ring.packed_staircase(degree - d)
         shift = ring._ctx.position_shift(pos)
-        keys += [key - shift for key in stair]
-        positions += [pos] * len(stair)
-    return keys, positions
+        keys += [key - shift for key in ring.packed_staircase(degree - d)]
+    return keys
 
 
 def matrix_slice(matrix, degree):
@@ -91,8 +89,8 @@ def matrix_slice(matrix, degree):
     """
     ring = matrix.ring
     ctx = ring._ctx
-    tgt, _ = free_basis(ring, matrix.row_degrees, degree)
-    src, src_pos = free_basis(ring, matrix.col_degrees, degree)
+    tgt = free_basis(ring, matrix.row_degrees, degree)
+    src = free_basis(ring, matrix.col_degrees, degree)
     if not (tgt and src):
         return [{} for _ in src], tgt, src
     # every product below has degree at most degree - min(row degrees)
@@ -100,9 +98,11 @@ def matrix_slice(matrix, degree):
     row_of = dict(zip(tgt, range(len(tgt))))
     p = ring.characteristic
     forms, form, mask = ring._monomial_forms, ring.monomial_form, ctx.monomask
+    topshift = ctx.topshift
     columns = []
     last = None
-    for pos, src_key in zip(src_pos, src):
+    for src_key in src:
+        pos = -(src_key >> topshift)
         if pos != last:
             # the column's terms less the key of 1 in position pos: adding
             # a source key there multiplies the column by its monomial

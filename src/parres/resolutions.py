@@ -22,7 +22,6 @@ from .algebra import MAX_DEGREE, AlgebraError
 from .groebner import RingMatrix, syzygies
 from .complexes import (ChainComplex, cancel_units, kill_top_homology,
                         lift_chain_map)
-from .koszul import koszul_complex
 from .oracle import gf_rank, matrix_slice
 
 
@@ -96,13 +95,13 @@ class ModuleResolution:
     degree beyond `cap` when the resolution does not stop earlier, so that
     rank and exactness data through `cap` are trustworthy; that degree
     holds the step past the cap in all degrees, less what its units cancel).
-    gen_map0: map F_0 -> R^(presentation generators of the module); columns
-    are unit vectors selecting the surviving minimal generators.
+    kept: the indices, increasing, of the presentation generators of the
+    module that are the generators of F_0, the minimal ones that survive.
     """
 
-    def __init__(self, cplx, gen_map0, cap):
+    def __init__(self, cplx, kept, cap):
         self.complex = cplx
-        self.gen_map0 = gen_map0
+        self.kept = kept
         self.cap = cap
 
     def betti(self):
@@ -156,10 +155,7 @@ def minimal_free_resolution(module, cap):
     numbers calls `betti_table`, which is cheaper.
     """
     mini, kept = _minimized(module, cap, cap + 1)
-    gens = module.gen_degrees
-    gen_map0 = RingMatrix.identity(module.ring, gens).submatrix(
-        range(len(gens)), kept.get(0, []))
-    return ModuleResolution(mini, gen_map0, cap)
+    return ModuleResolution(mini, kept.get(0, []), cap)
 
 
 def betti_table(module, cap):
@@ -235,7 +231,7 @@ def lift_koszul_to_resolution(x, resolution):
     if f.module(0) != (0,):
         raise AlgebraError("resolution does not present a cyclic module in "
                            "degree zero")
-    return lift_chain_map(koszul_complex(x), f, 0,
+    return lift_chain_map(x.complex(), f, 0,
                           RingMatrix.identity(x.ring, (0,)))
 
 
@@ -246,11 +242,13 @@ def cec_injectivity_check(x, cap):
     modulo the maximal ideal (where both differentials vanish), and checks in
     each homological degree n <= min(cap, count) that the induced map
     k^binom(r,n) -> k^beta_n has full rank binom(r, n): the constant
-    terms of each column are its keys of monomial degree 0.
+    terms of each column are its keys of monomial degree 0.  F is resolved
+    through r = count, as far as K(x; R) reaches: F_0..F_r and d_1..d_r,
+    which the lift reads, do not depend on how far the resolution runs on.
     """
     r = x.count
     top = min(cap, r)
-    res = minimal_free_resolution(x.quotient_module(), max(cap, r))
+    res = minimal_free_resolution(x.quotient_module(), r)
     comps = lift_koszul_to_resolution(x, res)
     p = x.ring.characteristic
     ctx = x.ring._ctx

@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from parres.algebra import AlgebraError
+from parres.algebra import AlgebraError, DimensionMismatchError
 from parres.groebner import QuotientRingSpec, RingMatrix, syzygies
 from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               dual, homology_presentation, mapping_cone,
@@ -10,7 +10,8 @@ from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
 from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres.koszul import koszul_complex
-from parres.resolutions import betti_table, minimal_free_resolution
+from parres.resolutions import (ModuleResolution, betti_table,
+                                minimal_free_resolution)
 from parres import complexes, oracle
 from conftest import (QUINTIC, RING_109, is_minimal, matrix_of,
                       nonminimal_resolution, unminimized)
@@ -112,6 +113,18 @@ def test_minimize_tracking_gives_submatrix(r1):
         assert len(kept[n]) == mini.rank(n)
         assert all(cone.module(n)[i] == mini.module(n)[j]
                    for j, i in enumerate(kept[n]))
+
+
+def test_kill_top_homology_rejects_a_generator_past_the_cycles(r1):
+    x = r1.sop("x")
+    s = x.count
+    z, h = x.presentation(s)
+    res = minimal_free_resolution(h, 1)
+    assert res.kept and res.kept[-1] < z.ncols
+    complexes.kill_top_homology(x.complex(), res, s, z)
+    past = ModuleResolution(res.complex, [*res.kept[:-1], z.ncols], 1)
+    with pytest.raises(DimensionMismatchError, match="do not match"):
+        complexes.kill_top_homology(x.complex(), past, s, z)
 
 
 def test_induced_identity_is_isomorphism(r1):

@@ -105,12 +105,6 @@ def test_key_additions_check_the_degree_of_every_product():
         groebner_basis(vecs, ctx, 101, (0, -999), 2, None)
 
 
-def test_position_floor_is_boundary():
-    ctx = PackContext(3)
-    assert ctx.pack(1, (0, 0, 0)) >= ctx.position_floor(2)
-    assert ctx.pack(2, (9, 9, 9)) < ctx.position_floor(2)
-
-
 def test_vec_degree_detects_inhomogeneity():
     from parres.algebra import NotHomogeneousError
     ctx = PackContext(2)

@@ -155,7 +155,7 @@ def test_no_standard_monomials_below_degree_zero():
     assert ring.packed_staircase(3) == ()
     # so a free module's basis takes nothing from a generator above the
     # degree
-    keys, _ = oracle.free_basis(ring, (0, 2), 1)
+    keys = oracle.free_basis(ring, (0, 2), 1)
     assert [ring._ctx.unpack(k) for k in keys] == [(0, (1,))]
 
 
@@ -448,7 +448,8 @@ def _rebuilt_reducer(solver):
     every position, leading and tag block, which its store keeps implicit
     and reduces by first, and then from _rebuilt_basis."""
     reducer = PyReducer(solver.ctx, solver.p)
-    for v in ideal_rows(solver.ring, range(solver.nrows + solver.ncols)) + \
+    for v in ideal_rows(solver.ring,
+                        range(solver.nrows + solver.matrix.ncols)) + \
             _rebuilt_basis(solver):
         reducer.add(v)
     return reducer
@@ -460,13 +461,14 @@ def _dense_syzygy_matrix(solver):
     ctx, ring = solver.ctx, solver.ring
     cols, degs = [], []
     for v in _rebuilt_basis(solver):
-        if max(v) >= solver.floor:
+        if ctx.pos_of(max(v)) < solver.nrows:
             continue
         shifted = {}
         for key, c in v.items():
             pos, exp = ctx.unpack(key)
             shifted[ctx.pack(pos - solver.nrows, exp)] = c
-        col = packed_to_vector(shifted, ctx, ring.ambient, solver.ncols)
+        col = packed_to_vector(shifted, ctx, ring.ambient,
+                               solver.matrix.ncols)
         col = [ring.reduce(f) for f in col]
         if all(f.is_zero() for f in col):
             continue
@@ -487,7 +489,7 @@ def _dense_matrix_solve(a, b):
             for exp, c in b.entry(i, j).terms.items():
                 packed[ctx.pack(i, exp)] = c
         nf = reducer.normal_form(packed)
-        x = [dict() for _ in range(solver.ncols)]
+        x = [dict() for _ in range(solver.matrix.ncols)]
         for key, c in nf.items():
             pos, exp = ctx.unpack(key)
             if pos < solver.nrows:

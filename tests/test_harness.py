@@ -359,6 +359,40 @@ def test_main_theorem_guard_on_r1(r1):
     assert rep.passed()  # guard verdicts are informational
 
 
+def test_a_report_spells_its_sentinels(nonflc):
+    # the sentinel is recorded as it is; each form writes its name
+    rep = run_experiment("standard", nonflc.ring, nonflc.sop("y"), 2, 3)
+    assert rep.data["standard_power"] is invariants.NOT_FOUND
+    assert rep.verdicts[0]["left"] is invariants.NOT_FOUND
+    doc = json.loads(rep.to_json())
+    assert doc["data"]["standard_power"] == "NOT-FOUND"
+    assert doc["verdicts"][0]["left"] == "NOT-FOUND"
+    lines = rep.to_text().splitlines()
+    assert "  standard_power: NOT-FOUND" in lines
+    assert "  [FAIL] standard power found: NOT-FOUND vs <= 3" in lines
+
+
+def test_series_leq_stops_at_the_first_violation():
+    # (holds, the first strict index while it holds, else the violated one)
+    leq = harness._series_leq
+    assert leq([1, 2, 3], [1, 2, 3]) == (True, None)
+    assert leq([1, 2, 3], [1, 3, 3]) == (True, 1)
+    assert leq([1, 2, 3], [1, 3, 4]) == (True, 1)
+    assert leq([1, 2, 3], [1, 3, 2]) == (False, 2)
+    assert leq([2, 0, 0], [1, 5, 5]) == (False, 0)
+    assert leq([], []) == (True, None)
+
+
+def test_cone_series_truncates_the_assembly_at_the_cap():
+    # (1+t)^2 + t^2 (2 + 6t + 18t^2) + t^3 (1 + t), through t^3
+    cone = harness._cone_series
+    assert cone(2, {1: [2, 6, 18], 2: [1, 1]}, 3) == [1, 2, 3, 7]
+    assert cone(2, {1: [2, 6, 18], 2: [1, 1]}, 5) == [1, 2, 3, 7, 19, 0]
+    assert cone(2, {1: [2, 6, 18]}, 0) == [1]
+    assert cone(3, {}, 1) == [1, 3]
+    assert cone(1, {}, 3) == [1, 1, 0, 0]
+
+
 def test_scan_on_nonflc_still_runs(nonflc):
     rep = run_experiment("scan", nonflc.ring, nonflc.sop("y"), 2, 2)
     assert "betti_totals" in rep.data

@@ -138,7 +138,7 @@ def test_invariant_report(r1, nonflc):
     assert d["flc"] is True and d["lc_lengths"] == [1, 0]
     assert d["standard_power"] == 1
     inv2 = invariant_report(nonflc.ring, nonflc.sop("y"), nmax=3)
-    assert inv2.to_dict()["flc"] == "UNDECIDED"
+    assert inv2.to_dict()["flc"] is UNDECIDED
 
 
 @pytest.mark.parametrize("ideal, sop, want", [

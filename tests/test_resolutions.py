@@ -60,11 +60,19 @@ def test_resolution_is_exact_against_oracle(r1):
             oracle.module_dim_at(x.quotient_module(), d)
 
 
-def test_gen_map0_selects_minimal_generators(r2):
+def test_kept_names_the_minimal_generators(r2):
     x = r2.sop()
     res = minimal_free_resolution(x.quotient_module(), 2)
-    g = res.gen_map0
-    assert g.ncols == res.complex.rank(0) == 1
+    assert res.kept == [0] and res.complex.rank(0) == 1
+    # generators e_0 of degree 1 and e_1 of degree 0 with e_0 = a e_1:
+    # the unit cancels e_0, and F_0 is generated by e_1 alone
+    ring = r2.ring
+    amb = ring.ambient
+    a = amb.gen(ring.variables[0])
+    rel = RingMatrix.from_columns(ring, [[amb.parse("1"), -a]], [1, 0])
+    res = minimal_free_resolution(
+        FinitelyPresentedModule(ring, [1, 0], rel), 2)
+    assert res.kept == [1] and res.complex.module(0) == (0,)
 
 
 def test_betti_table_layout(r1):
