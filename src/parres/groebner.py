@@ -569,14 +569,10 @@ class FinitelyPresentedModule:
         """Dict degree -> nonzero coefficient of the numerator N of the
         Hilbert series N / (1-t)^nvars: the sum over the generators of the
         numerator of their position, shifted by their degree; computed once
-        per module.  A module with no relations takes the ring's numerator
-        in every position, with no Groebner basis."""
+        per module, from the leads of relations + I in each position."""
         if self._numerator is None:
-            if any(self.relations.cols):
-                nums = [hilbert_numerator(exps)
-                        for exps in self._initial_leads().values()]
-            else:
-                nums = [self.ring.hilbert_numerator()] * len(self.gen_degrees)
+            nums = [hilbert_numerator(exps)
+                    for exps in self._initial_leads().values()]
             self._numerator = sum_numerators(
                 (1, base, num) for base, num in zip(self.gen_degrees, nums))
         return self._numerator

@@ -7,15 +7,11 @@ generator degrees.  Only d_2 is read off the presentation as given, with the
 cancelled rows dropped, so that d_1∘d_2 checks d_1's pivots.  The cone
 construction assembles a (generally non-minimal) resolution of R/(x) from the
 Koszul complex and resolutions of its higher homology modules.
-
-`betti_table` reads its last row off GF(p) ranks of d_cap's graded slices
-and takes no syzygy step past the cap; `minimal_free_resolution`, whose
-complex the oracle, the cone resolution and the lifting checks read, takes
-step cap + 1 in full.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 from .algebra import MAX_DEGREE, AlgebraError
@@ -31,14 +27,6 @@ class BettiTable:
     def __init__(self, entries, cap):
         self.entries = {k: v for k, v in entries.items() if v}
         self.cap = cap
-
-    @classmethod
-    def from_complex(cls, cplx, cap):
-        entries = {}
-        for i in range(0, cap + 1):
-            for j in cplx.module(i):
-                entries[(i, j)] = entries.get((i, j), 0) + 1
-        return cls(entries, cap)
 
     def total(self, i):
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
@@ -91,10 +79,11 @@ class ModuleResolution:
     """A minimal free resolution together with its bookkeeping, as
     `minimal_free_resolution` makes it.
 
-    complex: minimal complex, modules in homological degrees 0..length (one
-    degree beyond `cap` when the resolution does not stop earlier, so that
-    rank and exactness data through `cap` are trustworthy; that degree
-    holds the step past the cap in all degrees, less what its units cancel).
+    complex: modules in homological degrees 0..cap + 1 (fewer when the
+    resolution ends earlier) and the differentials between them, exact in
+    degrees 1..cap.  F_0..F_cap are minimal; F_{cap+1} is the step past the
+    cap in all degrees, less what its units cancel.  betti() reads rows
+    0..cap.
     kept: the indices, increasing, of the presentation generators of the
     module that are the generators of F_0, the minimal ones that survive.
     """
@@ -105,7 +94,8 @@ class ModuleResolution:
         self.cap = cap
 
     def betti(self):
-        return BettiTable.from_complex(self.complex, self.cap)
+        return BettiTable(Counter((i, j) for i in range(self.cap + 1)
+                                  for j in self.complex.module(i)), self.cap)
 
     def poincare(self):
         return SeriesTruncation(self.betti().totals())
@@ -115,19 +105,25 @@ class ModuleResolution:
                 f"(cap {self.cap})>")
 
 
-def _minimized(module, cap, through):
-    """(complex, kept) from cancel_units: the iterated syzygies of module's
-    presentation through homological degree `through`, each step read off
-    the last differential as cancelled.  The modules below that degree are
-    minimal; the top one is not, as no later step cancels its units.
-
-    A cap outside 0..MAX_DEGREE, the packing limit, raises before the
-    first syzygy step: the loop runs on to the cap even after the
+def _check_cap(cap):
+    """Raise for a cap outside 0..MAX_DEGREE, the packing limit, before the
+    first syzygy step: the steps run on to the cap even after the
     resolution has ended, so a cap past the limit is an input error, as a
     degree past it is."""
     if not 0 <= cap <= MAX_DEGREE:
         raise AlgebraError(f"resolution cap {cap} is outside "
                            f"0..{MAX_DEGREE}")
+
+
+def minimal_free_resolution(module, cap):
+    """Minimal graded free resolution of a finitely presented module.
+
+    The syzygy steps run through homological degree cap + 1, so the
+    complex is exact in homological degrees 1..cap with H_0 the module
+    itself, and every entry of d_1..d_cap lies in the maximal ideal; see
+    `ModuleResolution` for the top degree.
+    """
+    _check_cap(cap)
     first = module.relations
 
     def arrive(n, diffs, kept):
@@ -142,35 +138,23 @@ def _minimized(module, cap, through):
         d = syzygies(first)
         return d.submatrix(kept[1], range(d.ncols))
 
-    return cancel_units(module.ring, {0: module.gen_degrees},
-                        range(1, through + 1), arrive)
-
-
-def minimal_free_resolution(module, cap):
-    """Minimal graded free resolution of a finitely presented module.
-
-    The returned complex is exact in homological degrees 1..cap with H_0 the
-    module itself; all differential entries lie in the maximal ideal.  Its
-    degree cap + 1 is computed in full; a caller that reads only Betti
-    numbers calls `betti_table`, which is cheaper.
-    """
-    mini, kept = _minimized(module, cap, cap + 1)
+    mini, kept = cancel_units(module.ring, {0: module.gen_degrees},
+                              range(1, cap + 2), arrive)
     return ModuleResolution(mini, kept.get(0, []), cap)
 
 
 def betti_table(module, cap):
     """The BettiTable of the minimal free resolution of module through cap,
-    equal to `minimal_free_resolution(module, cap).betti()`.
-
-    The steps run through cap (through 1 at cap 0, whose row is F_0 once
-    step 1 cancels its units), so F_0..F_{cap-1} are minimal and
-    im(d_cap) = ker(d_{cap-1}) is the cap-th syzygy module, whose minimal
-    generators row cap counts (`_last_row`).
+    equal to `minimal_free_resolution(module, cap).betti()` with no syzygy
+    step past the cap: rows 0..cap - 1 are those of the resolution through
+    cap - 1, whose d_cap, its units cancelled, maps onto the cap-th syzygy
+    module, and row cap counts that module's minimal generators
+    (`_last_row`).  At cap 0 the one row is F_0 after step 1.
     """
-    cplx = _minimized(module, cap, max(cap, 1))[0]
-    table = BettiTable.from_complex(cplx, max(cap - 1, 0))
-    last = _last_row(cplx, cap) if cap else {}
-    return BettiTable({**table.entries, **last}, cap)
+    _check_cap(cap)
+    res = minimal_free_resolution(module, max(cap - 1, 0))
+    last = _last_row(res.complex, cap) if cap else {}
+    return BettiTable({**res.betti().entries, **last}, cap)
 
 
 def _last_row(cplx, cap):

@@ -333,6 +333,7 @@ def test_invariants_rejects_a_non_sop_before_any_work(capsys, tmp_path):
     (["resolve", "--ring", "regular", "--cap", "100000000"], 100000000),
     (["main-theorem", "--ring", "r2_cap.ring"], 100000000),
     (["resolve", "--ring", "regular", "--cap", "-1"], -1),
+    (["resolve", "--ring", "regular", "--cap", "1023"], 1023),
 ])
 def test_a_cap_outside_the_packing_limit_fails_before_any_step(
         capsys, tmp_path, monkeypatch, argv, cap):
@@ -351,6 +352,16 @@ def test_a_cap_outside_the_packing_limit_fails_before_any_step(
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == \
         f"error: resolution cap {cap} is outside 0..1022\n"
+
+
+def test_the_largest_cap_runs(capsys):
+    # betti_table resolves through cap - 1 and reads the last row itself;
+    # cap 1022 is inside the packing limit, and the regular ring's
+    # resolution ends at 2, so the steps past it take no syzygy
+    assert main(["resolve", "--ring", "regular", "--cap", "1022",
+                 "--format", "structured"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["data"]["betti"] == {"0,0": 1, "1,1": 2, "2,2": 1}
 
 
 def test_main_theorem_guard_on_r1(r1):

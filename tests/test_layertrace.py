@@ -60,8 +60,8 @@ def test_traced_run_counts_layers():
         for argv in (["standard", "--ring", "r2"],
                      ["resolve", "--ring", "r1", "--cap", "3"]):
             run(build_parser().parse_args(argv))
-        # `resolve` reads betti_table, which the tracer does not wrap: its
-        # syzygy steps count under no resolution
+        # `resolve` reads betti_table, which resolves through cap - 1 by
+        # minimal_free_resolution: steps 2 and 3 count under it
         betti_path_steps = tracer.counts["syzygy_steps"]
         spec = api.harness.parse_ring_spec(api.cli.bundled_ring_text("r1"))
         api.resolutions.minimal_free_resolution(spec.sop().quotient_module(),
@@ -71,8 +71,8 @@ def test_traced_run_counts_layers():
         tracer.uninstall()
     assert tracer.calls["invariants.find_standard_power"] == 1
     assert tracer.calls["invariants.flc_check"] == 1
-    assert betti_path_steps == 0
-    assert metrics["resolutions.syzygy_steps"] == 3
+    assert betti_path_steps == 2
+    assert metrics["resolutions.syzygy_steps"] == betti_path_steps + 3
     assert metrics["groebner.solver_build.calls"] > 0
     assert metrics["groebner.module_leads.calls"] > 0
     assert metrics["engine.gb_out"] > 0  # len() of a Buchberger store

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from parres.algebra import PolynomialRingSpec
+from parres.algebra import AlgebraError, PolynomialRingSpec
 from parres.groebner import (FinitelyPresentedModule, QuotientRingSpec,
                              RingMatrix)
 from parres.koszul import ParameterSequence, koszul_complex
@@ -217,6 +217,21 @@ def test_resolution_computes_no_syzygies_past_cap(monkeypatch, r1):
         (i, i): b for i, b in enumerate([1, 3, 6, 13, 28, 60])}
 
 
+@pytest.mark.parametrize("resolve", [minimal_free_resolution, betti_table])
+@pytest.mark.parametrize("cap", [-1, 1023])
+def test_a_cap_outside_the_packing_limit_raises_before_any_step(
+        monkeypatch, r1, resolve, cap):
+    # betti_table checks its own cap before it resolves through cap - 1,
+    # so -1 does not pass as 0, nor 1023 as 1022
+    def fail(*args, **kwargs):
+        raise AssertionError("took a syzygy step")
+
+    monkeypatch.setattr(resolutions, "syzygies", fail)
+    with pytest.raises(AlgebraError,
+                       match=f"^resolution cap {cap} is outside 0..1022$"):
+        resolve(_residue_field(r1.ring), cap)
+
+
 @pytest.mark.parametrize("columns, row", [
     # ab lies in m times a, so the degree-2 slice of d has rank 2 from a's
     # multiples alone and ab adds no generator
@@ -236,6 +251,57 @@ def test_the_last_row_counts_generators_modulo_lower_multiples(columns, row):
     for cap in (0, 1, 2):
         assert betti_table(module, cap) == \
             minimal_free_resolution(module, cap).betti()
+
+
+def _dim_of_image(module, cplx, cap, j):
+    """dim im(d_cap)_j from exactness alone: cplx resolves module through
+    cap - 1, so 0 -> im(d_cap) -> F_{cap-1} -> ... -> F_0 -> M -> 0 is
+    exact, and dim im(d_cap)_j is the alternating sum of the dimensions of
+    (F_i)_j and M_j.  (R(-g))_j is spanned by the standard monomials of
+    degree j - g, and M_j is the t^j coefficient of N / (1-t)^n."""
+    ring = module.ring
+    n = ring.nvars
+    dim = (-1) ** cap * sum(c * comb(j - t + n - 1, n - 1)
+                            for t, c in module.hilbert_numerator().items()
+                            if t <= j)
+    for i in range(cap):
+        dim += (-1) ** (cap - 1 - i) * sum(
+            len(ring.packed_staircase(j - g)) for g in cplx.module(i))
+    return dim
+
+
+def test_the_last_row_agrees_with_exactness(corpus):
+    # beta_{cap,j} = dim im(d_cap)_j - dim (m im(d_cap))_j: the first term
+    # from exactness needs no elimination, and at the lowest column degree
+    # the second is 0, so there the last row is checked with no rank at all
+    modules = []
+    for spec in corpus.values():
+        for x in spec.sops.values():
+            modules.append(x.quotient_module())
+            modules += [x.presentation(i)[1] for i in range(1, x.count + 1)
+                        if x.length(i)]
+    for text in (STAGE_A, QUINTIC, RING_109):
+        x = parse_ring_spec(text).sop()
+        for power in (x, x.power(2)):
+            modules += [power.quotient_module(), power.presentation(1)[1]]
+    checked = lowest = 0
+    for module in modules:
+        ring = module.ring
+        p, mono_degree = ring.characteristic, ring._ctx.mono_degree
+        for cap in (1, 2, 3, 4):
+            cplx = minimal_free_resolution(module, cap - 1).complex
+            table = betti_table(module, cap)
+            d = cplx.differential(cap)
+            degrees = sorted(set(d.col_degrees))
+            for j in degrees:
+                vecs, _, src = oracle.matrix_slice(d, j)
+                lower = [v for v, key in zip(vecs, src) if mono_degree(key)]
+                assert table.entries.get((cap, j), 0) + oracle.gf_rank(
+                    lower, p) == _dim_of_image(module, cplx, cap, j), (
+                        module, cap, j)
+                lowest += j == degrees[0]
+                checked += 1
+    assert checked >= 100 and lowest >= 50
 
 
 def test_betti_table_matches_the_full_resolution(corpus, random_specs):
