@@ -1,30 +1,10 @@
-"""Packed-term representation and the Buchberger driver.
+"""Packed vectors and the Buchberger driver.
 
-A term of a free module R^k over GF(p)[x_1..x_n] is packed into a single
-integer so that plain integer comparison realizes the module monomial order
-(position-over-term, lower position first, positions tie-broken by the ring
-order).  Multiplying a term by a ring monomial is then an integer addition of
-a precomputed delta, which is what makes the reduction inner loop cheap.
-
-A key is `rest - (pos << topshift)`.  The position is an unbounded signed top
-field: keys in positions >= 1 are negative, and a lower position compares
-larger.  `rest`, in [0, 2^topshift), holds the monomial in fields of
-EXP_BITS bits, most significant first, each under a guard bit g that is 0 in
-every key, laid out for grevlex, the one monomial order:
-
-    [g| total degree |g| EXP_MASK - e_{n-1} | ... |g| EXP_MASK - e_0]
-
-So within a position keys rank by degree first.  Raising e_j by one
-adds the variable's weight w_j to a key, so multiplying by x^q adds
-sum q_j w_j, and the cofactor taking a lead to a term it divides is their
-key difference.  The one limit is MAX_DEGREE, for a packed term and for a
-product of terms alike.
-
-Divisibility and lcm are operations on exponent words: the exponent fields
-of a key in place, uncomplemented, with every guard bit 0 and no degree
-field.  With every guard bit set in b's word, b - a clears the guard of each
-field where a's exponent is larger, and no field borrows past its own guard,
-so a divides b exactly when the difference keeps every guard.
+A vector of a free module R^k over GF(p)[x_1..x_n] is a dict from packed
+keys to coefficients, the keys laid out by `algebra.PackContext`: plain
+integer comparison realizes the module monomial order, multiplying a term
+by a ring monomial is a key addition, and divisibility is one subtraction
+on exponent words.
 
 The reducer is the basis store, and only `buchberger` builds one: its
 monic entries are the only copy of the basis, `groebner_basis` rewrites them
@@ -50,114 +30,7 @@ from __future__ import annotations
 
 import heapq
 
-from .algebra import EXP_BITS, MAX_DEGREE, AlgebraError, NotHomogeneousError
-
-EXP_MASK = (1 << EXP_BITS) - 1
-
-
-def check_degree(deg):
-    """Raise before a key addition makes a term of degree deg, which would
-    overflow the packed fields."""
-    if deg > MAX_DEGREE:
-        raise AlgebraError(f"degree {deg} exceeds packing limit")
-
-
-class PackContext:
-    """Packing rules for the grevlex keys of one number of variables.
-
-    A key is affine in the exponents, so the product of the terms ka (in any
-    position) and kb (in position 0) is the key ka + kb - one, where `one` is
-    the key of 1 in position 0.
-    """
-
-    __slots__ = ("shifts", "degshift", "topshift", "monomask",
-                 "weights", "one", "fmask", "guard", "summer", "sumshift")
-
-    def __init__(self, nv):
-        stride = EXP_BITS + 1  # each field and its guard bit
-        self.topshift = stride * (nv + 1)
-        # key & monomask is the key moved to position 0
-        self.monomask = (1 << self.topshift) - 1
-        self.degshift = stride * nv
-        self.shifts = tuple(stride * j for j in range(nv))
-        # e_j + 1 adds one to the degree field and lowers e_j's field, which
-        # holds EXP_MASK - e_j
-        self.weights = tuple((1 << self.degshift) - (1 << s)
-                             for s in self.shifts)
-        # 1 holds EXP_MASK in every exponent field, so its key is their mask
-        self.one = self.fmask = sum(EXP_MASK << s for s in self.shifts)
-        self.guard = sum(1 << (s + EXP_BITS) for s in self.shifts)
-        # word * summer holds the sum of all fields in the field at
-        # sumshift; every field of the product is a partial sum, below
-        # 2^stride for words up to degree 2 * MAX_DEGREE, so none carries
-        low = min(self.shifts)
-        self.summer = sum(1 << (s - low) for s in self.shifts)
-        self.sumshift = max(self.shifts)
-
-    def pack(self, pos, exp):
-        check_degree(sum(exp))  # so every exponent fits its field too
-        return self.one + self.mul_delta(exp) - (pos << self.topshift)
-
-    def move(self, key, pos):
-        """The term `key` moved to free-module position pos."""
-        return (key & self.monomask) - (pos << self.topshift)
-
-    def unpack(self, key):
-        return -(key >> self.topshift), self.exp_of(key)
-
-    def exp_of(self, key):
-        return tuple([((key >> s) & EXP_MASK) ^ EXP_MASK for s in self.shifts])
-
-    def pos_of(self, key):
-        return -(key >> self.topshift)
-
-    def mono_degree(self, key):
-        """Total degree of the monomial part of a packed term."""
-        return (key >> self.degshift) & EXP_MASK
-
-    def word(self, key):
-        """Exponent word of a packed term: its exponent fields in place,
-        uncomplemented, with no degree field."""
-        return (key & self.fmask) ^ self.one
-
-    def lcm(self, a, b):
-        """Exponent word of the lcm of the monomials with words a and b."""
-        guard = self.guard
-        ge = ((a | guard) - b) & guard  # the guards of fields where a >= b
-        return b ^ ((a ^ b) & (ge - (ge >> EXP_BITS)))
-
-    def word_degree(self, word):
-        """Total degree of an exponent word, up to 2 * MAX_DEGREE."""
-        return (word * self.summer >> self.sumshift) & ((2 << EXP_BITS) - 1)
-
-    def word_key(self, word, deg, key):
-        """Key of the monomial of exponent word `word` and degree deg in the
-        position of `key`; deg must not exceed MAX_DEGREE for the key to
-        take part in products."""
-        topshift = self.topshift
-        return (((key >> topshift) << topshift) + (word ^ self.one)
-                + (deg << self.degshift))
-
-    def mul_delta(self, exp):
-        """Additive key delta for multiplication by the ring monomial x^exp;
-        the caller checks the degree of the products."""
-        delta = 0
-        for e, w in zip(exp, self.weights):
-            delta += e * w
-        return delta
-
-    def position_shift(self, n):
-        """Key delta that moves a term from position i to position i - n."""
-        return n << self.topshift
-
-    def split_by_position(self, vec):
-        """{pos: the terms of vec in position pos, moved to position 0}."""
-        shift, mask = self.topshift, self.monomask
-        groups = {}
-        for key, c in vec.items():
-            groups.setdefault(-(key >> shift), {})[key & mask] = c
-        return groups
-
+from .algebra import EXP_MASK, NotHomogeneousError, check_degree
 
 # ---------------------------------------------------------------------------
 # vectors: dict packed-key -> coefficient in (0, p)

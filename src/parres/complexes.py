@@ -11,8 +11,7 @@ minimization by unit-pivot cancellation as each differential arrives.
 
 from __future__ import annotations
 
-from ._engine import EXP_MASK
-from .algebra import AlgebraError, DimensionMismatchError
+from .algebra import EXP_MASK, AlgebraError, DimensionMismatchError
 from .groebner import (ExtendedSolver, FinitelyPresentedModule, INFINITE,
                        RingMatrix, matrix_solve, syzygies)
 

@@ -8,8 +8,9 @@ source generator: a position-over-term Groebner basis is computed with I
 times each generator, target and tag alike, implicit in the reducer (see
 `_engine`), and elements supported purely on the tag block are read off
 by untagging them.  Every stored term is already standard modulo I, so the
-read-off reduces nothing; `QuotientRingSpec.reduce_packed` serves only the
-edge where Polynomials come in.
+read-off reduces nothing; `QuotientRingSpec.reduce_packed` serves the
+packed vectors that come in from outside a computation: parsed or built
+sequence elements and the columns of `RingMatrix.from_columns`.
 """
 
 from __future__ import annotations
@@ -17,29 +18,13 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import le
 
-from .algebra import (AlgebraError, DimensionMismatchError,
-                      NotHomogeneousError, Polynomial, RingMismatchError,
-                      Sentinel)
-from ._engine import (EXP_MASK, MAX_DEGREE, PackContext, buchberger,
-                      check_degree, groebner_basis)
+from .algebra import (EXP_MASK, MAX_DEGREE, AlgebraError,
+                      DimensionMismatchError, NotHomogeneousError,
+                      RingMismatchError, Sentinel, check_degree)
+from ._engine import buchberger, groebner_basis
 
 # returned by length() for modules of positive dimension
 INFINITE = Sentinel("INFINITE")
-
-
-# ---------------------------------------------------------------------------
-# conversions between Polynomials and packed vectors
-
-
-def _pack(col, ctx):
-    """Packed vector of a sparse column {position: Polynomial}."""
-    return {ctx.pack(pos, exp): c
-            for pos, poly in col.items() for exp, c in poly.terms.items()}
-
-
-def _poly(vec, ctx, ambient):
-    """Polynomial over `ambient` of a packed vector with one position."""
-    return Polynomial(ambient, {ctx.exp_of(k): c for k, c in vec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +32,15 @@ def _poly(vec, ctx, ambient):
 
 
 class QuotientRingSpec:
-    """R = S/I for a homogeneous ideal I in a polynomial ring S.
+    """R = S/I for a homogeneous ideal I in a polynomial ring S, given by
+    packed position-0 generators in the packing context of S, which R
+    shares as `_ctx`.
 
-    The ring owns I: its packing context `_ctx` and `_reducer`, the
-    Buchberger store of I's reduced Groebner basis, in position 0 only,
-    and empty when I = 0 (every monomial is then standard).  Its entries
-    are the basis `_basis` (monic, tail-reduced, sorted by degree and
-    lead), seen as Polynomials in `ideal_basis`.
+    The ring owns I: `_reducer`, the Buchberger store of I's reduced
+    Groebner basis, in position 0 only, and empty when I = 0 (every
+    monomial is then standard).  Its entries are the basis `_basis` (monic,
+    tail-reduced, sorted by degree and lead), seen as Polynomials in
+    `ideal_basis`.
 
     Two tables depend on I alone, which never changes after set-up, and
     are filled as they are met: the position-0 keys of the standard
@@ -69,20 +56,19 @@ class QuotientRingSpec:
 
     def __init__(self, ambient, ideal_generators):
         self.ambient = ambient
-        gens = [g for g in ideal_generators if not g.is_zero()]
+        ctx = self._ctx = ambient._ctx
+        gens = [g for g in ideal_generators if g]
         for g in gens:
-            if g.ring != ambient:
-                raise RingMismatchError("ideal generator outside the ambient ring")
-            if not g.is_homogeneous():
-                raise NotHomogeneousError(f"inhomogeneous ideal generator {g}")
-            if g.is_constant():
+            degs = {ctx.mono_degree(k) for k in g}
+            if len(degs) > 1:
+                raise NotHomogeneousError("inhomogeneous ideal generator "
+                                          f"{ambient.polynomial(g)}")
+            if not degs.pop():
                 raise AlgebraError("defining ideal contains a unit")
-        ctx = self._ctx = PackContext(ambient.nvars)
-        p = ambient.characteristic
-        self._reducer = groebner_basis([_pack({0: g}, ctx) for g in gens],
-                                       ctx, p, (0,), 1, None)
+        self._reducer = groebner_basis(gens, ctx, ambient.characteristic,
+                                       (0,), 1, None)
         self._basis = self._reducer.by_pos.get(0, [])
-        self.ideal_basis = [_poly(dict(items), ctx, ambient)
+        self.ideal_basis = [ambient.polynomial(dict(items))
                             for *_, items in self._basis]
         self._lead_exps = [ctx.exp_of(lead) for _, lead, _, _ in self._basis]
         self._numerator = None
@@ -106,11 +92,10 @@ class QuotientRingSpec:
         return not self._basis
 
     def reduce(self, f):
-        """Canonical representative of f in R (normal form modulo I)."""
-        if f.ring != self.ambient:
-            raise RingMismatchError("element outside the ambient ring")
-        return _poly(self.reduce_packed(_pack({0: f}, self._ctx)), self._ctx,
-                     self.ambient)
+        """Canonical representative of the Polynomial f in R (normal form
+        modulo I)."""
+        return self.ambient.polynomial(
+            self.reduce_packed(self.ambient.packed(f)))
 
     def reduce_packed(self, vec):
         """Normal form modulo I of a packed vector, in every position: vec,
@@ -388,7 +373,7 @@ class RingMatrix:
     row), reduced modulo the defining ideal in every position.  Entry (i, j),
     when nonzero, is homogeneous of degree col_degrees[j] - row_degrees[i].
     Polynomials meet the packed columns only at `from_columns` and at
-    entry/entries.
+    entry/entries, through the ambient ring's `packed` and `polynomial`.
     """
 
     def __init__(self, ring, cols, row_degrees, col_degrees):
@@ -421,17 +406,17 @@ class RingMatrix:
         column packed and reduced modulo the defining ideal.  A column's
         degree defaults to that of its first nonzero entry, and to 0 for a
         zero column."""
+        packed, move = ring.ambient.packed, ring._ctx.move
         cols, degs = [], []
         for col in columns:
             if len(col) != len(row_degrees):
                 raise DimensionMismatchError("column length mismatch")
-            nonzero = {i: f for i, f in enumerate(col) if not f.is_zero()}
-            if any(f.ring != ring.ambient for f in nonzero.values()):
-                raise RingMismatchError(
-                    "matrix entry outside the ambient ring")
-            cols.append(ring.reduce_packed(_pack(nonzero, ring._ctx)))
+            cols.append(ring.reduce_packed({
+                move(k, i): c for i, f in enumerate(col)
+                for k, c in packed(f).items()}))
             degs.append(next((f.degree() + row_degrees[i]
-                              for i, f in nonzero.items()), 0))
+                              for i, f in enumerate(col) if not f.is_zero()),
+                             0))
         return cls(ring, cols, row_degrees,
                    degs if col_degrees is None else col_degrees)
 
@@ -448,15 +433,15 @@ class RingMatrix:
     @property
     def entries(self):
         """dict (i, j) -> nonzero Polynomial entry."""
-        ctx, ambient = self.ring._ctx, self.ring.ambient
-        return {(i, j): _poly(vec, ctx, ambient)
+        ctx, polynomial = self.ring._ctx, self.ring.ambient.polynomial
+        return {(i, j): polynomial(vec)
                 for j, col in enumerate(self.cols)
                 for i, vec in sorted(ctx.split_by_position(col).items())}
 
     def entry(self, i, j):
-        ctx = self.ring._ctx
-        return _poly({k: c for k, c in self.cols[j].items()
-                      if ctx.pos_of(k) == i}, ctx, self.ring.ambient)
+        pos_of = self.ring._ctx.pos_of
+        return self.ring.ambient.polynomial(
+            {k: c for k, c in self.cols[j].items() if pos_of(k) == i})
 
     def is_zero(self):
         return not any(self.cols)

@@ -16,8 +16,8 @@ import time
 from math import comb
 
 from .algebra import (IDENTIFIER, AlgebraError, NotHomogeneousError,
-                      PolyParseError, PolynomialRingSpec)
-from ._engine import check_degree
+                      PolyParseError, PolynomialRingSpec, check_degree,
+                      parse_packed)
 from .groebner import INFINITE, QuotientRingSpec
 from .koszul import ParameterSequence
 from .resolutions import betti_table
@@ -135,17 +135,18 @@ def parse_ring_spec(text, name=None):
     if not variables:
         raise AlgebraError("ring spec missing [vars]")
     ambient = PolynomialRingSpec(characteristic, variables)
+    mono_degree = ambient._ctx.mono_degree
     gens = []
     for lineno, line in ideal_lines:
-        poly = ambient.parse(line, line=lineno)
-        if not poly.is_homogeneous():
+        vec = parse_packed(ambient, line, lineno)
+        if len({mono_degree(k) for k in vec}) > 1:
             raise NotHomogeneousError(
                 f"ideal generator {line!r} (line {lineno}) is inhomogeneous")
-        gens.append(poly)
+        gens.append(vec)
     ring = QuotientRingSpec(ambient, gens)
     sops = {}
     for sname, lines in sop_lines.items():
-        elems = [ambient.parse(line, line=lineno) for lineno, line in lines]
+        elems = [parse_packed(ambient, line, lineno) for lineno, line in lines]
         sops[sname] = ParameterSequence(ring, elems, name=sname)
     return RingSpecFile(ring, sops, caps, name=name)
 

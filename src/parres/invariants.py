@@ -35,11 +35,16 @@ UNDECIDED = Sentinel("UNDECIDED")
 NOT_FOUND = Sentinel("NOT-FOUND")
 
 
+def _variable_keys(ring):
+    """The packed position-0 key of each ambient variable, in order."""
+    ctx = ring._ctx
+    return [ctx.one + w for w in ctx.weights]
+
+
 def maximal_ideal_sequence(ring):
     """The nonzero images of the ambient variables, generating the
     irrelevant ideal; a variable in I (empty normal form) is dropped."""
-    elems = [g for g in map(ring.ambient.gen, ring.variables)
-             if ring.monomial_form(ring._ctx.pack(0, *g.terms))]
+    elems = [{k: 1} for k in _variable_keys(ring) if ring.monomial_form(k)]
     return ParameterSequence(ring, elems, name="m")
 
 
@@ -203,18 +208,24 @@ def first_standard_power(x, nmax):
 
 
 def _candidate_sops(ring):
-    """Deterministic sop candidates: variable subsets, then diagonal sums."""
+    """Deterministic sop candidates, as packed vectors: variable subsets,
+    then diagonal sums."""
     d = ring.dimension()
-    gens = [ring.ambient.gen(v) for v in ring.variables]
-    for sub in combinations(range(len(gens)), d):
-        yield [gens[i] for i in sub]
+    keys = _variable_keys(ring)
+
+    def plus(i, j):
+        """x_i + x_j, which is 2 x_i when i = j."""
+        vec = {keys[i]: 1}
+        vec[keys[j]] = vec.get(keys[j], 0) + 1
+        return vec
+
+    for sub in combinations(keys, d):
+        yield [{k: 1} for k in sub]
     # pair up complementary variables: x_i + x_{i+d}, wrapping as needed
-    v = len(gens)
+    v = len(keys)
     if d < v:
-        cand = [gens[i] + gens[(i + d) % v] for i in range(d)]
-        yield cand
-        cand = [gens[i] + gens[v - 1 - i] for i in range(d)]
-        yield cand
+        yield [plus(i, (i + d) % v) for i in range(d)]
+        yield [plus(i, v - 1 - i) for i in range(d)]
 
 
 def reference_sop(ring):

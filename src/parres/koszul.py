@@ -14,19 +14,19 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import AlgebraError, NotHomogeneousError
-from ._engine import check_degree
-from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix, _pack,
-                       _poly, series_counts, sum_numerators)
+from .algebra import AlgebraError, NotHomogeneousError, check_degree
+from .groebner import (FinitelyPresentedModule, INFINITE, RingMatrix,
+                       series_counts, sum_numerators)
 from .complexes import ChainComplex, ComplexMap, homology_presentation
 
 
 class ParameterSequence:
     """A sequence of homogeneous positive-degree elements of R, kept as the
-    relation matrix d_1 of R/(x): column j is x_j reduced modulo I and
-    packed, by the constructor alone.  Each sequence owns its Koszul
-    complex K(y; R) and the Hilbert series and presentations of its Koszul
-    homology, each computed once.
+    relation matrix d_1 of R/(x): the constructor takes the elements as
+    packed position-0 vectors over the ambient ring, and column j is x_j
+    reduced modulo I.  Each sequence owns its Koszul complex K(y; R) and
+    the Hilbert series and presentations of its Koszul homology, each
+    computed once.
 
     The sequence the constructor made is the root of every power and prefix
     made from it: y = x^n's first r elements is made once per (n, r), from
@@ -54,11 +54,10 @@ class ParameterSequence:
     def __init__(self, ring, elements, name=None):
         cols = []
         for f in elements:
-            if f.ring != ring.ambient:
-                raise AlgebraError("sequence element outside the ambient ring")
-            cols.append(ring.reduce_packed(_pack({0: f}, ring._ctx)))
+            cols.append(ring.reduce_packed(f))
             if not cols[-1]:
-                raise AlgebraError(f"sequence element {f} is zero in R")
+                element = ring.ambient.polynomial(f)
+                raise AlgebraError(f"sequence element {element} is zero in R")
             _degree(ring, cols[-1])  # each element checked in turn
         self._set(ring, cols, name, self, (1, len(cols)))
         self._parts = {self._index: self}  # the root's parts by (n, r)
@@ -231,7 +230,7 @@ def _degree(ring, col):
     degs = {ring._ctx.mono_degree(k) for k in col}
     if len(degs) > 1:
         raise NotHomogeneousError("inhomogeneous sequence element "
-                                  f"{_poly(col, ring._ctx, ring.ambient)}")
+                                  f"{ring.ambient.polynomial(col)}")
     if not max(degs):
         raise AlgebraError("sequence elements must have positive degree")
     return degs.pop()

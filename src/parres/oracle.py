@@ -20,7 +20,7 @@ them itself.
 
 from __future__ import annotations
 
-from ._engine import check_degree
+from .algebra import check_degree
 
 
 def gf_rank(vectors, p):

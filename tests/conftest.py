@@ -94,6 +94,13 @@ def checked_tables(ring):
     return len(forms)
 
 
+def packed(ambient, polys):
+    """The packed position-0 vectors of the Polynomials polys, made by the
+    ambient ring's one edge from Polynomials to packed vectors, for the
+    ring and sequence constructors."""
+    return [ambient.packed(f) for f in polys]
+
+
 def matrix_of(ring, entries, row_degrees, col_degrees):
     """The RingMatrix with Polynomial entries {(i, j): f}, zero elsewhere,
     built through RingMatrix.from_columns."""
@@ -250,14 +257,20 @@ def corpus(r1, r2, regular, hypersurface, nonflc):
 
 
 @pytest.fixture(scope="session")
-def random_specs():
-    """The first 40 random rings of the benchmark's generator at seed 101,
-    each with its reference sop; the generator is only read."""
+def random_texts():
+    """The ring-spec texts of the first 40 random rings of the benchmark's
+    generator at seed 101, each with its reference sop; the generator is
+    only read."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_ringgen", PERFBENCH / "ringgen.py")
     ringgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ringgen)
     api = SimpleNamespace(algebra=algebra, harness=harness,
                           invariants=invariants)
-    return [parse_ring_spec(text)
-            for text in ringgen.random_rings(api, 101)[:40]]
+    return ringgen.random_rings(api, 101)[:40]
+
+
+@pytest.fixture(scope="session")
+def random_specs(random_texts):
+    """The rings of random_texts, parsed."""
+    return [parse_ring_spec(text) for text in random_texts]

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import (MAX_CHARACTERISTIC, PolyParseError,
+from parres.algebra import (MAX_CHARACTERISTIC, MAX_DEGREE, PolyParseError,
                             PolynomialRingSpec, _is_prime, grevlex_key)
 
 P = 32003
@@ -59,6 +59,14 @@ LARGE_POWERS = [
     ("a^200000", "degree 200000 exceeds packing limit (line 1, column 3)"),
     ("a^1000000", "degree 1000000 exceeds packing limit (line 1, column 3)"),
     ("(a+b)^3000", "degree 3000 exceeds packing limit (line 1, column 7)"),
+    # a product is checked before its keys are added, at the column of
+    # the factor that passes the limit
+    ("a^600*b^600", "degree 1200 exceeds packing limit (line 1, column 7)"),
+    ("(a+b)^600*(a-b)^600",
+     "degree 1200 exceeds packing limit (line 1, column 11)"),
+    ("a^511*b^511", "a^511*b^511"),
+    ("a^511*b^511*a", "degree 1023 exceeds packing limit (line 1, column 13)"),
+    ("0*a^600*b^600", "0"),
 ]
 
 
@@ -66,8 +74,8 @@ LARGE_POWERS = [
                          ids=[text for text, _ in LARGE_POWERS])
 def test_a_large_power_parses_or_fails_at_once(text, expected):
     # a power costs a number of products logarithmic in its exponent, and
-    # one of a non-constant base is checked against the packing limit
-    # before it is computed
+    # one of a non-constant base, like each product of nonzero factors, is
+    # checked against the packing limit before it is computed
     ring = PolynomialRingSpec(7, ["a", "b"])
     start = time.perf_counter()
     try:
@@ -162,3 +170,81 @@ def test_pow(ring):
     b = ring.gen("b")
     assert (a + b) ** 2 == a * a + 2 * a * b + b * b
     assert (a + b) ** 0 == ring.one()
+
+
+# 0, residues and their lifts past p, and literals up to the 640-digit
+# limit
+LITERALS = st.one_of(st.integers(0, 3 * P),
+                     st.integers(1, 640).map(lambda k: int("9" * k)))
+FACTOR_KINDS = st.sampled_from(["num", "var", "sum"])
+LEAF_KINDS = st.sampled_from(["num", "var"])
+FIRST_SIGNS = st.sampled_from(["", "-", "+"])
+
+
+def _factor(draw, ring, budget, depth):
+    """(text, Polynomial) of a random factor of degree at most budget: a
+    literal, a variable or a parenthesized sum, maybe raised to a power."""
+    kind = draw(FACTOR_KINDS if depth else LEAF_KINDS) if budget else "num"
+    if kind == "num":
+        n = draw(LITERALS)
+        text, f = str(n), ring.one() * n
+    elif kind == "var":
+        text = draw(st.sampled_from(ring.variables))
+        f = ring.gen(text)
+    else:
+        text, f = _sum(draw, ring, budget, depth - 1)
+        text = f"({text})"
+    if draw(st.booleans()):
+        deg = f.degree()
+        if deg <= 0:
+            top = 10 ** 6  # a constant base has no degree to exceed
+        elif len(f.terms) == 1:
+            top = budget // deg
+        else:
+            top = min(3, budget // deg)  # a power of a sum is squared out
+        e = draw(st.integers(0, top))
+        text, f = f"{text}^{e}", f ** e
+    return text, f
+
+
+def _term(draw, ring, budget, depth):
+    """(text, Polynomial) of a product of factors, each product within
+    the degree budget."""
+    text, f = _factor(draw, ring, budget, depth)
+    for _ in range(draw(st.integers(0, 2))):
+        room = budget - max(f.degree(), 0)
+        g_text, g = _factor(draw, ring, room, depth)
+        text, f = f"{text}*{g_text}", f * g
+    return text, f
+
+
+def _sum(draw, ring, budget, depth):
+    """(text, Polynomial) of a sum of terms with a sign before the first
+    or not, and maybe a term that cancels an earlier one."""
+    sign = draw(FIRST_SIGNS)
+    t, f = _term(draw, ring, budget, depth)
+    terms = [(t, f, sign == "-")]  # (text, value, negated) of each term
+    text, total = sign + t, -f if sign == "-" else f
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.integers(0, 3)) == 0:  # cancel an earlier term
+            t, f, negated = terms[draw(st.integers(0, len(terms) - 1))]
+            negated = not negated
+        else:
+            t, f = _term(draw, ring, budget, depth)
+            negated = draw(st.booleans())
+        terms.append((t, f, negated))
+        text += f" {'-' if negated else '+'} {t}"
+        total = total - f if negated else total + f
+    return text, total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_parse_matches_polynomial_arithmetic(data):
+    # the one parser adds and scales packed keys; the reference is the
+    # Polynomial operator arithmetic of the same expression tree
+    p = data.draw(st.sampled_from([2, 7, P, P]))
+    names = ["a", "b", "c", "d"][:data.draw(st.integers(2, 4))]
+    ring = PolynomialRingSpec(p, names)
+    text, want = _sum(data.draw, ring, MAX_DEGREE, 2)
+    assert ring.parse(text, line=1) == want, text

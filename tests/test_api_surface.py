@@ -57,7 +57,16 @@ NO_SRC_CALLER = {
         "packed vectors",
     "PackContext.unpack": "the round-trip reference for pack",
     "Polynomial.monic": "normalizes Groebner bases compared in the tests",
+    "Polynomial.is_homogeneous":
+        "the tests' homogeneity test of a Polynomial; src checks the "
+        "degrees of packed keys",
     "PolynomialRingSpec.monomial": "builds test polynomials term by term",
+    "PolynomialRingSpec.gen":
+        "a variable as a Polynomial, for the benchmark's residue-field op "
+        "and the tests; src makes a variable's packed key itself",
+    "PolynomialRingSpec.parse":
+        "the Polynomial read of infix text, for the tests; src parses "
+        "straight to packed vectors with parse_packed",
 }
 
 
@@ -207,7 +216,9 @@ SHARED_NAMES = {
             "invariants.flc_check and harness.koszul_experiment",
     },
     "nvars": {
-        "PolynomialRingSpec.nvars": "QuotientRingSpec.__init__",
+        "PolynomialRingSpec.nvars":
+            "QuotientRingSpec.nvars and PolynomialRingSpec.one, gen and "
+            "monomial",
         "QuotientRingSpec.nvars":
             "QuotientRingSpec.dimension and FinitelyPresentedModule.length",
     },
@@ -222,7 +233,9 @@ SHARED_NAMES = {
     "variables": {
         "PolynomialRingSpec.variables":
             "PolynomialRingSpec.nvars and Polynomial.__str__",
-        "QuotientRingSpec.variables": "invariants.maximal_ideal_sequence",
+        "QuotientRingSpec.variables":
+            "no src caller: the benchmark's residue-field op and the tests "
+            "read a ring's variables",
     },
     "zero": {
         "PolynomialRingSpec.zero": "PolynomialRingSpec.monomial",
@@ -275,7 +288,6 @@ OPTIONAL_PARAMETERS = {
     ("algebra.PolyParseError.__init__", "column"),
     ("algebra.PolynomialRingSpec.monomial", "coeff"),
     ("algebra.PolynomialRingSpec.parse", "line"),
-    ("algebra.parse_polynomial", "line"),
     ("cli.main", "argv"),
     ("groebner.RingMatrix.from_columns", "col_degrees"),
     ("groebner.FinitelyPresentedModule.__init__", "relations"),

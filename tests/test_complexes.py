@@ -274,7 +274,7 @@ def _reference_minimize(cplx):
     while True:
         # the first unit in the order (n, column, row)
         units = [(n, j, i) for n, mat in mats.items()
-                 for (i, j), f in mat.items() if f.is_constant()]
+                 for (i, j), f in mat.items() if f.degree() == 0]
         if not units:
             break
         n, pj, pi = min(units)

@@ -6,10 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import grevlex_key
-from parres._engine import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
-                            PyReducer, check_degree, groebner_basis,
-                            interreduce, vec_degree)
+from parres.algebra import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
+                            check_degree, grevlex_key)
+from parres._engine import PyReducer, groebner_basis, interreduce, vec_degree
 from parres import _engine, kernel
 from parres.groebner import ExtendedSolver
 from conftest import solver_stores, sop_differentials

@@ -21,7 +21,7 @@ from parres.resolutions import minimal_free_resolution
 
 from conftest import (QUINTIC, RING_109, STAGE_A, bundled_spec,
                       checked_tables, ideal_rows, matrix_of,
-                      nonminimal_resolution, sop_differentials)
+                      nonminimal_resolution, packed, sop_differentials)
 
 P = 32003
 
@@ -34,19 +34,19 @@ def amb3():
 def test_buchberger_lex_known():
     ring = PolynomialRingSpec(P, ["a", "b"])
     gens = [ring.parse("a^2 - b^2"), ring.parse("a*b - b^2")]
-    gb = QuotientRingSpec(ring, gens).ideal_basis
+    gb = QuotientRingSpec(ring, packed(ring, gens)).ideal_basis
     # this pair is already a reduced Groebner basis
     assert sorted(str(g) for g in gb) == \
         sorted(str(g.monic()) for g in gens)
     # here completion genuinely adds the S-polynomial b^3
-    plus = QuotientRingSpec(ring, [ring.parse("a^2 - b^2"),
-                                   ring.parse("a*b")]).ideal_basis
+    plus = QuotientRingSpec(ring, packed(ring, [
+        ring.parse("a^2 - b^2"), ring.parse("a*b")])).ideal_basis
     assert any(str(g) == "b^3" for g in plus)
 
 
 def test_buchberger_normal_form_idempotent(amb3):
-    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
-                                   amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, packed(amb3, [
+        amb3.parse("a*c"), amb3.parse("b*c"), amb3.parse("c^2")]))
     f = amb3.parse("a^2*c + b*c^2 + a*b")
     nf = ring.reduce(f)
     assert ring.reduce(nf) == nf
@@ -57,10 +57,50 @@ def test_buchberger_normal_form_idempotent(amb3):
 
 def test_buchberger_membership_random(amb3):
     gens = [amb3.parse("a^2 - b*c"), amb3.parse("b^2 - a*c")]
-    ring = QuotientRingSpec(amb3, gens)
+    ring = QuotientRingSpec(amb3, packed(amb3, gens))
     # any combination of the generators reduces to zero
     f = amb3.parse("a*b") * gens[0] - amb3.parse("c^2") * gens[1]
     assert ring.reduce(f).is_zero()
+
+
+def _sections(text):
+    """{header: its lines} of a ring-spec text, comments dropped."""
+    out, header = {}, None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            header = line[1:-1]
+            out[header] = []
+        elif line:
+            out[header].append(line)
+    return out
+
+
+def test_a_ring_from_text_equals_the_ring_from_polynomials(random_texts):
+    # parse_ring_spec takes each line straight to packed keys; the same
+    # lines read as Polynomials over a fresh ambient ring and packed at
+    # the one edge must give the same ring and the same sequences
+    texts = [*map(bundled_ring_text, BUNDLED), STAGE_A, QUINTIC, RING_109,
+             *random_texts]
+    assert len(texts) == 48
+    for text in texts:
+        spec = parse_ring_spec(text)
+        sections = _sections(text)
+        amb = PolynomialRingSpec(spec.ring.characteristic,
+                                 spec.ring.variables)
+
+        def polys(header):
+            return packed(amb, [amb.parse(line)
+                                for line in sections.get(header, [])])
+
+        ring = QuotientRingSpec(amb, polys("ideal"))
+        assert ring._basis == spec.ring._basis, text
+        assert ring._lead_exps == spec.ring._lead_exps, text
+        assert repr(ring) == repr(spec.ring)
+        assert spec.sops
+        for name, x in spec.sops.items():
+            y = ParameterSequence(ring, polys(f"sop {name}"))
+            assert y.relations.cols == x.relations.cols, (text, name)
 
 
 def test_quotient_ring_basics(r1):
@@ -123,7 +163,7 @@ def test_staircase_dimension(amb3):
 
     def dim(*monomials):
         ideal = [amb3.parse(m) for m in monomials]
-        return QuotientRingSpec(amb3, ideal).dimension()
+        return QuotientRingSpec(amb3, packed(amb3, ideal)).dimension()
 
     assert dim("a*c", "b*c", "c^2") == 2
     assert dim() == 3
@@ -146,7 +186,7 @@ def test_ring_keeps_one_staircase_per_degree(corpus):
 def test_no_standard_monomials_below_degree_zero():
     # on one variable too, a negative degree has no monomials
     amb = PolynomialRingSpec(7, ["a"])
-    ring = QuotientRingSpec(amb, [amb.parse("a^3")])
+    ring = QuotientRingSpec(amb, packed(amb, [amb.parse("a^3")]))
     assert standard_monomials([], 1, -1) == []
     assert standard_monomials([], 3, -1) == []
     for d in (-1, -2):
@@ -245,7 +285,8 @@ def test_hilbert_numerator_matches_standard_monomials(case):
 
     if all(any(exp) for exp in leads):
         amb = PolynomialRingSpec(P, [f"x{i}" for i in range(nv)])
-        ring = QuotientRingSpec(amb, [amb.monomial(exp) for exp in leads])
+        ring = QuotientRingSpec(
+            amb, packed(amb, [amb.monomial(exp) for exp in leads]))
         assert ring.hilbert_numerator() == num
         assert ring.dimension() == _reference_dimension(leads, nv)
     else:
@@ -325,8 +366,8 @@ def test_matrix_algebra(r1):
 
 
 def test_length_of_artinian_quotient(amb3):
-    ring = QuotientRingSpec(amb3, [amb3.parse("a^2"), amb3.parse("b^2"),
-                                   amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, packed(amb3, [
+        amb3.parse("a^2"), amb3.parse("b^2"), amb3.parse("c^2")]))
     assert ring.dimension() == 0
     mod = FinitelyPresentedModule(ring, [0])
     assert mod.length() == 8
@@ -342,7 +383,7 @@ def test_gb_normal_form_is_zero_on_ideal(exps):
     gens = [g for g in gens if not g.is_zero() and g.is_homogeneous()]
     if not gens:
         return
-    quot = QuotientRingSpec(ring, gens)
+    quot = QuotientRingSpec(ring, packed(ring, gens))
     for g in gens:
         assert quot.reduce(g * ring.parse("a + b")).is_zero()
 
@@ -360,8 +401,8 @@ def _count_reducer_builds(monkeypatch):
 
 
 def test_quotient_reduce_builds_no_reducer(monkeypatch, amb3):
-    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
-                                   amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, packed(amb3, [
+        amb3.parse("a*c"), amb3.parse("b*c"), amb3.parse("c^2")]))
     builds = _count_reducer_builds(monkeypatch)
     polys = [amb3.parse(f"a^{i}*c + b*c^2 + a*b^{i % 3}")
              for i in range(1, 21)]
@@ -372,8 +413,8 @@ def test_quotient_reduce_builds_no_reducer(monkeypatch, amb3):
 
 
 def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
-    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
-                                   amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, packed(amb3, [
+        amb3.parse("a*c"), amb3.parse("b*c"), amb3.parse("c^2")]))
     a = RingMatrix.from_columns(
         ring, [[amb3.parse("a")], [amb3.parse("b")]], row_degrees=[0])
     b = RingMatrix.from_columns(
@@ -388,8 +429,8 @@ def test_matrix_solve_builds_one_solver_reducer(monkeypatch, amb3):
 
 
 def test_reduce_packed_keeps_the_basis_view(amb3):
-    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("b*c"),
-                                   amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, packed(amb3, [
+        amb3.parse("a*c"), amb3.parse("b*c"), amb3.parse("c^2")]))
     ctx = ring._ctx
     before = (list(ring.ideal_basis), list(ring._lead_exps),
               ideal_rows(ring, [0]))
@@ -402,7 +443,8 @@ def test_reduce_packed_keeps_the_basis_view(amb3):
 
 
 def test_module_length_runs_no_interreduction(monkeypatch, amb3):
-    ring = QuotientRingSpec(amb3, [amb3.parse("a*c"), amb3.parse("c^2")])
+    ring = QuotientRingSpec(amb3, packed(amb3, [amb3.parse("a*c"),
+                                                amb3.parse("c^2")]))
     rel = RingMatrix.from_columns(
         ring, [[amb3.parse("a^2")], [amb3.parse("b^3")], [amb3.parse("c")]],
         row_degrees=[0])
@@ -531,7 +573,7 @@ def quotient_matrices(draw):
         return Polynomial(amb, terms)
 
     ideal = [form(2, 3) for _ in range(draw(st.integers(0, 2)))]
-    ring = QuotientRingSpec(amb, ideal)
+    ring = QuotientRingSpec(amb, packed(amb, ideal))
     nrows = draw(st.integers(1, 2))
     ncols = draw(st.integers(1, 3))
     rdeg = [draw(st.integers(0, 1)) for _ in range(nrows)]
@@ -597,7 +639,7 @@ def test_a_ring_with_no_ideal_takes_the_shared_reduction_path(regular):
 
 def test_products_stop_at_the_packing_limit(monkeypatch):
     amb = PolynomialRingSpec(P, ["a", "b"])
-    ring = QuotientRingSpec(amb, [amb.parse("a*b")])
+    ring = QuotientRingSpec(amb, packed(amb, [amb.parse("a*b")]))
 
     def power(e, low):
         return matrix_of(ring, {(0, 0): amb.monomial((e, 0))}, [low],
@@ -817,12 +859,14 @@ def _sop_powers(spec, parts):
     their prefixes: when parts, x's own parts other than x, which take
     depth R from grade(x); else copies made by the constructor, which are
     roots and derive no cokernel."""
-    x = ParameterSequence(spec.ring, spec.sop().elements)
+    x = ParameterSequence(spec.ring,
+                          packed(spec.ring.ambient, spec.sop().elements))
     out = []
     for n in (1, 2, 3):
         y = x.power(n)
         out += [y.prefix(k) if parts
-                else ParameterSequence(x.ring, y.elements[:k])
+                else ParameterSequence(x.ring, packed(x.ring.ambient,
+                                                      y.elements[:k]))
                 for k in range(1, y.count + 1)]
     return [y for y in out if y is not x]
 
@@ -934,7 +978,7 @@ def _pairs_against_the_ideal(monkeypatch, ring):
 
 def test_a_lead_that_only_a_pair_against_the_ideal_makes(monkeypatch):
     amb = PolynomialRingSpec(P, ["a", "b"])
-    ring = QuotientRingSpec(amb, [amb.parse("a^2")])
+    ring = QuotientRingSpec(amb, packed(amb, [amb.parse("a^2")]))
     ctx = ring._ctx
     a, b = amb.parse("a"), amb.parse("b")
     rel = RingMatrix.from_columns(ring, [[a + b]], row_degrees=[0])
@@ -956,7 +1000,7 @@ def test_a_lead_that_only_a_pair_against_the_ideal_makes(monkeypatch):
 
 def test_an_ideal_element_retires_once_a_lead_divides_it(monkeypatch):
     amb = PolynomialRingSpec(P, ["a", "b", "c"])
-    ring = QuotientRingSpec(amb, [amb.parse("a^2*b")])
+    ring = QuotientRingSpec(amb, packed(amb, [amb.parse("a^2*b")]))
     ctx = ring._ctx
     f = amb.parse
     # position 0: the lead b divides a^2 b at once, and the S-vector a^2 c
@@ -980,7 +1024,7 @@ def test_an_ideal_element_retires_once_a_lead_divides_it(monkeypatch):
 
 def test_the_solver_reduces_modulo_the_ideal_in_every_position():
     amb = PolynomialRingSpec(P, ["a", "b"])
-    ring = QuotientRingSpec(amb, [amb.parse("a^2")])
+    ring = QuotientRingSpec(amb, packed(amb, [amb.parse("a^2")]))
     ctx = ring._ctx
     # (a + b) e_0 + e_1 and b^2 e_0 - a e_1 + b e_1; their S-pair reduces to
     # a^2 e_1, which lies in I times the tag block and so reduces to 0: the
@@ -1007,8 +1051,9 @@ def test_the_solver_reduces_modulo_the_ideal_in_every_position():
 def _fresh(spec):
     """The spec's ring built anew, so that its tables start empty, and the
     spec's reference sop over it."""
-    ring = QuotientRingSpec(spec.ring.ambient, spec.ring.ideal_basis)
-    return ring, ParameterSequence(ring, spec.sop().elements)
+    amb = spec.ring.ambient
+    ring = QuotientRingSpec(amb, packed(amb, spec.ring.ideal_basis))
+    return ring, ParameterSequence(ring, packed(amb, spec.sop().elements))
 
 
 def test_module_runs_record_every_monomial_they_reduce_modulo_the_ideal(
@@ -1030,7 +1075,8 @@ def test_module_runs_record_every_monomial_they_reduce_modulo_the_ideal(
         leads.clear()
         for y in (x, x.power(2)):
             for k in range(1, y.count + 1):
-                prefix = ParameterSequence(ring, y.elements[:k])
+                prefix = ParameterSequence(
+                    ring, packed(ring.ambient, y.elements[:k]))
                 for p in range(k + 1):
                     prefix.length(p)
         checked_tables(ring)

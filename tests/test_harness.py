@@ -146,6 +146,22 @@ def test_cli_reports_a_long_literal_in_one_line(capsys, tmp_path):
     assert "(line 6, column 1)" in err
 
 
+@pytest.mark.parametrize("ideal, sop, where", [
+    ("a^600*b^600", "a", "(line 6, column 7)"),
+    ("a^2", "(a+b)^600*(a-b)^600", "(line 8, column 11)"),
+], ids=["ideal", "sop"])
+def test_cli_reports_a_product_past_the_packing_limit_in_one_line(
+        capsys, tmp_path, ideal, sop, where):
+    # the product is refused before its keys are added, so no key wraps
+    # into a wrong element
+    spec = tmp_path / "product.ring"
+    spec.write_text(f"[field]\n32003\n[vars]\na b\n[ideal]\n{ideal}\n"
+                    f"[sop x]\n{sop}\n")
+    assert main(["resolve", "--ring", str(spec)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: degree 1200 exceeds packing limit {where}\n"
+
+
 def test_parse_unknown_variable():
     with pytest.raises(PolyParseError):
         parse_ring_spec("[field]\n7\n[vars]\na b\n[ideal]\na*z\n")

@@ -16,6 +16,8 @@ from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                standardness_witness)
 from parres.koszul import ParameterSequence, koszul_complex
 
+from conftest import packed
+
 
 def test_depth_and_defect(corpus):
     expect = {"r1": (2, 0, 2), "r2": (2, 1, 1), "regular": (2, 2, 0),
@@ -28,7 +30,8 @@ def test_depth_and_defect(corpus):
 
 
 def _grade(ring, texts):
-    seq = ParameterSequence(ring, [ring.ambient.parse(t) for t in texts])
+    seq = ParameterSequence(ring, packed(ring.ambient, [
+        ring.ambient.parse(t) for t in texts]))
     return seq.grade()
 
 
@@ -37,7 +40,8 @@ def test_grade(r1, r2):
     assert _grade(r2.ring, ["a + c", "b + d"]) == 1
     # a unit is no parameter: ParameterSequence rejects it
     with pytest.raises(AlgebraError):
-        ParameterSequence(r1.ring, [r1.ring.ambient.one()])
+        ParameterSequence(r1.ring, packed(r1.ring.ambient,
+                                          [r1.ring.ambient.one()]))
 
 
 def test_standardness(r1, r2):

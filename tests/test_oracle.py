@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres._engine import PackContext, PyReducer
+from parres.algebra import PackContext
+from parres._engine import PyReducer
 from parres.groebner import (FinitelyPresentedModule, RingMatrix,
                              standard_monomials)
 from parres.invariants import maximal_ideal_sequence

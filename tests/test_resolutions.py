@@ -16,7 +16,7 @@ from parres.harness import parse_ring_spec
 from parres.invariants import maximal_ideal_sequence
 from parres import complexes, koszul, oracle, resolutions
 from conftest import (QUINTIC, RING_109, STAGE_A, bundled_spec, is_minimal,
-                      unminimized)
+                      packed, unminimized)
 
 
 def _residue_field(ring):
@@ -178,8 +178,9 @@ def test_cec_reads_only_the_constant_terms():
     # so the lift of e_1 e_2 = (b^2, -a^2) is (a, -b): no constant term,
     # and the map is not injective in degree 2 after killing m
     amb = PolynomialRingSpec(32003, ["a", "b"])
-    ring = QuotientRingSpec(amb, [amb.parse("a*b")])
-    x = ParameterSequence(ring, [amb.parse("a^2"), amb.parse("b^2")])
+    ring = QuotientRingSpec(amb, packed(amb, [amb.parse("a*b")]))
+    x = ParameterSequence(ring, packed(amb, [amb.parse("a^2"),
+                                             amb.parse("b^2")]))
     res = minimal_free_resolution(x.quotient_module(), 2)
     lift = lift_koszul_to_resolution(x, res)[2]
     assert lift.entries == {(0, 0): amb.parse("a"), (1, 0): amb.parse("-b")}
