@@ -13,6 +13,7 @@ and Polynomials.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import isqrt
 
 
@@ -58,10 +59,13 @@ class Sentinel:
         raise AlgebraError(f"{self.name} used as a boolean")
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n):
     """Whether n is prime, by trial division up to isqrt(n): exact for every
     n.  PolynomialRingSpec rejects a characteristic from MAX_CHARACTERISTIC
-    = 2^31 up before it calls this, so a test takes under 2^16 divisions."""
+    = 2^31 up before it calls this, so a test takes under 2^16 divisions.
+    Every ring built asks, and a process reads few characteristics, so the
+    answers of the last 64 are kept."""
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 

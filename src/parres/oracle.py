@@ -2,20 +2,21 @@
 
 Everything here works one internal degree at a time: fix a degree t, take the
 standard-monomial basis of each graded piece, turn ring-linear maps into
-sparse GF(p) vectors, and answer rank/kernel/homology questions with exact
-Gaussian elimination in Python integers.  This is the independent back-end
-used to validate the symbolic (Groebner-based) computations; it shares only
-the packed monomial shift (a key addition) and the normal form modulo the
-defining ideal.  Its slice and rank also give `resolutions.betti_table`'s
-last row, so that row's independent check reads raw syzygies instead.
+sparse GF(p) vectors, and answer rank/kernel/homology questions with one
+exact elimination in Python integers, `Echelon`.  This is the independent
+back-end used to validate the symbolic (Groebner-based) computations; it
+shares only the packed monomial shift (a key addition) and the normal form
+modulo the defining ideal.  Its slice and its echelon also give
+`resolutions.betti_table`'s last row, so that row's independent check reads
+raw syzygies instead.
 
 A basis is a list of packed keys, each of which holds its free-module
 position.  A slice is a list of sparse vectors, one per source basis
 element: dicts {target index: value in (0, p)} that store no zero.
 matrix_slice reduces mod p each column coefficient once per call, and
 after that only where two terms meet in one row or a coefficient meets a
-normal-form coefficient.  gf_rank takes any integer entries and reduces
-them itself.
+normal-form coefficient.  The echelon, and gf_rank with it, takes any
+integer entries and reads them mod p itself.
 """
 
 from __future__ import annotations
@@ -23,42 +24,89 @@ from __future__ import annotations
 from .algebra import check_degree
 
 
-def gf_rank(vectors, p):
-    """Rank over GF(p) of an iterable of sparse vectors {index: integer}.
+class Echelon:
+    """A row echelon form over GF(p), built one sparse vector at a time:
+    the one elimination of the oracle and of `resolutions.betti_table`'s
+    last row, exact in Python integers for any prime p.
 
-    Every entry is reduced mod p on entry, so one that is 0 mod p is never
-    a pivot; the vectors given are left as they are.  Elimination is exact
-    in Python integers, for any prime p.  The shortest vectors go first,
-    and each one is reduced on its smallest index until that index has no
-    pivot: there it becomes a pivot, stored monic and without its pivot
-    entry.  Every other index of a pivot vector is larger than its pivot,
-    so a reduction only fills in larger indices and ends.
+    `add` reduces a vector {index: integer} on its smallest index with a
+    nonzero residue for as long as that index has a pivot, and keeps what
+    is left as a new pivot; len() is the rank of the vectors added.  A
+    pivot row's other nonzero residues lie at larger indices, so a
+    reduction only fills in larger indices and ends.
+
+    Rows are copy-on-write.  A one-entry vector becomes a bare pivot, whose
+    elimination deletes one entry; a longer vector whose smallest index
+    has a nonzero residue and no pivot is stored as given, with the
+    inverse of that entry; any other vector is copied, reduced mod p, when
+    a pivot reduces it.  So stored rows may hold entries unreduced or 0
+    mod p, and alias the vectors added, which must not change afterwards.
     """
-    rows = []
-    for v in vectors:
-        row = {i: r for i, c in v.items() if (r := c % p)}
-        if row:
-            rows.append(row)
-    rows.sort(key=len)
-    pivots = {}
-    for row in rows:
+
+    def __init__(self, p):
+        self._p = p
+        # pivot index -> (row, inverse of its pivot entry), or () for a
+        # bare pivot
+        self._pivots = {}
+
+    def __len__(self):
+        return len(self._pivots)
+
+    def add(self, vector):
+        """Whether vector, reduced by the pivots so far, adds a pivot."""
+        p, pivots = self._p, self._pivots
+        if len(vector) == 1:
+            (j, c), = vector.items()
+            c %= p
+            if not c:
+                return False
+            pivot = pivots.get(j)
+            if pivot is None:
+                pivots[j] = ()
+                return True
+            if not pivot:
+                return False
+            row = {j: c}
+        elif vector:
+            j = min(vector)
+            c = vector[j] % p
+            if c and j not in pivots:
+                pivots[j] = (vector, pow(c, -1, p))
+                return True
+            row = {i: r for i, c in vector.items() if (r := c % p)}
+        else:
+            return False
         while row:
             j = min(row)
-            c = row.pop(j)
-            tail = pivots.get(j)
-            if tail is None:
-                if row:
-                    inv = pow(c, -1, p)
-                    row = {i: x * inv % p for i, x in row.items()}
-                pivots[j] = row
-                break
+            pivot = pivots.get(j)
+            if pivot is None:
+                pivots[j] = (row, pow(row[j], -1, p)) if len(row) > 1 else ()
+                return True
+            if not pivot:
+                del row[j]
+                continue
+            tail, inv = pivot
+            f = row[j] * inv % p
+            # the pivot entry cancels itself, and an entry of a stored
+            # vector that is 0 mod p leaves row as it is
             for i, d in tail.items():
-                x = (row.get(i, 0) - c * d) % p
+                x = (row.get(i, 0) - f * d) % p
                 if x:
                     row[i] = x
                 else:
-                    del row[i]
-    return len(pivots)
+                    row.pop(i, None)
+        return False
+
+
+def gf_rank(vectors, p):
+    """Rank over GF(p) of an iterable of sparse vectors {index: integer}:
+    the pivot count of one `Echelon` over the nonempty ones, shortest
+    first.  Every entry is read mod p, so one that is 0 mod p is never a
+    pivot; the vectors given are left as they are."""
+    echelon = Echelon(p)
+    for v in sorted(filter(None, vectors), key=len):
+        echelon.add(v)
+    return len(echelon)
 
 
 def free_basis(ring, gen_degrees, degree):

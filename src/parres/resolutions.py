@@ -18,7 +18,7 @@ from .algebra import MAX_DEGREE, AlgebraError
 from .groebner import RingMatrix, syzygies
 from .complexes import (ChainComplex, cancel_units, kill_top_homology,
                         lift_chain_map)
-from .oracle import gf_rank, matrix_slice
+from .oracle import Echelon, gf_rank, matrix_slice
 
 
 class BettiTable:
@@ -148,31 +148,50 @@ def betti_table(module, cap):
     equal to `minimal_free_resolution(module, cap).betti()` with no syzygy
     step past the cap: rows 0..cap - 1 are those of the resolution through
     cap - 1, whose d_cap, its units cancelled, maps onto the cap-th syzygy
-    module, and row cap counts that module's minimal generators
-    (`_last_row`).  At cap 0 the one row is F_0 after step 1.
+    module, and row cap counts the columns of d_cap that minimally generate
+    its image (`_minimal_columns`).  At cap 0 the one row is F_0 after
+    step 1.
     """
     _check_cap(cap)
     res = minimal_free_resolution(module, max(cap - 1, 0))
-    last = _last_row(res.complex, cap) if cap else {}
+    last = {}
+    if cap:
+        d = res.complex.differential(cap)
+        last = Counter((cap, d.col_degrees[c]) for c in _minimal_columns(d))
     return BettiTable({**res.betti().entries, **last}, cap)
 
 
-def _last_row(cplx, cap):
-    """{(cap, j): beta_{cap,j}} from d_cap, its units cancelled (a zero map
-    once the resolution ended): dim im(d_cap)_j, the rank of the degree-j
-    slice, less dim (m im(d_cap))_j, the rank of the slice's multiples of
-    columns of degree < j, as a degree-j column has no multiple of positive
-    degree there.  At the lowest degree the slice is the columns, by term."""
-    d = cplx.differential(cap)
-    p, mono_degree = d.ring.characteristic, d.ring._ctx.mono_degree
-    degrees = sorted(set(d.col_degrees))
-    row = {(cap, j): gf_rank([col for col, deg in zip(d.cols, d.col_degrees)
-                              if deg == j], p) for j in degrees[:1]}
-    for j in degrees[1:]:
-        vecs, _, src = matrix_slice(d, j)
-        lower = [v for v, key in zip(vecs, src) if mono_degree(key)]
-        row[(cap, j)] = gf_rank(vecs, p) - gf_rank(lower, p)
-    return row
+def _minimal_columns(d):
+    """The indices, increasing, of columns of d that minimally generate its
+    image, read with one `Echelon` per column degree j, upward: first the
+    degree-j multiples of the columns kept so far, shortest first, then
+    each degree-j column, which is kept when it adds a pivot.  The kept
+    columns of degree < j generate what all of them do, so those multiples
+    span m im(d) in degree j, and by graded Nakayama the number kept of
+    degree j is beta_j of im(d).  At the lowest degree there are no
+    multiples, and the columns are read by term."""
+    ring, p = d.ring, d.ring.characteristic
+    by_degree = {}
+    for c, j in enumerate(d.col_degrees):
+        by_degree.setdefault(j, []).append(c)
+    kept = []
+    for j, cols in sorted(by_degree.items()):
+        cols.sort(key=lambda c: len(d.cols[c]))
+        echelon = Echelon(p)
+        if kept:
+            sub = kept + cols
+            # the source basis runs by position, so the degree-j columns,
+            # one unit each, come last
+            vecs = matrix_slice(
+                RingMatrix(ring, [d.cols[c] for c in sub], d.row_degrees,
+                           [d.col_degrees[c] for c in sub]), j)[0]
+            for v in sorted(vecs[:-len(cols)], key=len):
+                echelon.add(v)
+            vecs = vecs[-len(cols):]
+        else:
+            vecs = [d.cols[c] for c in cols]
+        kept += [c for v, c in zip(vecs, cols) if echelon.add(v)]
+    return sorted(kept)
 
 
 def _truncate(cplx, top):

@@ -3,8 +3,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import (MAX_CHARACTERISTIC, MAX_DEGREE, PolyParseError,
-                            PolynomialRingSpec, _is_prime, grevlex_key)
+from parres.algebra import (MAX_CHARACTERISTIC, MAX_DEGREE, AlgebraError,
+                            PolyParseError, PolynomialRingSpec, _is_prime,
+                            grevlex_key)
 
 P = 32003
 
@@ -29,6 +30,19 @@ def test_is_prime_matches_the_sieve():
     assert MAX_CHARACTERISTIC == 2 ** 31
     for n in range(2 ** 31 - 3, 2 ** 31 + 2):
         assert _is_prime(n) == (n == 2 ** 31 - 1), n
+
+
+def test_a_characteristic_is_tested_once_per_process():
+    with pytest.raises(AlgebraError, match="^characteristic 32001 is not "
+                       "prime$"):
+        PolynomialRingSpec(32001, ["a"])
+    PolynomialRingSpec(P, ["a"])
+    hits = _is_prime.cache_info().hits
+    PolynomialRingSpec(P, ["b", "c"])
+    assert _is_prime.cache_info().hits == hits + 1
+    # a composite characteristic raises again, from the kept answer
+    with pytest.raises(AlgebraError, match="is not prime"):
+        PolynomialRingSpec(32001, ["a"])
 
 
 def test_parse_roundtrip(ring):

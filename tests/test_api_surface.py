@@ -159,6 +159,10 @@ def test_every_exception_is_defined_and_uncalled():
 # method, property or public instance attribute, or with a module function:
 # every definition of it, with its src caller or the reason it has none.
 SHARED_NAMES = {
+    "add": {
+        "Echelon.add": "oracle.gf_rank and resolutions._minimal_columns",
+        "PyReducer.add": "_engine.buchberger",
+    },
     "cap": {
         "BettiTable.cap": "BettiTable.totals, pretty and __eq__",
         "ModuleResolution.cap": "ModuleResolution.betti",

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parres.algebra import PackContext
 from parres._engine import PyReducer
@@ -134,6 +134,48 @@ def test_gf_rank_reduces_every_entry_mod_p():
     # an entry that is 0 mod p is never a pivot
     assert oracle.gf_rank([{0: p}, {1: -p}], p) == 0
     assert oracle.gf_rank([{0: p + 1}], p) == 1
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(vectors, p): 0-14 sparse vectors over indices 0-5, each empty, with
+    one entry, or with several; their entries small, negative, ±2^40,
+    reduced, or nonzero multiples of p, so that one-entry vectors sit at
+    indices later vectors carry and a vector stored as given may hold an
+    entry that is 0 mod p."""
+    p = draw(st.sampled_from(PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entry():
+        return int(rng.choice([rng.integers(-3, 4), rng.integers(0, p),
+                               rng.choice([-1, 1]) * 2 ** 40,
+                               p * rng.choice([-2, -1, 1, 3])]))
+
+    return [{int(i): entry()
+             for i in rng.choice(6, size=rng.choice([0, 1, 1, 2, 3, 6]),
+                                 replace=False)}
+            for _ in range(rng.integers(0, 15))], p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=echelon_inputs())
+# a stored pivot that holds an entry 0 mod p, at an index that the vector
+# it reduces does not carry
+@example(case=([{0: 1, 1: 7}, {0: 1}], 7))
+def test_echelon_add_matches_the_rank_of_each_prefix(case):
+    vectors, p = case
+    kept = [dict(v) for v in vectors]
+    echelon = oracle.Echelon(p)
+    rank = 0
+    for n, v in enumerate(vectors, 1):
+        rows = [[w.get(i, 0) for i in range(6)] for w in kept[:n]]
+        rose = _reference_rank(rows, p) > rank
+        assert echelon.add(v) == rose
+        rank += rose
+        assert len(echelon) == rank
+    assert rank == oracle.gf_rank(vectors, p)
+    # the echelon stores vectors as they were given, and copies the rest
+    assert vectors == kept
 
 
 def test_free_basis_counts_the_hilbert_function(corpus):

@@ -271,10 +271,9 @@ def _dim_of_image(module, cplx, cap, j):
     return dim
 
 
-def test_the_last_row_agrees_with_exactness(corpus):
-    # beta_{cap,j} = dim im(d_cap)_j - dim (m im(d_cap))_j: the first term
-    # from exactness needs no elimination, and at the lowest column degree
-    # the second is 0, so there the last row is checked with no rank at all
+def _last_row_modules(corpus):
+    """R/(x) and each nonzero H_i(x) for every bundled sop, and R/(x^n) and
+    H_1(x^n) for n = 1, 2 over stage A, the quintic and ring 109."""
     modules = []
     for spec in corpus.values():
         for x in spec.sops.values():
@@ -285,8 +284,15 @@ def test_the_last_row_agrees_with_exactness(corpus):
         x = parse_ring_spec(text).sop()
         for power in (x, x.power(2)):
             modules += [power.quotient_module(), power.presentation(1)[1]]
+    return modules
+
+
+def test_the_last_row_agrees_with_exactness(corpus):
+    # beta_{cap,j} = dim im(d_cap)_j - dim (m im(d_cap))_j: the first term
+    # from exactness needs no elimination, and at the lowest column degree
+    # the second is 0, so there the last row is checked with no rank at all
     checked = lowest = 0
-    for module in modules:
+    for module in _last_row_modules(corpus):
         ring = module.ring
         p, mono_degree = ring.characteristic, ring._ctx.mono_degree
         for cap in (1, 2, 3, 4):
@@ -303,6 +309,33 @@ def test_the_last_row_agrees_with_exactness(corpus):
                 lowest += j == degrees[0]
                 checked += 1
     assert checked >= 100 and lowest >= 50
+
+
+def test_the_kept_columns_minimally_generate_the_image(corpus):
+    # in each column degree j of d_cap, the columns kept for the last row
+    # are beta_{cap,j} of the full resolution through cap, which steps past
+    # the cap, and their degree-j slice has the rank of all columns' slice:
+    # they generate im(d_cap), and none of them is left over
+    several = 0
+    for module in _last_row_modules(corpus):
+        ring = module.ring
+        p = ring.characteristic
+        betti = minimal_free_resolution(module, 4).betti().entries
+        for cap in (1, 2, 3, 4):
+            d = minimal_free_resolution(module, cap - 1).complex \
+                .differential(cap)
+            kept = resolutions._minimal_columns(d)
+            assert kept == sorted(set(kept))
+            sub = RingMatrix(ring, [d.cols[c] for c in kept], d.row_degrees,
+                             [d.col_degrees[c] for c in kept])
+            for j in sorted(set(d.col_degrees)):
+                assert sub.col_degrees.count(j) == betti.get((cap, j), 0), (
+                    module, cap, j)
+                assert oracle.gf_rank(oracle.matrix_slice(sub, j)[0], p) == \
+                    oracle.gf_rank(oracle.matrix_slice(d, j)[0], p), (
+                        module, cap, j)
+            several += len(set(sub.col_degrees)) > 1
+    assert several >= 10
 
 
 def test_betti_table_matches_the_full_resolution(corpus, random_specs):
@@ -363,3 +396,9 @@ def test_betti_numbers_are_ranks_over_k(corpus, random_specs):
         nonminimal += not is_minimal(cplx)
         assert _betti_by_ranks(cplx, 3) == betti_table(module, 3)
     assert nonminimal >= 8
+    # k over ring 109 and the quintic's H_1(x^2) at cap 4 too, where the
+    # last row walks the columns of d_4 over six degrees, and keeps some in
+    # five of them on the quintic
+    for module in modules[-2:]:
+        assert _betti_by_ranks(unminimized(module, 4), 4) == \
+            betti_table(module, 4)
