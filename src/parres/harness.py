@@ -22,8 +22,8 @@ from .groebner import INFINITE, QuotientRingSpec
 from .koszul import ParameterSequence
 from .resolutions import betti_table
 from .invariants import (NOT_FOUND, check_sop, cohen_macaulay_defect,
-                         find_standard_power, first_standard_power,
-                         flc_check, invariant_report, standardness_witness)
+                         find_standard_power, invariant_report,
+                         standardness_witness)
 
 
 # homological: resolution length; power: largest sequence power scanned
@@ -287,12 +287,11 @@ def verify_main_theorem(report, ring, x, cap, nmax):
     if cmd > 1:
         report.verdict("cmd <= 1 hypothesis", None, cmd, "NOT-APPLICABLE")
         return
-    verdict_flc = flc_check(x, nmax=nmax)
+    verdict_flc, n = find_standard_power(x, nmax=nmax)
     if verdict_flc is not True:
         report.verdict("finite local cohomology hypothesis", None,
                        verdict_flc, "NOT-APPLICABLE")
         return
-    n = first_standard_power(x, nmax=nmax)
     report.record("standard_power", n)
     if n is NOT_FOUND:
         report.verdict("standard power found", False, n, f"<= {nmax}")
@@ -307,7 +306,7 @@ def verify_main_theorem(report, ring, x, cap, nmax):
     rhs = _cone_series(d, {1: ph}, cap)
     report.verdict("P_{R/(x^n)} = (1+t)^d + t^2 P_H", lhs == rhs, lhs, rhs)
 
-    # first_standard_power found x^m not standard for every m < n
+    # find_standard_power found x^m not standard for every m < n
     betti_by_power = {n: lhs}
     for m in range(n + 1, nmax + 1):
         xm = x.power(m)
@@ -407,7 +406,7 @@ def invariants_experiment(report, ring, x, cap, nmax):
 
 
 def standard_experiment(report, ring, x, cap, nmax):
-    n = find_standard_power(x, nmax=nmax)
+    _, n = find_standard_power(x, nmax=nmax)
     report.record("standard_power", n)
     if n is not NOT_FOUND:
         wit = standardness_witness(x.power(n))

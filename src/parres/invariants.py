@@ -16,7 +16,9 @@ unchanged under squaring the sequence), and the lengths of the local
 cohomology modules are recovered by back-solving the binomial identities
 relating them to Koszul homology lengths of a standard sop.  Finiteness of
 local cohomology is a semi-decision: lengths are scanned across powers up
-to a bound.
+to a bound.  The criterion presumes finite local cohomology, so
+find_standard_power is the one search for both answers: it takes the FLC
+verdict and tries the powers of x only when the verdict is True.
 """
 
 from __future__ import annotations
@@ -188,23 +190,18 @@ def length_stability_check(x, nmax, check_maps):
 
 
 def find_standard_power(x, nmax):
-    """Smallest n <= nmax with x^n standard, or NOT-FOUND."""
-    verdict = flc_check(x, nmax=nmax)
-    if verdict is not True:
-        return NOT_FOUND
-    return first_standard_power(x, nmax=nmax)
+    """(flc_check(x, nmax), the smallest n <= nmax with x^n standard).
 
-
-def first_standard_power(x, nmax):
-    """Smallest n <= nmax with x^n standard, or NOT-FOUND; no FLC check.
-
-    The squares criterion presumes finite local cohomology, so call this
-    only after flc_check has returned True; find_standard_power does both.
+    The squares criterion presumes finite local cohomology, so the powers
+    are searched only when the FLC verdict is True; otherwise n is
+    NOT-FOUND, as it is when no power up to nmax is standard.
     """
-    for n in range(1, nmax + 1):
-        if standardness_witness(x.power(n)) is None:
-            return n
-    return NOT_FOUND
+    verdict = flc_check(x, nmax=nmax)
+    if verdict is True:
+        for n in range(1, nmax + 1):
+            if standardness_witness(x.power(n)) is None:
+                return verdict, n
+    return verdict, NOT_FOUND
 
 
 def _candidate_sops(ring):
@@ -307,12 +304,11 @@ def invariant_report(ring, x, nmax=4):
         x = reference_sop(ring)
     dim = ring.dimension()
     dep = depth(x)
-    flc = flc_check(x, nmax=nmax)
+    flc, power = find_standard_power(x, nmax=nmax)
     lc = None
-    power = None
-    if flc is True and dim > 0:
-        power = first_standard_power(x, nmax=nmax)
-        if power is not NOT_FOUND:
-            lc = local_cohomology_lengths(x.power(power))
+    if flc is not True or dim <= 0:
+        power = None
+    elif power is not NOT_FOUND:
+        lc = local_cohomology_lengths(x.power(power))
     return InvariantReport(dim, dep, dim - dep, flc, lc, power,
                            sop_name=x.name)

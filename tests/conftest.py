@@ -257,8 +257,8 @@ def corpus(r1, r2, regular, hypersurface, nonflc):
 
 
 @pytest.fixture(scope="session")
-def random_texts():
-    """The ring-spec texts of the first 40 random rings of the benchmark's
+def all_random_texts():
+    """The ring-spec texts of all 180 random rings of the benchmark's
     generator at seed 101, each with its reference sop; the generator is
     only read."""
     spec = importlib.util.spec_from_file_location(
@@ -267,7 +267,13 @@ def random_texts():
     spec.loader.exec_module(ringgen)
     api = SimpleNamespace(algebra=algebra, harness=harness,
                           invariants=invariants)
-    return ringgen.random_rings(api, 101)[:40]
+    return tuple(ringgen.random_rings(api, 101))
+
+
+@pytest.fixture(scope="session")
+def random_texts(all_random_texts):
+    """The first 40 texts of all_random_texts."""
+    return list(all_random_texts[:40])
 
 
 @pytest.fixture(scope="session")

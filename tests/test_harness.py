@@ -631,6 +631,26 @@ def test_koszul_counts_each_cokernel_once(monkeypatch):
     assert len(counted) == len(set(counted)) == 2
 
 
+@pytest.mark.parametrize("command", ["standard", "invariants",
+                                     "main-theorem"])
+def test_one_search_decides_flc_and_the_standard_power(monkeypatch, capsys,
+                                                        command):
+    # each experiment that reads the FLC verdict or the standard power asks
+    # find_standard_power once, and only that search runs flc_check
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        _wrap_everywhere(monkeypatch, fn, wrapper)
+
+    counted(invariants.find_standard_power)
+    counted(invariants.flc_check)
+    run(build_parser().parse_args([command, "--ring", "r2"]))
+    assert calls == ["find_standard_power", "flc_check"]
+
+
 @pytest.mark.parametrize("command", ["standard", "scan"])
 @pytest.mark.parametrize("ring", ["r2", "nonflc"])
 def test_powers_take_no_run_for_a_cokernel_the_depth_forces(monkeypatch,

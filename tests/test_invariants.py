@@ -9,8 +9,8 @@ from parres.groebner import FinitelyPresentedModule
 from parres.harness import parse_ring_spec, run_experiment
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
-                               find_standard_power, first_standard_power,
-                               invariant_report, length_stability_check,
+                               find_standard_power, invariant_report,
+                               length_stability_check,
                                local_cohomology_lengths,
                                maximal_ideal_sequence, reference_sop,
                                standardness_witness)
@@ -47,8 +47,8 @@ def test_grade(r1, r2):
 def test_standardness(r1, r2):
     assert standardness_witness(r1.sop("x")) is None
     # standard at the first power; both rings have finite local cohomology
-    assert find_standard_power(r1.sop("x"), nmax=4) == 1
-    assert find_standard_power(r2.sop(), nmax=4) == 1
+    assert find_standard_power(r1.sop("x"), nmax=4) == (True, 1)
+    assert find_standard_power(r2.sop(), nmax=4) == (True, 1)
 
 
 def test_high_powers_stop_at_the_packing_limit(r2):
@@ -74,12 +74,14 @@ def test_flc_verdicts(r1, r2, nonflc):
 
 
 def test_find_standard_power(r1, r2, nonflc):
-    assert find_standard_power(r1.sop("x"), nmax=4) == 1
-    assert find_standard_power(r2.sop(), nmax=4) == 1
-    assert find_standard_power(nonflc.sop("y"), nmax=3) is NOT_FOUND
+    assert find_standard_power(r1.sop("x"), nmax=4) == (True, 1)
+    assert find_standard_power(r2.sop(), nmax=4) == (True, 1)
+    verdict, n = find_standard_power(nonflc.sop("y"), nmax=3)
+    assert verdict is UNDECIDED
+    assert n is NOT_FOUND
 
 
-def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
+def test_invariant_report_checks_flc_once(monkeypatch, r1):
     calls = []
     real = invariants.flc_check
 
@@ -91,8 +93,9 @@ def test_invariant_report_checks_flc_once(monkeypatch, r1, r2):
     inv = invariant_report(r1.ring, r1.sop("x"))
     assert len(calls) == 1
     assert inv.to_dict()["standard_power"] == 1
-    # once FLC holds, the search alone gives the same answer
-    assert first_standard_power(r2.sop(), nmax=4) == 1
+    # the report records the verdict and the power of the one search
+    assert find_standard_power(r1.sop("x"), nmax=4) == (inv.flc,
+                                                        inv.standard_power)
 
 
 def test_invariants_never_present_r_itself(monkeypatch, r2):
