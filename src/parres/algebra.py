@@ -1,13 +1,13 @@
-"""Exact arithmetic: prime fields, the grevlex order, packed terms, sparse
-polynomials and the one parser.
+"""Exact arithmetic: prime fields, the grevlex order, packed terms, the
+printed form of a polynomial and the one parser.
 
-Everything is immutable after construction.  Polynomials are stored as
-dictionaries mapping exponent vectors (tuples of non-negative ints) to nonzero
-coefficients in [1, p); the canonical printed form sorts terms descending in
-grevlex.  The layers below pass packed vectors, dicts from the integer keys
-of a `PackContext` to coefficients: the parser emits them, and a
-polynomial ring's `packed` and `polynomial` are the one edge between them
-and Polynomials.
+Everything is immutable after construction.  The arithmetic runs on packed
+vectors, dicts from the integer keys of a `PackContext` to coefficients in
+[1, p): the parser emits them, and the layers below add, multiply and
+reduce them.  A `Polynomial` is the printed form, a dict from exponent
+vectors to coefficients that prints its terms descending in grevlex; it has
+no arithmetic.  A polynomial ring's `packed` and `polynomial` are the one
+edge between the two.
 """
 
 from __future__ import annotations
@@ -267,25 +267,11 @@ class PolynomialRingSpec:
 
     # -- constructors
 
-    def zero(self):
-        return Polynomial(self, {})
-
-    def one(self):
-        return Polynomial(self, {(0,) * self.nvars: 1})
-
     def gen(self, name):
         i = self._var_index[name]
         exp = [0] * self.nvars
         exp[i] = 1
         return Polynomial(self, {tuple(exp): 1})
-
-    def monomial(self, exp, coeff=1):
-        if len(exp) != self.nvars:
-            raise DimensionMismatchError("exponent vector length mismatch")
-        coeff %= self.characteristic
-        if coeff == 0:
-            return self.zero()
-        return Polynomial(self, {tuple(exp): coeff})
 
     def parse(self, text, line=None):
         """The Polynomial of infix text: `parse_packed`'s vector read back."""
@@ -308,7 +294,10 @@ class PolynomialRingSpec:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a PolynomialRingSpec."""
+    """The printed form of a polynomial over a PolynomialRingSpec: its terms
+    as a dict from exponent vectors to coefficients mod p, made from a
+    packed vector by `PolynomialRingSpec.polynomial`.  It compares, hashes
+    and prints; the arithmetic is on packed vectors."""
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -334,84 +323,10 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self):
         """Terms as (exp, coeff), descending in grevlex."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                       reverse=True)
-
-    def leading_term(self):
-        if not self.terms:
-            return None
-        exp = max(self.terms, key=grevlex_key)
-        return exp, self.terms[exp]
-
-    # -- arithmetic
-
-    def _check(self, other):
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"cannot combine Polynomial with {type(other)}")
-        if other.ring != self.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Polynomial(self.ring, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return Polynomial(self.ring, out)
-
-    def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.ring, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, n):
-        """self^n by repeated squaring."""
-        if n < 0:
-            raise AlgebraError("negative power of a polynomial")
-        out, square = self.ring.one(), self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return out
-
-    def monic(self):
-        lt = self.leading_term()
-        if lt is None:
-            return self
-        inv = pow(lt[1], self.ring.characteristic - 2, self.ring.characteristic)
-        return self.scale(inv)
 
     # -- equality / hashing
 

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from parres import _engine, algebra, harness, invariants
+from parres.algebra import Polynomial
 from parres.cli import bundled_ring_text
 from parres.complexes import ChainComplex
 from parres.groebner import RingMatrix, standard_monomials, syzygies
@@ -104,7 +105,7 @@ def packed(ambient, polys):
 def matrix_of(ring, entries, row_degrees, col_degrees):
     """The RingMatrix with Polynomial entries {(i, j): f}, zero elsewhere,
     built through RingMatrix.from_columns."""
-    zero = ring.ambient.zero()
+    zero = Polynomial(ring.ambient, {})
     return RingMatrix.from_columns(
         ring, [[entries.get((i, j), zero) for i in range(len(row_degrees))]
                for j in range(len(col_degrees))], row_degrees, col_degrees)

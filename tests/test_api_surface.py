@@ -56,11 +56,6 @@ NO_SRC_CALLER = {
         "the Polynomial normal form the tests compare against; src reduces "
         "packed vectors",
     "PackContext.unpack": "the round-trip reference for pack",
-    "Polynomial.monic": "normalizes Groebner bases compared in the tests",
-    "Polynomial.is_homogeneous":
-        "the tests' homogeneity test of a Polynomial; src checks the "
-        "degrees of packed keys",
-    "PolynomialRingSpec.monomial": "builds test polynomials term by term",
     "PolynomialRingSpec.gen":
         "a variable as a Polynomial, for the benchmark's residue-field op "
         "and the tests; src makes a variable's packed key itself",
@@ -170,7 +165,8 @@ SHARED_NAMES = {
     },
     "characteristic": {
         "PolynomialRingSpec.characteristic":
-            "Polynomial arithmetic and QuotientRingSpec.characteristic",
+            "Polynomial.__init__ and __str__, the parser and "
+            "QuotientRingSpec.characteristic",
         "QuotientRingSpec.characteristic":
             "QuotientRingSpec.products, complexes.cancel_units and "
             "oracle.matrix_slice",
@@ -221,14 +217,9 @@ SHARED_NAMES = {
     },
     "nvars": {
         "PolynomialRingSpec.nvars":
-            "QuotientRingSpec.nvars and PolynomialRingSpec.one, gen and "
-            "monomial",
+            "QuotientRingSpec.nvars and PolynomialRingSpec.gen",
         "QuotientRingSpec.nvars":
             "QuotientRingSpec.dimension and FinitelyPresentedModule.length",
-    },
-    "one": {
-        "PackContext.one": "PackContext.pack and QuotientRingSpec.products",
-        "PolynomialRingSpec.one": "Polynomial.__pow__",
     },
     "to_dict": {
         "BettiTable.to_dict": "harness.resolve_experiment",
@@ -240,11 +231,6 @@ SHARED_NAMES = {
         "QuotientRingSpec.variables":
             "no src caller: the benchmark's residue-field op and the tests "
             "read a ring's variables",
-    },
-    "zero": {
-        "PolynomialRingSpec.zero": "PolynomialRingSpec.monomial",
-        "RingMatrix.zero":
-            "ChainComplex.differential and FinitelyPresentedModule.__init__",
     },
 }
 
@@ -290,7 +276,6 @@ def test_every_shared_method_name_is_listed_with_each_definition():
 OPTIONAL_PARAMETERS = {
     ("algebra.PolyParseError.__init__", "line"),
     ("algebra.PolyParseError.__init__", "column"),
-    ("algebra.PolynomialRingSpec.monomial", "coeff"),
     ("algebra.PolynomialRingSpec.parse", "line"),
     ("cli.main", "argv"),
     ("groebner.RingMatrix.from_columns", "col_degrees"),

@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from parres.algebra import AlgebraError, DimensionMismatchError
+from parres.algebra import AlgebraError, DimensionMismatchError, Polynomial
 from parres.groebner import QuotientRingSpec, RingMatrix, syzygies
 from parres.complexes import (ChainComplex, ComplexMap, InducedHomologyMap,
                               dual, homology_presentation, mapping_cone,
@@ -15,6 +15,7 @@ from parres.resolutions import (ModuleResolution, betti_table,
 from parres import complexes, oracle
 from conftest import (QUINTIC, RING_109, is_minimal, matrix_of,
                       nonminimal_resolution, unminimized)
+from polyref import mul, scale, sub
 
 
 def test_dd_zero_enforced(r1):
@@ -155,7 +156,7 @@ def test_one_wrong_sign_fails_each_square_zero_check(r2):
     d2 = syzygies(d1)
     (i, j), v = min(d2.entries.items(), key=lambda e: e[0])
     entries = dict(d2.entries)
-    entries[(i, j)] = -v
+    entries[(i, j)] = ring.ambient.parse(f"-({v})")
     bad = matrix_of(ring, entries, d2.row_degrees, d2.col_degrees)
     d3 = syzygies(d2)
     modules = {0: d1.row_degrees, 1: d1.col_degrees, 2: d2.col_degrees,
@@ -255,12 +256,13 @@ def test_a_wrong_pivot_update_fails_a_resolution_check(name, resolve):
 
 
 def _reference_minimize(cplx):
-    """Unit-pivot cancellation on Polynomial entries, each entry reduced
-    modulo I on its own, and the search for the next pivot starting again
-    from the first differential: (kept, nonzero entries per degree)."""
+    """Unit-pivot cancellation on Polynomial entries in the exponent-tuple
+    reference, each entry reduced modulo I on its own, and the search for
+    the next pivot starting again from the first differential: (kept,
+    nonzero entries per degree)."""
     ring = cplx.ring
     p = ring.characteristic
-    zero = ring.ambient.zero()
+    zero = Polynomial(ring.ambient, {})
     modules = {n: list(d) for n, d in cplx.modules.items()}
     kept = {n: list(range(len(d))) for n, d in cplx.modules.items()}
     mats = {n: m.entries for n, m in cplx.differentials.items()}
@@ -285,9 +287,9 @@ def _reference_minimize(cplx):
             f = mat.get((pi, j))
             if j == pj or f is None:
                 continue
-            factor = f.scale(inv)
+            factor = scale(f, inv)
             for i, g in pivot.items():
-                h = ring.reduce(mat.get((i, j), zero) - factor * g)
+                h = ring.reduce(sub(mat.get((i, j), zero), mul(factor, g)))
                 if h.is_zero():
                     mat.pop((i, j), None)
                 else:

@@ -41,7 +41,7 @@ def test_grade(r1, r2):
     # a unit is no parameter: ParameterSequence rejects it
     with pytest.raises(AlgebraError):
         ParameterSequence(r1.ring, packed(r1.ring.ambient,
-                                          [r1.ring.ambient.one()]))
+                                          [r1.ring.ambient.parse("1")]))
 
 
 def test_standardness(r1, r2):

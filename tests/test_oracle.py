@@ -256,10 +256,10 @@ def test_kernel_dim_and_column_space(r1):
     assert dims == [oracle.gf_rank(oracle.matrix_slice(syz, d)[0], p)
                     for d in range(6)]
     assert dims[2] == 3
-    a = ring.ambient.parse("a")
-    sq = RingMatrix.from_columns(ring, [[a * a]], row_degrees=[0])
+    sq = RingMatrix.from_columns(ring, [[ring.ambient.parse("a^2")]],
+                                 row_degrees=[0])
     assert _column_space_contains(mat, sq, 2)
-    one = RingMatrix.from_columns(ring, [[ring.ambient.one()]],
+    one = RingMatrix.from_columns(ring, [[ring.ambient.parse("1")]],
                                   row_degrees=[0])
     assert not _column_space_contains(mat, one, 0)
 

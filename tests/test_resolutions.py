@@ -68,8 +68,9 @@ def test_kept_names_the_minimal_generators(r2):
     # the unit cancels e_0, and F_0 is generated by e_1 alone
     ring = r2.ring
     amb = ring.ambient
-    a = amb.gen(ring.variables[0])
-    rel = RingMatrix.from_columns(ring, [[amb.parse("1"), -a]], [1, 0])
+    a = ring.variables[0]
+    rel = RingMatrix.from_columns(ring, [[amb.parse("1"), amb.parse(f"-{a}")]],
+                                  [1, 0])
     res = minimal_free_resolution(
         FinitelyPresentedModule(ring, [1, 0], rel), 2)
     assert res.kept == [1] and res.complex.module(0) == (0,)

@@ -8,8 +8,8 @@ structured` at the default caps.
 """
 
 import json
+from functools import reduce as fold
 from itertools import combinations
-from math import prod
 
 from parres.algebra import Polynomial
 from parres.cli import DEFAULT_CAP, DEFAULT_POWER_MAX
@@ -20,6 +20,7 @@ from parres.koszul import comparison_map, koszul_complex
 from parres.resolutions import cec_injectivity_check
 
 from conftest import STAGE_A
+from polyref import constant, mul, neg
 
 def _structured(command):
     """The structured report of `command` on a freshly parsed stage-A
@@ -92,9 +93,9 @@ def test_koszul_matrices_are_built_from_packed_columns(monkeypatch):
     assert made == []
     assert injective == [{0: True, 1: True}, {0: True, 1: True, 2: True}]
     monkeypatch.undo()
-    # the same entries as the exterior formula and the products on
-    # Polynomials, reduced modulo I
-    one = ring.ambient.one()
+    # the same entries as the exterior formula and the products in the
+    # exponent-tuple reference, reduced modulo I
+    one = constant(ring.ambient, 1)
     for y, k, k2, cmap in built:
         for z, kz in ((y, k), (y.power(2), k2)):
             for p in range(1, z.count + 1):
@@ -105,11 +106,11 @@ def test_koszul_matrices_are_built_from_packed_columns(monkeypatch):
                     for t, i in enumerate(s):
                         f = z.elements[i]
                         want[(rows[s[:t] + s[t + 1:]], j)] = (
-                            f if t % 2 == 0 else -f)
+                            f if t % 2 == 0 else neg(f))
                 assert kz.differential(p).entries == want
         for p in range(y.count + 1):
-            want = {(j, j): ring.reduce(prod((y.elements[i] for i in s),
-                                             start=one))
+            want = {(j, j): ring.reduce(fold(
+                        mul, (y.elements[i] for i in s), one))
                     for j, s in enumerate(combinations(range(y.count), p))}
             assert cmap.component(p).entries == {
                 ij: f for ij, f in want.items() if not f.is_zero()}
