@@ -384,6 +384,9 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(%s)|([-+*^()]))" % IDENTIFIER.pattern)
 # setting of the interpreter's digit limit, and no coefficient mod p < 2^31
 # or exponent below the packing limit needs more
 MAX_LITERAL_DIGITS = 640
+# the deepest parenthesis nesting parse_packed takes: each level is three
+# frames of its recursive descent, well inside the interpreter's limit
+MAX_NESTING = 100
 
 
 def _tokenize(text, line):
@@ -420,11 +423,12 @@ def parse_packed(ring, text, line):
 
     Grammar: sum of terms with +/-; a term is `*`-separated factors; a factor
     is an integer, a variable or a parenthesized subexpression, optionally
-    `^`-powered.  A product of terms is a key addition and a power of one
-    term scales its key, so each product and each power of a non-constant
-    base is checked against the packing limit before any key is made, and
-    fails at the column of the factor or exponent that passes it.  A power
-    of a sum is computed by repeated squaring.
+    `^`-powered; parentheses nest at most MAX_NESTING deep.  A product of
+    terms is a key addition and a power of one term scales its key, so each
+    product and each power of a non-constant base is checked against the
+    packing limit before any key is made, and fails at the column of the
+    factor or exponent that passes it.  A power of a sum is computed by
+    repeated squaring.
     """
     parser = _Parser(ring, text, line)
     result = parser._sum()
@@ -444,7 +448,7 @@ class _Parser:
         self._ring, self._line = ring, line
         self._p, self._one = ring.characteristic, ring._ctx.one
         self._tokens = _tokenize(text, line)
-        self._idx = 0
+        self._idx = self._depth = 0
 
     def _peek(self):
         """The value of the next token: an operator's character, a
@@ -497,7 +501,12 @@ class _Parser:
                 self._fail(f"unknown variable {val!r}", col)
             base = {one + ring._ctx.weights[ring._var_index[val]]: 1}
         elif kind == "op" and val == "(":
+            if self._depth == MAX_NESTING:
+                self._fail(f"parentheses nested deeper than {MAX_NESTING}",
+                           col)
+            self._depth += 1
             base = self._sum()
+            self._depth -= 1
             kind2, val2, col2 = self._take()
             if not (kind2 == "op" and val2 == ")"):
                 self._fail("expected ')'", col2)

@@ -10,7 +10,7 @@ import argparse
 import sys
 from importlib import resources
 
-from .algebra import AlgebraError, PolyParseError
+from .algebra import AlgebraError
 from .harness import (EXPERIMENTS, load_ring_spec, parse_ring_spec,
                       run_experiment)
 
@@ -77,7 +77,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = run(args)
-    except (AlgebraError, PolyParseError, OSError) as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = report.render(args.format)

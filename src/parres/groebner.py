@@ -320,32 +320,27 @@ def sum_numerators(terms):
     return {t: c for t, c in out.items() if c}
 
 
-def _divide_one_minus_t(coeffs):
-    """The coefficients of coeffs / (1-t), or None when 1 - t does not
-    divide it: the quotient's coefficients are the partial sums."""
-    if sum(coeffs):
-        return None
-    return list(accumulate(coeffs[:-1]))
-
-
-def _dense(numerator):
-    """(low, coefficients from t^low) of a nonzero numerator."""
+def _divide_out_one_minus_t(numerator, most):
+    """(k, quotient): the nonzero numerator divided by (1-t)^k, k as large
+    as it can be up to most, the quotient a dict degree -> nonzero
+    coefficient.  1 - t divides while the coefficients sum to 0, and the
+    quotient's coefficients are then the partial sums."""
     low = min(numerator)
     coeffs = [0] * (max(numerator) + 1 - low)
     for d, c in numerator.items():
         coeffs[d - low] = c
-    return low, coeffs
+    k = 0
+    while k < most and not sum(coeffs):
+        coeffs = list(accumulate(coeffs[:-1]))
+        k += 1
+    return k, {low + t: c for t, c in enumerate(coeffs) if c}
 
 
 def pole_order(numerator, nv):
     """The order of the pole at t = 1 of numerator / (1-t)^nv, for a
     nonzero numerator: the Krull dimension of a module with that Hilbert
     series."""
-    coeffs = _dense(numerator)[1]
-    dim = nv
-    while dim > 0 and (coeffs := _divide_one_minus_t(coeffs)):
-        dim -= 1
-    return dim
+    return nv - _divide_out_one_minus_t(numerator, nv)[0]
 
 
 def series_counts(numerator, nv):
@@ -354,12 +349,8 @@ def series_counts(numerator, nv):
     positive dimension."""
     if not numerator:
         return {}
-    low, coeffs = _dense(numerator)
-    for _ in range(nv):
-        coeffs = _divide_one_minus_t(coeffs)
-        if coeffs is None:
-            return INFINITE
-    return {low + t: c for t, c in enumerate(coeffs) if c}
+    k, quotient = _divide_out_one_minus_t(numerator, nv)
+    return quotient if k == nv else INFINITE
 
 
 # ---------------------------------------------------------------------------

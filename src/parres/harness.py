@@ -152,8 +152,13 @@ def parse_ring_spec(text, name=None):
 
 
 def load_ring_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ring_spec(fh.read(), name=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise AlgebraError(f"ring file {str(path)!r} is not UTF-8: byte "
+                           f"{exc.start} cannot be decoded") from None
+    return parse_ring_spec(text, name=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -67,24 +67,38 @@ def cohen_macaulay_defect(x):
     return x.ring.dimension() - depth(x)
 
 
+def _koszul_lengths(y):
+    """((p, r), len H_p(y_1..y_r; R)) for r = 1..count and p = 1..r, each
+    length computed when it is reached; an infinite one raises, as the
+    squares criterion and the back-solve need finite lengths."""
+    for r in range(1, y.count + 1):
+        sub = y.prefix(r)
+        for p in range(1, r + 1):
+            val = sub.length(p)
+            if val is INFINITE:
+                raise AlgebraError(f"infinite Koszul homology length at "
+                                   f"(p={p}, r={r}); the squares criterion "
+                                   "and the back-solve need finite lengths")
+            yield (p, r), val
+
+
+def _lengths(y):
+    """[len H_p(y; R) for p = 1..count], INFINITE where it is infinite."""
+    return [y.length(p) for p in range(1, y.count + 1)]
+
+
 def standardness_witness(x):
     """None if the squares criterion holds, else the first failing (p, r).
 
     Criterion: for every initial segment x_1..x_r and every p in 1..r, the
     Koszul homology length is unchanged when the elements are squared.
+    The prefixes of x^2 are the squares of x's prefixes, so the two walks
+    meet the same (p, r) in step, and the first difference ends both.
     """
-    for r in range(1, x.count + 1):
-        sub = x.prefix(r)
-        sq = sub.power(2)
-        for p in range(1, r + 1):
-            l1 = sub.length(p)
-            l2 = sq.length(p)
-            if l1 is INFINITE or l2 is INFINITE:
-                raise AlgebraError(
-                    f"infinite Koszul homology length at (p={p}, r={r}); "
-                    "squares criterion needs finite lengths")
-            if l1 != l2:
-                return (p, r)
+    for (key, l1), (_, l2) in zip(_koszul_lengths(x),
+                                  _koszul_lengths(x.power(2))):
+        if l1 != l2:
+            return key
     return None
 
 
@@ -98,15 +112,7 @@ def local_cohomology_lengths(x):
     consistency check.
     """
     d = x.count
-    measured = {}
-    for r in range(1, d + 1):
-        sub = x.prefix(r)
-        for p in range(1, r + 1):
-            val = sub.length(p)
-            if val is INFINITE:
-                raise AlgebraError("infinite Koszul homology length; "
-                                   "x is not a sop of R")
-            measured[(p, r)] = val
+    measured = dict(_koszul_lengths(x))
     lc = [0] * d
     for p in range(d, 0, -1):
         # len H_p(x_1..x_d) = sum_{i} binom(d, i+p) lc[i]; i = d-p is new
@@ -173,11 +179,8 @@ def length_stability_check(x, nmax, check_maps):
     computes the corresponding local cohomology for standard sops).
     """
     d = x.count
-    lengths = {}
-    for n in range(1, nmax + 1):
-        xn = x.power(n)
-        for p in range(1, d + 1):
-            lengths[(p, n)] = xn.length(p)
+    lengths = {(p, n): val for n in range(1, nmax + 1)
+               for p, val in enumerate(_lengths(x.power(n)), 1)}
     stable = {p: len({lengths[(p, n)] for n in range(1, nmax + 1)}) == 1
               for p in range(1, d + 1)}
     injective = {}
@@ -252,13 +255,7 @@ def flc_check(x, nmax):
     if nmax < 2:
         raise AlgebraError(f"power bound {nmax} is below 2: the FLC check "
                            "compares powers nmax - 1 and nmax")
-    lengths = {}
-    for n in (nmax - 1, nmax):
-        xn = x.power(n)
-        for p in range(1, x.count + 1):
-            lengths[(p, n)] = xn.length(p)
-    if any(lengths[(p, nmax - 1)] != lengths[(p, nmax)]
-           for p in range(1, x.count + 1)):
+    if _lengths(x.power(nmax - 1)) != _lengths(x.power(nmax)):
         return UNDECIDED
     try:
         local_cohomology_lengths(x.power(nmax))

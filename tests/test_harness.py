@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from parres import (complexes, groebner, harness, invariants, koszul,
                     oracle, resolutions)
-from parres.algebra import (IDENTIFIER, AlgebraError, NotHomogeneousError,
-                            PolyParseError, PolynomialRingSpec)
+from parres.algebra import (IDENTIFIER, MAX_NESTING, AlgebraError,
+                            NotHomogeneousError, PolyParseError,
+                            PolynomialRingSpec)
 from parres.cli import build_parser, bundled_ring_text, main, run
 from parres.harness import (EXPERIMENTS, load_ring_spec, parse_ring_spec,
                             run_experiment)
@@ -463,6 +464,68 @@ def test_cli_errors(capsys, tmp_path):
     bad.write_text("[field]\n7\n[vars]\na b\n[ideal]\na + * b\n")
     assert main(["resolve", "--ring", str(bad)]) == 1
     assert main(["koszul", "--ring", "r1", "--sop", "nope"]) == 1
+
+
+_VARS_AB = "[field]\n7\n[vars]\na b\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[field]\n7\n[vars]\na a\n[sop x]\na\n", "duplicate variable names"),
+    (_VARS_AB + "[ideal]\na b\n[sop x]\nb\n",
+     "unexpected trailing token 'b' (line 6, column 3)"),
+    (_VARS_AB + "[ideal]\n(a + b\n[sop x]\nb\n",
+     "expected ')' (line 6, column 7)"),
+    (_VARS_AB + "[ideal]\na^b\n[sop x]\nb\n",
+     "expected integer exponent after '^' (line 6, column 3)"),
+    ("[field\n7\n", "unterminated section header (line 1)"),
+    (_VARS_AB + "[sop x]\na\nb\n[caps]\nhomological 3\n",
+     "caps entries are key = value (line 9)"),
+    (_VARS_AB + "[sop x]\na\nb\n[caps]\nhomological = x\n",
+     "bad cap value 'x' (line 9)"),
+    ("[field]\n7\n", "ring spec missing [vars]"),
+    (_VARS_AB + "[ideal]\n1\n[sop x]\na\n",
+     "defining ideal contains a unit"),
+    (_VARS_AB + "[sop x]\na\nb\n[sop y]\nb\na\n",
+     "ring spec has sops ['x', 'y']; pick one"),
+], ids=["duplicate-vars", "trailing-token", "unclosed-paren",
+        "non-integer-exponent", "unterminated-header", "caps-no-equals",
+        "bad-cap-value", "missing-vars", "unit-ideal", "two-sops"])
+def test_each_input_error_is_one_line(capsys, tmp_path, text, message):
+    # each of these raises only on its malformed input: the CLI prints the
+    # message, with the line and column where the parser has them, on one
+    # error line and exits 1, with no traceback
+    spec = tmp_path / "bad.ring"
+    spec.write_text(text)
+    assert main(["resolve", "--ring", str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_a_ring_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
+    spec = tmp_path / "bad.ring"
+    spec.write_bytes(b"\xff\xfe[field]\n7\n")
+    with pytest.raises(AlgebraError, match="not UTF-8") as exc:
+        load_ring_spec(spec)
+    assert str(spec) in str(exc.value)
+    assert main(["resolve", "--ring", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 400])
+def test_parentheses_nest_up_to_a_fixed_depth(capsys, tmp_path, depth):
+    # past the limit the parse fails at the ( that passes it, before the
+    # recursive descent nears the interpreter's recursion limit
+    spec = tmp_path / "nested.ring"
+    spec.write_text(_VARS_AB + "[ideal]\n" + "(" * depth + "a^2"
+                    + ")" * depth + "\n[sop x]\nb\n")
+    code = main(["resolve", "--ring", str(spec)])
+    err = capsys.readouterr().err
+    if depth <= MAX_NESTING:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err == (f"error: parentheses nested deeper than {MAX_NESTING}"
+                       f" (line 6, column {MAX_NESTING + 1})\n")
 
 
 def test_parse_rejects_unknown_caps():
