@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 
-from .algebra import EXP_MASK, NotHomogeneousError, check_degree
+from .algebra import EXP_BITS, EXP_MASK, NotHomogeneousError, check_degree
 
 # ---------------------------------------------------------------------------
 # vectors: dict packed-key -> coefficient in (0, p)
@@ -38,7 +38,10 @@ from .algebra import EXP_MASK, NotHomogeneousError, check_degree
 
 def vec_degree(ctx, vec, gendegs):
     """Internal degree of a homogeneous vector; raises if inhomogeneous."""
-    degs = {ctx.mono_degree(k) + gendegs[ctx.pos_of(k)] for k in vec}
+    degshift, topshift = ctx.degshift, ctx.topshift
+    # each term's monomial degree plus its position's degree
+    degs = {((k >> degshift) & EXP_MASK) + gendegs[-(k >> topshift)]
+            for k in vec}
     if len(degs) > 1:
         raise NotHomogeneousError(f"degrees {sorted(degs)} in one vector")
     return degs.pop() if degs else None
@@ -78,15 +81,6 @@ class PyReducer:
             if k & dmask > top:
                 top = k & dmask
         return (lead & ctx.fmask) ^ ctx.one, lead, (top - base) >> dshift, items
-
-    def add(self, vec):
-        """Store vec (dict), made monic, as an entry; returns its position.
-        The lead is the largest key, so vec's terms may come in any order."""
-        lead = max(vec)
-        pos = -(lead >> self.ctx.topshift)
-        self.by_pos.setdefault(pos, []).append(
-            self.entry(lead, vec.items(), pow(vec[lead], self.p - 2, self.p)))
-        return pos
 
     def normal_form(self, vec):
         """Fully reduce `vec`, modulo I in every position when `ring` is set.
@@ -158,25 +152,6 @@ class PyReducer:
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def spoly(entry1, entry2, lcm, deg, ctx, p):
-    """S-vector of two monic reducer entries in one position: x^q1 v1 -
-    x^q2 v2, each cofactor taking its lead to the lcm of the leads, whose
-    exponent word is lcm and degree deg."""
-    key = ctx.word_key(lcm, deg, entry1[1])
-    s = {}
-    for (_, lead, excess, items), sign in ((entry1, 1), (entry2, -1)):
-        check_degree(deg + excess)
-        delta = key - lead
-        for k, c in items:
-            nk = k + delta
-            nc = (s.get(nk, 0) + sign * c) % p
-            if nc:
-                s[nk] = nc
-            else:
-                s.pop(nk, None)
-    return s
-
-
 def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     """A reducer whose entries in positions < nlead, together with g e_i for
     every basis element g of I and every position i < nlead, form a
@@ -224,6 +199,10 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     m e_i divides the lcm of h' and g e_i, so the pair (h', g e_i) is
     covered by the pairs (h', new) and (new, g e_i), each formed or met by
     the product criterion.
+
+    Each S-pair is formed, built and stored in this loop, with the word
+    arithmetic of `algebra.PackContext` written out on its fields, and
+    reduced by one `normal_form` call.
     """
     # deferred import: kernel imports this module
     from .kernel import reducer_factory
@@ -231,6 +210,12 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     ideal = ring._basis if ring is not None else ()
     if ideal:
         reducer.ring = ring
+    by_pos, entry = reducer.by_pos, reducer.entry
+    topshift, degshift, one, guard = ctx.topshift, ctx.degshift, ctx.one, \
+        ctx.guard
+    summer, sumshift = ctx.summer, ctx.sumshift
+    degmask = (2 << EXP_BITS) - 1  # a word's degree, up to 2 * MAX_DEGREE
+    heappush, heappop = heapq.heappush, heapq.heappop
     live = {}  # position -> the entries of I not retired there
     # (degree, seq, generator vec or (entry, entry, lcm word, lcm degree))
     heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
@@ -240,36 +225,72 @@ def buchberger(vecs, ctx, p, gendegs, nlead, ring):
     rank1 = len(gendegs) == 1
 
     while heap:
-        _, _, item = heapq.heappop(heap)
-        nf = reducer.normal_form(item if isinstance(item, dict)
-                                 else spoly(*item, ctx, p))
+        _, _, item = heappop(heap)
+        if type(item) is tuple:
+            # the S-vector x^q1 v1 - x^q2 v2 of two monic entries, each
+            # cofactor taking its lead to the lcm, whose key lies in the
+            # position of the first entry
+            (_, lead1, excess1, items1), (_, lead2, excess2, items2), \
+                lcm, deg = item
+            key = ((lead1 >> topshift) << topshift) + (lcm ^ one) \
+                + (deg << degshift)
+            check_degree(deg + excess1)
+            delta = key - lead1
+            vec = {k + delta: c for k, c in items1}
+            check_degree(deg + excess2)
+            delta = key - lead2
+            for k, c in items2:
+                k += delta
+                prev = vec.get(k)
+                if prev is None:
+                    vec[k] = p - c
+                elif prev == c:
+                    del vec[k]
+                else:
+                    vec[k] = (prev - c) % p
+        else:
+            vec = item
+        nf = reducer.normal_form(vec)
         if not nf:
             continue
-        pos = reducer.add(nf)
+        lead = max(nf)
+        pos = -(lead >> topshift)
+        new = entry(lead, nf.items(), pow(nf[lead], p - 2, p))
+        same = by_pos.setdefault(pos, [])
         if pos >= nlead:
+            same.append(new)
             continue
-        *same, new = reducer.by_pos[pos]
         word = new[0]
+        wg = word | guard
+        gendeg = gendegs[pos]
         for old in same:
-            lcm = ctx.lcm(word, old[0])
-            if rank1 and lcm == word + old[0]:
+            w = old[0]
+            # the lcm word: with every guard set in word, word - w keeps
+            # the guard of each field where word's exponent is at least
+            # w's, and that mask less its shifted guards picks the larger
+            # field; its degree is the field at sumshift of lcm * summer
+            ge = (wg - w) & guard
+            lcm = w ^ ((word ^ w) & (ge - (ge >> EXP_BITS)))
+            if rank1 and lcm == word + w:
                 continue  # product criterion: the leads are coprime
-            deg = ctx.word_degree(lcm)
-            heapq.heappush(heap, (deg + gendegs[pos], seq,
-                                  (old, new, lcm, deg)))
+            deg = (lcm * summer >> sumshift) & degmask
+            heappush(heap, (deg + gendeg, seq, (old, new, lcm, deg)))
             seq += 1
+        same.append(new)
         if not ideal:
             continue
         kept = []
         for g in live.get(pos, ideal):
-            lcm = ctx.lcm(word, g[0])
-            if lcm != word + g[0]:  # else the product criterion holds
-                # new first: spoly takes the position of its first entry
-                deg = ctx.word_degree(lcm)
-                heapq.heappush(heap, (deg + gendegs[pos], seq,
-                                      (new, g, lcm, deg)))
+            w = g[0]
+            ge = (wg - w) & guard
+            lcm = w ^ ((word ^ w) & (ge - (ge >> EXP_BITS)))
+            if lcm != word + w:  # else the product criterion holds
+                # new first: the S-vector takes the position of its first
+                # entry
+                deg = (lcm * summer >> sumshift) & degmask
+                heappush(heap, (deg + gendeg, seq, (new, g, lcm, deg)))
                 seq += 1
-            if lcm != g[0]:
+            if lcm != w:
                 kept.append(g)  # else the new lead divides LT(g): retired
         live[pos] = kept
 

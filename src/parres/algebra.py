@@ -179,24 +179,6 @@ class PackContext:
         uncomplemented, with no degree field."""
         return (key & self.fmask) ^ self.one
 
-    def lcm(self, a, b):
-        """Exponent word of the lcm of the monomials with words a and b."""
-        guard = self.guard
-        ge = ((a | guard) - b) & guard  # the guards of fields where a >= b
-        return b ^ ((a ^ b) & (ge - (ge >> EXP_BITS)))
-
-    def word_degree(self, word):
-        """Total degree of an exponent word, up to 2 * MAX_DEGREE."""
-        return (word * self.summer >> self.sumshift) & ((2 << EXP_BITS) - 1)
-
-    def word_key(self, word, deg, key):
-        """Key of the monomial of exponent word `word` and degree deg in the
-        position of `key`; deg must not exceed MAX_DEGREE for the key to
-        take part in products."""
-        topshift = self.topshift
-        return (((key >> topshift) << topshift) + (word ^ self.one)
-                + (deg << self.degshift))
-
     def mul_delta(self, exp):
         """Additive key delta for multiplication by the ring monomial x^exp;
         the caller checks the degree of the products."""

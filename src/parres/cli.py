@@ -66,9 +66,10 @@ def run(args):
                                                          DEFAULT_CAP)
     nmax = (args.power_max if args.power_max is not None
             else spec.cap("power", DEFAULT_POWER_MAX))
-    # only invariants runs without a sop: it picks a reference one
+    # only invariants runs without a sop: it picks a reference one, unless
+    # the command line names one
     x = (None if args.command == "invariants" and not spec.sops
-         else spec.sop(args.sop))
+         and args.sop is None else spec.sop(args.sop))
     return run_experiment(args.command, spec.ring, x, cap, nmax)
 
 

@@ -519,12 +519,13 @@ class FinitelyPresentedModule:
                 relations.row_degrees != self.gen_degrees:
             raise DimensionMismatchError("relations do not match generators")
         self.relations = relations
+        self._leads = None
         self._numerator = None
 
     def _initial_leads(self):
         """Per-position leading exponents of relations + I * generators: the
         leads of the Buchberger store and I's own, which the store keeps
-        implicit in every position.
+        implicit in every position; kept for the numerator and the length.
 
         The store's leads are those of the reduced basis, so no
         interreduction is run.  A store lead may divide one of I's, so the
@@ -539,6 +540,7 @@ class FinitelyPresentedModule:
                  for pos in range(len(self.gen_degrees))}
         for pos, entries in store.by_pos.items():
             leads[pos] += [exp_of(e[1]) for e in entries]
+        self._leads = leads
         return leads
 
     def hilbert_numerator(self):
@@ -547,20 +549,38 @@ class FinitelyPresentedModule:
         numerator of their position, shifted by their degree; computed once
         per module, from the leads of relations + I in each position."""
         if self._numerator is None:
-            nums = [hilbert_numerator(exps)
-                    for exps in self._initial_leads().values()]
+            leads = (self._initial_leads() if self._leads is None
+                     else self._leads)
+            nums = [hilbert_numerator(exps) for exps in leads.values()]
             self._numerator = sum_numerators(
                 (1, base, num) for base, num in zip(self.gen_degrees, nums))
         return self._numerator
 
+    def _graded_counts(self):
+        """Dict internal degree -> GF(p)-dimension, or INFINITE, which the
+        leads tell with no numerator: the leading module is a monomial
+        ideal L_i in each position i (position over term), so the module
+        has finite length exactly when each L_i is the unit ideal or holds
+        a pure power of every variable."""
+        nv = self.ring.nvars
+        leads = self._initial_leads() if self._leads is None else self._leads
+        # the support of a pure power of each variable
+        pure = [tuple(i == j for i in range(nv)) for j in range(nv)]
+        for exps in leads.values():
+            supports = {tuple(e > 0 for e in exp) for exp in exps}
+            if ((False,) * nv not in supports
+                    and not all(s in supports for s in pure)):
+                return INFINITE
+        return series_counts(self.hilbert_numerator(), nv)
+
     def length(self):
         """Vector-space dimension over GF(p), or INFINITE if dim > 0."""
-        counts = series_counts(self.hilbert_numerator(), self.ring.nvars)
+        counts = self._graded_counts()
         return INFINITE if counts is INFINITE else sum(counts.values())
 
     def graded_length(self):
         """Dict internal degree -> GF(p)-dimension (finite length only)."""
-        counts = series_counts(self.hilbert_numerator(), self.ring.nvars)
+        counts = self._graded_counts()
         if counts is INFINITE:
             raise AlgebraError("graded length of an infinite-length module")
         return counts

@@ -40,6 +40,11 @@ class RingSpecFile:
         self.name = name
 
     def sop(self, name=None):
+        if not self.sops:
+            raise AlgebraError(
+                ("" if name is None else f"no sop named {name!r}: ")
+                + "ring spec has no [sop] section; only invariants runs "
+                "without one")
         if name is None:
             if len(self.sops) == 1:
                 return next(iter(self.sops.values()))

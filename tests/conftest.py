@@ -73,6 +73,19 @@ def solver_stores(module, cap):
     return seen
 
 
+def add_entry(reducer, vec):
+    """Store vec (dict), made monic, as an entry of reducer; returns its
+    position.  The lead is the largest key, so vec's terms may come in any
+    order.  The former `PyReducer.add`, for the tests that fill a reducer
+    by hand and for the reference Buchberger loop."""
+    lead = max(vec)
+    pos = reducer.ctx.pos_of(lead)
+    reducer.by_pos.setdefault(pos, []).append(
+        reducer.entry(lead, vec.items(), pow(vec[lead], reducer.p - 2,
+                                             reducer.p)))
+    return pos
+
+
 def ideal_rows(ring, positions):
     """g*e_i for every basis element g of the ring's I and every i in
     positions: the rows that a reducer over R keeps implicit."""

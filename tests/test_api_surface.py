@@ -154,10 +154,6 @@ def test_every_exception_is_defined_and_uncalled():
 # method, property or public instance attribute, or with a module function:
 # every definition of it, with its src caller or the reason it has none.
 SHARED_NAMES = {
-    "add": {
-        "Echelon.add": "oracle.gf_rank and resolutions._minimal_columns",
-        "PyReducer.add": "_engine.buchberger",
-    },
     "cap": {
         "BettiTable.cap": "BettiTable.totals, pretty and __eq__",
         "ModuleResolution.cap": "ModuleResolution.betti",
@@ -185,7 +181,7 @@ SHARED_NAMES = {
             "no src caller: the tests' Polynomial view of a matrix",
     },
     "entry": {
-        "PyReducer.entry": "PyReducer.add and _engine.interreduce",
+        "PyReducer.entry": "_engine.buchberger and _engine.interreduce",
         "RingMatrix.entry": "ParameterSequence.elements",
     },
     "graded_length": {
@@ -202,7 +198,8 @@ SHARED_NAMES = {
         "QuotientRingSpec.hilbert_numerator":
             "QuotientRingSpec.dimension and ParameterSequence._free",
         "FinitelyPresentedModule.hilbert_numerator":
-            "FinitelyPresentedModule.length and ParameterSequence._cokernel",
+            "FinitelyPresentedModule._graded_counts and "
+            "ParameterSequence._cokernel",
     },
     "is_zero": {
         "Polynomial.is_zero": "RingMatrix.from_columns",

@@ -1,17 +1,20 @@
 """Packed-key representation and interreduction."""
 
+import heapq
+import sys
 from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parres.algebra import (EXP_BITS, EXP_MASK, MAX_DEGREE, PackContext,
-                            check_degree, grevlex_key)
-from parres._engine import PyReducer, groebner_basis, interreduce, vec_degree
+from parres.algebra import (EXP_BITS, EXP_MASK, MAX_DEGREE, AlgebraError,
+                            PackContext, check_degree, grevlex_key)
+from parres._engine import (PyReducer, buchberger, groebner_basis,
+                            interreduce, vec_degree)
 from parres import _engine, kernel
 from parres.groebner import ExtendedSolver
-from conftest import solver_stores, sop_differentials
+from conftest import add_entry, solver_stores, sop_differentials
 
 exps3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 
@@ -93,7 +96,7 @@ def test_key_additions_check_the_degree_of_every_product():
     # a lead of degree 1 whose tail in position 1 has degree 1000
     tail = ctx.pack(1, (0, 1000))
     reducer = PyReducer(ctx, 101)
-    reducer.add({ctx.pack(0, (1, 0)): 1, tail: 1})
+    add_entry(reducer, {ctx.pack(0, (1, 0)): 1, tail: 1})
     assert reducer.normal_form({ctx.pack(0, (23, 0)): 1}) == {
         ctx.pack(1, (22, 1000)): 100}
     with pytest.raises(AlgebraError, match="degree 1023 exceeds packing"):
@@ -151,7 +154,7 @@ def _interreduce_reference(vecs, ctx, p, gendegs):
         reducer = PyReducer(ctx, p)
         for j, w in enumerate(kept):
             if j != i:
-                reducer.add(w)
+                add_entry(reducer, w)
         nf = reducer.normal_form(v)
         if nf:
             lead = max(nf)
@@ -292,12 +295,12 @@ def test_interreduce_rewrites_a_tail_that_a_later_lead_divides():
                           ctx.pack(2, (1, 0)), ctx.pack(2, (0, 1)))
     reducer = PyReducer(ctx, 7)
     # a^2 e_0 + 3ab e_1, whose tail the later lead a e_1 divides
-    reducer.add({a2e0: 1, abe1: 3})
+    add_entry(reducer, {a2e0: 1, abe1: 3})
     # a e_1 + 4b e_1: no lead divides its tail, so it is kept as stored
-    reducer.add({ae1: 4, be1: 2})
+    add_entry(reducer, {ae1: 4, be1: 2})
     kept = reducer.by_pos[1][0]
     # a e_2 + b e_2, stored with its lead second: rewritten lead first
-    reducer.add({be2: 1, ae2: 1})
+    add_entry(reducer, {be2: 1, ae2: 1})
     interreduce(reducer)
     # 3ab e_1 - 3b (a e_1 + 4b e_1) = -12b^2 e_1 = 2b^2 e_1, irreducible
     assert reducer.by_pos[0] == [reducer.entry(a2e0, [(a2e0, 1), (b2e1, 2)], 1)]
@@ -329,9 +332,9 @@ def test_one_pass_entry_matches_the_two_pass_entry(case, data):
     vecs = [*vecs, {ctx.pack(1, (0, 3, *pad)): 2,
                     ctx.pack(0, (1, 0, *pad)): p - 1}]
     for vec in vecs:
-        # the lead need not come first: add takes the largest key
+        # the lead need not come first: add_entry takes the largest key
         unordered = dict(data.draw(st.permutations(list(vec.items()))))
-        pos = reducer.add(unordered)
+        pos = add_entry(reducer, unordered)
         assert reducer.by_pos[pos][-1] == _two_pass_entry(reducer, unordered)
     assert reducer.by_pos[0][-1][2] == 2
 
@@ -389,7 +392,7 @@ def test_normal_form_matches_max_scan_reference(case, data):
     # result, and their reduced Groebner basis
     raw = PyReducer(ctx, p)
     for vec in vecs:
-        raw.add(vec)
+        add_entry(raw, vec)
     reducers = (raw, groebner_basis(vecs, ctx, p, gendegs,
                                     len(gendegs), None))
     for _ in range(data.draw(st.integers(1, 3))):
@@ -421,7 +424,7 @@ def test_normal_form_over_a_ring_matches_the_reference_with_the_ideal_rows(
             ref = PyReducer(ctx, store.p)
             for *_, items in ring._basis:
                 for pos in positions:
-                    ref.add({ctx.move(k, pos): c for k, c in items})
+                    add_entry(ref, {ctx.move(k, pos): c for k, c in items})
             for pos, entries in store.by_pos.items():
                 ref.by_pos[pos] = ref.by_pos.get(pos, []) + entries
             # terms outside position 0 that I's leads divide
@@ -466,6 +469,8 @@ def test_word_arithmetic_matches_tuples(nv, data):
     a, b = data.draw(edge_monomials(nv)), data.draw(edge_monomials(nv))
     if nv == 3 and data.draw(st.booleans()):
         a, b = (1022, 0, 0), (1021, 1, 0)
+    if nv == 2 and data.draw(st.booleans()):
+        a, b = (511, 1), (1, 511)  # an lcm of degree MAX_DEGREE
     pos = data.draw(st.integers(0, 5))
     ka, kb = ctx.pack(pos, a), ctx.pack(pos, b)
     # a guard bit above every field, the degree's included, and each is 0
@@ -477,18 +482,198 @@ def test_word_arithmetic_matches_tuples(nv, data):
     assert (_word_exps(ctx, wa), _word_exps(ctx, wb)) == (a, b)
     # divisibility is decided by the reducer's word test
     reducer = PyReducer(ctx, 101)
-    reducer.add({ka: 1})
+    add_entry(reducer, {ka: 1})
     assert (reducer.normal_form({kb: 1}) == {}) == _divides(a, b)
-    lcm = ctx.lcm(wa, wb)
+    lcm = _lcm(ctx, wa, wb)
     top = tuple(map(max, a, b))
     assert _word_exps(ctx, lcm) == top
-    assert ctx.word_degree(lcm) == sum(top)
+    assert _word_degree(ctx, lcm) == sum(top)
     # the product criterion: coprime leads, in word and in degree form
     coprime = all(min(x, y) == 0 for x, y in zip(a, b))
     assert (lcm == wa + wb) == coprime
-    assert (ctx.word_degree(lcm) == sum(a) + sum(b)) == coprime
+    assert (_word_degree(ctx, lcm) == sum(a) + sum(b)) == coprime
     if sum(top) <= MAX_DEGREE:
-        key = ctx.word_key(lcm, sum(top), ka)
+        key = _word_key(ctx, lcm, sum(top), ka)
         assert key == ctx.pack(pos, top)
         # the cofactor taking a lead to the lcm is the key difference
         assert key - ka == ctx.mul_delta(tuple(x - y for x, y in zip(top, a)))
+    # buchberger's own word arithmetic: unless one divides the other, the
+    # leads a e_0 and b e_0, tagged in positions 1 and 2, make one S-pair,
+    # whose S-vector x^q1 e_1 - x^q2 e_2 lies at the lcm and no entry
+    # reduces, or whose products pass the packing limit
+    vecs = [{ctx.pack(0, a): 1, ctx.pack(1, a): 1},
+            {ctx.pack(0, b): 1, ctx.pack(2, b): 1}]
+    _assert_same_store(vecs, ctx, 101, (0, 0, 0), 1, None)
+    if _divides(a, b) or _divides(b, a):
+        return
+    if sum(top) > MAX_DEGREE:
+        with pytest.raises(AlgebraError, match=f"degree {sum(top)} exceeds"):
+            buchberger(vecs, ctx, 101, (0, 0, 0), 1, None)
+        return
+    store = buchberger(vecs, ctx, 101, (0, 0, 0), 1, None)
+    assert [dict(items) for *_, items in store.by_pos[1]] == [
+        {ctx.pack(1, top): 1, ctx.pack(2, top): 100}]
+
+
+# --- Buchberger against the former loop --------------------------------------
+#
+# The reference: the loop as it was before it formed, built and stored each
+# S-pair itself, with the lcm word, its degree and the S-vector's key from
+# these helpers (once methods of PackContext), the S-vector from _spoly,
+# and each normal form stored through add_entry.
+
+
+def _lcm(ctx, a, b):
+    """Exponent word of the lcm of the monomials with words a and b."""
+    guard = ctx.guard
+    ge = ((a | guard) - b) & guard  # the guards of fields where a >= b
+    return b ^ ((a ^ b) & (ge - (ge >> EXP_BITS)))
+
+
+def _word_degree(ctx, word):
+    """Total degree of an exponent word, up to 2 * MAX_DEGREE."""
+    return (word * ctx.summer >> ctx.sumshift) & ((2 << EXP_BITS) - 1)
+
+
+def _word_key(ctx, word, deg, key):
+    """Key of the monomial of exponent word `word` and degree deg in the
+    position of `key`."""
+    topshift = ctx.topshift
+    return (((key >> topshift) << topshift) + (word ^ ctx.one)
+            + (deg << ctx.degshift))
+
+
+def _spoly(entry1, entry2, lcm, deg, ctx, p):
+    """S-vector of two monic reducer entries in one position."""
+    key = _word_key(ctx, lcm, deg, entry1[1])
+    s = {}
+    for (_, lead, excess, items), sign in ((entry1, 1), (entry2, -1)):
+        check_degree(deg + excess)
+        delta = key - lead
+        for k, c in items:
+            nk = k + delta
+            nc = (s.get(nk, 0) + sign * c) % p
+            if nc:
+                s[nk] = nc
+            else:
+                s.pop(nk, None)
+    return s
+
+
+def _reference_buchberger(vecs, ctx, p, gendegs, nlead, ring):
+    reducer = PyReducer(ctx, p)
+    ideal = ring._basis if ring is not None else ()
+    if ideal:
+        reducer.ring = ring
+    live = {}
+    heap = [(vec_degree(ctx, vec, gendegs), seq, vec)
+            for seq, vec in enumerate(v for v in vecs if v)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    rank1 = len(gendegs) == 1
+    while heap:
+        _, _, item = heapq.heappop(heap)
+        nf = reducer.normal_form(item if isinstance(item, dict)
+                                 else _spoly(*item, ctx, p))
+        if not nf:
+            continue
+        pos = add_entry(reducer, nf)
+        if pos >= nlead:
+            continue
+        *same, new = reducer.by_pos[pos]
+        word = new[0]
+        for old in same:
+            lcm = _lcm(ctx, word, old[0])
+            if rank1 and lcm == word + old[0]:
+                continue
+            deg = _word_degree(ctx, lcm)
+            heapq.heappush(heap, (deg + gendegs[pos], seq,
+                                  (old, new, lcm, deg)))
+            seq += 1
+        if not ideal:
+            continue
+        kept = []
+        for g in live.get(pos, ideal):
+            lcm = _lcm(ctx, word, g[0])
+            if lcm != word + g[0]:
+                deg = _word_degree(ctx, lcm)
+                heapq.heappush(heap, (deg + gendegs[pos], seq,
+                                      (new, g, lcm, deg)))
+                seq += 1
+            if lcm != g[0]:
+                kept.append(g)
+        live[pos] = kept
+    return reducer
+
+
+def _run_counting_normal_forms(loop, args):
+    """(store or the AlgebraError raised, the loop's own normal-form calls)
+    of one run; those that the ring's monomial forms make are not counted,
+    since the first run fills the ring's table for the second."""
+    calls = []
+    real = PyReducer.normal_form
+
+    def counting(reducer, vec):
+        calls.append(sys._getframe(1).f_code is loop.__code__)
+        return real(reducer, vec)
+
+    with mock.patch.object(PyReducer, "normal_form", counting):
+        try:
+            out = loop(*args)
+        except AlgebraError as exc:
+            out = exc
+    return out, sum(calls)
+
+
+def _assert_same_store(vecs, ctx, p, gendegs, nlead, ring):
+    """buchberger stores what the former loop stores, entry for entry and
+    position for position, through as many normal forms, or both raise
+    the same error; returns the number of entries."""
+    args = (list(vecs), ctx, p, gendegs, nlead, ring)
+    got, got_nfs = _run_counting_normal_forms(buchberger, args)
+    want, want_nfs = _run_counting_normal_forms(_reference_buchberger, args)
+    assert got_nfs == want_nfs
+    if isinstance(want, AlgebraError):
+        assert str(got) == str(want)
+        return 0
+    assert list(got.by_pos.items()) == list(want.by_pos.items())
+    assert got.ring is want.ring
+    return len(got)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=homogeneous_submodules(), tag=st.booleans())
+def test_buchberger_stores_what_the_former_loop_stores(case, tag):
+    ctx, p, gendegs, vecs = case
+    nlead = len(gendegs)
+    if tag:
+        # each generator tagged in a position of its own after the module's,
+        # as ExtendedSolver tags the columns of a matrix: a tag block
+        degs = [vec_degree(ctx, v, gendegs) for v in vecs]
+        vecs = [{**v, ctx.move(ctx.one, nlead + j): 1}
+                for j, v in enumerate(vecs)]
+        gendegs = (*gendegs, *degs)
+    _assert_same_store(vecs, ctx, p, gendegs, nlead, None)
+
+
+def test_buchberger_stores_what_the_former_loop_stores_over_a_ring(
+        monkeypatch, corpus):
+    # every solver run of the syzygy steps of the bundled rings through cap
+    # 3, tagged and over R = S/I with I's basis implicit, is run again by
+    # the former loop
+    diffs = [d for spec in corpus.values() for d in sop_differentials(spec, 3)]
+    runs = []
+
+    def compare(vecs, ctx, p, gendegs, nlead, ring):
+        vecs = list(vecs)
+        runs.append((nlead < len(gendegs), bool(ring._basis),
+                     _assert_same_store(vecs, ctx, p, gendegs, nlead, ring)))
+        return buchberger(vecs, ctx, p, gendegs, nlead, ring)
+
+    monkeypatch.setattr(_engine, "buchberger", compare)
+    for d in diffs:
+        ExtendedSolver(d)
+    assert len(runs) == len(diffs) > 20
+    assert all(tagged for tagged, *_ in runs)
+    assert sum(over_ring for _, over_ring, _ in runs) > 20
+    assert sum(entries for *_, entries in runs) > 200

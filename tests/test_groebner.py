@@ -1,4 +1,5 @@
 import copy
+import sys
 from operator import le
 from itertools import combinations, combinations_with_replacement
 
@@ -19,7 +20,7 @@ from parres.invariants import maximal_ideal_sequence
 from parres.koszul import ParameterSequence, koszul_complex
 from parres.resolutions import minimal_free_resolution
 
-from conftest import (QUINTIC, RING_109, STAGE_A, bundled_spec,
+from conftest import (QUINTIC, RING_109, STAGE_A, add_entry, bundled_spec,
                       checked_tables, ideal_rows, matrix_of,
                       nonminimal_resolution, packed, sop_differentials)
 import polyref
@@ -496,7 +497,7 @@ def _rebuilt_reducer(solver):
     for v in ideal_rows(solver.ring,
                         range(solver.nrows + solver.matrix.ncols)) + \
             _rebuilt_basis(solver):
-        reducer.add(v)
+        add_entry(reducer, v)
     return reducer
 
 
@@ -726,7 +727,7 @@ def _reference_normal_form(ring, vec):
     ctx = ring._ctx
     ref = PyReducer(ctx, ring.characteristic)
     for row in ideal_rows(ring, range(max(map(ctx.pos_of, vec)) + 1)):
-        ref.add(row)
+        add_entry(ref, row)
     return ref.normal_form(vec)
 
 
@@ -801,26 +802,40 @@ def test_products_match_polynomial_compose_on_resolutions(
 # --- Schreyer: no S-pair in the tag block -----------------------------------
 
 
+def _on_each_spair(monkeypatch, record):
+    """Call record(reducer, pair, S-vector) for each S-pair that
+    buchberger reduces, in the order reduced: a spy on the reducer's normal
+    form reads the pair record the loop popped, (entry, entry, lcm word,
+    lcm degree), from its caller's frame, and the S-vector is the vector
+    the loop built from it."""
+    real = PyReducer.normal_form
+    loop = _engine.buchberger.__code__
+
+    def spy(reducer, vec):
+        frame = sys._getframe(1)
+        if frame.f_code is loop and type(frame.f_locals["item"]) is tuple:
+            record(reducer, frame.f_locals["item"], dict(vec))
+        return real(reducer, vec)
+
+    monkeypatch.setattr(PyReducer, "normal_form", spy)
+
+
 def test_the_solver_forms_no_tag_block_pair(monkeypatch, corpus):
     seen = []
-    real = _engine.spoly
-
-    def spy(entry1, entry2, lcm, deg, ctx, p):
-        seen.append(ctx.pos_of(entry1[1]))
-        return real(entry1, entry2, lcm, deg, ctx, p)
-
-    monkeypatch.setattr(_engine, "spoly", spy)
-    tagged = 0
+    _on_each_spair(monkeypatch, lambda reducer, pair, s: seen.append(
+        reducer.ctx.pos_of(pair[0][1])))
+    tagged = pairs = 0
     for spec in corpus.values():
         for d in sop_differentials(spec, 3):
             seen.clear()
             solver = ExtendedSolver(d)
             assert all(pos < d.nrows for pos in seen)
+            pairs += len(seen)
             # two entries led in one tag position: a pair left out
             tagged += sum(len(entries) - 1
                           for pos, entries in solver.store.by_pos.items()
                           if pos >= d.nrows)
-    assert tagged
+    assert tagged and pairs
 
 
 def test_syzygies_without_tag_block_pairs_stay_exact(corpus, random_specs):
@@ -966,18 +981,15 @@ def test_solver_answers_match_buchberger_with_the_ideal_rows(
 
 
 def _pairs_against_the_ideal(monkeypatch, ring):
-    """A spy on spoly: the (position, S-vector) of each pair against an
-    entry of I's basis, in the order formed."""
+    """The (position, S-vector) of each pair against an entry of I's basis,
+    in the order reduced."""
     seen = []
-    real = _engine.spoly
 
-    def spy(entry1, entry2, lcm, deg, ctx, p):
-        s = real(entry1, entry2, lcm, deg, ctx, p)
-        if any(entry2 is g for g in ring._basis):
-            seen.append((ctx.pos_of(entry1[1]), s))
-        return s
+    def record(reducer, pair, s):
+        if any(pair[1] is g for g in ring._basis):
+            seen.append((reducer.ctx.pos_of(pair[0][1]), s))
 
-    monkeypatch.setattr(_engine, "spoly", spy)
+    _on_each_spair(monkeypatch, record)
     return seen
 
 

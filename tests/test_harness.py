@@ -469,34 +469,46 @@ def test_cli_errors(capsys, tmp_path):
 _VARS_AB = "[field]\n7\n[vars]\na b\n"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[field]\n7\n[vars]\na a\n[sop x]\na\n", "duplicate variable names"),
+_NO_SOP = "[field]\n32003\n[vars]\na b\n[ideal]\na*b\n"
+
+
+@pytest.mark.parametrize("text, message, argv", [
+    ("[field]\n7\n[vars]\na a\n[sop x]\na\n", "duplicate variable names",
+     ["resolve"]),
     (_VARS_AB + "[ideal]\na b\n[sop x]\nb\n",
-     "unexpected trailing token 'b' (line 6, column 3)"),
+     "unexpected trailing token 'b' (line 6, column 3)", ["resolve"]),
     (_VARS_AB + "[ideal]\n(a + b\n[sop x]\nb\n",
-     "expected ')' (line 6, column 7)"),
+     "expected ')' (line 6, column 7)", ["resolve"]),
     (_VARS_AB + "[ideal]\na^b\n[sop x]\nb\n",
-     "expected integer exponent after '^' (line 6, column 3)"),
-    ("[field\n7\n", "unterminated section header (line 1)"),
+     "expected integer exponent after '^' (line 6, column 3)", ["resolve"]),
+    ("[field\n7\n", "unterminated section header (line 1)", ["resolve"]),
     (_VARS_AB + "[sop x]\na\nb\n[caps]\nhomological 3\n",
-     "caps entries are key = value (line 9)"),
+     "caps entries are key = value (line 9)", ["resolve"]),
     (_VARS_AB + "[sop x]\na\nb\n[caps]\nhomological = x\n",
-     "bad cap value 'x' (line 9)"),
-    ("[field]\n7\n", "ring spec missing [vars]"),
+     "bad cap value 'x' (line 9)", ["resolve"]),
+    ("[field]\n7\n", "ring spec missing [vars]", ["resolve"]),
     (_VARS_AB + "[ideal]\n1\n[sop x]\na\n",
-     "defining ideal contains a unit"),
+     "defining ideal contains a unit", ["resolve"]),
     (_VARS_AB + "[sop x]\na\nb\n[sop y]\nb\na\n",
-     "ring spec has sops ['x', 'y']; pick one"),
+     "ring spec has sops ['x', 'y']; pick one", ["resolve"]),
+    (_NO_SOP, "ring spec has no [sop] section; only invariants runs without "
+     "one", ["resolve"]),
+    (_NO_SOP, "no sop named 'x': ring spec has no [sop] section; only "
+     "invariants runs without one", ["resolve", "--sop", "x"]),
+    (_NO_SOP, "no sop named 'x': ring spec has no [sop] section; only "
+     "invariants runs without one", ["invariants", "--sop", "x"]),
 ], ids=["duplicate-vars", "trailing-token", "unclosed-paren",
         "non-integer-exponent", "unterminated-header", "caps-no-equals",
-        "bad-cap-value", "missing-vars", "unit-ideal", "two-sops"])
-def test_each_input_error_is_one_line(capsys, tmp_path, text, message):
+        "bad-cap-value", "missing-vars", "unit-ideal", "two-sops", "no-sop",
+        "no-sop-named", "invariants-no-sop-named"])
+def test_each_input_error_is_one_line(capsys, tmp_path, text, message,
+                                      argv):
     # each of these raises only on its malformed input: the CLI prints the
     # message, with the line and column where the parser has them, on one
     # error line and exits 1, with no traceback
     spec = tmp_path / "bad.ring"
     spec.write_text(text)
-    assert main(["resolve", "--ring", str(spec)]) == 1
+    assert main([argv[0], "--ring", str(spec), *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
 

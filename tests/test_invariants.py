@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from parres import invariants, oracle
+from parres import groebner, invariants, oracle
 from parres.algebra import AlgebraError
 from parres.cli import bundled_ring_text, main
-from parres.groebner import FinitelyPresentedModule
+from parres.groebner import INFINITE, FinitelyPresentedModule, series_counts
 from parres.harness import parse_ring_spec, run_experiment
 from parres.invariants import (NOT_FOUND, UNDECIDED, cohen_macaulay_defect,
                                cohomology_comparison_map, depth, flc_check,
@@ -121,6 +121,54 @@ def test_reference_sop(r1, r2):
     assert x.is_sop()
     y = reference_sop(r2.ring)
     assert y.is_sop() and y.count == 2
+
+
+def test_an_infinite_quotient_is_told_from_its_leads(monkeypatch,
+                                                     random_specs):
+    # R/(x) for each sop candidate: a candidate that is no sop costs one
+    # Buchberger run for its leads and no Hilbert numerator, and each
+    # length, finite or not, is the one the numerator gives
+    leads, numerators = [], []
+    real_leads = FinitelyPresentedModule._initial_leads
+    real_numerator = groebner.hilbert_numerator
+
+    def counting_leads(module):
+        leads.append(module)
+        return real_leads(module)
+
+    def counting_numerator(exps):
+        numerators.append(exps)
+        return real_numerator(exps)
+
+    sops = refused = 0
+    for spec in random_specs:
+        ring = spec.ring
+        ring.dimension()  # R's own numerator, counted before the spies
+        for cand in invariants._candidate_sops(ring):
+            try:
+                x = ParameterSequence(ring, cand)
+            except AlgebraError:
+                continue
+            leads.clear()
+            numerators.clear()
+            with monkeypatch.context() as m:
+                m.setattr(FinitelyPresentedModule, "_initial_leads",
+                          counting_leads)
+                m.setattr(groebner, "hilbert_numerator", counting_numerator)
+                is_sop = x.is_sop()
+            assert len(leads) == 1
+            if is_sop:
+                sops += 1
+            else:
+                assert numerators == []
+                refused += 1
+            for module in (x.quotient_module(), spec.sop().quotient_module()):
+                counts = series_counts(module.hilbert_numerator(), ring.nvars)
+                assert module.length() == (
+                    INFINITE if counts is INFINITE else sum(counts.values()))
+                if counts is not INFINITE:
+                    assert module.graded_length() == counts
+    assert sops >= len(random_specs) and refused > 50
 
 
 def test_cohomology_comparison_map(r1):
